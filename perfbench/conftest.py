@@ -1,0 +1,9 @@
+"""Put the benchmark's modules and the checkout's ymwaves sources on the path."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
