@@ -47,7 +47,6 @@ from .constraints import (
     build_family_ii,
     build_family_iii,
     classify,
-    nearest_branch,
     nine_constraints,
     normalized_constraints,
     oracle_constraints,
@@ -81,7 +80,7 @@ __all__ = [
     "ConstraintVector", "nine_constraints", "normalized_constraints",
     "FamilySolution", "NotASolution", "TrivialZeroField", "ClassificationError",
     "build_family_i", "build_family_ii", "build_family_iii",
-    "branch_projection", "classify", "nearest_branch", "oracle_constraints",
+    "branch_projection", "classify", "oracle_constraints",
     "refine_alphas", "scan_families",
     "EnergyProfile", "energy_density", "energy_closed_form", "energy_profile",
     "node_locations", "point_at_phase", "poynting", "time_averaged_electric",

@@ -117,6 +117,11 @@ def _parse_grid(text: str):
     return ranges
 
 
+def _check_positive(flag: str, value: float):
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{flag} must be positive and finite, got {value!r}")
+
+
 def _open_out(args):
     if args.out is None:
         return sys.stdout, False
@@ -329,9 +334,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_positive("--tol", args.tol)
+        _check_positive("--h", args.h)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: an input is too large: {exc}", file=sys.stderr)
         return 2
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "RefineResult",
     "refine_alphas",
     "branch_projection",
-    "nearest_branch",
     "ScanRow",
     "scan_families",
 ]
@@ -261,8 +260,8 @@ def classify(p: AnsatzParams, tol: float = 1e-9, pattern_tol: float = 1e-6):
     a verified solution matching no catalogued pattern, and ValueError
     for g = 0 (the patterns all divide by g).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if p.g == 0.0:
         raise ValueError("family classification requires g != 0")
 
@@ -533,13 +532,6 @@ def branch_projection(alphas, lam: float, k: float, omega: float, g: float,
     return best, point, dist
 
 
-def nearest_branch(alphas, lam: float, k: float, omega: float, g: float,
-                   c: float = 1.0) -> tuple[str, float]:
-    """Label and Euclidean distance of the closest solution branch."""
-    label, _, dist = branch_projection(alphas, lam, k, omega, g, c)
-    return label, dist
-
-
 class ScanRow(NamedTuple):
     seed_index: int
     initial: tuple[float, ...]
@@ -591,7 +583,7 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
                 if snapped_worst <= success_tol:
                     alphas = point
                     worst = snapped_worst
-                    _, dist = nearest_branch(point, lam, k, omega, g, c)
+                    _, _, dist = branch_projection(point, lam, k, omega, g, c)
                 else:
                     label = "none"
             else:

@@ -229,19 +229,16 @@ def electric_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) 
     return (-1.0 / p.c) * da_dt - grad + comm
 
 
+def _curl(diff, f, s: SpacetimePoint, h: float) -> ColorVector:
+    """Curl of the ColorVector-valued f at s, one stencil diff per axis."""
+    dx, dy, dz = (diff(f, s, axis, h) for axis in ("x", "y", "z"))
+    return ColorVector(dy.ez - dz.ey, dz.ex - dx.ez, dx.ey - dy.ex)
+
+
 def magnetic_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) -> ColorVector:
     """B from a finite-difference curl plus the exact quadratic term."""
     _check_h(h)
-    comp = {
-        "x": lambda q: vector_potential(p, q).ex,
-        "y": lambda q: vector_potential(p, q).ey,
-        "z": lambda q: vector_potential(p, q).ez,
-    }
-    curl = ColorVector(
-        central_difference(comp["z"], s, "y", h) - central_difference(comp["y"], s, "z", h),
-        central_difference(comp["x"], s, "z", h) - central_difference(comp["z"], s, "x", h),
-        central_difference(comp["y"], s, "x", h) - central_difference(comp["x"], s, "y", h),
-    )
+    curl = _curl(central_difference, lambda q: vector_potential(p, q), s, h)
     a = vector_potential(p, s)
     quad = ColorVector(
         p.g * minus_i_commutator(a.ey, a.ez),
@@ -251,12 +248,10 @@ def magnetic_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) 
     return curl + quad
 
 
-def _covariant_potential(p: AnsatzParams, mu: int):
-    """Component function of A_mu = (phi, -A)."""
-    if mu == 0:
-        return lambda q: scalar_potential(p, q)
-    name = ("ex", "ey", "ez")[mu - 1]
-    return lambda q: -getattr(vector_potential(p, q), name)
+def _covariant_potential(p: AnsatzParams, s: SpacetimePoint) -> tuple[LieElement, ...]:
+    """A_mu = (phi, -A) at s."""
+    a = vector_potential(p, s)
+    return (scalar_potential(p, s), -a.ex, -a.ey, -a.ez)
 
 
 def field_strength(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4):
@@ -266,18 +261,20 @@ def field_strength(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4):
     i g [A_mu, A_nu] is exact. Index 0 differentiates via (1/c) d/dt.
     """
     _check_h(h)
-    funcs = [_covariant_potential(p, mu) for mu in range(4)]
-    here = [f(s) for f in funcs]
-
-    def deriv(mu, f):
-        val = central_difference(f, s, _AXES[mu], h)
-        return (1.0 / p.c) * val if mu == 0 else val
+    here = _covariant_potential(p, s)
+    # grad[mu][nu] = d_mu A_nu, one stencil over the whole 4-potential per axis
+    grad = []
+    for mu, axis in enumerate(_AXES):
+        plus = _covariant_potential(p, shifted(s, axis, h))
+        minus = _covariant_potential(p, shifted(s, axis, -h))
+        row = [(u - v) * (0.5 / h) for u, v in zip(plus, minus)]
+        grad.append([(1.0 / p.c) * d for d in row] if mu == 0 else row)
 
     f_tensor = [[LieElement() for _ in range(4)] for _ in range(4)]
     for mu in range(4):
         for nu in range(mu + 1, 4):
             # i g [A_mu, A_nu] = -g * minus_i_commutator(A_mu, A_nu)
-            val = deriv(mu, funcs[nu]) - deriv(nu, funcs[mu]) \
+            val = grad[mu][nu] - grad[nu][mu] \
                 - p.g * minus_i_commutator(here[mu], here[nu])
             f_tensor[mu][nu] = val
             f_tensor[nu][mu] = -val

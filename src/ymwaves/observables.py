@@ -67,11 +67,8 @@ def energy_closed_form(sol: FamilySolution, theta: float) -> float:
 
 def mean_energy_closed_form(sol: FamilySolution) -> float:
     """Phase average of the closed-form density."""
-    amp = sol.k ** 2 * sol.alpha4 ** 2
-    if sol.family == "I":
-        return 0.5 * amp
-    if sol.family == "II":
-        return 0.5 * amp
+    if sol.family in ("I", "II"):
+        return 0.5 * (sol.k ** 2 * sol.alpha4 ** 2)
     raise ValueError(f"no closed-form density for family {sol.family!r}")
 
 

@@ -28,9 +28,13 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .fields import (
+    _AXES,
     AnsatzParams,
     ColorVector,
     SpacetimePoint,
+    _check_h,
+    _covariant_potential,
+    _curl,
     central_difference4,
     electric_field_analytic,
     field_strength,
@@ -108,11 +112,6 @@ def _check_mode(mode: str):
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
-def _check_h(h: float):
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"step h must be positive and finite, got {h!r}")
-
-
 def gauss_commutator_term(p: AnsatzParams, s: SpacetimePoint) -> LieElement:
     """Exact -i g (A . E - E . A) with the closed-form E; zero at g = 0."""
     a = vector_potential(p, s)
@@ -134,15 +133,11 @@ def gauss_residual(p: AnsatzParams, s: SpacetimePoint,
         sx, _, _ = rotated_basis(p.lam, s.y)
         return (hm.gauss_const + hm.gauss_cos * ct + hm.gauss_cos2 * ct * ct) * sx
     _check_h(h)
-    comp = {
-        "x": lambda q: electric_field_analytic(p, q).ex,
-        "y": lambda q: electric_field_analytic(p, q).ey,
-        "z": lambda q: electric_field_analytic(p, q).ez,
-    }
+    e = lambda q: electric_field_analytic(p, q)
     div = (
-        central_difference4(comp["x"], s, "x", h)
-        + central_difference4(comp["y"], s, "y", h)
-        + central_difference4(comp["z"], s, "z", h)
+        central_difference4(e, s, "x", h).ex
+        + central_difference4(e, s, "y", h).ey
+        + central_difference4(e, s, "z", h).ez
     )
     return div + gauss_commutator_term(p, s)
 
@@ -177,26 +172,8 @@ def ampere_residual(p: AnsatzParams, s: SpacetimePoint,
         ez = (hm.ampere_z_const + hm.ampere_z_cos * ct + hm.ampere_z_cos2 * ct * ct) * sx
         return ColorVector(LieElement(), ey, ez)
     _check_h(h)
-    e_comp = {
-        "x": lambda q: electric_field_analytic(p, q).ex,
-        "y": lambda q: electric_field_analytic(p, q).ey,
-        "z": lambda q: electric_field_analytic(p, q).ez,
-    }
-    b_comp = {
-        "x": lambda q: magnetic_field_analytic(p, q).ex,
-        "y": lambda q: magnetic_field_analytic(p, q).ey,
-        "z": lambda q: magnetic_field_analytic(p, q).ez,
-    }
-    de_dt = ColorVector(
-        central_difference4(e_comp["x"], s, "t", h),
-        central_difference4(e_comp["y"], s, "t", h),
-        central_difference4(e_comp["z"], s, "t", h),
-    )
-    curl_b = ColorVector(
-        central_difference4(b_comp["z"], s, "y", h) - central_difference4(b_comp["y"], s, "z", h),
-        central_difference4(b_comp["x"], s, "z", h) - central_difference4(b_comp["z"], s, "x", h),
-        central_difference4(b_comp["y"], s, "x", h) - central_difference4(b_comp["x"], s, "y", h),
-    )
+    de_dt = central_difference4(lambda q: electric_field_analytic(p, q), s, "t", h)
+    curl_b = _curl(central_difference4, lambda q: magnetic_field_analytic(p, q), s, h)
     return (-1.0 / p.c) * de_dt + curl_b + ampere_commutator_term(p, s)
 
 
@@ -220,17 +197,10 @@ def bianchi_residual(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4,
     if inner_h is None:
         inner_h = 0.5 * h
     _check_h(inner_h)
-    axes = ("t", "x", "y", "z")
     f_here = field_strength(p, s, inner_h)
-    f_plus = [field_strength(p, shifted(s, ax, h), inner_h) for ax in axes]
-    f_minus = [field_strength(p, shifted(s, ax, -h), inner_h) for ax in axes]
-    pot_funcs = [
-        lambda q: scalar_potential(p, q),
-        lambda q: -vector_potential(p, q).ex,
-        lambda q: -vector_potential(p, q).ey,
-        lambda q: -vector_potential(p, q).ez,
-    ]
-    a_here = [f(s) for f in pot_funcs]
+    f_plus = [field_strength(p, shifted(s, ax, h), inner_h) for ax in _AXES]
+    f_minus = [field_strength(p, shifted(s, ax, -h), inner_h) for ax in _AXES]
+    a_here = _covariant_potential(p, s)
 
     def cov_deriv(mu, nu, ga):
         d = (f_plus[mu][nu][ga] - f_minus[mu][nu][ga]) * (0.5 / h)

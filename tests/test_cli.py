@@ -181,6 +181,34 @@ def test_bad_grid_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "nan"),
+                                         ("--h", "0"), ("--h", "inf")])
+def test_bad_tolerance_or_step_is_usage_error(flag, value, tmp_path, capsys):
+    dest = tmp_path / "report.txt"
+    code, out, err = run(["verify", "--family", "I", "--alpha4", "1", "--grid", SMALL_GRID,
+                          flag, value, "--out", str(dest)], capsys)
+    assert code == 2
+    assert f"error: {flag} must be positive and finite" in err
+    assert out == ""
+    assert not dest.exists()
+
+
+def test_classify_nan_tolerance_is_usage_error(capsys):
+    code, out, err = run(["classify", "--alpha1", "0.7", "--alpha2", "-1.1", "--alpha3", "0.4",
+                          "--alpha4", "0.9", "--alpha5", "-0.3", "--tol", "nan"], capsys)
+    assert code == 2
+    assert "unclassified" not in out
+    assert "error: --tol must be positive and finite" in err
+
+
+@pytest.mark.parametrize("extra", [["--h", "1e300"], ["--k", "1e200"]])
+def test_overflow_is_usage_error(extra, capsys):
+    code, _, err = run(["verify", "--family", "I", "--alpha4", "1", *extra], capsys)
+    assert code == 2
+    assert "error: an input is too large" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.skipif(shutil.which("ymwaves") is None, reason="entry point not installed")
 def test_console_entry_point():
     proc = subprocess.run(["ymwaves", "classify", "--family", "I", "--alpha4", "1"],

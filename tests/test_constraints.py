@@ -16,7 +16,6 @@ from ymwaves.constraints import (
     build_family_iii,
     classify,
     constraint_scales,
-    nearest_branch,
     nine_constraints,
     normalized_constraints,
     oracle_constraints,
@@ -191,8 +190,9 @@ def test_classify_argument_validation():
     p = build_family_i(k=1.0, alpha4=1.0, lam=0.0, g=1.0)
     with pytest.raises(ValueError):
         classify(replace(p, g=0.0))
-    with pytest.raises(ValueError):
-        classify(p, tol=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            classify(p, tol=bad)
 
 
 def test_constraint_scales_positive(rng):
@@ -235,7 +235,7 @@ def test_refine_recovers_family_ii(rng):
     out = refine_alphas(start, lam=0.2, k=1.0, omega=1.0, g=1.0, c=1.0)
     assert out.converged
     assert out.max_normalized < 1e-10
-    label, dist = nearest_branch(tuple(out.alphas), lam=0.2, k=1.0, omega=1.0, g=1.0)
+    _, _, dist = branch_projection(tuple(out.alphas), lam=0.2, k=1.0, omega=1.0, g=1.0)
     assert dist < 1e-6
 
 

@@ -88,6 +88,26 @@ def test_numeric_matches_analytic_within_allowance(rng):
         assert da < allow
 
 
+def test_numeric_ampere_differentiates_whole_fields(monkeypatch):
+    import ymwaves.residuals as res
+
+    calls = {"E": 0, "B": 0}
+
+    def counted(key, fn):
+        def wrapper(p, s):
+            calls[key] += 1
+            return fn(p, s)
+        return wrapper
+
+    monkeypatch.setattr(res, "electric_field_analytic", counted("E", res.electric_field_analytic))
+    monkeypatch.setattr(res, "magnetic_field_analytic", counted("B", res.magnetic_field_analytic))
+    p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1)
+    ampere_residual(p, SpacetimePoint(t=0.3, x=0.17, y=-0.4, z=0.9), mode="numeric")
+    # one five-point stencil per axis (t for E; x, y, z for curl B) plus the
+    # commutator term's single evaluation of each field
+    assert calls == {"E": 5, "B": 13}
+
+
 def test_residuals_are_x_independent(rng):
     p = random_params(rng)
     s0 = SpacetimePoint(t=0.3, x=0.0, y=0.8, z=-0.4)
