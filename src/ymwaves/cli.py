@@ -130,50 +130,55 @@ def _open_out(args):
 
 def cmd_verify(args) -> int:
     p = _build_params(args)
+    # the whole report is computed before any of it is written, so an
+    # input that fails part way leaves no partial report behind
+    lines = []
+    cv = nine_constraints(p)
+    nm = normalized_constraints(p)
+    for i, (raw, norm) in enumerate(zip(cv, nm), start=1):
+        lines.append(f"constraint c{i} = {_fmt(raw)} (normalized {_fmt(norm)})")
+
+    t_r, y_r, z_r = _parse_grid(args.grid)
+    pts = grid_points(t_r, y_r, z_r)
+    max_analytic = max_residual_norm(p, pts, mode="analytic")
+    stride = max(1, len(pts) // 27)
+    numeric_pts = pts[::stride]
+    max_numeric = max_residual_norm(p, numeric_pts, mode="numeric", h=args.h)
+    num_allow = max(args.tol, residual_allowance(p, args.h))
+    lines.append(f"max analytic residual over {len(pts)} grid points = {_fmt(max_analytic)}")
+    lines.append(f"max numeric residual over {len(numeric_pts)} grid points = "
+                 f"{_fmt(max_numeric)} (h = {_fmt(args.h)}, allowance {_fmt(num_allow)})")
+
+    s0 = pts[len(pts) // 2]
+    bia = bianchi_residual(p, s0, h=args.h)
+    bia_allow = max(args.tol, bianchi_allowance(p, args.h))
+    lines.append(f"bianchi residual norm = {_fmt(bia)} (allowance {_fmt(bia_allow)})")
+
+    constraints_ok = bool(nm.max() <= args.tol)
+    ok = (constraints_ok and max_analytic <= args.tol
+          and max_numeric <= num_allow and bia <= bia_allow)
+
+    if args.family == "III" or (constraints_ok and max_analytic <= args.tol
+                                and abs(p.alpha4) > 0 and _looks_pure_gauge(p, args.h)):
+        f_norm = max(field_strength_norm(field_strength(p, q, h=args.h))
+                     for q in numeric_pts[:8])
+        # F comes from second-order differences; judge it against the
+        # matching budget, not the fourth-order residual one
+        if f_norm <= max(args.tol, field_strength_allowance(p, args.h)):
+            lines.append(f"pure gauge: F ~ 0 (max field strength norm {_fmt(f_norm)})")
+
+    if not constraints_ok:
+        bad = ", ".join(str(i + 1) for i in range(9) if nm[i] > args.tol)
+        lines.append(f"violated constraints: {bad}")
+    lines.append("VERIFIED" if ok else "NOT VERIFIED")
+
     out, close = _open_out(args)
     try:
-        cv = nine_constraints(p)
-        nm = normalized_constraints(p)
-        for i, (raw, norm) in enumerate(zip(cv, nm), start=1):
-            out.write(f"constraint c{i} = {_fmt(raw)} (normalized {_fmt(norm)})\n")
-
-        t_r, y_r, z_r = _parse_grid(args.grid)
-        pts = grid_points(t_r, y_r, z_r)
-        max_analytic = max_residual_norm(p, pts, mode="analytic")
-        stride = max(1, len(pts) // 27)
-        numeric_pts = pts[::stride]
-        max_numeric = max_residual_norm(p, numeric_pts, mode="numeric", h=args.h)
-        num_allow = max(args.tol, residual_allowance(p, args.h))
-        out.write(f"max analytic residual over {len(pts)} grid points = {_fmt(max_analytic)}\n")
-        out.write(f"max numeric residual over {len(numeric_pts)} grid points = "
-                  f"{_fmt(max_numeric)} (h = {_fmt(args.h)}, allowance {_fmt(num_allow)})\n")
-
-        s0 = pts[len(pts) // 2]
-        bia = bianchi_residual(p, s0, h=args.h)
-        bia_allow = max(args.tol, bianchi_allowance(p, args.h))
-        out.write(f"bianchi residual norm = {_fmt(bia)} (allowance {_fmt(bia_allow)})\n")
-
-        constraints_ok = bool(nm.max() <= args.tol)
-        ok = (constraints_ok and max_analytic <= args.tol
-              and max_numeric <= num_allow and bia <= bia_allow)
-
-        if args.family == "III" or (constraints_ok and max_analytic <= args.tol
-                                    and abs(p.alpha4) > 0 and _looks_pure_gauge(p, args.h)):
-            f_norm = max(field_strength_norm(field_strength(p, q, h=args.h))
-                         for q in numeric_pts[:8])
-            # F comes from second-order differences; judge it against the
-            # matching budget, not the fourth-order residual one
-            if f_norm <= max(args.tol, field_strength_allowance(p, args.h)):
-                out.write(f"pure gauge: F ~ 0 (max field strength norm {_fmt(f_norm)})\n")
-
-        if not constraints_ok:
-            bad = ", ".join(str(i + 1) for i in range(9) if nm[i] > args.tol)
-            out.write(f"violated constraints: {bad}\n")
-        out.write("VERIFIED\n" if ok else "NOT VERIFIED\n")
-        return 0 if ok else 1
+        out.write("".join(line + "\n" for line in lines))
     finally:
         if close:
             out.close()
+    return 0 if ok else 1
 
 
 def _looks_pure_gauge(p: AnsatzParams, h: float) -> bool:
@@ -227,11 +232,12 @@ def cmd_scan(args) -> int:
         writer = csv.writer(out)
         writer.writerow(["seed", "converged", "alpha1", "alpha2", "alpha3",
                          "alpha4", "alpha5", "max_constraint", "classification",
-                         "distance"])
+                         "distance", "iterations"])
         for row in rows:
             writer.writerow([row.seed_index, int(row.converged)]
                             + [_fmt(a) for a in row.alphas]
-                            + [_fmt(row.max_constraint), row.label, _fmt(row.distance)])
+                            + [_fmt(row.max_constraint), row.label, _fmt(row.distance),
+                               row.iterations])
     finally:
         if close:
             out.close()

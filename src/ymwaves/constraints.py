@@ -34,8 +34,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .fields import AnsatzParams, SpacetimePoint, field_coefficient_groups
-from .residuals import ampere_residual, gauss_residual, residual_harmonics
+from .fields import AnsatzParams, SpacetimePoint, _require_finite, field_coefficient_groups
+from .residuals import _harmonics, ampere_residual, gauss_residual, residual_harmonics
 from .su2 import rotated_coeffs
 
 __all__ = [
@@ -108,24 +108,39 @@ def constraint_scales(p: AnsatzParams) -> tuple[float, ...]:
     Used to normalize the raw values so that tolerance checks mean the
     same thing for order-one and order-hundred parameters.
     """
-    a1, a2, a3, a4, a5 = p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5
-    g = abs(p.g)
-    w = abs(p.omega / p.c)
-    k = abs(p.k)
-    x = abs(p.lam + 2.0 * p.g * p.alpha3)
-    a1, a2, a3, a4, a5 = abs(a1), abs(a2), abs(a3), abs(a4), abs(a5)
+    m = _scale_monomials(p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5,
+                         p.lam, p.k, p.omega, p.g, p.c)
+    return tuple(max(1.0, *m[lo:hi]) for lo, hi in zip(_SCALE_STARTS, _SCALE_STARTS[1:]))
+
+
+# where each constraint's monomials begin in _scale_monomials, plus the end
+_SCALE_STARTS = (0, 3, 5, 7, 9, 15, 21, 24, 26, 28)
+
+
+def _scale_monomials(a1, a2, a3, a4, a5, lam, k, omega, g, c):
+    """Monomial magnitudes of c1..c9, grouped by _SCALE_STARTS.
+
+    Plain arithmetic only, so it evaluates on floats and on numpy
+    amplitude columns alike, as _harmonics does.
+    """
+    x = abs(lam + 2.0 * g * a3)
+    g = abs(g)
+    w = abs(omega / c)
+    k = abs(k)
+    a1, a2, a4, a5 = abs(a1), abs(a2), abs(a4), abs(a5)
     quad_parts = (k ** 2, w ** 2, 4.0 * g ** 2 * a1 ** 2, 4.0 * g ** 2 * a2 ** 2)
     mix_parts = (w * a1, k * a2)
-    s1 = max(1.0, a1 * x ** 2, 4.0 * g ** 2 * a1 * a4 ** 2, 2.0 * g * w * a4 * a5)
-    s2 = max(1.0, 4.0 * g * a1 * a5 * x, w * a4 * x)
-    s3 = max(1.0, 4.0 * g ** 2 * a1 * a4 ** 2, 4.0 * g ** 2 * a1 * a5 ** 2)
-    s4 = max(1.0, 2.0 * g * a2 ** 2 * x, 2.0 * g * a1 ** 2 * x)
-    s5 = max(1.0, *(a5 * q for q in quad_parts), *(4.0 * g * a4 * m for m in mix_parts))
-    s6 = max(1.0, *(a4 * q for q in quad_parts), *(4.0 * g * a5 * m for m in mix_parts))
-    s7 = max(1.0, a2 * x ** 2, 4.0 * g ** 2 * a2 * a4 ** 2, 2.0 * g * k * a4 * a5)
-    s8 = max(1.0, 4.0 * g * a2 * a5 * x, k * a4 * x)
-    s9 = max(1.0, 4.0 * g ** 2 * a2 * a4 ** 2, 4.0 * g ** 2 * a2 * a5 ** 2)
-    return (s1, s2, s3, s4, s5, s6, s7, s8, s9)
+    return (
+        a1 * x ** 2, 4.0 * g ** 2 * a1 * a4 ** 2, 2.0 * g * w * a4 * a5,
+        4.0 * g * a1 * a5 * x, w * a4 * x,
+        4.0 * g ** 2 * a1 * a4 ** 2, 4.0 * g ** 2 * a1 * a5 ** 2,
+        2.0 * g * a2 ** 2 * x, 2.0 * g * a1 ** 2 * x,
+        *(a5 * q for q in quad_parts), *(4.0 * g * a4 * m for m in mix_parts),
+        *(a4 * q for q in quad_parts), *(4.0 * g * a5 * m for m in mix_parts),
+        a2 * x ** 2, 4.0 * g ** 2 * a2 * a4 ** 2, 2.0 * g * k * a4 * a5,
+        4.0 * g * a2 * a5 * x, k * a4 * x,
+        4.0 * g ** 2 * a2 * a4 ** 2, 4.0 * g ** 2 * a2 * a5 ** 2,
+    )
 
 
 def normalized_constraints(p: AnsatzParams) -> np.ndarray:
@@ -424,63 +439,146 @@ class RefineResult(NamedTuple):
     max_normalized: float
 
 
-def _params_from_alphas(alphas, lam, k, omega, g, c):
-    return AnsatzParams(alpha1=alphas[0], alpha2=alphas[1], alpha3=alphas[2],
-                        alpha4=alphas[3], alpha5=alphas[4],
-                        lam=lam, k=k, omega=omega, g=g, c=c)
+# Defaults of refine_alphas, also used by scan_families.
+_TOL = 1e-13
+_MAX_ITER = 120
+# Seeds drawn and refined together. Rows never interact, so this only
+# bounds the working arrays; it cannot change any output.
+_BLOCK = 512
+# lstsq's default singular-value cutoff for a 9 x 5 system
+_RCOND = 9.0 * np.finfo(float).eps
+
+
+def _check_couplings(lam, k, omega, g, c):
+    """Reject couplings before any Newton work rather than part way."""
+    for name, value in (("lambda", lam), ("k", k), ("omega", omega), ("g", g), ("c", c)):
+        _require_finite(name, value)
+    if g == 0.0:
+        raise ValueError("g must be nonzero: the branch patterns divide by it")
+    if c == 0.0:
+        raise ValueError("c must be nonzero")
+
+
+def _constraint_rows(x, couplings):
+    """c1..c9 of every amplitude row of x, shape (n, 5) -> (n, 9)."""
+    hm = _harmonics(*x.T, *couplings)
+    return np.array(hm[:2] + (-hm.gauss_cos2,) + hm[3:]).T
+
+
+def _worst_normalized(f, x, couplings):
+    """Largest normalized constraint per row, given the rows' values f."""
+    m = np.array(_scale_monomials(*x.T, *couplings))
+    scales = np.maximum(1.0, np.maximum.reduceat(m, _SCALE_STARTS[:-1], axis=0))
+    return np.max(np.abs(f) / scales.T, axis=1)
+
+
+def _within_tol(f, x, couplings, tol):
+    """Rows whose largest normalized constraint is at most tol.
+
+    Every scale monomial is at most 4 M^5, M the largest of 1 and the
+    magnitudes of the amplitudes, lam + 2 g alpha3, k, omega / c and g;
+    rows with a constraint above tol times 8 M^5 (room for rounding)
+    cannot pass, which spares evaluating the scales until a row nears
+    its root.
+    """
+    lam, k, omega, g, c = couplings
+    m = np.maximum(np.abs(x).max(axis=1), np.abs(lam + 2.0 * g * x[:, 2]))
+    m = np.maximum(m, max(1.0, abs(k), abs(omega / c), abs(g)))
+    near = np.flatnonzero(np.abs(f).max(axis=1) <= tol * 8.0 * m ** 5)
+    out = np.zeros(len(x), dtype=bool)
+    if near.size:
+        out[near] = _worst_normalized(f[near], x[near], couplings) <= tol
+    return out
+
+
+# the ten central-difference points: +d then -d along each amplitude
+_STENCIL = np.repeat(np.eye(5), 2, axis=0) * np.tile([1.0, -1.0], 5)[:, None]
+
+
+def _jacobian(x, couplings):
+    """Central-difference Jacobian of the constraints, shape (n, 9, 5).
+
+    All ten stencil points of every row go through one evaluation.
+    """
+    d = 1e-7 * np.maximum(1.0, np.abs(x))
+    stencil = x[:, None, :] + _STENCIL * d[:, None, :]
+    f = _constraint_rows(stencil.reshape(-1, 5), couplings).reshape(len(x), 10, 9)
+    return ((f[:, 0::2] - f[:, 1::2]) / (2.0 * d)[:, :, None]).transpose(0, 2, 1)
+
+
+def _newton(x0, couplings, tol, max_iter):
+    """Damped least-squares Newton on every amplitude row of x0 at once.
+
+    Returns the final rows, the iterations each took and their largest
+    normalized constraint. A row stops when it converges (counting the
+    iterations completed before), when its line search fails or its
+    norm passes 1e8 (counting the current one), or at max_iter. Raises
+    OverflowError when the constraints are not finite at x0.
+    """
+    x = np.array(x0, dtype=float)
+    iters = np.full(len(x), max_iter)
+    with np.errstate(all="ignore"):
+        fx = _constraint_rows(x, couplings)
+        if not np.isfinite(fx).all():
+            raise OverflowError("the constraints overflow at the starting amplitudes")
+        live = np.arange(len(x))
+        for it in range(1, max_iter + 1):
+            done = _within_tol(fx[live], x[live], couplings, tol)
+            iters[live[done]] = it - 1
+            live = live[~done]
+            if not live.size:
+                break
+            xa, fa = x[live], fx[live]
+            jac = _jacobian(xa, couplings)
+            # a row whose Jacobian overflowed stops here, unconverged
+            ok = np.isfinite(jac).all(axis=(1, 2))
+            step = np.zeros_like(xa)
+            step[ok] = -(np.linalg.pinv(jac[ok], rcond=_RCOND) @ fa[ok, :, None])[:, :, 0]
+            base = np.linalg.norm(fa, axis=1)
+            accepted = np.zeros(len(live), dtype=bool)
+            t = np.ones(len(live))
+            trying = np.flatnonzero(ok)
+            while trying.size:
+                trial = xa[trying] + t[trying, None] * step[trying]
+                ftrial = _constraint_rows(trial, couplings)
+                better = (np.linalg.norm(ftrial, axis=1)
+                          < (1.0 - 1e-4 * t[trying]) * base[trying])
+                won = trying[better]
+                xa[won], fa[won] = trial[better], ftrial[better]
+                accepted[won] = True
+                trying = trying[~better]
+                t[trying] *= 0.5
+                trying = trying[t[trying] >= 2.0 ** -24]
+            x[live], fx[live] = xa, fa
+            stop = ~accepted | (np.linalg.norm(xa, axis=1) > 1e8)
+            iters[live[stop]] = it
+            live = live[~stop]
+        worst = _worst_normalized(fx, x, couplings)
+    return x, iters, worst
 
 
 def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float,
-                  c: float = 1.0, tol: float = 1e-13, max_iter: int = 120) -> RefineResult:
+                  c: float = 1.0, tol: float = _TOL, max_iter: int = _MAX_ITER) -> RefineResult:
     """Damped least-squares Newton on the nine constraints over the amplitudes.
 
-    The five amplitudes are the unknowns; lam, k, omega, g, c stay fixed.
-    The Jacobian is taken by central differences and steps come from a
-    least-squares solve, halved until the residual norm decreases. The
-    default tol runs to the rounding floor because near junctions of
-    solution branches the constraints vanish quadratically in distance,
-    and stopping early would leave roots far from every pattern.
-    Divergent iterations report converged=False and are meant to be
-    discarded by the caller.
+    The five amplitudes are the unknowns; lam, k, omega, g, c stay fixed
+    and must be finite with g and c nonzero. The Jacobian is taken by
+    central differences and steps come from a least-squares solve, halved
+    until the residual norm decreases. The default tol runs to the
+    rounding floor because near junctions of solution branches the
+    constraints vanish quadratically in distance, and stopping early
+    would leave roots far from every pattern. Divergent iterations report
+    converged=False and are meant to be discarded by the caller. Raises
+    OverflowError when the constraints overflow at alphas0.
     """
     x = np.array(alphas0, dtype=float)
     if x.shape != (5,):
         raise ValueError("alphas0 must have five entries")
-
-    def fvec(arr):
-        return nine_constraints(_params_from_alphas(arr, lam, k, omega, g, c)).as_array()
-
-    def max_norm(arr):
-        return float(np.max(normalized_constraints(
-            _params_from_alphas(arr, lam, k, omega, g, c))))
-
-    fx = fvec(x)
-    it = 0
-    for it in range(1, max_iter + 1):
-        if max_norm(x) <= tol:
-            return RefineResult(tuple(x), True, it - 1, max_norm(x))
-        jac = np.empty((9, 5))
-        for j in range(5):
-            d = 1e-7 * max(1.0, abs(x[j]))
-            xp = x.copy(); xp[j] += d
-            xm = x.copy(); xm[j] -= d
-            jac[:, j] = (fvec(xp) - fvec(xm)) / (2.0 * d)
-        step, *_ = np.linalg.lstsq(jac, -fx, rcond=None)
-        base = float(np.linalg.norm(fx))
-        t = 1.0
-        accepted = False
-        while t >= 2.0 ** -24:
-            trial = x + t * step
-            ftrial = fvec(trial)
-            if float(np.linalg.norm(ftrial)) < (1.0 - 1e-4 * t) * base:
-                x, fx = trial, ftrial
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted or float(np.linalg.norm(x)) > 1e8:
-            break
-    final = max_norm(x)
-    return RefineResult(tuple(x), final <= tol, it, final)
+    if not np.isfinite(x).all():
+        raise ValueError(f"alphas0 must be finite, got {tuple(alphas0)!r}")
+    _check_couplings(lam, k, omega, g, c)
+    xs, iters, worst = _newton(x[None, :], (lam, k, omega, g, c), tol, max_iter)
+    return RefineResult(tuple(xs[0]), bool(worst[0] <= tol), int(iters[0]), float(worst[0]))
 
 
 _BRANCHES = ("I", "II", "III", "abelian-z", "pure-gauge")
@@ -540,6 +638,7 @@ class ScanRow(NamedTuple):
     max_constraint: float
     label: str
     distance: float
+    iterations: int
 
 
 def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
@@ -550,7 +649,8 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
 
     Seeds are drawn from numpy's default_rng(seed), five uniform values
     in [-spread, spread] per row in row order, so output is reproducible
-    per version. omega defaults to k c. Each seed is Newton-refined; a
+    per version. omega defaults to k c. All seeds are Newton-refined
+    together, each exactly as refine_alphas would refine it alone; a
     root counts as successful when every normalized constraint is below
     success_tol.
 
@@ -562,35 +662,41 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
     from every branch. Roots that no branch explains at snap_tol keep
     their raw amplitudes and the label 'none', which would falsify the
     catalogue.
+
+    Raises ValueError for non-finite couplings or g = 0 or c = 0 before
+    any Newton work, and OverflowError when the constraints overflow at
+    the seeds.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     if omega is None:
         omega = k * c
+    _check_couplings(lam, k, omega, g, c)
     rng = np.random.default_rng(seed)
     rows = []
-    for i in range(n_seeds):
-        start = tuple(rng.uniform(-spread, spread, size=5))
-        res = refine_alphas(start, lam, k, omega, g, c)
-        success = res.max_normalized <= success_tol
-        alphas = res.alphas
-        worst = res.max_normalized
-        if success:
-            label, point, dist = branch_projection(alphas, lam, k, omega, g, c)
-            if dist <= snap_tol:
-                snapped_worst = float(np.max(normalized_constraints(
-                    _params_from_alphas(point, lam, k, omega, g, c))))
-                if snapped_worst <= success_tol:
-                    alphas = point
-                    worst = snapped_worst
-                    _, _, dist = branch_projection(point, lam, k, omega, g, c)
+    for lo in range(0, n_seeds, _BLOCK):
+        starts = rng.uniform(-spread, spread, size=(min(_BLOCK, n_seeds - lo), 5))
+        final, iters, worsts = _newton(starts, (lam, k, omega, g, c), _TOL, _MAX_ITER)
+        for j, start in enumerate(starts):
+            worst = float(worsts[j])
+            success = worst <= success_tol
+            alphas = tuple(final[j])
+            if success:
+                label, point, dist = branch_projection(alphas, lam, k, omega, g, c)
+                if dist <= snap_tol:
+                    snapped_worst = float(np.max(normalized_constraints(
+                        AnsatzParams(*point, lam=lam, k=k, omega=omega, g=g, c=c))))
+                    if snapped_worst <= success_tol:
+                        alphas = point
+                        worst = snapped_worst
+                        _, _, dist = branch_projection(point, lam, k, omega, g, c)
+                    else:
+                        label = "none"
                 else:
                     label = "none"
             else:
-                label = "none"
-        else:
-            label, dist = "", math.inf
-        rows.append(ScanRow(seed_index=i, initial=start, alphas=alphas,
-                            converged=success, max_constraint=worst,
-                            label=label, distance=dist))
+                label, dist = "", math.inf
+            rows.append(ScanRow(seed_index=lo + j, initial=tuple(start), alphas=alphas,
+                                converged=success, max_constraint=worst, label=label,
+                                distance=dist, iterations=int(iters[j])))
     return rows

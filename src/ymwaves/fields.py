@@ -158,18 +158,22 @@ def central_difference4(f, s: SpacetimePoint, axis: str, h: float):
     return ((f1 - fm1) * 8.0 - (f2 - fm2)) * (1.0 / (12.0 * h))
 
 
+def _potentials(p: AnsatzParams, s: SpacetimePoint) -> tuple[LieElement, ColorVector]:
+    """phi and A at s, both on one rotated frame."""
+    th = p.phase(s)
+    sx, sy, sz = rotated_basis(p.lam, s.y)
+    ey = (p.alpha3 + p.alpha5 * math.cos(th)) * sz + (p.alpha4 * math.sin(th)) * sy
+    return p.alpha1 * sx, ColorVector(LieElement(), ey, p.alpha2 * sx)
+
+
 def scalar_potential(p: AnsatzParams, s: SpacetimePoint) -> LieElement:
     """phi = alpha1 Sx at the point's y."""
-    sx, _, _ = rotated_basis(p.lam, s.y)
-    return p.alpha1 * sx
+    return _potentials(p, s)[0]
 
 
 def vector_potential(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
     """A with its e_y wave part and constant e_z leg; e_x is zero."""
-    th = p.phase(s)
-    sx, sy, sz = rotated_basis(p.lam, s.y)
-    ey = (p.alpha3 + p.alpha5 * math.cos(th)) * sz + (p.alpha4 * math.sin(th)) * sy
-    return ColorVector(LieElement(), ey, p.alpha2 * sx)
+    return _potentials(p, s)[1]
 
 
 def field_coefficient_groups(p: AnsatzParams):
@@ -223,8 +227,7 @@ def electric_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) 
         central_difference(pot, s, "y", h),
         central_difference(pot, s, "z", h),
     )
-    phi = scalar_potential(p, s)
-    a = vector_potential(p, s)
+    phi, a = _potentials(p, s)
     comm = ColorVector(*(p.g * minus_i_commutator(phi, ai) for ai in a.components()))
     return (-1.0 / p.c) * da_dt - grad + comm
 
@@ -250,8 +253,8 @@ def magnetic_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) 
 
 def _covariant_potential(p: AnsatzParams, s: SpacetimePoint) -> tuple[LieElement, ...]:
     """A_mu = (phi, -A) at s."""
-    a = vector_potential(p, s)
-    return (scalar_potential(p, s), -a.ex, -a.ey, -a.ez)
+    phi, a = _potentials(p, s)
+    return (phi, -a.ex, -a.ey, -a.ez)
 
 
 def field_strength(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4):

@@ -35,11 +35,11 @@ from .fields import (
     _check_h,
     _covariant_potential,
     _curl,
+    _potentials,
     central_difference4,
     electric_field_analytic,
     field_strength,
     magnetic_field_analytic,
-    scalar_potential,
     shifted,
     vector_potential,
 )
@@ -87,23 +87,31 @@ class Harmonics(NamedTuple):
 
 def residual_harmonics(p: AnsatzParams) -> Harmonics:
     """Evaluate the grouped coefficient forms at the given parameters."""
-    g = p.g
-    w = p.omega / p.c
-    x = p.lam + 2.0 * g * p.alpha3
-    quad = p.k ** 2 - w ** 2 - 4.0 * g ** 2 * (p.alpha1 ** 2 - p.alpha2 ** 2)
-    mix = w * p.alpha1 - p.k * p.alpha2
+    return _harmonics(p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5,
+                      p.lam, p.k, p.omega, p.g, p.c)
+
+
+def _harmonics(a1, a2, a3, a4, a5, lam, k, omega, g, c) -> Harmonics:
+    """The nine harmonic polynomials, the one place they are written.
+
+    Plain arithmetic only, so the amplitudes may be floats or equal-length
+    numpy arrays (one configuration per entry); the batched Newton of
+    constraints.scan_families evaluates it on amplitude columns.
+    """
+    w = omega / c
+    x = lam + 2.0 * g * a3
+    quad = k ** 2 - w ** 2 - 4.0 * g ** 2 * (a1 ** 2 - a2 ** 2)
+    mix = w * a1 - k * a2
     return Harmonics(
-        gauss_const=p.alpha1 * x ** 2
-        + 2.0 * g * p.alpha4 * (2.0 * g * p.alpha1 * p.alpha4 - w * p.alpha5),
-        gauss_cos=x * (4.0 * g * p.alpha1 * p.alpha5 - w * p.alpha4),
-        gauss_cos2=-4.0 * g ** 2 * p.alpha1 * (p.alpha4 ** 2 - p.alpha5 ** 2),
-        ampere_y_const=2.0 * g * (p.alpha2 ** 2 - p.alpha1 ** 2) * x,
-        ampere_y_cos=p.alpha5 * quad + 4.0 * g * p.alpha4 * mix,
-        ampere_y_sin=p.alpha4 * quad + 4.0 * g * p.alpha5 * mix,
-        ampere_z_const=p.alpha2 * x ** 2
-        + 2.0 * g * p.alpha4 * (2.0 * g * p.alpha2 * p.alpha4 - p.k * p.alpha5),
-        ampere_z_cos=x * (4.0 * g * p.alpha2 * p.alpha5 - p.k * p.alpha4),
-        ampere_z_cos2=4.0 * g ** 2 * p.alpha2 * (p.alpha5 ** 2 - p.alpha4 ** 2),
+        gauss_const=a1 * x ** 2 + 2.0 * g * a4 * (2.0 * g * a1 * a4 - w * a5),
+        gauss_cos=x * (4.0 * g * a1 * a5 - w * a4),
+        gauss_cos2=-4.0 * g ** 2 * a1 * (a4 ** 2 - a5 ** 2),
+        ampere_y_const=2.0 * g * (a2 ** 2 - a1 ** 2) * x,
+        ampere_y_cos=a5 * quad + 4.0 * g * a4 * mix,
+        ampere_y_sin=a4 * quad + 4.0 * g * a5 * mix,
+        ampere_z_const=a2 * x ** 2 + 2.0 * g * a4 * (2.0 * g * a2 * a4 - k * a5),
+        ampere_z_cos=x * (4.0 * g * a2 * a5 - k * a4),
+        ampere_z_cos2=4.0 * g ** 2 * a2 * (a5 ** 2 - a4 ** 2),
     )
 
 
@@ -144,8 +152,7 @@ def gauss_residual(p: AnsatzParams, s: SpacetimePoint,
 
 def ampere_commutator_term(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
     """Exact -i g ([phi, E] + A x B + B x A) with closed-form fields; zero at g = 0."""
-    phi = scalar_potential(p, s)
-    a = vector_potential(p, s)
+    phi, a = _potentials(p, s)
     e = electric_field_analytic(p, s)
     b = magnetic_field_analytic(p, s)
     # -i g (A x B + B x A)_i = g eps_ijk minus_i_commutator(A_j, B_k)

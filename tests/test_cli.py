@@ -3,6 +3,7 @@ import io
 import math
 import shutil
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -86,13 +87,15 @@ def test_scan_csv_report(tmp_path, capsys):
     with open(dest, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["seed", "converged", "alpha1", "alpha2", "alpha3", "alpha4",
-                       "alpha5", "max_constraint", "classification", "distance"]
+                       "alpha5", "max_constraint", "classification", "distance",
+                       "iterations"]
     assert len(rows) == 26
     labels = {r[8] for r in rows[1:]}
     assert labels <= {"I", "II", "III", "abelian-z", "pure-gauge"}
     for r in rows[1:]:
         assert r[1] == "1"
         assert float(r[9]) < 1e-6
+        assert 1 <= int(r[10]) <= 120
 
 
 def test_scan_is_reproducible(tmp_path, capsys):
@@ -203,10 +206,26 @@ def test_classify_nan_tolerance_is_usage_error(capsys):
 
 @pytest.mark.parametrize("extra", [["--h", "1e300"], ["--k", "1e200"]])
 def test_overflow_is_usage_error(extra, capsys):
-    code, _, err = run(["verify", "--family", "I", "--alpha4", "1", *extra], capsys)
+    code, out, err = run(["verify", "--family", "I", "--alpha4", "1", *extra], capsys)
     assert code == 2
     assert "error: an input is too large" in err
     assert "Traceback" not in err
+    assert out == ""  # no partial report
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--g", "0"], "g must be nonzero"),
+    (["--omega", "nan"], "omega must be finite"),
+    (["--lambda", "1e308"], "an input is too large"),
+    (["--k", "1e200"], "an input is too large"),
+])
+def test_scan_bad_couplings_are_usage_errors(extra, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would reach stderr
+        code, out, err = run(["scan", "--seeds", "3", *extra], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert out == ""
 
 
 @pytest.mark.skipif(shutil.which("ymwaves") is None, reason="entry point not installed")

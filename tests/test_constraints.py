@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ymwaves.constraints
 from ymwaves.constraints import (
     ClassificationError,
     ConstraintVector,
@@ -25,6 +26,7 @@ from ymwaves.constraints import (
 from ymwaves.fields import AnsatzParams
 
 from conftest import random_params
+from scalar_newton import scan_labels
 
 # independently recomputed by polynomial expansion of the harmonic groups,
 # then frozen; guards against silent sign or factor drift
@@ -270,6 +272,77 @@ def test_scan_rows_reproduce_constraints():
     for r in scan_families(6, seed=3, lam=0.0, k=1.0, g=1.0):
         p = AnsatzParams(*r.alphas, lam=0.0, k=1.0, omega=1.0, g=1.0)
         assert np.max(normalized_constraints(p)) < 1e-8
+
+
+# the benchmark's four scan regimes (lam, k, omega, g): the acceptance light
+# cone, the light cone at lam != 0 and g != 1, and two points off the cone
+SCAN_REGIMES = [(0.0, 1.0, 1.0, 1.0), (-0.7, 1.3, 1.3, 1.6),
+                (0.0, 1.0, 2.0, 1.0), (0.0, 0.8, 0.4, 1.0)]
+
+
+@pytest.mark.parametrize("lam, k, omega, g", SCAN_REGIMES)
+def test_batched_scan_matches_scalar_newton(lam, k, omega, g):
+    rows = scan_families(50, seed=11, lam=lam, k=k, omega=omega, g=g)
+    got = [(r.label, r.converged) for r in rows]
+    assert got == scan_labels(50, seed=11, lam=lam, k=k, omega=omega, g=g)
+
+
+def test_scan_rows_do_not_depend_on_batching(monkeypatch):
+    full = scan_families(30, seed=4, lam=0.3, k=1.0, omega=2.0, g=0.8)
+    assert scan_families(7, seed=4, lam=0.3, k=1.0, omega=2.0, g=0.8) == full[:7]
+    monkeypatch.setattr(ymwaves.constraints, "_BLOCK", 4)
+    assert scan_families(30, seed=4, lam=0.3, k=1.0, omega=2.0, g=0.8) == full
+    assert all(0 <= r.iterations <= 120 for r in full)
+
+
+def test_scan_builds_few_params(monkeypatch):
+    built = []
+    post_init = AnsatzParams.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(AnsatzParams, "__post_init__", counting)
+    scan_families(50, seed=0)
+    assert len(built) <= 2 * 50
+
+
+def test_scan_validates_couplings_before_newton(monkeypatch):
+    def no_newton(*args):
+        raise AssertionError("Newton ran on invalid couplings")
+
+    monkeypatch.setattr(ymwaves.constraints, "_newton", no_newton)
+    for bad in ({"g": 0.0}, {"c": 0.0}, {"omega": math.nan}, {"lam": math.inf}):
+        with pytest.raises(ValueError):
+            scan_families(3, **bad)
+        with pytest.raises(ValueError):
+            refine_alphas((0.1, 0.2, 0.3, 0.4, 0.5),
+                          **(dict(lam=0.0, k=1.0, omega=1.0, g=1.0) | bad))
+    with pytest.raises(ValueError):
+        refine_alphas((0.1, math.nan, 0.3, 0.4, 0.5), lam=0.0, k=1.0, omega=1.0, g=1.0)
+
+
+def test_refine_overflow(recwarn):
+    with pytest.raises(OverflowError):
+        refine_alphas((1.0, 0.0, 0.0, 0.0, 0.0), lam=1e308, k=1.0, omega=1.0, g=1.0)
+    # finite constraints whose Jacobian overflows: the row stops unconverged
+    lam = math.sqrt(np.finfo(float).max * (1.0 - 5e-8))
+    out = refine_alphas((1.0, 0.0, 0.0, 0.0, 0.0), lam=lam, k=1.0, omega=1.0, g=1.0)
+    assert not out.converged
+    assert out.iterations == 1
+    assert out.alphas == (1.0, 0.0, 0.0, 0.0, 0.0)
+    assert len(recwarn) == 0
+
+
+def test_refine_counts_iterations():
+    p = build_family_ii(k=1.0, alpha4=1.0, lam=0.2, g=1.0, eta=1, xi=1)
+    on_branch = (p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5)
+    out = refine_alphas(on_branch, lam=0.2, k=1.0, omega=1.0, g=1.0)
+    assert out.converged and out.iterations == 0
+    off = refine_alphas((0.5, -1.0, 0.7, 1.1, -0.2), lam=0.0, k=1.0, omega=1.0, g=1.0,
+                        max_iter=2)
+    assert not off.converged and off.iterations == 2
 
 
 def test_classification_error_is_runtime_error():

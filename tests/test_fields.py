@@ -220,6 +220,19 @@ def test_field_strength_matches_e_and_b(rng):
         assert (b.ez - (-1.0) * f[1][2]).norm() < 1e-6
 
 
+def test_field_strength_builds_one_frame_per_point(monkeypatch):
+    import ymwaves.fields
+
+    ys = []
+    real = ymwaves.fields.rotated_basis
+    monkeypatch.setattr(ymwaves.fields, "rotated_basis",
+                        lambda lam, y: ys.append(y) or real(lam, y))
+    p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1)
+    field_strength(p, SpacetimePoint(t=0.3, x=0.17, y=-0.4, z=0.9))
+    # the point and its eight stencil neighbours, one frame each
+    assert len(ys) == 9
+
+
 def test_family_i_field_strength_entry():
     p = build_family_i(1.0, 1.0, lam=0.0, g=1.0)
     s = SpacetimePoint(z=0.35)
