@@ -1,19 +1,6 @@
 """Exact SU(2) Yang-Mills plane waves: construction, residuals, verification."""
 
-from .su2 import (
-    IDENTITY,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    LieElement,
-    commutator,
-    decompose,
-    minus_i_commutator,
-    pauli,
-    rotated_basis,
-    rotated_coeffs,
-    trace_inner,
-)
+from .su2 import LieElement, minus_i_commutator, rotated_basis, rotated_coeffs
 from .fields import (
     AnsatzParams,
     ColorVector,
@@ -67,9 +54,7 @@ from .observables import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "IDENTITY", "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
-    "LieElement", "commutator", "decompose", "minus_i_commutator", "pauli",
-    "rotated_basis", "rotated_coeffs", "trace_inner",
+    "LieElement", "minus_i_commutator", "rotated_basis", "rotated_coeffs",
     "AnsatzParams", "ColorVector", "SpacetimePoint",
     "scalar_potential", "vector_potential",
     "electric_field_analytic", "electric_field_numeric",

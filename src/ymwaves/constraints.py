@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .fields import AnsatzParams, SpacetimePoint, _require_finite, field_coefficient_groups
-from .residuals import _harmonics, ampere_residual, gauss_residual, residual_harmonics
+from .residuals import ConstraintVector, _harmonics, ampere_residual, gauss_residual
 from .su2 import rotated_coeffs
 
 __all__ = [
@@ -60,46 +60,15 @@ __all__ = [
 ]
 
 
-class ConstraintVector(NamedTuple):
-    """The nine constraint polynomial values, in fixed order."""
-
-    c1: float
-    c2: float
-    c3: float
-    c4: float
-    c5: float
-    c6: float
-    c7: float
-    c8: float
-    c9: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.as_array())))
-
-
 def nine_constraints(p: AnsatzParams) -> ConstraintVector:
     """Evaluate the nine constraint polynomials.
 
-    They are exactly the harmonic groups of the two residuals, with the
-    sign convention that the gauss cos^2 group enters the residual as
-    -c3 and the ampere e_z cos^2 group as +c9. At g = 0 most entries
-    degenerate to Abelian dispersion relations; interpret with care.
+    They are exactly the harmonic groups of the two residuals (see
+    ConstraintVector for the signs). At g = 0 most entries degenerate to
+    Abelian dispersion relations; interpret with care.
     """
-    hm = residual_harmonics(p)
-    return ConstraintVector(
-        c1=hm.gauss_const,
-        c2=hm.gauss_cos,
-        c3=-hm.gauss_cos2,
-        c4=hm.ampere_y_const,
-        c5=hm.ampere_y_cos,
-        c6=hm.ampere_y_sin,
-        c7=hm.ampere_z_const,
-        c8=hm.ampere_z_cos,
-        c9=hm.ampere_z_cos2,
-    )
+    return _harmonics(p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5,
+                      p.lam, p.k, p.omega, p.g, p.c)
 
 
 def constraint_scales(p: AnsatzParams) -> tuple[float, ...]:
@@ -341,6 +310,14 @@ def classify(p: AnsatzParams, tol: float = 1e-9, pattern_tol: float = 1e-6):
     raise ClassificationError("solution outside the catalogued patterns")
 
 
+# (harmonic, channel, sign) of c1..c9 among the oracle's fit coefficients:
+# harmonics 1, cos, cos^2, sin; channels gauss, then ampere e_x, e_y, e_z,
+# each on the rotated frame Sx, Sy, Sz
+_ORACLE_ENTRIES = ((0, 0, 1), (1, 0, 1), (2, 0, -1),
+                   (0, 8, 1), (1, 8, 1), (3, 7, 1),
+                   (0, 9, 1), (1, 9, 1), (2, 9, 1))
+
+
 def oracle_constraints(p: AnsatzParams, h: float = 1e-4, n_theta: int = 8,
                        y_samples=(-0.4, 0.37, 0.9), full_output: bool = False):
     """Recover the nine constraints from numeric residuals alone.
@@ -348,11 +325,10 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4, n_theta: int = 8,
     Samples both residuals in numeric mode on an equispaced phase grid
     (realized through z when k dominates, through t otherwise) at several
     y values, projects every sample onto the rotated frame, and fits the
-    harmonic series [1, cos, cos^2, sin] per channel by least squares.
-    The nine designated (channel, harmonic) entries, with the residual
-    sign convention inverted for c3, reproduce nine_constraints without
-    ever evaluating the constraint polynomials; this is the independent
-    oracle the algebra is tested against.
+    harmonic series [1, cos, cos^2, sin] to all twelve channels by one
+    least-squares solve. The nine entries of _ORACLE_ENTRIES reproduce
+    nine_constraints without ever evaluating the constraint polynomials;
+    this is the independent oracle the algebra is tested against.
 
     Raises ValueError for k = omega = 0 (frozen phase, nothing to fit)
     and for degenerate sampling plans. With full_output=True also
@@ -369,11 +345,7 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4, n_theta: int = 8,
     thetas = [2.0 * math.pi * i / n_theta for i in range(n_theta)]
     use_z = abs(p.k) >= abs(p.omega)
 
-    design = []
-    series = {name: [] for name in
-              ("gauss_x", "gauss_y", "gauss_z",
-               "ay_x", "ay_y", "ay_z", "az_x", "az_y", "az_z",
-               "ax_x", "ax_y", "ax_z")}
+    design, samples = [], []
     for yv in ys:
         for th in thetas:
             if use_z:
@@ -383,51 +355,22 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4, n_theta: int = 8,
                 z0 = 0.3
                 s = SpacetimePoint(t=(p.k * z0 - th) / p.omega, x=0.17, y=yv, z=z0)
             design.append((1.0, math.cos(th), math.cos(th) ** 2, math.sin(th)))
-            ga = rotated_coeffs(gauss_residual(p, s, mode="numeric", h=h), p.lam, yv)
+            ga = gauss_residual(p, s, mode="numeric", h=h)
             am = ampere_residual(p, s, mode="numeric", h=h)
-            ax = rotated_coeffs(am.ex, p.lam, yv)
-            ay = rotated_coeffs(am.ey, p.lam, yv)
-            az = rotated_coeffs(am.ez, p.lam, yv)
-            for name, val in (("gauss_x", ga[0]), ("gauss_y", ga[1]), ("gauss_z", ga[2]),
-                              ("ax_x", ax[0]), ("ax_y", ax[1]), ("ax_z", ax[2]),
-                              ("ay_x", ay[0]), ("ay_y", ay[1]), ("ay_z", ay[2]),
-                              ("az_x", az[0]), ("az_y", az[1]), ("az_z", az[2])):
-                series[name].append(val)
+            samples.append([v for e in (ga, *am.components())
+                            for v in rotated_coeffs(e, p.lam, yv)])
 
-    phi = np.array(design)
-    fits = {}
-    max_fit_residual = 0.0
-    for name, vals in series.items():
-        coef, _, _, _ = np.linalg.lstsq(phi, np.array(vals), rcond=None)
-        fits[name] = coef
-        max_fit_residual = max(max_fit_residual,
-                               float(np.max(np.abs(phi @ coef - np.array(vals)))))
-
-    cv = ConstraintVector(
-        c1=float(fits["gauss_x"][0]),
-        c2=float(fits["gauss_x"][1]),
-        c3=float(-fits["gauss_x"][2]),
-        c4=float(fits["ay_z"][0]),
-        c5=float(fits["ay_z"][1]),
-        c6=float(fits["ay_y"][3]),
-        c7=float(fits["az_x"][0]),
-        c8=float(fits["az_x"][1]),
-        c9=float(fits["az_x"][2]),
-    )
+    design, samples = np.array(design), np.array(samples)
+    coef = np.linalg.lstsq(design, samples, rcond=None)[0]
+    harmonic, channel, sign = np.array(_ORACLE_ENTRIES).T
+    cv = ConstraintVector(*(float(v) for v in sign * coef[harmonic, channel]))
     if not full_output:
         return cv
-    off_channel = max(
-        float(np.max(np.abs(fits[name])))
-        for name in ("gauss_y", "gauss_z", "ax_x", "ax_y", "ax_z", "ay_x", "az_y", "az_z")
-    )
+    off = np.ones(coef.shape, dtype=bool)
+    off[harmonic, channel] = False
     diagnostics = {
-        "max_fit_residual": max_fit_residual,
-        "max_off_channel": max(off_channel,
-                               float(abs(fits["gauss_x"][3])),
-                               float(abs(fits["ay_z"][2])), float(abs(fits["ay_z"][3])),
-                               float(abs(fits["ay_y"][0])), float(abs(fits["ay_y"][1])),
-                               float(abs(fits["ay_y"][2])),
-                               float(abs(fits["az_x"][3]))),
+        "max_fit_residual": float(np.max(np.abs(design @ coef - samples))),
+        "max_off_channel": float(np.max(np.abs(coef[off]))),
     }
     return cv, diagnostics
 
@@ -461,8 +404,7 @@ def _check_couplings(lam, k, omega, g, c):
 
 def _constraint_rows(x, couplings):
     """c1..c9 of every amplitude row of x, shape (n, 5) -> (n, 9)."""
-    hm = _harmonics(*x.T, *couplings)
-    return np.array(hm[:2] + (-hm.gauss_cos2,) + hm[3:]).T
+    return np.array(_harmonics(*x.T, *couplings)).T
 
 
 def _worst_normalized(f, x, couplings):

@@ -11,13 +11,13 @@ A configuration solves the equations of motion iff gauss and ampere
 vanish for all points; bianchi vanishes identically for any potentials
 and is tracked purely as a discretization diagnostic.
 
-The analytic mode evaluates the harmonically grouped closed forms of the
-reduced algebra (residual_harmonics). The numeric mode differentiates
-the closed-form fields with five-point stencils and adds exact
-commutators, which makes it an independent check of that reduction. The
-closed-form fields themselves are checked against finite differences of
-the potentials in the fields module, so the two links together cover the
-whole derivation.
+The analytic mode reads the residuals off the nine constraint
+polynomials c1..c9 (ConstraintVector), the harmonic groups of the
+reduced algebra. The numeric mode differentiates the closed-form fields
+with five-point stencils and adds exact commutators, which makes it an
+independent check of that reduction. The closed-form fields themselves
+are checked against finite differences of the potentials in the fields
+module, so the two links together cover the whole derivation.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
+
+import numpy as np
 
 from .fields import (
     _AXES,
@@ -46,8 +48,7 @@ from .fields import (
 from .su2 import LieElement, minus_i_commutator, rotated_basis
 
 __all__ = [
-    "Harmonics",
-    "residual_harmonics",
+    "ConstraintVector",
     "gauss_residual",
     "ampere_residual",
     "gauss_commutator_term",
@@ -65,34 +66,34 @@ __all__ = [
 _MODES = ("analytic", "numeric")
 
 
-class Harmonics(NamedTuple):
-    """Harmonic coefficient groups of the two equation-of-motion residuals.
+class ConstraintVector(NamedTuple):
+    """The nine constraint polynomial values c1..c9, in fixed order.
 
-    The gauss residual is (gauss_const + gauss_cos cos th + gauss_cos2 cos^2 th) Sx.
-    The ampere residual has e_y part (ampere_y_const + ampere_y_cos cos th) Sz
-    + ampere_y_sin sin th Sy, and e_z part
-    (ampere_z_const + ampere_z_cos cos th + ampere_z_cos2 cos^2 th) Sx.
+    They are the harmonic groups of the two residuals. The gauss residual
+    is (c1 + c2 cos th - c3 cos^2 th) Sx; the ampere residual has e_y
+    part (c4 + c5 cos th) Sz + c6 sin th Sy and e_z part
+    (c7 + c8 cos th + c9 cos^2 th) Sx.
     """
 
-    gauss_const: float
-    gauss_cos: float
-    gauss_cos2: float
-    ampere_y_const: float
-    ampere_y_cos: float
-    ampere_y_sin: float
-    ampere_z_const: float
-    ampere_z_cos: float
-    ampere_z_cos2: float
+    c1: float
+    c2: float
+    c3: float
+    c4: float
+    c5: float
+    c6: float
+    c7: float
+    c8: float
+    c9: float
+
+    def as_array(self) -> np.ndarray:
+        return np.array(self, dtype=float)
+
+    def max_abs(self) -> float:
+        return float(np.max(np.abs(self.as_array())))
 
 
-def residual_harmonics(p: AnsatzParams) -> Harmonics:
-    """Evaluate the grouped coefficient forms at the given parameters."""
-    return _harmonics(p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5,
-                      p.lam, p.k, p.omega, p.g, p.c)
-
-
-def _harmonics(a1, a2, a3, a4, a5, lam, k, omega, g, c) -> Harmonics:
-    """The nine harmonic polynomials, the one place they are written.
+def _harmonics(a1, a2, a3, a4, a5, lam, k, omega, g, c) -> ConstraintVector:
+    """The nine constraint polynomials, the one place they are written.
 
     Plain arithmetic only, so the amplitudes may be floats or equal-length
     numpy arrays (one configuration per entry); the batched Newton of
@@ -102,16 +103,16 @@ def _harmonics(a1, a2, a3, a4, a5, lam, k, omega, g, c) -> Harmonics:
     x = lam + 2.0 * g * a3
     quad = k ** 2 - w ** 2 - 4.0 * g ** 2 * (a1 ** 2 - a2 ** 2)
     mix = w * a1 - k * a2
-    return Harmonics(
-        gauss_const=a1 * x ** 2 + 2.0 * g * a4 * (2.0 * g * a1 * a4 - w * a5),
-        gauss_cos=x * (4.0 * g * a1 * a5 - w * a4),
-        gauss_cos2=-4.0 * g ** 2 * a1 * (a4 ** 2 - a5 ** 2),
-        ampere_y_const=2.0 * g * (a2 ** 2 - a1 ** 2) * x,
-        ampere_y_cos=a5 * quad + 4.0 * g * a4 * mix,
-        ampere_y_sin=a4 * quad + 4.0 * g * a5 * mix,
-        ampere_z_const=a2 * x ** 2 + 2.0 * g * a4 * (2.0 * g * a2 * a4 - k * a5),
-        ampere_z_cos=x * (4.0 * g * a2 * a5 - k * a4),
-        ampere_z_cos2=4.0 * g ** 2 * a2 * (a5 ** 2 - a4 ** 2),
+    return ConstraintVector(
+        c1=a1 * x ** 2 + 2.0 * g * a4 * (2.0 * g * a1 * a4 - w * a5),
+        c2=x * (4.0 * g * a1 * a5 - w * a4),
+        c3=4.0 * g ** 2 * a1 * (a4 ** 2 - a5 ** 2),
+        c4=2.0 * g * (a2 ** 2 - a1 ** 2) * x,
+        c5=a5 * quad + 4.0 * g * a4 * mix,
+        c6=a4 * quad + 4.0 * g * a5 * mix,
+        c7=a2 * x ** 2 + 2.0 * g * a4 * (2.0 * g * a2 * a4 - k * a5),
+        c8=x * (4.0 * g * a2 * a5 - k * a4),
+        c9=4.0 * g ** 2 * a2 * (a5 ** 2 - a4 ** 2),
     )
 
 
@@ -130,16 +131,29 @@ def gauss_commutator_term(p: AnsatzParams, s: SpacetimePoint) -> LieElement:
     return out
 
 
+def _analytic_residuals(p: AnsatzParams, s: SpacetimePoint):
+    """Gauss and ampere residuals at s, read off c1..c9.
+
+    Evaluates the constraints, the phase and the rotated frame once for both.
+    """
+    c1, c2, c3, c4, c5, c6, c7, c8, c9 = _harmonics(
+        p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5, p.lam, p.k, p.omega, p.g, p.c)
+    th = p.phase(s)
+    ct = math.cos(th)
+    st = math.sin(th)
+    sx, sy, sz = rotated_basis(p.lam, s.y)
+    gauss = (c1 + c2 * ct - c3 * ct * ct) * sx
+    ey = (c4 + c5 * ct) * sz + (c6 * st) * sy
+    ez = (c7 + c8 * ct + c9 * ct * ct) * sx
+    return gauss, ColorVector(LieElement(), ey, ez)
+
+
 def gauss_residual(p: AnsatzParams, s: SpacetimePoint,
                    mode: str = "analytic", h: float = 1e-4) -> LieElement:
     """Gauss-law residual at one point; a LieElement along Sx for this ansatz."""
     _check_mode(mode)
     if mode == "analytic":
-        hm = residual_harmonics(p)
-        th = p.phase(s)
-        ct = math.cos(th)
-        sx, _, _ = rotated_basis(p.lam, s.y)
-        return (hm.gauss_const + hm.gauss_cos * ct + hm.gauss_cos2 * ct * ct) * sx
+        return _analytic_residuals(p, s)[0]
     _check_h(h)
     e = lambda q: electric_field_analytic(p, q)
     div = (
@@ -170,14 +184,7 @@ def ampere_residual(p: AnsatzParams, s: SpacetimePoint,
     """Ampere-law residual at one point, as a ColorVector."""
     _check_mode(mode)
     if mode == "analytic":
-        hm = residual_harmonics(p)
-        th = p.phase(s)
-        ct = math.cos(th)
-        st = math.sin(th)
-        sx, sy, sz = rotated_basis(p.lam, s.y)
-        ey = (hm.ampere_y_const + hm.ampere_y_cos * ct) * sz + (hm.ampere_y_sin * st) * sy
-        ez = (hm.ampere_z_const + hm.ampere_z_cos * ct + hm.ampere_z_cos2 * ct * ct) * sx
-        return ColorVector(LieElement(), ey, ez)
+        return _analytic_residuals(p, s)[1]
     _check_h(h)
     de_dt = central_difference4(lambda q: electric_field_analytic(p, q), s, "t", h)
     curl_b = _curl(central_difference4, lambda q: magnetic_field_analytic(p, q), s, h)
@@ -236,8 +243,12 @@ class ResidualSample:
 def residual_sample(p: AnsatzParams, s: SpacetimePoint,
                     mode: str = "analytic", h: float = 1e-4) -> ResidualSample:
     """Evaluate both residuals at s and bundle them with their joint norm."""
-    ga = gauss_residual(p, s, mode=mode, h=h)
-    am = ampere_residual(p, s, mode=mode, h=h)
+    _check_mode(mode)
+    if mode == "analytic":
+        ga, am = _analytic_residuals(p, s)
+    else:
+        ga = gauss_residual(p, s, mode=mode, h=h)
+        am = ampere_residual(p, s, mode=mode, h=h)
     norm = math.sqrt(ga.norm() ** 2 + am.norm() ** 2)
     return ResidualSample(gauss=ga, ampere=am, point=s, norm=norm)
 

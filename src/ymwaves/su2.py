@@ -1,10 +1,9 @@
-"""su(2) building blocks: Pauli matrices, a y-rotated basis, commutators.
+"""su(2) building blocks: coefficient triples, a y-rotated basis, commutators.
 
-Plain 2x2 complex numpy arrays serve as the matrix type. Lie-algebra
-valued quantities are carried as real coefficient triples on the Pauli
-basis (LieElement) and materialized to matrices only on demand, which
-keeps field assembly exact and makes constraint extraction a matter of
-reading off coefficients.
+Lie-algebra valued quantities are carried as real coefficient triples on
+the Pauli basis (LieElement) and never as matrices, which keeps field
+assembly exact and makes constraint extraction a matter of reading off
+coefficients.
 """
 
 from __future__ import annotations
@@ -12,60 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "IDENTITY",
-    "pauli",
-    "commutator",
-    "trace_inner",
-    "decompose",
     "LieElement",
     "minus_i_commutator",
     "rotated_basis",
     "rotated_coeffs",
 ]
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY = np.eye(2, dtype=complex)
-
-_PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-
-def pauli(axis: str) -> np.ndarray:
-    """Pauli matrix for axis 'x', 'y' or 'z' (a fresh copy)."""
-    try:
-        return _PAULI[axis].copy()
-    except KeyError:
-        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}") from None
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix commutator [a, b] = ab - ba."""
-    return a @ b - b @ a
-
-
-def trace_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Trace pairing Tr(ab); on the Pauli basis Tr(sigma_i sigma_j) = 2 delta_ij."""
-    return complex(np.trace(a @ b))
-
-
-def decompose(m: np.ndarray):
-    """Coefficients (a0, ax, ay, az) of m = a0 I + ax sx + ay sy + az sz.
-
-    Works for any 2x2 complex matrix; coefficients are complex in general.
-    """
-    return (
-        complex(np.trace(m)) / 2.0,
-        trace_inner(m, SIGMA_X) / 2.0,
-        trace_inner(m, SIGMA_Y) / 2.0,
-        trace_inner(m, SIGMA_Z) / 2.0,
-    )
 
 
 @dataclass(frozen=True)
@@ -83,24 +34,6 @@ class LieElement:
 
     def coeffs(self) -> tuple[float, float, float]:
         return (self.ax, self.ay, self.az)
-
-    def matrix(self) -> np.ndarray:
-        return self.ax * SIGMA_X + self.ay * SIGMA_Y + self.az * SIGMA_Z
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray, tol: float = 1e-12) -> "LieElement":
-        """Read coefficients off a matrix, rejecting non-su(2) input.
-
-        tol is relative to the matrix magnitude; trace and anti-Hermitian
-        parts beyond it raise ValueError.
-        """
-        scale = max(1.0, float(np.abs(m).max()))
-        if abs(complex(np.trace(m))) > tol * scale:
-            raise ValueError("matrix is not traceless")
-        if float(np.abs(m - m.conj().T).max()) > tol * scale:
-            raise ValueError("matrix is not Hermitian")
-        _, ax, ay, az = decompose(m)
-        return cls(ax.real, ay.real, az.real)
 
     def norm(self) -> float:
         return math.sqrt(self.ax * self.ax + self.ay * self.ay + self.az * self.az)

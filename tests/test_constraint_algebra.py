@@ -1,0 +1,97 @@
+"""The algebra of c1..c9: the scale table against the polynomials, and symmetries.
+
+The symmetry tests run every relation on both evaluation paths of the
+one polynomial source: the scalar nine_constraints and the batched rows
+of the Newton core.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ymwaves.constraints import _SCALE_STARTS, _constraint_rows, _scale_monomials, nine_constraints
+from ymwaves.fields import AnsatzParams
+from ymwaves.residuals import _harmonics
+
+value = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+coupling = st.floats(min_value=0.2, max_value=2.0) | st.floats(min_value=-2.0, max_value=-0.2)
+rows = st.lists(st.tuples(*[value] * 5), min_size=1, max_size=6).map(np.array)
+couplings = st.tuples(value, value, value, coupling, st.floats(min_value=0.5, max_value=2.0))
+
+
+def test_scale_table_lists_every_monomial():
+    # with positive symbols and lam = X - 2 g alpha3 the polynomials expand
+    # in X = lam + 2 g alpha3, whose magnitude the scale table uses
+    sp = pytest.importorskip("sympy")
+    a1, a2, a3, a4, a5, x, k, omega, g = sp.symbols("a1:6 X k omega g", positive=True)
+    args = (a1, a2, a3, a4, a5, x - 2.0 * g * a3, k, omega, g, 1)
+    polys = _harmonics(*args)
+    monomials = [sp.nsimplify(m, rational=True) for m in _scale_monomials(*args)]
+    for i, (poly, lo, hi) in enumerate(zip(polys, _SCALE_STARTS, _SCALE_STARTS[1:]), 1):
+        terms = [sp.nsimplify(abs(t), rational=True) for t in sp.Add.make_args(sp.expand(poly))]
+        assert len(terms) == hi - lo, f"c{i}"
+        assert set(terms) == set(monomials[lo:hi]), f"c{i}"
+
+
+def _both_paths(x, lam, k, omega, g, c):
+    """c1..c9 of each amplitude row: scalar nine_constraints, then the batched rows."""
+    scalar = np.array([nine_constraints(AnsatzParams(*r, lam=lam, k=k, omega=omega, g=g, c=c))
+                       for r in x.tolist()])
+    return scalar, _constraint_rows(x, (lam, k, omega, g, c))
+
+
+def _rounding_bound(x, lam, k, omega, g, c):
+    """An absolute bound on the rounding in c1..c9, per row.
+
+    Every monomial is at most 4 M^5, M the largest of 1 and the
+    magnitudes of the inputs and of the unexpanded lam + 2 g alpha3.
+    """
+    m = np.maximum(np.abs(x).max(axis=1), abs(lam) + 2.0 * abs(g) * np.abs(x[:, 2]))
+    m = np.maximum(m, max(1.0, abs(k), abs(omega / c), abs(g)))
+    return 1e-12 * m[:, None] ** 5
+
+
+@given(rows, couplings, value)
+def test_lambda_shift_into_alpha3(x, cpl, delta):
+    # c depends on lam and alpha3 only through lam + 2 g alpha3
+    lam, k, omega, g, c = cpl
+    y = x.copy()
+    y[:, 2] -= delta
+    lam2 = lam + 2.0 * g * delta
+    bound = np.maximum(_rounding_bound(x, lam, k, omega, g, c),
+                       _rounding_bound(y, lam2, k, omega, g, c))
+    for before, after in zip(_both_paths(x, *cpl), _both_paths(y, lam2, k, omega, g, c)):
+        assert np.all(np.abs(after - before) <= bound)
+
+
+@given(rows, couplings, st.floats(min_value=0.25, max_value=4.0))
+def test_coupling_rescale(x, cpl, s):
+    # (alpha, g) -> (alpha / s, g s) divides every constraint by s
+    lam, k, omega, g, c = cpl
+    y = x / s
+    bound = np.maximum(_rounding_bound(x, lam, k, omega, g, c),
+                       _rounding_bound(y, lam, k, omega, g * s, c))
+    for before, after in zip(_both_paths(x, *cpl), _both_paths(y, lam, k, omega, g * s, c)):
+        assert np.all(np.abs(after * s - before) <= bound)
+
+
+@given(rows, couplings)
+def test_eta_flip(x, cpl):
+    # (alpha1, alpha2, alpha5) -> -(alpha1, alpha2, alpha5) is exact
+    y = x * np.array([-1.0, -1.0, 1.0, 1.0, -1.0])
+    for before, after in zip(_both_paths(x, *cpl), _both_paths(y, *cpl)):
+        assert np.all(after[:, 0::2] == -before[:, 0::2])  # c1, c3, c5, c7, c9
+        assert np.all(after[:, 1::2] == before[:, 1::2])  # c2, c4, c6, c8
+
+
+@given(rows, couplings)
+def test_xi_flip(x, cpl):
+    # (lam, alpha3) -> -(lam, alpha3) negates lam + 2 g alpha3 exactly
+    lam, k, omega, g, c = cpl
+    y = x * np.array([1.0, 1.0, -1.0, 1.0, 1.0])
+    flipped = [1, 3, 7]  # c2, c4, c8
+    kept = [0, 2, 4, 5, 6, 8]
+    for before, after in zip(_both_paths(x, *cpl), _both_paths(y, -lam, k, omega, g, c)):
+        assert np.all(after[:, flipped] == -before[:, flipped])
+        assert np.all(after[:, kept] == before[:, kept])

@@ -51,6 +51,7 @@ def test_oracle_agrees_at_pinned_point():
 def test_constraint_vector_helpers():
     v = nine_constraints(PINNED)
     assert isinstance(v, ConstraintVector)
+    assert ConstraintVector is ymwaves.ConstraintVector is ymwaves.residuals.ConstraintVector
     assert v.max_abs() == pytest.approx(5.432760000000001)
     assert v.as_array().shape == (9,)
 

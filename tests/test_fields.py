@@ -21,9 +21,10 @@ from ymwaves.fields import (
     shifted,
     vector_potential,
 )
-from ymwaves.su2 import LieElement, SIGMA_Y, rotated_basis
+from ymwaves.su2 import LieElement, rotated_basis
 
 from conftest import random_params, random_point
+from su2_matrices import SIGMA_Y, matrix
 
 
 def test_params_validation():
@@ -74,7 +75,7 @@ def test_scalar_potential_cases():
     assert scalar_potential(AnsatzParams(alpha1=1.0, lam=0.0), s) == LieElement(1.0, 0.0, 0.0)
     # lam*y = pi/2 turns Sx into sigma_y
     p = AnsatzParams(alpha1=2.0, lam=math.pi / 2.0)
-    m = scalar_potential(p, s).matrix()
+    m = matrix(scalar_potential(p, s))
     assert np.allclose(m, 2.0 * SIGMA_Y, atol=1e-15)
 
 

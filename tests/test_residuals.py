@@ -6,7 +6,6 @@ import pytest
 from ymwaves.constraints import build_family_i, build_family_ii, build_family_iii
 from ymwaves.fields import AnsatzParams, SpacetimePoint, field_strength, field_strength_norm
 from ymwaves.residuals import (
-    Harmonics,
     ampere_commutator_term,
     ampere_residual,
     bianchi_allowance,
@@ -17,7 +16,6 @@ from ymwaves.residuals import (
     grid_points,
     max_residual_norm,
     residual_allowance,
-    residual_harmonics,
     residual_sample,
 )
 from ymwaves.su2 import rotated_coeffs
@@ -37,12 +35,6 @@ def test_mode_and_step_validation():
         bianchi_residual(p, s, h=-1.0)
     with pytest.raises(ValueError):
         bianchi_residual(p, s, h=1e-2, inner_h=0.0)
-
-
-def test_harmonics_fields_order():
-    hm = residual_harmonics(AnsatzParams(k=1.0, omega=1.0))
-    assert isinstance(hm, Harmonics)
-    assert hm._fields[:3] == ("gauss_const", "gauss_cos", "gauss_cos2")
 
 
 def test_gauss_residual_is_along_sx(rng):

@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis.strategies import floats
 
-from ymwaves.su2 import (
+from ymwaves.su2 import LieElement, minus_i_commutator, rotated_basis, rotated_coeffs
+
+from su2_matrices import (
     IDENTITY,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    LieElement,
     commutator,
     decompose,
-    minus_i_commutator,
+    from_matrix,
+    matrix,
     pauli,
-    rotated_basis,
-    rotated_coeffs,
     trace_inner,
 )
 
@@ -52,13 +52,13 @@ def test_commutator_antisymmetry_and_relations():
     assert np.allclose(commutator(m, m), 0.0)
     _, sy, sz = rotated_basis(0.7, 1.1)
     sx, _, _ = rotated_basis(0.7, 1.1)
-    assert np.allclose(commutator(sy.matrix(), sz.matrix()), 2j * sx.matrix(), atol=1e-13)
+    assert np.allclose(commutator(matrix(sy), matrix(sz)), 2j * matrix(sx), atol=1e-13)
 
 
 @given(angles, angles)
 def test_rotated_basis_commutation_relations(lam, y):
     sx, sy, sz = rotated_basis(lam, y)
-    mx, my, mz = sx.matrix(), sy.matrix(), sz.matrix()
+    mx, my, mz = matrix(sx), matrix(sy), matrix(sz)
     assert np.allclose(commutator(mx, my), 2j * mz, atol=1e-13)
     assert np.allclose(commutator(my, mz), 2j * mx, atol=1e-13)
     assert np.allclose(commutator(mz, mx), 2j * my, atol=1e-13)
@@ -66,23 +66,23 @@ def test_rotated_basis_commutation_relations(lam, y):
 
 def test_rotated_basis_special_angles():
     sx, sy, sz = rotated_basis(0.0, 123.4)
-    assert np.allclose(sx.matrix(), SIGMA_X)
-    assert np.allclose(sy.matrix(), SIGMA_Y)
-    assert np.allclose(sz.matrix(), SIGMA_Z)
+    assert np.allclose(matrix(sx), SIGMA_X)
+    assert np.allclose(matrix(sy), SIGMA_Y)
+    assert np.allclose(matrix(sz), SIGMA_Z)
     # quarter turn: lam*y = pi/2
     sx, sy, sz = rotated_basis(math.pi / 2.0, 1.0)
-    assert np.allclose(sx.matrix(), SIGMA_Y, atol=1e-15)
-    assert np.allclose(sy.matrix(), -SIGMA_X, atol=1e-15)
-    assert np.allclose(sz.matrix(), SIGMA_Z)
+    assert np.allclose(matrix(sx), SIGMA_Y, atol=1e-15)
+    assert np.allclose(matrix(sy), -SIGMA_X, atol=1e-15)
+    assert np.allclose(matrix(sz), SIGMA_Z)
 
 
 def test_rotated_basis_y_derivatives():
     # d(Sx)/dy = lam*Sy and d(Sy)/dy = -lam*Sx, via central differences
     lam, y, h = 0.9, 0.4, 1e-6
     for pick, want_sign, want_pick in ((0, 1.0, 1), (1, -1.0, 0)):
-        up = rotated_basis(lam, y + h)[pick].matrix()
-        dn = rotated_basis(lam, y - h)[pick].matrix()
-        want = want_sign * lam * rotated_basis(lam, y)[want_pick].matrix()
+        up = matrix(rotated_basis(lam, y + h)[pick])
+        dn = matrix(rotated_basis(lam, y - h)[pick])
+        want = want_sign * lam * matrix(rotated_basis(lam, y)[want_pick])
         assert np.allclose((up - dn) / (2.0 * h), want, atol=1e-8)
 
 
@@ -103,16 +103,16 @@ def test_decompose_examples():
 
 def test_lie_element_matrix_round_trip():
     e = LieElement(0.25, -1.5, 3.75)
-    back = LieElement.from_matrix(e.matrix())
+    back = from_matrix(matrix(e))
     assert back == e
     assert e.norm() == pytest.approx(math.sqrt(0.25 ** 2 + 1.5 ** 2 + 3.75 ** 2))
 
 
 def test_from_matrix_rejects_non_su2():
     with pytest.raises(ValueError):
-        LieElement.from_matrix(IDENTITY)  # traceful
+        from_matrix(IDENTITY)  # traceful
     with pytest.raises(ValueError):
-        LieElement.from_matrix(1j * SIGMA_X)  # anti-Hermitian
+        from_matrix(1j * SIGMA_X)  # anti-Hermitian
 
 
 def test_lie_element_arithmetic():
@@ -131,9 +131,9 @@ def test_minus_i_commutator_matches_matrix_route(ax, ay, az, bx, by, bz):
     a = LieElement(ax, ay, az)
     b = LieElement(bx, by, bz)
     via_coeffs = minus_i_commutator(a, b)
-    m = -1j * commutator(a.matrix(), b.matrix())
+    m = -1j * commutator(matrix(a), matrix(b))
     scale = max(1.0, float(np.abs(m).max()))
-    assert np.allclose(via_coeffs.matrix(), m, atol=1e-12 * scale)
+    assert np.allclose(matrix(via_coeffs), m, atol=1e-12 * scale)
     # coefficients are twice the cross product of the coefficient vectors
     cross = 2.0 * np.cross([ax, ay, az], [bx, by, bz])
     assert np.allclose(via_coeffs.coeffs(), cross, atol=1e-12 * max(1.0, np.abs(cross).max()))
@@ -163,4 +163,4 @@ def test_trace_inner_equals_twice_coefficient_dot():
     a = LieElement(0.3, -1.2, 0.75)
     b = LieElement(2.0, 0.5, -0.25)
     dot = sum(u * v for u, v in zip(a.coeffs(), b.coeffs()))
-    assert trace_inner(a.matrix(), b.matrix()) == pytest.approx(2.0 * dot)
+    assert trace_inner(matrix(a), matrix(b)) == pytest.approx(2.0 * dot)
