@@ -23,6 +23,7 @@ import argparse
 import csv
 import math
 import sys
+from itertools import islice
 
 from .constraints import (
     ClassificationError,
@@ -37,24 +38,30 @@ from .constraints import (
     normalized_constraints,
     scan_families,
 )
+from . import fields
 from .fields import (
     AnsatzParams,
+    _field_columns,
+    _Grid,
     electric_field_analytic,
     field_strength,
     field_strength_norm,
     magnetic_field_analytic,
 )
-from .observables import energy_closed_form, energy_density, energy_profile, point_at_phase
+from .observables import energy_profile, point_at_phase
 from .residuals import (
+    _GRID_X,
+    _max_analytic_norm,
     bianchi_allowance,
     bianchi_residual,
     field_strength_allowance,
-    grid_points,
     max_residual_norm,
     residual_allowance,
 )
 
 _FMT = "%.17g"
+# verify's numeric residual runs on about this many of its grid points
+_NUMERIC_POINTS = 27
 
 
 def _fmt(x: float) -> str:
@@ -86,6 +93,9 @@ def _add_config_flags(sp):
 
 
 def _build_params(args) -> AnsatzParams:
+    if args.family in ("I", "II") and args.omega is not None and args.omega != args.k * args.c:
+        raise ValueError(f"--family {args.family} has omega = k*c = {_fmt(args.k * args.c)}; "
+                         f"--omega {_fmt(args.omega)} differs")
     if args.family == "I":
         return build_family_i(args.k, args.alpha4, args.lam, args.g, args.c)
     if args.family == "II":
@@ -111,8 +121,8 @@ def _parse_grid(text: str):
         if len(bits) != 3:
             raise ValueError("each grid axis must be 'start:stop:count'")
         lo, hi, n = float(bits[0]), float(bits[1]), int(bits[2])
-        if n < 1:
-            raise ValueError("grid counts must be >= 1")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"grid bounds must be finite, got {part!r}")
         ranges.append((lo, hi, n))
     return ranges
 
@@ -138,18 +148,18 @@ def cmd_verify(args) -> int:
     for i, (raw, norm) in enumerate(zip(cv, nm), start=1):
         lines.append(f"constraint c{i} = {_fmt(raw)} (normalized {_fmt(norm)})")
 
-    t_r, y_r, z_r = _parse_grid(args.grid)
-    pts = grid_points(t_r, y_r, z_r)
-    max_analytic = max_residual_norm(p, pts, mode="analytic")
-    stride = max(1, len(pts) // 27)
-    numeric_pts = pts[::stride]
+    grid = _Grid.from_ranges(*_parse_grid(args.grid))
+    n = len(grid)
+    max_analytic = _max_analytic_norm(p, grid.blocks(p))
+    numeric_pts = [grid.point(i, _GRID_X)
+                   for i in range(0, n, max(1, n // _NUMERIC_POINTS))]
     max_numeric = max_residual_norm(p, numeric_pts, mode="numeric", h=args.h)
     num_allow = max(args.tol, residual_allowance(p, args.h))
-    lines.append(f"max analytic residual over {len(pts)} grid points = {_fmt(max_analytic)}")
+    lines.append(f"max analytic residual over {n} grid points = {_fmt(max_analytic)}")
     lines.append(f"max numeric residual over {len(numeric_pts)} grid points = "
                  f"{_fmt(max_numeric)} (h = {_fmt(args.h)}, allowance {_fmt(num_allow)})")
 
-    s0 = pts[len(pts) // 2]
+    s0 = grid.point(n // 2, _GRID_X)
     bia = bianchi_residual(p, s0, h=args.h)
     bia_allow = max(args.tol, bianchi_allowance(p, args.h))
     lines.append(f"bianchi residual norm = {_fmt(bia)} (allowance {_fmt(bia_allow)})")
@@ -256,24 +266,34 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def cmd_fields(args) -> int:
-    p = _build_params(args)
-    t_r, y_r, z_r = _parse_grid(args.grid)
+def _write_csv(args, header, rows):
+    """Write a header and rows of floats as csv.writer would with %.17g
+    numbers, "\r\n" ends included; one write per block of rows."""
+    fmt = ",".join([_FMT] * len(header)) + "\r\n"
+    rows = iter(rows)
     out, close = _open_out(args)
     try:
-        writer = csv.writer(out)
-        writer.writerow(["t", "y", "z", "theta",
-                         "E_y_sigma_x", "E_y_sigma_y", "E_y_sigma_z",
-                         "B_x_sigma_x", "B_x_sigma_y", "B_x_sigma_z"])
-        for s in grid_points(t_r, y_r, z_r, x=0.0):
-            ey = electric_field_analytic(p, s).ey
-            bx = magnetic_field_analytic(p, s).ex
-            writer.writerow([_fmt(s.t), _fmt(s.y), _fmt(s.z), _fmt(p.phase(s))]
-                            + [_fmt(v) for v in ey.coeffs()]
-                            + [_fmt(v) for v in bx.coeffs()])
+        out.write(",".join(header) + "\r\n")
+        while block := list(islice(rows, fields._GRID_BLOCK)):
+            out.write("".join(fmt % row for row in block))
     finally:
         if close:
             out.close()
+
+
+def cmd_fields(args) -> int:
+    p = _build_params(args)
+    # the grid is checked whole before the first row is written
+    blocks = _Grid.from_ranges(*_parse_grid(args.grid)).blocks(p)
+
+    def rows():
+        for r in blocks:
+            ey, bx = _field_columns(p, r)
+            yield from zip(*(c.tolist() for c in (r.t, r.y, r.z, r.theta, *ey, *bx)))
+
+    _write_csv(args, ["t", "y", "z", "theta",
+                      "E_y_sigma_x", "E_y_sigma_y", "E_y_sigma_z",
+                      "B_x_sigma_x", "B_x_sigma_y", "B_x_sigma_z"], rows())
     return 0
 
 
@@ -285,15 +305,9 @@ def cmd_energy_profile(args) -> int:
     if not isinstance(sol, FamilySolution):
         raise ValueError("configuration did not classify as a family solution")
     prof = energy_profile(sol, n_samples=args.theta_samples)
-    out, close = _open_out(args)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["theta", "density", "closed_form", "abs_diff"])
-        for th, dens, cf in zip(prof.thetas, prof.densities, prof.closed_forms):
-            writer.writerow([_fmt(th), _fmt(dens), _fmt(cf), _fmt(abs(dens - cf))])
-    finally:
-        if close:
-            out.close()
+    _write_csv(args, ["theta", "density", "closed_form", "abs_diff"],
+               ((th, dens, cf, abs(dens - cf))
+                for th, dens, cf in zip(prof.thetas, prof.densities, prof.closed_forms)))
     return 0
 
 

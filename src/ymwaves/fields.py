@@ -21,14 +21,22 @@ Every field comes in two routes: a closed form (the reduced algebra) and
 a numeric route that differentiates the potentials by central finite
 differences and takes exact commutators. Agreement of the two is the
 correctness check for the closed forms.
+
+Grids go through one array core (_Grid): the closed forms are plain
+arithmetic on the cosines and sines of the phase and of the frame angle,
+so they run on floats for one point and on numpy columns for a block of
+grid rows, with the same rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .su2 import LieElement, minus_i_commutator, rotated_basis
+import numpy as np
+
+from .su2 import LieElement, _along_sy_sz, minus_i_commutator, rotated_basis
 
 __all__ = [
     "AnsatzParams",
@@ -49,6 +57,10 @@ __all__ = [
 ]
 
 _AXES = ("t", "x", "y", "z")
+
+# Rows per block of the grid core. Grid commands evaluate and write one
+# block at a time, so their memory does not grow with the grid.
+_GRID_BLOCK = 1024
 
 
 def _require_finite(name, value):
@@ -193,22 +205,151 @@ def field_coefficient_groups(p: AnsatzParams):
     return (e_const, e_cos, e_sin), (b_const, b_cos, b_sin)
 
 
+def _wave(group, cos_th, sin_th, cos_fr, sin_fr):
+    """(const + cos_c cos th) Sy + sin_c sin th Sz for one coefficient group
+    (const, cos_c, sin_c), as coefficients on sx, sy, sz.
+
+    Plain arithmetic, so the cosines and sines of the phase th and of the
+    frame angle lam y may be floats or numpy columns.
+    """
+    const, cos_c, sin_c = group
+    return _along_sy_sz(cos_fr, sin_fr, const + cos_c * cos_th, sin_c * sin_th)
+
+
+def _angles(p: AnsatzParams, s: SpacetimePoint):
+    """cos and sin of the phase, then of the frame angle lam y, at s."""
+    th = p.phase(s)
+    fr = p.lam * s.y
+    return math.cos(th), math.sin(th), math.cos(fr), math.sin(fr)
+
+
 def electric_field_analytic(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
     """Closed form of E; only the e_y component is nonzero."""
-    th = p.phase(s)
-    _, sy, sz = rotated_basis(p.lam, s.y)
-    (e_const, e_cos, e_sin), _ = field_coefficient_groups(p)
-    ey = (e_const + e_cos * math.cos(th)) * sy + (e_sin * math.sin(th)) * sz
-    return ColorVector(LieElement(), ey, LieElement())
+    ey = _wave(field_coefficient_groups(p)[0], *_angles(p, s))
+    return ColorVector(LieElement(), LieElement(*ey), LieElement())
 
 
 def magnetic_field_analytic(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
     """Closed form of B; only the e_x component is nonzero."""
-    th = p.phase(s)
-    _, sy, sz = rotated_basis(p.lam, s.y)
-    _, (b_const, b_cos, b_sin) = field_coefficient_groups(p)
-    ex = (b_const + b_cos * math.cos(th)) * sy + (b_sin * math.sin(th)) * sz
-    return ColorVector(ex, LieElement(), LieElement())
+    ex = _wave(field_coefficient_groups(p)[1], *_angles(p, s))
+    return ColorVector(LieElement(*ex), LieElement(), LieElement())
+
+
+class _Rows(NamedTuple):
+    """A block of points as numpy columns: the coordinates, then cos and
+    sin of the phase and of the frame angle lam y."""
+
+    t: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    theta: np.ndarray
+    cos_th: np.ndarray
+    sin_th: np.ndarray
+    cos_fr: np.ndarray
+    sin_fr: np.ndarray
+
+    def angles(self):
+        return self.cos_th, self.sin_th, self.cos_fr, self.sin_fr
+
+
+def _rows(p: AnsatzParams, t, y, z, cos_fr, sin_fr) -> _Rows:
+    theta = p.k * z - p.omega * t  # AnsatzParams.phase on columns
+    return _Rows(t, y, z, theta, np.cos(theta), np.sin(theta), cos_fr, sin_fr)
+
+
+def _point_rows(p: AnsatzParams, points) -> _Rows:
+    """The points of a list of SpacetimePoints as one block."""
+    t, y, z = (np.array([getattr(s, axis) for s in points], dtype=float)
+               for axis in ("t", "y", "z"))
+    return _rows(p, t, y, z, np.cos(p.lam * y), np.sin(p.lam * y))
+
+
+def _grid_axis(lo, hi, n) -> np.ndarray:
+    """One (start, stop, count) axis of a grid; a single count collapses to
+    the start value.
+
+    An axis that overflows holds inf or nan, without a numpy warning; its
+    users reject it (SpacetimePoint, _Grid.blocks).
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("grid counts must be >= 1")
+    if n == 1:
+        return np.array([float(lo)])
+    with np.errstate(all="ignore"):
+        return lo + np.arange(n) * ((hi - lo) / (n - 1))
+
+
+class _Grid:
+    """The product grid of three axes t, y, z, t slowest and z fastest,
+    held as its axes; residuals.grid_points lists the same points."""
+
+    def __init__(self, t, y, z):
+        self.t, self.y, self.z = t, y, z
+
+    @classmethod
+    def from_ranges(cls, t_range, y_range, z_range) -> "_Grid":
+        return cls(*(_grid_axis(*r) for r in (t_range, y_range, z_range)))
+
+    def __len__(self) -> int:
+        return len(self.t) * len(self.y) * len(self.z)
+
+    def point(self, i: int, x: float) -> SpacetimePoint:
+        """Row i as a SpacetimePoint at the given x."""
+        it, rest = divmod(i, len(self.y) * len(self.z))
+        iy, iz = divmod(rest, len(self.z))
+        return SpacetimePoint(t=float(self.t[it]), x=x, y=float(self.y[iy]),
+                              z=float(self.z[iz]))
+
+    def blocks(self, p: AnsatzParams):
+        """The rows in blocks of at most _GRID_BLOCK, as _Rows.
+
+        Checks first, before any block is made, that the coordinates, the
+        phase, the frame angle and the field coefficients are finite over
+        the whole grid, and raises OverflowError otherwise. The phase and
+        the frame angle are monotone in each coordinate, also after
+        rounding, so their values at the ends of the axes bound them.
+        """
+        t_ends = (float(self.t.min()), float(self.t.max()))
+        z_ends = (float(self.z.min()), float(self.z.max()))
+        checked = [p.k * z - p.omega * t for t in t_ends for z in z_ends]
+        checked += [p.lam * float(self.y.min()), p.lam * float(self.y.max())]
+        checked += [v for group in field_coefficient_groups(p) for v in group]
+        if not all(map(math.isfinite, checked)):
+            raise OverflowError("the grid coordinates, the phase, the frame angle "
+                                "or the field coefficients are not finite")
+        return self._blocks(p)
+
+    def _blocks(self, p: AnsatzParams):
+        ny, nz = len(self.y), len(self.z)
+        # the frame depends on y alone: one cos and sin per y value
+        cos_y, sin_y = np.cos(p.lam * self.y), np.sin(p.lam * self.y)
+        n = len(self)
+        for start in range(0, n, _GRID_BLOCK):
+            it, rest = np.divmod(np.arange(start, min(start + _GRID_BLOCK, n)), ny * nz)
+            iy, iz = np.divmod(rest, nz)
+            yield _rows(p, self.t[it], self.y[iy], self.z[iz], cos_y[iy], sin_y[iy])
+
+
+def _field_columns(p: AnsatzParams, rows: _Rows):
+    """E_y and B_x coefficient columns on sx, sy, sz over one block of rows."""
+    return tuple(_wave(group, *rows.angles()) for group in field_coefficient_groups(p))
+
+
+def _column_norm(u) -> np.ndarray:
+    """LieElement.norm over columns of coefficients (ax, ay, az)."""
+    ax, ay, az = u
+    return np.sqrt(ax * ax + ay * ay + az * az)
+
+
+def _column_square(x) -> np.ndarray:
+    """x ** 2 over a column, rounded as a Python float's x ** 2 is.
+
+    float ** 2 calls the C library's pow, which numpy's float_power also
+    calls; numpy's own x ** 2 multiplies x * x, which differs from pow in
+    the last bit for about one value in a thousand.
+    """
+    return np.float_power(x, 2.0)
 
 
 def _check_h(h: float):

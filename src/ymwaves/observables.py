@@ -17,11 +17,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constraints import FamilySolution
 from .fields import (
     AnsatzParams,
     ColorVector,
     SpacetimePoint,
+    _column_norm,
+    _column_square,
+    _field_columns,
+    _Grid,
     electric_field_analytic,
     magnetic_field_analytic,
 )
@@ -116,13 +122,22 @@ def node_locations(sol: FamilySolution) -> list[float]:
     raise ValueError(f"no density nodes defined for family {sol.family!r}")
 
 
+def _phase_coordinates(p: AnsatzParams, theta):
+    """(t, z) realizing phase theta, through z when k != 0, else through t.
+
+    Plain arithmetic, so theta may be a float or a numpy column.
+    """
+    if p.k != 0.0:
+        return 0.0, theta / p.k
+    if p.omega != 0.0:
+        return -theta / p.omega, 0.0
+    raise ValueError("k = omega = 0 admits no phase sweep")
+
+
 def point_at_phase(p: AnsatzParams, theta: float, y: float = 0.0) -> SpacetimePoint:
     """A point realizing phase theta, through z when k != 0, else through t."""
-    if p.k != 0.0:
-        return SpacetimePoint(t=0.0, x=0.0, y=y, z=theta / p.k)
-    if p.omega != 0.0:
-        return SpacetimePoint(t=-theta / p.omega, x=0.0, y=y, z=0.0)
-    raise ValueError("k = omega = 0 admits no phase sweep")
+    t, z = _phase_coordinates(p, theta)
+    return SpacetimePoint(t=t, x=0.0, y=y, z=z)
 
 
 @dataclass(frozen=True)
@@ -140,11 +155,16 @@ def energy_profile(sol: FamilySolution, n_samples: int = 256,
     """Sweep the density of a Family I or II wave over theta in [0, 2 pi)."""
     if n_samples < 2:
         raise ValueError("need at least 2 profile samples")
+    _check_kappa(kappa)
     p = sol.params()
-    thetas = tuple(2.0 * math.pi * i / n_samples for i in range(n_samples))
-    densities = tuple(
-        energy_density(p, point_at_phase(p, th), kappa=kappa) for th in thetas
-    )
+    thetas = 2.0 * math.pi * np.arange(n_samples) / n_samples
+    t, z = (np.atleast_1d(v) for v in _phase_coordinates(p, thetas))
+    densities = []
+    for rows in _Grid(t, np.zeros(1), z).blocks(p):
+        ey, bx = (_column_norm(u) for u in _field_columns(p, rows))
+        # energy_density's rounding: kappa * 2 * (|E_y|**2 + |B_x|**2)
+        densities += (kappa * 2.0 * (_column_square(ey) + _column_square(bx))).tolist()
+    thetas = thetas.tolist()
     closed = tuple(energy_closed_form(sol, th) * (kappa / 0.25) for th in thetas)
-    return EnergyProfile(thetas=thetas, densities=densities,
+    return EnergyProfile(thetas=tuple(thetas), densities=tuple(densities),
                          closed_forms=closed, kappa=kappa)

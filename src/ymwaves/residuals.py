@@ -34,9 +34,14 @@ from .fields import (
     AnsatzParams,
     ColorVector,
     SpacetimePoint,
+    _angles,
     _check_h,
+    _column_norm,
+    _column_square,
     _covariant_potential,
     _curl,
+    _grid_axis,
+    _point_rows,
     _potentials,
     central_difference4,
     electric_field_analytic,
@@ -45,7 +50,7 @@ from .fields import (
     shifted,
     vector_potential,
 )
-from .su2 import LieElement, minus_i_commutator, rotated_basis
+from .su2 import LieElement, _along_sx, _along_sy_sz, minus_i_commutator
 
 __all__ = [
     "ConstraintVector",
@@ -131,21 +136,51 @@ def gauss_commutator_term(p: AnsatzParams, s: SpacetimePoint) -> LieElement:
     return out
 
 
-def _analytic_residuals(p: AnsatzParams, s: SpacetimePoint):
-    """Gauss and ampere residuals at s, read off c1..c9.
+def _residual_coefficients(cv: ConstraintVector, cos_th, sin_th, cos_fr, sin_fr):
+    """Gauss, ampere e_y and ampere e_z residuals as coefficients on sx, sy, sz.
 
-    Evaluates the constraints, the phase and the rotated frame once for both.
+    Plain arithmetic on c1..c9 and the cosines and sines of the phase and
+    of the frame angle, which may be floats or numpy columns.
     """
-    c1, c2, c3, c4, c5, c6, c7, c8, c9 = _harmonics(
-        p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5, p.lam, p.k, p.omega, p.g, p.c)
-    th = p.phase(s)
-    ct = math.cos(th)
-    st = math.sin(th)
-    sx, sy, sz = rotated_basis(p.lam, s.y)
-    gauss = (c1 + c2 * ct - c3 * ct * ct) * sx
-    ey = (c4 + c5 * ct) * sz + (c6 * st) * sy
-    ez = (c7 + c8 * ct + c9 * ct * ct) * sx
-    return gauss, ColorVector(LieElement(), ey, ez)
+    c1, c2, c3, c4, c5, c6, c7, c8, c9 = cv
+    return (
+        _along_sx(cos_fr, sin_fr, c1 + c2 * cos_th - c3 * cos_th * cos_th),
+        _along_sy_sz(cos_fr, sin_fr, c6 * sin_th, c4 + c5 * cos_th),
+        _along_sx(cos_fr, sin_fr, c7 + c8 * cos_th + c9 * cos_th * cos_th),
+    )
+
+
+def _constraints_of(p: AnsatzParams) -> ConstraintVector:
+    return _harmonics(p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5,
+                      p.lam, p.k, p.omega, p.g, p.c)
+
+
+def _analytic_residuals(p: AnsatzParams, s: SpacetimePoint):
+    """Gauss and ampere residuals at s, read off c1..c9."""
+    gauss, ey, ez = _residual_coefficients(_constraints_of(p), *_angles(p, s))
+    return LieElement(*gauss), ColorVector(LieElement(), LieElement(*ey), LieElement(*ez))
+
+
+def _max_analytic_norm(p: AnsatzParams, blocks) -> float:
+    """Largest residual_sample norm over blocks of rows (fields._Rows).
+
+    c1..c9 are evaluated once. The norms round as the scalar route's
+    LieElement and ColorVector norms do, so the result equals the max of
+    residual_sample(...).norm over the same points. Raises OverflowError
+    when a norm is not finite.
+    """
+    cv = _constraints_of(p)
+    worst = -math.inf
+    with np.errstate(all="ignore"):
+        for rows in blocks:
+            gauss, ey, ez = (_column_norm(u) for u in _residual_coefficients(cv, *rows.angles()))
+            ampere = np.sqrt(_column_square(ey) + _column_square(ez))
+            norms = np.sqrt(_column_square(gauss) + _column_square(ampere))
+            top = float(norms.max())
+            if not math.isfinite(top):
+                raise OverflowError("the analytic residual is not finite")
+            worst = max(worst, top)
+    return worst
 
 
 def gauss_residual(p: AnsatzParams, s: SpacetimePoint,
@@ -253,34 +288,27 @@ def residual_sample(p: AnsatzParams, s: SpacetimePoint,
     return ResidualSample(gauss=ga, ampere=am, point=s, norm=norm)
 
 
-def grid_points(t_range, y_range, z_range, x: float = 0.31):
+# x of grid points, nonzero so that accidental x-dependence shows up
+_GRID_X = 0.31
+
+
+def grid_points(t_range, y_range, z_range, x: float = _GRID_X):
     """Points of a rectangular (t, y, z) grid at fixed x.
 
     Each range is (start, stop, count) with count >= 1; a single count
     collapses to the start value. x is held at a nonzero default so that
     accidental x-dependence in anything evaluated on the grid shows up.
     """
-    def axis(rng):
-        lo, hi, n = rng
-        n = int(n)
-        if n < 1:
-            raise ValueError("grid counts must be >= 1")
-        if n == 1:
-            return [float(lo)]
-        step = (hi - lo) / (n - 1)
-        return [lo + i * step for i in range(n)]
-
-    return [
-        SpacetimePoint(t=tv, x=x, y=yv, z=zv)
-        for tv in axis(t_range)
-        for yv in axis(y_range)
-        for zv in axis(z_range)
-    ]
+    t, y, z = (_grid_axis(*r).tolist() for r in (t_range, y_range, z_range))
+    return [SpacetimePoint(t=tv, x=x, y=yv, z=zv) for tv in t for yv in y for zv in z]
 
 
 def max_residual_norm(p: AnsatzParams, points,
                       mode: str = "analytic", h: float = 1e-4) -> float:
     """Largest combined residual norm over an iterable of points."""
+    _check_mode(mode)
+    if mode == "analytic":
+        return _max_analytic_norm(p, [_point_rows(p, list(points))])
     return max(residual_sample(p, s, mode=mode, h=h).norm for s in points)
 
 

@@ -88,6 +88,21 @@ def rotated_basis(lam: float, y: float) -> tuple[LieElement, LieElement, LieElem
     )
 
 
+def _along_sx(c, s, u):
+    """Coefficients of u Sx on sx, sy, sz, for the frame with cos c and sin s.
+
+    Plain arithmetic, so it runs on floats and on numpy columns alike,
+    and rounds as u * rotated_basis(lam, y)[0] does.
+    """
+    return (c * u, s * u, 0.0 * u)
+
+
+def _along_sy_sz(c, s, v, w):
+    """Coefficients of v Sy + w Sz on sx, sy, sz, for the frame with cos c
+    and sin s; the same rounding as v * Sy + w * Sz on LieElements."""
+    return ((-s) * v + 0.0 * w, c * v + 0.0 * w, 0.0 * v + w)
+
+
 def rotated_coeffs(e: LieElement, lam: float, y: float) -> tuple[float, float, float]:
     """Components of e on the rotated frame at (lam, y)."""
     c = math.cos(lam * y)

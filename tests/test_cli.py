@@ -234,3 +234,33 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "family I" in proc.stdout
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--grid", "0:inf:3,0:0:1,0:1:2"], "grid bounds must be finite"),
+    (["--grid", "0:1:3,nan:0:1,0:1:2"], "grid bounds must be finite"),
+    (["--grid=-1e308:1e308:3,0:0:1,0:1:2"], "an input is too large"),
+    (["--k", "1e200", "--grid", "0:0:1,0:0:1,0:1e200:3"], "an input is too large"),
+    (["--lambda", "1e200", "--grid", "0:0:1,0:1e200:2,0:1:2"], "an input is too large"),
+])
+def test_fields_bad_grid_writes_nothing(extra, message, tmp_path, capsys):
+    dest = tmp_path / "fields.csv"
+    for out_flag in ([], ["--out", str(dest)]):
+        code, out, err = run(["fields", "--family", "I", "--alpha4", "1", *extra, *out_flag],
+                             capsys)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert out == ""
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "classify", "fields", "energy-profile"])
+@pytest.mark.parametrize("family", ["I", "II"])
+def test_family_omega_must_be_k_c(command, family, capsys):
+    base = [command, "--family", family, "--alpha4", "1", "--k", "2"]
+    code, out, err = run(base + ["--omega", "3"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "--omega 3 differs" in err
+    assert out == ""
+    code, out, _ = run(base + ["--omega", "2"], capsys)  # omega = k c is accepted
+    assert code == 0 and out

@@ -1,0 +1,150 @@
+"""The grid core against the scalar, one-point-at-a-time routes.
+
+fields and energy-profile evaluate their rows in blocks of numpy columns;
+the references here build the same CSV the way the per-point code does:
+one SpacetimePoint, the scalar closed-form fields and csv.writer per row.
+"""
+
+import csv
+import io
+import math
+
+import pytest
+
+import ymwaves.fields
+from ymwaves.cli import main
+from ymwaves.constraints import build_family_i, build_family_ii, classify
+from ymwaves.fields import (
+    SpacetimePoint,
+    _Grid,
+    electric_field_analytic,
+    magnetic_field_analytic,
+)
+from ymwaves.observables import energy_closed_form, energy_density, point_at_phase
+from ymwaves.residuals import _max_analytic_norm, grid_points, max_residual_norm, residual_sample
+
+from conftest import random_params, random_point
+
+FIELDS_HEADER = ["t", "y", "z", "theta", "E_y_sigma_x", "E_y_sigma_y", "E_y_sigma_z",
+                 "B_x_sigma_x", "B_x_sigma_y", "B_x_sigma_z"]
+
+# (family, alpha4, k, lam, g, eta, xi, grid); the last grid has 1,300 rows,
+# more than one block
+CONFIGS = [
+    ("I", 1.0, 1.0, 0.0, 1.0, 1, 1, ((0.0, 0.0, 1), (0.0, 0.0, 1), (0.0, 6.2832, 64))),
+    ("II", -0.7, 1.9, 0.8, -1.3, -1, 1, ((-0.5, 1.5, 3), (-1.0, 1.0, 4), (0.2, 4.1, 5))),
+    ("II", 1.3, -2.4, -1.1, 0.6, 1, -1, ((0.3, 2.0, 1), (0.1, 0.9, 7), (-1.0, 1.0, 1))),
+    ("I", -1.6, 0.55, 1.4, -0.8, 1, 1, ((0.0, 3.0, 2), (-1.0, 2.0, 1), (0.0, 5.0, 33))),
+    ("II", 0.9, 2.7, -0.3, 1.7, -1, -1, ((-1.0, 1.0, 4), (-1.0, 1.0, 5), (0.0, 8.0, 65))),
+]
+
+
+def _num(x):
+    return "%.17g" % x
+
+
+def _params(family, alpha4, k, lam, g, eta, xi):
+    if family == "I":
+        return build_family_i(k, alpha4, lam, g)
+    return build_family_ii(k, alpha4, lam, g, eta, xi)
+
+
+def _argv(command, family, alpha4, k, lam, g, eta, xi):
+    return [command, "--family", family, "--alpha4", _num(alpha4), "--k", _num(k),
+            "--lambda", _num(lam), "--g", _num(g), "--eta", str(eta), "--xi", str(xi)]
+
+
+def _axis(lo, hi, n):
+    # the per-point code's axis: lo + i * step
+    if n == 1:
+        return [float(lo)]
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n)]
+
+
+def _fields_reference(p, grid):
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(FIELDS_HEADER)
+    t_axis, y_axis, z_axis = (_axis(*r) for r in grid)
+    for t in t_axis:
+        for y in y_axis:
+            for z in z_axis:
+                s = SpacetimePoint(t=t, x=0.0, y=y, z=z)
+                ey = electric_field_analytic(p, s).ey.coeffs()
+                bx = magnetic_field_analytic(p, s).ex.coeffs()
+                writer.writerow([_num(v) for v in (t, y, z, p.phase(s), *ey, *bx)])
+    return out.getvalue()
+
+
+def _profile_reference(p, n):
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["theta", "density", "closed_form", "abs_diff"])
+    sol = classify(p)
+    for i in range(n):
+        th = 2.0 * math.pi * i / n
+        dens = energy_density(p, point_at_phase(p, th))
+        cf = energy_closed_form(sol, th)
+        writer.writerow([_num(v) for v in (th, dens, cf, abs(dens - cf))])
+    return out.getvalue()
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return captured.out
+
+
+def _grid_text(grid):
+    return ",".join(f"{_num(lo)}:{_num(hi)}:{n}" for lo, hi, n in grid)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_fields_csv_matches_scalar_reference(config, capsys):
+    *physics, grid = config
+    out = _run(_argv("fields", *physics) + [f"--grid={_grid_text(grid)}"], capsys)
+    assert out == _fields_reference(_params(*physics), grid)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1025])
+@pytest.mark.parametrize("config", CONFIGS)
+def test_energy_profile_csv_matches_scalar_reference(config, n, capsys):
+    *physics, _ = config
+    out = _run(_argv("energy-profile", *physics) + ["--theta-samples", str(n)], capsys)
+    assert out == _profile_reference(_params(*physics), n)
+
+
+def test_output_does_not_depend_on_block_size(monkeypatch, capsys):
+    *physics, grid = CONFIGS[-1]
+    argvs = [_argv("fields", *physics) + [f"--grid={_grid_text(grid)}"],
+             _argv("energy-profile", *physics) + ["--theta-samples", "1030"]]
+    whole = [_run(argv, capsys) for argv in argvs]
+    monkeypatch.setattr(ymwaves.fields, "_GRID_BLOCK", 4)
+    assert [_run(argv, capsys) for argv in argvs] == whole
+
+
+def test_fields_builds_no_point_per_row(monkeypatch, capsys):
+    built = []
+    original = SpacetimePoint.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+    monkeypatch.setattr(SpacetimePoint, "__post_init__", counting)
+    *physics, grid = CONFIGS[-1]
+    out = _run(_argv("fields", *physics) + [f"--grid={_grid_text(grid)}"], capsys)
+    assert out.count("\r\n") == 1 + 4 * 5 * 65
+    assert built == []
+
+
+def test_analytic_max_equals_residual_samples(rng):
+    grid = ((0.0, 6.2832, 5), (-1.0, 1.0, 3), (0.0, 6.2832, 7))
+    family = build_family_ii(1.7, -0.8, 0.6, 1.3, -1, 1)
+    for p in [family] + [random_params(rng) for _ in range(6)]:
+        pts = [random_point(rng) for _ in range(40)] + grid_points(*grid)
+        want = max(residual_sample(p, s).norm for s in pts)
+        assert max_residual_norm(p, pts) == want
+        on_grid = max(residual_sample(p, s).norm for s in grid_points(*grid))
+        assert _max_analytic_norm(p, _Grid.from_ranges(*grid).blocks(p)) == on_grid
