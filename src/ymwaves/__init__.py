@@ -28,6 +28,7 @@ from .constraints import (
     ConstraintVector,
     FamilySolution,
     NotASolution,
+    PlaneSolution,
     TrivialZeroField,
     branch_projection,
     build_family_i,
@@ -63,7 +64,7 @@ __all__ = [
     "ResidualSample", "gauss_residual", "ampere_residual", "bianchi_residual",
     "residual_sample", "grid_points", "max_residual_norm",
     "ConstraintVector", "nine_constraints", "normalized_constraints",
-    "FamilySolution", "NotASolution", "TrivialZeroField", "ClassificationError",
+    "FamilySolution", "PlaneSolution", "NotASolution", "TrivialZeroField", "ClassificationError",
     "build_family_i", "build_family_ii", "build_family_iii",
     "branch_projection", "classify", "oracle_constraints",
     "refine_alphas", "scan_families",

@@ -29,10 +29,8 @@ from .constraints import (
     ClassificationError,
     FamilySolution,
     NotASolution,
+    PlaneSolution,
     TrivialZeroField,
-    build_family_i,
-    build_family_ii,
-    build_family_iii,
     classify,
     nine_constraints,
     normalized_constraints,
@@ -96,16 +94,11 @@ def _build_params(args) -> AnsatzParams:
     if args.family in ("I", "II") and args.omega is not None and args.omega != args.k * args.c:
         raise ValueError(f"--family {args.family} has omega = k*c = {_fmt(args.k * args.c)}; "
                          f"--omega {_fmt(args.omega)} differs")
-    if args.family == "I":
-        return build_family_i(args.k, args.alpha4, args.lam, args.g, args.c)
-    if args.family == "II":
-        return build_family_ii(args.k, args.alpha4, args.lam, args.g,
-                               args.eta, args.xi, args.c)
-    if args.family == "III":
-        omega = args.k * args.c if args.omega is None else args.omega
-        return build_family_iii(args.k, omega, args.alpha4, args.lam,
-                                args.g, args.eta, args.c)
     omega = args.k * args.c if args.omega is None else args.omega
+    if args.family is not None:
+        # a family ignores the signs it does not have
+        return FamilySolution(args.family, args.k, omega, args.alpha4, args.lam, args.g,
+                              args.c, args.eta, args.xi).params()
     return AnsatzParams(alpha1=args.alpha1, alpha2=args.alpha2, alpha3=args.alpha3,
                         alpha4=args.alpha4, alpha5=args.alpha5,
                         lam=args.lam, k=args.k, omega=omega, g=args.g, c=args.c)
@@ -197,7 +190,7 @@ def _looks_pure_gauge(p: AnsatzParams, h: float) -> bool:
         return False
     e = electric_field_analytic(p, s)
     b = magnetic_field_analytic(p, s)
-    return math.sqrt(e.norm() ** 2 + b.norm() ** 2) <= 1e-9
+    return math.sqrt(e.norm_squared() + b.norm_squared()) <= 1e-9
 
 
 def cmd_classify(args) -> int:
@@ -217,6 +210,10 @@ def cmd_classify(args) -> int:
                 signs += f" xi={result.xi:+d}"
             out.write(f"family {result.family}{signs} (k={_fmt(result.k)}, "
                       f"omega={_fmt(result.omega)}, alpha4={_fmt(result.alpha4)})\n")
+            return 0
+        if isinstance(result, PlaneSolution):
+            a = result.alphas
+            out.write(f"{result.label} plane (alpha3={_fmt(a[2])}, alpha5={_fmt(a[4])})\n")
             return 0
         if isinstance(result, TrivialZeroField):
             out.write(f"trivial zero-field configuration ({result.note})\n")

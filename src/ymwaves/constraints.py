@@ -6,35 +6,22 @@ a configuration solves the equations of motion for all points iff all
 nine vanish (except in the static case k = omega = 0, where the phase is
 frozen and only three grouped sums remain, see classify).
 
-Known solution branches, each with a builder:
-
-    Family I    alpha1 = alpha2 = alpha5 = 0, alpha3 = -lam/2g, omega = kc;
-                a linear wave with amplitude alpha4.
-    Family II   alpha1 = alpha2 = eta k/4g, alpha3 = xi alpha4 - lam/2g,
-                alpha5 = eta alpha4, omega = kc, for any signs eta, xi;
-                nonlinear waves with a constant offset in E and B.
-    Family III  alpha1 = eta omega/2gc, alpha2 = eta k/2g,
-                alpha3 = -lam/2g, alpha5 = eta alpha4, any omega and k;
-                pure gauge, E = B = 0 identically.
-
-At omega = kc the constraint variety additionally contains two
-degenerate planes that carry no new physics (see scan_families): the
-pure-gauge plane (alpha1, alpha2 free, alpha3 = -lam/2g,
-alpha4 = alpha5 = 0, zero fields) and a z-polarized Abelian plane
-(alpha1 = alpha2 = alpha4 = 0, alpha3 and alpha5 free) whose fields are
-a linear wave along the fixed sz color direction, i.e. Family I physics
-with the polarization relabeled and an inert constant potential.
+The known solution branches, Families I-III and the two degenerate
+planes (abelian-z and pure-gauge, see scan_families), are written once,
+in the branch table _BRANCHES: each is an offset plus free parameters
+along 0/+-1 directions in amplitude space. The builders, classify,
+branch_projection and the scan's snap all read the branches from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .fields import AnsatzParams, SpacetimePoint, _require_finite, field_coefficient_groups
+from .fields import AnsatzParams, SpacetimePoint, _field_monomials, _require_finite, _values
 from .residuals import ConstraintVector, _harmonics, ampere_residual, gauss_residual
 from .su2 import rotated_coeffs
 
@@ -44,6 +31,7 @@ __all__ = [
     "constraint_scales",
     "normalized_constraints",
     "FamilySolution",
+    "PlaneSolution",
     "NotASolution",
     "TrivialZeroField",
     "ClassificationError",
@@ -67,8 +55,7 @@ def nine_constraints(p: AnsatzParams) -> ConstraintVector:
     ConstraintVector for the signs). At g = 0 most entries degenerate to
     Abelian dispersion relations; interpret with care.
     """
-    return _harmonics(p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5,
-                      p.lam, p.k, p.omega, p.g, p.c)
+    return _harmonics(*_values(p))
 
 
 def constraint_scales(p: AnsatzParams) -> tuple[float, ...]:
@@ -77,8 +64,7 @@ def constraint_scales(p: AnsatzParams) -> tuple[float, ...]:
     Used to normalize the raw values so that tolerance checks mean the
     same thing for order-one and order-hundred parameters.
     """
-    m = _scale_monomials(p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5,
-                         p.lam, p.k, p.omega, p.g, p.c)
+    m = _scale_monomials(*_values(p))
     return tuple(max(1.0, *m[lo:hi]) for lo, hi in zip(_SCALE_STARTS, _SCALE_STARTS[1:]))
 
 
@@ -133,15 +119,16 @@ class FamilySolution:
     xi: Optional[int] = None
 
     def params(self) -> AnsatzParams:
-        if self.family == "I":
-            return build_family_i(self.k, self.alpha4, self.lam, self.g, self.c)
-        if self.family == "II":
-            return build_family_ii(self.k, self.alpha4, self.lam, self.g,
-                                   self.eta, self.xi, self.c)
-        if self.family == "III":
-            return build_family_iii(self.k, self.omega, self.alpha4, self.lam,
-                                    self.g, self.eta, self.c)
-        raise ValueError(f"unknown family {self.family!r}")
+        return _build(self.family, self.k, self.omega, self.alpha4, self.lam, self.g, self.c,
+                      self.eta, self.xi)
+
+
+@dataclass(frozen=True)
+class PlaneSolution:
+    """A solving configuration on a degenerate plane: its label and amplitudes."""
+
+    label: str
+    alphas: tuple[float, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -167,52 +154,125 @@ class ClassificationError(RuntimeError):
     """
 
 
-def _check_sign(name, value):
-    if value not in (1, -1):
-        raise ValueError(f"{name} must be +1 or -1, got {value!r}")
+class _Branch(NamedTuple):
+    """A solution branch in amplitude space: offset + sum_m t_m directions[m]."""
+
+    label: str
+    eta: Optional[int]
+    xi: Optional[int]
+    cone: bool  # exists only on the light cone omega = k c
+    wave: bool  # describes only rows with a running wave, |alpha4| > 1e-9
+    offset: Callable  # (lam, k, omega, g, c) -> five amplitudes
+    directions: tuple  # one or two 0/+-1 vectors with no coordinate in common
+
+
+# The catalogue, the one place each branch is written. Ties between
+# equally near branches go to the earlier row. A free coordinate without
+# an offset holds -0.0, the additive identity, so offset + t is t exactly.
+_BRANCHES = (
+    _Branch("I", None, None, True, True,
+            lambda lam, k, omega, g, c: (0.0, 0.0, -lam / (2.0 * g), -0.0, 0.0),
+            ((0, 0, 0, 1, 0),)),
+    *(_Branch("II", eta, xi, True, True,
+              lambda lam, k, omega, g, c, eta=eta: (
+                  eta * k / (4.0 * g), eta * k / (4.0 * g), -lam / (2.0 * g), -0.0, -0.0),
+              ((0, 0, xi, 1, eta),))
+      for eta in (1, -1) for xi in (1, -1)),
+    *(_Branch("III", eta, None, False, True,
+              lambda lam, k, omega, g, c, eta=eta: (
+                  eta * omega / (2.0 * g * c), eta * k / (2.0 * g), -lam / (2.0 * g), -0.0, -0.0),
+              ((0, 0, 0, 1, eta),))
+      for eta in (1, -1)),
+    _Branch("abelian-z", None, None, True, False,
+            lambda lam, k, omega, g, c: (0.0, 0.0, -0.0, 0.0, -0.0),
+            ((0, 0, 1, 0, 0), (0, 0, 0, 0, 1))),
+    _Branch("pure-gauge", None, None, False, False,
+            lambda lam, k, omega, g, c: (-0.0, -0.0, -lam / (2.0 * g), 0.0, 0.0),
+            ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))),
+)
+
+# the table as arrays; a one-direction row is padded with a zero vector
+_LABELS = np.array([b.label for b in _BRANCHES], dtype=object)
+_CONE = np.array([b.cone for b in _BRANCHES])
+_WAVE = np.array([b.wave for b in _BRANCHES])
+_DIRECTIONS = np.array([b.directions + ((0,) * 5,) * (2 - len(b.directions))
+                        for b in _BRANCHES], dtype=float)
+
+
+def _projections(x, couplings, on_cone: bool):
+    """The nearest points of every branch to every amplitude row of x, shape
+    (n, branches, 5), and their distances, shape (n, branches).
+
+    The distance is inf where the branch cannot describe the row: off the
+    light cone for a cone branch, and for a wave family when
+    |alpha4| <= 1e-9, a vacuum point that the planes describe. A distance
+    that overflows reads as the largest float, so that it still beats a
+    branch that does not apply. A branch's directions are orthogonal, so
+    the least-squares parameter along d is d . (x - offset) / d . d; with
+    0/+-1 entries only its sums round.
+    """
+    offsets = np.array([b.offset(*couplings) for b in _BRANCHES])
+    r = x[:, None, :] - offsets
+    points = np.broadcast_to(offsets, r.shape)
+    for d in _DIRECTIONS.transpose(1, 0, 2):
+        t = sum(r[..., j] * d[:, j] for j in range(5)) / np.maximum(1.0, np.sum(d * d, axis=1))
+        points = np.where(d != 0.0, offsets + d * t[..., None], points)
+    diff = points - x[:, None, :]
+    dist = np.sqrt(sum(diff[..., j] * diff[..., j] for j in range(5)))
+    applies = (on_cone | ~_CONE) & ((np.abs(x[:, 3:4]) > 1e-9) | ~_WAVE)
+    return points, np.where(applies, np.fmin(dist, np.finfo(float).max), np.inf)
+
+
+def _nearest(x, couplings):
+    """The nearest branch of each amplitude row of x, with the light cone to
+    1e-9 relative: its table index, the point on it and the distance."""
+    lam, k, omega, g, c = couplings
+    points, dist = _projections(x, couplings, abs(omega - k * c) <= 1e-9 * max(1.0, abs(k * c)))
+    best = dist.argmin(axis=1)
+    rows = np.arange(len(x))
+    return best, points[rows, best], dist[rows, best]
+
+
+def _build(family, k, omega, alpha4, lam, g, c, eta=None, xi=None) -> AnsatzParams:
+    """A family's configuration: its offset plus alpha4 along its direction.
+    Signs the family does not have are ignored. A family on the light cone
+    takes omega = k c and needs k != 0."""
+    if g == 0.0:
+        raise ValueError(f"family {family} requires g != 0")
+    if c == 0.0:
+        raise ValueError("c must be nonzero")
+    branch = next((b for b in _BRANCHES if b.wave and b.label == family
+                   and b.eta in (None, eta) and b.xi in (None, xi)), None)
+    if branch is None:
+        raise ValueError(f"unknown family {family!r} with signs eta={eta!r}, xi={xi!r}; "
+                         "families are I, II and III, signs +1 or -1")
+    if branch.cone and k == 0.0:
+        raise ValueError(f"family {family} requires k != 0")
+    # xi, the sign of (alpha3 - offset) / alpha4, needs a running wave
+    if branch.xi is not None and alpha4 == 0.0:
+        raise ValueError(f"family {family} requires alpha4 != 0")
+    omega = k * c if branch.cone else omega
+    (d,) = branch.directions
+    point = [o + s * alpha4 if s else o for o, s in zip(branch.offset(lam, k, omega, g, c), d)]
+    return AnsatzParams(*point, lam=lam, k=k, omega=omega, g=g, c=c)
 
 
 def build_family_i(k: float, alpha4: float, lam: float, g: float,
                    c: float = 1.0) -> AnsatzParams:
     """Linear-wave branch; requires g != 0 and k != 0."""
-    if g == 0.0:
-        raise ValueError("family I requires g != 0")
-    if k == 0.0:
-        raise ValueError("family I requires k != 0")
-    return AnsatzParams(alpha1=0.0, alpha2=0.0, alpha3=-lam / (2.0 * g),
-                        alpha4=alpha4, alpha5=0.0,
-                        lam=lam, k=k, omega=k * c, g=g, c=c)
+    return _build("I", k, k * c, alpha4, lam, g, c)
 
 
 def build_family_ii(k: float, alpha4: float, lam: float, g: float,
                     eta: int, xi: int, c: float = 1.0) -> AnsatzParams:
     """Nonlinear-wave branch; any sign pair (eta, xi) yields a solution."""
-    if g == 0.0:
-        raise ValueError("family II requires g != 0")
-    if k == 0.0:
-        raise ValueError("family II requires k != 0")
-    if alpha4 == 0.0:
-        raise ValueError("family II requires alpha4 != 0")
-    _check_sign("eta", eta)
-    _check_sign("xi", xi)
-    amp = eta * k / (4.0 * g)
-    return AnsatzParams(alpha1=amp, alpha2=amp,
-                        alpha3=xi * alpha4 - lam / (2.0 * g),
-                        alpha4=alpha4, alpha5=eta * alpha4,
-                        lam=lam, k=k, omega=k * c, g=g, c=c)
+    return _build("II", k, k * c, alpha4, lam, g, c, eta, xi)
 
 
 def build_family_iii(k: float, omega: float, alpha4: float, lam: float,
                      g: float, eta: int = 1, c: float = 1.0) -> AnsatzParams:
     """Pure-gauge branch; no dispersion relation ties omega to k."""
-    if g == 0.0:
-        raise ValueError("family III requires g != 0")
-    _check_sign("eta", eta)
-    return AnsatzParams(alpha1=eta * omega / (2.0 * g * c),
-                        alpha2=eta * k / (2.0 * g),
-                        alpha3=-lam / (2.0 * g),
-                        alpha4=alpha4, alpha5=eta * alpha4,
-                        lam=lam, k=k, omega=omega, g=g, c=c)
+    return _build("III", k, omega, alpha4, lam, g, c, eta)
 
 
 def _rel_close(a: float, b: float, tol: float) -> bool:
@@ -220,29 +280,26 @@ def _rel_close(a: float, b: float, tol: float) -> bool:
 
 
 def _fields_vanish(p: AnsatzParams, tol: float) -> bool:
-    (ec, ecs, esn), (bc, bcs, bsn) = field_coefficient_groups(p)
-    w = abs(p.omega / p.c)
-    scale = max(1.0,
-                abs(p.lam * p.alpha1), 2.0 * abs(p.g * p.alpha1 * p.alpha3),
-                w * abs(p.alpha4), 2.0 * abs(p.g * p.alpha1 * p.alpha5),
-                w * abs(p.alpha5), 2.0 * abs(p.g * p.alpha1 * p.alpha4),
-                abs(p.lam * p.alpha2), 2.0 * abs(p.g * p.alpha2 * p.alpha3),
-                abs(p.k * p.alpha4), 2.0 * abs(p.g * p.alpha2 * p.alpha5),
-                abs(p.k * p.alpha5), 2.0 * abs(p.g * p.alpha2 * p.alpha4))
-    return max(abs(v) for v in (ec, ecs, esn, bc, bcs, bsn)) <= tol * scale
+    """Whether every field coefficient group is within tol of zero, relative
+    to the largest of 1 and the magnitudes of the field monomials."""
+    monomials = _field_monomials(*_values(p))
+    scale = max(1.0, *(abs(m) for pair in monomials for m in pair))
+    return max(abs(u + v) for u, v in monomials) <= tol * scale
 
 
 def classify(p: AnsatzParams, tol: float = 1e-9, pattern_tol: float = 1e-6):
     """Decide whether p solves the equations of motion and name its branch.
 
     Returns a FamilySolution (priority III, then II, then I), a
-    TrivialZeroField for solving configurations with vanishing fields
-    outside the family patterns, or a NotASolution listing the violated
-    constraints. The static case k = omega = 0 is decided by the three
-    grouped static conditions rather than the nine constraints, which are
-    over-strong when the phase is frozen. Raises ClassificationError for
-    a verified solution matching no catalogued pattern, and ValueError
-    for g = 0 (the patterns all divide by g).
+    PlaneSolution on the abelian-z plane, a TrivialZeroField for other
+    solving configurations with vanishing fields (the pure-gauge plane
+    among them), or a NotASolution listing the violated constraints. A
+    branch matches when the amplitudes and, where it needs it, the light
+    cone hold to pattern_tol (relative) on the branch table's projection.
+    The static case k = omega = 0 is decided by the three grouped static
+    conditions rather than the nine constraints, which are over-strong
+    when the phase is frozen. Raises ClassificationError for a verified
+    solution matching no catalogued pattern, and ValueError for g = 0.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -267,46 +324,22 @@ def classify(p: AnsatzParams, tol: float = 1e-9, pattern_tol: float = 1e-6):
     if bad:
         return NotASolution(violated=bad, worst=float(nm.max()))
 
-    two_g = 2.0 * p.g
-    if _fields_vanish(p, tol):
-        # family III needs a running wave amplitude; everything else
-        # with zero fields is an inert vacuum configuration
-        if abs(p.alpha4) > pattern_tol:
-            eta = 1 if p.alpha5 * p.alpha4 >= 0.0 else -1
-            ok = (
-                _rel_close(p.alpha5, eta * p.alpha4, pattern_tol)
-                and _rel_close(p.alpha1, eta * p.omega / (two_g * p.c), pattern_tol)
-                and _rel_close(p.alpha2, eta * p.k / two_g, pattern_tol)
-                and _rel_close(p.alpha3, -p.lam / two_g, pattern_tol)
-            )
-            if ok:
-                return FamilySolution("III", k=p.k, omega=p.omega, alpha4=p.alpha4,
-                                      lam=p.lam, g=p.g, c=p.c, eta=eta)
-        return TrivialZeroField(note="zero fields")
-
-    if abs(p.alpha1) > pattern_tol:
-        for eta in (1, -1):
-            amp = eta * p.k / (4.0 * p.g)
-            if not (_rel_close(p.alpha1, amp, pattern_tol)
-                    and _rel_close(p.alpha2, amp, pattern_tol)
-                    and _rel_close(p.alpha5, eta * p.alpha4, pattern_tol)
-                    and _rel_close(p.omega, p.k * p.c, pattern_tol)
-                    and abs(p.alpha4) > pattern_tol):
+    alphas = _values(p)[:5]
+    points, dist = _projections(np.array([alphas]), _values(p)[5:],
+                                _rel_close(p.omega, p.k * p.c, pattern_tol))
+    vanish = _fields_vanish(p, tol)
+    # family III is pure gauge, the one family whose fields vanish
+    for label in ("III",) if vanish else ("II", "I", "abelian-z"):
+        for branch, point, d in zip(_BRANCHES, points[0].tolist(), dist[0]):
+            if not (branch.label == label and d < math.inf
+                    and all(_rel_close(a, b, pattern_tol) for a, b in zip(alphas, point))):
                 continue
-            xi_val = (p.alpha3 + p.lam / two_g) / p.alpha4
-            xi = 1 if xi_val >= 0.0 else -1
-            if abs(xi_val - xi) <= pattern_tol * max(1.0, 1.0 / abs(p.alpha4)):
-                return FamilySolution("II", k=p.k, omega=p.omega, alpha4=p.alpha4,
-                                      lam=p.lam, g=p.g, c=p.c, eta=eta, xi=xi)
-        raise ClassificationError(
-            "solution with alpha1 != 0 outside the catalogued patterns")
-
-    if abs(p.alpha2) <= pattern_tol:
-        if (_rel_close(p.alpha5, 0.0, pattern_tol)
-                and _rel_close(p.alpha3, -p.lam / two_g, pattern_tol)
-                and _rel_close(p.omega, p.k * p.c, pattern_tol)):
-            return FamilySolution("I", k=p.k, omega=p.omega, alpha4=p.alpha4,
-                                  lam=p.lam, g=p.g, c=p.c)
+            if label == "abelian-z":
+                return PlaneSolution(label, alphas)
+            return FamilySolution(label, k=p.k, omega=p.omega, alpha4=p.alpha4, lam=p.lam,
+                                  g=p.g, c=p.c, eta=branch.eta, xi=branch.xi)
+    if vanish:
+        return TrivialZeroField(note="zero fields")
     raise ClassificationError("solution outside the catalogued patterns")
 
 
@@ -400,6 +433,16 @@ def _check_couplings(lam, k, omega, g, c):
         raise ValueError("g must be nonzero: the branch patterns divide by it")
     if c == 0.0:
         raise ValueError("c must be nonzero")
+
+
+def _check_alphas(name, alphas, couplings) -> np.ndarray:
+    x = np.array(alphas, dtype=float)
+    if x.shape != (5,):
+        raise ValueError(f"{name} must have five entries")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite, got {tuple(alphas)!r}")
+    _check_couplings(*couplings)
+    return x
 
 
 def _constraint_rows(x, couplings):
@@ -513,63 +556,27 @@ def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float,
     converged=False and are meant to be discarded by the caller. Raises
     OverflowError when the constraints overflow at alphas0.
     """
-    x = np.array(alphas0, dtype=float)
-    if x.shape != (5,):
-        raise ValueError("alphas0 must have five entries")
-    if not np.isfinite(x).all():
-        raise ValueError(f"alphas0 must be finite, got {tuple(alphas0)!r}")
-    _check_couplings(lam, k, omega, g, c)
+    x = _check_alphas("alphas0", alphas0, (lam, k, omega, g, c))
     xs, iters, worst = _newton(x[None, :], (lam, k, omega, g, c), tol, max_iter)
     return RefineResult(tuple(xs[0]), bool(worst[0] <= tol), int(iters[0]), float(worst[0]))
-
-
-_BRANCHES = ("I", "II", "III", "abelian-z", "pure-gauge")
 
 
 def branch_projection(alphas, lam: float, k: float, omega: float, g: float,
                       c: float = 1.0) -> tuple[str, tuple[float, ...], float]:
     """Closest solution branch: its label, nearest point, and the distance.
 
-    Each branch is a line or plane in amplitude space; projection is an
-    exact least-squares fit of its free parameters (alpha4 on the wave
-    families, alpha1 and alpha2 on the pure-gauge plane, alpha3 and
-    alpha5 on the z-polarized plane). Branches that only exist on the
-    light cone are skipped when omega is off it. Ties prefer the named
-    families.
+    A one-row view of the branch table's projection: each branch is a
+    line or plane in amplitude space, and its nearest point the exact
+    least-squares fit of its free parameters. Branches that only exist on
+    the light cone are skipped when omega is off it, the wave families
+    when |alpha4| <= 1e-9. Ties go to the earlier branch in the order I,
+    II, III, abelian-z, pure-gauge. Raises ValueError unless the
+    amplitudes are five finite values and the couplings finite with g
+    and c nonzero.
     """
-    if g == 0.0:
-        raise ValueError("branch patterns require g != 0")
-    a1, a2, a3, a4, a5 = (float(v) for v in alphas)
-    two_g = 2.0 * g
-    base3 = -lam / two_g
-    on_cone = abs(omega - k * c) <= 1e-9 * max(1.0, abs(k * c))
-    # a root with a4 ~ 0 is a vacuum point; the planes describe it, the
-    # wave families would only match it degenerately
-    wavelike = abs(a4) > 1e-9
-    cand: dict[str, tuple[tuple[float, ...], float]] = {}
-
-    def put(name, point):
-        d = math.sqrt(sum((p - a) ** 2 for p, a in zip(point, (a1, a2, a3, a4, a5))))
-        if name not in cand or d < cand[name][1]:
-            cand[name] = (point, d)
-
-    if on_cone:
-        if wavelike:
-            put("I", (0.0, 0.0, base3, a4, 0.0))
-            for eta in (1, -1):
-                edge = eta * k / (4.0 * g)
-                for xi in (1, -1):
-                    t = (xi * (a3 - base3) + a4 + eta * a5) / 3.0
-                    put("II", (edge, edge, base3 + xi * t, t, eta * t))
-        put("abelian-z", (0.0, 0.0, a3, 0.0, a5))
-    if wavelike:
-        for eta in (1, -1):
-            t = (a4 + eta * a5) / 2.0
-            put("III", (eta * omega / (two_g * c), eta * k / two_g, base3, t, eta * t))
-    put("pure-gauge", (a1, a2, base3, 0.0, 0.0))
-    best = min(_BRANCHES, key=lambda name: cand.get(name, ((), math.inf))[1])
-    point, dist = cand[best]
-    return best, point, dist
+    x = _check_alphas("alphas", alphas, (lam, k, omega, g, c))
+    best, point, dist = _nearest(x[None, :], (lam, k, omega, g, c))
+    return str(_LABELS[best[0]]), tuple(point[0].tolist()), float(dist[0])
 
 
 class ScanRow(NamedTuple):
@@ -615,30 +622,28 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
         omega = k * c
     _check_couplings(lam, k, omega, g, c)
     rng = np.random.default_rng(seed)
+    couplings = (lam, k, omega, g, c)
     rows = []
     for lo in range(0, n_seeds, _BLOCK):
         starts = rng.uniform(-spread, spread, size=(min(_BLOCK, n_seeds - lo), 5))
-        final, iters, worsts = _newton(starts, (lam, k, omega, g, c), _TOL, _MAX_ITER)
-        for j, start in enumerate(starts):
-            worst = float(worsts[j])
-            success = worst <= success_tol
-            alphas = tuple(final[j])
-            if success:
-                label, point, dist = branch_projection(alphas, lam, k, omega, g, c)
-                if dist <= snap_tol:
-                    snapped_worst = float(np.max(normalized_constraints(
-                        AnsatzParams(*point, lam=lam, k=k, omega=omega, g=g, c=c))))
-                    if snapped_worst <= success_tol:
-                        alphas = point
-                        worst = snapped_worst
-                        _, _, dist = branch_projection(point, lam, k, omega, g, c)
-                    else:
-                        label = "none"
-                else:
-                    label = "none"
-            else:
-                label, dist = "", math.inf
-            rows.append(ScanRow(seed_index=lo + j, initial=tuple(start), alphas=alphas,
-                                converged=success, max_constraint=worst, label=label,
-                                distance=dist, iterations=int(iters[j])))
+        x, iters, worst = _newton(starts, couplings, _TOL, _MAX_ITER)
+        converged = worst <= success_tol
+        ok = np.flatnonzero(converged)
+        labels = np.where(converged, "none", "").astype(object)
+        dist = np.full(len(x), math.inf)
+        with np.errstate(all="ignore"):
+            best, points, dist[ok] = _nearest(x[ok], couplings)
+            near = np.flatnonzero(dist[ok] <= snap_tol)
+            snapped = _worst_normalized(_constraint_rows(points[near], couplings),
+                                        points[near], couplings)
+            passed = snapped <= success_tol
+            kept = near[passed]  # positions among the converged rows
+            x[ok[kept]], worst[ok[kept]] = points[kept], snapped[passed]
+            labels[ok[kept]] = _LABELS[best[kept]]
+            dist[ok[kept]] = _nearest(x[ok[kept]], couplings)[2]
+        rows += [ScanRow(seed_index=lo + j, initial=tuple(start), alphas=tuple(a),
+                         converged=bool(conv), max_constraint=float(w), label=label,
+                         distance=float(d), iterations=int(n))
+                 for j, (start, a, conv, w, label, d, n)
+                 in enumerate(zip(starts, x, converged, worst, labels, dist, iters))]
     return rows

@@ -125,8 +125,11 @@ class ColorVector:
     def components(self) -> tuple[LieElement, LieElement, LieElement]:
         return (self.ex, self.ey, self.ez)
 
+    def norm_squared(self) -> float:
+        return sum(e.norm_squared() for e in self.components())
+
     def norm(self) -> float:
-        return math.sqrt(sum(e.norm() ** 2 for e in self.components()))
+        return math.sqrt(self.norm_squared())
 
     def __add__(self, other):
         if not isinstance(other, ColorVector):
@@ -188,6 +191,26 @@ def vector_potential(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
     return _potentials(p, s)[1]
 
 
+def _field_monomials(a1, a2, a3, a4, a5, lam, k, omega, g, c):
+    """The signed monomials of the field coefficient groups e_const, e_cos,
+    e_sin, b_const, b_cos, b_sin, two per group: the one place the closed-form
+    fields are written, in plain arithmetic as residuals._harmonics is."""
+    w = omega / c
+    return (
+        (-lam * a1, -(2.0 * g * a1 * a3)),
+        (w * a4, -(2.0 * g * a1 * a5)),
+        (-w * a5, 2.0 * g * a1 * a4),
+        (lam * a2, 2.0 * g * a2 * a3),
+        (-k * a4, 2.0 * g * a2 * a5),
+        (k * a5, -(2.0 * g * a2 * a4)),
+    )
+
+
+def _values(p: AnsatzParams):
+    """The amplitudes, then the couplings: the arguments of the closed forms."""
+    return (p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5, p.lam, p.k, p.omega, p.g, p.c)
+
+
 def field_coefficient_groups(p: AnsatzParams):
     """Harmonic coefficients of the closed-form fields.
 
@@ -195,14 +218,9 @@ def field_coefficient_groups(p: AnsatzParams):
     electric e_y component is (e_const + e_cos cos th) Sy + e_sin sin th Sz
     and the magnetic e_x component is the same shape with the b groups.
     """
-    w = p.omega / p.c
-    e_const = -p.lam * p.alpha1 - 2.0 * p.g * p.alpha1 * p.alpha3
-    e_cos = w * p.alpha4 - 2.0 * p.g * p.alpha1 * p.alpha5
-    e_sin = -w * p.alpha5 + 2.0 * p.g * p.alpha1 * p.alpha4
-    b_const = p.lam * p.alpha2 + 2.0 * p.g * p.alpha2 * p.alpha3
-    b_cos = -p.k * p.alpha4 + 2.0 * p.g * p.alpha2 * p.alpha5
-    b_sin = p.k * p.alpha5 - 2.0 * p.g * p.alpha2 * p.alpha4
-    return (e_const, e_cos, e_sin), (b_const, b_cos, b_sin)
+    (a, b), (c, d), (e, f), (g, h), (i, j), (k, l) = _field_monomials(
+        p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5, p.lam, p.k, p.omega, p.g, p.c)
+    return (a + b, c + d, e + f), (g + h, i + j, k + l)
 
 
 def _wave(group, cos_th, sin_th, cos_fr, sin_fr):
@@ -336,22 +354,6 @@ def _field_columns(p: AnsatzParams, rows: _Rows):
     return tuple(_wave(group, *rows.angles()) for group in field_coefficient_groups(p))
 
 
-def _column_norm(u) -> np.ndarray:
-    """LieElement.norm over columns of coefficients (ax, ay, az)."""
-    ax, ay, az = u
-    return np.sqrt(ax * ax + ay * ay + az * az)
-
-
-def _column_square(x) -> np.ndarray:
-    """x ** 2 over a column, rounded as a Python float's x ** 2 is.
-
-    float ** 2 calls the C library's pow, which numpy's float_power also
-    calls; numpy's own x ** 2 multiplies x * x, which differs from pow in
-    the last bit for about one value in a thousand.
-    """
-    return np.float_power(x, 2.0)
-
-
 def _check_h(h: float):
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step h must be positive and finite, got {h!r}")
@@ -427,4 +429,4 @@ def field_strength(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4):
 
 def field_strength_norm(f_tensor) -> float:
     """Root of the summed squared coefficients over all 16 entries."""
-    return math.sqrt(sum(f_tensor[m][n].norm() ** 2 for m in range(4) for n in range(4)))
+    return math.sqrt(sum(f_tensor[m][n].norm_squared() for m in range(4) for n in range(4)))

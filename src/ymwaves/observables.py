@@ -24,13 +24,12 @@ from .fields import (
     AnsatzParams,
     ColorVector,
     SpacetimePoint,
-    _column_norm,
-    _column_square,
     _field_columns,
     _Grid,
     electric_field_analytic,
     magnetic_field_analytic,
 )
+from .su2 import LieElement
 
 __all__ = [
     "energy_density",
@@ -55,10 +54,8 @@ def energy_density(p: AnsatzParams, s: SpacetimePoint, kappa: float = 0.25) -> f
     _check_kappa(kappa)
     e = electric_field_analytic(p, s)
     b = magnetic_field_analytic(p, s)
-    total = sum(c.norm() ** 2 for c in e.components())
-    total += sum(c.norm() ** 2 for c in b.components())
     # Tr of a squared coefficient triple is twice its Euclidean square
-    return kappa * 2.0 * total
+    return kappa * 2.0 * (e.norm_squared() + b.norm_squared())
 
 
 def energy_closed_form(sol: FamilySolution, theta: float) -> float:
@@ -161,9 +158,9 @@ def energy_profile(sol: FamilySolution, n_samples: int = 256,
     t, z = (np.atleast_1d(v) for v in _phase_coordinates(p, thetas))
     densities = []
     for rows in _Grid(t, np.zeros(1), z).blocks(p):
-        ey, bx = (_column_norm(u) for u in _field_columns(p, rows))
-        # energy_density's rounding: kappa * 2 * (|E_y|**2 + |B_x|**2)
-        densities += (kappa * 2.0 * (_column_square(ey) + _column_square(bx))).tolist()
+        ey, bx = (LieElement(*u).norm_squared() for u in _field_columns(p, rows))
+        # energy_density's rounding: kappa * 2 * (|E_y|^2 + |B_x|^2)
+        densities += (kappa * 2.0 * (ey + bx)).tolist()
     thetas = thetas.tolist()
     closed = tuple(energy_closed_form(sol, th) * (kappa / 0.25) for th in thetas)
     return EnergyProfile(thetas=tuple(thetas), densities=tuple(densities),

@@ -36,13 +36,12 @@ from .fields import (
     SpacetimePoint,
     _angles,
     _check_h,
-    _column_norm,
-    _column_square,
     _covariant_potential,
     _curl,
     _grid_axis,
     _point_rows,
     _potentials,
+    _values,
     central_difference4,
     electric_field_analytic,
     field_strength,
@@ -150,32 +149,26 @@ def _residual_coefficients(cv: ConstraintVector, cos_th, sin_th, cos_fr, sin_fr)
     )
 
 
-def _constraints_of(p: AnsatzParams) -> ConstraintVector:
-    return _harmonics(p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5,
-                      p.lam, p.k, p.omega, p.g, p.c)
-
-
 def _analytic_residuals(p: AnsatzParams, s: SpacetimePoint):
     """Gauss and ampere residuals at s, read off c1..c9."""
-    gauss, ey, ez = _residual_coefficients(_constraints_of(p), *_angles(p, s))
+    gauss, ey, ez = _residual_coefficients(_harmonics(*_values(p)), *_angles(p, s))
     return LieElement(*gauss), ColorVector(LieElement(), LieElement(*ey), LieElement(*ez))
 
 
 def _max_analytic_norm(p: AnsatzParams, blocks) -> float:
     """Largest residual_sample norm over blocks of rows (fields._Rows).
 
-    c1..c9 are evaluated once. The norms round as the scalar route's
-    LieElement and ColorVector norms do, so the result equals the max of
-    residual_sample(...).norm over the same points. Raises OverflowError
-    when a norm is not finite.
+    c1..c9 are evaluated once. The norms round as residual_sample's do,
+    so the result equals the max of residual_sample(...).norm over the
+    same points. Raises OverflowError when a norm is not finite.
     """
-    cv = _constraints_of(p)
+    cv = _harmonics(*_values(p))
     worst = -math.inf
     with np.errstate(all="ignore"):
         for rows in blocks:
-            gauss, ey, ez = (_column_norm(u) for u in _residual_coefficients(cv, *rows.angles()))
-            ampere = np.sqrt(_column_square(ey) + _column_square(ez))
-            norms = np.sqrt(_column_square(gauss) + _column_square(ampere))
+            gauss, ey, ez = (LieElement(*u).norm_squared()
+                             for u in _residual_coefficients(cv, *rows.angles()))
+            norms = np.sqrt(gauss + (ey + ez))
             top = float(norms.max())
             if not math.isfinite(top):
                 raise OverflowError("the analytic residual is not finite")
@@ -261,7 +254,7 @@ def bianchi_residual(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4,
     total = 0.0
     for mu, nu, ga in combinations(range(4), 3):
         term = cov_deriv(mu, nu, ga) + cov_deriv(nu, ga, mu) + cov_deriv(ga, mu, nu)
-        total += term.norm() ** 2
+        total += term.norm_squared()
     return math.sqrt(total)
 
 
@@ -284,7 +277,7 @@ def residual_sample(p: AnsatzParams, s: SpacetimePoint,
     else:
         ga = gauss_residual(p, s, mode=mode, h=h)
         am = ampere_residual(p, s, mode=mode, h=h)
-    norm = math.sqrt(ga.norm() ** 2 + am.norm() ** 2)
+    norm = math.sqrt(ga.norm_squared() + am.norm_squared())
     return ResidualSample(gauss=ga, ampere=am, point=s, norm=norm)
 
 

@@ -35,8 +35,12 @@ class LieElement:
     def coeffs(self) -> tuple[float, float, float]:
         return (self.ax, self.ay, self.az)
 
+    def norm_squared(self) -> float:
+        # plain arithmetic: the grid core calls it on coefficient columns
+        return self.ax * self.ax + self.ay * self.ay + self.az * self.az
+
     def norm(self) -> float:
-        return math.sqrt(self.ax * self.ax + self.ay * self.ay + self.az * self.az)
+        return math.sqrt(self.norm_squared())
 
     def __add__(self, other):
         if not isinstance(other, LieElement):

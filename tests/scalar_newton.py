@@ -2,14 +2,18 @@
 
 Every seed is refined alone, with the nine constraints evaluated through
 AnsatzParams and nine_constraints for each Jacobian column and
-line-search trial, and each step solved by np.linalg.lstsq. The batched
-scan in ymwaves.constraints takes the same steps up to rounding, so
-labels and converged flags must agree seed for seed.
+line-search trial, and each step solved by np.linalg.lstsq. Roots are
+labelled by nearest_branch, the branches written out by hand here rather
+than read from the library's branch table. The batched scan in
+ymwaves.constraints takes the same steps up to rounding, so labels and
+converged flags must agree seed for seed.
 """
+
+import math
 
 import numpy as np
 
-from ymwaves.constraints import branch_projection, nine_constraints, normalized_constraints
+from ymwaves.constraints import nine_constraints, normalized_constraints
 from ymwaves.fields import AnsatzParams
 
 
@@ -56,6 +60,45 @@ def refine(alphas0, lam, k, omega, g, c=1.0, tol=1e-13, max_iter=120):
     return tuple(x), final <= tol, it, final
 
 
+def nearest_branch(alphas, lam, k, omega, g, c=1.0):
+    """(label, point, distance) of the nearest catalogued branch.
+
+    Each branch is a line or plane in amplitude space, projected onto by
+    a closed-form least-squares fit of its free parameters. Branches of
+    the light cone count only on it, the wave families only for
+    |alpha4| > 1e-9; ties prefer I, II, III, abelian-z, pure-gauge in
+    that order.
+    """
+    a1, a2, a3, a4, a5 = (float(v) for v in alphas)
+    base3 = -lam / (2.0 * g)
+    on_cone = abs(omega - k * c) <= 1e-9 * max(1.0, abs(k * c))
+    wavelike = abs(a4) > 1e-9
+    cand = {}
+
+    def put(name, point):
+        d = math.sqrt(sum((p - a) ** 2 for p, a in zip(point, (a1, a2, a3, a4, a5))))
+        if name not in cand or d < cand[name][1]:
+            cand[name] = (point, d)
+
+    if on_cone:
+        if wavelike:
+            put("I", (0.0, 0.0, base3, a4, 0.0))
+            for eta in (1, -1):
+                edge = eta * k / (4.0 * g)
+                for xi in (1, -1):
+                    t = (xi * (a3 - base3) + a4 + eta * a5) / 3.0
+                    put("II", (edge, edge, base3 + xi * t, t, eta * t))
+        put("abelian-z", (0.0, 0.0, a3, 0.0, a5))
+    if wavelike:
+        for eta in (1, -1):
+            t = (a4 + eta * a5) / 2.0
+            put("III", (eta * omega / (2.0 * g * c), eta * k / (2.0 * g), base3, t, eta * t))
+    put("pure-gauge", (a1, a2, base3, 0.0, 0.0))
+    order = ("I", "II", "III", "abelian-z", "pure-gauge")
+    best = min(order, key=lambda name: cand.get(name, ((), math.inf))[1])
+    return (best, *cand[best])
+
+
 def scan_labels(n_seeds, seed, lam, k, omega, g, c=1.0, spread=3.0,
                 success_tol=1e-8, snap_tol=1e-3):
     """(label, converged) per seed, drawn and snapped as scan_families does."""
@@ -67,7 +110,7 @@ def scan_labels(n_seeds, seed, lam, k, omega, g, c=1.0, spread=3.0,
         success = worst <= success_tol
         label = ""
         if success:
-            label, point, dist = branch_projection(alphas, lam, k, omega, g, c)
+            label, point, dist = nearest_branch(alphas, lam, k, omega, g, c)
             snapped = float(np.max(normalized_constraints(_params(point, lam, k, omega, g, c))))
             if dist > snap_tol or snapped > success_tol:
                 label = "none"

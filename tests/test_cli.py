@@ -73,6 +73,20 @@ def test_classify_trivial_static_configuration(capsys):
     assert "trivial zero-field configuration" in out
 
 
+def test_classify_abelian_z_plane(capsys):
+    code, out, _ = run(["classify", "--alpha3", "0.3", "--alpha5", "0.7", "--k", "1"], capsys)
+    assert code == 0
+    assert out == "abelian-z plane (alpha3=0.29999999999999999, alpha5=0.69999999999999996)\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "classify", "fields"])
+def test_family_iii_zero_speed_is_usage_error(command, capsys):
+    code, out, err = run([command, "--family", "III", "--alpha4", "1", "--c", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: c must be nonzero" in err
+
+
 def test_classify_rejects_non_solution(capsys):
     code, out, _ = run(["classify", *NON_SOLUTION], capsys)
     assert code == 1

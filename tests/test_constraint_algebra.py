@@ -1,17 +1,29 @@
-"""The algebra of c1..c9: the scale table against the polynomials, and symmetries.
+"""The algebra of c1..c9: the scale and field monomial tables, the branch
+table, and symmetries.
 
 The symmetry tests run every relation on both evaluation paths of the
 one polynomial source: the scalar nine_constraints and the batched rows
 of the Newton core.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ymwaves.constraints import _SCALE_STARTS, _constraint_rows, _scale_monomials, nine_constraints
-from ymwaves.fields import AnsatzParams
+from ymwaves.constraints import (
+    _BRANCHES,
+    _SCALE_STARTS,
+    _constraint_rows,
+    _projections,
+    _scale_monomials,
+    branch_projection,
+    nine_constraints,
+    normalized_constraints,
+)
+from ymwaves.fields import AnsatzParams, _field_monomials, field_coefficient_groups
 from ymwaves.residuals import _harmonics
 
 value = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -32,6 +44,48 @@ def test_scale_table_lists_every_monomial():
         terms = [sp.nsimplify(abs(t), rational=True) for t in sp.Add.make_args(sp.expand(poly))]
         assert len(terms) == hi - lo, f"c{i}"
         assert set(terms) == set(monomials[lo:hi]), f"c{i}"
+
+
+def test_field_monomial_table_lists_every_term():
+    # each coefficient group of the fields expands into exactly its two
+    # monomials, signs included, so their magnitudes are its scale
+    sp = pytest.importorskip("sympy")
+    names = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "lam", "k", "omega", "g", "c")
+    args = sp.symbols(" ".join(names))
+    groups = [v for group in field_coefficient_groups(SimpleNamespace(**dict(zip(names, args))))
+              for v in group]
+    for group, pair in zip(groups, _field_monomials(*args), strict=True):
+        terms = sp.Add.make_args(sp.expand(group))
+        assert len(terms) == 2
+        assert set(terms) == {sp.expand(m) for m in pair}
+
+
+# the catalogue: Families I and II for every sign pair, Family III for
+# each eta, and the two planes
+CATALOGUE = {("I", None, None), ("abelian-z", None, None), ("pure-gauge", None, None),
+             *(("II", eta, xi) for eta in (1, -1) for xi in (1, -1)),
+             ("III", 1, None), ("III", -1, None)}
+
+
+@given(st.sampled_from(_BRANCHES), value, value, coupling, st.floats(min_value=0.5, max_value=2.0),
+       value, st.tuples(value, value))
+def test_every_branch_solves_the_constraints(branch, lam, k, g, c, omega, free):
+    # a point of any branch solves c1..c9, and projects onto itself
+    assert {(b.label, b.eta, b.xi) for b in _BRANCHES} == CATALOGUE
+    assert len(_BRANCHES) == len(CATALOGUE)
+    if branch.cone:
+        omega = k * c
+    couplings = (lam, k, omega, g, c)
+    point = np.array(branch.offset(*couplings)) + sum(
+        t * np.array(d) for t, d in zip(free, branch.directions))
+    worst = normalized_constraints(AnsatzParams(*point, lam=lam, k=k, omega=omega, g=g, c=c))
+    assert np.max(worst) <= 1e-12
+    points, dist = _projections(point[None, :], couplings, True)
+    row = _BRANCHES.index(branch)
+    assert np.max(np.abs(points[0, row] - point)) <= 1e-12
+    if abs(point[3]) > 1e-9 or not branch.wave:
+        assert dist[0, row] <= 1e-12
+        assert branch_projection(point, *couplings)[2] <= 1e-12
 
 
 def _both_paths(x, lam, k, omega, g, c):

@@ -10,6 +10,7 @@ from ymwaves.constraints import (
     ConstraintVector,
     FamilySolution,
     NotASolution,
+    PlaneSolution,
     TrivialZeroField,
     branch_projection,
     build_family_i,
@@ -159,6 +160,17 @@ def test_classify_vacuum_and_static():
     assert isinstance(out, TrivialZeroField)
 
 
+def test_classify_names_the_abelian_z_plane():
+    # verified solutions off every family: a z-polarized linear wave
+    for lam, g in ((0.0, 1.0), (0.4, -1.3)):
+        p = AnsatzParams(alpha3=0.3, alpha5=0.7, lam=lam, k=1.0, omega=1.0, g=g)
+        assert classify(p) == PlaneSolution("abelian-z", (0.0, 0.0, 0.3, 0.0, 0.7))
+    assert PlaneSolution is ymwaves.PlaneSolution
+    # the pure-gauge plane has zero fields and stays a trivial configuration
+    pure = AnsatzParams(alpha1=0.3, alpha2=-0.2, k=1.0, omega=1.0)
+    assert isinstance(classify(pure), TrivialZeroField)
+
+
 def test_classify_rejects_non_solution(rng):
     p = random_params(rng)
     if nine_constraints(p).max_abs() < 1e-6:  # pragma: no cover
@@ -256,6 +268,20 @@ def test_branch_projection_is_exact_on_branch():
         assert np.allclose(point, alphas)
 
 
+@pytest.mark.parametrize("alphas, bad", [
+    ((math.nan, 0.0, 0.0, 1.0, 0.0), {}),
+    ((0.1, 0.2, 0.3, math.inf, 0.5), {}),
+    ((0.1, 0.2, 0.3, 0.4), {}),
+    ((0.1, 0.2, 0.3, 0.4, 0.5), {"k": math.inf}),
+    ((0.1, 0.2, 0.3, 0.4, 0.5), {"omega": math.nan}),
+    ((0.1, 0.2, 0.3, 0.4, 0.5), {"c": 0.0}),
+    ((0.1, 0.2, 0.3, 0.4, 0.5), {"g": 0.0}),
+])
+def test_branch_projection_validates_input(alphas, bad):
+    with pytest.raises(ValueError):
+        branch_projection(alphas, **(dict(lam=0.0, k=1.0, omega=1.0, g=1.0, c=1.0) | bad))
+
+
 def test_scan_is_deterministic_and_labeled():
     rows_a = scan_families(12, seed=7, lam=0.3, k=1.0, g=1.0)
     rows_b = scan_families(12, seed=7, lam=0.3, k=1.0, g=1.0)
@@ -286,6 +312,31 @@ def test_batched_scan_matches_scalar_newton(lam, k, omega, g):
     rows = scan_families(50, seed=11, lam=lam, k=k, omega=omega, g=g)
     got = [(r.label, r.converged) for r in rows]
     assert got == scan_labels(50, seed=11, lam=lam, k=k, omega=omega, g=g)
+
+
+@pytest.mark.parametrize("lam, k, omega, g", SCAN_REGIMES)
+def test_classify_agrees_with_scan_labels(lam, k, omega, g):
+    rows = [r for r in scan_families(200, seed=5, lam=lam, k=k, omega=omega, g=g) if r.converged]
+    # the catalogue explains every root but those of the vacuum line
+    # alpha1 = alpha2 = alpha4 = alpha5 = 0 off the light cone (not yet named)
+    for r in rows:
+        if r.label == "none":
+            assert omega != k and max(abs(r.alphas[i]) for i in (0, 1, 3, 4)) < 1e-6
+    labelled = [r for r in rows if r.label != "none"]
+    assert len(labelled) > 100
+    for r in labelled:
+        p = AnsatzParams(*r.alphas, lam=lam, k=k, omega=omega, g=g)
+        out = classify(p)
+        # the abelian-z plane's fields are proportional to alpha5: its
+        # alpha5 = 0 edge is vacuum, as the whole pure-gauge plane is
+        if r.label == "pure-gauge" or (r.label == "abelian-z" and abs(r.alphas[4]) < 1e-9):
+            assert isinstance(out, TrivialZeroField)
+        elif r.label == "abelian-z":
+            assert out == PlaneSolution("abelian-z", r.alphas)
+        else:
+            # same family, and the signs rebuild the root exactly
+            assert isinstance(out, FamilySolution) and out.family == r.label
+            assert out.params() == p
 
 
 def test_scan_rows_do_not_depend_on_batching(monkeypatch):
