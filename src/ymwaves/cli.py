@@ -40,13 +40,12 @@ from . import fields
 from .fields import (
     AnsatzParams,
     _field_columns,
+    _field_strength_norms,
     _Grid,
     electric_field_analytic,
-    field_strength,
-    field_strength_norm,
     magnetic_field_analytic,
 )
-from .observables import energy_profile, point_at_phase
+from .observables import _profile_blocks, point_at_phase
 from .residuals import (
     _GRID_X,
     _max_analytic_norm,
@@ -163,8 +162,7 @@ def cmd_verify(args) -> int:
 
     if args.family == "III" or (constraints_ok and max_analytic <= args.tol
                                 and abs(p.alpha4) > 0 and _looks_pure_gauge(p, args.h)):
-        f_norm = max(field_strength_norm(field_strength(p, q, h=args.h))
-                     for q in numeric_pts[:8])
+        f_norm = max(_field_strength_norms(p, numeric_pts[:8], args.h))
         # F comes from second-order differences; judge it against the
         # matching budget, not the fourth-order residual one
         if f_norm <= max(args.tol, field_strength_allowance(p, args.h)):
@@ -265,14 +263,18 @@ def cmd_scan(args) -> int:
 
 def _write_csv(args, header, rows):
     """Write a header and rows of floats as csv.writer would with %.17g
-    numbers, "\r\n" ends included; one write per block of rows."""
+    numbers, "\r\n" ends included; one write per block of rows. The first
+    block is made before the output is opened, so an input that fails on
+    it leaves nothing behind."""
     fmt = ",".join([_FMT] * len(header)) + "\r\n"
     rows = iter(rows)
+    block = list(islice(rows, fields._GRID_BLOCK))
     out, close = _open_out(args)
     try:
         out.write(",".join(header) + "\r\n")
-        while block := list(islice(rows, fields._GRID_BLOCK)):
+        while block:
             out.write("".join(fmt % row for row in block))
+            block = list(islice(rows, fields._GRID_BLOCK))
     finally:
         if close:
             out.close()
@@ -301,10 +303,11 @@ def cmd_energy_profile(args) -> int:
     sol = classify(p, tol=args.tol)
     if not isinstance(sol, FamilySolution):
         raise ValueError("configuration did not classify as a family solution")
-    prof = energy_profile(sol, n_samples=args.theta_samples)
+    # the sweep is checked whole before the first row is written
+    blocks = _profile_blocks(sol, args.theta_samples)
     _write_csv(args, ["theta", "density", "closed_form", "abs_diff"],
                ((th, dens, cf, abs(dens - cf))
-                for th, dens, cf in zip(prof.thetas, prof.densities, prof.closed_forms)))
+                for block in blocks for th, dens, cf in zip(*block)))
     return 0
 
 

@@ -21,9 +21,16 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .fields import AnsatzParams, SpacetimePoint, _field_monomials, _require_finite, _values
-from .residuals import ConstraintVector, _harmonics, ampere_residual, gauss_residual
-from .su2 import rotated_coeffs
+from .fields import (
+    AnsatzParams,
+    SpacetimePoint,
+    _check_h,
+    _field_monomials,
+    _require_finite,
+    _values,
+)
+from .residuals import ConstraintVector, _harmonics, _numeric_residuals
+from .su2 import LieElement, _frame_coeffs
 
 __all__ = [
     "ConstraintVector",
@@ -199,6 +206,19 @@ _DIRECTIONS = np.array([b.directions + ((0,) * 5,) * (2 - len(b.directions))
                         for b in _BRANCHES], dtype=float)
 
 
+def _check_offsets(couplings, branches=_BRANCHES):
+    """Reject couplings at which a branch offset is not finite: it overflows,
+    or 2 g or 2 g c underflows to zero and the offset divides by it."""
+    for b in branches:
+        try:
+            finite = all(map(math.isfinite, b.offset(*couplings)))
+        except ZeroDivisionError:
+            finite = False
+        if not finite:
+            raise ValueError(f"the {b.label} branch offset is not finite at these couplings; "
+                             "it divides by g and by g c")
+
+
 def _projections(x, couplings, on_cone: bool):
     """The nearest points of every branch to every amplitude row of x, shape
     (n, branches, 5), and their distances, shape (n, branches).
@@ -252,6 +272,7 @@ def _build(family, k, omega, alpha4, lam, g, c, eta=None, xi=None) -> AnsatzPara
     if branch.xi is not None and alpha4 == 0.0:
         raise ValueError(f"family {family} requires alpha4 != 0")
     omega = k * c if branch.cone else omega
+    _check_offsets((lam, k, omega, g, c), [branch])
     (d,) = branch.directions
     point = [o + s * alpha4 if s else o for o, s in zip(branch.offset(lam, k, omega, g, c), d)]
     return AnsatzParams(*point, lam=lam, k=k, omega=omega, g=g, c=c)
@@ -325,6 +346,7 @@ def classify(p: AnsatzParams, tol: float = 1e-9, pattern_tol: float = 1e-6):
         return NotASolution(violated=bad, worst=float(nm.max()))
 
     alphas = _values(p)[:5]
+    _check_offsets(_values(p)[5:])
     points, dist = _projections(np.array([alphas]), _values(p)[5:],
                                 _rel_close(p.omega, p.k * p.c, pattern_tol))
     vanish = _fields_vanish(p, tol)
@@ -359,7 +381,9 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4, n_theta: int = 8,
     (realized through z when k dominates, through t otherwise) at several
     y values, projects every sample onto the rotated frame, and fits the
     harmonic series [1, cos, cos^2, sin] to all twelve channels by one
-    least-squares solve. The nine entries of _ORACLE_ENTRIES reproduce
+    least-squares solve. All samples come from one evaluation of the
+    numeric residuals on columns, the values gauss_residual and
+    ampere_residual give point by point. The nine entries of _ORACLE_ENTRIES reproduce
     nine_constraints without ever evaluating the constraint polynomials;
     this is the independent oracle the algebra is tested against.
 
@@ -378,7 +402,7 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4, n_theta: int = 8,
     thetas = [2.0 * math.pi * i / n_theta for i in range(n_theta)]
     use_z = abs(p.k) >= abs(p.omega)
 
-    design, samples = [], []
+    design, points = [], []
     for yv in ys:
         for th in thetas:
             if use_z:
@@ -388,12 +412,17 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4, n_theta: int = 8,
                 z0 = 0.3
                 s = SpacetimePoint(t=(p.k * z0 - th) / p.omega, x=0.17, y=yv, z=z0)
             design.append((1.0, math.cos(th), math.cos(th) ** 2, math.sin(th)))
-            ga = gauss_residual(p, s, mode="numeric", h=h)
-            am = ampere_residual(p, s, mode="numeric", h=h)
-            samples.append([v for e in (ga, *am.components())
-                            for v in rotated_coeffs(e, p.lam, yv)])
+            points.append(s)
 
-    design, samples = np.array(design), np.array(samples)
+    _check_h(h)
+    ga, am = _numeric_residuals(p, points, h)
+    with np.errstate(all="ignore"):
+        frame = p.lam * np.array([q.y for q in points])
+        cos_fr, sin_fr = np.cos(frame), np.sin(frame)
+        # twelve channels: gauss, ampere e_x, e_y, e_z, each on Sx, Sy, Sz
+        samples = np.stack([v for e in (ga, *am.transpose(1, 0, 2))
+                            for v in _frame_coeffs(cos_fr, sin_fr, LieElement(*e))], axis=1)
+    design = np.array(design)
     coef = np.linalg.lstsq(design, samples, rcond=None)[0]
     harmonic, channel, sign = np.array(_ORACLE_ENTRIES).T
     cv = ConstraintVector(*(float(v) for v in sign * coef[harmonic, channel]))
@@ -433,6 +462,7 @@ def _check_couplings(lam, k, omega, g, c):
         raise ValueError("g must be nonzero: the branch patterns divide by it")
     if c == 0.0:
         raise ValueError("c must be nonzero")
+    _check_offsets((lam, k, omega, g, c))
 
 
 def _check_alphas(name, alphas, couplings) -> np.ndarray:

@@ -22,10 +22,14 @@ a numeric route that differentiates the potentials by central finite
 differences and takes exact commutators. Agreement of the two is the
 correctness check for the closed forms.
 
-Grids go through one array core (_Grid): the closed forms are plain
-arithmetic on the cosines and sines of the phase and of the frame angle,
-so they run on floats for one point and on numpy columns for a block of
-grid rows, with the same rounding.
+Everything runs on one array core. The closed forms and the potentials
+are plain arithmetic on the cosines and sines of the phase and of the
+frame angle, so they run on floats for one point and on numpy columns
+for many, with the same rounding. Grids go through _Grid in blocks of
+rows; finite-difference stencils go through _stencil, which lays out
+points and their shifted copies as one block, so field_strength at n
+points is one evaluation of the potentials. The one-point functions are
+views of the columns.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .su2 import LieElement, _along_sy_sz, minus_i_commutator, rotated_basis
+from .su2 import LieElement, _along_sx, _along_sy_sz, minus_i_commutator
 
 __all__ = [
     "AnsatzParams",
@@ -126,7 +130,8 @@ class ColorVector:
         return (self.ex, self.ey, self.ez)
 
     def norm_squared(self) -> float:
-        return sum(e.norm_squared() for e in self.components())
+        # plain arithmetic: the stencil core calls it on coefficient columns
+        return self.ex.norm_squared() + self.ey.norm_squared() + self.ez.norm_squared()
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
@@ -164,21 +169,36 @@ def central_difference(f, s: SpacetimePoint, axis: str, h: float):
     return (f(shifted(s, axis, h)) - f(shifted(s, axis, -h))) * (0.5 / h)
 
 
-def central_difference4(f, s: SpacetimePoint, axis: str, h: float):
-    """Fourth-order five-point first derivative of f along axis at s."""
-    f1 = f(shifted(s, axis, h))
-    f2 = f(shifted(s, axis, 2.0 * h))
-    fm1 = f(shifted(s, axis, -h))
-    fm2 = f(shifted(s, axis, -2.0 * h))
+def _five_point(f1, f2, fm1, fm2, h: float):
+    """The five-point combination of f at +h, +2h, -h and -2h; plain
+    arithmetic, so the values may be floats, numpy columns, LieElements or
+    ColorVectors."""
     return ((f1 - fm1) * 8.0 - (f2 - fm2)) * (1.0 / (12.0 * h))
 
 
+# multiples of h at which the five-point stencil samples, in the order
+# f1, f2, fm1, fm2 of _five_point
+_FIVE_POINT = (1.0, 2.0, -1.0, -2.0)
+
+
+def central_difference4(f, s: SpacetimePoint, axis: str, h: float):
+    """Fourth-order five-point first derivative of f along axis at s."""
+    return _five_point(*(f(shifted(s, axis, m * h)) for m in _FIVE_POINT), h)
+
+
+def _potential_columns(p: AnsatzParams, cos_th, sin_th, cos_fr, sin_fr):
+    """phi and A, both on one rotated frame, from the cosines and sines of
+    the phase and of the frame angle lam y: plain arithmetic on floats or
+    numpy columns, rounding as alpha Sx and u Sz + v Sy on LieElements."""
+    phi = LieElement(*_along_sx(cos_fr, sin_fr, p.alpha1))
+    ey = _along_sy_sz(cos_fr, sin_fr, p.alpha4 * sin_th, p.alpha3 + p.alpha5 * cos_th)
+    az = _along_sx(cos_fr, sin_fr, p.alpha2)
+    return phi, ColorVector(LieElement(), LieElement(*ey), LieElement(*az))
+
+
 def _potentials(p: AnsatzParams, s: SpacetimePoint) -> tuple[LieElement, ColorVector]:
-    """phi and A at s, both on one rotated frame."""
-    th = p.phase(s)
-    sx, sy, sz = rotated_basis(p.lam, s.y)
-    ey = (p.alpha3 + p.alpha5 * math.cos(th)) * sz + (p.alpha4 * math.sin(th)) * sy
-    return p.alpha1 * sx, ColorVector(LieElement(), ey, p.alpha2 * sx)
+    """phi and A at s."""
+    return _potential_columns(p, *_angles(p, s))
 
 
 def scalar_potential(p: AnsatzParams, s: SpacetimePoint) -> LieElement:
@@ -354,6 +374,71 @@ def _field_columns(p: AnsatzParams, rows: _Rows):
     return tuple(_wave(group, *rows.angles()) for group in field_coefficient_groups(p))
 
 
+def _stacked(elements, shape=()) -> np.ndarray:
+    """LieElements whose coefficients are floats or columns of the given
+    shape as one array (3 coefficients, len(elements), *shape); LieElement(*v)
+    turns it back into LieElements of columns."""
+    out = np.empty((3, len(elements), *shape))
+    for j, e in enumerate(elements):
+        for i, c in enumerate(e.coeffs()):
+            out[i, j] = c
+    return out
+
+
+def _coordinates(points) -> np.ndarray:
+    """t, x, y, z of a list of SpacetimePoints as the rows of a (4, n) array."""
+    return np.array([(s.t, s.x, s.y, s.z) for s in points], dtype=float).reshape(-1, 4).T
+
+
+class _Layout(NamedTuple):
+    """The rows of a stencil block: which coordinate each row moves (a
+    mask over t, x, y, z; all False for the point itself) and by how many
+    steps h."""
+
+    moves: np.ndarray
+    steps: np.ndarray
+
+
+def _layout(rows) -> _Layout:
+    """A _Layout from (axis index into _AXES or None, steps) pairs."""
+    return _Layout(np.array([[a == i for i in range(4)] for a, _ in rows]),
+                   np.array([m for _, m in rows], dtype=float))
+
+
+def _shift(coords: np.ndarray, layout: _Layout, h: float) -> np.ndarray:
+    """Every point of coords, shape (4, n), moved as each row of the layout
+    says, shape (rows, 4, n). The moved coordinate is coordinate + steps * h,
+    as shifted computes it; the others are copied, signed zeros included."""
+    with np.errstate(all="ignore"):
+        moved = coords + (layout.steps * h)[:, None, None]
+    return np.where(layout.moves[:, :, None], moved, coords)
+
+
+def _stencil(p: AnsatzParams, coords: np.ndarray, layout: _Layout, h: float, order) -> _Rows:
+    """The points of coords and their shifted copies (see _shift) as one
+    block of rows, each column of shape (rows, n).
+
+    order lists the rows in the order the one-point route visits them. At
+    the first row, taking the points in turn, whose coordinates are not
+    finite this raises SpacetimePoint's ValueError, and at the first whose
+    phase or frame angle is infinite, math.cos's. A NaN phase passes, as it
+    does through math.cos. Rows outside order are not checked.
+    """
+    moved = _shift(coords, layout, h)
+    t, _, y, z = moved.transpose(1, 0, 2)
+    with np.errstate(all="ignore"):
+        frame = p.lam * y
+        rows = _rows(p, t, y, z, np.cos(frame), np.sin(frame))
+    bad = ~np.isfinite(moved).all(axis=1) | np.isinf(rows.theta) | np.isinf(frame)
+    hits = np.flatnonzero(bad[list(order)].T)
+    if hits.size:
+        i, k = divmod(int(hits[0]), len(order))
+        for axis, value in zip(_AXES, moved[order[k], :, i].tolist()):
+            _require_finite(axis, value)
+        raise ValueError("math domain error")
+    return rows
+
+
 def _check_h(h: float):
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step h must be positive and finite, got {h!r}")
@@ -394,10 +479,49 @@ def magnetic_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) 
     return curl + quad
 
 
-def _covariant_potential(p: AnsatzParams, s: SpacetimePoint) -> tuple[LieElement, ...]:
-    """A_mu = (phi, -A) at s."""
-    phi, a = _potentials(p, s)
-    return (phi, -a.ex, -a.ey, -a.ez)
+# field_strength's stencil: the point, then its neighbours at +h and -h
+# along t, x, y and z in turn
+_CENTRAL = _layout([(None, 0.0)] + [(a, m) for a in range(4) for m in (1.0, -1.0)])
+# the entries F_mu_nu with mu < nu, in row order
+_PAIRS = np.array([(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]).T
+
+
+def _field_strength_columns(p: AnsatzParams, coords: np.ndarray, h: float):
+    """field_strength at every point of coords, shape (4, n), as arrays.
+
+    Returns the entries F_mu_nu, mu < nu, in _PAIRS order, shape
+    (3 coefficients, 6, n), and A_mu = (phi, -A) at the points, shape
+    (3, 4, n). The points and their neighbours at +-h along t, x, y and z
+    are one stencil block (the point first, then +h and -h per axis, the
+    order field_strength visits them), the potentials one evaluation over
+    it. Each value rounds as the one-point assembly of F does:
+    (A(+h) - A(-h)) * (0.5 / h), then (1 / c) times the t row, then
+    d_mu A_nu - d_nu A_mu - g * minus_i_commutator(A_mu, A_nu).
+    """
+    rows = _stencil(p, coords, _CENTRAL, h, range(len(_CENTRAL.steps)))
+    with np.errstate(all="ignore"):
+        phi, a = _potential_columns(p, *rows.angles())
+        pot = _stacked((phi, -a.ex, -a.ey, -a.ez), rows.theta.shape)
+        n = pot.shape[-1]
+        # grad[:, nu, mu] = d_mu A_nu
+        moved = pot[:, :, 1:].reshape(3, 4, 4, 2, n)
+        grad = (moved[:, :, :, 0] - moved[:, :, :, 1]) * (0.5 / h)
+        grad[:, :, 0] = (1.0 / p.c) * grad[:, :, 0]
+        here = pot[:, :, 0]
+        mu, nu = _PAIRS
+        # i g [A_mu, A_nu] = -g * minus_i_commutator(A_mu, A_nu)
+        upper = LieElement(*grad[:, nu, mu]) - LieElement(*grad[:, mu, nu]) \
+            - p.g * minus_i_commutator(LieElement(*here[:, mu]), LieElement(*here[:, nu]))
+    return np.array(upper.coeffs()), here
+
+
+def _tensor(upper):
+    """The antisymmetric 4x4 tensor from its six entries above the diagonal."""
+    f_tensor = [[LieElement() for _ in range(4)] for _ in range(4)]
+    for val, mu, nu in zip(upper, *_PAIRS.tolist()):
+        f_tensor[mu][nu] = val
+        f_tensor[nu][mu] = -val
+    return f_tensor
 
 
 def field_strength(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4):
@@ -405,28 +529,33 @@ def field_strength(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4):
 
     Derivatives are second-order central differences; the commutator
     i g [A_mu, A_nu] is exact. Index 0 differentiates via (1/c) d/dt.
+    A one-point view of _field_strength_columns.
     """
     _check_h(h)
-    here = _covariant_potential(p, s)
-    # grad[mu][nu] = d_mu A_nu, one stencil over the whole 4-potential per axis
-    grad = []
-    for mu, axis in enumerate(_AXES):
-        plus = _covariant_potential(p, shifted(s, axis, h))
-        minus = _covariant_potential(p, shifted(s, axis, -h))
-        row = [(u - v) * (0.5 / h) for u, v in zip(plus, minus)]
-        grad.append([(1.0 / p.c) * d for d in row] if mu == 0 else row)
+    upper = _field_strength_columns(p, _coordinates([s]), h)[0]
+    return _tensor([LieElement(*c) for c in upper[:, :, 0].T.tolist()])
 
-    f_tensor = [[LieElement() for _ in range(4)] for _ in range(4)]
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            # i g [A_mu, A_nu] = -g * minus_i_commutator(A_mu, A_nu)
-            val = grad[mu][nu] - grad[nu][mu] \
-                - p.g * minus_i_commutator(here[mu], here[nu])
-            f_tensor[mu][nu] = val
-            f_tensor[nu][mu] = -val
-    return f_tensor
+
+def _squared_norm(f_tensor):
+    """Summed squared coefficients over all 16 entries, in row order; plain
+    arithmetic on floats or columns."""
+    total = 0.0
+    for row in f_tensor:
+        for e in row:
+            total = total + e.norm_squared()
+    return total
 
 
 def field_strength_norm(f_tensor) -> float:
     """Root of the summed squared coefficients over all 16 entries."""
-    return math.sqrt(sum(f_tensor[m][n].norm_squared() for m in range(4) for n in range(4)))
+    return math.sqrt(_squared_norm(f_tensor))
+
+
+def _field_strength_norms(p: AnsatzParams, points, h: float) -> list[float]:
+    """field_strength_norm(field_strength(p, s, h)) for each point s, from
+    one column evaluation."""
+    _check_h(h)
+    upper = _field_strength_columns(p, _coordinates(points), h)[0]
+    with np.errstate(all="ignore"):
+        squares = _squared_norm(_tensor([LieElement(*c) for c in upper.transpose(1, 0, 2)]))
+        return np.sqrt(squares).tolist()

@@ -147,21 +147,40 @@ class EnergyProfile:
     kappa: float
 
 
-def energy_profile(sol: FamilySolution, n_samples: int = 256,
-                   kappa: float = 0.25) -> EnergyProfile:
-    """Sweep the density of a Family I or II wave over theta in [0, 2 pi)."""
+def _profile_blocks(sol: FamilySolution, n_samples: int, kappa: float = 0.25):
+    """The profile of energy_profile as blocks of (thetas, densities,
+    closed forms), lists of floats, one block of the grid core at a time.
+
+    Checks the input and the whole sweep (fields._Grid.blocks) before
+    returning, so that a caller writing the blocks out writes nothing for
+    a bad input.
+    """
     if n_samples < 2:
         raise ValueError("need at least 2 profile samples")
     _check_kappa(kappa)
     p = sol.params()
     thetas = 2.0 * math.pi * np.arange(n_samples) / n_samples
     t, z = (np.atleast_1d(v) for v in _phase_coordinates(p, thetas))
-    densities = []
-    for rows in _Grid(t, np.zeros(1), z).blocks(p):
-        ey, bx = (LieElement(*u).norm_squared() for u in _field_columns(p, rows))
-        # energy_density's rounding: kappa * 2 * (|E_y|^2 + |B_x|^2)
-        densities += (kappa * 2.0 * (ey + bx)).tolist()
-    thetas = thetas.tolist()
-    closed = tuple(energy_closed_form(sol, th) * (kappa / 0.25) for th in thetas)
+    blocks = _Grid(t, np.zeros(1), z).blocks(p)
+
+    def profile():
+        start = 0
+        for rows in blocks:
+            ey, bx = (LieElement(*u).norm_squared() for u in _field_columns(p, rows))
+            # energy_density's rounding: kappa * 2 * (|E_y|^2 + |B_x|^2)
+            densities = (kappa * 2.0 * (ey + bx)).tolist()
+            block = thetas[start:start + len(densities)].tolist()
+            start += len(densities)
+            yield block, densities, [energy_closed_form(sol, th) * (kappa / 0.25) for th in block]
+    return profile()
+
+
+def energy_profile(sol: FamilySolution, n_samples: int = 256,
+                   kappa: float = 0.25) -> EnergyProfile:
+    """Sweep the density of a Family I or II wave over theta in [0, 2 pi)."""
+    thetas, densities, closed = [], [], []
+    for block in _profile_blocks(sol, n_samples, kappa):
+        for whole, part in zip((thetas, densities, closed), block):
+            whole += part
     return EnergyProfile(thetas=tuple(thetas), densities=tuple(densities),
-                         closed_forms=closed, kappa=kappa)
+                         closed_forms=tuple(closed), kappa=kappa)

@@ -18,6 +18,13 @@ with five-point stencils and adds exact commutators, which makes it an
 independent check of that reduction. The closed-form fields themselves
 are checked against finite differences of the potentials in the fields
 module, so the two links together cover the whole derivation.
+
+Both modes run on numpy columns. The numeric mode lays out n points and
+their stencil neighbours as one block (fields._stencil), evaluates E and
+B once over it and takes every derivative and commutator on the columns
+(_numeric_residuals); Bianchi takes field_strength at the point and its
+eight neighbours in one evaluation. The one-point functions are views
+of these columns and round exactly as a point-by-point evaluation would.
 """
 
 from __future__ import annotations
@@ -31,22 +38,28 @@ import numpy as np
 
 from .fields import (
     _AXES,
+    _FIVE_POINT,
+    _PAIRS,
     AnsatzParams,
     ColorVector,
     SpacetimePoint,
     _angles,
     _check_h,
-    _covariant_potential,
-    _curl,
+    _coordinates,
+    _field_columns,
+    _field_strength_columns,
+    _five_point,
     _grid_axis,
+    _layout,
     _point_rows,
+    _potential_columns,
     _potentials,
+    _shift,
+    _stacked,
+    _stencil,
     _values,
-    central_difference4,
     electric_field_analytic,
-    field_strength,
     magnetic_field_analytic,
-    shifted,
     vector_potential,
 )
 from .su2 import LieElement, _along_sx, _along_sy_sz, minus_i_commutator
@@ -125,14 +138,134 @@ def _check_mode(mode: str):
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
+# Below, a LieElement of columns is an array of shape (3, n), its sx, sy,
+# sz coefficients first, and a ColorVector one of shape (3, 3, n), the
+# coefficient, then the spatial component. LieElement(*v) and the su2
+# arithmetic on it work on these arrays as they do on floats.
+
+# (A x B)_i = A_j B_k - A_k B_j for the cyclic (i, j, k): j and k per i
+_J, _K = [1, 2, 0], [2, 0, 1]
+
+
+def _vector(v: ColorVector, shape=()) -> np.ndarray:
+    """A ColorVector of floats or columns as an array (3, 3, *shape)."""
+    return _stacked(v.components(), shape)
+
+
+def _vector_at(v: np.ndarray) -> ColorVector:
+    """The ColorVector of floats held by an array of shape (3, 3)."""
+    return ColorVector(*(LieElement(*c) for c in v.T.tolist()))
+
+
+def _commutators(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """minus_i_commutator of the LieElements held by two arrays."""
+    return np.array(minus_i_commutator(LieElement(*u), LieElement(*v)).coeffs())
+
+
+def _gauss_commutator(g: float, a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """-i g (A . E - E . A) from A and E as arrays, summed over the
+    components in order as LieElements would sum them."""
+    terms = g * _commutators(a, e)
+    return 0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2]
+
+
+def _ampere_commutator(g: float, phi: np.ndarray, a: np.ndarray, e: np.ndarray,
+                       b: np.ndarray) -> np.ndarray:
+    """-i g ([phi, E] + A x B + B x A) from phi, A, E and B as arrays."""
+    # -i g (A x B + B x A)_i = g eps_ijk minus_i_commutator(A_j, B_k)
+    cross = g * (_commutators(a[:, _J], b[:, _K]) - _commutators(a[:, _K], b[:, _J]))
+    return cross + g * _commutators(phi[:, None], e)
+
+
 def gauss_commutator_term(p: AnsatzParams, s: SpacetimePoint) -> LieElement:
     """Exact -i g (A . E - E . A) with the closed-form E; zero at g = 0."""
-    a = vector_potential(p, s)
-    e = electric_field_analytic(p, s)
-    out = LieElement()
-    for ai, ei in zip(a.components(), e.components()):
-        out = out + p.g * minus_i_commutator(ai, ei)
-    return out
+    a, e = _vector(vector_potential(p, s)), _vector(electric_field_analytic(p, s))
+    return LieElement(*_gauss_commutator(p.g, a, e).tolist())
+
+
+def ampere_commutator_term(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
+    """Exact -i g ([phi, E] + A x B + B x A) with closed-form fields; zero at g = 0."""
+    phi, a = _potentials(p, s)
+    fields = (a, electric_field_analytic(p, s), magnetic_field_analytic(p, s))
+    return _vector_at(_ampere_commutator(p.g, _stacked([phi])[:, 0], *map(_vector, fields)))
+
+
+# the numeric residuals' stencil: each point, then its neighbours at
+# m h, m in _FIVE_POINT, along t, x, y and z in turn
+_FIVE_POINT_ROWS = _layout([(None, 0.0)] + [(a, m) for a in range(4) for m in _FIVE_POINT])
+# the stencil's rows along each axis
+_AXIS_ROWS = {axis: [1 + 4 * a + j for j in range(4)] for a, axis in enumerate(_AXES)}
+
+
+class _NumericStencil(NamedTuple):
+    """What the numeric residuals at n points are made of, as arrays: the
+    five-point derivatives of E and B, shape (3, 4 axes t, x, y, z, 3, n),
+    and phi, A, E and B at the points."""
+
+    de: np.ndarray
+    db: np.ndarray
+    phi: np.ndarray
+    a: np.ndarray
+    e: np.ndarray
+    b: np.ndarray
+
+
+def _numeric_stencil(p: AnsatzParams, points, h: float, axes) -> _NumericStencil:
+    """The stencil of the numeric residuals at a list of SpacetimePoints.
+
+    The points and their neighbours are one block (fields._stencil); E and
+    B are evaluated once over it, and each derivative is the five-point
+    combination of the block's rows. The zero components of E and B take
+    the combination of four zeros, as central_difference4 takes it on
+    whole ColorVectors. axes is the order in which the one-point route
+    visits the stencil axes: x, y, z for gauss, t, x, y, z for ampere,
+    x, y, z, t for both; it decides which overflowing stencil point
+    raises first.
+    """
+    coords = _coordinates(points)
+    n = coords.shape[1]
+    rows = _stencil(p, coords, _FIVE_POINT_ROWS, h, [r for ax in axes for r in _AXIS_ROWS[ax]])
+    with np.errstate(all="ignore"):
+        ey, bx = _field_columns(p, rows)
+        # (coefficient, axis, step, point) -> (coefficient, axis, point)
+        moved = np.stack(ey + bx)[:, 1:].reshape(6, 4, 4, n)
+        d = _five_point(*moved.transpose(2, 0, 1, 3), h)
+        zero = _five_point(0.0, 0.0, 0.0, 0.0, h)
+        de, db = np.full((3, 4, 3, n), zero), np.full((3, 4, 3, n), zero)
+        de[:, :, 1], db[:, :, 0] = d[:3], d[3:]
+        e, b = np.zeros((3, 3, n)), np.zeros((3, 3, n))
+        e[:, 1], b[:, 0] = [c[0] for c in ey], [c[0] for c in bx]
+        phi, a = _potential_columns(p, *(c[0] for c in rows.angles()))
+    return _NumericStencil(de, db, _stacked([phi], (n,))[:, 0], _vector(a, (n,)), e, b)
+
+
+def _numeric_gauss(p: AnsatzParams, st: _NumericStencil) -> np.ndarray:
+    """div E plus the exact commutator term, shape (3, n)."""
+    with np.errstate(all="ignore"):
+        div = st.de[:, 1, 0] + st.de[:, 2, 1] + st.de[:, 3, 2]
+        return div + _gauss_commutator(p.g, st.a, st.e)
+
+
+def _numeric_ampere(p: AnsatzParams, st: _NumericStencil) -> np.ndarray:
+    """-(1/c) dE/dt + curl B plus the exact commutator term, shape (3, 3, n)."""
+    with np.errstate(all="ignore"):
+        curl = st.db[:, [1 + j for j in _J], _K] - st.db[:, [1 + k for k in _K], _J]
+        return ((-1.0 / p.c) * st.de[:, 0] + curl
+                + _ampere_commutator(p.g, st.phi, st.a, st.e, st.b))
+
+
+def _numeric_residuals(p: AnsatzParams, points, h: float):
+    """Numeric-mode gauss and ampere residuals at every point of a list of
+    SpacetimePoints, as arrays of shape (3, n) and (3, 3, n)."""
+    st = _numeric_stencil(p, points, h, "xyzt")
+    return _numeric_gauss(p, st), _numeric_ampere(p, st)
+
+
+def _squared_norms(gauss: np.ndarray, ampere: np.ndarray) -> np.ndarray:
+    """The squared norm of residual_sample at each point, summed as
+    LieElement.norm_squared and ColorVector.norm_squared sum."""
+    am = LieElement(*ampere).norm_squared()
+    return LieElement(*gauss).norm_squared() + (am[0] + am[1] + am[2])
 
 
 def _residual_coefficients(cv: ConstraintVector, cos_th, sin_th, cos_fr, sin_fr):
@@ -183,28 +316,7 @@ def gauss_residual(p: AnsatzParams, s: SpacetimePoint,
     if mode == "analytic":
         return _analytic_residuals(p, s)[0]
     _check_h(h)
-    e = lambda q: electric_field_analytic(p, q)
-    div = (
-        central_difference4(e, s, "x", h).ex
-        + central_difference4(e, s, "y", h).ey
-        + central_difference4(e, s, "z", h).ez
-    )
-    return div + gauss_commutator_term(p, s)
-
-
-def ampere_commutator_term(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
-    """Exact -i g ([phi, E] + A x B + B x A) with closed-form fields; zero at g = 0."""
-    phi, a = _potentials(p, s)
-    e = electric_field_analytic(p, s)
-    b = magnetic_field_analytic(p, s)
-    # -i g (A x B + B x A)_i = g eps_ijk minus_i_commutator(A_j, B_k)
-    cross = ColorVector(
-        p.g * (minus_i_commutator(a.ey, b.ez) - minus_i_commutator(a.ez, b.ey)),
-        p.g * (minus_i_commutator(a.ez, b.ex) - minus_i_commutator(a.ex, b.ez)),
-        p.g * (minus_i_commutator(a.ex, b.ey) - minus_i_commutator(a.ey, b.ex)),
-    )
-    phi_comm = ColorVector(*(p.g * minus_i_commutator(phi, ei) for ei in e.components()))
-    return cross + phi_comm
+    return LieElement(*_numeric_gauss(p, _numeric_stencil(p, [s], h, "xyz"))[:, 0].tolist())
 
 
 def ampere_residual(p: AnsatzParams, s: SpacetimePoint,
@@ -214,9 +326,16 @@ def ampere_residual(p: AnsatzParams, s: SpacetimePoint,
     if mode == "analytic":
         return _analytic_residuals(p, s)[1]
     _check_h(h)
-    de_dt = central_difference4(lambda q: electric_field_analytic(p, q), s, "t", h)
-    curl_b = _curl(central_difference4, lambda q: magnetic_field_analytic(p, q), s, h)
-    return (-1.0 / p.c) * de_dt + curl_b + ampere_commutator_term(p, s)
+    return _vector_at(_numeric_ampere(p, _numeric_stencil(p, [s], h, "txyz"))[:, :, 0])
+
+
+# bianchi_residual's outer stencil: the point, then its neighbours at +h
+# along t, x, y, z, then at -h
+_OUTER = _layout([(None, 0.0)] + [(a, m) for m in (1.0, -1.0) for a in range(4)])
+# (mu, nu, ga) of the twelve covariant derivatives D_mu F_nu_ga: for each
+# triple mu < nu < ga its three cyclic orders, as bianchi_residual sums them
+_CYCLIC = np.array([cyc for mu, nu, ga in combinations(range(4), 3)
+                    for cyc in ((mu, nu, ga), (nu, ga, mu), (ga, mu, nu))]).T
 
 
 def bianchi_residual(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4,
@@ -239,22 +358,24 @@ def bianchi_residual(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4,
     if inner_h is None:
         inner_h = 0.5 * h
     _check_h(inner_h)
-    f_here = field_strength(p, s, inner_h)
-    f_plus = [field_strength(p, shifted(s, ax, h), inner_h) for ax in _AXES]
-    f_minus = [field_strength(p, shifted(s, ax, -h), inner_h) for ax in _AXES]
-    a_here = _covariant_potential(p, s)
-
-    def cov_deriv(mu, nu, ga):
-        d = (f_plus[mu][nu][ga] - f_minus[mu][nu][ga]) * (0.5 / h)
-        if mu == 0:
-            d = (1.0 / p.c) * d
+    outer = _shift(_coordinates([s]), _OUTER, h)[:, :, 0].T
+    upper, here = _field_strength_columns(p, outer, inner_h)
+    mu, nu, ga = _CYCLIC
+    with np.errstate(all="ignore"):
+        # F at the nine points, (3 coefficients, mu, nu, point)
+        f = np.zeros((3, 4, 4, outer.shape[1]))
+        f[:, _PAIRS[0], _PAIRS[1]] = upper
+        f[:, _PAIRS[1], _PAIRS[0]] = -upper
+        d = (f[:, nu, ga, 1 + mu] - f[:, nu, ga, 5 + mu]) * (0.5 / h)
+        d = np.where(mu == 0, (1.0 / p.c) * d, d)
         # i g [A_mu, F_nu_ga] = -g * minus_i_commutator(A_mu, F_nu_ga)
-        return d - p.g * minus_i_commutator(a_here[mu], f_here[nu][ga])
-
+        cov = LieElement(*d) - p.g * minus_i_commutator(LieElement(*here[:, mu, 0]),
+                                                        LieElement(*f[:, nu, ga, 0]))
+        first, second, third = (LieElement(*(c[k::3] for c in cov.coeffs())) for k in range(3))
+        squares = (first + second + third).norm_squared().tolist()
     total = 0.0
-    for mu, nu, ga in combinations(range(4), 3):
-        term = cov_deriv(mu, nu, ga) + cov_deriv(nu, ga, mu) + cov_deriv(ga, mu, nu)
-        total += term.norm_squared()
+    for v in squares:
+        total += v
     return math.sqrt(total)
 
 
@@ -275,8 +396,9 @@ def residual_sample(p: AnsatzParams, s: SpacetimePoint,
     if mode == "analytic":
         ga, am = _analytic_residuals(p, s)
     else:
-        ga = gauss_residual(p, s, mode=mode, h=h)
-        am = ampere_residual(p, s, mode=mode, h=h)
+        _check_h(h)
+        gauss, ampere = _numeric_residuals(p, [s], h)
+        ga, am = LieElement(*gauss[:, 0].tolist()), _vector_at(ampere[:, :, 0])
     norm = math.sqrt(ga.norm_squared() + am.norm_squared())
     return ResidualSample(gauss=ga, ampere=am, point=s, norm=norm)
 
@@ -300,9 +422,14 @@ def max_residual_norm(p: AnsatzParams, points,
                       mode: str = "analytic", h: float = 1e-4) -> float:
     """Largest combined residual norm over an iterable of points."""
     _check_mode(mode)
+    points = list(points)
     if mode == "analytic":
-        return _max_analytic_norm(p, [_point_rows(p, list(points))])
-    return max(residual_sample(p, s, mode=mode, h=h).norm for s in points)
+        return _max_analytic_norm(p, [_point_rows(p, points)])
+    _check_h(h)
+    with np.errstate(all="ignore"):
+        norms = np.sqrt(_squared_norms(*_numeric_residuals(p, points, h)))
+    # the built-in max, which treats NaN as the point-by-point route does
+    return max(norms.tolist())
 
 
 def _scales(p: AnsatzParams):

@@ -107,12 +107,16 @@ def _along_sy_sz(c, s, v, w):
     return ((-s) * v + 0.0 * w, c * v + 0.0 * w, 0.0 * v + w)
 
 
-def rotated_coeffs(e: LieElement, lam: float, y: float) -> tuple[float, float, float]:
-    """Components of e on the rotated frame at (lam, y)."""
-    c = math.cos(lam * y)
-    s = math.sin(lam * y)
+def _frame_coeffs(c, s, e: LieElement):
+    """Components of e on the frame with cos c and sin s; plain arithmetic,
+    so c, s and the coefficients of e may be floats or numpy columns."""
     return (
         c * e.ax + s * e.ay,
         -s * e.ax + c * e.ay,
         e.az,
     )
+
+
+def rotated_coeffs(e: LieElement, lam: float, y: float) -> tuple[float, float, float]:
+    """Components of e on the rotated frame at (lam, y)."""
+    return _frame_coeffs(math.cos(lam * y), math.sin(lam * y), e)

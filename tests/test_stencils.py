@@ -1,0 +1,216 @@
+"""The column stencil core against the point-by-point reference.
+
+The numeric residuals, field_strength, bianchi_residual and the oracle
+run every stencil point of every sample point through one evaluation on
+numpy columns. tests/scalar_stencils.py builds one SpacetimePoint per
+stencil point instead; both must give the same floats bit for bit, and
+raise the same error where a stencil point overflows.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import ymwaves.fields
+import ymwaves.residuals
+import scalar_stencils as ref
+from ymwaves.constraints import (
+    _ORACLE_ENTRIES,
+    build_family_i,
+    build_family_ii,
+    build_family_iii,
+    nine_constraints,
+    oracle_constraints,
+)
+from ymwaves.fields import AnsatzParams, SpacetimePoint, _field_strength_norms, field_strength
+from ymwaves.residuals import (
+    ampere_commutator_term,
+    ampere_residual,
+    bianchi_residual,
+    gauss_commutator_term,
+    gauss_residual,
+    max_residual_norm,
+    residual_sample,
+)
+
+value = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+coupling = st.floats(min_value=0.2, max_value=2.0) | st.floats(min_value=-2.0, max_value=-0.2)
+speed = st.floats(min_value=0.3, max_value=3.0)
+sign = st.sampled_from((1, -1))
+points = st.builds(SpacetimePoint, value, value, value, value)
+steps = st.sampled_from((1e-4, 1e-3, 1e-2, 0.25))
+
+
+@st.composite
+def configurations(draw):
+    """Family I, II and III waves and perturbed non-solutions, with lam != 0
+    allowed, g of both signs and c != 1."""
+    k, alpha4, lam, g, c = draw(coupling), draw(coupling), draw(value), draw(coupling), draw(speed)
+    family = draw(st.sampled_from(("I", "II", "III")))
+    if family == "I":
+        p = build_family_i(k, alpha4, lam, g, c)
+    elif family == "II":
+        p = build_family_ii(k, alpha4, lam, g, draw(sign), draw(sign), c)
+    else:
+        p = build_family_iii(k, draw(value), alpha4, lam, g, draw(sign), c)
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(("alpha1", "alpha2", "alpha3", "alpha4", "alpha5")))
+        p = AnsatzParams(**{**vars(p), name: getattr(p, name) + draw(value)})
+    return p
+
+
+def hexes(x):
+    """float.hex of every float in a float, LieElement, ColorVector or nesting of them."""
+    if isinstance(x, float):
+        return [x.hex()]
+    if hasattr(x, "coeffs"):
+        return [v.hex() for v in x.coeffs()]
+    if hasattr(x, "components"):
+        return [h for e in x.components() for h in hexes(e)]
+    return [h for e in x for h in hexes(e)]
+
+
+@given(configurations(), points, steps)
+def test_numeric_residuals_equal_the_reference(p, s, h):
+    assert hexes(gauss_residual(p, s, "numeric", h)) == hexes(ref.gauss_residual(p, s, h))
+    assert hexes(ampere_residual(p, s, "numeric", h)) == hexes(ref.ampere_residual(p, s, h))
+    assert hexes(gauss_commutator_term(p, s)) == hexes(ref.gauss_commutator_term(p, s))
+    assert hexes(ampere_commutator_term(p, s)) == hexes(ref.ampere_commutator_term(p, s))
+    smp, want = residual_sample(p, s, "numeric", h), ref.residual_sample(p, s, h)
+    assert hexes([smp.gauss, smp.ampere, smp.norm]) == hexes([want.gauss, want.ampere, want.norm])
+    assert smp.point == s
+
+
+@given(configurations(), points, steps)
+def test_field_strength_and_bianchi_equal_the_reference(p, s, h):
+    assert hexes(field_strength(p, s, h)) == hexes(ref.field_strength(p, s, h))
+    assert hexes(bianchi_residual(p, s, h)) == hexes(ref.bianchi_residual(p, s, h))
+    assert hexes(bianchi_residual(p, s, h, inner_h=h)) == hexes(ref.bianchi_residual(p, s, h, h))
+
+
+@given(configurations(), st.lists(points, min_size=1, max_size=8), steps)
+def test_many_points_equal_the_reference(p, pts, h):
+    assert hexes(max_residual_norm(p, pts, "numeric", h)) == hexes(ref.max_residual_norm(p, pts, h))
+    want = [ref.field_strength_norm(ref.field_strength(p, s, h)) for s in pts]
+    assert hexes(_field_strength_norms(p, pts, h)) == hexes(want)
+
+
+@given(configurations())
+def test_oracle_fits_the_reference_samples(p):
+    # the oracle's own sampling plan, through k when it dominates
+    use_z = abs(p.k) >= abs(p.omega)
+    thetas = [2.0 * math.pi * i / 8 for i in range(8)]
+    pts = [SpacetimePoint(t=0.0, x=0.17, y=y, z=th / p.k) if use_z
+           else SpacetimePoint(t=(p.k * 0.3 - th) / p.omega, x=0.17, y=y, z=0.3)
+           for y in (-0.4, 0.37, 0.9) for th in thetas]
+    design = np.array([(1.0, math.cos(th), math.cos(th) ** 2, math.sin(th))
+                       for _ in range(3) for th in thetas])
+    coef = np.linalg.lstsq(design, ref.oracle_samples(p, pts), rcond=None)[0]
+    harmonic, channel, sgn = np.array(_ORACLE_ENTRIES).T
+    assert hexes(list(oracle_constraints(p))) == hexes((sgn * coef[harmonic, channel]).tolist())
+
+
+@pytest.mark.parametrize("p, s, h", [
+    # a stencil coordinate overflows: x first in gauss order, t in ampere order
+    (build_family_ii(1.3, 0.8, 0.4, 1.2, 1, -1), SpacetimePoint(t=1.7e308, x=1.7e308), 1e307),
+    (build_family_ii(1.3, 0.8, 0.4, 1.2, 1, -1), SpacetimePoint(t=1.7e308), 1e307),
+    (build_family_ii(1.3, 0.8, 0.4, 1.2, 1, -1), SpacetimePoint(y=-1.7e308, z=1.7e308), 1e307),
+    # the phase or the frame angle overflows at a neighbour, or at the point
+    (build_family_i(1e300, 1.0, 0.5, 1.0), SpacetimePoint(z=1.797693134862e8), 1e-4),
+    (build_family_i(1e300, 1.0, 0.5, 1.0), SpacetimePoint(z=1e9), 1e-4),
+    (build_family_i(1.0, 1.0, 1e300, 1.0), SpacetimePoint(y=1.797693134862e8), 1e-4),
+    # a NaN phase passes through math.cos and np.cos alike
+    (build_family_iii(1e300, 1e300, 1.0, 0.0, 1.0), SpacetimePoint(t=1e10, z=1e10), 1e-4),
+])
+def test_overflowing_stencils_fail_as_the_reference(p, s, h):
+    cases = [
+        (lambda: gauss_residual(p, s, "numeric", h), lambda: ref.gauss_residual(p, s, h)),
+        (lambda: ampere_residual(p, s, "numeric", h), lambda: ref.ampere_residual(p, s, h)),
+        (lambda: residual_sample(p, s, "numeric", h), lambda: ref.residual_sample(p, s, h)),
+        (lambda: max_residual_norm(p, [SpacetimePoint(), s], "numeric", h),
+         lambda: ref.max_residual_norm(p, [SpacetimePoint(), s], h)),
+        (lambda: field_strength(p, s, h), lambda: ref.field_strength(p, s, h)),
+        (lambda: bianchi_residual(p, s, h), lambda: ref.bianchi_residual(p, s, h)),
+    ]
+    for core, scalar in cases:
+        outcomes = []
+        for fn in (core, scalar):
+            try:
+                result = fn()
+            except ValueError as exc:
+                outcomes.append(("ValueError", str(exc)))
+            else:
+                got = result.norm if hasattr(result, "norm") and not callable(result.norm) \
+                    else result
+                outcomes.append(("ok", hexes(got)))
+        assert outcomes[0] == outcomes[1]
+
+
+def test_one_field_evaluation_per_numeric_call(monkeypatch):
+    calls = []
+    real = ymwaves.residuals._field_columns
+    monkeypatch.setattr(ymwaves.residuals, "_field_columns",
+                        lambda p, rows: calls.append(rows.t.shape) or real(p, rows))
+    built = []
+    original = SpacetimePoint.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+    p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1)
+    s = SpacetimePoint(t=0.3, x=0.17, y=-0.4, z=0.9)
+    pts = [SpacetimePoint(t=0.1 * i, y=0.2 * i, z=-0.3 * i) for i in range(28)]
+    monkeypatch.setattr(SpacetimePoint, "__post_init__", counting)
+    gauss_residual(p, s, "numeric")
+    ampere_residual(p, s, "numeric")
+    residual_sample(p, s, "numeric")
+    max_residual_norm(p, pts, "numeric")
+    # E and B once per call, over the points and their 16 stencil neighbours
+    assert calls == [(17, 1)] * 3 + [(17, 28)]
+    assert built == []
+
+
+def test_field_strength_evaluates_the_potentials_once(monkeypatch):
+    calls = []
+    real = ymwaves.fields._potential_columns
+    monkeypatch.setattr(ymwaves.fields, "_potential_columns",
+                        lambda p, *angles: calls.append(angles[0].shape) or real(p, *angles))
+    p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1)
+    s = SpacetimePoint(t=0.3, x=0.17, y=-0.4, z=0.9)
+    field_strength(p, s)
+    bianchi_residual(p, s)
+    # the point and its eight neighbours; for Bianchi, each of nine points
+    assert calls == [(9, 1), (9, 9)]
+
+
+def test_oracle_does_not_read_the_constraint_polynomials(monkeypatch):
+    p = AnsatzParams(alpha1=0.7, alpha2=-1.1, alpha3=0.4, alpha4=0.9, alpha5=-0.3,
+                     lam=0.6, k=1.3, omega=0.8, g=0.9, c=1.4)
+    want = nine_constraints(p).as_array()
+
+    def forbidden(*args):
+        raise AssertionError("the oracle must not evaluate c1..c9 or read residuals off them")
+    monkeypatch.setattr(ymwaves.residuals, "_harmonics", forbidden)
+    monkeypatch.setattr(ymwaves.residuals, "_residual_coefficients", forbidden)
+    got = oracle_constraints(p).as_array()
+    assert np.max(np.abs(got - want)) < 1e-6 * (1.0 + np.max(np.abs(want)))
+
+
+def test_oracle_sees_a_wrong_field_monomial(monkeypatch):
+    # perturb one signed monomial of the closed-form fields: the numeric
+    # route, and with it the oracle, must part from nine_constraints
+    real = ymwaves.fields._field_monomials
+
+    def perturbed(*args):
+        groups = list(real(*args))
+        first, second = groups[4]
+        groups[4] = (first, 1.01 * second)
+        return tuple(groups)
+    p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1, c=1.5)
+    want = nine_constraints(p).as_array()
+    assert np.max(np.abs(oracle_constraints(p).as_array() - want)) < 1e-6
+    monkeypatch.setattr(ymwaves.fields, "_field_monomials", perturbed)
+    assert np.max(np.abs(oracle_constraints(p).as_array() - want)) > 1e-3
