@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from itertools import islice
@@ -321,11 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(sp)
     sp.add_argument("--grid", default="0:6.2832:10,-1:1:10,0:6.2832:10",
                     help="t0:t1:n,y0:y1:n,z0:z1:n evaluation grid")
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("classify", help="name the solution branch of a configuration")
     _add_config_flags(sp)
-    sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("scan", help="random-seed search over the amplitudes")
     _add_config_flags(sp)
@@ -333,30 +332,37 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of random starts (default 100)")
     sp.add_argument("--seed", type=int, default=0,
                     help="RNG seed; five uniform draws in [-3,3] per start, in order")
-    sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("fields", help="CSV of E_y and B_x coefficients on a grid")
     _add_config_flags(sp)
     sp.add_argument("--grid", default="0:0:1,0:0:1,0:6.2832:64",
                     help="t0:t1:n,y0:y1:n,z0:z1:n evaluation grid")
-    sp.set_defaults(func=cmd_fields)
 
     sp = sub.add_parser("energy-profile", help="CSV of the density over one period")
     _add_config_flags(sp)
     sp.add_argument("--theta-samples", type=int, default=256,
                     help="number of phase samples (default 256)")
-    sp.set_defaults(func=cmd_energy_profile)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call;
+    parse_args keeps no state in it between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_positive("--tol", args.tol)
         _check_positive("--h", args.h)
-        return args.func(args)
+        if args.h * args.h == 0.0:  # the Bianchi budget divides by h ** 2
+            raise ValueError(f"--h must be positive and finite, and h ** 2 must not "
+                             f"underflow to 0, got {args.h!r}")
+        # looked up by name at each call, so a rebound cmd_* is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

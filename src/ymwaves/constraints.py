@@ -510,15 +510,44 @@ def _within_tol(f, x, couplings, tol):
 _STENCIL = np.repeat(np.eye(5), 2, axis=0) * np.tile([1.0, -1.0], 5)[:, None]
 
 
-def _jacobian(x, couplings):
-    """Central-difference Jacobian of the constraints, shape (n, 9, 5).
+def _value_and_jacobian(x, couplings):
+    """The constraints of every amplitude row of x, shape (n, 9), and their
+    central-difference Jacobian, shape (n, 9, 5).
 
-    All ten stencil points of every row go through one evaluation.
+    Each row and its ten stencil points go through one evaluation of 11 n
+    rows, so a line-search trial that is accepted already carries the
+    Jacobian of the next Newton iteration.
     """
     d = 1e-7 * np.maximum(1.0, np.abs(x))
-    stencil = x[:, None, :] + _STENCIL * d[:, None, :]
-    f = _constraint_rows(stencil.reshape(-1, 5), couplings).reshape(len(x), 10, 9)
-    return ((f[:, 0::2] - f[:, 1::2]) / (2.0 * d)[:, :, None]).transpose(0, 2, 1)
+    points = np.concatenate([x[:, None, :], x[:, None, :] + _STENCIL * d[:, None, :]], axis=1)
+    f = _constraint_rows(points.reshape(-1, 5), couplings).reshape(len(x), 11, 9)
+    return f[:, 0], ((f[:, 1::2] - f[:, 2::2]) / (2.0 * d)[:, :, None]).transpose(0, 2, 1)
+
+
+def _step(jac, f):
+    """The least-squares Newton step -pinv(J) f of every row, (n, 9, 5) and
+    (n, 9) -> (n, 5).
+
+    One R-only QR of [J | f] gives R, the top 5 x 5 block, and Q^T f, the
+    top of the last column; the step is -R^-1 Q^T f. ||R||_F ||R^-1||_F
+    bounds sigma_max / sigma_min from above, by at most 5 times, so every
+    row whose smallest singular value pinv would cut at _RCOND takes
+    pinv's minimum-norm step instead. The diagonal of R alone bounds
+    nothing without pivoting.
+    """
+    r = np.linalg.qr(np.concatenate([jac, f[:, :, None]], axis=2), mode="r")
+    rj = r[:, :5, :5]
+    # an exactly zero pivot would stop the inversion; such rows fall back
+    singular = ~(np.abs(np.diagonal(rj, axis1=1, axis2=2)).min(axis=1) > 0.0)
+    if singular.any():
+        rj = np.where(singular[:, None, None], np.eye(5), rj)
+    inv = np.linalg.inv(rj)
+    step = -(inv @ r[:, :5, 5:])[:, :, 0]
+    kappa2 = np.einsum("nij,nij->n", rj, rj) * np.einsum("nij,nij->n", inv, inv)
+    cut = singular | ~(kappa2 * _RCOND ** 2 < 1.0)
+    if cut.any():
+        step[cut] = -(np.linalg.pinv(jac[cut], rcond=_RCOND) @ f[cut, :, None])[:, :, 0]
+    return step
 
 
 def _newton(x0, couplings, tol, max_iter):
@@ -533,7 +562,7 @@ def _newton(x0, couplings, tol, max_iter):
     x = np.array(x0, dtype=float)
     iters = np.full(len(x), max_iter)
     with np.errstate(all="ignore"):
-        fx = _constraint_rows(x, couplings)
+        fx, jac = _value_and_jacobian(x, couplings)
         if not np.isfinite(fx).all():
             raise OverflowError("the constraints overflow at the starting amplitudes")
         live = np.arange(len(x))
@@ -543,28 +572,27 @@ def _newton(x0, couplings, tol, max_iter):
             live = live[~done]
             if not live.size:
                 break
-            xa, fa = x[live], fx[live]
-            jac = _jacobian(xa, couplings)
+            xa, fa, ja = x[live], fx[live], jac[live]
             # a row whose Jacobian overflowed stops here, unconverged
-            ok = np.isfinite(jac).all(axis=(1, 2))
+            ok = np.isfinite(ja).all(axis=(1, 2))
             step = np.zeros_like(xa)
-            step[ok] = -(np.linalg.pinv(jac[ok], rcond=_RCOND) @ fa[ok, :, None])[:, :, 0]
+            step[ok] = _step(ja[ok], fa[ok])
             base = np.linalg.norm(fa, axis=1)
             accepted = np.zeros(len(live), dtype=bool)
             t = np.ones(len(live))
             trying = np.flatnonzero(ok)
             while trying.size:
                 trial = xa[trying] + t[trying, None] * step[trying]
-                ftrial = _constraint_rows(trial, couplings)
+                ftrial, jtrial = _value_and_jacobian(trial, couplings)
                 better = (np.linalg.norm(ftrial, axis=1)
                           < (1.0 - 1e-4 * t[trying]) * base[trying])
                 won = trying[better]
-                xa[won], fa[won] = trial[better], ftrial[better]
+                xa[won], fa[won], ja[won] = trial[better], ftrial[better], jtrial[better]
                 accepted[won] = True
                 trying = trying[~better]
                 t[trying] *= 0.5
                 trying = trying[t[trying] >= 2.0 ** -24]
-            x[live], fx[live] = xa, fa
+            x[live], fx[live], jac[live] = xa, fa, ja
             stop = ~accepted | (np.linalg.norm(xa, axis=1) > 1e8)
             iters[live[stop]] = it
             live = live[~stop]
@@ -578,13 +606,15 @@ def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float,
 
     The five amplitudes are the unknowns; lam, k, omega, g, c stay fixed
     and must be finite with g and c nonzero. The Jacobian is taken by
-    central differences and steps come from a least-squares solve, halved
-    until the residual norm decreases. The default tol runs to the
-    rounding floor because near junctions of solution branches the
-    constraints vanish quadratically in distance, and stopping early
-    would leave roots far from every pattern. Divergent iterations report
-    converged=False and are meant to be discarded by the caller. Raises
-    OverflowError when the constraints overflow at alphas0.
+    central differences, and each step is the least-squares solution from
+    an R-only QR of [J | f], or pinv's minimum-norm step where J is rank
+    deficient to _RCOND; it is halved until the residual norm decreases.
+    The default tol runs to the rounding floor because near junctions of
+    solution branches the constraints vanish quadratically in distance,
+    and stopping early would leave roots far from every pattern.
+    Divergent iterations report converged=False and are meant to be
+    discarded by the caller. Raises OverflowError when the constraints
+    overflow at alphas0.
     """
     x = _check_alphas("alphas0", alphas0, (lam, k, omega, g, c))
     xs, iters, worst = _newton(x[None, :], (lam, k, omega, g, c), tol, max_iter)

@@ -442,6 +442,8 @@ def _stencil(p: AnsatzParams, coords: np.ndarray, layout: _Layout, h: float, ord
 def _check_h(h: float):
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"step h must be positive and finite, got {h!r}")
+    if h * h == 0.0:
+        raise ValueError(f"step h = {h!r} is too small: h ** 2 underflows to 0")
 
 
 def electric_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) -> ColorVector:

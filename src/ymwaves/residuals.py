@@ -444,12 +444,14 @@ def residual_allowance(p: AnsatzParams, h: float) -> float:
     Fifth-derivative truncation of the five-point stencils plus a
     roundoff floor. Prefactors are calibrated against measured worst
     cases (3.5e-2 and 0.15 respectively, amplitudes to ~10, frequencies
-    to ~3) and carry roughly a 10x margin.
+    to ~3) and carry roughly a 10x margin. The time stencil is scaled by
+    1 / c in the Ampere residual, and its roundoff with it when |c| < 1.
     """
+    _check_h(h)
     freq, amp = _scales(p)
     field_scale = amp * freq * (1.0 + abs(p.g) * amp)
     truncation = 0.3 * field_scale * freq ** 5 * h ** 4
-    roundoff = 3.0 * 2.3e-16 * field_scale / h
+    roundoff = 3.0 * 2.3e-16 * field_scale / h * max(1.0, 1.0 / abs(p.c))
     return truncation + roundoff
 
 
@@ -463,6 +465,7 @@ def bianchi_allowance(p: AnsatzParams, h: float) -> float:
     stencils. Prefactors are calibrated against measured worst cases
     (1.3e-2 and 0.2, amplitudes to ~50) with roughly a 10x margin.
     """
+    _check_h(h)
     freq, amp = _scales(p)
     poly = amp * (1.0 + abs(p.g) * amp)
     truncation = 0.15 * poly * freq ** 4 * h ** 2

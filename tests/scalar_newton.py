@@ -21,6 +21,17 @@ def _params(alphas, lam, k, omega, g, c):
     return AnsatzParams(*alphas, lam=lam, k=k, omega=omega, g=g, c=c)
 
 
+def jacobian(fvec, x):
+    """Central-difference Jacobian of fvec at x, one column at a time."""
+    jac = np.empty((9, 5))
+    for j in range(5):
+        d = 1e-7 * max(1.0, abs(x[j]))
+        xp = x.copy(); xp[j] += d
+        xm = x.copy(); xm[j] -= d
+        jac[:, j] = (fvec(xp) - fvec(xm)) / (2.0 * d)
+    return jac
+
+
 def refine(alphas0, lam, k, omega, g, c=1.0, tol=1e-13, max_iter=120):
     """(alphas, converged, iterations, max_normalized) of one seed."""
     x = np.array(alphas0, dtype=float)
@@ -36,13 +47,7 @@ def refine(alphas0, lam, k, omega, g, c=1.0, tol=1e-13, max_iter=120):
     for it in range(1, max_iter + 1):
         if max_norm(x) <= tol:
             return tuple(x), True, it - 1, max_norm(x)
-        jac = np.empty((9, 5))
-        for j in range(5):
-            d = 1e-7 * max(1.0, abs(x[j]))
-            xp = x.copy(); xp[j] += d
-            xm = x.copy(); xm[j] -= d
-            jac[:, j] = (fvec(xp) - fvec(xm)) / (2.0 * d)
-        step, *_ = np.linalg.lstsq(jac, -fx, rcond=None)
+        step, *_ = np.linalg.lstsq(jacobian(fvec, x), -fx, rcond=None)
         base = float(np.linalg.norm(fx))
         t = 1.0
         accepted = False

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ymwaves.cli
 from ymwaves.cli import main
 from ymwaves.constraints import normalized_constraints
 from ymwaves.fields import AnsatzParams
@@ -199,7 +200,7 @@ def test_bad_grid_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "nan"),
-                                         ("--h", "0"), ("--h", "inf")])
+                                         ("--h", "0"), ("--h", "inf"), ("--h", "1e-320")])
 def test_bad_tolerance_or_step_is_usage_error(flag, value, tmp_path, capsys):
     dest = tmp_path / "report.txt"
     code, out, err = run(["verify", "--family", "I", "--alpha4", "1", "--grid", SMALL_GRID,
@@ -288,3 +289,42 @@ def test_family_omega_must_be_k_c(command, family, capsys):
     assert out == ""
     code, out, _ = run(base + ["--omega", "2"], capsys)  # omega = k c is accepted
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("c", ["1e-3", "1e-6"])
+def test_small_wave_speed_verifies(c, capsys):
+    # the Ampere residual's time stencil is scaled by 1 / c, its roundoff too
+    code, out, _ = run(["verify", "--family", "I", "--alpha4", "1", "--c", c], capsys)
+    assert code == 0
+    assert out.endswith("\nVERIFIED\n")
+
+
+CALLS = [
+    ["scan", "--seeds", "8", "--seed", "1", "--omega", "2"],  # a root on no branch
+    ["scan", "--seeds", "8"],
+    ["verify", "--family", "II", "--alpha4", "1", "--grid", SMALL_GRID],
+    ["classify", *NON_SOLUTION],
+    ["classify", "--family", "III", "--omega", "2", "--alpha4", "1", "--eta", "-1"],
+    ["fields", "--family", "I", "--alpha4", "1", "--grid", "0:0:1,0:0:1,0:1:3"],
+    ["verify", "--h", "0"],
+]
+
+
+def test_the_shared_parser_keeps_no_state(capsys):
+    fresh = []
+    for argv in CALLS:
+        ymwaves.cli._parser.cache_clear()
+        fresh.append(run(argv, capsys))
+    assert [r[0] for r in fresh] == [1, 0, 0, 1, 0, 0, 2]
+    ymwaves.cli._parser.cache_clear()
+    assert [run(argv, capsys) for argv in CALLS] == fresh
+    assert [run(argv, capsys) for argv in reversed(CALLS)] == fresh[::-1]
+    assert ymwaves.cli._parser.cache_info().misses == 1
+
+
+def test_main_runs_a_rebound_command(monkeypatch, capsys):
+    run(["scan", "--seeds", "1"], capsys)  # the parser is built by now
+    seen = []
+    monkeypatch.setattr(ymwaves.cli, "cmd_scan", lambda args: seen.append(args.seeds) or 7)
+    assert run(["scan", "--seeds", "3"], capsys) == (7, "", "")
+    assert seen == [3]

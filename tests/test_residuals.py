@@ -204,3 +204,31 @@ def test_grid_points_shape_and_default_x():
     assert {s.t for s in pts} == {0.0, 0.5, 1.0}
     with pytest.raises(ValueError):
         grid_points((0.0, 1.0, 0), (0.0, 0.0, 1), (0.0, 0.0, 1))
+
+
+@pytest.mark.parametrize("p, h, want", [
+    (build_family_ii(k=2.0, alpha4=1.0, lam=0.3, g=1.5, eta=1, xi=-1), 1e-4, 5.361815888e-10),
+    (build_family_ii(k=2.0, alpha4=1.0, lam=0.3, g=1.5, eta=1, xi=-1), 3e-3, 6.043479823333334e-08),
+    (build_family_iii(k=1.0, omega=2.5, alpha4=0.7, lam=-0.4, g=0.8, c=3.7), 1e-4,
+     1.0097023067184804e-10),
+    (build_family_iii(k=1.0, omega=2.5, alpha4=0.7, lam=-0.4, g=0.8, c=-1.0), 3e-3,
+     1.397778497982422e-07),
+])
+def test_residual_allowance_is_pinned_for_unit_and_faster_speeds(p, h, want):
+    # the 1 / |c| of the time stencil enters only below |c| = 1
+    assert residual_allowance(p, h) == want
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e-6])
+def test_residual_allowance_covers_small_wave_speeds(c):
+    p = build_family_i(k=1.0, alpha4=1.0, lam=0.0, g=1.0, c=c)
+    pts = grid_points((0.0, 2.0 * math.pi, 4), (-1.0, 1.0, 3), (0.0, 2.0 * math.pi, 4))
+    assert max_residual_norm(p, pts, mode="numeric", h=1e-4) < residual_allowance(p, 1e-4)
+
+
+@pytest.mark.parametrize("allowance", [residual_allowance, bianchi_allowance,
+                                       field_strength_allowance])
+@pytest.mark.parametrize("h", [0.0, 1e-320])
+def test_allowances_reject_steps_whose_square_underflows(allowance, h):
+    with pytest.raises(ValueError, match="step h"):
+        allowance(build_family_i(k=1.0, alpha4=1.0, lam=0.0, g=1.0), h)
