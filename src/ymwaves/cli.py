@@ -20,6 +20,7 @@ constraint violation, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import math
@@ -32,6 +33,7 @@ from .constraints import (
     NotASolution,
     PlaneSolution,
     TrivialZeroField,
+    _fields_vanish,
     classify,
     nine_constraints,
     normalized_constraints,
@@ -43,10 +45,8 @@ from .fields import (
     _field_columns,
     _field_strength_norms,
     _Grid,
-    electric_field_analytic,
-    magnetic_field_analytic,
 )
-from .observables import _profile_blocks, point_at_phase
+from .observables import _profile_blocks
 from .residuals import (
     _GRID_X,
     _max_analytic_norm,
@@ -125,10 +125,14 @@ def _check_positive(flag: str, value: float):
         raise ValueError(f"{flag} must be positive and finite, got {value!r}")
 
 
-def _open_out(args):
+@contextlib.contextmanager
+def _output(args):
+    """stdout, or the --out file, opened on entry and closed on exit."""
     if args.out is None:
-        return sys.stdout, False
-    return open(args.out, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(args.out, "w", newline="") as out:
+            yield out
 
 
 def cmd_verify(args) -> int:
@@ -162,7 +166,7 @@ def cmd_verify(args) -> int:
           and max_numeric <= num_allow and bia <= bia_allow)
 
     if args.family == "III" or (constraints_ok and max_analytic <= args.tol
-                                and abs(p.alpha4) > 0 and _looks_pure_gauge(p, args.h)):
+                                and abs(p.alpha4) > 0 and _fields_vanish(p, args.tol)):
         f_norm = max(_field_strength_norms(p, numeric_pts[:8], args.h))
         # F comes from second-order differences; judge it against the
         # matching budget, not the fourth-order residual one
@@ -174,28 +178,14 @@ def cmd_verify(args) -> int:
         lines.append(f"violated constraints: {bad}")
     lines.append("VERIFIED" if ok else "NOT VERIFIED")
 
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         out.write("".join(line + "\n" for line in lines))
-    finally:
-        if close:
-            out.close()
     return 0 if ok else 1
-
-
-def _looks_pure_gauge(p: AnsatzParams, h: float) -> bool:
-    s = point_at_phase(p, 0.9) if (p.k != 0.0 or p.omega != 0.0) else None
-    if s is None:
-        return False
-    e = electric_field_analytic(p, s)
-    b = magnetic_field_analytic(p, s)
-    return math.sqrt(e.norm_squared() + b.norm_squared()) <= 1e-9
 
 
 def cmd_classify(args) -> int:
     p = _build_params(args)
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         try:
             result = classify(p, tol=args.tol)
         except ClassificationError as exc:
@@ -224,17 +214,13 @@ def cmd_classify(args) -> int:
         else:
             out.write(f"not a solution (worst static group {_fmt(result.worst)})\n")
         return 1
-    finally:
-        if close:
-            out.close()
 
 
 def cmd_scan(args) -> int:
     omega = args.k * args.c if args.omega is None else args.omega
     rows = scan_families(args.seeds, seed=args.seed, lam=args.lam, k=args.k,
                          omega=omega, g=args.g, c=args.c)
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         writer = csv.writer(out)
         writer.writerow(["seed", "converged", "alpha1", "alpha2", "alpha3",
                          "alpha4", "alpha5", "max_constraint", "classification",
@@ -244,9 +230,6 @@ def cmd_scan(args) -> int:
                             + [_fmt(a) for a in row.alphas]
                             + [_fmt(row.max_constraint), row.label, _fmt(row.distance),
                                row.iterations])
-    finally:
-        if close:
-            out.close()
 
     tally = {}
     for row in rows:
@@ -270,15 +253,11 @@ def _write_csv(args, header, rows):
     fmt = ",".join([_FMT] * len(header)) + "\r\n"
     rows = iter(rows)
     block = list(islice(rows, fields._GRID_BLOCK))
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         out.write(",".join(header) + "\r\n")
         while block:
             out.write("".join(fmt % row for row in block))
             block = list(islice(rows, fields._GRID_BLOCK))
-    finally:
-        if close:
-            out.close()
 
 
 def cmd_fields(args) -> int:

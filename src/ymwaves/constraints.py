@@ -362,7 +362,12 @@ def classify(p: AnsatzParams, tol: float = 1e-9, pattern_tol: float = 1e-6):
                                   g=p.g, c=p.c, eta=branch.eta, xi=branch.xi)
     if vanish:
         return TrivialZeroField(note="zero fields")
-    raise ClassificationError("solution outside the catalogued patterns")
+    near = int(dist[0].argmin())
+    branch = _BRANCHES[near]
+    signs = "".join(f" {name}={v:+d}" for name, v in (("eta", branch.eta), ("xi", branch.xi))
+                    if v is not None)
+    raise ClassificationError(f"solution outside the catalogued patterns; nearest branch "
+                              f"{branch.label}{signs} at distance {dist[0, near]:.17g}")
 
 
 # (harmonic, channel, sign) of c1..c9 among the oracle's fit coefficients:

@@ -18,9 +18,11 @@ with A_mu = (phi, -A) and d_0 = (1/c) d/dt, so F_0i = E_i and
 B_i = -(1/2) eps_ijk F_jk.
 
 Every field comes in two routes: a closed form (the reduced algebra) and
-a numeric route that differentiates the potentials by central finite
-differences and takes exact commutators. Agreement of the two is the
-correctness check for the closed forms.
+a numeric route, field_strength, that differentiates the potentials by
+central finite differences and takes exact commutators. The numeric E
+and B are read off it, E_i = F_0i and B_i = -(1/2) eps_ijk F_jk.
+Agreement of the two routes is the correctness check for the closed
+forms.
 
 Everything runs on one array core. The closed forms and the potentials
 are plain arithmetic on the cosines and sines of the phase and of the
@@ -35,7 +37,7 @@ views of the columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,9 +57,6 @@ __all__ = [
     "field_strength",
     "field_strength_norm",
     "field_coefficient_groups",
-    "shifted",
-    "central_difference",
-    "central_difference4",
 ]
 
 _AXES = ("t", "x", "y", "z")
@@ -157,33 +156,16 @@ class ColorVector:
     __rmul__ = __mul__
 
 
-def shifted(s: SpacetimePoint, axis: str, delta: float) -> SpacetimePoint:
-    """Copy of s displaced by delta along one of 't', 'x', 'y', 'z'."""
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-    return replace(s, **{axis: getattr(s, axis) + delta})
-
-
-def central_difference(f, s: SpacetimePoint, axis: str, h: float):
-    """Second-order first derivative of f along axis at s."""
-    return (f(shifted(s, axis, h)) - f(shifted(s, axis, -h))) * (0.5 / h)
-
-
 def _five_point(f1, f2, fm1, fm2, h: float):
-    """The five-point combination of f at +h, +2h, -h and -2h; plain
-    arithmetic, so the values may be floats, numpy columns, LieElements or
-    ColorVectors."""
+    """The five-point first derivative from f at +h, +2h, -h and -2h: plain
+    arithmetic on the numpy columns of a stencil block, or on the zero of a
+    component the fields do not have."""
     return ((f1 - fm1) * 8.0 - (f2 - fm2)) * (1.0 / (12.0 * h))
 
 
 # multiples of h at which the five-point stencil samples, in the order
 # f1, f2, fm1, fm2 of _five_point
 _FIVE_POINT = (1.0, 2.0, -1.0, -2.0)
-
-
-def central_difference4(f, s: SpacetimePoint, axis: str, h: float):
-    """Fourth-order five-point first derivative of f along axis at s."""
-    return _five_point(*(f(shifted(s, axis, m * h)) for m in _FIVE_POINT), h)
 
 
 def _potential_columns(p: AnsatzParams, cos_th, sin_th, cos_fr, sin_fr):
@@ -407,8 +389,8 @@ def _layout(rows) -> _Layout:
 
 def _shift(coords: np.ndarray, layout: _Layout, h: float) -> np.ndarray:
     """Every point of coords, shape (4, n), moved as each row of the layout
-    says, shape (rows, 4, n). The moved coordinate is coordinate + steps * h,
-    as shifted computes it; the others are copied, signed zeros included."""
+    says, shape (rows, 4, n). The moved coordinate is coordinate + steps * h;
+    the others are copied, signed zeros included."""
     with np.errstate(all="ignore"):
         moved = coords + (layout.steps * h)[:, None, None]
     return np.where(layout.moves[:, :, None], moved, coords)
@@ -418,11 +400,12 @@ def _stencil(p: AnsatzParams, coords: np.ndarray, layout: _Layout, h: float, ord
     """The points of coords and their shifted copies (see _shift) as one
     block of rows, each column of shape (rows, n).
 
-    order lists the rows in the order the one-point route visits them. At
-    the first row, taking the points in turn, whose coordinates are not
-    finite this raises SpacetimePoint's ValueError, and at the first whose
-    phase or frame angle is infinite, math.cos's. A NaN phase passes, as it
-    does through math.cos. Rows outside order are not checked.
+    order lists the rows in the order a point-by-point evaluation visits
+    them. At the first row, taking the points in turn, whose coordinates
+    are not finite this raises SpacetimePoint's ValueError, and at the
+    first whose phase or frame angle is infinite, math.cos's. A NaN phase
+    passes, as it does through math.cos. Rows outside order are not
+    checked.
     """
     moved = _shift(coords, layout, h)
     t, _, y, z = moved.transpose(1, 0, 2)
@@ -444,41 +427,6 @@ def _check_h(h: float):
         raise ValueError(f"step h must be positive and finite, got {h!r}")
     if h * h == 0.0:
         raise ValueError(f"step h = {h!r} is too small: h ** 2 underflows to 0")
-
-
-def electric_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) -> ColorVector:
-    """E from finite differences of the potentials plus exact commutators."""
-    _check_h(h)
-    pot = lambda q: scalar_potential(p, q)
-    vec = lambda q: vector_potential(p, q)
-    da_dt = central_difference(vec, s, "t", h)
-    grad = ColorVector(
-        central_difference(pot, s, "x", h),
-        central_difference(pot, s, "y", h),
-        central_difference(pot, s, "z", h),
-    )
-    phi, a = _potentials(p, s)
-    comm = ColorVector(*(p.g * minus_i_commutator(phi, ai) for ai in a.components()))
-    return (-1.0 / p.c) * da_dt - grad + comm
-
-
-def _curl(diff, f, s: SpacetimePoint, h: float) -> ColorVector:
-    """Curl of the ColorVector-valued f at s, one stencil diff per axis."""
-    dx, dy, dz = (diff(f, s, axis, h) for axis in ("x", "y", "z"))
-    return ColorVector(dy.ez - dz.ey, dz.ex - dx.ez, dx.ey - dy.ex)
-
-
-def magnetic_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) -> ColorVector:
-    """B from a finite-difference curl plus the exact quadratic term."""
-    _check_h(h)
-    curl = _curl(central_difference, lambda q: vector_potential(p, q), s, h)
-    a = vector_potential(p, s)
-    quad = ColorVector(
-        p.g * minus_i_commutator(a.ey, a.ez),
-        p.g * minus_i_commutator(a.ez, a.ex),
-        p.g * minus_i_commutator(a.ex, a.ey),
-    )
-    return curl + quad
 
 
 # field_strength's stencil: the point, then its neighbours at +h and -h
@@ -536,6 +484,18 @@ def field_strength(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4):
     _check_h(h)
     upper = _field_strength_columns(p, _coordinates([s]), h)[0]
     return _tensor([LieElement(*c) for c in upper[:, :, 0].T.tolist()])
+
+
+def electric_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) -> ColorVector:
+    """E from field_strength: E_i = F_0i."""
+    f = field_strength(p, s, h)
+    return ColorVector(f[0][1], f[0][2], f[0][3])
+
+
+def magnetic_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) -> ColorVector:
+    """B from field_strength: B_i = -(1/2) eps_ijk F_jk."""
+    f = field_strength(p, s, h)
+    return ColorVector(-f[2][3], -f[3][1], -f[1][2])
 
 
 def _squared_norm(f_tensor):

@@ -216,11 +216,11 @@ def _numeric_stencil(p: AnsatzParams, points, h: float, axes) -> _NumericStencil
     The points and their neighbours are one block (fields._stencil); E and
     B are evaluated once over it, and each derivative is the five-point
     combination of the block's rows. The zero components of E and B take
-    the combination of four zeros, as central_difference4 takes it on
-    whole ColorVectors. axes is the order in which the one-point route
-    visits the stencil axes: x, y, z for gauss, t, x, y, z for ampere,
-    x, y, z, t for both; it decides which overflowing stencil point
-    raises first.
+    the combination of four zeros, as a five-point stencil on whole
+    ColorVectors takes it. axes is the order in which a point-by-point
+    evaluation visits the stencil axes: x, y, z for gauss, t, x, y, z for
+    ampere, x, y, z, t for both; it decides which overflowing stencil
+    point raises first.
     """
     coords = _coordinates(points)
     n = coords.shape[1]
@@ -462,14 +462,15 @@ def bianchi_allowance(p: AnsatzParams, h: float) -> float:
     fourth power of the largest frequency (an outer derivative of the
     inner truncation error) and with the commutator amplitudes. The
     roundoff floor carries the 1/h^2 amplification of the nested
-    stencils. Prefactors are calibrated against measured worst cases
-    (1.3e-2 and 0.2, amplitudes to ~50) with roughly a 10x margin.
+    stencils, and the 1 / c of their time derivatives when |c| < 1.
+    Prefactors are calibrated against measured worst cases (1.3e-2 and
+    0.2, amplitudes to ~50) with roughly a 10x margin.
     """
     _check_h(h)
     freq, amp = _scales(p)
     poly = amp * (1.0 + abs(p.g) * amp)
     truncation = 0.15 * poly * freq ** 4 * h ** 2
-    roundoff = 3.0 * 2.3e-16 * poly / h ** 2
+    roundoff = 3.0 * 2.3e-16 * poly / h ** 2 * max(1.0, 1.0 / abs(p.c))
     return truncation + roundoff
 
 

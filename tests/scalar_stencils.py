@@ -5,24 +5,32 @@ through the one-point closed forms, and the potentials are built on the
 rotated frame su2.rotated_basis. The numeric residuals, field_strength,
 bianchi_residual and the oracle's samples in ymwaves run on numpy
 columns instead (fields._stencil); they must equal these functions bit
-for bit, NaN and signed zeros included.
+for bit, NaN and signed zeros included. The numeric E and B in ymwaves
+are read off field_strength; they must equal electric_field_numeric and
+magnetic_field_numeric here value for value (a zero's sign may differ).
 """
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 
-from ymwaves.fields import (
-    ColorVector,
-    electric_field_analytic,
-    magnetic_field_analytic,
-    shifted,
-)
+from ymwaves.fields import ColorVector, electric_field_analytic, magnetic_field_analytic
 from ymwaves.residuals import ResidualSample
 from ymwaves.su2 import LieElement, minus_i_commutator, rotated_basis, rotated_coeffs
 
 AXES = ("t", "x", "y", "z")
+
+
+def shifted(s, axis, delta):
+    """Copy of s displaced by delta along one of 't', 'x', 'y', 'z'."""
+    return replace(s, **{axis: getattr(s, axis) + delta})
+
+
+def central_difference(f, s, axis, h):
+    """Second-order first derivative of f along axis at s."""
+    return (f(shifted(s, axis, h)) - f(shifted(s, axis, -h))) * (0.5 / h)
 
 
 def central_difference4(f, s, axis, h):
@@ -51,6 +59,27 @@ def covariant_potential(p, s):
 def curl(diff, f, s, h):
     dx, dy, dz = (diff(f, s, axis, h) for axis in ("x", "y", "z"))
     return ColorVector(dy.ez - dz.ey, dz.ex - dx.ez, dx.ey - dy.ex)
+
+
+def electric_field_numeric(p, s, h=1e-4):
+    """E from central differences of the potentials plus exact commutators."""
+    da_dt = central_difference(lambda q: potentials(p, q)[1], s, "t", h)
+    grad = ColorVector(*(central_difference(lambda q: potentials(p, q)[0], s, axis, h)
+                         for axis in ("x", "y", "z")))
+    phi, a = potentials(p, s)
+    comm = ColorVector(*(p.g * minus_i_commutator(phi, ai) for ai in a.components()))
+    return (-1.0 / p.c) * da_dt - grad + comm
+
+
+def magnetic_field_numeric(p, s, h=1e-4):
+    """B from a central-difference curl of A plus the exact quadratic term."""
+    a = potentials(p, s)[1]
+    quad = ColorVector(
+        p.g * minus_i_commutator(a.ey, a.ez),
+        p.g * minus_i_commutator(a.ez, a.ex),
+        p.g * minus_i_commutator(a.ex, a.ey),
+    )
+    return curl(central_difference, lambda q: potentials(p, q)[1], s, h) + quad
 
 
 def gauss_commutator_term(p, s):

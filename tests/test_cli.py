@@ -10,7 +10,12 @@ import pytest
 
 import ymwaves.cli
 from ymwaves.cli import main
-from ymwaves.constraints import normalized_constraints
+from ymwaves.constraints import (
+    build_family_i,
+    build_family_ii,
+    build_family_iii,
+    normalized_constraints,
+)
 from ymwaves.fields import AnsatzParams
 
 SMALL_GRID = "0:6.2832:5,-1:1:3,0:6.2832:5"
@@ -48,6 +53,20 @@ def test_verify_family_iii_reports_pure_gauge(capsys):
     assert code == 0
     assert "pure gauge: F ~ 0" in out
     assert "VERIFIED" in out
+
+
+@pytest.mark.parametrize("p, pure_gauge", [
+    (build_family_iii(3, 5, 2, 0.4, 1.2), True),
+    (build_family_i(3, 2, 0.4, 1.2), False),
+    (build_family_ii(3, 2, 0.4, 1.2, 1, -1), False),
+])
+def test_verify_raw_amplitudes_report_pure_gauge(p, pure_gauge, capsys):
+    # no --family: the pure-gauge line comes from the fields vanishing
+    raw = [a for name in ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "k", "omega", "g")
+           for a in (f"--{name}", repr(getattr(p, name)))]
+    code, out, _ = run(["verify", *raw, "--lambda", repr(p.lam), "--grid", SMALL_GRID], capsys)
+    assert code == 0
+    assert ("pure gauge: F ~ 0" in out) == pure_gauge
 
 
 def test_verify_writes_report_file(tmp_path, capsys):
@@ -92,6 +111,15 @@ def test_classify_rejects_non_solution(capsys):
     code, out, _ = run(["classify", *NON_SOLUTION], capsys)
     assert code == 1
     assert "not a solution; violated constraints:" in out
+
+
+def test_classify_names_the_nearest_branch(capsys):
+    # a root of the nine constraints on no catalogued branch
+    code, out, _ = run(["classify", "--alpha1", "-0.25", "--alpha2", "0.25", "--alpha3", "0.3",
+                        "--alpha4", "0.3", "--alpha5", "0.3", "--omega", "-1"], capsys)
+    assert code == 1
+    assert out.startswith("unclassified solution: solution outside the catalogued patterns; "
+                          "nearest branch III eta=+1 at distance 0.46")
 
 
 def test_scan_csv_report(tmp_path, capsys):
@@ -295,6 +323,18 @@ def test_family_omega_must_be_k_c(command, family, capsys):
 def test_small_wave_speed_verifies(c, capsys):
     # the Ampere residual's time stencil is scaled by 1 / c, its roundoff too
     code, out, _ = run(["verify", "--family", "I", "--alpha4", "1", "--c", c], capsys)
+    assert code == 0
+    assert out.endswith("\nVERIFIED\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "II", "--alpha4", "1", "--k", "2", "--lambda", "0.3", "--g", "1.5",
+     "--c", "1e-3"],
+    ["--family", "I", "--alpha4", "2", "--k", "3", "--c", "1e-6"],
+])
+def test_small_wave_speed_bianchi_budget(argv, capsys):
+    # the nested stencils' time derivatives carry 1 / c, their roundoff too
+    code, out, _ = run(["verify", *argv], capsys)
     assert code == 0
     assert out.endswith("\nVERIFIED\n")
 

@@ -219,6 +219,19 @@ def test_residual_allowance_is_pinned_for_unit_and_faster_speeds(p, h, want):
     assert residual_allowance(p, h) == want
 
 
+@pytest.mark.parametrize("p, h, want", [
+    (build_family_ii(k=2.0, alpha4=1.0, lam=0.3, g=1.5, eta=1, xi=-1), 1e-4, 3.6128950000000002e-6),
+    (build_family_ii(k=2.0, alpha4=1.0, lam=0.3, g=1.5, eta=1, xi=-1), 3e-3, 8.391269783722223e-4),
+    (build_family_iii(k=1.0, omega=2.5, alpha4=0.7, lam=-0.4, g=0.8, c=3.7), 1e-4,
+     1.0316478714390063e-06),
+    (build_family_iii(k=1.0, omega=2.5, alpha4=0.7, lam=-0.4, g=0.8, c=-1.0), 3e-3,
+     1.2423511713956254e-03),
+])
+def test_bianchi_allowance_is_pinned_for_unit_and_faster_speeds(p, h, want):
+    # the 1 / |c| of the nested time stencils enters only below |c| = 1
+    assert bianchi_allowance(p, h) == want
+
+
 @pytest.mark.parametrize("c", [1e-3, 1e-6])
 def test_residual_allowance_covers_small_wave_speeds(c):
     p = build_family_i(k=1.0, alpha4=1.0, lam=0.0, g=1.0, c=c)

@@ -4,7 +4,9 @@ The numeric residuals, field_strength, bianchi_residual and the oracle
 run every stencil point of every sample point through one evaluation on
 numpy columns. tests/scalar_stencils.py builds one SpacetimePoint per
 stencil point instead; both must give the same floats bit for bit, and
-raise the same error where a stencil point overflows.
+raise the same error where a stencil point overflows. The numeric E and
+B, entries of field_strength, must equal the reference's own E and B
+stencils value for value.
 """
 
 import math
@@ -25,7 +27,14 @@ from ymwaves.constraints import (
     nine_constraints,
     oracle_constraints,
 )
-from ymwaves.fields import AnsatzParams, SpacetimePoint, _field_strength_norms, field_strength
+from ymwaves.fields import (
+    AnsatzParams,
+    SpacetimePoint,
+    _field_strength_norms,
+    electric_field_numeric,
+    field_strength,
+    magnetic_field_numeric,
+)
 from ymwaves.residuals import (
     ampere_commutator_term,
     ampere_residual,
@@ -42,6 +51,7 @@ speed = st.floats(min_value=0.3, max_value=3.0)
 sign = st.sampled_from((1, -1))
 points = st.builds(SpacetimePoint, value, value, value, value)
 steps = st.sampled_from((1e-4, 1e-3, 1e-2, 0.25))
+AMPLITUDES = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5")
 
 
 @st.composite
@@ -57,7 +67,7 @@ def configurations(draw):
     else:
         p = build_family_iii(k, draw(value), alpha4, lam, g, draw(sign), c)
     if draw(st.booleans()):
-        name = draw(st.sampled_from(("alpha1", "alpha2", "alpha3", "alpha4", "alpha5")))
+        name = draw(st.sampled_from(AMPLITUDES))
         p = AnsatzParams(**{**vars(p), name: getattr(p, name) + draw(value)})
     return p
 
@@ -89,6 +99,18 @@ def test_field_strength_and_bianchi_equal_the_reference(p, s, h):
     assert hexes(field_strength(p, s, h)) == hexes(ref.field_strength(p, s, h))
     assert hexes(bianchi_residual(p, s, h)) == hexes(ref.bianchi_residual(p, s, h))
     assert hexes(bianchi_residual(p, s, h, inner_h=h)) == hexes(ref.bianchi_residual(p, s, h, h))
+
+
+@given(configurations(), st.sets(st.sampled_from(AMPLITUDES)), points, steps)
+def test_numeric_e_and_b_equal_the_reference(p, zeroed, s, h):
+    # a view of field_strength negates some entries: == on every
+    # coefficient, since only the sign of a zero may differ
+    p = AnsatzParams(**{**vars(p), **dict.fromkeys(zeroed, 0.0)})
+    for core, scalar in ((electric_field_numeric, ref.electric_field_numeric),
+                         (magnetic_field_numeric, ref.magnetic_field_numeric)):
+        got, want = core(p, s, h), scalar(p, s, h)
+        for u, v in zip(got.components(), want.components()):
+            assert u.coeffs() == v.coeffs()
 
 
 @given(configurations(), st.lists(points, min_size=1, max_size=8), steps)
