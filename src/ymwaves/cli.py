@@ -25,6 +25,7 @@ import csv
 import functools
 import math
 import sys
+from collections import Counter
 from itertools import islice
 
 from .constraints import (
@@ -33,7 +34,6 @@ from .constraints import (
     NotASolution,
     PlaneSolution,
     TrivialZeroField,
-    _fields_vanish,
     classify,
     nine_constraints,
     normalized_constraints,
@@ -44,6 +44,7 @@ from .fields import (
     AnsatzParams,
     _field_columns,
     _field_strength_norms,
+    _fields_vanish,
     _Grid,
 )
 from .observables import _profile_blocks
@@ -66,19 +67,24 @@ def _fmt(x: float) -> str:
     return _FMT % x
 
 
-def _add_config_flags(sp):
-    sp.add_argument("--family", choices=("I", "II", "III"),
-                    help="build the configuration from a family's free parameters")
+def _add_shared_flags(sp):  # the couplings and --out, the flags of every command
     sp.add_argument("--k", type=float, default=1.0, help="wave number (default 1)")
     sp.add_argument("--omega", type=float, default=None,
                     help="frequency; defaults to k*c, family III takes it freely")
-    for i in range(1, 6):
-        sp.add_argument(f"--alpha{i}", type=float, default=0.0,
-                        help=f"raw amplitude alpha{i} (ignored with --family except alpha4)")
     sp.add_argument("--lambda", dest="lam", type=float, default=0.0,
                     help="frame rotation rate (default 0)")
     sp.add_argument("--g", type=float, default=1.0, help="coupling (default 1)")
     sp.add_argument("--c", type=float, default=1.0, help="wave speed (default 1)")
+    sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
+
+
+def _add_config_flags(sp):
+    sp.add_argument("--family", choices=("I", "II", "III"),
+                    help="build the configuration from a family's free parameters")
+    _add_shared_flags(sp)
+    for i in range(1, 6):
+        sp.add_argument(f"--alpha{i}", type=float, default=0.0,
+                        help=f"raw amplitude alpha{i} (ignored with --family except alpha4)")
     sp.add_argument("--eta", type=int, choices=(1, -1), default=1,
                     help="sign for families II and III (default +1)")
     sp.add_argument("--xi", type=int, choices=(1, -1), default=1,
@@ -87,7 +93,6 @@ def _add_config_flags(sp):
                     help="finite-difference step (default 1e-4)")
     sp.add_argument("--tol", type=float, default=1e-9,
                     help="verification tolerance (default 1e-9)")
-    sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
 def _build_params(args) -> AnsatzParams:
@@ -185,18 +190,17 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     p = _build_params(args)
+    try:  # before the output is opened, so that a usage error leaves no file
+        result = classify(p, tol=args.tol)
+    except ClassificationError as exc:
+        result = exc
     with _output(args) as out:
-        try:
-            result = classify(p, tol=args.tol)
-        except ClassificationError as exc:
-            out.write(f"unclassified solution: {exc}\n")
+        if isinstance(result, ClassificationError):
+            out.write(f"unclassified solution: {result}\n")
             return 1
         if isinstance(result, FamilySolution):
-            signs = ""
-            if result.eta is not None:
-                signs += f" eta={result.eta:+d}"
-            if result.xi is not None:
-                signs += f" xi={result.xi:+d}"
+            signs = "".join(f" {name}={v:+d}" for name, v in
+                            (("eta", result.eta), ("xi", result.xi)) if v is not None)
             out.write(f"family {result.family}{signs} (k={_fmt(result.k)}, "
                       f"omega={_fmt(result.omega)}, alpha4={_fmt(result.alpha4)})\n")
             return 0
@@ -217,9 +221,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    omega = args.k * args.c if args.omega is None else args.omega
     rows = scan_families(args.seeds, seed=args.seed, lam=args.lam, k=args.k,
-                         omega=omega, g=args.g, c=args.c)
+                         omega=args.omega, g=args.g, c=args.c)
     with _output(args) as out:
         writer = csv.writer(out)
         writer.writerow(["seed", "converged", "alpha1", "alpha2", "alpha3",
@@ -231,16 +234,12 @@ def cmd_scan(args) -> int:
                             + [_fmt(row.max_constraint), row.label, _fmt(row.distance),
                                row.iterations])
 
-    tally = {}
-    for row in rows:
-        key = row.label if row.converged else "discarded"
-        tally[key] = tally.get(key, 0) + 1
+    tally = Counter(row.label if row.converged else "discarded" for row in rows)
     dest = sys.stdout if args.out is not None else sys.stderr
     dest.write("classification tally: "
                + ", ".join(f"{k}={v}" for k, v in sorted(tally.items())) + "\n")
-    unexplained = sum(1 for row in rows if row.converged and row.label == "none")
-    if unexplained:
-        dest.write(f"WARNING: {unexplained} converged roots match no known branch\n")
+    if tally["none"]:
+        dest.write(f"WARNING: {tally['none']} converged roots match no known branch\n")
         return 1
     return 0
 
@@ -305,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="name the solution branch of a configuration")
     _add_config_flags(sp)
 
-    sp = sub.add_parser("scan", help="random-seed search over the amplitudes")
-    _add_config_flags(sp)
+    # no abbreviations: scan has no --h, which would abbreviate --help
+    sp = sub.add_parser("scan", help="random-seed search over the amplitudes", allow_abbrev=False)
+    _add_shared_flags(sp)
     sp.add_argument("--seeds", type=int, default=100,
                     help="number of random starts (default 100)")
     sp.add_argument("--seed", type=int, default=0,
@@ -335,11 +335,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _check_positive("--tol", args.tol)
-        _check_positive("--h", args.h)
-        if args.h * args.h == 0.0:  # the Bianchi budget divides by h ** 2
-            raise ValueError(f"--h must be positive and finite, and h ** 2 must not "
-                             f"underflow to 0, got {args.h!r}")
+        if args.command != "scan":  # the one command without --tol and --h
+            _check_positive("--tol", args.tol)
+            _check_positive("--h", args.h)
+            if args.h * args.h == 0.0:  # the Bianchi budget divides by h ** 2
+                raise ValueError(f"--h must be positive and finite, and h ** 2 must not "
+                                 f"underflow to 0, got {args.h!r}")
         # looked up by name at each call, so a rebound cmd_* is the one run
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, OSError) as exc:

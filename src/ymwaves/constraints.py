@@ -1,10 +1,11 @@
 """The nine algebraic constraints and the solution-family catalogue.
 
 Collecting the harmonic coefficients of both equation-of-motion
-residuals gives nine polynomial constraints c1..c9 in the parameters;
-a configuration solves the equations of motion for all points iff all
-nine vanish (except in the static case k = omega = 0, where the phase is
-frozen and only three grouped sums remain, see classify).
+residuals gives nine polynomial constraints c1..c9 in the parameters; a
+configuration solves the equations of motion for all points iff all nine
+vanish (except in the static case k = omega = 0, where the phase is
+frozen and only three grouped sums remain, see classify). Verdicts scale
+each by its polynomial on magnitudes (constraint_scales).
 
 The known solution branches, Families I-III and the two degenerate
 planes (abelian-z and pure-gauge, see scan_families), are written once,
@@ -25,11 +26,12 @@ from .fields import (
     AnsatzParams,
     SpacetimePoint,
     _check_h,
-    _field_monomials,
+    _fields_vanish,
+    _Magnitude,
     _require_finite,
     _values,
 )
-from .residuals import ConstraintVector, _harmonics, _numeric_residuals
+from .residuals import ConstraintVector, _atoms, _harmonics, _numeric_residuals, _polynomials
 from .su2 import LieElement, _frame_coeffs
 
 __all__ = [
@@ -69,46 +71,22 @@ def constraint_scales(p: AnsatzParams) -> tuple[float, ...]:
     """Largest monomial magnitude of each constraint, floored at 1.
 
     Used to normalize the raw values so that tolerance checks mean the
-    same thing for order-one and order-hundred parameters.
+    same thing for order-one and order-hundred parameters. Derived, not
+    tabulated: residuals._polynomials on the magnitudes of its atoms.
     """
-    m = _scale_monomials(*_values(p))
-    return tuple(max(1.0, *m[lo:hi]) for lo, hi in zip(_SCALE_STARTS, _SCALE_STARTS[1:]))
+    return tuple(_scale_columns(*_values(p)).tolist())
 
 
-# where each constraint's monomials begin in _scale_monomials, plus the end
-_SCALE_STARTS = (0, 3, 5, 7, 9, 15, 21, 24, 26, 28)
-
-
-def _scale_monomials(a1, a2, a3, a4, a5, lam, k, omega, g, c):
-    """Monomial magnitudes of c1..c9, grouped by _SCALE_STARTS.
-
-    Plain arithmetic only, so it evaluates on floats and on numpy
-    amplitude columns alike, as _harmonics does.
-    """
-    x = abs(lam + 2.0 * g * a3)
-    g = abs(g)
-    w = abs(omega / c)
-    k = abs(k)
-    a1, a2, a4, a5 = abs(a1), abs(a2), abs(a4), abs(a5)
-    quad_parts = (k ** 2, w ** 2, 4.0 * g ** 2 * a1 ** 2, 4.0 * g ** 2 * a2 ** 2)
-    mix_parts = (w * a1, k * a2)
-    return (
-        a1 * x ** 2, 4.0 * g ** 2 * a1 * a4 ** 2, 2.0 * g * w * a4 * a5,
-        4.0 * g * a1 * a5 * x, w * a4 * x,
-        4.0 * g ** 2 * a1 * a4 ** 2, 4.0 * g ** 2 * a1 * a5 ** 2,
-        2.0 * g * a2 ** 2 * x, 2.0 * g * a1 ** 2 * x,
-        *(a5 * q for q in quad_parts), *(4.0 * g * a4 * m for m in mix_parts),
-        *(a4 * q for q in quad_parts), *(4.0 * g * a5 * m for m in mix_parts),
-        a2 * x ** 2, 4.0 * g ** 2 * a2 * a4 ** 2, 2.0 * g * k * a4 * a5,
-        4.0 * g * a2 * a5 * x, k * a4 * x,
-        4.0 * g ** 2 * a2 * a4 ** 2, 4.0 * g ** 2 * a2 * a5 ** 2,
-    )
+def _scale_columns(*values):
+    """constraint_scales at the closed forms' arguments (fields._values),
+    floats or numpy columns: c1..c9 evaluated by fields._Magnitude."""
+    atoms = (_Magnitude(abs(v)) for v in _atoms(*values))
+    return np.maximum(1.0, [m.value for m in _polynomials(*atoms)])
 
 
 def normalized_constraints(p: AnsatzParams) -> np.ndarray:
     """Absolute constraint values divided by their monomial scales."""
-    cv = nine_constraints(p).as_array()
-    return np.abs(cv) / np.array(constraint_scales(p))
+    return np.abs(nine_constraints(p).as_array()) / constraint_scales(p)
 
 
 @dataclass(frozen=True)
@@ -300,14 +278,6 @@ def _rel_close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def _fields_vanish(p: AnsatzParams, tol: float) -> bool:
-    """Whether every field coefficient group is within tol of zero, relative
-    to the largest of 1 and the magnitudes of the field monomials."""
-    monomials = _field_monomials(*_values(p))
-    scale = max(1.0, *(abs(m) for pair in monomials for m in pair))
-    return max(abs(u + v) for u, v in monomials) <= tol * scale
-
-
 def classify(p: AnsatzParams, tol: float = 1e-9, pattern_tol: float = 1e-6):
     """Decide whether p solves the equations of motion and name its branch.
 
@@ -487,15 +457,13 @@ def _constraint_rows(x, couplings):
 
 def _worst_normalized(f, x, couplings):
     """Largest normalized constraint per row, given the rows' values f."""
-    m = np.array(_scale_monomials(*x.T, *couplings))
-    scales = np.maximum(1.0, np.maximum.reduceat(m, _SCALE_STARTS[:-1], axis=0))
-    return np.max(np.abs(f) / scales.T, axis=1)
+    return np.max(np.abs(f) / _scale_columns(*x.T, *couplings).T, axis=1)
 
 
 def _within_tol(f, x, couplings, tol):
     """Rows whose largest normalized constraint is at most tol.
 
-    Every scale monomial is at most 4 M^5, M the largest of 1 and the
+    Every monomial magnitude is at most 4 M^5, M the largest of 1 and the
     magnitudes of the amplitudes, lam + 2 g alpha3, k, omega / c and g;
     rows with a constraint above tol times 8 M^5 (room for rounding)
     cannot pass, which spares evaluating the scales until a row nears

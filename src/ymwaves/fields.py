@@ -193,18 +193,37 @@ def vector_potential(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
     return _potentials(p, s)[1]
 
 
-def _field_monomials(a1, a2, a3, a4, a5, lam, k, omega, g, c):
-    """The signed monomials of the field coefficient groups e_const, e_cos,
-    e_sin, b_const, b_cos, b_sin, two per group: the one place the closed-form
-    fields are written, in plain arithmetic as residuals._harmonics is."""
+class _Magnitude:
+    """The largest monomial magnitude of a polynomial, by evaluating it on
+    magnitudes: + and - take the larger, *, / and ** combine them, unary -
+    keeps them. Atoms enter as _Magnitude(abs(atom)), constants by their
+    magnitude; magnitudes may be floats or numpy columns."""
+
+    def __init__(self, value):
+        self.value = value
+
+    @staticmethod
+    def _join(a, b):  # builtin max spares numpy's call overhead on floats
+        return max(a, b) if type(a) is float and type(b) is float else np.maximum(a, b)
+
+    __add__ = __radd__ = __sub__ = __rsub__ = lambda s, o: type(s)(s._join(s.value, _mag(o)))
+    __mul__ = __rmul__ = lambda s, o: type(s)(s.value * _mag(o))
+    __truediv__ = lambda s, o: type(s)(s.value / _mag(o))
+    __pow__ = lambda s, n: type(s)(s.value ** n)
+    __neg__ = lambda s: s
+
+
+def _mag(v):
+    return v.value if isinstance(v, _Magnitude) else abs(v)
+
+
+def _field_groups(a1, a2, a3, a4, a5, lam, k, omega, g, c):
+    """field_coefficient_groups at the closed forms' arguments, the one place they
+    are written; on _Magnitude atoms, each group's largest monomial magnitude."""
     w = omega / c
     return (
-        (-lam * a1, -(2.0 * g * a1 * a3)),
-        (w * a4, -(2.0 * g * a1 * a5)),
-        (-w * a5, 2.0 * g * a1 * a4),
-        (lam * a2, 2.0 * g * a2 * a3),
-        (-k * a4, 2.0 * g * a2 * a5),
-        (k * a5, -(2.0 * g * a2 * a4)),
+        (-lam * a1 - 2.0 * g * a1 * a3, w * a4 - 2.0 * g * a1 * a5, -w * a5 + 2.0 * g * a1 * a4),
+        (lam * a2 + 2.0 * g * a2 * a3, -k * a4 + 2.0 * g * a2 * a5, k * a5 - 2.0 * g * a2 * a4),
     )
 
 
@@ -220,9 +239,15 @@ def field_coefficient_groups(p: AnsatzParams):
     electric e_y component is (e_const + e_cos cos th) Sy + e_sin sin th Sz
     and the magnetic e_x component is the same shape with the b groups.
     """
-    (a, b), (c, d), (e, f), (g, h), (i, j), (k, l) = _field_monomials(
-        p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5, p.lam, p.k, p.omega, p.g, p.c)
-    return (a + b, c + d, e + f), (g + h, i + j, k + l)
+    return _field_groups(*_values(p))
+
+
+def _fields_vanish(p: AnsatzParams, tol: float) -> bool:
+    """Whether every field coefficient group is within tol of zero, relative
+    to the largest of 1 and the magnitudes of the field monomials."""
+    magnitudes = _field_groups(*(_Magnitude(abs(v)) for v in _values(p)))
+    scale = max(1.0, *(m.value for group in magnitudes for m in group))
+    return max(abs(v) for group in field_coefficient_groups(p) for v in group) <= tol * scale
 
 
 def _wave(group, cos_th, sin_th, cos_fr, sin_fr):

@@ -13,11 +13,12 @@ and is tracked purely as a discretization diagnostic.
 
 The analytic mode reads the residuals off the nine constraint
 polynomials c1..c9 (ConstraintVector), the harmonic groups of the
-reduced algebra. The numeric mode differentiates the closed-form fields
-with five-point stencils and adds exact commutators, which makes it an
-independent check of that reduction. The closed-form fields themselves
-are checked against finite differences of the potentials in the fields
-module, so the two links together cover the whole derivation.
+reduced algebra, written once in _polynomials, whose magnitudes are also
+the constraint scales. The numeric mode differentiates the closed-form
+fields with five-point stencils and adds exact commutators, which makes
+it an independent check of that reduction. The closed-form fields
+themselves are checked against finite differences of the potentials in
+the fields module, so the two links together cover the whole derivation.
 
 Both modes run on numpy columns. The numeric mode lays out n points and
 their stencil neighbours as one block (fields._stencil), evaluates E and
@@ -109,15 +110,19 @@ class ConstraintVector(NamedTuple):
         return float(np.max(np.abs(self.as_array())))
 
 
-def _harmonics(a1, a2, a3, a4, a5, lam, k, omega, g, c) -> ConstraintVector:
-    """The nine constraint polynomials, the one place they are written.
+def _harmonics(*values) -> ConstraintVector:
+    """c1..c9 at the closed forms' arguments (fields._values), floats or columns."""
+    return _polynomials(*_atoms(*values))
 
-    Plain arithmetic only, so the amplitudes may be floats or equal-length
-    numpy arrays (one configuration per entry); the batched Newton of
-    constraints.scan_families evaluates it on amplitude columns.
-    """
-    w = omega / c
-    x = lam + 2.0 * g * a3
+
+def _atoms(a1, a2, a3, a4, a5, lam, k, omega, g, c):
+    """The atoms of c1..c9: x = lam + 2 g alpha3 for lam and alpha3, w = omega / c."""
+    return a1, a2, lam + 2.0 * g * a3, a4, a5, k, omega / c, g
+
+
+def _polynomials(a1, a2, x, a4, a5, k, w, g) -> ConstraintVector:
+    """c1..c9 in their atoms, the one place they are written. On
+    fields._Magnitude atoms they give the scales the verdicts divide by."""
     quad = k ** 2 - w ** 2 - 4.0 * g ** 2 * (a1 ** 2 - a2 ** 2)
     mix = w * a1 - k * a2
     return ConstraintVector(

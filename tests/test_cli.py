@@ -239,6 +239,26 @@ def test_bad_tolerance_or_step_is_usage_error(flag, value, tmp_path, capsys):
     assert not dest.exists()
 
 
+def test_classify_usage_error_creates_no_output_file(tmp_path, capsys):
+    dest = tmp_path / "x.txt"
+    code, out, err = run(["classify", "--g", "0", "--alpha4", "1", "--out", str(dest)], capsys)
+    assert code == 2
+    assert err == "error: family classification requires g != 0\n"
+    assert out == ""
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("extra", [["--tol", "1e-2"], ["--h", "0.5"], ["--family", "II"],
+                                   ["--alpha3", "9"], ["--eta", "1"], ["--xi", "-1"]])
+def test_scan_rejects_flags_it_does_not_read(extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--seeds", "3", *extra])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(extra)}" in err
+
+
 def test_classify_nan_tolerance_is_usage_error(capsys):
     code, out, err = run(["classify", "--alpha1", "0.7", "--alpha2", "-1.1", "--alpha3", "0.4",
                           "--alpha4", "0.9", "--alpha5", "-0.3", "--tol", "nan"], capsys)
@@ -258,7 +278,8 @@ def test_overflow_is_usage_error(extra, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "classify", "scan"])
 def test_couplings_that_overflow_a_branch_offset_are_usage_errors(command, capsys):
-    code, out, err = run([command, "--family", "III", "--alpha4", "1", "--k", "1",
+    family = [] if command == "scan" else ["--family", "III", "--alpha4", "1"]
+    code, out, err = run([command, *family, "--k", "1",
                           "--omega", "0.5", "--g", "1e-300", "--c", "1e-300"], capsys)
     assert code == 2
     assert "error: the III branch offset is not finite" in err

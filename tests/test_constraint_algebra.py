@@ -1,12 +1,11 @@
-"""The algebra of c1..c9: the scale and field monomial tables, the branch
-table, and symmetries.
+"""The algebra of c1..c9: the derived constraint and field scales, the
+branch table, and symmetries.
 
 The symmetry tests run every relation on both evaluation paths of the
 one polynomial source: the scalar nine_constraints and the batched rows
-of the Newton core.
+of the Newton core. The exact sign symmetries also keep the scales, and
+with them the normalized constraints, bit for bit.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,16 +14,15 @@ from hypothesis import strategies as st
 
 from ymwaves.constraints import (
     _BRANCHES,
-    _SCALE_STARTS,
     _constraint_rows,
     _projections,
-    _scale_monomials,
+    _scale_columns,
     branch_projection,
     nine_constraints,
     normalized_constraints,
 )
-from ymwaves.fields import AnsatzParams, _field_monomials, field_coefficient_groups
-from ymwaves.residuals import _harmonics
+from ymwaves.fields import AnsatzParams, _field_groups, _Magnitude
+from ymwaves.residuals import _polynomials
 
 value = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 coupling = st.floats(min_value=0.2, max_value=2.0) | st.floats(min_value=-2.0, max_value=-0.2)
@@ -32,32 +30,44 @@ rows = st.lists(st.tuples(*[value] * 5), min_size=1, max_size=6).map(np.array)
 couplings = st.tuples(value, value, value, coupling, st.floats(min_value=0.5, max_value=2.0))
 
 
-def test_scale_table_lists_every_monomial():
-    # with positive symbols and lam = X - 2 g alpha3 the polynomials expand
-    # in X = lam + 2 g alpha3, whose magnitude the scale table uses
-    sp = pytest.importorskip("sympy")
-    a1, a2, a3, a4, a5, x, k, omega, g = sp.symbols("a1:6 X k omega g", positive=True)
-    args = (a1, a2, a3, a4, a5, x - 2.0 * g * a3, k, omega, g, 1)
-    polys = _harmonics(*args)
-    monomials = [sp.nsimplify(m, rational=True) for m in _scale_monomials(*args)]
-    for i, (poly, lo, hi) in enumerate(zip(polys, _SCALE_STARTS, _SCALE_STARTS[1:]), 1):
-        terms = [sp.nsimplify(abs(t), rational=True) for t in sp.Add.make_args(sp.expand(poly))]
-        assert len(terms) == hi - lo, f"c{i}"
-        assert set(terms) == set(monomials[lo:hi]), f"c{i}"
+def _largest_term(sp, poly, point):
+    """The largest |term| of sympy's expansion of poly, exactly, at the point."""
+    terms = sp.Add.make_args(sp.nsimplify(sp.expand(poly), rational=True))
+    return float(max(abs(t.subs(point)) for t in terms))
 
 
-def test_field_monomial_table_lists_every_term():
-    # each coefficient group of the fields expands into exactly its two
-    # monomials, signs included, so their magnitudes are its scale
+def _within_ulps(got, want, n):
+    return abs(got - want) <= n * np.spacing(want)
+
+
+def test_scales_are_the_largest_expanded_monomial():
+    # the scales come from _polynomials on magnitudes; at positive atoms
+    # of at least 1 (so the floor at 1 is idle) each must be the largest
+    # term of the same source's expansion, to rounding
     sp = pytest.importorskip("sympy")
-    names = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "lam", "k", "omega", "g", "c")
-    args = sp.symbols(" ".join(names))
-    groups = [v for group in field_coefficient_groups(SimpleNamespace(**dict(zip(names, args))))
-              for v in group]
-    for group, pair in zip(groups, _field_monomials(*args), strict=True):
-        terms = sp.Add.make_args(sp.expand(group))
-        assert len(terms) == 2
-        assert set(terms) == {sp.expand(m) for m in pair}
+    atoms = sp.symbols("a1 a2 x a4 a5 k w g", positive=True)
+    polys = _polynomials(*atoms)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        a1, a2, a3, a4, a5, lam, k, omega, g = rng.uniform(1.0, 3.0, 9)
+        scales = _scale_columns(a1, a2, a3, a4, a5, lam, k, omega, g, 1.0)
+        point = dict(zip(atoms, map(sp.Rational, (a1, a2, lam + 2.0 * g * a3, a4, a5, k, omega, g))))
+        for i, (poly, scale) in enumerate(zip(polys, scales), 1):
+            assert _within_ulps(float(scale), _largest_term(sp, poly, point), 4), f"c{i}"
+
+
+def test_field_scale_is_the_largest_expanded_monomial():
+    # each field coefficient group's magnitude is its largest expanded term
+    sp = pytest.importorskip("sympy")
+    names = sp.symbols("a1:6 lam k omega g c", positive=True)
+    groups = [v for group in _field_groups(*names) for v in group]
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        values = rng.uniform(0.1, 3.0, 10)
+        magnitudes = _field_groups(*map(_Magnitude, values))
+        point = dict(zip(names, map(sp.Rational, values)))
+        for group, m in zip(groups, [m for group in magnitudes for m in group], strict=True):
+            assert _within_ulps(m.value, _largest_term(sp, group, point), 4)
 
 
 # the catalogue: Families I and II for every sign pair, Family III for
@@ -93,6 +103,21 @@ def _both_paths(x, lam, k, omega, g, c):
     scalar = np.array([nine_constraints(AnsatzParams(*r, lam=lam, k=k, omega=omega, g=g, c=c))
                        for r in x.tolist()])
     return scalar, _constraint_rows(x, (lam, k, omega, g, c))
+
+
+def _normalized_and_scales(x, lam, k, omega, g, c):
+    """normalized_constraints of each amplitude row, then the batched scales."""
+    normalized = np.array([
+        normalized_constraints(AnsatzParams(*r, lam=lam, k=k, omega=omega, g=g, c=c))
+        for r in x.tolist()])
+    return normalized, _scale_columns(*x.T, lam, k, omega, g, c)
+
+
+def _unchanged(x, cpl, y, flipped):
+    """Whether the normalized constraints and the scales are bit-identical
+    at (x, cpl) and at the flipped (y, flipped)."""
+    return all(np.array_equal(a, b) for a, b in
+               zip(_normalized_and_scales(x, *cpl), _normalized_and_scales(y, *flipped)))
 
 
 def _rounding_bound(x, lam, k, omega, g, c):
@@ -137,6 +162,7 @@ def test_eta_flip(x, cpl):
     for before, after in zip(_both_paths(x, *cpl), _both_paths(y, *cpl)):
         assert np.all(after[:, 0::2] == -before[:, 0::2])  # c1, c3, c5, c7, c9
         assert np.all(after[:, 1::2] == before[:, 1::2])  # c2, c4, c6, c8
+    assert _unchanged(x, cpl, y, cpl)
 
 
 @given(rows, couplings)
@@ -149,6 +175,7 @@ def test_xi_flip(x, cpl):
     for before, after in zip(_both_paths(x, *cpl), _both_paths(y, -lam, k, omega, g, c)):
         assert np.all(after[:, flipped] == -before[:, flipped])
         assert np.all(after[:, kept] == before[:, kept])
+    assert _unchanged(x, cpl, y, (-lam, k, omega, g, c))
 
 
 @given(rows, couplings)
@@ -159,6 +186,7 @@ def test_time_reversal(x, cpl):
     for before, after in zip(_both_paths(x, *cpl), _both_paths(y, lam, k, -omega, g, c)):
         assert np.all(after[:, :3] == -before[:, :3])
         assert np.all(after[:, 3:] == before[:, 3:])
+    assert _unchanged(x, cpl, y, (lam, k, -omega, g, c))
 
 
 @given(rows, couplings)
@@ -169,6 +197,15 @@ def test_parity(x, cpl):
     for before, after in zip(_both_paths(x, *cpl), _both_paths(y, lam, -k, omega, g, c)):
         assert np.all(after[:, 6:] == -before[:, 6:])
         assert np.all(after[:, :6] == before[:, :6])
+    assert _unchanged(x, cpl, y, (lam, -k, omega, g, c))
+
+
+class _Sum(_Magnitude):
+    """The sum of the monomial magnitudes in place of the largest: + and - add."""
+
+    @staticmethod
+    def _join(a, b):
+        return a + b
 
 
 @given(rows, couplings, st.floats(min_value=0.25, max_value=4.0))
@@ -180,7 +217,9 @@ def test_dilation(x, cpl, s):
     # configurations), plus an absolute floor for subnormal inputs, which
     # scale with less precision
     lam, k, omega, g, c = cpl
-    monomials = np.array(_scale_monomials(*np.abs(x).T, abs(lam), k, omega, abs(g), c))
-    bound = 1e-14 * s ** 3 * np.add.reduceat(monomials, _SCALE_STARTS[:-1], axis=0).T + 1e-300
+    a = np.abs(x).T
+    atoms = (a[0], a[1], abs(lam) + 2.0 * abs(g) * a[2], a[3], a[4], abs(k), abs(omega / c), abs(g))
+    total = np.array([m.value for m in _polynomials(*map(_Sum, atoms))])
+    bound = 1e-14 * s ** 3 * total.T + 1e-300
     for before, after in zip(_both_paths(x, *cpl), _both_paths(x * s, lam * s, k * s, omega * s, g, c)):
         assert np.all(np.abs(after - s ** 3 * before) <= bound)

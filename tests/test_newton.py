@@ -1,14 +1,18 @@
-"""The batched Newton core: the fused value and Jacobian, and the QR step."""
+"""The batched Newton core: the fused value and Jacobian, the QR step, and
+the convergence test."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ymwaves.constraints import (
     _RCOND,
     _constraint_rows,
+    _scale_columns,
     _step,
     _value_and_jacobian,
+    _within_tol,
+    _worst_normalized,
     constraint_scales,
     nine_constraints,
 )
@@ -86,3 +90,23 @@ def test_rank_deficient_rows_take_the_pinv_step_exactly():
     for i in (1, 3, 4):
         assert _hex(got[i]) == _hex(want[i])
     assert np.allclose(got[[0, 2]], want[[0, 2]], rtol=1e-10, atol=0.0)
+
+
+wide = value | st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+wide_g = st.floats(min_value=0.2, max_value=1e3)
+
+
+@given(st.lists(st.tuples(*[wide] * 5, st.floats(0.5, 2.0) | st.floats(2.0, 1e3), st.booleans()),
+                min_size=1, max_size=8).map(np.array),
+       st.tuples(wide, wide, wide, wide_g | wide_g.map(lambda v: -v), positive),
+       st.floats(min_value=1e-15, max_value=1e-2))
+# the bound's worst case: alpha1 = alpha4 = g = M, so 4 g^2 alpha1 alpha4^2 = 4 M^5
+@example(np.array([[1e3, 0.0, 0.0, 1e3, 0.0, 1.0, 1.0]]), (0.0, 0.0, 0.0, 1e3, 1.0), 1e-13)
+def test_prefilter_turns_away_only_failing_rows(rows, cpl, tol):
+    # _within_tol rejects a row with a constraint above 8 tol M^5 before
+    # it evaluates the scales; with every constraint of a row at u times
+    # its tolerance, u near 1 or far above it, that shortcut must agree
+    # with the full normalized check
+    x, u, sign = rows[:, :5], rows[:, 5], np.where(rows[:, 6] > 0.0, 1.0, -1.0)
+    f = tol * _scale_columns(*x.T, *cpl).T * (u * sign)[:, None]
+    assert np.array_equal(_within_tol(f, x, cpl, tol), _worst_normalized(f, x, cpl) <= tol)

@@ -216,23 +216,23 @@ def test_oracle_does_not_read_the_constraint_polynomials(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the oracle must not evaluate c1..c9 or read residuals off them")
     monkeypatch.setattr(ymwaves.residuals, "_harmonics", forbidden)
+    monkeypatch.setattr(ymwaves.residuals, "_polynomials", forbidden)
     monkeypatch.setattr(ymwaves.residuals, "_residual_coefficients", forbidden)
     got = oracle_constraints(p).as_array()
     assert np.max(np.abs(got - want)) < 1e-6 * (1.0 + np.max(np.abs(want)))
 
 
 def test_oracle_sees_a_wrong_field_monomial(monkeypatch):
-    # perturb one signed monomial of the closed-form fields: the numeric
-    # route, and with it the oracle, must part from nine_constraints
-    real = ymwaves.fields._field_monomials
+    # perturb one monomial of the closed-form fields, 2 g alpha2 alpha5 in
+    # b_cos, by 1%: the numeric route, and with it the oracle, must part
+    # from nine_constraints
+    real = ymwaves.fields._field_groups
 
-    def perturbed(*args):
-        groups = list(real(*args))
-        first, second = groups[4]
-        groups[4] = (first, 1.01 * second)
-        return tuple(groups)
+    def perturbed(a1, a2, a3, a4, a5, lam, k, omega, g, c):
+        e, (b_const, b_cos, b_sin) = real(a1, a2, a3, a4, a5, lam, k, omega, g, c)
+        return e, (b_const, b_cos + 0.01 * (2.0 * g * a2 * a5), b_sin)
     p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1, c=1.5)
     want = nine_constraints(p).as_array()
     assert np.max(np.abs(oracle_constraints(p).as_array() - want)) < 1e-6
-    monkeypatch.setattr(ymwaves.fields, "_field_monomials", perturbed)
+    monkeypatch.setattr(ymwaves.fields, "_field_groups", perturbed)
     assert np.max(np.abs(oracle_constraints(p).as_array() - want)) > 1e-3
