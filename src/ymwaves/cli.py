@@ -34,7 +34,9 @@ from .constraints import (
     NotASolution,
     PlaneSolution,
     TrivialZeroField,
+    _sign_suffix,
     classify,
+    constraint_scales,
     nine_constraints,
     normalized_constraints,
     scan_families,
@@ -42,6 +44,7 @@ from .constraints import (
 from . import fields
 from .fields import (
     AnsatzParams,
+    _check_h,
     _field_columns,
     _field_strength_norms,
     _fields_vanish,
@@ -49,7 +52,6 @@ from .fields import (
 )
 from .observables import _profile_blocks
 from .residuals import (
-    _GRID_X,
     _max_analytic_norm,
     bianchi_allowance,
     bianchi_residual,
@@ -78,21 +80,20 @@ def _add_shared_flags(sp):  # the couplings and --out, the flags of every comman
     sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
-def _add_config_flags(sp):
+def _add_config_flags(sp, amplitudes=range(1, 6), tol=True):
     sp.add_argument("--family", choices=("I", "II", "III"),
                     help="build the configuration from a family's free parameters")
     _add_shared_flags(sp)
-    for i in range(1, 6):
+    for i in amplitudes:
         sp.add_argument(f"--alpha{i}", type=float, default=0.0,
                         help=f"raw amplitude alpha{i} (ignored with --family except alpha4)")
     sp.add_argument("--eta", type=int, choices=(1, -1), default=1,
                     help="sign for families II and III (default +1)")
     sp.add_argument("--xi", type=int, choices=(1, -1), default=1,
                     help="sign for family II (default +1)")
-    sp.add_argument("--h", type=float, default=1e-4,
-                    help="finite-difference step (default 1e-4)")
-    sp.add_argument("--tol", type=float, default=1e-9,
-                    help="verification tolerance (default 1e-9)")
+    if tol:
+        sp.add_argument("--tol", type=float, default=1e-9,
+                        help="verification tolerance (default 1e-9)")
 
 
 def _build_params(args) -> AnsatzParams:
@@ -125,11 +126,6 @@ def _parse_grid(text: str):
     return ranges
 
 
-def _check_positive(flag: str, value: float):
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{flag} must be positive and finite, got {value!r}")
-
-
 @contextlib.contextmanager
 def _output(args):
     """stdout, or the --out file, opened on entry and closed on exit."""
@@ -153,25 +149,26 @@ def cmd_verify(args) -> int:
     grid = _Grid.from_ranges(*_parse_grid(args.grid))
     n = len(grid)
     max_analytic = _max_analytic_norm(p, grid.blocks(p))
-    numeric_pts = [grid.point(i, _GRID_X)
-                   for i in range(0, n, max(1, n // _NUMERIC_POINTS))]
+    ana_allow = args.tol * max(constraint_scales(p))  # the residual is made of c1..c9
+    numeric_pts = [grid.point(i) for i in range(0, n, max(1, n // _NUMERIC_POINTS))]
     max_numeric = max_residual_norm(p, numeric_pts, mode="numeric", h=args.h)
     num_allow = max(args.tol, residual_allowance(p, args.h))
-    lines.append(f"max analytic residual over {n} grid points = {_fmt(max_analytic)}")
+    lines.append(f"max analytic residual over {n} grid points = {_fmt(max_analytic)} "
+                 f"(allowance {_fmt(ana_allow)})")
     lines.append(f"max numeric residual over {len(numeric_pts)} grid points = "
                  f"{_fmt(max_numeric)} (h = {_fmt(args.h)}, allowance {_fmt(num_allow)})")
 
-    s0 = grid.point(n // 2, _GRID_X)
+    s0 = grid.point(n // 2)
     bia = bianchi_residual(p, s0, h=args.h)
     bia_allow = max(args.tol, bianchi_allowance(p, args.h))
     lines.append(f"bianchi residual norm = {_fmt(bia)} (allowance {_fmt(bia_allow)})")
 
     constraints_ok = bool(nm.max() <= args.tol)
-    ok = (constraints_ok and max_analytic <= args.tol
-          and max_numeric <= num_allow and bia <= bia_allow)
+    analytic_ok = constraints_ok and max_analytic <= ana_allow
+    ok = analytic_ok and max_numeric <= num_allow and bia <= bia_allow
 
-    if args.family == "III" or (constraints_ok and max_analytic <= args.tol
-                                and abs(p.alpha4) > 0 and _fields_vanish(p, args.tol)):
+    if args.family == "III" or (analytic_ok and abs(p.alpha4) > 0
+                                and _fields_vanish(p, args.tol)):
         f_norm = max(_field_strength_norms(p, numeric_pts[:8], args.h))
         # F comes from second-order differences; judge it against the
         # matching budget, not the fourth-order residual one
@@ -199,9 +196,8 @@ def cmd_classify(args) -> int:
             out.write(f"unclassified solution: {result}\n")
             return 1
         if isinstance(result, FamilySolution):
-            signs = "".join(f" {name}={v:+d}" for name, v in
-                            (("eta", result.eta), ("xi", result.xi)) if v is not None)
-            out.write(f"family {result.family}{signs} (k={_fmt(result.k)}, "
+            out.write(f"family {result.family}{_sign_suffix(result.eta, result.xi)} "
+                      f"(k={_fmt(result.k)}, "
                       f"omega={_fmt(result.omega)}, alpha4={_fmt(result.alpha4)})\n")
             return 0
         if isinstance(result, PlaneSolution):
@@ -294,18 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ymwaves",
         description="Construct and verify exact SU(2) Yang-Mills plane waves.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations: --h would mean --help on a command without --h
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     sp = sub.add_parser("verify", help="check one configuration end to end")
     _add_config_flags(sp)
+    sp.add_argument("--h", type=float, default=1e-4,
+                    help="finite-difference step (default 1e-4)")
     sp.add_argument("--grid", default="0:6.2832:10,-1:1:10,0:6.2832:10",
                     help="t0:t1:n,y0:y1:n,z0:z1:n evaluation grid")
 
     sp = sub.add_parser("classify", help="name the solution branch of a configuration")
     _add_config_flags(sp)
 
-    # no abbreviations: scan has no --h, which would abbreviate --help
-    sp = sub.add_parser("scan", help="random-seed search over the amplitudes", allow_abbrev=False)
+    sp = sub.add_parser("scan", help="random-seed search over the amplitudes")
     _add_shared_flags(sp)
     sp.add_argument("--seeds", type=int, default=100,
                     help="number of random starts (default 100)")
@@ -313,12 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="RNG seed; five uniform draws in [-3,3] per start, in order")
 
     sp = sub.add_parser("fields", help="CSV of E_y and B_x coefficients on a grid")
-    _add_config_flags(sp)
+    _add_config_flags(sp, tol=False)
     sp.add_argument("--grid", default="0:0:1,0:0:1,0:6.2832:64",
                     help="t0:t1:n,y0:y1:n,z0:z1:n evaluation grid")
 
     sp = sub.add_parser("energy-profile", help="CSV of the density over one period")
-    _add_config_flags(sp)
+    _add_config_flags(sp, amplitudes=(4,))  # it needs --family, so reads only alpha4
     sp.add_argument("--theta-samples", type=int, default=256,
                     help="number of phase samples (default 256)")
 
@@ -335,12 +334,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command != "scan":  # the one command without --tol and --h
-            _check_positive("--tol", args.tol)
-            _check_positive("--h", args.h)
-            if args.h * args.h == 0.0:  # the Bianchi budget divides by h ** 2
-                raise ValueError(f"--h must be positive and finite, and h ** 2 must not "
-                                 f"underflow to 0, got {args.h!r}")
+        if "tol" in args and not (args.tol > 0.0 and math.isfinite(args.tol)):
+            raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
+        if "h" in args:
+            _check_h(args.h, "--h")
         # looked up by name at each call, so a rebound cmd_* is the one run
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, OSError) as exc:

@@ -274,11 +274,18 @@ def build_family_iii(k: float, omega: float, alpha4: float, lam: float,
     return _build("III", k, omega, alpha4, lam, g, c, eta)
 
 
-def _rel_close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+_PATTERN_TOL = 1e-6  # classify's branch match, relative (see classify)
 
 
-def classify(p: AnsatzParams, tol: float = 1e-9, pattern_tol: float = 1e-6):
+def _rel_close(a: float, b: float) -> bool:
+    return abs(a - b) <= _PATTERN_TOL * max(1.0, abs(a), abs(b))
+
+
+def _sign_suffix(eta, xi) -> str:  # ' eta=+1 xi=-1', the signs a branch has
+    return "".join(f" {name}={v:+d}" for name, v in (("eta", eta), ("xi", xi)) if v is not None)
+
+
+def classify(p: AnsatzParams, tol: float = 1e-9):
     """Decide whether p solves the equations of motion and name its branch.
 
     Returns a FamilySolution (priority III, then II, then I), a
@@ -286,7 +293,7 @@ def classify(p: AnsatzParams, tol: float = 1e-9, pattern_tol: float = 1e-6):
     solving configurations with vanishing fields (the pure-gauge plane
     among them), or a NotASolution listing the violated constraints. A
     branch matches when the amplitudes and, where it needs it, the light
-    cone hold to pattern_tol (relative) on the branch table's projection.
+    cone hold to _PATTERN_TOL (relative) on the branch table's projection.
     The static case k = omega = 0 is decided by the three grouped static
     conditions rather than the nine constraints, which are over-strong
     when the phase is frozen. Raises ClassificationError for a verified
@@ -318,13 +325,13 @@ def classify(p: AnsatzParams, tol: float = 1e-9, pattern_tol: float = 1e-6):
     alphas = _values(p)[:5]
     _check_offsets(_values(p)[5:])
     points, dist = _projections(np.array([alphas]), _values(p)[5:],
-                                _rel_close(p.omega, p.k * p.c, pattern_tol))
+                                _rel_close(p.omega, p.k * p.c))
     vanish = _fields_vanish(p, tol)
     # family III is pure gauge, the one family whose fields vanish
     for label in ("III",) if vanish else ("II", "I", "abelian-z"):
         for branch, point, d in zip(_BRANCHES, points[0].tolist(), dist[0]):
             if not (branch.label == label and d < math.inf
-                    and all(_rel_close(a, b, pattern_tol) for a, b in zip(alphas, point))):
+                    and all(_rel_close(a, b) for a, b in zip(alphas, point))):
                 continue
             if label == "abelian-z":
                 return PlaneSolution(label, alphas)
@@ -334,10 +341,9 @@ def classify(p: AnsatzParams, tol: float = 1e-9, pattern_tol: float = 1e-6):
         return TrivialZeroField(note="zero fields")
     near = int(dist[0].argmin())
     branch = _BRANCHES[near]
-    signs = "".join(f" {name}={v:+d}" for name, v in (("eta", branch.eta), ("xi", branch.xi))
-                    if v is not None)
     raise ClassificationError(f"solution outside the catalogued patterns; nearest branch "
-                              f"{branch.label}{signs} at distance {dist[0, near]:.17g}")
+                              f"{branch.label}{_sign_suffix(branch.eta, branch.xi)} "
+                              f"at distance {dist[0, near]:.17g}")
 
 
 # (harmonic, channel, sign) of c1..c9 among the oracle's fit coefficients:
@@ -346,15 +352,17 @@ def classify(p: AnsatzParams, tol: float = 1e-9, pattern_tol: float = 1e-6):
 _ORACLE_ENTRIES = ((0, 0, 1), (1, 0, 1), (2, 0, -1),
                    (0, 8, 1), (1, 8, 1), (3, 7, 1),
                    (0, 9, 1), (1, 9, 1), (2, 9, 1))
+# The oracle samples 8 phases (4 alias cos 2 theta) at distinct y, so that lam y varies
+_ORACLE_PHASES = 8
+_ORACLE_YS = (-0.4, 0.37, 0.9)
 
 
-def oracle_constraints(p: AnsatzParams, h: float = 1e-4, n_theta: int = 8,
-                       y_samples=(-0.4, 0.37, 0.9), full_output: bool = False):
+def oracle_constraints(p: AnsatzParams, h: float = 1e-4, full_output: bool = False):
     """Recover the nine constraints from numeric residuals alone.
 
     Samples both residuals in numeric mode on an equispaced phase grid
-    (realized through z when k dominates, through t otherwise) at several
-    y values, projects every sample onto the rotated frame, and fits the
+    (realized through z when k dominates, through t otherwise) at each y
+    of _ORACLE_YS, projects every sample onto the rotated frame, and fits the
     harmonic series [1, cos, cos^2, sin] to all twelve channels by one
     least-squares solve. All samples come from one evaluation of the
     numeric residuals on columns, the values gauss_residual and
@@ -362,23 +370,17 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4, n_theta: int = 8,
     nine_constraints without ever evaluating the constraint polynomials;
     this is the independent oracle the algebra is tested against.
 
-    Raises ValueError for k = omega = 0 (frozen phase, nothing to fit)
-    and for degenerate sampling plans. With full_output=True also
-    returns a dict of fit diagnostics.
+    Raises ValueError for k = omega = 0 (frozen phase, nothing to fit).
+    With full_output=True also returns a dict of fit diagnostics.
     """
-    if n_theta < 7:
-        raise ValueError("need at least 7 phase samples to separate the harmonics")
-    ys = tuple(y_samples)
-    if len(ys) < 2 or len(set(ys)) != len(ys):
-        raise ValueError("need at least 2 distinct y samples")
     if p.k == 0.0 and p.omega == 0.0:
         raise ValueError("phase is frozen at k = omega = 0; the oracle needs a wave")
 
-    thetas = [2.0 * math.pi * i / n_theta for i in range(n_theta)]
+    thetas = [2.0 * math.pi * i / _ORACLE_PHASES for i in range(_ORACLE_PHASES)]
     use_z = abs(p.k) >= abs(p.omega)
 
     design, points = [], []
-    for yv in ys:
+    for yv in _ORACLE_YS:
         for th in thetas:
             if use_z:
                 s = SpacetimePoint(t=0.0, x=0.17, y=yv, z=th / p.k)
@@ -419,9 +421,13 @@ class RefineResult(NamedTuple):
     max_normalized: float
 
 
-# Defaults of refine_alphas, also used by scan_families.
+# Newton's stop, in refine_alphas and scan_families
 _TOL = 1e-13
 _MAX_ITER = 120
+# The scan's seed range, success tolerance and snap distance (see scan_families)
+_SPREAD = 3.0
+_SUCCESS_TOL = 1e-8
+_SNAP_TOL = 1e-3
 # Seeds drawn and refined together. Rows never interact, so this only
 # bounds the working arrays; it cannot change any output.
 _BLOCK = 512
@@ -523,24 +529,24 @@ def _step(jac, f):
     return step
 
 
-def _newton(x0, couplings, tol, max_iter):
+def _newton(x0, couplings):
     """Damped least-squares Newton on every amplitude row of x0 at once.
 
     Returns the final rows, the iterations each took and their largest
-    normalized constraint. A row stops when it converges (counting the
-    iterations completed before), when its line search fails or its
-    norm passes 1e8 (counting the current one), or at max_iter. Raises
+    normalized constraint. A row stops when it converges to _TOL (counting
+    the iterations completed before), when its line search fails or its
+    norm passes 1e8 (counting the current one), or at _MAX_ITER. Raises
     OverflowError when the constraints are not finite at x0.
     """
     x = np.array(x0, dtype=float)
-    iters = np.full(len(x), max_iter)
+    iters = np.full(len(x), _MAX_ITER)
     with np.errstate(all="ignore"):
         fx, jac = _value_and_jacobian(x, couplings)
         if not np.isfinite(fx).all():
             raise OverflowError("the constraints overflow at the starting amplitudes")
         live = np.arange(len(x))
-        for it in range(1, max_iter + 1):
-            done = _within_tol(fx[live], x[live], couplings, tol)
+        for it in range(1, _MAX_ITER + 1):
+            done = _within_tol(fx[live], x[live], couplings, _TOL)
             iters[live[done]] = it - 1
             live = live[~done]
             if not live.size:
@@ -574,7 +580,7 @@ def _newton(x0, couplings, tol, max_iter):
 
 
 def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float,
-                  c: float = 1.0, tol: float = _TOL, max_iter: int = _MAX_ITER) -> RefineResult:
+                  c: float = 1.0) -> RefineResult:
     """Damped least-squares Newton on the nine constraints over the amplitudes.
 
     The five amplitudes are the unknowns; lam, k, omega, g, c stay fixed
@@ -582,16 +588,16 @@ def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float,
     central differences, and each step is the least-squares solution from
     an R-only QR of [J | f], or pinv's minimum-norm step where J is rank
     deficient to _RCOND; it is halved until the residual norm decreases.
-    The default tol runs to the rounding floor because near junctions of
-    solution branches the constraints vanish quadratically in distance,
-    and stopping early would leave roots far from every pattern.
+    _TOL runs to the rounding floor because near junctions of solution
+    branches the constraints vanish quadratically in distance, and
+    stopping early would leave roots far from every pattern.
     Divergent iterations report converged=False and are meant to be
     discarded by the caller. Raises OverflowError when the constraints
     overflow at alphas0.
     """
     x = _check_alphas("alphas0", alphas0, (lam, k, omega, g, c))
-    xs, iters, worst = _newton(x[None, :], (lam, k, omega, g, c), tol, max_iter)
-    return RefineResult(tuple(xs[0]), bool(worst[0] <= tol), int(iters[0]), float(worst[0]))
+    xs, iters, worst = _newton(x[None, :], (lam, k, omega, g, c))
+    return RefineResult(tuple(xs[0]), bool(worst[0] <= _TOL), int(iters[0]), float(worst[0]))
 
 
 def branch_projection(alphas, lam: float, k: float, omega: float, g: float,
@@ -624,24 +630,22 @@ class ScanRow(NamedTuple):
 
 
 def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
-                  omega: Optional[float] = None, g: float = 1.0, c: float = 1.0,
-                  spread: float = 3.0, success_tol: float = 1e-8,
-                  snap_tol: float = 1e-3) -> list[ScanRow]:
+                  omega: Optional[float] = None, g: float = 1.0, c: float = 1.0) -> list[ScanRow]:
     """Random-seed search for solutions of the nine constraints.
 
     Seeds are drawn from numpy's default_rng(seed), five uniform values
-    in [-spread, spread] per row in row order, so output is reproducible
+    in [-_SPREAD, _SPREAD] per row in row order, so output is reproducible
     per version. omega defaults to k c. All seeds are Newton-refined
     together, each exactly as refine_alphas would refine it alone; a
     root counts as successful when every normalized constraint is below
-    success_tol.
+    _SUCCESS_TOL.
 
-    Successful roots within snap_tol of a branch are polished onto its
+    Successful roots within _SNAP_TOL of a branch are polished onto its
     exact parametrization, which is accepted only when it satisfies the
-    constraints at least as well as success_tol. The polish matters near
+    constraints at least as well as _SUCCESS_TOL. The polish matters near
     branch junctions, where the constraints vanish cubically in the
     offset and Newton floors about a cube root of machine epsilon away
-    from every branch. Roots that no branch explains at snap_tol keep
+    from every branch. Roots that no branch explains at _SNAP_TOL keep
     their raw amplitudes and the label 'none', which would falsify the
     catalogue.
 
@@ -658,18 +662,18 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
     couplings = (lam, k, omega, g, c)
     rows = []
     for lo in range(0, n_seeds, _BLOCK):
-        starts = rng.uniform(-spread, spread, size=(min(_BLOCK, n_seeds - lo), 5))
-        x, iters, worst = _newton(starts, couplings, _TOL, _MAX_ITER)
-        converged = worst <= success_tol
+        starts = rng.uniform(-_SPREAD, _SPREAD, size=(min(_BLOCK, n_seeds - lo), 5))
+        x, iters, worst = _newton(starts, couplings)
+        converged = worst <= _SUCCESS_TOL
         ok = np.flatnonzero(converged)
         labels = np.where(converged, "none", "").astype(object)
         dist = np.full(len(x), math.inf)
         with np.errstate(all="ignore"):
             best, points, dist[ok] = _nearest(x[ok], couplings)
-            near = np.flatnonzero(dist[ok] <= snap_tol)
+            near = np.flatnonzero(dist[ok] <= _SNAP_TOL)
             snapped = _worst_normalized(_constraint_rows(points[near], couplings),
                                         points[near], couplings)
-            passed = snapped <= success_tol
+            passed = snapped <= _SUCCESS_TOL
             kept = near[passed]  # positions among the converged rows
             x[ok[kept]], worst[ok[kept]] = points[kept], snapped[passed]
             labels[ok[kept]] = _LABELS[best[kept]]

@@ -64,6 +64,7 @@ _AXES = ("t", "x", "y", "z")
 # Rows per block of the grid core. Grid commands evaluate and write one
 # block at a time, so their memory does not grow with the grid.
 _GRID_BLOCK = 1024
+_GRID_X = 0.31  # x of grid points, nonzero so that accidental x-dependence shows up
 
 
 def _require_finite(name, value):
@@ -339,11 +340,11 @@ class _Grid:
     def __len__(self) -> int:
         return len(self.t) * len(self.y) * len(self.z)
 
-    def point(self, i: int, x: float) -> SpacetimePoint:
-        """Row i as a SpacetimePoint at the given x."""
+    def point(self, i: int) -> SpacetimePoint:
+        """Row i as a SpacetimePoint at x = _GRID_X."""
         it, rest = divmod(i, len(self.y) * len(self.z))
         iy, iz = divmod(rest, len(self.z))
-        return SpacetimePoint(t=float(self.t[it]), x=x, y=float(self.y[iy]),
+        return SpacetimePoint(t=float(self.t[it]), x=_GRID_X, y=float(self.y[iy]),
                               z=float(self.z[iz]))
 
     def blocks(self, p: AnsatzParams):
@@ -447,11 +448,12 @@ def _stencil(p: AnsatzParams, coords: np.ndarray, layout: _Layout, h: float, ord
     return rows
 
 
-def _check_h(h: float):
+def _check_h(h: float, name: str = "step h"):  # the Bianchi budget divides by h ** 2
     if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"step h must be positive and finite, got {h!r}")
+        raise ValueError(f"{name} must be positive and finite, got {h!r}")
     if h * h == 0.0:
-        raise ValueError(f"step h = {h!r} is too small: h ** 2 underflows to 0")
+        raise ValueError(f"{name} must be positive and finite, and h ** 2 must not "
+                         f"underflow to 0, got {h!r}")
 
 
 # field_strength's stencil: the point, then its neighbours at +h and -h

@@ -92,22 +92,22 @@ def poynting(p: AnsatzParams, s: SpacetimePoint, kappa: float = 0.25) -> tuple[f
     )
 
 
-def time_averaged_electric(p: AnsatzParams, y: float, n_samples: int = 64) -> ColorVector:
-    """E averaged over one temporal period at fixed (x, y, z) = (0, y, 0).
+# Uniform sampling of a trigonometric polynomial over its period is
+# spectrally accurate, so the time average takes few samples
+_AVERAGE_SAMPLES = 64
 
-    Uniform sampling of a trigonometric polynomial over its period is
-    spectrally accurate, so n_samples stays modest. Requires omega != 0.
-    """
+
+def time_averaged_electric(p: AnsatzParams, y: float) -> ColorVector:
+    """E averaged over one temporal period at fixed (x, y, z) = (0, y, 0).
+    Requires omega != 0."""
     if p.omega == 0.0:
         raise ValueError("time averaging needs omega != 0")
-    if n_samples < 4:
-        raise ValueError("need at least 4 samples per period")
     period = 2.0 * math.pi / abs(p.omega)
     acc = ColorVector()
-    for i in range(n_samples):
-        s = SpacetimePoint(t=i * period / n_samples, x=0.0, y=y, z=0.0)
+    for i in range(_AVERAGE_SAMPLES):
+        s = SpacetimePoint(t=i * period / _AVERAGE_SAMPLES, x=0.0, y=y, z=0.0)
         acc = acc + electric_field_analytic(p, s)
-    return acc * (1.0 / n_samples)
+    return acc * (1.0 / _AVERAGE_SAMPLES)
 
 
 def node_locations(sol: FamilySolution) -> list[float]:

@@ -40,6 +40,7 @@ import numpy as np
 from .fields import (
     _AXES,
     _FIVE_POINT,
+    _GRID_X,
     _PAIRS,
     AnsatzParams,
     ColorVector,
@@ -408,19 +409,14 @@ def residual_sample(p: AnsatzParams, s: SpacetimePoint,
     return ResidualSample(gauss=ga, ampere=am, point=s, norm=norm)
 
 
-# x of grid points, nonzero so that accidental x-dependence shows up
-_GRID_X = 0.31
-
-
-def grid_points(t_range, y_range, z_range, x: float = _GRID_X):
-    """Points of a rectangular (t, y, z) grid at fixed x.
+def grid_points(t_range, y_range, z_range):
+    """Points of a rectangular (t, y, z) grid at x = fields._GRID_X.
 
     Each range is (start, stop, count) with count >= 1; a single count
-    collapses to the start value. x is held at a nonzero default so that
-    accidental x-dependence in anything evaluated on the grid shows up.
+    collapses to the start value.
     """
     t, y, z = (_grid_axis(*r).tolist() for r in (t_range, y_range, z_range))
-    return [SpacetimePoint(t=tv, x=x, y=yv, z=zv) for tv in t for yv in y for zv in z]
+    return [SpacetimePoint(t=tv, x=_GRID_X, y=yv, z=zv) for tv in t for yv in y for zv in z]
 
 
 def max_residual_norm(p: AnsatzParams, points,

@@ -1,9 +1,12 @@
+import argparse
 import csv
 import io
 import math
+import re
 import shutil
 import subprocess
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +70,31 @@ def test_verify_raw_amplitudes_report_pure_gauge(p, pure_gauge, capsys):
     code, out, _ = run(["verify", *raw, "--lambda", repr(p.lam), "--grid", SMALL_GRID], capsys)
     assert code == 0
     assert ("pure gauge: F ~ 0" in out) == pure_gauge
+
+
+@pytest.mark.parametrize("eta", ["1", "-1"])
+@pytest.mark.parametrize("g", ["0.7", "1.3"])
+@pytest.mark.parametrize("lam", ["1e6", "1e8"])
+def test_verify_judges_the_analytic_residual_on_the_constraint_scale(lam, g, eta, capsys):
+    # lambda + 2 g alpha3 cancels to a rounding error of order 1e-16 |lambda|;
+    # the residual carries it like the constraints do, past a bare 1e-9
+    code, out, _ = run(["verify", "--family", "II", "--alpha4", "3", "--k", "5",
+                        "--lambda", lam, "--g", g, "--eta", eta], capsys)
+    assert code == 0
+    assert out.endswith("\nVERIFIED\n")
+    value, allowance = map(float, re.search(
+        r"^max analytic residual over 1000 grid points = (\S+) \(allowance (\S+)\)$",
+        out, re.M).groups())
+    assert 1e-9 < value <= allowance
+
+
+def test_verify_rejects_a_detuned_large_lambda_configuration(capsys):
+    p = replace(build_family_i(5.0, 3.0, 1e8, 1.3), alpha1=0.1)
+    raw = [a for name in ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "k", "omega", "g")
+           for a in (f"--{name}", repr(getattr(p, name)))]
+    code, out, _ = run(["verify", *raw, "--lambda", repr(p.lam)], capsys)
+    assert code == 1
+    assert out.endswith("\nNOT VERIFIED\n")
 
 
 def test_verify_writes_report_file(tmp_path, capsys):
@@ -257,6 +285,40 @@ def test_scan_rejects_flags_it_does_not_read(extra, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"unrecognized arguments: {' '.join(extra)}" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("classify", "--h"), ("fields", "--h"), ("fields", "--tol"), ("energy-profile", "--h"),
+    *(("energy-profile", f"--alpha{i}") for i in (1, 2, 3, 5)),
+])
+def test_commands_reject_flags_they_do_not_read(command, flag, tmp_path, capsys):
+    dest = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--family", "I", "--alpha4", "1", flag, "0.5", "--out", str(dest)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {flag} 0.5" in err
+    assert not dest.exists()
+
+
+def test_each_command_takes_exactly_the_flags_it_reads():
+    shared = ["--k", "--omega", "--lambda", "--g", "--c", "--out"]
+    config = ["--family", *shared, *(f"--alpha{i}" for i in range(1, 6)), "--eta", "--xi"]
+    want = {
+        "verify": config + ["--tol", "--h", "--grid"],
+        "classify": config + ["--tol"],
+        "scan": shared + ["--seeds", "--seed"],
+        "fields": config + ["--grid"],
+        "energy-profile": [f for f in config if f not in ("--alpha1", "--alpha2", "--alpha3",
+                                                          "--alpha5")]
+        + ["--tol", "--theta-samples"],
+    }
+    (sub,) = [a for a in ymwaves.cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    got = {name: [a.option_strings[0] for a in sp._actions if a.dest != "help"]
+           for name, sp in sub.choices.items()}
+    assert got == want
 
 
 def test_classify_nan_tolerance_is_usage_error(capsys):

@@ -222,10 +222,6 @@ def test_constraint_scales_positive(rng):
 
 def test_oracle_validation():
     with pytest.raises(ValueError):
-        oracle_constraints(PINNED, n_theta=5)
-    with pytest.raises(ValueError):
-        oracle_constraints(PINNED, y_samples=(0.3, 0.3))
-    with pytest.raises(ValueError):
         oracle_constraints(AnsatzParams(k=0.0, omega=0.0))
 
 
@@ -402,13 +398,13 @@ def test_refine_overflow(recwarn):
     assert len(recwarn) == 0
 
 
-def test_refine_counts_iterations():
+def test_refine_counts_iterations(monkeypatch):
     p = build_family_ii(k=1.0, alpha4=1.0, lam=0.2, g=1.0, eta=1, xi=1)
     on_branch = (p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5)
     out = refine_alphas(on_branch, lam=0.2, k=1.0, omega=1.0, g=1.0)
     assert out.converged and out.iterations == 0
-    off = refine_alphas((0.5, -1.0, 0.7, 1.1, -0.2), lam=0.0, k=1.0, omega=1.0, g=1.0,
-                        max_iter=2)
+    monkeypatch.setattr(ymwaves.constraints, "_MAX_ITER", 2)
+    off = refine_alphas((0.5, -1.0, 0.7, 1.1, -0.2), lam=0.0, k=1.0, omega=1.0, g=1.0)
     assert not off.converged and off.iterations == 2
 
 

@@ -132,9 +132,6 @@ def test_time_averaged_electric_validation():
     static = AnsatzParams(alpha4=1.0, k=1.0, omega=0.0)
     with pytest.raises(ValueError):
         time_averaged_electric(static, y=0.0)
-    p = build_family_i(k=1.0, alpha4=1.0, lam=0.0, g=1.0)
-    with pytest.raises(ValueError):
-        time_averaged_electric(p, y=0.0, n_samples=3)
 
 
 @pytest.mark.parametrize("eta,xi,want", [(1, 1, [0.0]), (-1, -1, [0.0]),
