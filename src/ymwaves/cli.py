@@ -35,6 +35,7 @@ from .constraints import (
     PlaneSolution,
     TrivialZeroField,
     _sign_suffix,
+    _static_conditions,
     classify,
     constraint_scales,
     nine_constraints,
@@ -44,6 +45,7 @@ from .constraints import (
 from . import fields
 from .fields import (
     AnsatzParams,
+    SpacetimePoint,
     _check_h,
     _field_columns,
     _field_strength_norms,
@@ -53,10 +55,10 @@ from .fields import (
 from .observables import _profile_blocks
 from .residuals import (
     _max_analytic_norm,
+    _max_numeric_norm,
     bianchi_allowance,
     bianchi_residual,
     field_strength_allowance,
-    max_residual_norm,
     residual_allowance,
 )
 
@@ -150,34 +152,41 @@ def cmd_verify(args) -> int:
     n = len(grid)
     max_analytic = _max_analytic_norm(p, grid.blocks(p))
     ana_allow = args.tol * max(constraint_scales(p))  # the residual is made of c1..c9
-    numeric_pts = [grid.point(i) for i in range(0, n, max(1, n // _NUMERIC_POINTS))]
-    max_numeric = max_residual_norm(p, numeric_pts, mode="numeric", h=args.h)
+    numeric = grid.coordinates(range(0, n, max(1, n // _NUMERIC_POINTS)))
+    max_numeric = _max_numeric_norm(p, numeric, args.h)
     num_allow = max(args.tol, residual_allowance(p, args.h))
     lines.append(f"max analytic residual over {n} grid points = {_fmt(max_analytic)} "
                  f"(allowance {_fmt(ana_allow)})")
-    lines.append(f"max numeric residual over {len(numeric_pts)} grid points = "
+    lines.append(f"max numeric residual over {numeric.shape[1]} grid points = "
                  f"{_fmt(max_numeric)} (h = {_fmt(args.h)}, allowance {_fmt(num_allow)})")
 
-    s0 = grid.point(n // 2)
+    s0 = SpacetimePoint(*grid.coordinates([n // 2])[:, 0].tolist())
     bia = bianchi_residual(p, s0, h=args.h)
     bia_allow = max(args.tol, bianchi_allowance(p, args.h))
     lines.append(f"bianchi residual norm = {_fmt(bia)} (allowance {_fmt(bia_allow)})")
 
-    constraints_ok = bool(nm.max() <= args.tol)
+    if p.k == 0.0 and p.omega == 0.0:
+        # the phase is frozen: classify's three static conditions replace
+        # the nine constraints, which are over-strong there
+        judged, kind = _static_conditions(p), "static conditions"
+        constraints_ok = max(judged) <= args.tol
+    else:
+        judged, kind = nm, "constraints"
+        constraints_ok = bool(nm.max() <= args.tol)
     analytic_ok = constraints_ok and max_analytic <= ana_allow
     ok = analytic_ok and max_numeric <= num_allow and bia <= bia_allow
 
     if args.family == "III" or (analytic_ok and abs(p.alpha4) > 0
                                 and _fields_vanish(p, args.tol)):
-        f_norm = max(_field_strength_norms(p, numeric_pts[:8], args.h))
+        f_norm = max(_field_strength_norms(p, numeric[:, :8], args.h))
         # F comes from second-order differences; judge it against the
         # matching budget, not the fourth-order residual one
         if f_norm <= max(args.tol, field_strength_allowance(p, args.h)):
             lines.append(f"pure gauge: F ~ 0 (max field strength norm {_fmt(f_norm)})")
 
     if not constraints_ok:
-        bad = ", ".join(str(i + 1) for i in range(9) if nm[i] > args.tol)
-        lines.append(f"violated constraints: {bad}")
+        bad = ", ".join(str(i + 1) for i, v in enumerate(judged) if v > args.tol)
+        lines.append(f"violated {kind}: {bad}")
     lines.append("VERIFIED" if ok else "NOT VERIFIED")
 
     with _output(args) as out:

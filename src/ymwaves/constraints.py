@@ -24,7 +24,6 @@ import numpy as np
 
 from .fields import (
     AnsatzParams,
-    SpacetimePoint,
     _check_h,
     _fields_vanish,
     _Magnitude,
@@ -277,6 +276,20 @@ def build_family_iii(k: float, omega: float, alpha4: float, lam: float,
 _PATTERN_TOL = 1e-6  # classify's branch match, relative (see classify)
 
 
+def _static_conditions(p: AnsatzParams) -> tuple[float, float, float]:
+    """The normalized residuals of a frozen phase (k = omega = 0), which
+    classify and verify judge in place of the over-strong nine: the
+    grouped sums c1 + c2 - c3, c4 + c5 and c7 + c8 + c9 at theta = 0."""
+    q = p.lam + 2.0 * p.g * (p.alpha3 + p.alpha5)
+    scale_q = max(1.0, abs(p.lam), 2.0 * abs(p.g) * (abs(p.alpha3) + abs(p.alpha5)))
+    return (
+        abs(p.alpha1) * q * q / max(1.0, abs(p.alpha1) * scale_q ** 2),
+        2.0 * abs(p.g) * abs(p.alpha2 ** 2 - p.alpha1 ** 2) * abs(q)
+        / max(1.0, 2.0 * abs(p.g) * (p.alpha1 ** 2 + p.alpha2 ** 2) * scale_q),
+        abs(p.alpha2) * q * q / max(1.0, abs(p.alpha2) * scale_q ** 2),
+    )
+
+
 def _rel_close(a: float, b: float) -> bool:
     return abs(a - b) <= _PATTERN_TOL * max(1.0, abs(a), abs(b))
 
@@ -305,14 +318,7 @@ def classify(p: AnsatzParams, tol: float = 1e-9):
         raise ValueError("family classification requires g != 0")
 
     if p.k == 0.0 and p.omega == 0.0:
-        q = p.lam + 2.0 * p.g * (p.alpha3 + p.alpha5)
-        scale_q = max(1.0, abs(p.lam), 2.0 * abs(p.g) * (abs(p.alpha3) + abs(p.alpha5)))
-        groups = (
-            abs(p.alpha1) * q * q / max(1.0, abs(p.alpha1) * scale_q ** 2),
-            2.0 * abs(p.g) * abs(p.alpha2 ** 2 - p.alpha1 ** 2) * abs(q)
-            / max(1.0, 2.0 * abs(p.g) * (p.alpha1 ** 2 + p.alpha2 ** 2) * scale_q),
-            abs(p.alpha2) * q * q / max(1.0, abs(p.alpha2) * scale_q ** 2),
-        )
+        groups = _static_conditions(p)
         if max(groups) <= tol:
             return TrivialZeroField(note="static configuration, zero fields")
         return NotASolution(violated=(), worst=max(groups))
@@ -375,31 +381,26 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4, full_output: bool = Fal
     """
     if p.k == 0.0 and p.omega == 0.0:
         raise ValueError("phase is frozen at k = omega = 0; the oracle needs a wave")
-
-    thetas = [2.0 * math.pi * i / _ORACLE_PHASES for i in range(_ORACLE_PHASES)]
     use_z = abs(p.k) >= abs(p.omega)
 
-    design, points = [], []
-    for yv in _ORACLE_YS:
-        for th in thetas:
-            if use_z:
-                s = SpacetimePoint(t=0.0, x=0.17, y=yv, z=th / p.k)
-            else:
-                # fixed z contributes k z0 to the phase; absorb it into t
-                z0 = 0.3
-                s = SpacetimePoint(t=(p.k * z0 - th) / p.omega, x=0.17, y=yv, z=z0)
-            design.append((1.0, math.cos(th), math.cos(th) ** 2, math.sin(th)))
-            points.append(s)
+    thetas = [2.0 * math.pi * i / _ORACLE_PHASES for i in range(_ORACLE_PHASES)]
+    design = np.array([(1.0, math.cos(th), math.cos(th) ** 2, math.sin(th))
+                       for th in thetas] * len(_ORACLE_YS))
+    # every phase at each y in turn, at x = 0.17
+    th, y = np.tile(thetas, len(_ORACLE_YS)), np.repeat(_ORACLE_YS, _ORACLE_PHASES)
+    with np.errstate(all="ignore"):
+        # through z, or through t at z = 0.3, absorbing the k z it adds
+        t, z = (0.0, th / p.k) if use_z else ((p.k * 0.3 - th) / p.omega, 0.3)
+    coords = np.array(np.broadcast_arrays(t, 0.17, y, z))
 
     _check_h(h)
-    ga, am = _numeric_residuals(p, points, h)
+    ga, am = _numeric_residuals(p, coords, h)
     with np.errstate(all="ignore"):
-        frame = p.lam * np.array([q.y for q in points])
+        frame = p.lam * y
         cos_fr, sin_fr = np.cos(frame), np.sin(frame)
         # twelve channels: gauss, ampere e_x, e_y, e_z, each on Sx, Sy, Sz
         samples = np.stack([v for e in (ga, *am.transpose(1, 0, 2))
                             for v in _frame_coeffs(cos_fr, sin_fr, LieElement(*e))], axis=1)
-    design = np.array(design)
     coef = np.linalg.lstsq(design, samples, rcond=None)[0]
     harmonic, channel, sign = np.array(_ORACLE_ENTRIES).T
     cv = ConstraintVector(*(float(v) for v in sign * coef[harmonic, channel]))

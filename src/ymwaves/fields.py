@@ -28,14 +28,16 @@ Everything runs on one array core. The closed forms and the potentials
 are plain arithmetic on the cosines and sines of the phase and of the
 frame angle, so they run on floats for one point and on numpy columns
 for many, with the same rounding. Grids go through _Grid in blocks of
-rows; finite-difference stencils go through _stencil, which lays out
-points and their shifted copies as one block, so field_strength at n
-points is one evaluation of the potentials. The one-point functions are
-views of the columns.
+rows. A finite-difference stencil is one block of points (_block), a
+(4, n) coordinate array and its copies moved along each axis by the
+steps of a scheme, _central or _five_point; F is assembled once over
+its block, for field_strength, its norms and the Bianchi probe alike.
+The one-point functions are views of the columns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -157,15 +159,17 @@ class ColorVector:
     __rmul__ = __mul__
 
 
-def _five_point(f1, f2, fm1, fm2, h: float):
-    """The five-point first derivative from f at +h, +2h, -h and -2h: plain
-    arithmetic on the numpy columns of a stencil block, or on the zero of a
-    component the fields do not have."""
+# The differencing schemes, first derivatives, and their steps: the
+# multiples of h at which each takes f, in the order of its arguments
+def _central(f1, fm1, h: float):  # second order
+    return (f1 - fm1) * (0.5 / h)
+
+
+def _five_point(f1, f2, fm1, fm2, h: float):  # fourth order
     return ((f1 - fm1) * 8.0 - (f2 - fm2)) * (1.0 / (12.0 * h))
 
 
-# multiples of h at which the five-point stencil samples, in the order
-# f1, f2, fm1, fm2 of _five_point
+_CENTRAL = (1.0, -1.0)
 _FIVE_POINT = (1.0, 2.0, -1.0, -2.0)
 
 
@@ -305,8 +309,7 @@ def _rows(p: AnsatzParams, t, y, z, cos_fr, sin_fr) -> _Rows:
 
 def _point_rows(p: AnsatzParams, points) -> _Rows:
     """The points of a list of SpacetimePoints as one block."""
-    t, y, z = (np.array([getattr(s, axis) for s in points], dtype=float)
-               for axis in ("t", "y", "z"))
+    t, _, y, z = _coordinates(points)
     return _rows(p, t, y, z, np.cos(p.lam * y), np.sin(p.lam * y))
 
 
@@ -340,12 +343,16 @@ class _Grid:
     def __len__(self) -> int:
         return len(self.t) * len(self.y) * len(self.z)
 
-    def point(self, i: int) -> SpacetimePoint:
-        """Row i as a SpacetimePoint at x = _GRID_X."""
-        it, rest = divmod(i, len(self.y) * len(self.z))
-        iy, iz = divmod(rest, len(self.z))
-        return SpacetimePoint(t=float(self.t[it]), x=_GRID_X, y=float(self.y[iy]),
-                              z=float(self.z[iz]))
+    def _indices(self, rows):
+        """The t, y and z indices of the given row numbers."""
+        it, rest = np.divmod(np.asarray(rows), len(self.y) * len(self.z))
+        return (it, *np.divmod(rest, len(self.z)))
+
+    def coordinates(self, rows) -> np.ndarray:
+        """The given rows as the columns t, x, y, z of a (4, n) array, at
+        x = _GRID_X."""
+        it, iy, iz = self._indices(rows)
+        return np.array([self.t[it], np.full(len(it), _GRID_X), self.y[iy], self.z[iz]])
 
     def blocks(self, p: AnsatzParams):
         """The rows in blocks of at most _GRID_BLOCK, as _Rows.
@@ -367,13 +374,11 @@ class _Grid:
         return self._blocks(p)
 
     def _blocks(self, p: AnsatzParams):
-        ny, nz = len(self.y), len(self.z)
         # the frame depends on y alone: one cos and sin per y value
         cos_y, sin_y = np.cos(p.lam * self.y), np.sin(p.lam * self.y)
         n = len(self)
         for start in range(0, n, _GRID_BLOCK):
-            it, rest = np.divmod(np.arange(start, min(start + _GRID_BLOCK, n)), ny * nz)
-            iy, iz = np.divmod(rest, nz)
+            it, iy, iz = self._indices(np.arange(start, min(start + _GRID_BLOCK, n)))
             yield _rows(p, self.t[it], self.y[iy], self.z[iz], cos_y[iy], sin_y[iy])
 
 
@@ -398,48 +403,52 @@ def _coordinates(points) -> np.ndarray:
     return np.array([(s.t, s.x, s.y, s.z) for s in points], dtype=float).reshape(-1, 4).T
 
 
-class _Layout(NamedTuple):
-    """The rows of a stencil block: which coordinate each row moves (a
-    mask over t, x, y, z; all False for the point itself) and by how many
-    steps h."""
-
-    moves: np.ndarray
-    steps: np.ndarray
-
-
-def _layout(rows) -> _Layout:
-    """A _Layout from (axis index into _AXES or None, steps) pairs."""
-    return _Layout(np.array([[a == i for i in range(4)] for a, _ in rows]),
-                   np.array([m for _, m in rows], dtype=float))
+@functools.cache
+def _offsets(steps) -> np.ndarray:
+    """The multiples of h by which each row of the block of steps moves t, x, y, z."""
+    offsets = np.vstack([np.zeros(4), *(m * np.eye(4) for m in steps)])
+    offsets.flags.writeable = False  # one array per scheme, shared by every call
+    return offsets
 
 
-def _shift(coords: np.ndarray, layout: _Layout, h: float) -> np.ndarray:
-    """Every point of coords, shape (4, n), moved as each row of the layout
-    says, shape (rows, 4, n). The moved coordinate is coordinate + steps * h;
-    the others are copied, signed zeros included."""
+def _block(coords: np.ndarray, steps, h: float) -> np.ndarray:
+    """Every point of coords, shape (4, n), and its copies moved by m h
+    along t, x, y and z for each m in steps, shape (1 + 4 len(steps), 4, n):
+    the point first, then for each step the four axes. The moved
+    coordinate is coordinate + m * h; the others are copied, signed zeros
+    included."""
+    offsets = _offsets(steps)[:, :, None]
     with np.errstate(all="ignore"):
-        moved = coords + (layout.steps * h)[:, None, None]
-    return np.where(layout.moves[:, :, None], moved, coords)
+        return np.where(offsets != 0.0, coords + offsets * h, coords)
 
 
-def _stencil(p: AnsatzParams, coords: np.ndarray, layout: _Layout, h: float, order) -> _Rows:
-    """The points of coords and their shifted copies (see _shift) as one
-    block of rows, each column of shape (rows, n).
+def _derivative(values: np.ndarray, combine, h: float) -> np.ndarray:
+    """The derivatives along t, x, y and z from values over blocks of the
+    scheme combine: shape (..., rows, n) to (..., 4, n)."""
+    moved = values[..., 1:, :].reshape(*values.shape[:-2], -1, 4, values.shape[-1])
+    return combine(*(moved[..., j, :, :] for j in range(moved.shape[-3])), h)
 
-    order lists the rows in the order a point-by-point evaluation visits
-    them. At the first row, taking the points in turn, whose coordinates
-    are not finite this raises SpacetimePoint's ValueError, and at the
-    first whose phase or frame angle is infinite, math.cos's. A NaN phase
-    passes, as it does through math.cos. Rows outside order are not
-    checked.
+
+def _stencil(p: AnsatzParams, coords: np.ndarray, steps, h: float, axes: str,
+             here: bool = False) -> _Rows:
+    """The block of coords and steps (see _block) as rows, each column of
+    shape (rows, n).
+
+    A point-by-point evaluation visits the point itself if here, then each
+    axis of axes at the steps in turn. At the first row so visited, taking
+    the points in turn, whose coordinates are not finite this raises
+    SpacetimePoint's ValueError, and at the first whose phase or frame
+    angle is infinite, math.cos's. A NaN phase passes, as it does through
+    math.cos. Rows not visited are not checked.
     """
-    moved = _shift(coords, layout, h)
+    moved = _block(coords, steps, h)
     t, _, y, z = moved.transpose(1, 0, 2)
     with np.errstate(all="ignore"):
         frame = p.lam * y
         rows = _rows(p, t, y, z, np.cos(frame), np.sin(frame))
+    order = [0] * here + [1 + 4 * j + _AXES.index(a) for a in axes for j in range(len(steps))]
     bad = ~np.isfinite(moved).all(axis=1) | np.isinf(rows.theta) | np.isinf(frame)
-    hits = np.flatnonzero(bad[list(order)].T)
+    hits = np.flatnonzero(bad[order].T)
     if hits.size:
         i, k = divmod(int(hits[0]), len(order))
         for axis, value in zip(_AXES, moved[order[k], :, i].tolist()):
@@ -456,9 +465,6 @@ def _check_h(h: float, name: str = "step h"):  # the Bianchi budget divides by h
                          f"underflow to 0, got {h!r}")
 
 
-# field_strength's stencil: the point, then its neighbours at +h and -h
-# along t, x, y and z in turn
-_CENTRAL = _layout([(None, 0.0)] + [(a, m) for a in range(4) for m in (1.0, -1.0)])
 # the entries F_mu_nu with mu < nu, in row order
 _PAIRS = np.array([(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]).T
 
@@ -466,39 +472,29 @@ _PAIRS = np.array([(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]).T
 def _field_strength_columns(p: AnsatzParams, coords: np.ndarray, h: float):
     """field_strength at every point of coords, shape (4, n), as arrays.
 
-    Returns the entries F_mu_nu, mu < nu, in _PAIRS order, shape
-    (3 coefficients, 6, n), and A_mu = (phi, -A) at the points, shape
-    (3, 4, n). The points and their neighbours at +-h along t, x, y and z
-    are one stencil block (the point first, then +h and -h per axis, the
-    order field_strength visits them), the potentials one evaluation over
-    it. Each value rounds as the one-point assembly of F does:
-    (A(+h) - A(-h)) * (0.5 / h), then (1 / c) times the t row, then
-    d_mu A_nu - d_nu A_mu - g * minus_i_commutator(A_mu, A_nu).
+    Returns F, shape (3 coefficients, 4, 4, n), and A_mu = (phi, -A) at
+    the points, shape (3, 4, n), from one evaluation of the potentials
+    over the central block. Each value rounds as the one-point assembly
+    of F does: (A(+h) - A(-h)) * (0.5 / h), then (1 / c) times the t row,
+    then d_mu A_nu - d_nu A_mu - g * minus_i_commutator(A_mu, A_nu) above
+    the diagonal and its negative below.
     """
-    rows = _stencil(p, coords, _CENTRAL, h, range(len(_CENTRAL.steps)))
+    rows = _stencil(p, coords, _CENTRAL, h, "txyz", here=True)
     with np.errstate(all="ignore"):
         phi, a = _potential_columns(p, *rows.angles())
         pot = _stacked((phi, -a.ex, -a.ey, -a.ez), rows.theta.shape)
-        n = pot.shape[-1]
         # grad[:, nu, mu] = d_mu A_nu
-        moved = pot[:, :, 1:].reshape(3, 4, 4, 2, n)
-        grad = (moved[:, :, :, 0] - moved[:, :, :, 1]) * (0.5 / h)
+        grad = _derivative(pot, _central, h)
         grad[:, :, 0] = (1.0 / p.c) * grad[:, :, 0]
         here = pot[:, :, 0]
         mu, nu = _PAIRS
         # i g [A_mu, A_nu] = -g * minus_i_commutator(A_mu, A_nu)
-        upper = LieElement(*grad[:, nu, mu]) - LieElement(*grad[:, mu, nu]) \
-            - p.g * minus_i_commutator(LieElement(*here[:, mu]), LieElement(*here[:, nu]))
-    return np.array(upper.coeffs()), here
-
-
-def _tensor(upper):
-    """The antisymmetric 4x4 tensor from its six entries above the diagonal."""
-    f_tensor = [[LieElement() for _ in range(4)] for _ in range(4)]
-    for val, mu, nu in zip(upper, *_PAIRS.tolist()):
-        f_tensor[mu][nu] = val
-        f_tensor[nu][mu] = -val
-    return f_tensor
+        upper = np.array((LieElement(*grad[:, nu, mu]) - LieElement(*grad[:, mu, nu])
+                          - p.g * minus_i_commutator(LieElement(*here[:, mu]),
+                                                     LieElement(*here[:, nu]))).coeffs())
+        f = np.zeros((3, 4, 4, here.shape[-1]))
+        f[:, mu, nu], f[:, nu, mu] = upper, -upper
+    return f, here
 
 
 def field_strength(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4):
@@ -509,8 +505,8 @@ def field_strength(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4):
     A one-point view of _field_strength_columns.
     """
     _check_h(h)
-    upper = _field_strength_columns(p, _coordinates([s]), h)[0]
-    return _tensor([LieElement(*c) for c in upper[:, :, 0].T.tolist()])
+    f = _field_strength_columns(p, _coordinates([s]), h)[0]
+    return [[LieElement(*c) for c in row] for row in f[..., 0].transpose(1, 2, 0).tolist()]
 
 
 def electric_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) -> ColorVector:
@@ -525,26 +521,23 @@ def magnetic_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) 
     return ColorVector(-f[2][3], -f[3][1], -f[1][2])
 
 
-def _squared_norm(f_tensor):
-    """Summed squared coefficients over all 16 entries, in row order; plain
-    arithmetic on floats or columns."""
+def _summed(table):
+    """The sum of a table of floats or columns in row order, one + at a time."""
     total = 0.0
-    for row in f_tensor:
-        for e in row:
-            total = total + e.norm_squared()
+    for row in table:
+        for v in row:
+            total = total + v
     return total
 
 
 def field_strength_norm(f_tensor) -> float:
     """Root of the summed squared coefficients over all 16 entries."""
-    return math.sqrt(_squared_norm(f_tensor))
+    return math.sqrt(_summed([[e.norm_squared() for e in row] for row in f_tensor]))
 
 
-def _field_strength_norms(p: AnsatzParams, points, h: float) -> list[float]:
-    """field_strength_norm(field_strength(p, s, h)) for each point s, from
-    one column evaluation."""
-    _check_h(h)
-    upper = _field_strength_columns(p, _coordinates(points), h)[0]
+def _field_strength_norms(p: AnsatzParams, coords: np.ndarray, h: float) -> list[float]:
+    """field_strength_norm(field_strength(p, s, h)) at each point s of
+    coords, shape (4, n), from one column evaluation."""
+    f = _field_strength_columns(p, coords, h)[0]
     with np.errstate(all="ignore"):
-        squares = _squared_norm(_tensor([LieElement(*c) for c in upper.transpose(1, 0, 2)]))
-        return np.sqrt(squares).tolist()
+        return np.sqrt(_summed(LieElement(*f).norm_squared())).tolist()

@@ -20,12 +20,12 @@ it an independent check of that reduction. The closed-form fields
 themselves are checked against finite differences of the potentials in
 the fields module, so the two links together cover the whole derivation.
 
-Both modes run on numpy columns. The numeric mode lays out n points and
-their stencil neighbours as one block (fields._stencil), evaluates E and
-B once over it and takes every derivative and commutator on the columns
-(_numeric_residuals); Bianchi takes field_strength at the point and its
-eight neighbours in one evaluation. The one-point functions are views
-of these columns and round exactly as a point-by-point evaluation would.
+Both modes run on numpy columns, the points a (4, n) array of t, x, y,
+z. The numeric mode evaluates phi, A, E and B once over the stencil
+block of the points (fields._stencil) and takes every derivative and
+commutator on the columns (_numeric_residuals); Bianchi differentiates
+the field strength over the block of its point. The one-point functions
+are views of these columns and round as a point-by-point evaluation.
 """
 
 from __future__ import annotations
@@ -38,27 +38,28 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import (
-    _AXES,
+    _CENTRAL,
     _FIVE_POINT,
     _GRID_X,
-    _PAIRS,
     AnsatzParams,
     ColorVector,
     SpacetimePoint,
     _angles,
+    _block,
+    _central,
     _check_h,
     _coordinates,
+    _derivative,
     _field_columns,
     _field_strength_columns,
     _five_point,
     _grid_axis,
-    _layout,
     _point_rows,
     _potential_columns,
     _potentials,
-    _shift,
     _stacked,
     _stencil,
+    _summed,
     _values,
     electric_field_analytic,
     magnetic_field_analytic,
@@ -153,11 +154,6 @@ def _check_mode(mode: str):
 _J, _K = [1, 2, 0], [2, 0, 1]
 
 
-def _vector(v: ColorVector, shape=()) -> np.ndarray:
-    """A ColorVector of floats or columns as an array (3, 3, *shape)."""
-    return _stacked(v.components(), shape)
-
-
 def _vector_at(v: np.ndarray) -> ColorVector:
     """The ColorVector of floats held by an array of shape (3, 3)."""
     return ColorVector(*(LieElement(*c) for c in v.T.tolist()))
@@ -185,93 +181,63 @@ def _ampere_commutator(g: float, phi: np.ndarray, a: np.ndarray, e: np.ndarray,
 
 def gauss_commutator_term(p: AnsatzParams, s: SpacetimePoint) -> LieElement:
     """Exact -i g (A . E - E . A) with the closed-form E; zero at g = 0."""
-    a, e = _vector(vector_potential(p, s)), _vector(electric_field_analytic(p, s))
+    a, e = (_stacked(v.components())
+            for v in (vector_potential(p, s), electric_field_analytic(p, s)))
     return LieElement(*_gauss_commutator(p.g, a, e).tolist())
 
 
 def ampere_commutator_term(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
     """Exact -i g ([phi, E] + A x B + B x A) with closed-form fields; zero at g = 0."""
     phi, a = _potentials(p, s)
-    fields = (a, electric_field_analytic(p, s), magnetic_field_analytic(p, s))
-    return _vector_at(_ampere_commutator(p.g, _stacked([phi])[:, 0], *map(_vector, fields)))
+    a, e, b = (_stacked(v.components())
+               for v in (a, electric_field_analytic(p, s), magnetic_field_analytic(p, s)))
+    return _vector_at(_ampere_commutator(p.g, _stacked([phi])[:, 0], a, e, b))
 
 
-# the numeric residuals' stencil: each point, then its neighbours at
-# m h, m in _FIVE_POINT, along t, x, y and z in turn
-_FIVE_POINT_ROWS = _layout([(None, 0.0)] + [(a, m) for a in range(4) for m in _FIVE_POINT])
-# the stencil's rows along each axis
-_AXIS_ROWS = {axis: [1 + 4 * a + j for j in range(4)] for a, axis in enumerate(_AXES)}
+def _fields_at(p: AnsatzParams, rows) -> np.ndarray:
+    """phi, then the components of A, E and B, over a block of rows
+    (fields._Rows) as one array (3, 10, *shape), shape that of the columns."""
+    phi, a = _potential_columns(p, *rows.angles())
+    ey, bx = _field_columns(p, rows)
+    zero = LieElement()
+    return _stacked((phi, *a.components(), zero, LieElement(*ey), zero,
+                     LieElement(*bx), zero, zero), rows.theta.shape)
 
 
-class _NumericStencil(NamedTuple):
-    """What the numeric residuals at n points are made of, as arrays: the
-    five-point derivatives of E and B, shape (3, 4 axes t, x, y, z, 3, n),
-    and phi, A, E and B at the points."""
+def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, h: float, axes: str = "xyzt"):
+    """Numeric-mode gauss and ampere residuals at every point of coords,
+    shape (4, n), as arrays of shape (3, n) and (3, 3, n).
 
-    de: np.ndarray
-    db: np.ndarray
-    phi: np.ndarray
-    a: np.ndarray
-    e: np.ndarray
-    b: np.ndarray
-
-
-def _numeric_stencil(p: AnsatzParams, points, h: float, axes) -> _NumericStencil:
-    """The stencil of the numeric residuals at a list of SpacetimePoints.
-
-    The points and their neighbours are one block (fields._stencil); E and
-    B are evaluated once over it, and each derivative is the five-point
-    combination of the block's rows. The zero components of E and B take
-    the combination of four zeros, as a five-point stencil on whole
-    ColorVectors takes it. axes is the order in which a point-by-point
-    evaluation visits the stencil axes: x, y, z for gauss, t, x, y, z for
-    ampere, x, y, z, t for both; it decides which overflowing stencil
-    point raises first.
+    phi, A, E and B are evaluated once over the five-point block. The
+    zero components of E and B take the combination of four zeros, as a
+    five-point stencil on whole ColorVectors takes it. axes is the order
+    in which a point-by-point evaluation visits the stencil axes: x, y, z
+    for gauss, t, x, y, z for ampere, x, y, z, t for both; it decides
+    which overflowing stencil point raises first.
     """
-    coords = _coordinates(points)
-    n = coords.shape[1]
-    rows = _stencil(p, coords, _FIVE_POINT_ROWS, h, [r for ax in axes for r in _AXIS_ROWS[ax]])
+    rows = _stencil(p, coords, _FIVE_POINT, h, axes)
     with np.errstate(all="ignore"):
-        ey, bx = _field_columns(p, rows)
-        # (coefficient, axis, step, point) -> (coefficient, axis, point)
-        moved = np.stack(ey + bx)[:, 1:].reshape(6, 4, 4, n)
-        d = _five_point(*moved.transpose(2, 0, 1, 3), h)
-        zero = _five_point(0.0, 0.0, 0.0, 0.0, h)
-        de, db = np.full((3, 4, 3, n), zero), np.full((3, 4, 3, n), zero)
-        de[:, :, 1], db[:, :, 0] = d[:3], d[3:]
-        e, b = np.zeros((3, 3, n)), np.zeros((3, 3, n))
-        e[:, 1], b[:, 0] = [c[0] for c in ey], [c[0] for c in bx]
-        phi, a = _potential_columns(p, *(c[0] for c in rows.angles()))
-    return _NumericStencil(de, db, _stacked([phi], (n,))[:, 0], _vector(a, (n,)), e, b)
+        fields = _fields_at(p, rows)
+        # d[:, i, mu] = d_mu E_i at the points, then d_mu B_i
+        d = _derivative(fields[:, 4:], _five_point, h)
+        de, db = d[:, :3], d[:, 3:]
+        here = fields[:, :, 0]
+        phi, a, e, b = here[:, 0], here[:, 1:4], here[:, 4:7], here[:, 7:]
+        gauss = de[:, 0, 1] + de[:, 1, 2] + de[:, 2, 3] + _gauss_commutator(p.g, a, e)
+        curl = db[:, _K, [1 + j for j in _J]] - db[:, _J, [1 + k for k in _K]]
+        ampere = (-1.0 / p.c) * de[:, :, 0] + curl + _ampere_commutator(p.g, phi, a, e, b)
+    return gauss, ampere
 
 
-def _numeric_gauss(p: AnsatzParams, st: _NumericStencil) -> np.ndarray:
-    """div E plus the exact commutator term, shape (3, n)."""
+def _max_numeric_norm(p: AnsatzParams, coords: np.ndarray, h: float) -> float:
+    """The largest numeric residual_sample norm over the points of coords,
+    each summed as residual_sample sums it."""
+    gauss, ampere = _numeric_residuals(p, coords, h)
     with np.errstate(all="ignore"):
-        div = st.de[:, 1, 0] + st.de[:, 2, 1] + st.de[:, 3, 2]
-        return div + _gauss_commutator(p.g, st.a, st.e)
-
-
-def _numeric_ampere(p: AnsatzParams, st: _NumericStencil) -> np.ndarray:
-    """-(1/c) dE/dt + curl B plus the exact commutator term, shape (3, 3, n)."""
-    with np.errstate(all="ignore"):
-        curl = st.db[:, [1 + j for j in _J], _K] - st.db[:, [1 + k for k in _K], _J]
-        return ((-1.0 / p.c) * st.de[:, 0] + curl
-                + _ampere_commutator(p.g, st.phi, st.a, st.e, st.b))
-
-
-def _numeric_residuals(p: AnsatzParams, points, h: float):
-    """Numeric-mode gauss and ampere residuals at every point of a list of
-    SpacetimePoints, as arrays of shape (3, n) and (3, 3, n)."""
-    st = _numeric_stencil(p, points, h, "xyzt")
-    return _numeric_gauss(p, st), _numeric_ampere(p, st)
-
-
-def _squared_norms(gauss: np.ndarray, ampere: np.ndarray) -> np.ndarray:
-    """The squared norm of residual_sample at each point, summed as
-    LieElement.norm_squared and ColorVector.norm_squared sum."""
-    am = LieElement(*ampere).norm_squared()
-    return LieElement(*gauss).norm_squared() + (am[0] + am[1] + am[2])
+        am = LieElement(*ampere).norm_squared()
+        norms = np.sqrt(LieElement(*gauss).norm_squared() + (am[0] + am[1] + am[2]))
+    # the built-in max, which treats NaN as the point-by-point route does
+    return max(norms.tolist())
 
 
 def _residual_coefficients(cv: ConstraintVector, cos_th, sin_th, cos_fr, sin_fr):
@@ -322,7 +288,7 @@ def gauss_residual(p: AnsatzParams, s: SpacetimePoint,
     if mode == "analytic":
         return _analytic_residuals(p, s)[0]
     _check_h(h)
-    return LieElement(*_numeric_gauss(p, _numeric_stencil(p, [s], h, "xyz"))[:, 0].tolist())
+    return LieElement(*_numeric_residuals(p, _coordinates([s]), h, "xyz")[0][:, 0].tolist())
 
 
 def ampere_residual(p: AnsatzParams, s: SpacetimePoint,
@@ -332,12 +298,9 @@ def ampere_residual(p: AnsatzParams, s: SpacetimePoint,
     if mode == "analytic":
         return _analytic_residuals(p, s)[1]
     _check_h(h)
-    return _vector_at(_numeric_ampere(p, _numeric_stencil(p, [s], h, "txyz"))[:, :, 0])
+    return _vector_at(_numeric_residuals(p, _coordinates([s]), h, "txyz")[1][:, :, 0])
 
 
-# bianchi_residual's outer stencil: the point, then its neighbours at +h
-# along t, x, y, z, then at -h
-_OUTER = _layout([(None, 0.0)] + [(a, m) for m in (1.0, -1.0) for a in range(4)])
 # (mu, nu, ga) of the twelve covariant derivatives D_mu F_nu_ga: for each
 # triple mu < nu < ga its three cyclic orders, as bianchi_residual sums them
 _CYCLIC = np.array([cyc for mu, nu, ga in combinations(range(4), 3)
@@ -364,25 +327,21 @@ def bianchi_residual(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4,
     if inner_h is None:
         inner_h = 0.5 * h
     _check_h(inner_h)
-    outer = _shift(_coordinates([s]), _OUTER, h)[:, :, 0].T
-    upper, here = _field_strength_columns(p, outer, inner_h)
+    # the point, then its neighbours at +h along t, x, y and z, then at -h:
+    # the order in which a point-by-point evaluation visits them
+    outer = _block(_coordinates([s]), _CENTRAL, h)[:, :, 0].T
+    # F at the nine points, (3 coefficients, mu, nu, point)
+    f, here = _field_strength_columns(p, outer, inner_h)
     mu, nu, ga = _CYCLIC
     with np.errstate(all="ignore"):
-        # F at the nine points, (3 coefficients, mu, nu, point)
-        f = np.zeros((3, 4, 4, outer.shape[1]))
-        f[:, _PAIRS[0], _PAIRS[1]] = upper
-        f[:, _PAIRS[1], _PAIRS[0]] = -upper
-        d = (f[:, nu, ga, 1 + mu] - f[:, nu, ga, 5 + mu]) * (0.5 / h)
+        d = _derivative(f[..., None], _central, h)[:, nu, ga, mu, 0]
         d = np.where(mu == 0, (1.0 / p.c) * d, d)
         # i g [A_mu, F_nu_ga] = -g * minus_i_commutator(A_mu, F_nu_ga)
         cov = LieElement(*d) - p.g * minus_i_commutator(LieElement(*here[:, mu, 0]),
                                                         LieElement(*f[:, nu, ga, 0]))
         first, second, third = (LieElement(*(c[k::3] for c in cov.coeffs())) for k in range(3))
         squares = (first + second + third).norm_squared().tolist()
-    total = 0.0
-    for v in squares:
-        total += v
-    return math.sqrt(total)
+    return math.sqrt(_summed([squares]))
 
 
 @dataclass(frozen=True)
@@ -403,7 +362,7 @@ def residual_sample(p: AnsatzParams, s: SpacetimePoint,
         ga, am = _analytic_residuals(p, s)
     else:
         _check_h(h)
-        gauss, ampere = _numeric_residuals(p, [s], h)
+        gauss, ampere = _numeric_residuals(p, _coordinates([s]), h)
         ga, am = LieElement(*gauss[:, 0].tolist()), _vector_at(ampere[:, :, 0])
     norm = math.sqrt(ga.norm_squared() + am.norm_squared())
     return ResidualSample(gauss=ga, ampere=am, point=s, norm=norm)
@@ -427,10 +386,7 @@ def max_residual_norm(p: AnsatzParams, points,
     if mode == "analytic":
         return _max_analytic_norm(p, [_point_rows(p, points)])
     _check_h(h)
-    with np.errstate(all="ignore"):
-        norms = np.sqrt(_squared_norms(*_numeric_residuals(p, points, h)))
-    # the built-in max, which treats NaN as the point-by-point route does
-    return max(norms.tolist())
+    return _max_numeric_norm(p, _coordinates(points), h)
 
 
 def _scales(p: AnsatzParams):

@@ -10,7 +10,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from ymwaves.constraints import (
     build_family_i,
@@ -23,12 +22,10 @@ from ymwaves.constraints import (
 )
 from ymwaves.fields import (
     AnsatzParams,
-    SpacetimePoint,
     field_strength,
     field_strength_norm,
 )
 from ymwaves.observables import (
-    energy_closed_form,
     energy_density,
     mean_energy_closed_form,
     node_locations,

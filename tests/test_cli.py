@@ -121,6 +121,26 @@ def test_classify_trivial_static_configuration(capsys):
     assert "trivial zero-field configuration" in out
 
 
+@pytest.mark.parametrize("config, solves", [
+    (["--alpha1", "1", "--alpha4", "1"], True),
+    (["--alpha3", "0.25", "--alpha5", "-0.25"], True),
+    (["--alpha2", "0.8", "--alpha3", "-0.7", "--alpha5", "0.7", "--alpha4", "1.2"], True),
+    (["--alpha1", "0.3", "--alpha2", "0.4", "--alpha3", "0.5", "--lambda", "-1"], True),
+    (["--alpha1", "1", "--lambda", "1"], False),
+    (["--alpha2", "0.6", "--alpha5", "0.9", "--g", "1.5"], False),
+    (["--alpha1", "1", "--alpha2", "1", "--alpha4", "2", "--lambda", "0.5"], False),
+])
+def test_verify_and_classify_agree_on_static_configurations(config, solves, capsys):
+    # at k = omega = 0 both judge the three static conditions, not the nine
+    # constraints, which are over-strong when the phase is frozen
+    static = ["--k", "0", "--omega", "0", *config]
+    verified, report, _ = run(["verify", *static, "--grid", SMALL_GRID], capsys)
+    classified, _, _ = run(["classify", *static], capsys)
+    assert verified == classified == (0 if solves else 1)
+    assert "violated constraints" not in report
+    assert ("violated static conditions" in report) is not solves
+
+
 def test_classify_abelian_z_plane(capsys):
     code, out, _ = run(["classify", "--alpha3", "0.3", "--alpha5", "0.7", "--k", "1"], capsys)
     assert code == 0

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import ymwaves.fields
 import ymwaves.residuals
 import scalar_stencils as ref
+from ymwaves.cli import _NUMERIC_POINTS, _parse_grid, build_parser, main
 from ymwaves.constraints import (
     _ORACLE_ENTRIES,
     build_family_i,
@@ -30,7 +31,9 @@ from ymwaves.constraints import (
 from ymwaves.fields import (
     AnsatzParams,
     SpacetimePoint,
+    _coordinates,
     _field_strength_norms,
+    _Grid,
     electric_field_numeric,
     field_strength,
     magnetic_field_numeric,
@@ -41,6 +44,7 @@ from ymwaves.residuals import (
     bianchi_residual,
     gauss_commutator_term,
     gauss_residual,
+    grid_points,
     max_residual_norm,
     residual_sample,
 )
@@ -52,6 +56,8 @@ sign = st.sampled_from((1, -1))
 points = st.builds(SpacetimePoint, value, value, value, value)
 steps = st.sampled_from((1e-4, 1e-3, 1e-2, 0.25))
 AMPLITUDES = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5")
+DEFAULT_GRID = build_parser().parse_args(["verify"]).grid
+FINE_GRID = "0:6.2832:16,-1:1:16,0:6.2832:16"
 
 
 @st.composite
@@ -117,7 +123,7 @@ def test_numeric_e_and_b_equal_the_reference(p, zeroed, s, h):
 def test_many_points_equal_the_reference(p, pts, h):
     assert hexes(max_residual_norm(p, pts, "numeric", h)) == hexes(ref.max_residual_norm(p, pts, h))
     want = [ref.field_strength_norm(ref.field_strength(p, s, h)) for s in pts]
-    assert hexes(_field_strength_norms(p, pts, h)) == hexes(want)
+    assert hexes(_field_strength_norms(p, _coordinates(pts), h)) == hexes(want)
 
 
 @given(configurations())
@@ -193,6 +199,50 @@ def test_one_field_evaluation_per_numeric_call(monkeypatch):
     # E and B once per call, over the points and their 16 stencil neighbours
     assert calls == [(17, 1)] * 3 + [(17, 28)]
     assert built == []
+
+
+def test_verify_and_the_oracle_build_no_points_but_bianchis(monkeypatch, capsys):
+    built = []
+    original = SpacetimePoint.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+    p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1)
+    monkeypatch.setattr(SpacetimePoint, "__post_init__", counting)
+    for grid in (DEFAULT_GRID, FINE_GRID):
+        built.clear()
+        assert main(["verify", "--family", "II", "--k", "1.3", "--alpha4", "0.8",
+                     "--lambda", "0.4", "--g", "1.2", "--xi", "-1", "--grid", grid]) == 0
+        # the Bianchi point; the numeric points are read off the grid
+        assert len(built) <= 1
+    capsys.readouterr()
+    built.clear()
+    oracle_constraints(p)
+    assert built == []
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID])
+def test_grid_coordinates_are_the_grid_points(grid):
+    ranges = _parse_grid(grid)
+    full = _Grid.from_ranges(*ranges)
+    n = len(full)
+    # the rows verify takes its numeric points and its Bianchi point from
+    rows = list(range(0, n, max(1, n // _NUMERIC_POINTS))) + [n // 2]
+    points = grid_points(*ranges)
+    want = [hexes([points[i].t, points[i].x, points[i].y, points[i].z]) for i in rows]
+    assert [hexes(c) for c in full.coordinates(rows).T.tolist()] == want
+
+
+@pytest.mark.parametrize("k, omega, message", [
+    (5e-324, 0.0, "z must be finite, got inf"),
+    (0.0, 5e-324, "t must be finite, got -inf"),
+])
+def test_oracle_sample_that_overflows_raises_the_point_error(k, omega, message):
+    # a phase realized through a tiny k or omega puts a sample at infinity
+    p = AnsatzParams(alpha1=0.3, alpha4=0.8, k=k, omega=omega)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        oracle_constraints(p)
 
 
 def test_field_strength_evaluates_the_potentials_once(monkeypatch):
