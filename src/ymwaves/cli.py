@@ -39,7 +39,6 @@ from .constraints import (
     classify,
     constraint_scales,
     nine_constraints,
-    normalized_constraints,
     scan_families,
 )
 from . import fields
@@ -65,6 +64,8 @@ from .residuals import (
 _FMT = "%.17g"
 # verify's numeric residual runs on about this many of its grid points
 _NUMERIC_POINTS = 27
+# the sums at theta = 0 of constraints._static_conditions, judged at k = omega = 0
+_STATIC_SUMS = ("c1 + c2 - c3", "c4 + c5", "c7 + c8 + c9")
 
 
 def _fmt(x: float) -> str:
@@ -142,16 +143,25 @@ def cmd_verify(args) -> int:
     p = _build_params(args)
     # the whole report is computed before any of it is written, so an
     # input that fails part way leaves no partial report behind
-    lines = []
     cv = nine_constraints(p)
-    nm = normalized_constraints(p)
-    for i, (raw, norm) in enumerate(zip(cv, nm), start=1):
-        lines.append(f"constraint c{i} = {_fmt(raw)} (normalized {_fmt(norm)})")
+    scales = constraint_scales(p)
+    nm = abs(cv.as_array()) / scales  # normalized_constraints
+    lines = [f"constraint c{i} = {_fmt(raw)} (normalized {_fmt(norm)})"
+             for i, (raw, norm) in enumerate(zip(cv, nm), start=1)]
+    frozen = p.k == 0.0 and p.omega == 0.0
+    if frozen:
+        # the phase is frozen: classify's three static conditions replace
+        # the nine constraints, which are over-strong there
+        judged, kind = _static_conditions(p), "static conditions"
+        for i, (name, value) in enumerate(zip(_STATIC_SUMS, judged), start=1):
+            lines.append(f"static condition {i}: {name} at theta = 0 (normalized {_fmt(value)})")
+    else:
+        judged, kind = nm, "constraints"
 
     grid = _Grid.from_ranges(*_parse_grid(args.grid))
     n = len(grid)
-    max_analytic = _max_analytic_norm(p, grid.blocks(p))
-    ana_allow = args.tol * max(constraint_scales(p))  # the residual is made of c1..c9
+    max_analytic = _max_analytic_norm(cv, grid.blocks(p))
+    ana_allow = args.tol * max(scales)  # the residual is made of c1..c9
     numeric = grid.coordinates(range(0, n, max(1, n // _NUMERIC_POINTS)))
     max_numeric = _max_numeric_norm(p, numeric, args.h)
     num_allow = max(args.tol, residual_allowance(p, args.h))
@@ -165,14 +175,7 @@ def cmd_verify(args) -> int:
     bia_allow = max(args.tol, bianchi_allowance(p, args.h))
     lines.append(f"bianchi residual norm = {_fmt(bia)} (allowance {_fmt(bia_allow)})")
 
-    if p.k == 0.0 and p.omega == 0.0:
-        # the phase is frozen: classify's three static conditions replace
-        # the nine constraints, which are over-strong there
-        judged, kind = _static_conditions(p), "static conditions"
-        constraints_ok = max(judged) <= args.tol
-    else:
-        judged, kind = nm, "constraints"
-        constraints_ok = bool(nm.max() <= args.tol)
+    constraints_ok = max(judged) <= args.tol if frozen else bool(nm.max() <= args.tol)
     analytic_ok = constraints_ok and max_analytic <= ana_allow
     ok = analytic_ok and max_numeric <= num_allow and bia <= bia_allow
 

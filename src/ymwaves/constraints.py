@@ -31,7 +31,7 @@ from .fields import (
     _values,
 )
 from .residuals import ConstraintVector, _atoms, _harmonics, _numeric_residuals, _polynomials
-from .su2 import LieElement, _frame_coeffs
+from .su2 import _frame_coeffs
 
 __all__ = [
     "ConstraintVector",
@@ -183,6 +183,12 @@ _DIRECTIONS = np.array([b.directions + ((0,) * 5,) * (2 - len(b.directions))
                         for b in _BRANCHES], dtype=float)
 
 
+def _check_finite(couplings):
+    """Reject a coupling (lam, k, omega, g, c) that is not finite, by name."""
+    for name, value in zip(("lambda", "k", "omega", "g", "c"), couplings):
+        _require_finite(name, value)
+
+
 def _check_offsets(couplings, branches=_BRANCHES):
     """Reject couplings at which a branch offset is not finite: it overflows,
     or 2 g or 2 g c underflows to zero and the offset divides by it."""
@@ -234,6 +240,7 @@ def _build(family, k, omega, alpha4, lam, g, c, eta=None, xi=None) -> AnsatzPara
     """A family's configuration: its offset plus alpha4 along its direction.
     Signs the family does not have are ignored. A family on the light cone
     takes omega = k c and needs k != 0."""
+    _check_finite((lam, k, omega, g, c))
     if g == 0.0:
         raise ValueError(f"family {family} requires g != 0")
     if c == 0.0:
@@ -400,7 +407,7 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4, full_output: bool = Fal
         cos_fr, sin_fr = np.cos(frame), np.sin(frame)
         # twelve channels: gauss, ampere e_x, e_y, e_z, each on Sx, Sy, Sz
         samples = np.stack([v for e in (ga, *am.transpose(1, 0, 2))
-                            for v in _frame_coeffs(cos_fr, sin_fr, LieElement(*e))], axis=1)
+                            for v in _frame_coeffs(cos_fr, sin_fr, e)], axis=1)
     coef = np.linalg.lstsq(design, samples, rcond=None)[0]
     harmonic, channel, sign = np.array(_ORACLE_ENTRIES).T
     cv = ConstraintVector(*(float(v) for v in sign * coef[harmonic, channel]))
@@ -438,8 +445,7 @@ _RCOND = 9.0 * np.finfo(float).eps
 
 def _check_couplings(lam, k, omega, g, c):
     """Reject couplings before any Newton work rather than part way."""
-    for name, value in (("lambda", lam), ("k", k), ("omega", omega), ("g", g), ("c", c)):
-        _require_finite(name, value)
+    _check_finite((lam, k, omega, g, c))
     if g == 0.0:
         raise ValueError("g must be nonzero: the branch patterns divide by it")
     if c == 0.0:
@@ -650,15 +656,17 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
     their raw amplitudes and the label 'none', which would falsify the
     catalogue.
 
-    Raises ValueError for non-finite couplings or g = 0 or c = 0 before
-    any Newton work, and OverflowError when the constraints overflow at
-    the seeds.
+    Raises ValueError for non-finite couplings, g = 0, c = 0 or a frozen
+    phase k = omega = 0 before any Newton work, and OverflowError when the
+    constraints overflow at the seeds.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     if omega is None:
         omega = k * c
     _check_couplings(lam, k, omega, g, c)
+    if k == 0.0 and omega == 0.0:
+        raise ValueError("phase is frozen at k = omega = 0; the scan needs a wave")
     rng = np.random.default_rng(seed)
     couplings = (lam, k, omega, g, c)
     rows = []

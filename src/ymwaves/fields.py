@@ -26,13 +26,14 @@ forms.
 
 Everything runs on one array core. The closed forms and the potentials
 are plain arithmetic on the cosines and sines of the phase and of the
-frame angle, so they run on floats for one point and on numpy columns
-for many, with the same rounding. Grids go through _Grid in blocks of
-rows. A finite-difference stencil is one block of points (_block), a
-(4, n) coordinate array and its copies moved along each axis by the
-steps of a scheme, _central or _five_point; F is assembled once over
-its block, for field_strength, its norms and the Bianchi probe alike.
-The one-point functions are views of the columns.
+frame angle, giving coefficient triples of floats for one point and of
+numpy columns for many, with the same rounding. _rows is the one way
+from a (4, n) coordinate array to rows: _Grid streams a grid through it
+in blocks, and a finite-difference stencil is one block of points
+(_block), the coordinates and their copies moved along each axis by the
+steps of a scheme, _central or _five_point. F is assembled once over its
+block, with su2's triple algebra on the arrays, for field_strength, its
+norms and the Bianchi probe alike. The one-point functions are views.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .su2 import LieElement, _along_sx, _along_sy_sz, minus_i_commutator
+from .su2 import LieElement, _along_sx, _along_sy_sz, _commutator, _norm_squared, _Triple
 
 __all__ = [
     "AnsatzParams",
@@ -121,8 +122,8 @@ class SpacetimePoint:
 
 
 @dataclass(frozen=True)
-class ColorVector:
-    """Spatial vector with su(2)-valued components."""
+class ColorVector(_Triple):
+    """Spatial vector with su(2)-valued components, added component by component."""
 
     ex: LieElement = LieElement()
     ey: LieElement = LieElement()
@@ -131,32 +132,10 @@ class ColorVector:
     def components(self) -> tuple[LieElement, LieElement, LieElement]:
         return (self.ex, self.ey, self.ez)
 
+    _parts = components
+
     def norm_squared(self) -> float:
-        # plain arithmetic: the stencil core calls it on coefficient columns
         return self.ex.norm_squared() + self.ey.norm_squared() + self.ez.norm_squared()
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
-    def __add__(self, other):
-        if not isinstance(other, ColorVector):
-            return NotImplemented
-        return ColorVector(self.ex + other.ex, self.ey + other.ey, self.ez + other.ez)
-
-    def __sub__(self, other):
-        if not isinstance(other, ColorVector):
-            return NotImplemented
-        return ColorVector(self.ex - other.ex, self.ey - other.ey, self.ez - other.ez)
-
-    def __neg__(self):
-        return ColorVector(-self.ex, -self.ey, -self.ez)
-
-    def __mul__(self, s):
-        if not isinstance(s, (int, float)):
-            return NotImplemented
-        return ColorVector(self.ex * s, self.ey * s, self.ez * s)
-
-    __rmul__ = __mul__
 
 
 # The differencing schemes, first derivatives, and their steps: the
@@ -174,28 +153,24 @@ _FIVE_POINT = (1.0, 2.0, -1.0, -2.0)
 
 
 def _potential_columns(p: AnsatzParams, cos_th, sin_th, cos_fr, sin_fr):
-    """phi and A, both on one rotated frame, from the cosines and sines of
-    the phase and of the frame angle lam y: plain arithmetic on floats or
-    numpy columns, rounding as alpha Sx and u Sz + v Sy on LieElements."""
-    phi = LieElement(*_along_sx(cos_fr, sin_fr, p.alpha1))
+    """phi and the components of A as coefficient triples on one rotated
+    frame, from the cosines and sines of the phase and of the frame angle
+    lam y: plain arithmetic on floats or numpy columns, rounding as alpha Sx
+    and u Sz + v Sy on LieElements."""
+    phi = _along_sx(cos_fr, sin_fr, p.alpha1)
     ey = _along_sy_sz(cos_fr, sin_fr, p.alpha4 * sin_th, p.alpha3 + p.alpha5 * cos_th)
-    az = _along_sx(cos_fr, sin_fr, p.alpha2)
-    return phi, ColorVector(LieElement(), LieElement(*ey), LieElement(*az))
-
-
-def _potentials(p: AnsatzParams, s: SpacetimePoint) -> tuple[LieElement, ColorVector]:
-    """phi and A at s."""
-    return _potential_columns(p, *_angles(p, s))
+    ez = _along_sx(cos_fr, sin_fr, p.alpha2)
+    return phi, ((0.0, 0.0, 0.0), ey, ez)
 
 
 def scalar_potential(p: AnsatzParams, s: SpacetimePoint) -> LieElement:
     """phi = alpha1 Sx at the point's y."""
-    return _potentials(p, s)[0]
+    return LieElement(*_potential_columns(p, *_angles(p, s))[0])
 
 
 def vector_potential(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
     """A with its e_y wave part and constant e_z leg; e_x is zero."""
-    return _potentials(p, s)[1]
+    return ColorVector(*(LieElement(*v) for v in _potential_columns(p, *_angles(p, s))[1]))
 
 
 class _Magnitude:
@@ -286,8 +261,8 @@ def magnetic_field_analytic(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
 
 
 class _Rows(NamedTuple):
-    """A block of points as numpy columns: the coordinates, then cos and
-    sin of the phase and of the frame angle lam y."""
+    """A block of points as numpy columns: the coordinates, the phase, then
+    cos and sin of the phase and of the frame angle lam y."""
 
     t: np.ndarray
     y: np.ndarray
@@ -302,15 +277,13 @@ class _Rows(NamedTuple):
         return self.cos_th, self.sin_th, self.cos_fr, self.sin_fr
 
 
-def _rows(p: AnsatzParams, t, y, z, cos_fr, sin_fr) -> _Rows:
+def _rows(p: AnsatzParams, coords: np.ndarray) -> _Rows:
+    """The rows of coords, t, x, y, z along its first axis: a (4, n) array,
+    or a block of them (4, rows, n). The one way from coordinates to rows."""
+    t, _, y, z = coords
     theta = p.k * z - p.omega * t  # AnsatzParams.phase on columns
-    return _Rows(t, y, z, theta, np.cos(theta), np.sin(theta), cos_fr, sin_fr)
-
-
-def _point_rows(p: AnsatzParams, points) -> _Rows:
-    """The points of a list of SpacetimePoints as one block."""
-    t, _, y, z = _coordinates(points)
-    return _rows(p, t, y, z, np.cos(p.lam * y), np.sin(p.lam * y))
+    frame = p.lam * y
+    return _Rows(t, y, z, theta, np.cos(theta), np.sin(theta), np.cos(frame), np.sin(frame))
 
 
 def _grid_axis(lo, hi, n) -> np.ndarray:
@@ -343,15 +316,11 @@ class _Grid:
     def __len__(self) -> int:
         return len(self.t) * len(self.y) * len(self.z)
 
-    def _indices(self, rows):
-        """The t, y and z indices of the given row numbers."""
-        it, rest = np.divmod(np.asarray(rows), len(self.y) * len(self.z))
-        return (it, *np.divmod(rest, len(self.z)))
-
     def coordinates(self, rows) -> np.ndarray:
-        """The given rows as the columns t, x, y, z of a (4, n) array, at
-        x = _GRID_X."""
-        it, iy, iz = self._indices(rows)
+        """The given row numbers as the columns t, x, y, z of a (4, n)
+        array, at x = _GRID_X."""
+        it, rest = np.divmod(np.asarray(rows), len(self.y) * len(self.z))
+        iy, iz = np.divmod(rest, len(self.z))
         return np.array([self.t[it], np.full(len(it), _GRID_X), self.y[iy], self.z[iz]])
 
     def blocks(self, p: AnsatzParams):
@@ -371,15 +340,9 @@ class _Grid:
         if not all(map(math.isfinite, checked)):
             raise OverflowError("the grid coordinates, the phase, the frame angle "
                                 "or the field coefficients are not finite")
-        return self._blocks(p)
-
-    def _blocks(self, p: AnsatzParams):
-        # the frame depends on y alone: one cos and sin per y value
-        cos_y, sin_y = np.cos(p.lam * self.y), np.sin(p.lam * self.y)
         n = len(self)
-        for start in range(0, n, _GRID_BLOCK):
-            it, iy, iz = self._indices(np.arange(start, min(start + _GRID_BLOCK, n)))
-            yield _rows(p, self.t[it], self.y[iy], self.z[iz], cos_y[iy], sin_y[iy])
+        return (_rows(p, self.coordinates(np.arange(start, min(start + _GRID_BLOCK, n))))
+                for start in range(0, n, _GRID_BLOCK))
 
 
 def _field_columns(p: AnsatzParams, rows: _Rows):
@@ -387,13 +350,12 @@ def _field_columns(p: AnsatzParams, rows: _Rows):
     return tuple(_wave(group, *rows.angles()) for group in field_coefficient_groups(p))
 
 
-def _stacked(elements, shape=()) -> np.ndarray:
-    """LieElements whose coefficients are floats or columns of the given
-    shape as one array (3 coefficients, len(elements), *shape); LieElement(*v)
-    turns it back into LieElements of columns."""
-    out = np.empty((3, len(elements), *shape))
-    for j, e in enumerate(elements):
-        for i, c in enumerate(e.coeffs()):
+def _stacked(triples, shape=()) -> np.ndarray:
+    """Coefficient triples of floats or columns of the given shape as one
+    array (3 coefficients, len(triples), *shape)."""
+    out = np.empty((3, len(triples), *shape))
+    for j, e in enumerate(triples):
+        for i, c in enumerate(e):
             out[i, j] = c
     return out
 
@@ -442,12 +404,11 @@ def _stencil(p: AnsatzParams, coords: np.ndarray, steps, h: float, axes: str,
     math.cos. Rows not visited are not checked.
     """
     moved = _block(coords, steps, h)
-    t, _, y, z = moved.transpose(1, 0, 2)
     with np.errstate(all="ignore"):
-        frame = p.lam * y
-        rows = _rows(p, t, y, z, np.cos(frame), np.sin(frame))
+        rows = _rows(p, moved.transpose(1, 0, 2))
+        bad = (~np.isfinite(moved).all(axis=1) | np.isinf(rows.theta)
+               | np.isinf(p.lam * rows.y))  # the frame angle
     order = [0] * here + [1 + 4 * j + _AXES.index(a) for a in axes for j in range(len(steps))]
-    bad = ~np.isfinite(moved).all(axis=1) | np.isinf(rows.theta) | np.isinf(frame)
     hits = np.flatnonzero(bad[order].T)
     if hits.size:
         i, k = divmod(int(hits[0]), len(order))
@@ -482,16 +443,16 @@ def _field_strength_columns(p: AnsatzParams, coords: np.ndarray, h: float):
     rows = _stencil(p, coords, _CENTRAL, h, "txyz", here=True)
     with np.errstate(all="ignore"):
         phi, a = _potential_columns(p, *rows.angles())
-        pot = _stacked((phi, -a.ex, -a.ey, -a.ez), rows.theta.shape)
+        pot = _stacked((phi, *a), rows.theta.shape)
+        pot[:, 1:] = -pot[:, 1:]  # A_mu = (phi, -A); the zero e_x becomes -0.0
         # grad[:, nu, mu] = d_mu A_nu
         grad = _derivative(pot, _central, h)
         grad[:, :, 0] = (1.0 / p.c) * grad[:, :, 0]
         here = pot[:, :, 0]
         mu, nu = _PAIRS
         # i g [A_mu, A_nu] = -g * minus_i_commutator(A_mu, A_nu)
-        upper = np.array((LieElement(*grad[:, nu, mu]) - LieElement(*grad[:, mu, nu])
-                          - p.g * minus_i_commutator(LieElement(*here[:, mu]),
-                                                     LieElement(*here[:, nu]))).coeffs())
+        upper = (grad[:, nu, mu] - grad[:, mu, nu]
+                 - p.g * np.array(_commutator(here[:, mu], here[:, nu])))
         f = np.zeros((3, 4, 4, here.shape[-1]))
         f[:, mu, nu], f[:, nu, mu] = upper, -upper
     return f, here
@@ -540,4 +501,4 @@ def _field_strength_norms(p: AnsatzParams, coords: np.ndarray, h: float) -> list
     coords, shape (4, n), from one column evaluation."""
     f = _field_strength_columns(p, coords, h)[0]
     with np.errstate(all="ignore"):
-        return np.sqrt(_summed(LieElement(*f).norm_squared())).tolist()
+        return np.sqrt(_summed(_norm_squared(f))).tolist()

@@ -29,7 +29,7 @@ from .fields import (
     electric_field_analytic,
     magnetic_field_analytic,
 )
-from .su2 import LieElement
+from .su2 import _norm_squared
 
 __all__ = [
     "energy_density",
@@ -166,7 +166,7 @@ def _profile_blocks(sol: FamilySolution, n_samples: int, kappa: float = 0.25):
     def profile():
         start = 0
         for rows in blocks:
-            ey, bx = (LieElement(*u).norm_squared() for u in _field_columns(p, rows))
+            ey, bx = (_norm_squared(u) for u in _field_columns(p, rows))
             # energy_density's rounding: kappa * 2 * (|E_y|^2 + |B_x|^2)
             densities = (kappa * 2.0 * (ey + bx)).tolist()
             block = thetas[start:start + len(densities)].tolist()

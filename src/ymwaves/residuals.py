@@ -22,10 +22,11 @@ the fields module, so the two links together cover the whole derivation.
 
 Both modes run on numpy columns, the points a (4, n) array of t, x, y,
 z. The numeric mode evaluates phi, A, E and B once over the stencil
-block of the points (fields._stencil) and takes every derivative and
-commutator on the columns (_numeric_residuals); Bianchi differentiates
-the field strength over the block of its point. The one-point functions
-are views of these columns and round as a point-by-point evaluation.
+block of the points (fields._stencil) and takes every derivative,
+commutator and norm on the arrays with su2's triple algebra
+(_numeric_residuals); Bianchi differentiates the field strength over the
+block of its point. The one-point functions are views of these columns
+(_residuals_at) and round as a point-by-point evaluation.
 """
 
 from __future__ import annotations
@@ -54,18 +55,16 @@ from .fields import (
     _field_strength_columns,
     _five_point,
     _grid_axis,
-    _point_rows,
     _potential_columns,
-    _potentials,
+    _rows,
     _stacked,
     _stencil,
     _summed,
     _values,
     electric_field_analytic,
     magnetic_field_analytic,
-    vector_potential,
 )
-from .su2 import LieElement, _along_sx, _along_sy_sz, minus_i_commutator
+from .su2 import LieElement, _along_sx, _along_sy_sz, _commutator, _norm_squared
 
 __all__ = [
     "ConstraintVector",
@@ -147,8 +146,8 @@ def _check_mode(mode: str):
 
 # Below, a LieElement of columns is an array of shape (3, n), its sx, sy,
 # sz coefficients first, and a ColorVector one of shape (3, 3, n), the
-# coefficient, then the spatial component. LieElement(*v) and the su2
-# arithmetic on it work on these arrays as they do on floats.
+# coefficient, then the spatial component. The su2 triple algebra
+# (_commutator, _norm_squared) takes these arrays as they are.
 
 # (A x B)_i = A_j B_k - A_k B_j for the cyclic (i, j, k): j and k per i
 _J, _K = [1, 2, 0], [2, 0, 1]
@@ -159,39 +158,34 @@ def _vector_at(v: np.ndarray) -> ColorVector:
     return ColorVector(*(LieElement(*c) for c in v.T.tolist()))
 
 
-def _commutators(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """minus_i_commutator of the LieElements held by two arrays."""
-    return np.array(minus_i_commutator(LieElement(*u), LieElement(*v)).coeffs())
-
-
-def _gauss_commutator(g: float, a: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """-i g (A . E - E . A) from A and E as arrays, summed over the
-    components in order as LieElements would sum them."""
-    terms = g * _commutators(a, e)
-    return 0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2]
-
-
-def _ampere_commutator(g: float, phi: np.ndarray, a: np.ndarray, e: np.ndarray,
-                       b: np.ndarray) -> np.ndarray:
-    """-i g ([phi, E] + A x B + B x A) from phi, A, E and B as arrays."""
+def _commutator_terms(g: float, fields: np.ndarray):
+    """-i g (A . E - E . A), its components summed in order as LieElements
+    would sum them, and -i g ([phi, E] + A x B + B x A), from phi and the
+    components of A, E and B as one array (see _fields_at)."""
+    phi, a, e, b = fields[:, 0], fields[:, 1:4], fields[:, 4:7], fields[:, 7:]
+    terms = g * np.array(_commutator(a, e))
     # -i g (A x B + B x A)_i = g eps_ijk minus_i_commutator(A_j, B_k)
-    cross = g * (_commutators(a[:, _J], b[:, _K]) - _commutators(a[:, _K], b[:, _J]))
-    return cross + g * _commutators(phi[:, None], e)
+    cross = g * (np.array(_commutator(a[:, _J], b[:, _K]))
+                 - np.array(_commutator(a[:, _K], b[:, _J])))
+    return (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2],
+            cross + g * np.array(_commutator(phi[:, None], e)))
+
+
+def _point_fields(p: AnsatzParams, s: SpacetimePoint) -> np.ndarray:
+    """The array of _fields_at at s, from the one-point potentials and closed forms."""
+    phi, a = _potential_columns(p, *_angles(p, s))
+    e, b = electric_field_analytic(p, s), magnetic_field_analytic(p, s)
+    return _stacked([phi, *a, *(c.coeffs() for v in (e, b) for c in v.components())])
 
 
 def gauss_commutator_term(p: AnsatzParams, s: SpacetimePoint) -> LieElement:
     """Exact -i g (A . E - E . A) with the closed-form E; zero at g = 0."""
-    a, e = (_stacked(v.components())
-            for v in (vector_potential(p, s), electric_field_analytic(p, s)))
-    return LieElement(*_gauss_commutator(p.g, a, e).tolist())
+    return LieElement(*_commutator_terms(p.g, _point_fields(p, s))[0].tolist())
 
 
 def ampere_commutator_term(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
     """Exact -i g ([phi, E] + A x B + B x A) with closed-form fields; zero at g = 0."""
-    phi, a = _potentials(p, s)
-    a, e, b = (_stacked(v.components())
-               for v in (a, electric_field_analytic(p, s), magnetic_field_analytic(p, s)))
-    return _vector_at(_ampere_commutator(p.g, _stacked([phi])[:, 0], a, e, b))
+    return _vector_at(_commutator_terms(p.g, _point_fields(p, s))[1])
 
 
 def _fields_at(p: AnsatzParams, rows) -> np.ndarray:
@@ -199,9 +193,8 @@ def _fields_at(p: AnsatzParams, rows) -> np.ndarray:
     (fields._Rows) as one array (3, 10, *shape), shape that of the columns."""
     phi, a = _potential_columns(p, *rows.angles())
     ey, bx = _field_columns(p, rows)
-    zero = LieElement()
-    return _stacked((phi, *a.components(), zero, LieElement(*ey), zero,
-                     LieElement(*bx), zero, zero), rows.theta.shape)
+    zero = (0.0, 0.0, 0.0)
+    return _stacked((phi, *a, zero, ey, zero, bx, zero, zero), rows.theta.shape)
 
 
 def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, h: float, axes: str = "xyzt"):
@@ -221,11 +214,10 @@ def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, h: float, axes: str 
         # d[:, i, mu] = d_mu E_i at the points, then d_mu B_i
         d = _derivative(fields[:, 4:], _five_point, h)
         de, db = d[:, :3], d[:, 3:]
-        here = fields[:, :, 0]
-        phi, a, e, b = here[:, 0], here[:, 1:4], here[:, 4:7], here[:, 7:]
-        gauss = de[:, 0, 1] + de[:, 1, 2] + de[:, 2, 3] + _gauss_commutator(p.g, a, e)
+        gauss_comm, ampere_comm = _commutator_terms(p.g, fields[:, :, 0])
+        gauss = de[:, 0, 1] + de[:, 1, 2] + de[:, 2, 3] + gauss_comm
         curl = db[:, _K, [1 + j for j in _J]] - db[:, _J, [1 + k for k in _K]]
-        ampere = (-1.0 / p.c) * de[:, :, 0] + curl + _ampere_commutator(p.g, phi, a, e, b)
+        ampere = (-1.0 / p.c) * de[:, :, 0] + curl + ampere_comm
     return gauss, ampere
 
 
@@ -234,8 +226,8 @@ def _max_numeric_norm(p: AnsatzParams, coords: np.ndarray, h: float) -> float:
     each summed as residual_sample sums it."""
     gauss, ampere = _numeric_residuals(p, coords, h)
     with np.errstate(all="ignore"):
-        am = LieElement(*ampere).norm_squared()
-        norms = np.sqrt(LieElement(*gauss).norm_squared() + (am[0] + am[1] + am[2]))
+        am = _norm_squared(ampere)
+        norms = np.sqrt(_norm_squared(gauss) + (am[0] + am[1] + am[2]))
     # the built-in max, which treats NaN as the point-by-point route does
     return max(norms.tolist())
 
@@ -254,24 +246,27 @@ def _residual_coefficients(cv: ConstraintVector, cos_th, sin_th, cos_fr, sin_fr)
     )
 
 
-def _analytic_residuals(p: AnsatzParams, s: SpacetimePoint):
-    """Gauss and ampere residuals at s, read off c1..c9."""
-    gauss, ey, ez = _residual_coefficients(_harmonics(*_values(p)), *_angles(p, s))
-    return LieElement(*gauss), ColorVector(LieElement(), LieElement(*ey), LieElement(*ez))
+def _residuals_at(p: AnsatzParams, s: SpacetimePoint, mode: str, h: float, axes="xyzt"):
+    """Gauss and ampere residuals at s, read off c1..c9 in analytic mode;
+    axes as in _numeric_residuals."""
+    _check_mode(mode)
+    if mode == "analytic":
+        gauss, ey, ez = _residual_coefficients(_harmonics(*_values(p)), *_angles(p, s))
+        return LieElement(*gauss), ColorVector(LieElement(), LieElement(*ey), LieElement(*ez))
+    _check_h(h)
+    gauss, ampere = _numeric_residuals(p, _coordinates([s]), h, axes)
+    return LieElement(*gauss[:, 0].tolist()), _vector_at(ampere[:, :, 0])
 
 
-def _max_analytic_norm(p: AnsatzParams, blocks) -> float:
-    """Largest residual_sample norm over blocks of rows (fields._Rows).
-
-    c1..c9 are evaluated once. The norms round as residual_sample's do,
-    so the result equals the max of residual_sample(...).norm over the
-    same points. Raises OverflowError when a norm is not finite.
-    """
-    cv = _harmonics(*_values(p))
+def _max_analytic_norm(cv: ConstraintVector, blocks) -> float:
+    """Largest residual_sample norm over blocks of rows (fields._Rows), read
+    off the configuration's c1..c9, cv. The norms round as residual_sample's
+    do, so the result equals the max of residual_sample(...).norm over the
+    same points. Raises OverflowError when a norm is not finite."""
     worst = -math.inf
     with np.errstate(all="ignore"):
         for rows in blocks:
-            gauss, ey, ez = (LieElement(*u).norm_squared()
+            gauss, ey, ez = (_norm_squared(u)
                              for u in _residual_coefficients(cv, *rows.angles()))
             norms = np.sqrt(gauss + (ey + ez))
             top = float(norms.max())
@@ -284,21 +279,13 @@ def _max_analytic_norm(p: AnsatzParams, blocks) -> float:
 def gauss_residual(p: AnsatzParams, s: SpacetimePoint,
                    mode: str = "analytic", h: float = 1e-4) -> LieElement:
     """Gauss-law residual at one point; a LieElement along Sx for this ansatz."""
-    _check_mode(mode)
-    if mode == "analytic":
-        return _analytic_residuals(p, s)[0]
-    _check_h(h)
-    return LieElement(*_numeric_residuals(p, _coordinates([s]), h, "xyz")[0][:, 0].tolist())
+    return _residuals_at(p, s, mode, h, "xyz")[0]
 
 
 def ampere_residual(p: AnsatzParams, s: SpacetimePoint,
                     mode: str = "analytic", h: float = 1e-4) -> ColorVector:
     """Ampere-law residual at one point, as a ColorVector."""
-    _check_mode(mode)
-    if mode == "analytic":
-        return _analytic_residuals(p, s)[1]
-    _check_h(h)
-    return _vector_at(_numeric_residuals(p, _coordinates([s]), h, "txyz")[1][:, :, 0])
+    return _residuals_at(p, s, mode, h, "txyz")[1]
 
 
 # (mu, nu, ga) of the twelve covariant derivatives D_mu F_nu_ga: for each
@@ -337,10 +324,8 @@ def bianchi_residual(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4,
         d = _derivative(f[..., None], _central, h)[:, nu, ga, mu, 0]
         d = np.where(mu == 0, (1.0 / p.c) * d, d)
         # i g [A_mu, F_nu_ga] = -g * minus_i_commutator(A_mu, F_nu_ga)
-        cov = LieElement(*d) - p.g * minus_i_commutator(LieElement(*here[:, mu, 0]),
-                                                        LieElement(*f[:, nu, ga, 0]))
-        first, second, third = (LieElement(*(c[k::3] for c in cov.coeffs())) for k in range(3))
-        squares = (first + second + third).norm_squared().tolist()
+        cov = d - p.g * np.array(_commutator(here[:, mu, 0], f[:, nu, ga, 0]))
+        squares = _norm_squared(cov[:, 0::3] + cov[:, 1::3] + cov[:, 2::3]).tolist()
     return math.sqrt(_summed([squares]))
 
 
@@ -357,13 +342,7 @@ class ResidualSample:
 def residual_sample(p: AnsatzParams, s: SpacetimePoint,
                     mode: str = "analytic", h: float = 1e-4) -> ResidualSample:
     """Evaluate both residuals at s and bundle them with their joint norm."""
-    _check_mode(mode)
-    if mode == "analytic":
-        ga, am = _analytic_residuals(p, s)
-    else:
-        _check_h(h)
-        gauss, ampere = _numeric_residuals(p, _coordinates([s]), h)
-        ga, am = LieElement(*gauss[:, 0].tolist()), _vector_at(ampere[:, :, 0])
+    ga, am = _residuals_at(p, s, mode, h)
     norm = math.sqrt(ga.norm_squared() + am.norm_squared())
     return ResidualSample(gauss=ga, ampere=am, point=s, norm=norm)
 
@@ -384,7 +363,7 @@ def max_residual_norm(p: AnsatzParams, points,
     _check_mode(mode)
     points = list(points)
     if mode == "analytic":
-        return _max_analytic_norm(p, [_point_rows(p, points)])
+        return _max_analytic_norm(_harmonics(*_values(p)), [_rows(p, _coordinates(points))])
     _check_h(h)
     return _max_numeric_norm(p, _coordinates(points), h)
 

@@ -141,6 +141,29 @@ def test_verify_and_classify_agree_on_static_configurations(config, solves, caps
     assert ("violated static conditions" in report) is not solves
 
 
+@pytest.mark.parametrize("config, lines, verdict", [
+    (["--alpha1", "1", "--alpha4", "1"], ["normalized 0", "normalized 0", "normalized 0"],
+     "VERIFIED\n"),
+    (["--alpha1", "1", "--lambda", "1"], ["normalized 1", "normalized 1", "normalized 0"],
+     "violated static conditions: 1, 2\nNOT VERIFIED\n"),
+], ids=["verified", "violated"])
+def test_verify_prints_the_static_conditions(config, lines, verdict, capsys):
+    code, out, _ = run(["verify", "--k", "0", "--omega", "0", *config], capsys)
+    assert code == (0 if verdict == "VERIFIED\n" else 1)
+    report = out.splitlines()
+    # after the nine constraints, one line per static condition
+    assert report[9:12] == [
+        f"static condition 1: c1 + c2 - c3 at theta = 0 ({lines[0]})",
+        f"static condition 2: c4 + c5 at theta = 0 ({lines[1]})",
+        f"static condition 3: c7 + c8 + c9 at theta = 0 ({lines[2]})",
+    ]
+    assert report[12].startswith("max analytic residual")
+    assert out.endswith("\n" + verdict)
+    # a running wave has no static conditions to print
+    _, wave, _ = run(["verify", "--omega", "0", *config], capsys)
+    assert "static condition" not in wave
+
+
 def test_classify_abelian_z_plane(capsys):
     code, out, _ = run(["classify", "--alpha3", "0.3", "--alpha5", "0.7", "--k", "1"], capsys)
     assert code == 0
@@ -358,13 +381,22 @@ def test_overflow_is_usage_error(extra, capsys):
     assert out == ""  # no partial report
 
 
-@pytest.mark.parametrize("command", ["verify", "classify", "scan"])
-def test_couplings_that_overflow_a_branch_offset_are_usage_errors(command, capsys):
-    family = [] if command == "scan" else ["--family", "III", "--alpha4", "1"]
-    code, out, err = run([command, *family, "--k", "1",
-                          "--omega", "0.5", "--g", "1e-300", "--c", "1e-300"], capsys)
+@pytest.mark.parametrize("argv, message", [
+    *(pytest.param([command, *family, "--k", "1", "--omega", "0.5", "--g", "1e-300",
+                    "--c", "1e-300"], "the III branch offset is not finite", id=command)
+      for command, family in (("verify", ["--family", "III", "--alpha4", "1"]),
+                              ("classify", ["--family", "III", "--alpha4", "1"]),
+                              ("scan", []))),
+    # an infinite coupling is named, not blamed on g and c
+    pytest.param(["verify", "--family", "III", "--omega", "inf", "--alpha4", "1"],
+                 "omega must be finite, got inf", id="verify-omega-inf"),
+    pytest.param(["classify", "--family", "I", "--lambda", "inf", "--alpha4", "1"],
+                 "lambda must be finite, got inf", id="classify-lambda-inf"),
+])
+def test_couplings_that_overflow_a_branch_offset_are_usage_errors(argv, message, capsys):
+    code, out, err = run(argv, capsys)
     assert code == 2
-    assert "error: the III branch offset is not finite" in err
+    assert f"error: {message}" in err
     assert "Traceback" not in err
     assert out == ""
 
@@ -374,6 +406,7 @@ def test_couplings_that_overflow_a_branch_offset_are_usage_errors(command, capsy
     (["--omega", "nan"], "omega must be finite"),
     (["--lambda", "1e308"], "an input is too large"),
     (["--k", "1e200"], "an input is too large"),
+    (["--k", "0"], "phase is frozen at k = omega = 0"),
 ])
 def test_scan_bad_couplings_are_usage_errors(extra, message, capsys):
     with warnings.catch_warnings():
@@ -382,6 +415,12 @@ def test_scan_bad_couplings_are_usage_errors(extra, message, capsys):
     assert code == 2
     assert err.startswith("error: ") and message in err
     assert out == ""
+
+
+def test_scan_runs_at_k_zero_with_a_running_phase(capsys):
+    code, out, err = run(["scan", "--seeds", "3", "--k", "0", "--omega", "1"], capsys)
+    assert code != 2, err
+    assert out.startswith("seed,converged,")
 
 
 @pytest.mark.skipif(shutil.which("ymwaves") is None, reason="entry point not installed")

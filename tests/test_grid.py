@@ -13,7 +13,7 @@ import pytest
 
 import ymwaves.fields
 from ymwaves.cli import main
-from ymwaves.constraints import build_family_i, build_family_ii, classify
+from ymwaves.constraints import build_family_i, build_family_ii, classify, nine_constraints
 from ymwaves.fields import (
     SpacetimePoint,
     _Grid,
@@ -147,4 +147,5 @@ def test_analytic_max_equals_residual_samples(rng):
         want = max(residual_sample(p, s).norm for s in pts)
         assert max_residual_norm(p, pts) == want
         on_grid = max(residual_sample(p, s).norm for s in grid_points(*grid))
-        assert _max_analytic_norm(p, _Grid.from_ranges(*grid).blocks(p)) == on_grid
+        blocks = _Grid.from_ranges(*grid).blocks(p)
+        assert _max_analytic_norm(nine_constraints(p), blocks) == on_grid

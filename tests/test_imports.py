@@ -1,9 +1,11 @@
-"""Every import in src/ and tests/ is used.
+"""Every import in src/ and tests/ is used, and every private name in src/ is read.
 
-No linter ships with the project, so this is the unused-import check: a
-name an import binds must be read somewhere in its module, or be listed
-in the module's __all__ as a re-export. A merge of two code paths tends
-to leave the imports of the one it removed behind.
+No linter ships with the project, so these are the checks: a name an
+import binds must be read somewhere in its module, or be listed in the
+module's __all__ as a re-export; and a private top-level function, class
+or constant of src/ must be read somewhere in src/ outside its own
+definition. A merge of two code paths tends to leave the imports and the
+helpers of the one it removed behind.
 """
 
 import ast
@@ -13,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+SRC = sorted((ROOT / "src").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +45,44 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "import math\nimport os.path\nfrom numpy import array as arr, zeros\nzeros(2)\n"
     assert unused_imports(source) == ["line 1: math", "line 2: os", "line 3: arr"]
+
+
+def _private_definitions(statement) -> list[str]:
+    """The private names a top-level statement defines; dunders are not private."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        targets = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        nodes = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        targets = []
+    return [n for n in targets if n.startswith("_") and not n.endswith("__")]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level names of the given modules (name -> source) that no
+    statement reads, as a name or an attribute, outside the one that
+    defines them. Names are matched across modules by name alone."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            reads.append((statement, {n.id if isinstance(n, ast.Name) else n.attr
+                                      for n in ast.walk(statement)
+                                      if isinstance(n, ast.Attribute)
+                                      or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}))
+            defined += [(module, name, statement) for name in _private_definitions(statement)]
+    return [f"{module}: {name}" for module, name, own in defined
+            if not any(name in names for statement, names in reads if statement is not own)]
+
+
+def test_no_unread_private_names():
+    assert unread_private_names({str(p.relative_to(ROOT)): p.read_text() for p in SRC}) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {
+        "a": "_A, _B = 1, 2\n_C: int = _A\n\ndef _f():\n    return _f()\n\n"
+             "class _K:\n    pass\n\n__all__ = []\n",
+        "b": "import a\n\ndef g():\n    return a._C\n",
+    }
+    assert unread_private_names(sources) == ["a: _B", "a: _f", "a: _K"]

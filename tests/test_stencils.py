@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ymwaves.constraints
 import ymwaves.fields
 import ymwaves.residuals
+import ymwaves.su2
 import scalar_stencils as ref
 from ymwaves.cli import _NUMERIC_POINTS, _parse_grid, build_parser, main
 from ymwaves.constraints import (
@@ -220,6 +222,48 @@ def test_verify_and_the_oracle_build_no_points_but_bianchis(monkeypatch, capsys)
     built.clear()
     oracle_constraints(p)
     assert built == []
+
+
+def test_verify_and_the_oracle_take_the_su2_algebra_on_arrays(monkeypatch, capsys):
+    # the array core runs _commutator and _norm_squared on coefficient
+    # arrays; it wraps no columns in LieElements to borrow their arithmetic
+    def forbidden(*args):
+        raise AssertionError("LieElement or ColorVector arithmetic in the array core")
+    for cls in (ymwaves.su2.LieElement, ymwaves.fields.ColorVector):
+        for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "norm_squared"):
+            monkeypatch.setattr(cls, name, forbidden)
+    for module in (ymwaves.su2, ymwaves.fields, ymwaves.residuals, ymwaves.constraints):
+        if hasattr(module, "minus_i_commutator"):
+            monkeypatch.setattr(module, "minus_i_commutator", forbidden)
+    family_ii = ["--family", "II", "--k", "1.3", "--alpha4", "0.8", "--lambda", "0.4",
+                 "--g", "1.2", "--xi", "-1"]
+    family_iii = ["--family", "III", "--k", "0.7", "--omega", "-1.9", "--alpha4", "1.1",
+                  "--lambda", "-0.3", "--g", "0.8"]
+    for config in (family_ii, family_iii):  # III also checks F on the columns
+        for grid in (DEFAULT_GRID, FINE_GRID):
+            assert main(["verify", *config, "--grid", grid]) == 0
+    capsys.readouterr()
+    oracle_constraints(build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1))
+
+
+def test_verify_evaluates_the_constraints_and_their_scales_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+    harmonics = counted("c1..c9", ymwaves.residuals._harmonics)
+    monkeypatch.setattr(ymwaves.residuals, "_harmonics", harmonics)
+    monkeypatch.setattr(ymwaves.constraints, "_harmonics", harmonics)
+    monkeypatch.setattr(ymwaves.constraints, "_scale_columns",
+                        counted("scales", ymwaves.constraints._scale_columns))
+    for argv in (["--family", "II", "--k", "1.3", "--alpha4", "0.8", "--xi", "-1"],
+                 ["--family", "III", "--k", "0.7", "--omega", "-1.9", "--alpha4", "1.1"],
+                 ["--alpha1", "0.7", "--alpha2", "-1.1", "--alpha4", "0.9", "--k", "1.3",
+                  "--omega", "0.8"]):
+        calls.clear()
+        main(["verify", *argv])
+        assert sorted(calls) == ["c1..c9", "scales"]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("grid", [DEFAULT_GRID, FINE_GRID])
