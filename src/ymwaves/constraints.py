@@ -473,23 +473,33 @@ def _worst_normalized(f, x, couplings):
     return np.max(np.abs(f) / _scale_columns(*x.T, *couplings).T, axis=1)
 
 
-def _within_tol(f, x, couplings, tol):
-    """Rows whose largest normalized constraint is at most tol.
+def _within_tol(couplings, tol):
+    """The stop test at these couplings: a function of a batch's values f
+    and amplitude rows x that marks the rows whose largest normalized
+    constraint is at most tol.
 
     Every monomial magnitude is at most 4 M^5, M the largest of 1 and the
     magnitudes of the amplitudes, lam + 2 g alpha3, k, omega / c and g;
     rows with a constraint above tol times 8 M^5 (room for rounding)
     cannot pass, which spares evaluating the scales until a row nears
-    its root.
+    its root. The couplings' part of M is taken once, here.
     """
     lam, k, omega, g, c = couplings
-    m = np.maximum(np.abs(x).max(axis=1), np.abs(lam + 2.0 * g * x[:, 2]))
-    m = np.maximum(m, max(1.0, abs(k), abs(omega / c), abs(g)))
-    near = np.flatnonzero(np.abs(f).max(axis=1) <= tol * 8.0 * m ** 5)
-    out = np.zeros(len(x), dtype=bool)
-    if near.size:
-        out[near] = _worst_normalized(f[near], x[near], couplings) <= tol
-    return out
+    floor, two_g, bound = max(1.0, abs(k), abs(omega / c), abs(g)), 2.0 * g, tol * 8.0
+
+    def within(f, x):
+        m = np.maximum(np.maximum(np.abs(x).max(axis=1), np.abs(lam + two_g * x[:, 2])), floor)
+        near = np.abs(f).max(axis=1) <= bound * m ** 5
+        if near.any():
+            near[near] = _worst_normalized(f[near], x[near], couplings) <= tol
+        return near
+    return within
+
+
+def _norms(a):
+    """The Euclidean norm of every row of a, as np.linalg.norm(a, axis=1)
+    computes it, without its dispatch."""
+    return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
 # the ten central-difference points: +d then -d along each amplitude
@@ -510,25 +520,39 @@ def _value_and_jacobian(x, couplings):
     return f[:, 0], ((f[:, 1::2] - f[:, 2::2]) / (2.0 * d)[:, :, None]).transpose(0, 2, 1)
 
 
+# R's entries among the top five rows of a factored (9, 6) matrix
+_UPPER = np.triu(np.ones((5, 6), dtype=bool))
+
+
+def _top_of_r(a):
+    """The top five rows of R in the QR factorization of every (9, 6)
+    matrix of a, bit for bit np.linalg.qr(a, mode="r")[:, :5]: the raw mode
+    runs the same LAPACK factorization and leaves R in its upper triangle,
+    read off here through one fixed mask where mode="r" builds one with
+    triu on every call."""
+    h = np.linalg.qr(a, mode="raw")[0]
+    return np.where(_UPPER, h.transpose(0, 2, 1)[:, :5], 0.0)
+
+
 def _step(jac, f):
     """The least-squares Newton step -pinv(J) f of every row, (n, 9, 5) and
     (n, 9) -> (n, 5).
 
-    One R-only QR of [J | f] gives R, the top 5 x 5 block, and Q^T f, the
-    top of the last column; the step is -R^-1 Q^T f. ||R||_F ||R^-1||_F
-    bounds sigma_max / sigma_min from above, by at most 5 times, so every
-    row whose smallest singular value pinv would cut at _RCOND takes
-    pinv's minimum-norm step instead. The diagonal of R alone bounds
-    nothing without pivoting.
+    One QR of [J | f] gives R, the top 5 x 5 block, and Q^T f, the top of
+    the last column; the step is -R^-1 Q^T f, R^-1 from np.linalg.inv.
+    ||R||_F ||R^-1||_F bounds sigma_max / sigma_min from above, by at most
+    5 times, so every row whose smallest singular value pinv would cut at
+    _RCOND takes pinv's minimum-norm step instead. The diagonal of R alone
+    bounds nothing without pivoting.
     """
-    r = np.linalg.qr(np.concatenate([jac, f[:, :, None]], axis=2), mode="r")
-    rj = r[:, :5, :5]
+    r = _top_of_r(np.concatenate([jac, f[:, :, None]], axis=2))
+    rj = r[:, :, :5]
     # an exactly zero pivot would stop the inversion; such rows fall back
     singular = ~(np.abs(np.diagonal(rj, axis1=1, axis2=2)).min(axis=1) > 0.0)
     if singular.any():
         rj = np.where(singular[:, None, None], np.eye(5), rj)
     inv = np.linalg.inv(rj)
-    step = -(inv @ r[:, :5, 5:])[:, :, 0]
+    step = -(inv @ r[:, :, 5:])[:, :, 0]
     kappa2 = np.einsum("nij,nij->n", rj, rj) * np.einsum("nij,nij->n", inv, inv)
     cut = singular | ~(kappa2 * _RCOND ** 2 < 1.0)
     if cut.any():
@@ -541,48 +565,61 @@ def _newton(x0, couplings):
 
     Returns the final rows, the iterations each took and their largest
     normalized constraint. A row stops when it converges to _TOL (counting
-    the iterations completed before), when its line search fails or its
-    norm passes 1e8 (counting the current one), or at _MAX_ITER. Raises
-    OverflowError when the constraints are not finite at x0.
+    the iterations completed before), when its Jacobian overflows, its
+    line search fails or its norm passes 1e8 (counting the current one),
+    or at _MAX_ITER. Raises OverflowError when the constraints are not
+    finite at x0.
+
+    The rows still iterating are the working set: their amplitudes, values,
+    value norms and Jacobians sit in working arrays, which are written out
+    and compacted only in an iteration where a row stops. Every row tries
+    the full step at once; only the rows it does not improve backtrack.
+    Rows never interact, so each comes out as it would alone.
     """
-    x = np.array(x0, dtype=float)
-    iters = np.full(len(x), _MAX_ITER)
+    xw = np.array(x0, dtype=float)
+    x, f = np.empty_like(xw), np.empty((len(xw), 9))
+    iters = np.full(len(xw), _MAX_ITER)
+    within = _within_tol(couplings, _TOL)
     with np.errstate(all="ignore"):
-        fx, jac = _value_and_jacobian(x, couplings)
-        if not np.isfinite(fx).all():
+        fw, jw = _value_and_jacobian(xw, couplings)
+        if not np.isfinite(fw).all():
             raise OverflowError("the constraints overflow at the starting amplitudes")
-        live = np.arange(len(x))
+        nw = _norms(fw)
+        rows = np.arange(len(xw))  # where each working row goes in x
+        failed = np.zeros(len(xw), dtype=bool)  # stopped by the last iteration
         for it in range(1, _MAX_ITER + 1):
-            done = _within_tol(fx[live], x[live], couplings, _TOL)
-            iters[live[done]] = it - 1
-            live = live[~done]
-            if not live.size:
-                break
-            xa, fa, ja = x[live], fx[live], jac[live]
-            # a row whose Jacobian overflowed stops here, unconverged
-            ok = np.isfinite(ja).all(axis=(1, 2))
-            step = np.zeros_like(xa)
-            step[ok] = _step(ja[ok], fa[ok])
-            base = np.linalg.norm(fa, axis=1)
-            accepted = np.zeros(len(live), dtype=bool)
-            t = np.ones(len(live))
-            trying = np.flatnonzero(ok)
-            while trying.size:
-                trial = xa[trying] + t[trying, None] * step[trying]
-                ftrial, jtrial = _value_and_jacobian(trial, couplings)
-                better = (np.linalg.norm(ftrial, axis=1)
-                          < (1.0 - 1e-4 * t[trying]) * base[trying])
+            # a stopped or converged row completed it - 1 iterations; one
+            # whose Jacobian overflowed stops in this one, unconverged
+            stop = failed | within(fw, xw)
+            go = ~stop & np.isfinite(jw).all(axis=(1, 2))
+            if not go.all():
+                out = rows[~go]
+                iters[out] = it - stop[~go]
+                x[out], f[out] = xw[~go], fw[~go]
+                rows, xw, fw, nw, jw = rows[go], xw[go], fw[go], nw[go], jw[go]
+                if not rows.size:
+                    break
+            step = _step(jw, fw)
+            xt = xw + step
+            ft, jt = _value_and_jacobian(xt, couplings)
+            nt = _norms(ft)
+            failed = ~(nt < (1.0 - 1e-4) * nw)
+            trying, t = np.flatnonzero(failed), 0.5
+            while trying.size and t >= 2.0 ** -24:
+                xb = xw[trying] + t * step[trying]
+                fb, jb = _value_and_jacobian(xb, couplings)
+                nb = _norms(fb)
+                better = nb < (1.0 - 1e-4 * t) * nw[trying]
                 won = trying[better]
-                xa[won], fa[won], ja[won] = trial[better], ftrial[better], jtrial[better]
-                accepted[won] = True
-                trying = trying[~better]
-                t[trying] *= 0.5
-                trying = trying[t[trying] >= 2.0 ** -24]
-            x[live], fx[live], jac[live] = xa, fa, ja
-            stop = ~accepted | (np.linalg.norm(xa, axis=1) > 1e8)
-            iters[live[stop]] = it
-            live = live[~stop]
-        worst = _worst_normalized(fx, x, couplings)
+                xt[won], ft[won], nt[won], jt[won] = xb[better], fb[better], nb[better], jb[better]
+                failed[won] = False
+                trying, t = trying[~better], 0.5 * t
+            if trying.size:  # a row that found no descent stops where it was
+                xt[trying], ft[trying] = xw[trying], fw[trying]
+            xw, fw, nw, jw = xt, ft, nt, jt
+            failed |= _norms(xw) > 1e8
+        x[rows], f[rows] = xw, fw
+        worst = _worst_normalized(f, x, couplings)
     return x, iters, worst
 
 
@@ -593,11 +630,13 @@ def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float,
     The five amplitudes are the unknowns; lam, k, omega, g, c stay fixed
     and must be finite with g and c nonzero. The Jacobian is taken by
     central differences, and each step is the least-squares solution from
-    an R-only QR of [J | f], or pinv's minimum-norm step where J is rank
+    one QR of [J | f], or pinv's minimum-norm step where J is rank
     deficient to _RCOND; it is halved until the residual norm decreases.
     _TOL runs to the rounding floor because near junctions of solution
-    branches the constraints vanish quadratically in distance, and
-    stopping early would leave roots far from every pattern.
+    branches the constraints vanish quadratically or cubically in
+    distance (double or triple roots, where Newton converges only
+    linearly), and stopping early would leave roots far from every
+    pattern.
     Divergent iterations report converged=False and are meant to be
     discarded by the caller. Raises OverflowError when the constraints
     overflow at alphas0.
@@ -650,11 +689,11 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
     Successful roots within _SNAP_TOL of a branch are polished onto its
     exact parametrization, which is accepted only when it satisfies the
     constraints at least as well as _SUCCESS_TOL. The polish matters near
-    branch junctions, where the constraints vanish cubically in the
-    offset and Newton floors about a cube root of machine epsilon away
-    from every branch. Roots that no branch explains at _SNAP_TOL keep
-    their raw amplitudes and the label 'none', which would falsify the
-    catalogue.
+    branch junctions, where the constraints vanish quadratically or
+    cubically in the offset and Newton floors up to a square or a cube
+    root of machine epsilon away from every branch. Roots that no branch
+    explains at _SNAP_TOL keep their raw amplitudes and the label 'none',
+    which would falsify the catalogue.
 
     Raises ValueError for non-finite couplings, g = 0, c = 0 or a frozen
     phase k = omega = 0 before any Newton work, and OverflowError when the

@@ -111,9 +111,23 @@ class ConstraintVector(NamedTuple):
         return float(np.max(np.abs(self.as_array())))
 
 
+# the atoms of c1..c9 by name, in the order _atoms returns them
+_ATOM_NAMES = ("alpha1", "alpha2", "lambda + 2 g alpha3", "alpha4", "alpha5", "k", "omega / c",
+               "g")
+
+
 def _harmonics(*values) -> ConstraintVector:
-    """c1..c9 at the closed forms' arguments (fields._values), floats or columns."""
-    return _polynomials(*_atoms(*values))
+    """c1..c9 at the closed forms' arguments (fields._values), floats or
+    columns. A column overflows to inf; a float atom whose square
+    overflows raises OverflowError, which names it."""
+    atoms = _atoms(*values)
+    try:
+        return _polynomials(*atoms)
+    except OverflowError:  # float ** reports only errno 34
+        big = [f"{name} = {a!r}" for name, a in zip(_ATOM_NAMES, atoms)
+               if type(a) is float and math.isinf(a * a)]
+        raise OverflowError(f"squaring {' and '.join(big)} overflows in the constraints "
+                            "c1..c9") from None
 
 
 def _atoms(a1, a2, a3, a4, a5, lam, k, omega, g, c):

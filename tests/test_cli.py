@@ -402,18 +402,36 @@ def test_couplings_that_overflow_a_branch_offset_are_usage_errors(argv, message,
 
 
 @pytest.mark.parametrize("extra, message", [
-    (["--g", "0"], "g must be nonzero"),
-    (["--omega", "nan"], "omega must be finite"),
-    (["--lambda", "1e308"], "an input is too large"),
-    (["--k", "1e200"], "an input is too large"),
-    (["--k", "0"], "phase is frozen at k = omega = 0"),
-])
+    (["--g", "0"], "g must be nonzero: the branch patterns divide by it"),
+    (["--omega", "nan"], "omega must be finite, got nan"),
+    (["--lambda", "1e308"],
+     "an input is too large: the constraints overflow at the starting amplitudes"),
+    (["--k", "1e200"], "an input is too large: squaring k = 1e+200 and omega / c = 1e+200 "
+                       "overflows in the constraints c1..c9"),
+    (["--k", "0"], "phase is frozen at k = omega = 0; the scan needs a wave"),
+], ids=lambda value: re.split("[:;,]", value)[0] if isinstance(value, str) else None)
 def test_scan_bad_couplings_are_usage_errors(extra, message, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning would reach stderr
         code, out, err = run(["scan", "--seeds", "3", *extra], capsys)
     assert code == 2
-    assert err.startswith("error: ") and message in err
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "classify", "scan", "energy-profile"])
+@pytest.mark.parametrize("extra, names", [
+    (["--k", "1e200"], "k = 1e+200 and omega / c = 1e+200"),
+    (["--g", "1e160"], "g = 1e+160"),
+])
+def test_a_coupling_whose_square_overflows_is_named(command, extra, names, capsys):
+    config = ["--seeds", "3"] if command == "scan" else ["--family", "I", "--alpha4", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run([command, *config, *extra], capsys)
+    assert code == 2
+    assert err == (f"error: an input is too large: squaring {names} overflows in the "
+                   "constraints c1..c9\n")
     assert out == ""
 
 

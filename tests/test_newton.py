@@ -1,15 +1,21 @@
-"""The batched Newton core: the fused value and Jacobian, the QR step, and
-the convergence test."""
+"""The batched Newton core: the fused value and Jacobian, the QR step, the
+convergence test, and the working set that batches rows."""
+
+import math
 
 import numpy as np
-from hypothesis import example, given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ymwaves.constraints import (
     _RCOND,
+    _TOL,
     _constraint_rows,
+    _newton,
     _scale_columns,
     _step,
+    _top_of_r,
     _value_and_jacobian,
     _within_tol,
     _worst_normalized,
@@ -74,6 +80,20 @@ def test_qr_step_matches_pinv_on_full_rank_rows():
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want).max(axis=1, keepdims=True))
 
 
+@pytest.mark.parametrize("n", [1, 6, 64])
+def test_r_from_the_raw_factorization_is_numpys_r(n):
+    rng = np.random.default_rng(n)
+    random = rng.normal(size=(n, 9, 6)) * 10.0 ** rng.integers(-6, 7, size=(n, 1, 6))
+    deficient = random.copy()
+    deficient[:, :, 3] = deficient[:, :, 1]  # a duplicated column
+    deficient[::2, :, 4] = 2.0 * deficient[::2, :, 0] - deficient[::2, :, 2]  # a combination
+    zero = random.copy()
+    zero[:, :, rng.integers(0, 6, size=n)] = 0.0
+    zero[:, :, 0] = 0.0  # a zero first column, where LAPACK's reflector is the identity
+    for a in (random, deficient, zero):
+        assert _hex(_top_of_r(a)) == _hex(np.linalg.qr(a, mode="r")[:, :5])
+
+
 def test_rank_deficient_rows_take_the_pinv_step_exactly():
     rng = np.random.default_rng(8)
     jac = rng.normal(size=(5, 9, 5))
@@ -109,4 +129,51 @@ def test_prefilter_turns_away_only_failing_rows(rows, cpl, tol):
     # with the full normalized check
     x, u, sign = rows[:, :5], rows[:, 5], np.where(rows[:, 6] > 0.0, 1.0, -1.0)
     f = tol * _scale_columns(*x.T, *cpl).T * (u * sign)[:, None]
-    assert np.array_equal(_within_tol(f, x, cpl, tol), _worst_normalized(f, x, cpl) <= tol)
+    assert np.array_equal(_within_tol(cpl, tol)(f, x), _worst_normalized(f, x, cpl) <= tol)
+
+
+# At lam = sqrt of the largest float (as in test_refine_overflow) every
+# way a row stops has a start: the vacuum converges at once, (1, 0, 0, 0, 0)
+# overflows its Jacobian, (0.5, 0, 0, 0, 0) finds no descent, and
+# (0, 0, 0, 1e9, 1e9) starts past norm 1e8.
+_HUGE_LAM = math.sqrt(np.finfo(float).max * (1.0 - 5e-8))
+_STOPS = [(0.0, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0, 0.0),
+          (0.0, 0.0, 0.0, 1e9, 1e9)]
+# At k = omega = 1e30 rows of order 1 converge, some of order 3e7 fail
+# their line search, and rows of order 1e20 pass norm 1e8
+_WIDE = (0.0, 1e30, 1e30, 1.0, 1.0)
+_ORDERS = [1.0, 3e7, 1e20]
+
+
+def _batch_matches_each_row_alone(x0, cpl):
+    x, iters, worst = _newton(x0, cpl)
+    for i in range(len(x0)):
+        xi, it_i, worst_i = _newton(x0[i:i + 1], cpl)
+        assert _hex(x[i]) == _hex(xi[0])
+        assert (iters[i], _hex(worst[i])) == (it_i[0], _hex(worst_i[0]))
+    return x, iters, worst
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(
+    st.tuples(st.lists(st.sampled_from(_STOPS), min_size=1, max_size=8).map(np.array),
+              st.just((_HUGE_LAM, 1.0, 1.0, 1.0, 1.0))),
+    st.tuples(st.lists(st.tuples(*[value] * 5, st.sampled_from(_ORDERS)), min_size=1, max_size=8)
+              .map(lambda r: np.array(r)[:, :5] * np.array(r)[:, 5:]), st.just(_WIDE)),
+    st.tuples(rows, st.sampled_from([(0.0, 1.0, 2.0, 1.0, 1.0), (-0.7, 1.3, 1.3, 1.6, 1.0)]))))
+def test_batching_never_changes_a_row(batch):
+    x0, cpl = batch
+    _batch_matches_each_row_alone(x0, cpl)
+
+
+def test_one_batch_holds_every_way_to_stop():
+    cpl = (_HUGE_LAM, 1.0, 1.0, 1.0, 1.0)
+    x0 = np.array(_STOPS * 2)
+    x, iters, worst = _batch_matches_each_row_alone(x0, cpl)
+    assert worst[0] <= _TOL and iters[0] == 0  # converged before any step
+    assert np.all(worst[1:4] > _TOL) and np.all(iters[1:4] == 1)  # stopped in the first
+    assert np.array_equal(x[1:3], x0[1:3])  # unmoved: no step, or no descent
+    with np.errstate(all="ignore"):
+        jac = _value_and_jacobian(x0[1:3], cpl)[1]
+    assert np.isfinite(jac).all(axis=(1, 2)).tolist() == [False, True]
+    assert np.linalg.norm(x[3]) > 1e8
