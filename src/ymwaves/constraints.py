@@ -436,6 +436,7 @@ _MAX_ITER = 120
 _SPREAD = 3.0
 _SUCCESS_TOL = 1e-8
 _SNAP_TOL = 1e-3
+_SNAP_STOP = 1e-9  # where the scan's Newton first stops to snap
 # Seeds drawn and refined together. Rows never interact, so this only
 # bounds the working arrays; it cannot change any output.
 _BLOCK = 512
@@ -475,8 +476,8 @@ def _worst_normalized(f, x, couplings):
 
 def _within_tol(couplings, tol):
     """The stop test at these couplings: a function of a batch's values f
-    and amplitude rows x that marks the rows whose largest normalized
-    constraint is at most tol.
+    and amplitude rows x that returns each row's largest normalized
+    constraint where it may be at most tol, and nan where it cannot.
 
     Every monomial magnitude is at most 4 M^5, M the largest of 1 and the
     magnitudes of the amplitudes, lam + 2 g alpha3, k, omega / c and g;
@@ -490,9 +491,10 @@ def _within_tol(couplings, tol):
     def within(f, x):
         m = np.maximum(np.maximum(np.abs(x).max(axis=1), np.abs(lam + two_g * x[:, 2])), floor)
         near = np.abs(f).max(axis=1) <= bound * m ** 5
+        worst = np.full(len(x), np.nan)
         if near.any():
-            near[near] = _worst_normalized(f[near], x[near], couplings) <= tol
-        return near
+            worst[near] = _worst_normalized(f[near], x[near], couplings)
+        return worst
     return within
 
 
@@ -560,26 +562,31 @@ def _step(jac, f):
     return step
 
 
-def _newton(x0, couplings):
+def _newton(x0, couplings, tol=_TOL, budget=None):
     """Damped least-squares Newton on every amplitude row of x0 at once.
 
     Returns the final rows, the iterations each took and their largest
-    normalized constraint. A row stops when it converges to _TOL (counting
+    normalized constraint. A row stops when it converges to tol (counting
     the iterations completed before), when its Jacobian overflows, its
     line search fails or its norm passes 1e8 (counting the current one),
-    or at _MAX_ITER. Raises OverflowError when the constraints are not
-    finite at x0.
+    or when it has used its budget, _MAX_ITER iterations or one count per
+    row. Only scan_families sets tol and budget (see there). Raises
+    OverflowError when the constraints are not finite at x0.
 
     The rows still iterating are the working set: their amplitudes, values,
     value norms and Jacobians sit in working arrays, which are written out
     and compacted only in an iteration where a row stops. Every row tries
     the full step at once; only the rows it does not improve backtrack.
-    Rows never interact, so each comes out as it would alone.
+    A row leaves with the largest normalized constraint its last stop
+    test computed; the scales are evaluated at the end only for the rows
+    whose test the prefilter of _within_tol turned away. Rows never
+    interact, so each comes out as it would alone.
     """
     xw = np.array(x0, dtype=float)
+    budget = np.broadcast_to(_MAX_ITER if budget is None else budget, len(xw))
     x, f = np.empty_like(xw), np.empty((len(xw), 9))
-    iters = np.full(len(xw), _MAX_ITER)
-    within = _within_tol(couplings, _TOL)
+    iters, worst = np.empty(len(xw), dtype=int), np.full(len(xw), np.nan)
+    within = _within_tol(couplings, tol)
     with np.errstate(all="ignore"):
         fw, jw = _value_and_jacobian(xw, couplings)
         if not np.isfinite(fw).all():
@@ -587,15 +594,16 @@ def _newton(x0, couplings):
         nw = _norms(fw)
         rows = np.arange(len(xw))  # where each working row goes in x
         failed = np.zeros(len(xw), dtype=bool)  # stopped by the last iteration
-        for it in range(1, _MAX_ITER + 1):
-            # a stopped or converged row completed it - 1 iterations; one
-            # whose Jacobian overflowed stops in this one, unconverged
-            stop = failed | within(fw, xw)
+        for it in range(1, int(budget.max()) + 2):
+            # a stopped, converged or spent row completed it - 1
+            # iterations; one whose Jacobian overflowed stops in this one
+            ww = within(fw, xw)
+            stop = failed | (ww <= tol) | (budget[rows] < it)
             go = ~stop & np.isfinite(jw).all(axis=(1, 2))
             if not go.all():
                 out = rows[~go]
                 iters[out] = it - stop[~go]
-                x[out], f[out] = xw[~go], fw[~go]
+                x[out], f[out], worst[out] = xw[~go], fw[~go], ww[~go]
                 rows, xw, fw, nw, jw = rows[go], xw[go], fw[go], nw[go], jw[go]
                 if not rows.size:
                     break
@@ -618,8 +626,9 @@ def _newton(x0, couplings):
                 xt[trying], ft[trying] = xw[trying], fw[trying]
             xw, fw, nw, jw = xt, ft, nt, jt
             failed |= _norms(xw) > 1e8
-        x[rows], f[rows] = xw, fw
-        worst = _worst_normalized(f, x, couplings)
+        todo = np.isnan(worst)
+        if todo.any():
+            worst[todo] = _worst_normalized(f[todo], x[todo], couplings)
     return x, iters, worst
 
 
@@ -675,6 +684,30 @@ class ScanRow(NamedTuple):
     iterations: int
 
 
+def _snap(x, worst, couplings):
+    """The scan's snap of every amplitude row of x with largest normalized
+    constraint worst: a row at most _SUCCESS_TOL whose nearest branch lies
+    within _SNAP_TOL moves onto it when the point there is at most
+    _SUCCESS_TOL too. Writes the snapped points and their worst into x and
+    worst; returns each row's branch label ('' where it did not snap) and
+    its distance to the nearest branch (inf where worst is above
+    _SUCCESS_TOL)."""
+    labels = np.full(len(x), "", dtype=object)
+    dist = np.full(len(x), math.inf)
+    ok = np.flatnonzero(worst <= _SUCCESS_TOL)
+    with np.errstate(all="ignore"):
+        best, points, dist[ok] = _nearest(x[ok], couplings)
+        near = np.flatnonzero(dist[ok] <= _SNAP_TOL)
+        snapped = _worst_normalized(_constraint_rows(points[near], couplings),
+                                    points[near], couplings)
+        passed = snapped <= _SUCCESS_TOL
+        kept = near[passed]  # positions among the rows at most _SUCCESS_TOL
+        x[ok[kept]], worst[ok[kept]] = points[kept], snapped[passed]
+        labels[ok[kept]] = _LABELS[best[kept]]
+        dist[ok[kept]] = _nearest(x[ok[kept]], couplings)[2]
+    return labels, dist
+
+
 def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
                   omega: Optional[float] = None, g: float = 1.0, c: float = 1.0) -> list[ScanRow]:
     """Random-seed search for solutions of the nine constraints.
@@ -682,18 +715,29 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
     Seeds are drawn from numpy's default_rng(seed), five uniform values
     in [-_SPREAD, _SPREAD] per row in row order, so output is reproducible
     per version. omega defaults to k c. All seeds are Newton-refined
-    together, each exactly as refine_alphas would refine it alone; a
-    root counts as successful when every normalized constraint is below
-    _SUCCESS_TOL.
+    together; a root counts as successful when every normalized
+    constraint is below _SUCCESS_TOL.
 
     Successful roots within _SNAP_TOL of a branch are polished onto its
     exact parametrization, which is accepted only when it satisfies the
     constraints at least as well as _SUCCESS_TOL. The polish matters near
     branch junctions, where the constraints vanish quadratically or
-    cubically in the offset and Newton floors up to a square or a cube
+    cubically in the offset (double and triple roots, where Newton
+    converges only linearly) and Newton floors up to a square or a cube
     root of machine epsilon away from every branch. Roots that no branch
     explains at _SNAP_TOL keep their raw amplitudes and the label 'none',
     which would falsify the catalogue.
+
+    So Newton first stops at _SNAP_STOP, where a root is already near
+    enough to snap, and the snap runs once. Only the rows it leaves that
+    stopped at that test with iterations to spare resume, in one more
+    Newton at refine_alphas' _TOL with the iterations they used counted
+    against _MAX_ITER, and are snapped again. A row's Newton state is its
+    amplitudes alone, so a resumed row continues its trajectory bit for
+    bit: every row no branch explains, and every unconverged row, is
+    exactly refine_alphas from its start. The iterations column counts up
+    to the stop whose root was labelled, the loose one for a row snapped
+    there.
 
     Raises ValueError for non-finite couplings, g = 0, c = 0 or a frozen
     phase k = omega = 0 before any Newton work, and OverflowError when the
@@ -711,21 +755,21 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
     rows = []
     for lo in range(0, n_seeds, _BLOCK):
         starts = rng.uniform(-_SPREAD, _SPREAD, size=(min(_BLOCK, n_seeds - lo), 5))
-        x, iters, worst = _newton(starts, couplings)
+        x, iters, worst = _newton(starts, couplings, _SNAP_STOP)
+        labels, dist = _snap(x, worst, couplings)
+        # the rows the loose test stopped that no branch explains: a row
+        # that failed its line search stopped where that test had turned
+        # it away, one past norm 1e8 stopped failed whatever the test
+        # said, and one whose Jacobian overflowed as it passed stops in
+        # its resumed first iteration, counted as refine_alphas counts it
+        resume = np.flatnonzero((labels == "") & (worst > _TOL) & (worst <= _SNAP_STOP)
+                                & (iters < _MAX_ITER) & (_norms(x) <= 1e8))
+        if resume.size:
+            xr, more, wr = _newton(x[resume], couplings, _TOL, _MAX_ITER - iters[resume])
+            labels[resume], dist[resume] = _snap(xr, wr, couplings)
+            x[resume], iters[resume], worst[resume] = xr, iters[resume] + more, wr
         converged = worst <= _SUCCESS_TOL
-        ok = np.flatnonzero(converged)
-        labels = np.where(converged, "none", "").astype(object)
-        dist = np.full(len(x), math.inf)
-        with np.errstate(all="ignore"):
-            best, points, dist[ok] = _nearest(x[ok], couplings)
-            near = np.flatnonzero(dist[ok] <= _SNAP_TOL)
-            snapped = _worst_normalized(_constraint_rows(points[near], couplings),
-                                        points[near], couplings)
-            passed = snapped <= _SUCCESS_TOL
-            kept = near[passed]  # positions among the converged rows
-            x[ok[kept]], worst[ok[kept]] = points[kept], snapped[passed]
-            labels[ok[kept]] = _LABELS[best[kept]]
-            dist[ok[kept]] = _nearest(x[ok[kept]], couplings)[2]
+        labels[converged & (labels == "")] = "none"
         rows += [ScanRow(seed_index=lo + j, initial=tuple(start), alphas=tuple(a),
                          converged=bool(conv), max_constraint=float(w), label=label,
                          distance=float(d), iterations=int(n))

@@ -388,6 +388,19 @@ def _scales(p: AnsatzParams):
     return freq, amp
 
 
+def _power(name: str, base: float, n: int, budget: str) -> float:
+    """base ** n in an error budget. A float ** that overflows reports only
+    errno 34, so the OverflowError is raised again naming the step."""
+    try:
+        return base ** n
+    except OverflowError:
+        raise OverflowError(f"raising {name} = {base!r} to the power {n} overflows in the "
+                            f"{budget}") from None
+
+
+_FREQ = "the frequency scale max(1, |k|, |omega / c|, |lambda|)"
+
+
 def residual_allowance(p: AnsatzParams, h: float) -> float:
     """Error budget for the numeric residual modes at step h.
 
@@ -400,7 +413,9 @@ def residual_allowance(p: AnsatzParams, h: float) -> float:
     _check_h(h)
     freq, amp = _scales(p)
     field_scale = amp * freq * (1.0 + abs(p.g) * amp)
-    truncation = 0.3 * field_scale * freq ** 5 * h ** 4
+    budget = "numeric residual allowance"
+    truncation = (0.3 * field_scale * _power(_FREQ, freq, 5, budget)
+                  * _power("h", h, 4, budget))
     roundoff = 3.0 * 2.3e-16 * field_scale / h * max(1.0, 1.0 / abs(p.c))
     return truncation + roundoff
 
@@ -419,8 +434,10 @@ def bianchi_allowance(p: AnsatzParams, h: float) -> float:
     _check_h(h)
     freq, amp = _scales(p)
     poly = amp * (1.0 + abs(p.g) * amp)
-    truncation = 0.15 * poly * freq ** 4 * h ** 2
-    roundoff = 3.0 * 2.3e-16 * poly / h ** 2 * max(1.0, 1.0 / abs(p.c))
+    budget = "Bianchi allowance"
+    h2 = _power("h", h, 2, budget)
+    truncation = 0.15 * poly * _power(_FREQ, freq, 4, budget) * h2
+    roundoff = 3.0 * 2.3e-16 * poly / h2 * max(1.0, 1.0 / abs(p.c))
     return truncation + roundoff
 
 
@@ -435,6 +452,7 @@ def field_strength_allowance(p: AnsatzParams, h: float) -> float:
     """
     _check_h(h)
     freq, amp = _scales(p)
-    truncation = 0.5 * amp * freq ** 3 * h ** 2
+    budget = "field-strength allowance"
+    truncation = 0.5 * amp * _power(_FREQ, freq, 3, budget) * _power("h", h, 2, budget)
     roundoff = 3.0 * 2.3e-16 * amp * freq / h
     return truncation + roundoff

@@ -435,6 +435,21 @@ def test_a_coupling_whose_square_overflows_is_named(command, extra, names, capsy
     assert out == ""
 
 
+@pytest.mark.parametrize("extra, step", [
+    (["--h", "1e300"], "h = 1e+300 to the power 4"),
+    (["--k", "1e70"], "the frequency scale max(1, |k|, |omega / c|, |lambda|) = 1e+70 "
+                      "to the power 5"),
+])
+def test_a_budget_power_that_overflows_is_named(extra, step, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["verify", "--family", "I", "--alpha4", "1", *extra], capsys)
+    assert code == 2
+    assert err == (f"error: an input is too large: raising {step} overflows in the "
+                   "numeric residual allowance\n")
+    assert out == ""
+
+
 def test_scan_runs_at_k_zero_with_a_running_phase(capsys):
     code, out, err = run(["scan", "--seeds", "3", "--k", "0", "--omega", "1"], capsys)
     assert code != 2, err

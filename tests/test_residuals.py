@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -245,3 +246,18 @@ def test_residual_allowance_covers_small_wave_speeds(c):
 def test_allowances_reject_steps_whose_square_underflows(allowance, h):
     with pytest.raises(ValueError, match="step h"):
         allowance(build_family_i(k=1.0, alpha4=1.0, lam=0.0, g=1.0), h)
+
+
+@pytest.mark.parametrize("allowance, n, budget", [
+    (residual_allowance, 4, "numeric residual allowance"),
+    (bianchi_allowance, 2, "Bianchi allowance"),
+    (field_strength_allowance, 2, "field-strength allowance"),
+])
+def test_allowances_name_the_power_that_overflows(allowance, n, budget):
+    p = build_family_i(k=1.0, alpha4=1.0, lam=0.0, g=1.0)
+    with pytest.raises(OverflowError) as info:
+        allowance(p, 1e300)
+    assert str(info.value) == f"raising h = 1e+300 to the power {n} overflows in the {budget}"
+    scale = "the frequency scale max(1, |k|, |omega / c|, |lambda|) = 1e+200"
+    with pytest.raises(OverflowError, match=re.escape(f"raising {scale} to the power")):
+        allowance(replace(p, lam=1e200), 1e-4)
