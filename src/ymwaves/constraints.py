@@ -16,7 +16,9 @@ branch_projection and the scan's snap all read the branches from it.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -26,11 +28,17 @@ from .fields import (
     AnsatzParams,
     _check_h,
     _fields_vanish,
-    _Magnitude,
     _require_finite,
     _values,
 )
-from .residuals import ConstraintVector, _atoms, _harmonics, _numeric_residuals, _polynomials
+from .residuals import (
+    _ATOM_NAMES,
+    ConstraintVector,
+    _harmonics,
+    _numeric_residuals,
+    _polynomials,
+    _squares_overflow,
+)
 from .su2 import _frame_coeffs
 
 __all__ = [
@@ -66,21 +74,128 @@ def nine_constraints(p: AnsatzParams) -> ConstraintVector:
     return _harmonics(*_values(p))
 
 
+class _Terms:
+    """A polynomial in the atoms of c1..c9 (residuals._ATOM_NAMES), expanded:
+    a dict from the atoms' exponents to the coefficient of that monomial.
+    + and - collect like monomials, * and ** multiply out, and constants
+    enter as constants, so _polynomials on _Terms atoms expands c1..c9;
+    their scales are the expansion's largest monomial (_largest)."""
+
+    def __init__(self, terms):
+        self.terms = {e: v for e, v in terms.items() if v != 0.0}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, v in _expanded(other).items():
+            out[e] = out.get(e, 0.0) + v
+        return _Terms(out)
+
+    def __mul__(self, other):
+        out = {}
+        for e, v in self.terms.items():
+            for f, w in _expanded(other).items():
+                key = tuple(map(operator.add, e, f))
+                out[key] = out.get(key, 0.0) + v * w
+        return _Terms(out)
+
+    __rmul__ = __mul__
+    __sub__ = lambda s, o: s + -1.0 * o
+    __pow__ = lambda s, n: functools.reduce(operator.mul, [s] * n)
+
+
+def _expanded(v):
+    return v.terms if isinstance(v, _Terms) else {(0,) * len(_ATOM_NAMES): float(v)}
+
+
+def _term_table():
+    """c1..c9 and their derivatives, expanded once into a table of terms.
+
+    The terms come in 54 groups, each a run of rows: c1..c9, then for
+    each c_i its derivatives in the five amplitude atoms alpha1, alpha2,
+    x = lam + 2 g alpha3, alpha4 and alpha5, in that order; a derivative
+    that is identically zero holds one zero term. A term is a constant
+    times up to three atoms times powers of k, omega / c and g.
+    Returns the atoms of each term, shape (3, terms), 5 standing for a
+    factor 1; the powers of k, omega / c and g, shape (3, terms); the
+    constants; where each group starts; and which terms are derivatives
+    in x, which the chain rule multiplies by d x / d alpha3 = 2 g.
+    """
+    n = len(_ATOM_NAMES)
+    polys = _polynomials(*(_Terms({tuple(int(i == j) for j in range(n)): 1.0})
+                           for i in range(n)))
+    groups = [p.terms for p in polys]
+    for p in polys:
+        for j in range(5):
+            groups.append({e[:j] + (e[j] - 1,) + e[j + 1:]: v * e[j]
+                           for e, v in p.terms.items() if e[j]} or {(0,) * n: 0.0})
+    group, exponents, constants = map(np.array, zip(*[
+        (i, e, v) for i, terms in enumerate(groups) for e, v in terms.items()]))
+    factors = [[j for j in range(5) for _ in range(e[j])] + [5] * (3 - sum(e[:5]))
+               for e in exponents.tolist()]
+    in_x = (group >= 9) & ((group - 9) % 5 == 2)
+    return (np.array(factors).T, exponents[:, 5:].T, constants,
+            np.searchsorted(group, np.arange(len(groups))), in_x)
+
+
+_FACTORS, _POWERS, _CONSTANTS, _STARTS, _ALPHA3 = _term_table()
+
+
+class _Substituted(NamedTuple):
+    """The term table at fixed couplings: lam and 2 g, which make the atom
+    x = lam + 2 g alpha3, and the coefficient of every term."""
+
+    lam: float
+    two_g: float
+    coefficients: np.ndarray
+
+
+def _substitute(lam, k, omega, g, c) -> _Substituted:
+    """The term table at couplings (lam, k, omega, g, c). The powers of
+    k, omega / c and g are taken once, by **, so that a float coupling
+    whose square overflows raises the OverflowError that names it."""
+    w = omega / c
+    try:
+        powers = np.array([[v ** n for n in range(_POWERS.max() + 1)] for v in (k, w, g)])
+    except OverflowError:
+        raise _squares_overflow(_ATOM_NAMES[5:], (k, w, g)) from None
+    coefficients = (_CONSTANTS * powers[0, _POWERS[0]] * powers[1, _POWERS[1]]
+                    * powers[2, _POWERS[2]])
+    two_g = 2.0 * g
+    return _Substituted(lam, two_g, np.where(_ALPHA3, two_g * coefficients, coefficients))
+
+
+def _monomials(table: _Substituted, amplitudes, count=None):
+    """The first count terms of the substituted table (all by default) at
+    amplitude columns, shape (5, n) -> (count, n)."""
+    a1, a2, a3, a4, a5 = amplitudes
+    atoms = np.array([a1, a2, table.lam + table.two_g * a3, a4, a5, np.ones_like(a1)])
+    f0, f1, f2 = _FACTORS[:, :count]
+    return table.coefficients[:count, None] * atoms[f0] * atoms[f1] * atoms[f2]
+
+
+def _largest(monomials):
+    """The scales from a table's monomials: each constraint's largest
+    term magnitude, floored at 1, shape (9, n)."""
+    return np.maximum(1.0, np.maximum.reduceat(np.abs(monomials[:_STARTS[9]]), _STARTS[:9]))
+
+
 def constraint_scales(p: AnsatzParams) -> tuple[float, ...]:
     """Largest monomial magnitude of each constraint, floored at 1.
 
     Used to normalize the raw values so that tolerance checks mean the
     same thing for order-one and order-hundred parameters. Derived, not
-    tabulated: residuals._polynomials on the magnitudes of its atoms.
+    tabulated: the terms of residuals._polynomials expanded (_term_table).
     """
     return tuple(_scale_columns(*_values(p)).tolist())
 
 
 def _scale_columns(*values):
     """constraint_scales at the closed forms' arguments (fields._values),
-    floats or numpy columns: c1..c9 evaluated by fields._Magnitude."""
-    atoms = (_Magnitude(abs(v)) for v in _atoms(*values))
-    return np.maximum(1.0, [m.value for m in _polynomials(*atoms)])
+    the amplitudes floats or numpy columns, the couplings floats."""
+    amplitudes = np.array(values[:5], dtype=float)
+    table = _substitute(*values[5:])
+    scales = _largest(_monomials(table, amplitudes.reshape(5, -1), _STARTS[9]))
+    return scales.reshape(9, *amplitudes.shape[1:])
 
 
 def normalized_constraints(p: AnsatzParams) -> np.ndarray:
@@ -464,62 +579,27 @@ def _check_alphas(name, alphas, couplings) -> np.ndarray:
     return x
 
 
-def _constraint_rows(x, couplings):
-    """c1..c9 of every amplitude row of x, shape (n, 5) -> (n, 9)."""
-    return np.array(_harmonics(*x.T, *couplings)).T
-
-
-def _worst_normalized(f, x, couplings):
-    """Largest normalized constraint per row, given the rows' values f."""
-    return np.max(np.abs(f) / _scale_columns(*x.T, *couplings).T, axis=1)
-
-
-def _within_tol(couplings, tol):
-    """The stop test at these couplings: a function of a batch's values f
-    and amplitude rows x that returns each row's largest normalized
-    constraint where it may be at most tol, and nan where it cannot.
-
-    Every monomial magnitude is at most 4 M^5, M the largest of 1 and the
-    magnitudes of the amplitudes, lam + 2 g alpha3, k, omega / c and g;
-    rows with a constraint above tol times 8 M^5 (room for rounding)
-    cannot pass, which spares evaluating the scales until a row nears
-    its root. The couplings' part of M is taken once, here.
-    """
-    lam, k, omega, g, c = couplings
-    floor, two_g, bound = max(1.0, abs(k), abs(omega / c), abs(g)), 2.0 * g, tol * 8.0
-
-    def within(f, x):
-        m = np.maximum(np.maximum(np.abs(x).max(axis=1), np.abs(lam + two_g * x[:, 2])), floor)
-        near = np.abs(f).max(axis=1) <= bound * m ** 5
-        worst = np.full(len(x), np.nan)
-        if near.any():
-            worst[near] = _worst_normalized(f[near], x[near], couplings)
-        return worst
-    return within
-
-
 def _norms(a):
     """The Euclidean norm of every row of a, as np.linalg.norm(a, axis=1)
     computes it, without its dispatch."""
     return np.sqrt(np.add.reduce(a * a, axis=1))
 
 
-# the ten central-difference points: +d then -d along each amplitude
-_STENCIL = np.repeat(np.eye(5), 2, axis=0) * np.tile([1.0, -1.0], 5)[:, None]
+def _value_and_jacobian(x, table: _Substituted):
+    """The constraints of every amplitude row of x, shape (n, 9), their
+    exact Jacobian, shape (n, 9, 5), and each row's largest normalized
+    constraint, all from one evaluation of the term table.
 
-
-def _value_and_jacobian(x, couplings):
-    """The constraints of every amplitude row of x, shape (n, 9), and their
-    central-difference Jacobian, shape (n, 9, 5).
-
-    Each row and its ten stencil points go through one evaluation of 11 n
-    rows, so a line-search trial that is accepted already carries the
-    Jacobian of the next Newton iteration.
+    It takes only gathers, elementwise products and reduceat sums, so a
+    row rounds the same whatever the other rows are, which a BLAS
+    contraction would not. A line-search trial that is accepted already
+    carries the Jacobian and the stop test of the next Newton iteration.
     """
-    d = 1e-7 * np.maximum(1.0, np.abs(x))
-    points = np.concatenate([x[:, None, :], x[:, None, :] + _STENCIL * d[:, None, :]], axis=1)
-    f = _constraint_rows(points.reshape(-1, 5), couplings).reshape(len(x), 11, 9)
-    return f[:, 0], ((f[:, 1::2] - f[:, 2::2]) / (2.0 * d)[:, :, None]).transpose(0, 2, 1)
+    m = _monomials(table, x.T)
+    # contiguous rows, which _norms sums in one order whatever their number
+    sums = np.add.reduceat(m, _STARTS).T.copy()
+    f = sums[:, :9]
+    return f, sums[:, 9:].reshape(-1, 9, 5), np.max(np.abs(f) / _largest(m).T, axis=1)
 
 
 # R's entries among the top five rows of a factored (9, 6) matrix
@@ -562,7 +642,7 @@ def _step(jac, f):
     return step
 
 
-def _newton(x0, couplings, tol=_TOL, budget=None):
+def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
     """Damped least-squares Newton on every amplitude row of x0 at once.
 
     Returns the final rows, the iterations each took and their largest
@@ -570,25 +650,22 @@ def _newton(x0, couplings, tol=_TOL, budget=None):
     the iterations completed before), when its Jacobian overflows, its
     line search fails or its norm passes 1e8 (counting the current one),
     or when it has used its budget, _MAX_ITER iterations or one count per
-    row. Only scan_families sets tol and budget (see there). Raises
-    OverflowError when the constraints are not finite at x0.
+    row. table is the term table at the couplings (_substitute); only
+    scan_families sets tol and budget (see there). Raises OverflowError
+    when the constraints are not finite at x0.
 
     The rows still iterating are the working set: their amplitudes, values,
-    value norms and Jacobians sit in working arrays, which are written out
-    and compacted only in an iteration where a row stops. Every row tries
-    the full step at once; only the rows it does not improve backtrack.
-    A row leaves with the largest normalized constraint its last stop
-    test computed; the scales are evaluated at the end only for the rows
-    whose test the prefilter of _within_tol turned away. Rows never
-    interact, so each comes out as it would alone.
+    value norms, Jacobians and largest normalized constraints sit in
+    working arrays, which are written out and compacted only in an
+    iteration where a row stops. Every row tries the full step at once;
+    only the rows it does not improve backtrack. Rows never interact, so
+    each comes out as it would alone.
     """
     xw = np.array(x0, dtype=float)
     budget = np.broadcast_to(_MAX_ITER if budget is None else budget, len(xw))
-    x, f = np.empty_like(xw), np.empty((len(xw), 9))
-    iters, worst = np.empty(len(xw), dtype=int), np.full(len(xw), np.nan)
-    within = _within_tol(couplings, tol)
+    x, iters, worst = np.empty_like(xw), np.empty(len(xw), dtype=int), np.empty(len(xw))
     with np.errstate(all="ignore"):
-        fw, jw = _value_and_jacobian(xw, couplings)
+        fw, jw, ww = _value_and_jacobian(xw, table)
         if not np.isfinite(fw).all():
             raise OverflowError("the constraints overflow at the starting amplitudes")
         nw = _norms(fw)
@@ -597,38 +674,35 @@ def _newton(x0, couplings, tol=_TOL, budget=None):
         for it in range(1, int(budget.max()) + 2):
             # a stopped, converged or spent row completed it - 1
             # iterations; one whose Jacobian overflowed stops in this one
-            ww = within(fw, xw)
             stop = failed | (ww <= tol) | (budget[rows] < it)
             go = ~stop & np.isfinite(jw).all(axis=(1, 2))
             if not go.all():
                 out = rows[~go]
                 iters[out] = it - stop[~go]
-                x[out], f[out], worst[out] = xw[~go], fw[~go], ww[~go]
-                rows, xw, fw, nw, jw = rows[go], xw[go], fw[go], nw[go], jw[go]
+                x[out], worst[out] = xw[~go], ww[~go]
+                rows, xw, fw, nw, jw, ww = rows[go], xw[go], fw[go], nw[go], jw[go], ww[go]
                 if not rows.size:
                     break
             step = _step(jw, fw)
             xt = xw + step
-            ft, jt = _value_and_jacobian(xt, couplings)
+            ft, jt, wt = _value_and_jacobian(xt, table)
             nt = _norms(ft)
             failed = ~(nt < (1.0 - 1e-4) * nw)
             trying, t = np.flatnonzero(failed), 0.5
             while trying.size and t >= 2.0 ** -24:
                 xb = xw[trying] + t * step[trying]
-                fb, jb = _value_and_jacobian(xb, couplings)
+                fb, jb, wb = _value_and_jacobian(xb, table)
                 nb = _norms(fb)
                 better = nb < (1.0 - 1e-4 * t) * nw[trying]
                 won = trying[better]
-                xt[won], ft[won], nt[won], jt[won] = xb[better], fb[better], nb[better], jb[better]
+                xt[won], ft[won], nt[won], jt[won], wt[won] = (
+                    xb[better], fb[better], nb[better], jb[better], wb[better])
                 failed[won] = False
                 trying, t = trying[~better], 0.5 * t
             if trying.size:  # a row that found no descent stops where it was
-                xt[trying], ft[trying] = xw[trying], fw[trying]
-            xw, fw, nw, jw = xt, ft, nt, jt
+                xt[trying], ft[trying], wt[trying] = xw[trying], fw[trying], ww[trying]
+            xw, fw, nw, jw, ww = xt, ft, nt, jt, wt
             failed |= _norms(xw) > 1e8
-        todo = np.isnan(worst)
-        if todo.any():
-            worst[todo] = _worst_normalized(f[todo], x[todo], couplings)
     return x, iters, worst
 
 
@@ -637,10 +711,12 @@ def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float,
     """Damped least-squares Newton on the nine constraints over the amplitudes.
 
     The five amplitudes are the unknowns; lam, k, omega, g, c stay fixed
-    and must be finite with g and c nonzero. The Jacobian is taken by
-    central differences, and each step is the least-squares solution from
-    one QR of [J | f], or pinv's minimum-norm step where J is rank
-    deficient to _RCOND; it is halved until the residual norm decreases.
+    and must be finite with g and c nonzero. The couplings are
+    substituted once into the term table of c1..c9 (_term_table), which
+    gives every iteration its values, their exact Jacobian and the scales
+    of the stop test. Each step is the least-squares solution from one
+    QR of [J | f], or pinv's minimum-norm step where J is rank deficient
+    to _RCOND; it is halved until the residual norm decreases.
     _TOL runs to the rounding floor because near junctions of solution
     branches the constraints vanish quadratically or cubically in
     distance (double or triple roots, where Newton converges only
@@ -651,7 +727,7 @@ def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float,
     overflow at alphas0.
     """
     x = _check_alphas("alphas0", alphas0, (lam, k, omega, g, c))
-    xs, iters, worst = _newton(x[None, :], (lam, k, omega, g, c))
+    xs, iters, worst = _newton(x[None, :], _substitute(lam, k, omega, g, c))
     return RefineResult(tuple(xs[0]), bool(worst[0] <= _TOL), int(iters[0]), float(worst[0]))
 
 
@@ -684,7 +760,7 @@ class ScanRow(NamedTuple):
     iterations: int
 
 
-def _snap(x, worst, couplings):
+def _snap(x, worst, couplings, table):
     """The scan's snap of every amplitude row of x with largest normalized
     constraint worst: a row at most _SUCCESS_TOL whose nearest branch lies
     within _SNAP_TOL moves onto it when the point there is at most
@@ -698,8 +774,7 @@ def _snap(x, worst, couplings):
     with np.errstate(all="ignore"):
         best, points, dist[ok] = _nearest(x[ok], couplings)
         near = np.flatnonzero(dist[ok] <= _SNAP_TOL)
-        snapped = _worst_normalized(_constraint_rows(points[near], couplings),
-                                    points[near], couplings)
+        snapped = _value_and_jacobian(points[near], table)[2]
         passed = snapped <= _SUCCESS_TOL
         kept = near[passed]  # positions among the rows at most _SUCCESS_TOL
         x[ok[kept]], worst[ok[kept]] = points[kept], snapped[passed]
@@ -715,8 +790,10 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
     Seeds are drawn from numpy's default_rng(seed), five uniform values
     in [-_SPREAD, _SPREAD] per row in row order, so output is reproducible
     per version. omega defaults to k c. All seeds are Newton-refined
-    together; a root counts as successful when every normalized
-    constraint is below _SUCCESS_TOL.
+    together, as refine_alphas refines one, with the couplings
+    substituted into the term table once for the whole call; a root
+    counts as successful when every normalized constraint is below
+    _SUCCESS_TOL.
 
     Successful roots within _SNAP_TOL of a branch are polished onto its
     exact parametrization, which is accepted only when it satisfies the
@@ -740,8 +817,9 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
     there.
 
     Raises ValueError for non-finite couplings, g = 0, c = 0 or a frozen
-    phase k = omega = 0 before any Newton work, and OverflowError when the
-    constraints overflow at the seeds.
+    phase k = omega = 0 before any Newton work, and OverflowError when a
+    coupling's square overflows (naming it, as nine_constraints does) or
+    the constraints overflow at the seeds.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -752,11 +830,12 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
         raise ValueError("phase is frozen at k = omega = 0; the scan needs a wave")
     rng = np.random.default_rng(seed)
     couplings = (lam, k, omega, g, c)
+    table = _substitute(*couplings)
     rows = []
     for lo in range(0, n_seeds, _BLOCK):
         starts = rng.uniform(-_SPREAD, _SPREAD, size=(min(_BLOCK, n_seeds - lo), 5))
-        x, iters, worst = _newton(starts, couplings, _SNAP_STOP)
-        labels, dist = _snap(x, worst, couplings)
+        x, iters, worst = _newton(starts, table, _SNAP_STOP)
+        labels, dist = _snap(x, worst, couplings, table)
         # the rows the loose test stopped that no branch explains: a row
         # that failed its line search stopped where that test had turned
         # it away, one past norm 1e8 stopped failed whatever the test
@@ -765,8 +844,8 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
         resume = np.flatnonzero((labels == "") & (worst > _TOL) & (worst <= _SNAP_STOP)
                                 & (iters < _MAX_ITER) & (_norms(x) <= 1e8))
         if resume.size:
-            xr, more, wr = _newton(x[resume], couplings, _TOL, _MAX_ITER - iters[resume])
-            labels[resume], dist[resume] = _snap(xr, wr, couplings)
+            xr, more, wr = _newton(x[resume], table, _TOL, _MAX_ITER - iters[resume])
+            labels[resume], dist[resume] = _snap(xr, wr, couplings, table)
             x[resume], iters[resume], worst[resume] = xr, iters[resume] + more, wr
         converged = worst <= _SUCCESS_TOL
         labels[converged & (labels == "")] = "none"

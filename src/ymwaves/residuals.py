@@ -123,11 +123,16 @@ def _harmonics(*values) -> ConstraintVector:
     atoms = _atoms(*values)
     try:
         return _polynomials(*atoms)
-    except OverflowError:  # float ** reports only errno 34
-        big = [f"{name} = {a!r}" for name, a in zip(_ATOM_NAMES, atoms)
-               if type(a) is float and math.isinf(a * a)]
-        raise OverflowError(f"squaring {' and '.join(big)} overflows in the constraints "
-                            "c1..c9") from None
+    except OverflowError:
+        raise _squares_overflow(_ATOM_NAMES, atoms) from None
+
+
+def _squares_overflow(names, atoms) -> OverflowError:
+    """The error for a float ** in c1..c9 that overflowed, which reports
+    only errno 34: it names the float atoms whose square overflows."""
+    big = [f"{name} = {a!r}" for name, a in zip(names, atoms)
+           if type(a) is float and math.isinf(a * a)]
+    return OverflowError(f"squaring {' and '.join(big)} overflows in the constraints c1..c9")
 
 
 def _atoms(a1, a2, a3, a4, a5, lam, k, omega, g, c):
@@ -136,8 +141,9 @@ def _atoms(a1, a2, a3, a4, a5, lam, k, omega, g, c):
 
 
 def _polynomials(a1, a2, x, a4, a5, k, w, g) -> ConstraintVector:
-    """c1..c9 in their atoms, the one place they are written. On
-    fields._Magnitude atoms they give the scales the verdicts divide by."""
+    """c1..c9 in their atoms, the one place they are written. Expanded
+    once into monomials, they give the Newton core its values, Jacobian
+    and scales (constraints._term_table)."""
     quad = k ** 2 - w ** 2 - 4.0 * g ** 2 * (a1 ** 2 - a2 ** 2)
     mix = w * a1 - k * a2
     return ConstraintVector(
@@ -401,6 +407,14 @@ def _power(name: str, base: float, n: int, budget: str) -> float:
 _FREQ = "the frequency scale max(1, |k|, |omega / c|, |lambda|)"
 
 
+def _finite(total: float, budget: str, freq: float, h: float) -> float:
+    """A budget's total, which overflows as a product of finite factors
+    without raising: then an OverflowError names the budget and its inputs."""
+    if not math.isfinite(total):
+        raise OverflowError(f"the {budget} overflows at {_FREQ} = {freq!r} and h = {h!r}")
+    return total
+
+
 def residual_allowance(p: AnsatzParams, h: float) -> float:
     """Error budget for the numeric residual modes at step h.
 
@@ -417,7 +431,7 @@ def residual_allowance(p: AnsatzParams, h: float) -> float:
     truncation = (0.3 * field_scale * _power(_FREQ, freq, 5, budget)
                   * _power("h", h, 4, budget))
     roundoff = 3.0 * 2.3e-16 * field_scale / h * max(1.0, 1.0 / abs(p.c))
-    return truncation + roundoff
+    return _finite(truncation + roundoff, budget, freq, h)
 
 
 def bianchi_allowance(p: AnsatzParams, h: float) -> float:
@@ -438,7 +452,7 @@ def bianchi_allowance(p: AnsatzParams, h: float) -> float:
     h2 = _power("h", h, 2, budget)
     truncation = 0.15 * poly * _power(_FREQ, freq, 4, budget) * h2
     roundoff = 3.0 * 2.3e-16 * poly / h2 * max(1.0, 1.0 / abs(p.c))
-    return truncation + roundoff
+    return _finite(truncation + roundoff, budget, freq, h)
 
 
 def field_strength_allowance(p: AnsatzParams, h: float) -> float:
@@ -455,4 +469,4 @@ def field_strength_allowance(p: AnsatzParams, h: float) -> float:
     budget = "field-strength allowance"
     truncation = 0.5 * amp * _power(_FREQ, freq, 3, budget) * _power("h", h, 2, budget)
     roundoff = 3.0 * 2.3e-16 * amp * freq / h
-    return truncation + roundoff
+    return _finite(truncation + roundoff, budget, freq, h)

@@ -450,6 +450,20 @@ def test_a_budget_power_that_overflows_is_named(extra, step, capsys):
     assert out == ""
 
 
+def test_a_budget_product_that_overflows_is_named(capsys):
+    # freq ** 5 = 1e50 and h ** 4 = 1e280 are finite, and their product is
+    # not: the numeric check would say nothing with an infinite allowance
+    argv = ["verify", "--family", "I", "--alpha4", "1", "--k", "1e10", "--h", "1e70"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err == ("error: an input is too large: the numeric residual allowance overflows at "
+                   "the frequency scale max(1, |k|, |omega / c|, |lambda|) = 10000000000.0 "
+                   "and h = 1e+70\n")
+    assert out == ""
+
+
 def test_scan_runs_at_k_zero_with_a_running_phase(capsys):
     code, out, err = run(["scan", "--seeds", "3", "--k", "0", "--omega", "1"], capsys)
     assert code != 2, err

@@ -1,11 +1,13 @@
-"""The algebra of c1..c9: the derived constraint and field scales, the
-branch table, and symmetries.
+"""The algebra of c1..c9: the term table of their expansion, the derived
+constraint and field scales, the branch table, and symmetries.
 
-The symmetry tests run every relation on both evaluation paths of the
-one polynomial source: the scalar nine_constraints and the batched rows
-of the Newton core. The exact sign symmetries also keep the scales, and
-with them the normalized constraints, bit for bit.
+The symmetry tests run every relation on the two evaluation paths of
+the one polynomial source: the scalar nine_constraints and the term
+table that gives the scan its values. The exact sign symmetries also
+keep the scales, and with them the normalized constraints, bit for bit.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,9 +16,14 @@ from hypothesis import strategies as st
 
 from ymwaves.constraints import (
     _BRANCHES,
-    _constraint_rows,
+    _CONSTANTS,
+    _FACTORS,
+    _POWERS,
+    _STARTS,
     _projections,
     _scale_columns,
+    _substitute,
+    _value_and_jacobian,
     branch_projection,
     nine_constraints,
     normalized_constraints,
@@ -40,8 +47,62 @@ def _within_ulps(got, want, n):
     return abs(got - want) <= n * np.spacing(want)
 
 
+def _expanded_constraints(sp, atoms):
+    """c1..c9 from their one source, expanded by sympy with exact coefficients."""
+    return [sp.expand(sp.nsimplify(poly, rational=True)) for poly in _polynomials(*atoms)]
+
+
+def _table_groups(sp, atoms):
+    """The term table read back as lists of sympy terms, one per group:
+    c1..c9, then the derivative of each in alpha1, alpha2, x, alpha4, alpha5."""
+    factors = [*atoms[:5], sp.Integer(1)]
+    k, w, g = atoms[5:]
+    terms = [sp.Rational(c) * factors[f0] * factors[f1] * factors[f2] * k ** pk * w ** pw * g ** pg
+             for c, (f0, f1, f2), (pk, pw, pg) in zip(_CONSTANTS, _FACTORS.T, _POWERS.T)]
+    ends = [*_STARTS[1:], len(terms)]
+    return [terms[a:b] for a, b in zip(_STARTS, ends)]
+
+
+def test_term_table_is_the_expansion_of_c1_to_c9():
+    # read back, the table holds c1..c9 term for term as sympy expands
+    # them, and then their derivatives in the five amplitude atoms
+    sp = pytest.importorskip("sympy")
+    atoms = sp.symbols("a1 a2 x a4 a5 k w g")
+    groups = _table_groups(sp, atoms)
+    assert len(groups) == 9 + 9 * 5
+    for i, poly in enumerate(_expanded_constraints(sp, atoms)):
+        assert Counter(groups[i]) == Counter(sp.Add.make_args(poly)), f"c{i + 1}"
+        for j in range(5):
+            derivative = sp.Add(*groups[9 + 5 * i + j])
+            assert sp.expand(derivative - sp.diff(poly, atoms[j])) == 0, f"c{i + 1}, atom {j}"
+
+
+def test_exact_jacobian_is_sympys_derivative():
+    # the table's Jacobian in the amplitudes, 2 g d/dx for alpha3, is
+    # sympy's derivative to a few ulps of the derivative's largest term
+    sp = pytest.importorskip("sympy")
+    atoms = sp.symbols("a1 a2 x a4 a5 k w g")
+    derivatives = [[sp.expand(sp.diff(poly, atoms[j]) * (2 * atoms[7] if j == 2 else 1))
+                    for j in range(5)] for poly in _expanded_constraints(sp, atoms)]
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        a = rng.uniform(-3.0, 3.0, 5)
+        lam, k, omega = rng.uniform(-3.0, 3.0, 3)
+        g, c = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0)
+        jac = _value_and_jacobian(a[None, :], _substitute(lam, k, omega, g, c))[1][0]
+        # the atoms as the table takes them, x and omega / c rounded
+        values = (a[0], a[1], lam + 2.0 * g * a[2], a[3], a[4], k, omega / c, g)
+        point = dict(zip(atoms, map(sp.Rational, values)))
+        for i, row in enumerate(derivatives):
+            for j, d in enumerate(row):
+                exact = d.subs(point)
+                scale = float(max(abs(t.subs(point)) for t in sp.Add.make_args(d)))
+                err = float(abs(sp.Rational(jac[i, j]) - exact))
+                assert err <= 4 * np.spacing(scale), f"d c{i + 1} / d alpha{j + 1}"
+
+
 def test_scales_are_the_largest_expanded_monomial():
-    # the scales come from _polynomials on magnitudes; at positive atoms
+    # the scales are the term table's largest monomial; at positive atoms
     # of at least 1 (so the floor at 1 is idle) each must be the largest
     # term of the same source's expansion, to rounding
     sp = pytest.importorskip("sympy")
@@ -98,11 +159,12 @@ def test_every_branch_solves_the_constraints(branch, lam, k, g, c, omega, free):
         assert branch_projection(point, *couplings)[2] <= 1e-12
 
 
-def _both_paths(x, lam, k, omega, g, c):
-    """c1..c9 of each amplitude row: scalar nine_constraints, then the batched rows."""
+def _paths(x, lam, k, omega, g, c):
+    """c1..c9 of each amplitude row: scalar nine_constraints, then the
+    term table's values."""
     scalar = np.array([nine_constraints(AnsatzParams(*r, lam=lam, k=k, omega=omega, g=g, c=c))
                        for r in x.tolist()])
-    return scalar, _constraint_rows(x, (lam, k, omega, g, c))
+    return scalar, _value_and_jacobian(x, _substitute(lam, k, omega, g, c))[0]
 
 
 def _normalized_and_scales(x, lam, k, omega, g, c):
@@ -140,7 +202,7 @@ def test_lambda_shift_into_alpha3(x, cpl, delta):
     lam2 = lam + 2.0 * g * delta
     bound = np.maximum(_rounding_bound(x, lam, k, omega, g, c),
                        _rounding_bound(y, lam2, k, omega, g, c))
-    for before, after in zip(_both_paths(x, *cpl), _both_paths(y, lam2, k, omega, g, c)):
+    for before, after in zip(_paths(x, *cpl), _paths(y, lam2, k, omega, g, c)):
         assert np.all(np.abs(after - before) <= bound)
 
 
@@ -151,7 +213,7 @@ def test_coupling_rescale(x, cpl, s):
     y = x / s
     bound = np.maximum(_rounding_bound(x, lam, k, omega, g, c),
                        _rounding_bound(y, lam, k, omega, g * s, c))
-    for before, after in zip(_both_paths(x, *cpl), _both_paths(y, lam, k, omega, g * s, c)):
+    for before, after in zip(_paths(x, *cpl), _paths(y, lam, k, omega, g * s, c)):
         assert np.all(np.abs(after * s - before) <= bound)
 
 
@@ -159,7 +221,7 @@ def test_coupling_rescale(x, cpl, s):
 def test_eta_flip(x, cpl):
     # (alpha1, alpha2, alpha5) -> -(alpha1, alpha2, alpha5) is exact
     y = x * np.array([-1.0, -1.0, 1.0, 1.0, -1.0])
-    for before, after in zip(_both_paths(x, *cpl), _both_paths(y, *cpl)):
+    for before, after in zip(_paths(x, *cpl), _paths(y, *cpl)):
         assert np.all(after[:, 0::2] == -before[:, 0::2])  # c1, c3, c5, c7, c9
         assert np.all(after[:, 1::2] == before[:, 1::2])  # c2, c4, c6, c8
     assert _unchanged(x, cpl, y, cpl)
@@ -172,7 +234,7 @@ def test_xi_flip(x, cpl):
     y = x * np.array([1.0, 1.0, -1.0, 1.0, 1.0])
     flipped = [1, 3, 7]  # c2, c4, c8
     kept = [0, 2, 4, 5, 6, 8]
-    for before, after in zip(_both_paths(x, *cpl), _both_paths(y, -lam, k, omega, g, c)):
+    for before, after in zip(_paths(x, *cpl), _paths(y, -lam, k, omega, g, c)):
         assert np.all(after[:, flipped] == -before[:, flipped])
         assert np.all(after[:, kept] == before[:, kept])
     assert _unchanged(x, cpl, y, (-lam, k, omega, g, c))
@@ -183,7 +245,7 @@ def test_time_reversal(x, cpl):
     # (omega, alpha1) -> -(omega, alpha1) negates c1..c3 and keeps the rest, exactly
     lam, k, omega, g, c = cpl
     y = x * np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
-    for before, after in zip(_both_paths(x, *cpl), _both_paths(y, lam, k, -omega, g, c)):
+    for before, after in zip(_paths(x, *cpl), _paths(y, lam, k, -omega, g, c)):
         assert np.all(after[:, :3] == -before[:, :3])
         assert np.all(after[:, 3:] == before[:, 3:])
     assert _unchanged(x, cpl, y, (lam, k, -omega, g, c))
@@ -194,7 +256,7 @@ def test_parity(x, cpl):
     # (k, alpha2) -> -(k, alpha2) negates c7..c9 and keeps the rest, exactly
     lam, k, omega, g, c = cpl
     y = x * np.array([1.0, -1.0, 1.0, 1.0, 1.0])
-    for before, after in zip(_both_paths(x, *cpl), _both_paths(y, lam, -k, omega, g, c)):
+    for before, after in zip(_paths(x, *cpl), _paths(y, lam, -k, omega, g, c)):
         assert np.all(after[:, 6:] == -before[:, 6:])
         assert np.all(after[:, :6] == before[:, :6])
     assert _unchanged(x, cpl, y, (lam, -k, omega, g, c))
@@ -221,5 +283,5 @@ def test_dilation(x, cpl, s):
     atoms = (a[0], a[1], abs(lam) + 2.0 * abs(g) * a[2], a[3], a[4], abs(k), abs(omega / c), abs(g))
     total = np.array([m.value for m in _polynomials(*map(_Sum, atoms))])
     bound = 1e-14 * s ** 3 * total.T + 1e-300
-    for before, after in zip(_both_paths(x, *cpl), _both_paths(x * s, lam * s, k * s, omega * s, g, c)):
+    for before, after in zip(_paths(x, *cpl), _paths(x * s, lam * s, k * s, omega * s, g, c)):
         assert np.all(np.abs(after - s ** 3 * before) <= bound)

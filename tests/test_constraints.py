@@ -420,12 +420,15 @@ def test_scan_validates_couplings_before_newton(monkeypatch):
 def test_refine_overflow(recwarn):
     with pytest.raises(OverflowError):
         refine_alphas((1.0, 0.0, 0.0, 0.0, 0.0), lam=1e308, k=1.0, omega=1.0, g=1.0)
-    # finite constraints whose Jacobian overflows: the row stops unconverged
+    # finite constraints whose Jacobian overflows: the row stops unconverged.
+    # x = lam + 2 g alpha3 = 3 lam / 2, so c1 = alpha1 x^2 is finite and
+    # its derivative x^2 in alpha1 is not
     lam = math.sqrt(np.finfo(float).max * (1.0 - 5e-8))
-    out = refine_alphas((1.0, 0.0, 0.0, 0.0, 0.0), lam=lam, k=1.0, omega=1.0, g=1.0)
+    start = (0.25, 0.0, lam / 4.0, 0.0, 0.0)
+    out = refine_alphas(start, lam=lam, k=1.0, omega=1.0, g=1.0)
     assert not out.converged
     assert out.iterations == 1
-    assert out.alphas == (1.0, 0.0, 0.0, 0.0, 0.0)
+    assert out.alphas == start
     assert len(recwarn) == 0
 
 

@@ -1,24 +1,21 @@
-"""The batched Newton core: the fused value and Jacobian, the QR step, the
-convergence test, and the working set that batches rows."""
+"""The batched Newton core: the term table's values, exact Jacobian and
+stop test, the QR step, and the working set that batches rows."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ymwaves.constraints import (
     _RCOND,
     _TOL,
-    _constraint_rows,
     _newton,
-    _scale_columns,
     _step,
+    _substitute,
     _top_of_r,
     _value_and_jacobian,
-    _within_tol,
-    _worst_normalized,
     constraint_scales,
     nine_constraints,
 )
@@ -37,33 +34,33 @@ def _hex(a):
     return [float(v).hex() for v in np.ravel(a)]
 
 
-def _hex_signless_zero(a):
-    # the batched stencil adds 0 * d to the coordinates it does not move,
-    # which turns an input -0.0 into 0.0, so zeros may differ in sign only
-    return _hex(np.asarray(a) + 0.0)
-
-
 def _params(a, cpl):
     lam, k, omega, g, c = cpl
     return AnsatzParams(*a.tolist(), lam=lam, k=k, omega=omega, g=g, c=c)
 
 
 @given(rows, couplings)
-def test_fused_jacobian_is_the_column_by_column_difference(x, cpl):
-    f, jac = _value_and_jacobian(x, cpl)
+def test_exact_jacobian_is_the_column_by_column_difference(x, cpl):
+    table = _substitute(*cpl)
+    f, jac, worst = _value_and_jacobian(x, table)
     assert f.shape == (len(x), 9) and jac.shape == (len(x), 9, 5)
-    assert _hex(f) == _hex(_constraint_rows(x, cpl))
-    for row, f_row, jac_row in zip(x, f, jac):
-        want = jacobian(lambda a: _constraint_rows(a[None, :], cpl)[0], row)
-        assert _hex_signless_zero(jac_row) == _hex_signless_zero(want)
-        # through AnsatzParams the polynomials run on Python floats, whose
-        # x ** 2 (libm pow) can round differently from numpy's x * x, so
-        # that route agrees to rounding over the stencil step only
-        scales = np.array(constraint_scales(_params(row, cpl)))
+    # the table sums the expanded monomials, nine_constraints (the route
+    # verify and classify take) the nested c1..c9 of the same atoms: they
+    # agree to rounding, 8 ulps of the scale (4.7 the most measured over
+    # 18,000 random rows and a 6,000-example targeted search)
+    rounding = 8.0 * np.finfo(float).eps
+    for i, row in enumerate(x):
+        p = _params(row, cpl)
+        scales = np.array(constraint_scales(p))
+        assert np.all(np.abs(f[i] - nine_constraints(p).as_array()) <= rounding * scales)
+        assert _hex(worst[i]) == _hex(np.max(np.abs(f[i]) / scales))
+        # each row alone, bit for bit as in the batch
+        alone = _value_and_jacobian(row[None, :], table)
+        assert [_hex(a[0]) for a in alone] == [_hex(b[i]) for b in (f, jac, worst)]
+        # the central difference of nine_constraints through AnsatzParams
+        # agrees with the exact Jacobian to its truncation and rounding
         want = jacobian(lambda a: nine_constraints(_params(a, cpl)).as_array(), row)
-        assert np.all(np.abs(f_row - nine_constraints(_params(row, cpl)).as_array())
-                      <= 1e-14 * scales)
-        assert np.all(np.abs(jac_row - want) <= 1e-7 * scales[:, None])
+        assert np.all(np.abs(jac[i] - want) <= 1e-7 * scales[:, None])
 
 
 def _pinv_step(jac, f):
@@ -112,37 +109,15 @@ def test_rank_deficient_rows_take_the_pinv_step_exactly():
     assert np.allclose(got[[0, 2]], want[[0, 2]], rtol=1e-10, atol=0.0)
 
 
-wide = value | st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
-wide_g = st.floats(min_value=0.2, max_value=1e3)
-
-
-@given(st.lists(st.tuples(*[wide] * 5, st.floats(0.5, 2.0) | st.floats(2.0, 1e3), st.booleans()),
-                min_size=1, max_size=8).map(np.array),
-       st.tuples(wide, wide, wide, wide_g | wide_g.map(lambda v: -v), positive),
-       st.floats(min_value=1e-15, max_value=1e-2))
-# the bound's worst case: alpha1 = alpha4 = g = M, so 4 g^2 alpha1 alpha4^2 = 4 M^5
-@example(np.array([[1e3, 0.0, 0.0, 1e3, 0.0, 1.0, 1.0]]), (0.0, 0.0, 0.0, 1e3, 1.0), 1e-13)
-def test_prefilter_turns_away_only_failing_rows(rows, cpl, tol):
-    # _within_tol rejects a row with a constraint above 8 tol M^5 before
-    # it evaluates the scales; with every constraint of a row at u times
-    # its tolerance, u near 1 or far above it, that shortcut must agree
-    # with the full normalized check
-    x, u, sign = rows[:, :5], rows[:, 5], np.where(rows[:, 6] > 0.0, 1.0, -1.0)
-    f = tol * _scale_columns(*x.T, *cpl).T * (u * sign)[:, None]
-    got, want = _within_tol(cpl, tol)(f, x), _worst_normalized(f, x, cpl)
-    assert np.array_equal(got <= tol, want <= tol)
-    # a row the shortcut does not turn away carries its worst, bit for bit
-    tested = ~np.isnan(got)
-    assert _hex(got[tested]) == _hex(want[tested])
-
-
 # At lam = sqrt of the largest float (as in test_refine_overflow) every
-# way a row stops has a start: the vacuum converges at once, (1, 0, 0, 0, 0)
-# overflows its Jacobian, (0.5, 0, 0, 0, 0) finds no descent, and
-# (0, 0, 0, 1e9, 1e9) starts past norm 1e8.
+# way a row stops has a start: the vacuum converges at once; at
+# (1/4, 0, lam/4, 0, 0), where x = lam + 2 g alpha3 = 3 lam / 2, c1 =
+# alpha1 x^2 stays finite but its derivative x^2 in alpha1 overflows;
+# (0.5, 0, 0, 0, 0) finds no descent; and (0, 0, 0, 1e9, 1e9) starts
+# past norm 1e8.
 _HUGE_LAM = math.sqrt(np.finfo(float).max * (1.0 - 5e-8))
-_STOPS = [(0.0, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.0, 0.0, 0.0),
-          (0.0, 0.0, 0.0, 1e9, 1e9)]
+_STOPS = [(0.0, 0.0, 0.0, 0.0, 0.0), (0.25, 0.0, _HUGE_LAM / 4.0, 0.0, 0.0),
+          (0.5, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1e9, 1e9)]
 # At k = omega = 1e30 rows of order 1 converge, some of order 3e7 fail
 # their line search, and rows of order 1e20 pass norm 1e8
 _WIDE = (0.0, 1e30, 1e30, 1.0, 1.0)
@@ -150,9 +125,10 @@ _ORDERS = [1.0, 3e7, 1e20]
 
 
 def _batch_matches_each_row_alone(x0, cpl):
-    x, iters, worst = _newton(x0, cpl)
+    table = _substitute(*cpl)
+    x, iters, worst = _newton(x0, table)
     for i in range(len(x0)):
-        xi, it_i, worst_i = _newton(x0[i:i + 1], cpl)
+        xi, it_i, worst_i = _newton(x0[i:i + 1], table)
         assert _hex(x[i]) == _hex(xi[0])
         assert (iters[i], _hex(worst[i])) == (it_i[0], _hex(worst_i[0]))
     return x, iters, worst
@@ -178,6 +154,7 @@ def test_one_batch_holds_every_way_to_stop():
     assert np.all(worst[1:4] > _TOL) and np.all(iters[1:4] == 1)  # stopped in the first
     assert np.array_equal(x[1:3], x0[1:3])  # unmoved: no step, or no descent
     with np.errstate(all="ignore"):
-        jac = _value_and_jacobian(x0[1:3], cpl)[1]
+        f, jac, _ = _value_and_jacobian(x0[1:3], _substitute(*cpl))
+    assert np.isfinite(f).all()
     assert np.isfinite(jac).all(axis=(1, 2)).tolist() == [False, True]
     assert np.linalg.norm(x[3]) > 1e8

@@ -261,3 +261,17 @@ def test_allowances_name_the_power_that_overflows(allowance, n, budget):
     scale = "the frequency scale max(1, |k|, |omega / c|, |lambda|) = 1e+200"
     with pytest.raises(OverflowError, match=re.escape(f"raising {scale} to the power")):
         allowance(replace(p, lam=1e200), 1e-4)
+
+
+@pytest.mark.parametrize("allowance, budget, lam, h", [
+    (residual_allowance, "numeric residual allowance", 1e10, 1e70),
+    (bianchi_allowance, "Bianchi allowance", 1e30, 1e120),
+    (field_strength_allowance, "field-strength allowance", 1e40, 1e100),
+])
+def test_allowances_name_the_product_that_overflows(allowance, budget, lam, h):
+    # every power is finite, and their product is not
+    p = build_family_i(k=1.0, alpha4=1.0, lam=0.0, g=1.0)
+    with pytest.raises(OverflowError) as info:
+        allowance(replace(p, lam=lam), h)
+    assert str(info.value) == (f"the {budget} overflows at the frequency scale "
+                               f"max(1, |k|, |omega / c|, |lambda|) = {lam!r} and h = {h!r}")
