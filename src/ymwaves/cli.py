@@ -26,7 +26,9 @@ import functools
 import math
 import sys
 from collections import Counter
-from itertools import islice
+from itertools import chain
+
+import numpy as np
 
 from .constraints import (
     ClassificationError,
@@ -41,7 +43,6 @@ from .constraints import (
     nine_constraints,
     scan_families,
 )
-from . import fields
 from .fields import (
     AnsatzParams,
     SpacetimePoint,
@@ -62,6 +63,8 @@ from .residuals import (
 )
 
 _FMT = "%.17g"
+# a fields row: t, y, z, theta and the two sigma_z columns come formatted
+_FIELDS_ROW = "%s,%s,%s,%s,%.17g,%.17g,%s,%.17g,%.17g,%s\r\n"
 # verify's numeric residual runs on about this many of its grid points
 _NUMERIC_POINTS = 27
 # the sums at theta = 0 of constraints._static_conditions, judged at k = omega = 0
@@ -118,13 +121,18 @@ def _parse_grid(text: str):
     if len(parts) != 3:
         raise ValueError("grid must be 't0:t1:n,y0:y1:n,z0:z1:n'")
     ranges = []
-    for part in parts:
+    for name, part in zip("tyz", parts):
         bits = part.split(":")
         if len(bits) != 3:
             raise ValueError("each grid axis must be 'start:stop:count'")
-        lo, hi, n = float(bits[0]), float(bits[1]), int(bits[2])
+        lo, hi = float(bits[0]), float(bits[1])
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"grid bounds must be finite, got {part!r}")
+        try:
+            n = int(bits[2])
+        except ValueError:
+            raise ValueError(f"grid axis {name}: count must be a whole number >= 1, "
+                             f"got {bits[2]!r}") from None
         ranges.append((lo, hi, n))
     return ranges
 
@@ -252,34 +260,49 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _write_csv(args, header, rows):
-    """Write a header and rows of floats as csv.writer would with %.17g
-    numbers, "\r\n" ends included; one write per block of rows. The first
-    block is made before the output is opened, so an input that fails on
-    it leaves nothing behind."""
-    fmt = ",".join([_FMT] * len(header)) + "\r\n"
-    rows = iter(rows)
-    block = list(islice(rows, fields._GRID_BLOCK))
+def _distinct_text(column) -> list:
+    """A float column as %.17g strings, each distinct value formatted once.
+    Values are matched on their bits, not compared as floats, so -0 stays
+    apart from 0."""
+    bits, where = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array([_FMT % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[where].tolist()
+
+
+def _write_csv(args, header, blocks):
+    """Write a header and blocks of CSV text, one write per block; each
+    block is whole rows, "\r\n" ends included, as csv.writer would end
+    them. The first block is made before the output is opened, so an
+    input that fails on it leaves nothing behind."""
+    blocks = iter(blocks)
+    first = next(blocks, "")
     with _output(args) as out:
-        out.write(",".join(header) + "\r\n")
-        while block:
-            out.write("".join(fmt % row for row in block))
-            block = list(islice(rows, fields._GRID_BLOCK))
+        out.writelines(chain([",".join(header) + "\r\n", first], blocks))
 
 
 def cmd_fields(args) -> int:
+    """The closed-form E_y and B_x coefficients on a grid, as CSV.
+
+    A block of rows is formatted column by column. On a product grid t, y
+    and z repeat, theta depends only on (t, z) and the sigma_z parts of
+    E_y and B_x do not depend on y, so each of these six columns formats
+    every distinct value once per block (_distinct_text); only the four
+    sigma_x and sigma_y coefficients are formatted row by row."""
     p = _build_params(args)
     # the grid is checked whole before the first row is written
     blocks = _Grid.from_ranges(*_parse_grid(args.grid)).blocks(p)
 
-    def rows():
+    def text():
         for r in blocks:
-            ey, bx = _field_columns(p, r)
-            yield from zip(*(c.tolist() for c in (r.t, r.y, r.z, r.theta, *ey, *bx)))
+            (ey_x, ey_y, ey_z), (bx_x, bx_y, bx_z) = _field_columns(p, r)  # on sx, sy, sz
+            columns = [_distinct_text(c) for c in (r.t, r.y, r.z, r.theta)]
+            columns += [ey_x.tolist(), ey_y.tolist(), _distinct_text(ey_z),
+                        bx_x.tolist(), bx_y.tolist(), _distinct_text(bx_z)]
+            yield "".join(_FIELDS_ROW % row for row in zip(*columns))
 
     _write_csv(args, ["t", "y", "z", "theta",
                       "E_y_sigma_x", "E_y_sigma_y", "E_y_sigma_z",
-                      "B_x_sigma_x", "B_x_sigma_y", "B_x_sigma_z"], rows())
+                      "B_x_sigma_x", "B_x_sigma_y", "B_x_sigma_z"], text())
     return 0
 
 
@@ -292,9 +315,10 @@ def cmd_energy_profile(args) -> int:
         raise ValueError("configuration did not classify as a family solution")
     # the sweep is checked whole before the first row is written
     blocks = _profile_blocks(sol, args.theta_samples)
+    fmt = ",".join([_FMT] * 4) + "\r\n"
     _write_csv(args, ["theta", "density", "closed_form", "abs_diff"],
-               ((th, dens, cf, abs(dens - cf))
-                for block in blocks for th, dens, cf in zip(*block)))
+               ("".join(fmt % (th, dens, cf, abs(dens - cf)) for th, dens, cf in zip(*block))
+                for block in blocks))
     return 0
 
 

@@ -138,6 +138,10 @@ def _term_table():
 
 
 _FACTORS, _POWERS, _CONSTANTS, _STARTS, _ALPHA3 = _term_table()
+# the exponents the terms take, and where each term's powers of k, omega / c
+# and g sit in the flattened (3, len(_EXPONENTS)) array of their powers
+_EXPONENTS = range(int(_POWERS.max()) + 1)
+_POWER_INDEX = _POWERS + len(_EXPONENTS) * np.arange(3)[:, None]
 
 
 class _Substituted(NamedTuple):
@@ -149,28 +153,30 @@ class _Substituted(NamedTuple):
     coefficients: np.ndarray
 
 
-def _substitute(lam, k, omega, g, c) -> _Substituted:
-    """The term table at couplings (lam, k, omega, g, c). The powers of
-    k, omega / c and g are taken once, by **, so that a float coupling
-    whose square overflows raises the OverflowError that names it."""
+def _substitute(lam, k, omega, g, c, count=None) -> _Substituted:
+    """The first count terms of the table (all by default) at couplings
+    (lam, k, omega, g, c); the first _STARTS[9] are those of c1..c9. The
+    powers of k, omega / c and g are taken once, by **, so that a float
+    coupling whose square overflows raises the OverflowError that names it."""
     w = omega / c
     try:
-        powers = np.array([[v ** n for n in range(_POWERS.max() + 1)] for v in (k, w, g)])
+        powers = np.array([[v ** n for n in _EXPONENTS] for v in (k, w, g)]).ravel()
     except OverflowError:
         raise _squares_overflow(_ATOM_NAMES[5:], (k, w, g)) from None
-    coefficients = (_CONSTANTS * powers[0, _POWERS[0]] * powers[1, _POWERS[1]]
-                    * powers[2, _POWERS[2]])
+    pk, pw, pg = powers[_POWER_INDEX[:, :count]]
+    coefficients = _CONSTANTS[:count] * pk * pw * pg
     two_g = 2.0 * g
-    return _Substituted(lam, two_g, np.where(_ALPHA3, two_g * coefficients, coefficients))
+    coefficients[_ALPHA3[:count]] *= two_g
+    return _Substituted(lam, two_g, coefficients)
 
 
-def _monomials(table: _Substituted, amplitudes, count=None):
-    """The first count terms of the substituted table (all by default) at
-    amplitude columns, shape (5, n) -> (count, n)."""
+def _monomials(table: _Substituted, amplitudes):
+    """The terms of the substituted table at amplitude columns, shape
+    (5, n) -> (terms, n)."""
     a1, a2, a3, a4, a5 = amplitudes
     atoms = np.array([a1, a2, table.lam + table.two_g * a3, a4, a5, np.ones_like(a1)])
-    f0, f1, f2 = _FACTORS[:, :count]
-    return table.coefficients[:count, None] * atoms[f0] * atoms[f1] * atoms[f2]
+    f0, f1, f2 = _FACTORS[:, :len(table.coefficients)]
+    return table.coefficients[:, None] * atoms[f0] * atoms[f1] * atoms[f2]
 
 
 def _largest(monomials):
@@ -193,8 +199,8 @@ def _scale_columns(*values):
     """constraint_scales at the closed forms' arguments (fields._values),
     the amplitudes floats or numpy columns, the couplings floats."""
     amplitudes = np.array(values[:5], dtype=float)
-    table = _substitute(*values[5:])
-    scales = _largest(_monomials(table, amplitudes.reshape(5, -1), _STARTS[9]))
+    table = _substitute(*values[5:], count=_STARTS[9])  # the value terms alone
+    scales = _largest(_monomials(table, amplitudes.reshape(5, -1)))
     return scales.reshape(9, *amplitudes.shape[1:])
 
 

@@ -288,18 +288,25 @@ def _rows(p: AnsatzParams, coords: np.ndarray) -> _Rows:
 
 def _grid_axis(lo, hi, n) -> np.ndarray:
     """One (start, stop, count) axis of a grid; a single count collapses to
-    the start value.
+    the start value. A count below 1, or one that no array can hold, is a
+    ValueError.
 
     An axis that overflows holds inf or nan, without a numpy warning; its
     users reject it (SpacetimePoint, _Grid.blocks).
     """
     n = int(n)
     if n < 1:
-        raise ValueError("grid counts must be >= 1")
+        raise ValueError(f"count must be >= 1, got {n}")
     if n == 1:
         return np.array([float(lo)])
+    try:
+        steps = np.arange(n)
+        if len(steps) != n:  # numpy makes an empty arange(2**63 - 1)
+            raise MemoryError
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest size
+        raise ValueError(f"count {n} is more than memory holds") from None
     with np.errstate(all="ignore"):
-        return lo + np.arange(n) * ((hi - lo) / (n - 1))
+        return lo + steps * ((hi - lo) / (n - 1))
 
 
 class _Grid:
@@ -311,7 +318,15 @@ class _Grid:
 
     @classmethod
     def from_ranges(cls, t_range, y_range, z_range) -> "_Grid":
-        return cls(*(_grid_axis(*r) for r in (t_range, y_range, z_range)))
+        """The grid of three (start, stop, count) ranges; a bad count is a
+        ValueError that names its axis."""
+        axes = []
+        for name, r in zip("tyz", (t_range, y_range, z_range)):
+            try:
+                axes.append(_grid_axis(*r))
+            except ValueError as exc:
+                raise ValueError(f"grid axis {name}: {exc}") from None
+        return cls(*axes)
 
     def __len__(self) -> int:
         return len(self.t) * len(self.y) * len(self.z)

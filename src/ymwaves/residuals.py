@@ -54,7 +54,7 @@ from .fields import (
     _field_columns,
     _field_strength_columns,
     _five_point,
-    _grid_axis,
+    _Grid,
     _potential_columns,
     _rows,
     _stacked,
@@ -373,7 +373,8 @@ def grid_points(t_range, y_range, z_range):
     Each range is (start, stop, count) with count >= 1; a single count
     collapses to the start value.
     """
-    t, y, z = (_grid_axis(*r).tolist() for r in (t_range, y_range, z_range))
+    grid = _Grid.from_ranges(t_range, y_range, z_range)
+    t, y, z = (axis.tolist() for axis in (grid.t, grid.y, grid.z))
     return [SpacetimePoint(t=tv, x=_GRID_X, y=yv, z=zv) for tv in t for yv in y for zv in z]
 
 

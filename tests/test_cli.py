@@ -298,6 +298,24 @@ def test_bad_grid_is_usage_error(capsys):
     assert "error:" in err
 
 
+# every count here fails at once, before anything is allocated
+@pytest.mark.parametrize("grid, message", [
+    ("0:1:2,0:0:1,0:1:1000000000000000",
+     "grid axis z: count 1000000000000000 is more than memory holds"),
+    ("0:1:99999999999999999999,0:0:1,0:1:2",
+     "grid axis t: count 99999999999999999999 is more than memory holds"),
+    ("0:1:2,0:0:9223372036854775807,0:1:2",
+     "grid axis y: count 9223372036854775807 is more than memory holds"),
+    ("0:1:1e3,0:0:1,0:1:2", "grid axis t: count must be a whole number >= 1, got '1e3'"),
+    ("0:1:2,0:0:2.5,0:1:2", "grid axis y: count must be a whole number >= 1, got '2.5'"),
+    ("0:1:2,0:0:1,0:1:0", "grid axis z: count must be >= 1, got 0"),
+])
+@pytest.mark.parametrize("command", ["verify", "fields"])
+def test_a_bad_grid_count_names_its_axis(command, grid, message, capsys):
+    code, out, err = run([command, "--family", "I", "--alpha4", "1", f"--grid={grid}"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "nan"),
                                          ("--h", "0"), ("--h", "inf"), ("--h", "1e-320")])
 def test_bad_tolerance_or_step_is_usage_error(flag, value, tmp_path, capsys):

@@ -28,13 +28,20 @@ from conftest import random_params, random_point
 FIELDS_HEADER = ["t", "y", "z", "theta", "E_y_sigma_x", "E_y_sigma_y", "E_y_sigma_z",
                  "B_x_sigma_x", "B_x_sigma_y", "B_x_sigma_z"]
 
-# (family, alpha4, k, lam, g, eta, xi, grid); the last grid has 1,300 rows,
-# more than one block
+# (family, alpha4, k, lam, g, eta, xi, grid). fields formats a repeated value
+# once per block, matched on its bits: the three grids at lam = 0 with axes
+# through 0 hold -0 and 0 in the same columns (and -0 as z and theta in the
+# last of them), and the 7 x 3 x 77 grid cuts its (t, z) runs at the block
+# boundaries. The last grid has 1,300 rows, more than one block.
 CONFIGS = [
     ("I", 1.0, 1.0, 0.0, 1.0, 1, 1, ((0.0, 0.0, 1), (0.0, 0.0, 1), (0.0, 6.2832, 64))),
     ("II", -0.7, 1.9, 0.8, -1.3, -1, 1, ((-0.5, 1.5, 3), (-1.0, 1.0, 4), (0.2, 4.1, 5))),
     ("II", 1.3, -2.4, -1.1, 0.6, 1, -1, ((0.3, 2.0, 1), (0.1, 0.9, 7), (-1.0, 1.0, 1))),
     ("I", -1.6, 0.55, 1.4, -0.8, 1, 1, ((0.0, 3.0, 2), (-1.0, 2.0, 1), (0.0, 5.0, 33))),
+    ("I", 1.0, -1.0, 0.0, 1.0, 1, 1, ((-1.0, 1.0, 3), (-1.0, 1.0, 3), (-1.0, 1.0, 5))),
+    ("II", -0.8, -1.7, 0.0, 1.2, 1, -1, ((-1.0, 1.0, 5), (-1.0, 1.0, 5), (-1.0, 1.0, 3))),
+    ("II", 1.1, 0.9, 0.0, -0.7, -1, 1, ((-1.0, 1.0, 3), (-1.0, 1.0, 5), (-0.0, 0.0, 1))),
+    ("I", 0.6, -1.3, 0.9, 1.1, 1, 1, ((0.0, 2.0, 7), (-1.0, 1.0, 3), (-2.0, 3.0, 77))),
     ("II", 0.9, 2.7, -0.3, 1.7, -1, -1, ((-1.0, 1.0, 4), (-1.0, 1.0, 5), (0.0, 8.0, 65))),
 ]
 
