@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import math
 import sys
 from collections import Counter
@@ -36,12 +37,12 @@ from .constraints import (
     NotASolution,
     PlaneSolution,
     TrivialZeroField,
+    _scan_blocks,
     _sign_suffix,
     _static_conditions,
     classify,
     constraint_scales,
     nine_constraints,
-    scan_families,
 )
 from .fields import (
     AnsatzParams,
@@ -168,7 +169,7 @@ def cmd_verify(args) -> int:
 
     grid = _Grid.from_ranges(*_parse_grid(args.grid))
     n = len(grid)
-    max_analytic = _max_analytic_norm(cv, grid.blocks(p))
+    max_analytic = _max_analytic_norm(cv, grid.angle_blocks(p))
     ana_allow = args.tol * max(scales)  # the residual is made of c1..c9
     numeric = grid.coordinates(range(0, n, max(1, n // _NUMERIC_POINTS)))
     max_numeric = _max_numeric_norm(p, numeric, args.h)
@@ -237,20 +238,24 @@ def cmd_classify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    rows = scan_families(args.seeds, seed=args.seed, lam=args.lam, k=args.k,
-                         omega=args.omega, g=args.g, c=args.c)
-    with _output(args) as out:
-        writer = csv.writer(out)
-        writer.writerow(["seed", "converged", "alpha1", "alpha2", "alpha3",
-                         "alpha4", "alpha5", "max_constraint", "classification",
-                         "distance", "iterations"])
-        for row in rows:
-            writer.writerow([row.seed_index, int(row.converged)]
-                            + [_fmt(a) for a in row.alphas]
-                            + [_fmt(row.max_constraint), row.label, _fmt(row.distance),
-                               row.iterations])
+    """The scan's rows as CSV, written block by block as scan_families
+    makes them (_scan_blocks), and the tally of their labels, kept as they
+    pass. Memory does not grow with --seeds."""
+    blocks = _scan_blocks(args.seeds, args.seed, args.lam, args.k, args.omega, args.g, args.c)
+    tally = Counter()
 
-    tally = Counter(row.label if row.converged else "discarded" for row in rows)
+    def text():
+        for rows in blocks:
+            tally.update(row.label if row.converged else "discarded" for row in rows)
+            block = io.StringIO()
+            csv.writer(block).writerows(
+                [row.seed_index, int(row.converged)] + [_fmt(a) for a in row.alphas]
+                + [_fmt(row.max_constraint), row.label, _fmt(row.distance), row.iterations]
+                for row in rows)
+            yield block.getvalue()
+
+    _write_csv(args, ["seed", "converged", "alpha1", "alpha2", "alpha3", "alpha4", "alpha5",
+                      "max_constraint", "classification", "distance", "iterations"], text())
     dest = sys.stdout if args.out is not None else sys.stderr
     dest.write("classification tally: "
                + ", ".join(f"{k}={v}" for k, v in sorted(tally.items())) + "\n")
@@ -313,8 +318,10 @@ def cmd_energy_profile(args) -> int:
     sol = classify(p, tol=args.tol)
     if not isinstance(sol, FamilySolution):
         raise ValueError("configuration did not classify as a family solution")
-    # the sweep is checked whole before the first row is written
-    blocks = _profile_blocks(sol, args.theta_samples)
+    try:  # the sweep is checked whole before the first row is written
+        blocks = _profile_blocks(sol, args.theta_samples)
+    except ValueError as exc:  # of the checks it makes, only the count's can fail here
+        raise ValueError(f"--theta-samples: {exc}") from None
     fmt = ",".join([_FMT] * 4) + "\r\n"
     _write_csv(args, ["theta", "density", "closed_form", "abs_diff"],
                ("".join(fmt % (th, dens, cf, abs(dens - cf)) for th, dens, cf in zip(*block))

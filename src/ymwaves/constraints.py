@@ -489,6 +489,15 @@ _ORACLE_ENTRIES = ((0, 0, 1), (1, 0, 1), (2, 0, -1),
 # The oracle samples 8 phases (4 alias cos 2 theta) at distinct y, so that lam y varies
 _ORACLE_PHASES = 8
 _ORACLE_YS = (-0.4, 0.37, 0.9)
+# Its fixed plan, made once: every phase at each y in turn, the design
+# matrix of [1, cos, cos^2, sin] at each sample, and where c1..c9 sit in
+# the fit (_ORACLE_ENTRIES as index arrays)
+_ORACLE_THETAS = [2.0 * math.pi * i / _ORACLE_PHASES for i in range(_ORACLE_PHASES)]
+_ORACLE_TH = np.tile(_ORACLE_THETAS, len(_ORACLE_YS))
+_ORACLE_Y = np.repeat(_ORACLE_YS, _ORACLE_PHASES)
+_ORACLE_DESIGN = np.array([(1.0, math.cos(th), math.cos(th) ** 2, math.sin(th))
+                           for th in _ORACLE_THETAS] * len(_ORACLE_YS))
+_ORACLE_FIT = np.array(_ORACLE_ENTRIES).T
 
 
 def oracle_constraints(p: AnsatzParams, h: float = 1e-4, full_output: bool = False):
@@ -502,7 +511,9 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4, full_output: bool = Fal
     numeric residuals on columns, the values gauss_residual and
     ampere_residual give point by point. The nine entries of _ORACLE_ENTRIES reproduce
     nine_constraints without ever evaluating the constraint polynomials;
-    this is the independent oracle the algebra is tested against.
+    this is the independent oracle the algebra is tested against. The
+    phases, the y's and the design matrix depend on no input, so they are
+    module constants.
 
     Raises ValueError for k = omega = 0 (frozen phase, nothing to fit).
     With full_output=True also returns a dict of fit diagnostics.
@@ -510,34 +521,30 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4, full_output: bool = Fal
     if p.k == 0.0 and p.omega == 0.0:
         raise ValueError("phase is frozen at k = omega = 0; the oracle needs a wave")
     use_z = abs(p.k) >= abs(p.omega)
-
-    thetas = [2.0 * math.pi * i / _ORACLE_PHASES for i in range(_ORACLE_PHASES)]
-    design = np.array([(1.0, math.cos(th), math.cos(th) ** 2, math.sin(th))
-                       for th in thetas] * len(_ORACLE_YS))
-    # every phase at each y in turn, at x = 0.17
-    th, y = np.tile(thetas, len(_ORACLE_YS)), np.repeat(_ORACLE_YS, _ORACLE_PHASES)
+    th, y = _ORACLE_TH, _ORACLE_Y
     with np.errstate(all="ignore"):
         # through z, or through t at z = 0.3, absorbing the k z it adds
         t, z = (0.0, th / p.k) if use_z else ((p.k * 0.3 - th) / p.omega, 0.3)
-    coords = np.array(np.broadcast_arrays(t, 0.17, y, z))
+    coords = np.array(np.broadcast_arrays(t, 0.17, y, z))  # at x = 0.17
 
     _check_h(h)
     ga, am = _numeric_residuals(p, coords, h)
     with np.errstate(all="ignore"):
         frame = p.lam * y
-        cos_fr, sin_fr = np.cos(frame), np.sin(frame)
-        # twelve channels: gauss, ampere e_x, e_y, e_z, each on Sx, Sy, Sz
-        samples = np.stack([v for e in (ga, *am.transpose(1, 0, 2))
-                            for v in _frame_coeffs(cos_fr, sin_fr, e)], axis=1)
-    coef = np.linalg.lstsq(design, samples, rcond=None)[0]
-    harmonic, channel, sign = np.array(_ORACLE_ENTRIES).T
+        # gauss, ampere e_x, e_y, e_z on the frame: (Sx, Sy, Sz, channel, sample)
+        on_frame = np.array(_frame_coeffs(np.cos(frame), np.sin(frame),
+                                          np.concatenate([ga[:, None], am], axis=1)))
+    # twelve channels: gauss, ampere e_x, e_y, e_z, each on Sx, Sy, Sz
+    samples = on_frame.transpose(2, 1, 0).reshape(len(y), 12)
+    coef = np.linalg.lstsq(_ORACLE_DESIGN, samples, rcond=None)[0]
+    harmonic, channel, sign = _ORACLE_FIT
     cv = ConstraintVector(*(float(v) for v in sign * coef[harmonic, channel]))
     if not full_output:
         return cv
     off = np.ones(coef.shape, dtype=bool)
     off[harmonic, channel] = False
     diagnostics = {
-        "max_fit_residual": float(np.max(np.abs(design @ coef - samples))),
+        "max_fit_residual": float(np.max(np.abs(_ORACLE_DESIGN @ coef - samples))),
         "max_off_channel": float(np.max(np.abs(coef[off]))),
     }
     return cv, diagnostics
@@ -825,7 +832,18 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
     Raises ValueError for non-finite couplings, g = 0, c = 0 or a frozen
     phase k = omega = 0 before any Newton work, and OverflowError when a
     coupling's square overflows (naming it, as nine_constraints does) or
-    the constraints overflow at the seeds.
+    the constraints overflow at the seeds. The rows are those of
+    _scan_blocks, listed.
+    """
+    return [row for block in _scan_blocks(n_seeds, seed, lam, k, omega, g, c) for row in block]
+
+
+def _scan_blocks(n_seeds: int, seed: int, lam: float, k: float, omega: Optional[float],
+                 g: float, c: float):
+    """The rows of scan_families as lists of ScanRow, one block of _BLOCK
+    seeds at a time, so that a caller can write each block as it comes.
+    Checks the inputs before returning, before any block is made, so that
+    such a caller writes nothing for a bad input.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -834,30 +852,31 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
     _check_couplings(lam, k, omega, g, c)
     if k == 0.0 and omega == 0.0:
         raise ValueError("phase is frozen at k = omega = 0; the scan needs a wave")
-    rng = np.random.default_rng(seed)
     couplings = (lam, k, omega, g, c)
     table = _substitute(*couplings)
-    rows = []
-    for lo in range(0, n_seeds, _BLOCK):
-        starts = rng.uniform(-_SPREAD, _SPREAD, size=(min(_BLOCK, n_seeds - lo), 5))
-        x, iters, worst = _newton(starts, table, _SNAP_STOP)
-        labels, dist = _snap(x, worst, couplings, table)
-        # the rows the loose test stopped that no branch explains: a row
-        # that failed its line search stopped where that test had turned
-        # it away, one past norm 1e8 stopped failed whatever the test
-        # said, and one whose Jacobian overflowed as it passed stops in
-        # its resumed first iteration, counted as refine_alphas counts it
-        resume = np.flatnonzero((labels == "") & (worst > _TOL) & (worst <= _SNAP_STOP)
-                                & (iters < _MAX_ITER) & (_norms(x) <= 1e8))
-        if resume.size:
-            xr, more, wr = _newton(x[resume], table, _TOL, _MAX_ITER - iters[resume])
-            labels[resume], dist[resume] = _snap(xr, wr, couplings, table)
-            x[resume], iters[resume], worst[resume] = xr, iters[resume] + more, wr
-        converged = worst <= _SUCCESS_TOL
-        labels[converged & (labels == "")] = "none"
-        rows += [ScanRow(seed_index=lo + j, initial=tuple(start), alphas=tuple(a),
-                         converged=bool(conv), max_constraint=float(w), label=label,
-                         distance=float(d), iterations=int(n))
-                 for j, (start, a, conv, w, label, d, n)
-                 in enumerate(zip(starts, x, converged, worst, labels, dist, iters))]
-    return rows
+    rng = np.random.default_rng(seed)
+
+    def blocks():
+        for lo in range(0, n_seeds, _BLOCK):
+            starts = rng.uniform(-_SPREAD, _SPREAD, size=(min(_BLOCK, n_seeds - lo), 5))
+            x, iters, worst = _newton(starts, table, _SNAP_STOP)
+            labels, dist = _snap(x, worst, couplings, table)
+            # the rows the loose test stopped that no branch explains: a row
+            # that failed its line search stopped where that test had turned
+            # it away, one past norm 1e8 stopped failed whatever the test
+            # said, and one whose Jacobian overflowed as it passed stops in
+            # its resumed first iteration, counted as refine_alphas counts it
+            resume = np.flatnonzero((labels == "") & (worst > _TOL) & (worst <= _SNAP_STOP)
+                                    & (iters < _MAX_ITER) & (_norms(x) <= 1e8))
+            if resume.size:
+                xr, more, wr = _newton(x[resume], table, _TOL, _MAX_ITER - iters[resume])
+                labels[resume], dist[resume] = _snap(xr, wr, couplings, table)
+                x[resume], iters[resume], worst[resume] = xr, iters[resume] + more, wr
+            converged = worst <= _SUCCESS_TOL
+            labels[converged & (labels == "")] = "none"
+            yield [ScanRow(seed_index=lo + j, initial=tuple(start), alphas=tuple(a),
+                           converged=bool(conv), max_constraint=float(w), label=label,
+                           distance=float(d), iterations=int(n))
+                   for j, (start, a, conv, w, label, d, n)
+                   in enumerate(zip(starts, x, converged, worst, labels, dist, iters))]
+    return blocks()

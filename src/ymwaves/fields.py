@@ -151,6 +151,10 @@ def _five_point(f1, f2, fm1, fm2, h: float):  # fourth order
 _CENTRAL = (1.0, -1.0)
 _FIVE_POINT = (1.0, 2.0, -1.0, -2.0)
 
+# the zero coefficient triple of a field component that vanishes; _stacked
+# leaves it as the zeros it starts from
+_ZERO = (0.0, 0.0, 0.0)
+
 
 def _potential_columns(p: AnsatzParams, cos_th, sin_th, cos_fr, sin_fr):
     """phi and the components of A as coefficient triples on one rotated
@@ -160,7 +164,7 @@ def _potential_columns(p: AnsatzParams, cos_th, sin_th, cos_fr, sin_fr):
     phi = _along_sx(cos_fr, sin_fr, p.alpha1)
     ey = _along_sy_sz(cos_fr, sin_fr, p.alpha4 * sin_th, p.alpha3 + p.alpha5 * cos_th)
     ez = _along_sx(cos_fr, sin_fr, p.alpha2)
-    return phi, ((0.0, 0.0, 0.0), ey, ez)
+    return phi, (_ZERO, ey, ez)
 
 
 def scalar_potential(p: AnsatzParams, s: SpacetimePoint) -> LieElement:
@@ -277,13 +281,29 @@ class _Rows(NamedTuple):
         return self.cos_th, self.sin_th, self.cos_fr, self.sin_fr
 
 
+def _cos_sin(angle):
+    """cos and sin of an array of angles: the grid core's one trigonometry."""
+    return np.cos(angle), np.sin(angle)
+
+
 def _rows(p: AnsatzParams, coords: np.ndarray) -> _Rows:
     """The rows of coords, t, x, y, z along its first axis: a (4, n) array,
     or a block of them (4, rows, n). The one way from coordinates to rows."""
     t, _, y, z = coords
     theta = p.k * z - p.omega * t  # AnsatzParams.phase on columns
-    frame = p.lam * y
-    return _Rows(t, y, z, theta, np.cos(theta), np.sin(theta), np.cos(frame), np.sin(frame))
+    return _Rows(t, y, z, theta, *_cos_sin(theta), *_cos_sin(p.lam * y))
+
+
+def _arange(n: int) -> np.ndarray:
+    """np.arange(n) for a count n >= 1; a count that no array can hold is a
+    ValueError."""
+    try:
+        steps = np.arange(n)
+        if len(steps) != n:  # numpy makes an empty arange(2**63 - 1)
+            raise MemoryError
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest size
+        raise ValueError(f"count {n} is more than memory holds") from None
+    return steps
 
 
 def _grid_axis(lo, hi, n) -> np.ndarray:
@@ -292,19 +312,14 @@ def _grid_axis(lo, hi, n) -> np.ndarray:
     ValueError.
 
     An axis that overflows holds inf or nan, without a numpy warning; its
-    users reject it (SpacetimePoint, _Grid.blocks).
+    users reject it (SpacetimePoint, _Grid.check).
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"count must be >= 1, got {n}")
     if n == 1:
         return np.array([float(lo)])
-    try:
-        steps = np.arange(n)
-        if len(steps) != n:  # numpy makes an empty arange(2**63 - 1)
-            raise MemoryError
-    except (MemoryError, ValueError):  # ValueError: past numpy's largest size
-        raise ValueError(f"count {n} is more than memory holds") from None
+    steps = _arange(n)
     with np.errstate(all="ignore"):
         return lo + steps * ((hi - lo) / (n - 1))
 
@@ -338,14 +353,11 @@ class _Grid:
         iy, iz = np.divmod(rest, len(self.z))
         return np.array([self.t[it], np.full(len(it), _GRID_X), self.y[iy], self.z[iz]])
 
-    def blocks(self, p: AnsatzParams):
-        """The rows in blocks of at most _GRID_BLOCK, as _Rows.
-
-        Checks first, before any block is made, that the coordinates, the
-        phase, the frame angle and the field coefficients are finite over
-        the whole grid, and raises OverflowError otherwise. The phase and
-        the frame angle are monotone in each coordinate, also after
-        rounding, so their values at the ends of the axes bound them.
+    def check(self, p: AnsatzParams):
+        """Raise OverflowError unless the coordinates, the phase, the frame
+        angle and the field coefficients are finite over the whole grid.
+        The phase and the frame angle are monotone in each coordinate, also
+        after rounding, so their values at the ends of the axes bound them.
         """
         t_ends = (float(self.t.min()), float(self.t.max()))
         z_ends = (float(self.z.min()), float(self.z.max()))
@@ -355,9 +367,43 @@ class _Grid:
         if not all(map(math.isfinite, checked)):
             raise OverflowError("the grid coordinates, the phase, the frame angle "
                                 "or the field coefficients are not finite")
+
+    def blocks(self, p: AnsatzParams):
+        """The rows in blocks of at most _GRID_BLOCK, as _Rows, in grid order.
+        Checks the whole grid (check) before any block is made."""
+        self.check(p)
         n = len(self)
         return (_rows(p, self.coordinates(np.arange(start, min(start + _GRID_BLOCK, n))))
                 for start in range(0, n, _GRID_BLOCK))
+
+    def angle_blocks(self, p: AnsatzParams):
+        """The grid's angles in chunks of at most _GRID_BLOCK points: the cos
+        and sin of the phase over a row of (t, z) pairs, shape (m,), then of
+        the frame angle lam y over a column of y's, shape (ny', 1). The
+        chunk is every y of the column at every pair of the row, by
+        broadcasting, in no particular order.
+
+        A point's angles depend on it only through its (t, z) pair and its
+        y, so the trigonometry runs on the nt nz phases and the ny frame
+        angles, not on the nt ny nz points; a phase is taken again only for
+        each further column of y's, when ny > _GRID_BLOCK. Each value rounds
+        as in _rows. Checks the whole grid (check) before any chunk is made.
+        """
+        self.check(p)
+        ny, nz = len(self.y), len(self.z)
+        per_y = min(ny, _GRID_BLOCK)
+        per_z = min(nz, _GRID_BLOCK // per_y)
+        per_t = _GRID_BLOCK // (per_y * per_z)
+
+        def chunks():
+            for y0 in range(0, ny, per_y):
+                frame = _cos_sin(p.lam * self.y[y0:y0 + per_y, None])
+                for t0 in range(0, len(self.t), per_t):
+                    t = self.t[t0:t0 + per_t, None]
+                    for z0 in range(0, nz, per_z):
+                        theta = p.k * self.z[z0:z0 + per_z] - p.omega * t
+                        yield (*_cos_sin(theta.ravel()), *frame)
+        return chunks()
 
 
 def _field_columns(p: AnsatzParams, rows: _Rows):
@@ -367,11 +413,13 @@ def _field_columns(p: AnsatzParams, rows: _Rows):
 
 def _stacked(triples, shape=()) -> np.ndarray:
     """Coefficient triples of floats or columns of the given shape as one
-    array (3 coefficients, len(triples), *shape)."""
-    out = np.empty((3, len(triples), *shape))
+    array (3 coefficients, len(triples), *shape). The array starts as
+    zeros, and a triple that is _ZERO is not copied into it."""
+    out = np.zeros((3, len(triples), *shape))
     for j, e in enumerate(triples):
-        for i, c in enumerate(e):
-            out[i, j] = c
+        if e is not _ZERO:
+            for i, c in enumerate(e):
+                out[i, j] = c
     return out
 
 
@@ -421,6 +469,12 @@ def _stencil(p: AnsatzParams, coords: np.ndarray, steps, h: float, axes: str,
     moved = _block(coords, steps, h)
     with np.errstate(all="ignore"):
         rows = _rows(p, moved.transpose(1, 0, 2))
+    # the common case: with every coordinate, phase and frame cosine finite
+    # no row is bad, and the order of the visit does not matter
+    if (np.isfinite(moved).all() and np.isfinite(rows.theta).all()
+            and np.isfinite(rows.cos_fr).all()):
+        return rows
+    with np.errstate(all="ignore"):
         bad = (~np.isfinite(moved).all(axis=1) | np.isinf(rows.theta)
                | np.isinf(p.lam * rows.y))  # the frame angle
     order = [0] * here + [1 + 4 * j + _AXES.index(a) for a in axes for j in range(len(steps))]

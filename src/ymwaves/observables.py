@@ -24,6 +24,7 @@ from .fields import (
     AnsatzParams,
     ColorVector,
     SpacetimePoint,
+    _arange,
     _field_columns,
     _Grid,
     electric_field_analytic,
@@ -153,13 +154,14 @@ def _profile_blocks(sol: FamilySolution, n_samples: int, kappa: float = 0.25):
 
     Checks the input and the whole sweep (fields._Grid.blocks) before
     returning, so that a caller writing the blocks out writes nothing for
-    a bad input.
+    a bad input. A sample count below 2, or one that no array can hold,
+    is a ValueError.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 profile samples")
     _check_kappa(kappa)
     p = sol.params()
-    thetas = 2.0 * math.pi * np.arange(n_samples) / n_samples
+    thetas = 2.0 * math.pi * _arange(n_samples) / n_samples
     t, z = (np.atleast_1d(v) for v in _phase_coordinates(p, thetas))
     blocks = _Grid(t, np.zeros(1), z).blocks(p)
 

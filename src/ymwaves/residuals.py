@@ -21,9 +21,9 @@ themselves are checked against finite differences of the potentials in
 the fields module, so the two links together cover the whole derivation.
 
 Both modes run on numpy columns, the points a (4, n) array of t, x, y,
-z. The numeric mode evaluates phi, A, E and B once over the stencil
-block of the points (fields._stencil) and takes every derivative,
-commutator and norm on the arrays with su2's triple algebra
+z. The numeric mode evaluates E and B once over the stencil block of the
+points (fields._stencil), phi and A once at the points, and takes every
+derivative, commutator and norm on the arrays with su2's triple algebra
 (_numeric_residuals); Bianchi differentiates the field strength over the
 block of its point. The one-point functions are views of these columns
 (_residuals_at) and round as a point-by-point evaluation.
@@ -42,6 +42,7 @@ from .fields import (
     _CENTRAL,
     _FIVE_POINT,
     _GRID_X,
+    _ZERO,
     AnsatzParams,
     ColorVector,
     SpacetimePoint,
@@ -171,6 +172,12 @@ def _check_mode(mode: str):
 
 # (A x B)_i = A_j B_k - A_k B_j for the cyclic (i, j, k): j and k per i
 _J, _K = [1, 2, 0], [2, 0, 1]
+_J1, _K1 = [1 + j for j in _J], [1 + k for k in _K]  # j and k among the axes t, x, y, z
+# The twelve commutators of _commutator_terms as pairs of rows of the
+# _fields_at array (phi, A, E, B): A_i with E_i, A_j with B_k, A_k with
+# B_j, then phi with E_i, each for i = x, y, z
+_LEFT = np.array([1, 2, 3, *(1 + j for j in _J), *(1 + k for k in _K), 0, 0, 0])
+_RIGHT = np.array([4, 5, 6, *(7 + k for k in _K), *(7 + j for j in _J), 4, 5, 6])
 
 
 def _vector_at(v: np.ndarray) -> ColorVector:
@@ -181,14 +188,13 @@ def _vector_at(v: np.ndarray) -> ColorVector:
 def _commutator_terms(g: float, fields: np.ndarray):
     """-i g (A . E - E . A), its components summed in order as LieElements
     would sum them, and -i g ([phi, E] + A x B + B x A), from phi and the
-    components of A, E and B as one array (see _fields_at)."""
-    phi, a, e, b = fields[:, 0], fields[:, 1:4], fields[:, 4:7], fields[:, 7:]
-    terms = g * np.array(_commutator(a, e))
+    components of A, E and B as one array (see _fields_at). The twelve
+    commutators (_LEFT, _RIGHT) are taken in one stacked call."""
+    comm = np.array(_commutator(fields.take(_LEFT, axis=1), fields.take(_RIGHT, axis=1)))
+    terms = g * comm[:, 0:3]
     # -i g (A x B + B x A)_i = g eps_ijk minus_i_commutator(A_j, B_k)
-    cross = g * (np.array(_commutator(a[:, _J], b[:, _K]))
-                 - np.array(_commutator(a[:, _K], b[:, _J])))
-    return (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2],
-            cross + g * np.array(_commutator(phi[:, None], e)))
+    cross = g * (comm[:, 3:6] - comm[:, 6:9])
+    return (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2], cross + g * comm[:, 9:12])
 
 
 def _point_fields(p: AnsatzParams, s: SpacetimePoint) -> np.ndarray:
@@ -209,24 +215,30 @@ def ampere_commutator_term(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
 
 
 def _fields_at(p: AnsatzParams, rows) -> np.ndarray:
-    """phi, then the components of A, E and B, over a block of rows
-    (fields._Rows) as one array (3, 10, *shape), shape that of the columns."""
-    phi, a = _potential_columns(p, *rows.angles())
+    """phi, then the components of A, E and B, over a stencil block of rows
+    (fields._Rows) of shape (rows, n) as one array (3, 10, rows, n). E and
+    B are taken on every row; phi and A, which only the commutators at the
+    points read, on the first row alone, the points themselves, and are
+    zero on the others."""
+    shape = rows.theta.shape
     ey, bx = _field_columns(p, rows)
-    zero = (0.0, 0.0, 0.0)
-    return _stacked((phi, *a, zero, ey, zero, bx, zero, zero), rows.theta.shape)
+    fields = _stacked((_ZERO,) * 5 + (ey, _ZERO, bx, _ZERO, _ZERO), shape)
+    phi, a = _potential_columns(p, *(v[0] for v in rows.angles()))
+    fields[:, :4, 0] = _stacked((phi, *a), shape[1:])
+    return fields
 
 
 def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, h: float, axes: str = "xyzt"):
     """Numeric-mode gauss and ampere residuals at every point of coords,
     shape (4, n), as arrays of shape (3, n) and (3, 3, n).
 
-    phi, A, E and B are evaluated once over the five-point block. The
-    zero components of E and B take the combination of four zeros, as a
-    five-point stencil on whole ColorVectors takes it. axes is the order
-    in which a point-by-point evaluation visits the stencil axes: x, y, z
-    for gauss, t, x, y, z for ampere, x, y, z, t for both; it decides
-    which overflowing stencil point raises first.
+    E and B are evaluated once over the five-point block, phi and A once
+    at the points (_fields_at). The zero components of E and B take the
+    combination of four zeros, as a five-point stencil on whole
+    ColorVectors takes it. axes is the order in which a point-by-point
+    evaluation visits the stencil axes: x, y, z for gauss, t, x, y, z for
+    ampere, x, y, z, t for both; it decides which overflowing stencil
+    point raises first.
     """
     rows = _stencil(p, coords, _FIVE_POINT, h, axes)
     with np.errstate(all="ignore"):
@@ -236,7 +248,7 @@ def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, h: float, axes: str 
         de, db = d[:, :3], d[:, 3:]
         gauss_comm, ampere_comm = _commutator_terms(p.g, fields[:, :, 0])
         gauss = de[:, 0, 1] + de[:, 1, 2] + de[:, 2, 3] + gauss_comm
-        curl = db[:, _K, [1 + j for j in _J]] - db[:, _J, [1 + k for k in _K]]
+        curl = db[:, _K, _J1] - db[:, _J, _K1]
         ampere = (-1.0 / p.c) * de[:, :, 0] + curl + ampere_comm
     return gauss, ampere
 
@@ -278,16 +290,21 @@ def _residuals_at(p: AnsatzParams, s: SpacetimePoint, mode: str, h: float, axes=
     return LieElement(*gauss[:, 0].tolist()), _vector_at(ampere[:, :, 0])
 
 
-def _max_analytic_norm(cv: ConstraintVector, blocks) -> float:
-    """Largest residual_sample norm over blocks of rows (fields._Rows), read
-    off the configuration's c1..c9, cv. The norms round as residual_sample's
-    do, so the result equals the max of residual_sample(...).norm over the
-    same points. Raises OverflowError when a norm is not finite."""
+def _max_analytic_norm(cv: ConstraintVector, chunks) -> float:
+    """Largest residual_sample norm over chunks of points, read off the
+    configuration's c1..c9, cv. A chunk is the cos and sin of the phase,
+    then of the frame angle, as arrays that broadcast to the chunk's
+    points: a grid's product chunks (fields._Grid.angle_blocks), where the
+    harmonic groups run on the phases alone and only the frame products and
+    the norms on every point, or the columns of a block of rows
+    (fields._Rows.angles). Broadcasting rounds each element as the
+    point-by-point arithmetic does, so the result equals the max of
+    residual_sample(...).norm over the same points. Raises OverflowError
+    when a norm is not finite."""
     worst = -math.inf
     with np.errstate(all="ignore"):
-        for rows in blocks:
-            gauss, ey, ez = (_norm_squared(u)
-                             for u in _residual_coefficients(cv, *rows.angles()))
+        for angles in chunks:
+            gauss, ey, ez = (_norm_squared(u) for u in _residual_coefficients(cv, *angles))
             norms = np.sqrt(gauss + (ey + ez))
             top = float(norms.max())
             if not math.isfinite(top):
@@ -384,7 +401,8 @@ def max_residual_norm(p: AnsatzParams, points,
     _check_mode(mode)
     points = list(points)
     if mode == "analytic":
-        return _max_analytic_norm(_harmonics(*_values(p)), [_rows(p, _coordinates(points))])
+        angles = _rows(p, _coordinates(points)).angles()
+        return _max_analytic_norm(_harmonics(*_values(p)), [angles])
     _check_h(h)
     return _max_numeric_norm(p, _coordinates(points), h)
 

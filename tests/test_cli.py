@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ymwaves.cli
+import ymwaves.constraints
 from ymwaves.cli import main
 from ymwaves.constraints import (
     build_family_i,
@@ -314,6 +315,39 @@ def test_bad_grid_is_usage_error(capsys):
 def test_a_bad_grid_count_names_its_axis(command, grid, message, capsys):
     code, out, err = run([command, "--family", "I", "--alpha4", "1", f"--grid={grid}"], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# as for the grid counts, every count here fails at once
+@pytest.mark.parametrize("count, message", [
+    ("1000000000000000", "count 1000000000000000 is more than memory holds"),
+    ("99999999999999999999", "count 99999999999999999999 is more than memory holds"),
+    ("9223372036854775807", "count 9223372036854775807 is more than memory holds"),
+    ("1", "need at least 2 profile samples"),
+    ("-3", "need at least 2 profile samples"),
+])
+def test_a_bad_theta_sample_count_is_named(count, message, capsys):
+    code, out, err = run(["energy-profile", "--family", "I", "--alpha4", "1",
+                          "--theta-samples", count], capsys)
+    assert (code, out, err) == (2, "", f"error: --theta-samples: {message}\n")
+
+
+def test_scan_writes_each_block_as_it_comes(monkeypatch, capsys):
+    argv = ["scan", "--seeds", "10", "--seed", "3", "--omega", "2"]
+    whole = run(argv, capsys)
+    monkeypatch.setattr(ymwaves.constraints, "_BLOCK", 4)
+    real = ymwaves.constraints._newton
+    written = []  # what reached stdout before each Newton solve
+
+    def newton(*args):
+        written.append(capsys.readouterr().out)
+        return real(*args)
+    monkeypatch.setattr(ymwaves.constraints, "_newton", newton)
+    code, rest, err = run(argv, capsys)
+    assert (code, "".join(written) + rest, err) == whole
+    # a block is solved once all before it are written: the header and the
+    # rows of two blocks before the third (a resumed solve adds no lines)
+    lines = {"".join(written[:i + 1]).count("\r\n") for i in range(len(written))}
+    assert lines == {0, 1 + 4, 1 + 8}
 
 
 @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "nan"),

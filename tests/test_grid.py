@@ -9,12 +9,15 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
+import ymwaves.cli
 import ymwaves.fields
-from ymwaves.cli import main
+from ymwaves.cli import _parse_grid, build_parser, main
 from ymwaves.constraints import build_family_i, build_family_ii, classify, nine_constraints
 from ymwaves.fields import (
+    AnsatzParams,
     SpacetimePoint,
     _Grid,
     electric_field_analytic,
@@ -25,6 +28,8 @@ from ymwaves.residuals import _max_analytic_norm, grid_points, max_residual_norm
 
 from conftest import random_params, random_point
 
+DEFAULT_GRID = build_parser().parse_args(["verify"]).grid
+FINE_GRID = "0:6.2832:16,-1:1:16,0:6.2832:16"
 FIELDS_HEADER = ["t", "y", "z", "theta", "E_y_sigma_x", "E_y_sigma_y", "E_y_sigma_z",
                  "B_x_sigma_x", "B_x_sigma_y", "B_x_sigma_z"]
 
@@ -146,13 +151,87 @@ def test_fields_builds_no_point_per_row(monkeypatch, capsys):
     assert built == []
 
 
+# (t, y, z) grids for the analytic maximum: a small one; ny nz > _GRID_BLOCK;
+# ny > _GRID_BLOCK; single-count axes; -0 axes and axes through 0; and
+# verify's default grid and its 16^3 grid
+ANALYTIC_GRIDS = [
+    ((0.0, 6.2832, 5), (-1.0, 1.0, 3), (0.0, 6.2832, 7)),
+    ((0.0, 1.0, 2), (-1.0, 1.0, 40), (0.0, 6.2832, 30)),
+    ((0.3, 1.0, 2), (-1.0, 1.0, 1500), (0.0, 6.2832, 2)),
+    ((0.7, 0.7, 1), (-0.4, -0.4, 1), (0.0, 6.2832, 9)),
+    ((-0.0, 0.0, 1), (-1.0, 1.0, 3), (-0.0, 1.0, 1)),
+    ((-1.0, 1.0, 3), (-0.0, 0.0, 1), (-1.0, 1.0, 5)),
+    tuple(_parse_grid(DEFAULT_GRID)),
+    tuple(_parse_grid(FINE_GRID)),
+]
+
+
 def test_analytic_max_equals_residual_samples(rng):
-    grid = ((0.0, 6.2832, 5), (-1.0, 1.0, 3), (0.0, 6.2832, 7))
     family = build_family_ii(1.7, -0.8, 0.6, 1.3, -1, 1)
-    for p in [family] + [random_params(rng) for _ in range(6)]:
-        pts = [random_point(rng) for _ in range(40)] + grid_points(*grid)
-        want = max(residual_sample(p, s).norm for s in pts)
-        assert max_residual_norm(p, pts) == want
-        on_grid = max(residual_sample(p, s).norm for s in grid_points(*grid))
-        blocks = _Grid.from_ranges(*grid).blocks(p)
-        assert _max_analytic_norm(nine_constraints(p), blocks) == on_grid
+    for grid in ANALYTIC_GRIDS:
+        on_grid = grid_points(*grid)
+        for p in [family] + [random_params(rng) for _ in range(3)]:
+            pts = [random_point(rng) for _ in range(40)] + on_grid
+            want = max(residual_sample(p, s).norm for s in pts)
+            assert max_residual_norm(p, pts) == want
+            want = max(residual_sample(p, s).norm for s in on_grid)
+            cv, full = nine_constraints(p), _Grid.from_ranges(*grid)
+            assert _max_analytic_norm(cv, full.angle_blocks(p)) == want
+            # the flat route: every point's own angles, block by block
+            assert _max_analytic_norm(cv, (r.angles() for r in full.blocks(p))) == want
+
+
+@pytest.mark.parametrize("block", [1, 4, 7, 64])
+def test_analytic_chunks_hold_at_most_a_block(block, monkeypatch):
+    monkeypatch.setattr(ymwaves.fields, "_GRID_BLOCK", block)
+    p = build_family_ii(1.7, -0.8, 0.6, 1.3, -1, 1)
+    for grid in ANALYTIC_GRIDS[:6]:
+        full = _Grid.from_ranges(*grid)
+        sizes = [np.broadcast(*angles).size for angles in full.angle_blocks(p)]
+        assert max(sizes) <= block
+        assert sum(sizes) == len(full)
+        want = max(residual_sample(p, s).norm for s in grid_points(*grid))
+        assert _max_analytic_norm(nine_constraints(p), full.angle_blocks(p)) == want
+
+
+def test_verify_takes_trig_on_distinct_phases_and_frame_angles(monkeypatch, capsys):
+    # only verify's analytic residual is counted, not its numeric or
+    # Bianchi stencils: phases are taken on a row over (t, z) pairs, frame
+    # angles on a column over y
+    inside, phases, frames = [], [], []
+    real_trig, real_max = ymwaves.fields._cos_sin, ymwaves.cli._max_analytic_norm
+
+    def trig(angle):
+        if inside:
+            (frames if angle.ndim == 2 else phases).append(angle.size)
+        return real_trig(angle)
+
+    def analytic(cv, chunks):
+        inside.append(True)
+        try:
+            return real_max(cv, chunks)
+        finally:
+            inside.clear()
+    monkeypatch.setattr(ymwaves.fields, "_cos_sin", trig)
+    monkeypatch.setattr(ymwaves.cli, "_max_analytic_norm", analytic)
+    for grid in (DEFAULT_GRID, FINE_GRID, "0:1:3,-1:1:1,0:6:400"):
+        (_, _, nt), (_, _, ny), (_, _, nz) = _parse_grid(grid)
+        phases.clear()
+        frames.clear()
+        assert main(["verify", "--family", "II", "--k", "1.3", "--alpha4", "0.8",
+                     "--lambda", "0.4", "--g", "1.2", "--xi", "-1", "--grid", grid]) == 0
+        assert sum(phases) == nt * nz and sum(frames) == ny
+        assert max(phases + frames) < nt * ny * nz
+    capsys.readouterr()
+
+
+def test_analytic_max_that_overflows_keeps_its_error(capsys):
+    # c1..c9 are finite, the squares of the residual are not
+    p = AnsatzParams(alpha1=1e100, lam=1e100, k=1.0, omega=1.0)
+    for grid in (ANALYTIC_GRIDS[0], ANALYTIC_GRIDS[2]):
+        with pytest.raises(OverflowError, match="^the analytic residual is not finite$"):
+            _max_analytic_norm(nine_constraints(p), _Grid.from_ranges(*grid).angle_blocks(p))
+    code = main(["verify", "--alpha1", "1e100", "--lambda", "1e100", "--grid", DEFAULT_GRID])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: an input is too large: the analytic residual "
+                                       "is not finite\n")

@@ -203,6 +203,21 @@ def test_one_field_evaluation_per_numeric_call(monkeypatch):
     assert built == []
 
 
+def test_one_stacked_commutator_per_numeric_call(monkeypatch):
+    calls = []
+    real = ymwaves.residuals._commutator
+    monkeypatch.setattr(ymwaves.residuals, "_commutator",
+                        lambda a, b: calls.append(np.shape(a)) or real(a, b))
+    p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1)
+    pts = [SpacetimePoint(t=0.1 * i, y=0.2 * i, z=-0.3 * i) for i in range(28)]
+    ymwaves.residuals._numeric_residuals(p, _coordinates(pts), 1e-4)
+    # A . E, A_j x B_k, A_k x B_j and [phi, E]: twelve slots of one call
+    assert calls == [(3, 12, 28)]
+    calls.clear()
+    oracle_constraints(p)
+    assert calls == [(3, 12, 24)]
+
+
 def test_verify_and_the_oracle_build_no_points_but_bianchis(monkeypatch, capsys):
     built = []
     original = SpacetimePoint.__post_init__
