@@ -1,18 +1,14 @@
 """Exact SU(2) Yang-Mills plane waves: construction, residuals, verification."""
 
-from .su2 import LieElement, minus_i_commutator, rotated_basis, rotated_coeffs
+from .su2 import LieElement
 from .fields import (
     AnsatzParams,
     ColorVector,
     SpacetimePoint,
     electric_field_analytic,
-    electric_field_numeric,
     field_strength,
     field_strength_norm,
     magnetic_field_analytic,
-    magnetic_field_numeric,
-    scalar_potential,
-    vector_potential,
 )
 from .residuals import (
     ResidualSample,
@@ -42,24 +38,18 @@ from .constraints import (
     scan_families,
 )
 from .observables import (
-    EnergyProfile,
     energy_closed_form,
     energy_density,
-    energy_profile,
     node_locations,
     point_at_phase,
-    poynting,
-    time_averaged_electric,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LieElement", "minus_i_commutator", "rotated_basis", "rotated_coeffs",
+    "LieElement",
     "AnsatzParams", "ColorVector", "SpacetimePoint",
-    "scalar_potential", "vector_potential",
-    "electric_field_analytic", "electric_field_numeric",
-    "magnetic_field_analytic", "magnetic_field_numeric",
+    "electric_field_analytic", "magnetic_field_analytic",
     "field_strength", "field_strength_norm",
     "ResidualSample", "gauss_residual", "ampere_residual", "bianchi_residual",
     "residual_sample", "grid_points", "max_residual_norm",
@@ -68,7 +58,6 @@ __all__ = [
     "build_family_i", "build_family_ii", "build_family_iii",
     "branch_projection", "classify", "oracle_constraints",
     "refine_alphas", "scan_families",
-    "EnergyProfile", "energy_density", "energy_closed_form", "energy_profile",
-    "node_locations", "point_at_phase", "poynting", "time_averaged_electric",
+    "energy_density", "energy_closed_form", "node_locations", "point_at_phase",
     "__version__",
 ]

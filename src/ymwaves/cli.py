@@ -52,6 +52,7 @@ from .fields import (
     _field_strength_norms,
     _fields_vanish,
     _Grid,
+    _require_finite,
 )
 from .observables import _profile_blocks
 from .residuals import (
@@ -103,11 +104,24 @@ def _add_config_flags(sp, amplitudes=range(1, 6), tol=True):
                         help="verification tolerance (default 1e-9)")
 
 
+def _omega(k, omega, c, family=None) -> float:
+    """--omega, or k*c without it; families I and II take only k*c. --c is
+    checked before k*c is formed, so that a bad --c is named, and a k*c
+    that overflows is named as such."""
+    if omega is not None and family not in ("I", "II"):
+        return omega
+    _require_finite("c", c)
+    kc = k * c
+    if math.isfinite(k) and not math.isfinite(kc):
+        raise OverflowError(f"omega = k*c overflows at k = {k!r} and c = {c!r}")
+    if omega is not None and omega != kc:
+        raise ValueError(f"--family {family} has omega = k*c = {_fmt(kc)}; "
+                         f"--omega {_fmt(omega)} differs")
+    return kc
+
+
 def _build_params(args) -> AnsatzParams:
-    if args.family in ("I", "II") and args.omega is not None and args.omega != args.k * args.c:
-        raise ValueError(f"--family {args.family} has omega = k*c = {_fmt(args.k * args.c)}; "
-                         f"--omega {_fmt(args.omega)} differs")
-    omega = args.k * args.c if args.omega is None else args.omega
+    omega = _omega(args.k, args.omega, args.c, args.family)
     if args.family is not None:
         # a family ignores the signs it does not have
         return FamilySolution(args.family, args.k, omega, args.alpha4, args.lam, args.g,
@@ -126,7 +140,11 @@ def _parse_grid(text: str):
         bits = part.split(":")
         if len(bits) != 3:
             raise ValueError("each grid axis must be 'start:stop:count'")
-        lo, hi = float(bits[0]), float(bits[1])
+        try:
+            lo, hi = float(bits[0]), float(bits[1])
+        except ValueError:
+            raise ValueError(f"grid axis {name}: start and stop must be numbers, "
+                             f"got {part!r}") from None
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"grid bounds must be finite, got {part!r}")
         try:
@@ -241,7 +259,10 @@ def cmd_scan(args) -> int:
     """The scan's rows as CSV, written block by block as scan_families
     makes them (_scan_blocks), and the tally of their labels, kept as they
     pass. Memory does not grow with --seeds."""
-    blocks = _scan_blocks(args.seeds, args.seed, args.lam, args.k, args.omega, args.g, args.c)
+    if args.seed < 0:  # numpy's own message names no flag
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    blocks = _scan_blocks(args.seeds, args.seed, args.lam, args.k,
+                          _omega(args.k, args.omega, args.c), args.g, args.c)
     tally = Counter()
 
     def text():

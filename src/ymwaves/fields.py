@@ -1,7 +1,7 @@
 """Gauge potentials and color fields for the traveling-wave ansatz.
 
 The configuration is built from five real amplitudes on the rotated
-su(2) frame Sx, Sy, Sz (see su2.rotated_basis), with phase
+su(2) frame Sx, Sy, Sz (see su2._along_sx), with phase
 theta = k z - omega t:
 
     phi = alpha1 Sx
@@ -20,7 +20,7 @@ B_i = -(1/2) eps_ijk F_jk.
 Every field comes in two routes: a closed form (the reduced algebra) and
 a numeric route, field_strength, that differentiates the potentials by
 central finite differences and takes exact commutators. The numeric E
-and B are read off it, E_i = F_0i and B_i = -(1/2) eps_ijk F_jk.
+and B are its entries, E_i = F_0i and B_i = -(1/2) eps_ijk F_jk.
 Agreement of the two routes is the correctness check for the closed
 forms.
 
@@ -51,12 +51,8 @@ __all__ = [
     "AnsatzParams",
     "SpacetimePoint",
     "ColorVector",
-    "scalar_potential",
-    "vector_potential",
     "electric_field_analytic",
     "magnetic_field_analytic",
-    "electric_field_numeric",
-    "magnetic_field_numeric",
     "field_strength",
     "field_strength_norm",
     "field_coefficient_groups",
@@ -165,16 +161,6 @@ def _potential_columns(p: AnsatzParams, cos_th, sin_th, cos_fr, sin_fr):
     ey = _along_sy_sz(cos_fr, sin_fr, p.alpha4 * sin_th, p.alpha3 + p.alpha5 * cos_th)
     ez = _along_sx(cos_fr, sin_fr, p.alpha2)
     return phi, (_ZERO, ey, ez)
-
-
-def scalar_potential(p: AnsatzParams, s: SpacetimePoint) -> LieElement:
-    """phi = alpha1 Sx at the point's y."""
-    return LieElement(*_potential_columns(p, *_angles(p, s))[0])
-
-
-def vector_potential(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
-    """A with its e_y wave part and constant e_z leg; e_x is zero."""
-    return ColorVector(*(LieElement(*v) for v in _potential_columns(p, *_angles(p, s))[1]))
 
 
 class _Magnitude:
@@ -506,7 +492,7 @@ def _field_strength_columns(p: AnsatzParams, coords: np.ndarray, h: float):
     the points, shape (3, 4, n), from one evaluation of the potentials
     over the central block. Each value rounds as the one-point assembly
     of F does: (A(+h) - A(-h)) * (0.5 / h), then (1 / c) times the t row,
-    then d_mu A_nu - d_nu A_mu - g * minus_i_commutator(A_mu, A_nu) above
+    then d_mu A_nu - d_nu A_mu - g * su2._commutator(A_mu, A_nu) above
     the diagonal and its negative below.
     """
     rows = _stencil(p, coords, _CENTRAL, h, "txyz", here=True)
@@ -519,7 +505,7 @@ def _field_strength_columns(p: AnsatzParams, coords: np.ndarray, h: float):
         grad[:, :, 0] = (1.0 / p.c) * grad[:, :, 0]
         here = pot[:, :, 0]
         mu, nu = _PAIRS
-        # i g [A_mu, A_nu] = -g * minus_i_commutator(A_mu, A_nu)
+        # i g [A_mu, A_nu] = -g * su2._commutator(A_mu, A_nu)
         upper = (grad[:, nu, mu] - grad[:, mu, nu]
                  - p.g * np.array(_commutator(here[:, mu], here[:, nu])))
         f = np.zeros((3, 4, 4, here.shape[-1]))
@@ -537,18 +523,6 @@ def field_strength(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4):
     _check_h(h)
     f = _field_strength_columns(p, _coordinates([s]), h)[0]
     return [[LieElement(*c) for c in row] for row in f[..., 0].transpose(1, 2, 0).tolist()]
-
-
-def electric_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) -> ColorVector:
-    """E from field_strength: E_i = F_0i."""
-    f = field_strength(p, s, h)
-    return ColorVector(f[0][1], f[0][2], f[0][3])
-
-
-def magnetic_field_numeric(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) -> ColorVector:
-    """B from field_strength: B_i = -(1/2) eps_ijk F_jk."""
-    f = field_strength(p, s, h)
-    return ColorVector(-f[2][3], -f[3][1], -f[1][2])
 
 
 def _summed(table):

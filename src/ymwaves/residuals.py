@@ -192,7 +192,7 @@ def _commutator_terms(g: float, fields: np.ndarray):
     commutators (_LEFT, _RIGHT) are taken in one stacked call."""
     comm = np.array(_commutator(fields.take(_LEFT, axis=1), fields.take(_RIGHT, axis=1)))
     terms = g * comm[:, 0:3]
-    # -i g (A x B + B x A)_i = g eps_ijk minus_i_commutator(A_j, B_k)
+    # -i g (A x B + B x A)_i = g eps_ijk su2._commutator(A_j, B_k)
     cross = g * (comm[:, 3:6] - comm[:, 6:9])
     return (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2], cross + g * comm[:, 9:12])
 
@@ -360,7 +360,7 @@ def bianchi_residual(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4,
     with np.errstate(all="ignore"):
         d = _derivative(f[..., None], _central, h)[:, nu, ga, mu, 0]
         d = np.where(mu == 0, (1.0 / p.c) * d, d)
-        # i g [A_mu, F_nu_ga] = -g * minus_i_commutator(A_mu, F_nu_ga)
+        # i g [A_mu, F_nu_ga] = -g * su2._commutator(A_mu, F_nu_ga)
         cov = d - p.g * np.array(_commutator(here[:, mu, 0], f[:, nu, ga, 0]))
         squares = _norm_squared(cov[:, 0::3] + cov[:, 1::3] + cov[:, 2::3]).tolist()
     return math.sqrt(_summed([squares]))

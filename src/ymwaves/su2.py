@@ -1,4 +1,4 @@
-"""su(2) building blocks: coefficient triples, a y-rotated basis, commutators.
+"""su(2) building blocks: coefficient triples, a y-rotated frame, commutators.
 
 Lie-algebra valued quantities are carried as real coefficient triples on
 the Pauli basis (LieElement) and never as matrices, which keeps field
@@ -14,12 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "LieElement",
-    "minus_i_commutator",
-    "rotated_basis",
-    "rotated_coeffs",
-]
+__all__ = ["LieElement"]
 
 
 def _commutator(a, b):
@@ -93,36 +88,14 @@ class LieElement(_Triple):
         return _norm_squared(self.coeffs())
 
 
-def minus_i_commutator(a: LieElement, b: LieElement) -> LieElement:
-    """-i[a, b], again traceless Hermitian; coefficients are 2 (a x b).
-
-    This is the combination in which commutators enter the field
-    definitions, e.g. -ig[phi, A] = g * minus_i_commutator(phi, A).
-    """
-    return LieElement(*_commutator(a.coeffs(), b.coeffs()))
-
-
-def rotated_basis(lam: float, y: float) -> tuple[LieElement, LieElement, LieElement]:
-    """y-dependent frame Sx, Sy, Sz obtained by rotating sx, sy about sz.
-
-    Sx = cos(lam y) sx + sin(lam y) sy, Sy = -sin(lam y) sx + cos(lam y) sy,
-    Sz = sz. The frame keeps the su(2) relations ([Sx, Sy] = 2i Sz and
-    cyclic) for every y, and d/dy gives lam Sy and -lam Sx respectively.
-    """
-    c = math.cos(lam * y)
-    s = math.sin(lam * y)
-    return (
-        LieElement(c, s, 0.0),
-        LieElement(-s, c, 0.0),
-        LieElement(0.0, 0.0, 1.0),
-    )
-
-
 def _along_sx(c, s, u):
     """Coefficients of u Sx on sx, sy, sz, for the frame with cos c and sin s.
 
-    Plain arithmetic, so it runs on floats and on numpy columns alike,
-    and rounds as u * rotated_basis(lam, y)[0] does.
+    The frame Sx, Sy, Sz at y rotates sx, sy about sz by the angle lam y:
+    Sx = cos sx + sin sy, Sy = -sin sx + cos sy, Sz = sz. It keeps the
+    su(2) relations ([Sx, Sy] = 2i Sz and cyclic) for every y, and d/dy
+    gives lam Sy and -lam Sx. Plain arithmetic, so it runs on floats and
+    on numpy columns alike.
     """
     return (c * u, s * u, 0.0 * u)
 
@@ -139,7 +112,3 @@ def _frame_coeffs(c, s, e):
     ex, ey, ez = e
     return (c * ex + s * ey, -s * ex + c * ey, ez)
 
-
-def rotated_coeffs(e: LieElement, lam: float, y: float) -> tuple[float, float, float]:
-    """Components of e on the rotated frame at (lam, y)."""
-    return _frame_coeffs(math.cos(lam * y), math.sin(lam * y), e.coeffs())

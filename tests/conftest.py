@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ymwaves import AnsatzParams, SpacetimePoint
+from ymwaves import AnsatzParams, ColorVector, SpacetimePoint, field_strength
 
 
 @pytest.fixture
@@ -30,3 +30,10 @@ def random_params(rng, spread=3.0, freq=3.0, min_scale=0.2):
 def random_point(rng, box=2.0):
     t, x, y, z = rng.uniform(-box, box, size=4)
     return SpacetimePoint(t=float(t), x=float(x), y=float(y), z=float(z))
+
+
+def numeric_e_and_b(p, s, h=1e-4):
+    """The numeric E and B at s, read off field_strength: E_i = F_0i and
+    B = (-F_23, -F_31, -F_12)."""
+    f = field_strength(p, s, h)
+    return ColorVector(f[0][1], f[0][2], f[0][3]), ColorVector(-f[2][3], -f[3][1], -f[1][2])

@@ -2,12 +2,15 @@
 
 Every stencil point is its own SpacetimePoint, every field is evaluated
 through the one-point closed forms, and the potentials are built on the
-rotated frame su2.rotated_basis. The numeric residuals, field_strength,
-bianchi_residual and the oracle's samples in ymwaves run on numpy
-columns instead (fields._stencil); they must equal these functions bit
-for bit, NaN and signed zeros included. The numeric E and B in ymwaves
-are read off field_strength; they must equal electric_field_numeric and
-magnetic_field_numeric here value for value (a zero's sign may differ).
+rotated frame of rotated_basis, a tuple of LieElements, with the
+commutators of minus_i_commutator on LieElements. The numeric residuals,
+field_strength, bianchi_residual and the oracle's samples in ymwaves run
+on numpy columns instead (fields._stencil); they must equal these
+functions bit for bit, NaN and signed zeros included. ymwaves has no
+numeric E and B of its own: they are entries of field_strength,
+E_i = F_0i and B = (-F_23, -F_31, -F_12), and must equal
+electric_field_numeric and magnetic_field_numeric here value for value
+(a zero's sign may differ).
 """
 
 import math
@@ -18,9 +21,39 @@ import numpy as np
 
 from ymwaves.fields import ColorVector, electric_field_analytic, magnetic_field_analytic
 from ymwaves.residuals import ResidualSample
-from ymwaves.su2 import LieElement, minus_i_commutator, rotated_basis, rotated_coeffs
+from ymwaves.su2 import LieElement, _commutator, _frame_coeffs
 
 AXES = ("t", "x", "y", "z")
+
+
+def minus_i_commutator(a: LieElement, b: LieElement) -> LieElement:
+    """-i[a, b], again traceless Hermitian; coefficients are 2 (a x b).
+
+    This is the combination in which commutators enter the field
+    definitions, e.g. -ig[phi, A] = g * minus_i_commutator(phi, A).
+    """
+    return LieElement(*_commutator(a.coeffs(), b.coeffs()))
+
+
+def rotated_basis(lam: float, y: float) -> tuple[LieElement, LieElement, LieElement]:
+    """y-dependent frame Sx, Sy, Sz obtained by rotating sx, sy about sz.
+
+    Sx = cos(lam y) sx + sin(lam y) sy, Sy = -sin(lam y) sx + cos(lam y) sy,
+    Sz = sz. The frame keeps the su(2) relations ([Sx, Sy] = 2i Sz and
+    cyclic) for every y, and d/dy gives lam Sy and -lam Sx respectively.
+    """
+    c = math.cos(lam * y)
+    s = math.sin(lam * y)
+    return (
+        LieElement(c, s, 0.0),
+        LieElement(-s, c, 0.0),
+        LieElement(0.0, 0.0, 1.0),
+    )
+
+
+def rotated_coeffs(e: LieElement, lam: float, y: float) -> tuple[float, float, float]:
+    """Components of e on the rotated frame at (lam, y)."""
+    return _frame_coeffs(math.cos(lam * y), math.sin(lam * y), e.coeffs())
 
 
 def shifted(s, axis, delta):

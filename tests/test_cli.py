@@ -310,6 +310,8 @@ def test_bad_grid_is_usage_error(capsys):
     ("0:1:1e3,0:0:1,0:1:2", "grid axis t: count must be a whole number >= 1, got '1e3'"),
     ("0:1:2,0:0:2.5,0:1:2", "grid axis y: count must be a whole number >= 1, got '2.5'"),
     ("0:1:2,0:0:1,0:1:0", "grid axis z: count must be >= 1, got 0"),
+    ("a:1:2,0:0:1,0:1:2", "grid axis t: start and stop must be numbers, got 'a:1:2'"),
+    ("0:1:2,0:0:1,0:1e:2", "grid axis z: start and stop must be numbers, got '0:1e:2'"),
 ])
 @pytest.mark.parametrize("command", ["verify", "fields"])
 def test_a_bad_grid_count_names_its_axis(command, grid, message, capsys):
@@ -461,6 +463,7 @@ def test_couplings_that_overflow_a_branch_offset_are_usage_errors(argv, message,
     (["--k", "1e200"], "an input is too large: squaring k = 1e+200 and omega / c = 1e+200 "
                        "overflows in the constraints c1..c9"),
     (["--k", "0"], "phase is frozen at k = omega = 0; the scan needs a wave"),
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
 ], ids=lambda value: re.split("[:;,]", value)[0] if isinstance(value, str) else None)
 def test_scan_bad_couplings_are_usage_errors(extra, message, capsys):
     with warnings.catch_warnings():
@@ -485,6 +488,34 @@ def test_a_coupling_whose_square_overflows_is_named(command, extra, names, capsy
     assert err == (f"error: an input is too large: squaring {names} overflows in the "
                    "constraints c1..c9\n")
     assert out == ""
+
+
+# every command that forms omega = k*c when --omega is not given, for raw
+# amplitudes and for a family
+WAVE_SPEED_CONFIGS = [
+    *([command, "--alpha4", "1"] for command in ("verify", "classify", "fields")),
+    *([command, "--family", "II", "--alpha4", "1"]
+      for command in ("verify", "classify", "fields", "energy-profile")),
+    ["scan", "--seeds", "3"],
+]
+
+
+@pytest.mark.parametrize("config", WAVE_SPEED_CONFIGS, ids=" ".join)
+@pytest.mark.parametrize("c", ["inf", "-inf", "nan"])
+def test_a_bad_wave_speed_is_named_before_k_c(config, c, capsys):
+    # omega = k*c would be inf or nan too, but the user gave --c, not --omega
+    code, out, err = run([*config, f"--c={c}"], capsys)
+    assert (code, out, err) == (2, "", f"error: c must be finite, got {float(c)!r}\n")
+
+
+@pytest.mark.parametrize("config", WAVE_SPEED_CONFIGS, ids=" ".join)
+def test_a_wave_frequency_k_c_that_overflows_is_named(config, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run([*config, "--k", "1e200", "--c=-1e200"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: an input is too large: omega = k*c overflows at k = 1e+200 "
+                   "and c = -1e+200\n")
 
 
 @pytest.mark.parametrize("extra, step", [
@@ -536,6 +567,7 @@ def test_console_entry_point():
     (["--grid=-1e308:1e308:3,0:0:1,0:1:2"], "an input is too large"),
     (["--k", "1e200", "--grid", "0:0:1,0:0:1,0:1e200:3"], "an input is too large"),
     (["--lambda", "1e200", "--grid", "0:0:1,0:1e200:2,0:1:2"], "an input is too large"),
+    (["--grid", "0:1:3,0:y:1,0:1:2"], "grid axis y: start and stop must be numbers"),
 ])
 def test_fields_bad_grid_writes_nothing(extra, message, tmp_path, capsys):
     dest = tmp_path / "fields.csv"

@@ -10,19 +10,18 @@ from ymwaves.fields import (
     ColorVector,
     SpacetimePoint,
     _FIVE_POINT,
+    _angles,
     _five_point,
+    _potential_columns,
     electric_field_analytic,
-    electric_field_numeric,
     field_strength,
     field_strength_norm,
     magnetic_field_analytic,
-    magnetic_field_numeric,
-    scalar_potential,
-    vector_potential,
 )
-from ymwaves.su2 import LieElement, rotated_basis
+from ymwaves.su2 import LieElement
 
-from conftest import random_params, random_point
+from conftest import numeric_e_and_b, random_params, random_point
+from scalar_stencils import rotated_basis
 from su2_matrices import SIGMA_Y, matrix
 
 
@@ -43,12 +42,18 @@ def test_phase_definition():
     assert not AnsatzParams(g=1.0).is_abelian
 
 
+def potentials(p, s):
+    """phi and A at s, from the core's potential columns."""
+    phi, a = _potential_columns(p, *_angles(p, s))
+    return LieElement(*phi), ColorVector(*(LieElement(*v) for v in a))
+
+
 def test_shifted_and_difference_validation():
     s = SpacetimePoint()
     with pytest.raises(ValueError):
-        electric_field_numeric(AnsatzParams(), s, h=0.0)
+        field_strength(AnsatzParams(), s, h=0.0)
     with pytest.raises(ValueError):
-        magnetic_field_numeric(AnsatzParams(), s, h=-1e-4)
+        field_strength(AnsatzParams(), s, h=-1e-4)
     with pytest.raises(ValueError):
         field_strength(AnsatzParams(), s, h=float("nan"))
 
@@ -65,24 +70,24 @@ def test_central_difference_orders():
 
 def test_scalar_potential_cases():
     s = SpacetimePoint(y=1.0)
-    assert scalar_potential(AnsatzParams(alpha1=0.0), s) == LieElement()
-    assert scalar_potential(AnsatzParams(alpha1=1.0, lam=0.0), s) == LieElement(1.0, 0.0, 0.0)
+    assert potentials(AnsatzParams(alpha1=0.0), s)[0] == LieElement()
+    assert potentials(AnsatzParams(alpha1=1.0, lam=0.0), s)[0] == LieElement(1.0, 0.0, 0.0)
     # lam*y = pi/2 turns Sx into sigma_y
     p = AnsatzParams(alpha1=2.0, lam=math.pi / 2.0)
-    m = matrix(scalar_potential(p, s))
+    m = matrix(potentials(p, s)[0])
     assert np.allclose(m, 2.0 * SIGMA_Y, atol=1e-15)
 
 
 def test_vector_potential_cases():
     s = SpacetimePoint()
-    assert vector_potential(AnsatzParams(), s) == ColorVector()
-    a = vector_potential(AnsatzParams(alpha2=1.0, lam=0.0), s)
+    assert potentials(AnsatzParams(), s)[1] == ColorVector()
+    a = potentials(AnsatzParams(alpha2=1.0, lam=0.0), s)[1]
     assert a.ex == LieElement()
     assert a.ez == LieElement(1.0, 0.0, 0.0)
     # at theta = pi the alpha3 and alpha5 legs cancel and sin theta = 0
     p = AnsatzParams(alpha3=1.0, alpha5=1.0, alpha4=0.77, k=1.0, omega=1.0)
     s_pi = SpacetimePoint(z=math.pi)
-    assert vector_potential(p, s_pi).ey.norm() < 1e-14
+    assert potentials(p, s_pi)[1].ey.norm() < 1e-14
 
 
 def test_family_i_closed_fields():
@@ -152,8 +157,9 @@ def test_numeric_fields_match_analytic(rng):
     for _ in range(100):
         p = random_params(rng)
         s = random_point(rng)
-        de = (electric_field_numeric(p, s, h) - electric_field_analytic(p, s)).norm()
-        db = (magnetic_field_numeric(p, s, h) - magnetic_field_analytic(p, s)).norm()
+        e, b = numeric_e_and_b(p, s, h)
+        de = (e - electric_field_analytic(p, s)).norm()
+        db = (b - magnetic_field_analytic(p, s)).norm()
         assert de < 1e-6
         assert db < 1e-6
 
@@ -165,10 +171,9 @@ def test_numeric_fields_second_order(rng):
     for _ in range(40):
         p = random_params(rng)
         s = random_point(rng)
-        for numeric, analytic in ((electric_field_numeric, electric_field_analytic),
-                                  (magnetic_field_numeric, magnetic_field_analytic)):
-            e1 = (numeric(p, s, h) - analytic(p, s)).norm()
-            e2 = (numeric(p, s, h / 2.0) - analytic(p, s)).norm()
+        for i, analytic in enumerate((electric_field_analytic, magnetic_field_analytic)):
+            e1 = (numeric_e_and_b(p, s, h)[i] - analytic(p, s)).norm()
+            e2 = (numeric_e_and_b(p, s, h / 2.0)[i] - analytic(p, s)).norm()
             if e1 < 1e-9:
                 continue  # truncation buried in roundoff, ratio undefined
             assert e1 / e2 == pytest.approx(4.0, abs=0.5)
@@ -181,8 +186,9 @@ def test_abelian_limit_fields(rng):
     for _ in range(10):
         p = replace(random_params(rng), g=0.0)
         s = random_point(rng)
-        assert (electric_field_numeric(p, s) - electric_field_analytic(p, s)).norm() < 1e-6
-        assert (magnetic_field_numeric(p, s) - magnetic_field_analytic(p, s)).norm() < 1e-6
+        e, b = numeric_e_and_b(p, s)
+        assert (e - electric_field_analytic(p, s)).norm() < 1e-6
+        assert (b - magnetic_field_analytic(p, s)).norm() < 1e-6
 
 
 def test_field_strength_antisymmetric_and_x_trivial(rng):

@@ -1,14 +1,19 @@
-"""Every import in src/ and tests/ is used, and every private name in src/ is read.
+"""Every import in src/ and tests/ is used, every private name in src/ is
+read, and every name a src/ module exports exists.
 
 No linter ships with the project, so these are the checks: a name an
 import binds must be read somewhere in its module, or be listed in the
-module's __all__ as a re-export; and a private top-level function, class
+module's __all__ as a re-export; a private top-level function, class
 or constant of src/ must be read somewhere in src/ outside its own
-definition. A merge of two code paths tends to leave the imports and the
-helpers of the one it removed behind.
+definition; and every name in a src/ module's __all__ must resolve in
+that module, so that a star import of it works. A merge of two code
+paths tends to leave the imports and the helpers of the one it removed
+behind, and a deletion its __all__ entries.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -16,6 +21,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 SRC = sorted((ROOT / "src").rglob("*.py"))
+# the dotted name of each src/ module; a package by its directory
+SRC_MODULES = [".".join(p.relative_to(ROOT / "src").with_suffix("").parts)
+               .removesuffix(".__init__") for p in SRC]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -86,3 +94,23 @@ def test_the_check_sees_an_unread_private_name():
         "b": "import a\n\ndef g():\n    return a._C\n",
     }
     assert unread_private_names(sources) == ["a: _B", "a: _f", "a: _K"]
+
+
+def stale_exports(module) -> list[str]:
+    """The names in a module's __all__ that it does not define; any one
+    makes a star import of the module fail."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("name", SRC_MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert stale_exports(module) == []
+    exec(f"from {name} import *", {})
+
+
+def test_the_check_sees_a_stale_export():
+    module = types.ModuleType("m")
+    module.__all__ = ["kept", "gone"]
+    module.kept = 1
+    assert stale_exports(module) == ["gone"]

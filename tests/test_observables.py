@@ -5,19 +5,24 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from ymwaves.constraints import build_family_i, build_family_ii, build_family_iii, classify
-from ymwaves.fields import AnsatzParams, SpacetimePoint
+from ymwaves.fields import AnsatzParams
 from ymwaves.observables import (
-    EnergyProfile,
+    _profile_blocks,
     energy_closed_form,
     energy_density,
-    energy_profile,
     mean_energy_closed_form,
     node_locations,
     point_at_phase,
-    poynting,
-    time_averaged_electric,
 )
-from ymwaves.su2 import rotated_coeffs
+
+
+def energy_profile(sol, n_samples):
+    """The thetas, densities and closed forms of _profile_blocks, each one list."""
+    thetas, densities, closed = [], [], []
+    for block in _profile_blocks(sol, n_samples):
+        for whole, part in zip((thetas, densities, closed), block):
+            whole += part
+    return thetas, densities, closed
 
 
 def family_ii_solution(k=1.0, alpha4=1.0, lam=0.0, g=1.0, eta=1, xi=1):
@@ -69,69 +74,18 @@ def test_kappa_scaling_and_validation():
     assert energy_density(p, s, kappa=0.5) == 2.0 * energy_density(p, s)
     with pytest.raises(ValueError):
         energy_density(p, s, kappa=0.0)
-    with pytest.raises(ValueError):
-        poynting(p, s, kappa=-1.0)
 
 
 def test_mean_density_closed_form():
     sol = family_ii_solution(k=2.0, alpha4=0.9)
-    prof = energy_profile(sol, n_samples=128)
-    sampled_mean = sum(prof.densities) / len(prof.densities)
+    densities = energy_profile(sol, n_samples=128)[1]
+    sampled_mean = sum(densities) / len(densities)
     assert mean_energy_closed_form(sol) == pytest.approx(2.0 ** 2 * 0.9 ** 2 / 2.0)
     # uniform phase sampling of a trigonometric polynomial is exact
     assert sampled_mean == pytest.approx(mean_energy_closed_form(sol), abs=1e-10)
     sol_i = classify(build_family_i(k=2.0, alpha4=0.9, lam=0.0, g=1.0))
-    prof_i = energy_profile(sol_i, n_samples=128)
-    assert sum(prof_i.densities) / 128 == pytest.approx(mean_energy_closed_form(sol_i), abs=1e-10)
-
-
-def test_poynting_flux_equals_density():
-    # B_x = -E_y makes the flux purely longitudinal with |S| = energy density
-    for sol in (family_ii_solution(k=1.7, alpha4=1.1, lam=0.5, eta=-1, xi=1),
-                classify(build_family_i(k=1.7, alpha4=1.1, lam=0.5, g=1.0))):
-        p = sol.params()
-        for th in (0.4, 1.9, 4.4):
-            s = point_at_phase(p, th)
-            sx, sy, sz = poynting(p, s)
-            assert sx == 0.0 and sy == 0.0
-            assert sz >= 0.0
-            assert sz == pytest.approx(energy_density(p, s), abs=1e-13)
-
-
-def test_poynting_vanishes_for_family_iii():
-    p = build_family_iii(k=1.0, omega=2.0, alpha4=1.0, lam=0.3, g=1.0)
-    assert poynting(p, SpacetimePoint(t=0.3, y=0.5, z=1.1)) == (0.0, 0.0, 0.0)
-
-
-def test_time_averaged_electric_family_ii():
-    # oscillatory parts of E_y average out, the constant -xi eta (k a4/2) Sy survives
-    p = build_family_ii(k=2.0, alpha4=1.0, lam=0.0, g=1.0, eta=1, xi=1)
-    avg = time_averaged_electric(p, y=0.0)
-    ax, ay, az = rotated_coeffs(avg.ey, p.lam, 0.0)
-    assert ay == pytest.approx(-1.0, abs=1e-12)
-    assert abs(ax) < 1e-12 and abs(az) < 1e-12
-    assert avg.ex.norm() < 1e-12 and avg.ez.norm() < 1e-12
-
-
-def test_time_averaged_electric_rotated_background():
-    p = build_family_ii(k=2.0, alpha4=1.0, lam=0.4, g=1.0, eta=1, xi=-1)
-    avg = time_averaged_electric(p, y=0.7)
-    _, ay, az = rotated_coeffs(avg.ey, p.lam, 0.7)
-    assert ay == pytest.approx(1.0, abs=1e-12)  # sign flips with xi
-    assert abs(az) < 1e-12
-
-
-def test_time_averaged_electric_zero_cases():
-    p1 = build_family_i(k=1.5, alpha4=0.8, lam=0.2, g=1.0)
-    assert time_averaged_electric(p1, y=0.3).norm() < 1e-12
-    p3 = build_family_iii(k=1.0, omega=2.0, alpha4=1.0, lam=0.2, g=1.0)
-    assert time_averaged_electric(p3, y=0.3).norm() < 1e-14
-
-
-def test_time_averaged_electric_validation():
-    static = AnsatzParams(alpha4=1.0, k=1.0, omega=0.0)
-    with pytest.raises(ValueError):
-        time_averaged_electric(static, y=0.0)
+    densities_i = energy_profile(sol_i, n_samples=128)[1]
+    assert sum(densities_i) / 128 == pytest.approx(mean_energy_closed_form(sol_i), abs=1e-10)
 
 
 @pytest.mark.parametrize("eta,xi,want", [(1, 1, [0.0]), (-1, -1, [0.0]),
@@ -162,15 +116,12 @@ def test_nodes_minimize_the_density():
 
 def test_energy_profile_contents():
     sol = family_ii_solution(k=1.0, alpha4=2.0)
-    prof = energy_profile(sol, n_samples=64)
-    assert isinstance(prof, EnergyProfile)
-    assert len(prof.thetas) == len(prof.densities) == len(prof.closed_forms) == 64
-    assert prof.kappa == 0.25
-    assert all(d >= 0.0 for d in prof.densities)
-    diffs = [abs(d - c) for d, c in zip(prof.densities, prof.closed_forms)]
+    thetas, densities, closed_forms = energy_profile(sol, n_samples=64)
+    assert len(thetas) == len(densities) == len(closed_forms) == 64
+    assert all(d >= 0.0 for d in densities)
+    # the closed forms hold at kappa = 1/4, so the densities are at kappa = 1/4
+    diffs = [abs(d - c) for d, c in zip(densities, closed_forms)]
     assert max(diffs) < 1e-12
-    doubled = energy_profile(sol, n_samples=64, kappa=0.5)
-    assert all(b == 2.0 * a for a, b in zip(prof.densities, doubled.densities))
     with pytest.raises(ValueError):
         energy_profile(sol, n_samples=1)
 

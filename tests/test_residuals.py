@@ -19,9 +19,9 @@ from ymwaves.residuals import (
     residual_allowance,
     residual_sample,
 )
-from ymwaves.su2 import rotated_coeffs
 
 from conftest import random_params, random_point
+from scalar_stencils import rotated_coeffs
 
 GRID = ((0.0, 2.0 * math.pi, 10), (-1.0, 1.0, 10), (0.0, 2.0 * math.pi, 10))
 

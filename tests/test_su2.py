@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis.strategies import floats
 
-from ymwaves.su2 import LieElement, minus_i_commutator, rotated_basis, rotated_coeffs
+from ymwaves.su2 import LieElement, _along_sx, _along_sy_sz, _commutator, _frame_coeffs
 
 from su2_matrices import (
     IDENTITY,
@@ -22,6 +22,14 @@ from su2_matrices import (
 
 angles = floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 coeff = floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+
+
+def rotated_basis(lam, y):
+    """The frame Sx, Sy, Sz at (lam, y) as LieElements, from the frame
+    coefficients the array core uses."""
+    c, s = math.cos(lam * y), math.sin(lam * y)
+    return (LieElement(*_along_sx(c, s, 1.0)), LieElement(*_along_sy_sz(c, s, 1.0, 0.0)),
+            LieElement(*_along_sy_sz(c, s, 0.0, 1.0)))
 
 
 def test_pauli_definitions():
@@ -130,7 +138,7 @@ def test_lie_element_arithmetic():
 def test_minus_i_commutator_matches_matrix_route(ax, ay, az, bx, by, bz):
     a = LieElement(ax, ay, az)
     b = LieElement(bx, by, bz)
-    via_coeffs = minus_i_commutator(a, b)
+    via_coeffs = LieElement(*_commutator(a.coeffs(), b.coeffs()))
     m = -1j * commutator(matrix(a), matrix(b))
     scale = max(1.0, float(np.abs(m).max()))
     assert np.allclose(matrix(via_coeffs), m, atol=1e-12 * scale)
@@ -147,13 +155,19 @@ def test_jacobi_identity(ax, ay, az, bx, by, bz, cx, cy, cz):
         + commutator(c, commutator(a, b))
     scale = max(1.0, *(float(np.abs(m).max()) for m in (a, b, c)))
     assert float(np.abs(total).max()) <= 1e-10 * scale ** 3
+    # the same identity on the coefficient triples of the array core
+    u, v, w = (ax, ay, az), (bx, by, bz), (cx, cy, cz)
+    cyclic = ((u, v, w), (v, w, u), (w, u, v))
+    total = np.sum([_commutator(p, _commutator(q, r)) for p, q, r in cyclic], axis=0)
+    scale = max(1.0, *map(abs, (ax, ay, az, bx, by, bz, cx, cy, cz)))
+    assert float(np.abs(total).max()) <= 1e-10 * scale ** 3
 
 
 def test_rotated_coeffs_inverts_frame_expansion():
     lam, y = 1.3, -0.7
     sx, sy, sz = rotated_basis(lam, y)
     e = 0.8 * sx + (-0.45) * sy + 2.0 * sz
-    cx, cy, cz = rotated_coeffs(e, lam, y)
+    cx, cy, cz = _frame_coeffs(math.cos(lam * y), math.sin(lam * y), e.coeffs())
     assert cx == pytest.approx(0.8, abs=1e-14)
     assert cy == pytest.approx(-0.45, abs=1e-14)
     assert cz == pytest.approx(2.0, abs=1e-14)
