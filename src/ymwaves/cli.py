@@ -25,6 +25,7 @@ import csv
 import functools
 import io
 import math
+import re
 import sys
 from collections import Counter
 from itertools import chain
@@ -56,6 +57,7 @@ from .fields import (
 )
 from .observables import _profile_blocks
 from .residuals import (
+    _INNER_STEP,
     _max_analytic_norm,
     _max_numeric_norm,
     bianchi_allowance,
@@ -92,9 +94,9 @@ def _add_config_flags(sp, amplitudes=range(1, 6), tol=True):
     sp.add_argument("--family", choices=("I", "II", "III"),
                     help="build the configuration from a family's free parameters")
     _add_shared_flags(sp)
-    for i in amplitudes:
-        sp.add_argument(f"--alpha{i}", type=float, default=0.0,
-                        help=f"raw amplitude alpha{i} (ignored with --family except alpha4)")
+    for i in amplitudes:  # a raw amplitude not given is absent from the namespace
+        sp.add_argument(f"--alpha{i}", type=float, default=0.0 if i == 4 else argparse.SUPPRESS,
+                        help=f"amplitude alpha{i}" + (" (not with --family)" if i != 4 else ""))
     sp.add_argument("--eta", type=int, choices=(1, -1), default=1,
                     help="sign for families II and III (default +1)")
     sp.add_argument("--xi", type=int, choices=(1, -1), default=1,
@@ -120,15 +122,20 @@ def _omega(k, omega, c, family=None) -> float:
     return kc
 
 
+def _family(args) -> FamilySolution:  # a family ignores the signs it does not have
+    return FamilySolution(args.family, args.k, _omega(args.k, args.omega, args.c, args.family),
+                          args.alpha4, args.lam, args.g, args.c, args.eta, args.xi)
+
+
 def _build_params(args) -> AnsatzParams:
-    omega = _omega(args.k, args.omega, args.c, args.family)
-    if args.family is not None:
-        # a family ignores the signs it does not have
-        return FamilySolution(args.family, args.k, omega, args.alpha4, args.lam, args.g,
-                              args.c, args.eta, args.xi).params()
-    return AnsatzParams(alpha1=args.alpha1, alpha2=args.alpha2, alpha3=args.alpha3,
-                        alpha4=args.alpha4, alpha5=args.alpha5,
-                        lam=args.lam, k=args.k, omega=omega, g=args.g, c=args.c)
+    if args.family is None:
+        return AnsatzParams(*(getattr(args, f"alpha{i}", 0.0) for i in range(1, 6)), args.lam,
+                            args.k, _omega(args.k, args.omega, args.c), args.g, args.c)
+    given = ", ".join(f"--alpha{i}" for i in (1, 2, 3, 5) if f"alpha{i}" in args)
+    if given:
+        raise ValueError(f"--family {args.family} builds every amplitude from --alpha4, "
+                         f"not {given}")
+    return _family(args).params()
 
 
 def _parse_grid(text: str):
@@ -206,8 +213,7 @@ def cmd_verify(args) -> int:
     analytic_ok = constraints_ok and max_analytic <= ana_allow
     ok = analytic_ok and max_numeric <= num_allow and bia <= bia_allow
 
-    if args.family == "III" or (analytic_ok and abs(p.alpha4) > 0
-                                and _fields_vanish(p, args.tol)):
+    if analytic_ok and abs(p.alpha4) > 0 and _fields_vanish(p, args.tol):
         f_norm = max(_field_strength_norms(p, numeric[:, :8], args.h))
         # F comes from second-order differences; judge it against the
         # matching budget, not the fourth-order residual one
@@ -259,7 +265,9 @@ def cmd_scan(args) -> int:
     """The scan's rows as CSV, written block by block as scan_families
     makes them (_scan_blocks), and the tally of their labels, kept as they
     pass. Memory does not grow with --seeds."""
-    if args.seed < 0:  # numpy's own message names no flag
+    if args.seeds < 1:  # the library's own message names no flag
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.seed < 0:  # nor does numpy's
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     blocks = _scan_blocks(args.seeds, args.seed, args.lam, args.k,
                           _omega(args.k, args.omega, args.c), args.g, args.c)
@@ -333,14 +341,14 @@ def cmd_fields(args) -> int:
 
 
 def cmd_energy_profile(args) -> int:
+    """The density of the Family I or II wave that the flags build, as
+    _build_params does, next to its closed form over one period, as CSV."""
     if args.family not in ("I", "II"):
         raise ValueError("energy-profile needs --family I or II")
-    p = _build_params(args)
-    sol = classify(p, tol=args.tol)
-    if not isinstance(sol, FamilySolution):
-        raise ValueError("configuration did not classify as a family solution")
+    sol = _family(args)
+    p = sol.params()  # built first, so that a build error keeps its own wording
     try:  # the sweep is checked whole before the first row is written
-        blocks = _profile_blocks(sol, args.theta_samples)
+        blocks = _profile_blocks(p, sol, args.theta_samples)
     except ValueError as exc:  # of the checks it makes, only the count's can fail here
         raise ValueError(f"--theta-samples: {exc}") from None
     fmt = ",".join([_FMT] * 4) + "\r\n"
@@ -381,10 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="t0:t1:n,y0:y1:n,z0:z1:n evaluation grid")
 
     sp = sub.add_parser("energy-profile", help="CSV of the density over one period")
-    _add_config_flags(sp, amplitudes=(4,))  # it needs --family, so reads only alpha4
+    _add_config_flags(sp, amplitudes=(4,), tol=False)  # it needs --family, so reads only alpha4
     sp.add_argument("--theta-samples", type=int, default=256,
                     help="number of phase samples (default 256)")
 
+    for sp in sub.choices.values():  # -1e-3, -.5 and -1:1:3 are values, as in Python 3.13
+        sp._negative_number_matcher = re.compile(r"^-\.?\d")  # argparse has no public setting
     return parser
 
 
@@ -402,6 +412,10 @@ def main(argv=None) -> int:
             raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
         if "h" in args:
             _check_h(args.h, "--h")
+            inner = _INNER_STEP * args.h  # the Bianchi probe's inner step
+            if inner * inner == 0.0:
+                raise ValueError(f"--h is too small: (h * {_INNER_STEP}) ** 2 underflows to 0, "
+                                 f"got {args.h!r}")
         # looked up by name at each call, so a rebound cmd_* is the one run
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, OSError) as exc:

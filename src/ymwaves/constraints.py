@@ -500,14 +500,14 @@ _ORACLE_DESIGN = np.array([(1.0, math.cos(th), math.cos(th) ** 2, math.sin(th))
 _ORACLE_FIT = np.array(_ORACLE_ENTRIES).T
 
 
-def oracle_constraints(p: AnsatzParams, h: float = 1e-4, full_output: bool = False):
+def oracle_constraints(p: AnsatzParams, h: float = 1e-4) -> ConstraintVector:
     """Recover the nine constraints from numeric residuals alone.
 
     Samples both residuals in numeric mode on an equispaced phase grid
     (realized through z when k dominates, through t otherwise) at each y
     of _ORACLE_YS, projects every sample onto the rotated frame, and fits the
     harmonic series [1, cos, cos^2, sin] to all twelve channels by one
-    least-squares solve. All samples come from one evaluation of the
+    least-squares solve (_oracle_fit). All samples come from one evaluation of the
     numeric residuals on columns, the values gauss_residual and
     ampere_residual give point by point. The nine entries of _ORACLE_ENTRIES reproduce
     nine_constraints without ever evaluating the constraint polynomials;
@@ -516,8 +516,15 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4, full_output: bool = Fal
     module constants.
 
     Raises ValueError for k = omega = 0 (frozen phase, nothing to fit).
-    With full_output=True also returns a dict of fit diagnostics.
     """
+    coef, _ = _oracle_fit(p, h)
+    harmonic, channel, sign = _ORACLE_FIT
+    return ConstraintVector(*(float(v) for v in sign * coef[harmonic, channel]))
+
+
+def _oracle_fit(p: AnsatzParams, h: float):
+    """The coefficients of [1, cos, cos^2, sin] in the twelve channels,
+    shape (4, 12), and the samples they fit, shape (24, 12)."""
     if p.k == 0.0 and p.omega == 0.0:
         raise ValueError("phase is frozen at k = omega = 0; the oracle needs a wave")
     use_z = abs(p.k) >= abs(p.omega)
@@ -536,18 +543,7 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4, full_output: bool = Fal
                                           np.concatenate([ga[:, None], am], axis=1)))
     # twelve channels: gauss, ampere e_x, e_y, e_z, each on Sx, Sy, Sz
     samples = on_frame.transpose(2, 1, 0).reshape(len(y), 12)
-    coef = np.linalg.lstsq(_ORACLE_DESIGN, samples, rcond=None)[0]
-    harmonic, channel, sign = _ORACLE_FIT
-    cv = ConstraintVector(*(float(v) for v in sign * coef[harmonic, channel]))
-    if not full_output:
-        return cv
-    off = np.ones(coef.shape, dtype=bool)
-    off[harmonic, channel] = False
-    diagnostics = {
-        "max_fit_residual": float(np.max(np.abs(_ORACLE_DESIGN @ coef - samples))),
-        "max_off_channel": float(np.max(np.abs(coef[off]))),
-    }
-    return cv, diagnostics
+    return np.linalg.lstsq(_ORACLE_DESIGN, samples, rcond=None)[0], samples
 
 
 class RefineResult(NamedTuple):

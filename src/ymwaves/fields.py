@@ -100,10 +100,6 @@ class AnsatzParams:
     def phase(self, s: "SpacetimePoint") -> float:
         return self.k * s.z - self.omega * s.t
 
-    @property
-    def is_abelian(self) -> bool:
-        return self.g == 0.0
-
 
 @dataclass(frozen=True)
 class SpacetimePoint:

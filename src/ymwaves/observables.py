@@ -97,31 +97,35 @@ def point_at_phase(p: AnsatzParams, theta: float, y: float = 0.0) -> SpacetimePo
     return SpacetimePoint(t=t, x=0.0, y=y, z=z)
 
 
-def _profile_blocks(sol: FamilySolution, n_samples: int):
-    """The density of a Family I or II wave over n_samples phases theta in
-    [0, 2 pi), as blocks of (thetas, densities, closed forms), lists of
-    floats, one block of the grid core at a time.
+def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
+    """The density of p = sol.params(), a Family I or II wave, at n_samples
+    phases theta in [0, 2 pi), as blocks of (thetas, densities, sol's closed
+    forms), lists of floats, one block of the grid core at a time.
 
-    Checks the input and the whole sweep (fields._Grid.blocks) before
-    returning, so that a caller writing the blocks out writes nothing for
-    a bad input. A sample count below 2, or one that no array can hold,
-    is a ValueError.
+    Checks the input and the whole sweep before returning, so that a caller
+    writing the blocks out writes nothing for a bad input: a count below 2,
+    or one that no array can hold, is a ValueError, and a density or closed
+    form that overflows an OverflowError.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 profile samples")
-    p = sol.params()
     thetas = 2.0 * math.pi * _arange(n_samples) / n_samples
-    t, z = (np.atleast_1d(v) for v in _phase_coordinates(p, thetas))
-    blocks = _Grid(t, np.zeros(1), z).blocks(p)
+
+    def densities(rows):  # energy_density's rounding at its default kappa = 1/4
+        ey, bx = (_norm_squared(u) for u in _field_columns(p, rows))
+        return 0.25 * 2.0 * (ey + bx)
+    with np.errstate(over="ignore"):  # an overflow is named below
+        t, z = (np.atleast_1d(v) for v in _phase_coordinates(p, thetas))
+        grid = _Grid(t, np.zeros(1), z)
+        # one pass over the sweep that keeps nothing, before any row is made
+        finite = all(np.isfinite(densities(rows)).all() for rows in grid.blocks(p))
+    if not (finite and math.isfinite((sol.k * sol.k) * (sol.alpha4 * sol.alpha4))):
+        raise OverflowError("the energy density or its closed form overflows")
 
     def profile():
         start = 0
-        for rows in blocks:
-            ey, bx = (_norm_squared(u) for u in _field_columns(p, rows))
-            # energy_density's rounding at its default kappa = 1/4
-            densities = (0.25 * 2.0 * (ey + bx)).tolist()
-            block = thetas[start:start + len(densities)].tolist()
-            start += len(densities)
-            yield block, densities, [energy_closed_form(sol, th) for th in block]
+        for rows in grid.blocks(p):
+            block = thetas[start:start + len(rows.t)].tolist()
+            start += len(block)
+            yield block, densities(rows).tolist(), [energy_closed_form(sol, th) for th in block]
     return profile()
-

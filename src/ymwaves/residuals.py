@@ -329,28 +329,27 @@ def ampere_residual(p: AnsatzParams, s: SpacetimePoint,
 # triple mu < nu < ga its three cyclic orders, as bianchi_residual sums them
 _CYCLIC = np.array([cyc for mu, nu, ga in combinations(range(4), 3)
                     for cyc in ((mu, nu, ga), (nu, ga, mu), (ga, mu, nu))]).T
+_INNER_STEP = 0.5  # the step of the F that bianchi_residual differences, a fraction of h
 
 
-def bianchi_residual(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4,
-                     inner_h: float | None = None) -> float:
+def bianchi_residual(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) -> float:
     """Norm of the cyclic covariant derivative of the numeric field strength.
 
     Identically zero in exact arithmetic for any parameters; the returned
     value is pure discretization error, O(h^2) in the step (see
     bianchi_allowance for the scale).
 
-    The tensor fed to the outer derivative is assembled with its own step
-    inner_h, half the outer step by default. With equal steps the nested
+    The tensor fed to the outer derivative is assembled with its own step,
+    h * _INNER_STEP, half the outer step. With equal steps the nested
     symmetric differences telescope for this ansatz (nothing depends on
     x, the wave phase rides on a single potential component per axis, and
     the one doubly y-dependent commutator is [Sx, Sx] = 0), so the
     residual would collapse to rounding noise and carry no convergence
-    order to measure; pass inner_h=h to observe that collapse.
+    order to measure; set _INNER_STEP to 1 to observe that collapse.
     """
     _check_h(h)
-    if inner_h is None:
-        inner_h = 0.5 * h
-    _check_h(inner_h)
+    inner_h = _INNER_STEP * h
+    _check_h(inner_h, "the inner step h * _INNER_STEP")
     # the point, then its neighbours at +h along t, x, y and z, then at -h:
     # the order in which a point-by-point evaluation visits them
     outer = _block(_coordinates([s]), _CENTRAL, h)[:, :, 0].T

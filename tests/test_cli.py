@@ -59,6 +59,14 @@ def test_verify_family_iii_reports_pure_gauge(capsys):
     assert "VERIFIED" in out
 
 
+def test_verify_family_iii_at_alpha4_0_reports_as_its_raw_amplitudes(capsys):
+    # the pure-gauge line reads the configuration, not the flag that built it
+    family = run(["verify", "--family", "III", "--alpha4", "0", "--k", "1", "--omega", "2"], capsys)
+    raw = run(["verify", "--alpha1", "1", "--alpha2", "0.5", "--k", "1", "--omega", "2"], capsys)
+    assert family == raw
+    assert family[0] == 0
+
+
 @pytest.mark.parametrize("p, pure_gauge", [
     (build_family_iii(3, 5, 2, 0.4, 1.2), True),
     (build_family_i(3, 2, 0.4, 1.2), False),
@@ -286,6 +294,28 @@ def test_energy_profile_family_ii(capsys):
     assert max(dens) == pytest.approx(1.0)
 
 
+def _profile_matches_its_closed_form(out, k, alpha4, n=256):
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == n
+    assert max(float(r["closed_form"]) for r in rows) == pytest.approx(k * k * alpha4 * alpha4)
+    assert max(float(r["abs_diff"]) for r in rows) <= 1e-12 * (1.0 + k * k * alpha4 * alpha4)
+
+
+# catalogued waves that classify does not name: the first two cancel
+# lambda against 2 g alpha3 and read as not a solution, the third's fields
+# are within its tolerance of zero; the profile is the family's all the same
+@pytest.mark.parametrize("family, alpha4, couplings", [
+    ("I", 3.0, ["--k", "5", "--lambda", "1e8", "--g", "1.3"]),
+    ("II", 1.0, ["--k", "100", "--lambda", "1e6", "--g", "1e-3"]),
+    ("II", 1e-12, []),
+])
+def test_energy_profile_prints_the_family_the_flags_build(family, alpha4, couplings, capsys):
+    code, out, err = run(["energy-profile", "--family", family, "--alpha4", repr(alpha4),
+                          *couplings], capsys)
+    assert (code, err) == (0, "")
+    _profile_matches_its_closed_form(out, float(couplings[1]) if couplings else 1.0, alpha4)
+
+
 def test_energy_profile_rejects_family_iii(capsys):
     code, _, err = run(["energy-profile", "--family", "III", "--alpha4", "1"], capsys)
     assert code == 2
@@ -352,6 +382,40 @@ def test_scan_writes_each_block_as_it_comes(monkeypatch, capsys):
     assert lines == {0, 1 + 4, 1 + 8}
 
 
+def test_a_step_whose_inner_square_underflows_is_named_as_typed(capsys):
+    # h ** 2 is a normal number; (h / 2) ** 2, the Bianchi probe's, is 0
+    code, out, err = run(["verify", "--family", "I", "--alpha4", "1", "--h", "2.3e-162"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --h is too small: (h * 0.5) ** 2 underflows to 0, got 2.3e-162\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "classify", "fields"])
+@pytest.mark.parametrize("extra, given", [(["--alpha1", "5"], "--alpha1"),
+                                          (["--alpha5=-1", "--alpha3", "0"], "--alpha3, --alpha5")])
+def test_a_raw_amplitude_with_a_family_is_a_usage_error(command, extra, given, tmp_path,
+                                                        capsys):
+    # the family builds alpha1..alpha5 from --alpha4; a raw amplitude would be ignored
+    dest = tmp_path / "out.txt"
+    code, out, err = run([command, "--family", "II", "--alpha4", "1", *extra,
+                          "--out", str(dest)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --family II builds every amplitude from --alpha4, not {given}\n"
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--alpha4", "1", "--lambda", "-1e-3", "--grid", SMALL_GRID],
+    ["scan", "--seeds", "3", "--omega", "-1e-3", "--lambda", "-.5"],
+    ["fields", "--alpha4", "-.5", "--grid", "-1:1:3,0:1:2,0:1:2"],
+], ids=lambda argv: argv[0])
+def test_negative_values_are_read_as_values(argv, capsys):
+    # each the same as its --flag=value form, which argparse never took for a flag
+    joined = [argv[0]] + [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    result = run(argv, capsys)
+    assert result == run(joined, capsys)
+    assert result[0] != 2
+
+
 @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "nan"),
                                          ("--h", "0"), ("--h", "inf"), ("--h", "1e-320")])
 def test_bad_tolerance_or_step_is_usage_error(flag, value, tmp_path, capsys):
@@ -386,6 +450,7 @@ def test_scan_rejects_flags_it_does_not_read(extra, capsys):
 
 @pytest.mark.parametrize("command, flag", [
     ("classify", "--h"), ("fields", "--h"), ("fields", "--tol"), ("energy-profile", "--h"),
+    ("energy-profile", "--tol"),
     *(("energy-profile", f"--alpha{i}") for i in (1, 2, 3, 5)),
 ])
 def test_commands_reject_flags_they_do_not_read(command, flag, tmp_path, capsys):
@@ -409,7 +474,7 @@ def test_each_command_takes_exactly_the_flags_it_reads():
         "fields": config + ["--grid"],
         "energy-profile": [f for f in config if f not in ("--alpha1", "--alpha2", "--alpha3",
                                                           "--alpha5")]
-        + ["--tol", "--theta-samples"],
+        + ["--theta-samples"],
     }
     (sub,) = [a for a in ymwaves.cli.build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
@@ -464,6 +529,8 @@ def test_couplings_that_overflow_a_branch_offset_are_usage_errors(argv, message,
                        "overflows in the constraints c1..c9"),
     (["--k", "0"], "phase is frozen at k = omega = 0; the scan needs a wave"),
     (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["--seeds", "0"], "--seeds must be >= 1, got 0"),
+    (["--seeds", "-3"], "--seeds must be >= 1, got -3"),
 ], ids=lambda value: re.split("[:;,]", value)[0] if isinstance(value, str) else None)
 def test_scan_bad_couplings_are_usage_errors(extra, message, capsys):
     with warnings.catch_warnings():
@@ -484,10 +551,17 @@ def test_a_coupling_whose_square_overflows_is_named(command, extra, names, capsy
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run([command, *config, *extra], capsys)
-    assert code == 2
-    assert err == (f"error: an input is too large: squaring {names} overflows in the "
-                   "constraints c1..c9\n")
-    assert out == ""
+    if command != "energy-profile":
+        assert (code, out) == (2, "")
+        assert err == (f"error: an input is too large: squaring {names} overflows in the "
+                       "constraints c1..c9\n")
+    elif extra[0] == "--k":  # the profile squares k, in its density and its closed form
+        assert (code, out) == (2, "")
+        assert err == ("error: an input is too large: the energy density or its closed form "
+                       "overflows\n")
+    else:  # it never squares g, and prints the wave's profile
+        assert (code, err) == (0, "")
+        _profile_matches_its_closed_form(out, 1.0, 1.0)
 
 
 # every command that forms omega = k*c when --omega is not given, for raw

@@ -6,12 +6,15 @@ import pytest
 
 import ymwaves.constraints
 from ymwaves.constraints import (
+    _ORACLE_DESIGN,
+    _ORACLE_FIT,
     ClassificationError,
     ConstraintVector,
     FamilySolution,
     NotASolution,
     PlaneSolution,
     TrivialZeroField,
+    _oracle_fit,
     branch_projection,
     build_family_i,
     build_family_ii,
@@ -232,10 +235,13 @@ def test_oracle_omega_dominant_path():
     assert np.max(np.abs(direct - fitted)) < 1e-7
 
 
-def test_oracle_full_output_diagnostics():
-    fitted, info = oracle_constraints(PINNED, full_output=True)
-    assert info["max_fit_residual"] < 1e-8
-    assert info["max_off_channel"] < 1e-8
+def test_oracle_fit_diagnostics():
+    coef, samples = _oracle_fit(PINNED, 1e-4)
+    off = np.ones(coef.shape, dtype=bool)
+    off[_ORACLE_FIT[0], _ORACLE_FIT[1]] = False
+    assert np.max(np.abs(_ORACLE_DESIGN @ coef - samples)) < 1e-8  # the fit's residual
+    assert np.max(np.abs(coef[off])) < 1e-8  # the channels no constraint sits in
+    fitted = oracle_constraints(PINNED)
     assert fitted.max_abs() == pytest.approx(nine_constraints(PINNED).max_abs(), abs=1e-8)
 
 

@@ -38,8 +38,6 @@ def test_phase_definition():
     p = AnsatzParams(k=2.0, omega=0.5)
     s = SpacetimePoint(t=3.0, z=1.25)
     assert p.phase(s) == pytest.approx(2.0 * 1.25 - 0.5 * 3.0)
-    assert AnsatzParams(g=0.0).is_abelian
-    assert not AnsatzParams(g=1.0).is_abelian
 
 
 def potentials(p, s):

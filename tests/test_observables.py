@@ -19,7 +19,7 @@ from ymwaves.observables import (
 def energy_profile(sol, n_samples):
     """The thetas, densities and closed forms of _profile_blocks, each one list."""
     thetas, densities, closed = [], [], []
-    for block in _profile_blocks(sol, n_samples):
+    for block in _profile_blocks(sol.params(), sol, n_samples):
         for whole, part in zip((thetas, densities, closed), block):
             whole += part
     return thetas, densities, closed

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+import ymwaves.residuals
 from ymwaves.constraints import build_family_i, build_family_ii, build_family_iii
 from ymwaves.fields import AnsatzParams, SpacetimePoint, field_strength, field_strength_norm
 from ymwaves.residuals import (
@@ -34,8 +35,9 @@ def test_mode_and_step_validation():
         ampere_residual(p, s, mode="numeric", h=0.0)
     with pytest.raises(ValueError):
         bianchi_residual(p, s, h=-1.0)
-    with pytest.raises(ValueError):
-        bianchi_residual(p, s, h=1e-2, inner_h=0.0)
+    # h squares to a normal number, its inner step h * _INNER_STEP to 0
+    with pytest.raises(ValueError, match="the inner step h [*] _INNER_STEP"):
+        bianchi_residual(p, s, h=2.3e-162)
 
 
 def test_gauss_residual_is_along_sx(rng):
@@ -159,13 +161,15 @@ def test_bianchi_large_amplitudes(rng):
         assert bianchi_residual(p, s, h=1e-2) < bianchi_allowance(p, 1e-2)
 
 
-def test_bianchi_matched_steps_telescope(rng):
-    # with inner_h = h the nested stencils cancel exactly for this ansatz
-    # and only rounding noise remains, orders below the h^2 budget
+def test_bianchi_matched_steps_telescope(rng, monkeypatch):
+    # with an inner step equal to h the nested stencils cancel exactly for
+    # this ansatz and only rounding noise remains, orders below the h^2 budget
     p = random_params(rng)
     s = random_point(rng)
     for h in (2e-1, 2e-2):
-        collapsed = bianchi_residual(p, s, h=h, inner_h=h)
+        with monkeypatch.context() as m:
+            m.setattr(ymwaves.residuals, "_INNER_STEP", 1.0)
+            collapsed = bianchi_residual(p, s, h=h)
         assert collapsed < 1e-11
         assert collapsed < 1e-4 * bianchi_residual(p, s, h=h)
 
