@@ -8,8 +8,19 @@ Three residuals are exposed:
              D_mu F_nu_ga + D_nu F_ga_mu + D_ga F_mu_nu
 
 A configuration solves the equations of motion iff gauss and ampere
-vanish for all points; bianchi vanishes identically for any potentials
-and is tracked purely as a discretization diagnostic.
+vanish for all points. The Bianchi identity holds for any potentials,
+and with it the homogeneous equations vanish
+
+    div B                                  (D . B, whose commutator
+                                            term vanishes for the ansatz)
+    (1/c) dB/dt + curl E + i g ([phi, B] - A x E - E x A)
+
+for every amplitude, not only on solutions. verify checks these on the
+closed-form E and B, beside the numeric gauss and ampere and from the
+same stencils (_numeric_residuals), so its Bianchi line sees closed
+forms that are the fields of no potential. bianchi_residual, the nested
+probe of the field strength built from the potentials, never sees the
+closed forms; it is a library diagnostic of the discretization.
 
 The analytic mode reads the residuals off the nine constraint
 polynomials c1..c9 (ConstraintVector), the harmonic groups of the
@@ -24,8 +35,9 @@ Both modes run on numpy columns, the points a (4, n) array of t, x, y,
 z. The numeric mode evaluates E and B once over the stencil block of the
 points (fields._stencil), phi and A once at the points, and takes every
 derivative, commutator and norm on the arrays with su2's triple algebra
-(_numeric_residuals); Bianchi differentiates the field strength over the
-block of its point. The one-point functions are views of these columns
+(_numeric_residuals), the homogeneous equations' too when asked;
+bianchi_residual differentiates the field strength over the block of its
+point. The one-point functions are views of these columns
 (_residuals_at) and round as a point-by-point evaluation.
 """
 
@@ -173,11 +185,16 @@ def _check_mode(mode: str):
 # (A x B)_i = A_j B_k - A_k B_j for the cyclic (i, j, k): j and k per i
 _J, _K = [1, 2, 0], [2, 0, 1]
 _J1, _K1 = [1 + j for j in _J], [1 + k for k in _K]  # j and k among the axes t, x, y, z
-# The twelve commutators of _commutator_terms as pairs of rows of the
-# _fields_at array (phi, A, E, B): A_i with E_i, A_j with B_k, A_k with
-# B_j, then phi with E_i, each for i = x, y, z
-_LEFT = np.array([1, 2, 3, *(1 + j for j in _J), *(1 + k for k in _K), 0, 0, 0])
-_RIGHT = np.array([4, 5, 6, *(7 + k for k in _K), *(7 + j for j in _J), 4, 5, 6])
+# The commutators of _commutator_terms as pairs of rows of the _fields_at
+# array (phi, A, E, B), each for i = x, y, z: A_i with E_i, A_j with B_k,
+# A_k with B_j and phi with E_i, the twelve of gauss and ampere; then phi
+# with B_i, A_j with E_k and A_k with E_j, the nine more of the
+# homogeneous equations
+_LEFT = np.array([1, 2, 3, *(1 + j for j in _J), *(1 + k for k in _K), 0, 0, 0,
+                  0, 0, 0, *(1 + j for j in _J), *(1 + k for k in _K)])
+_RIGHT = np.array([4, 5, 6, *(7 + k for k in _K), *(7 + j for j in _J), 4, 5, 6,
+                   7, 8, 9, *(4 + k for k in _K), *(4 + j for j in _J)])
+_EQUATIONS = 12  # the slots of gauss and ampere
 
 
 def _vector_at(v: np.ndarray) -> ColorVector:
@@ -185,16 +202,23 @@ def _vector_at(v: np.ndarray) -> ColorVector:
     return ColorVector(*(LieElement(*c) for c in v.T.tolist()))
 
 
-def _commutator_terms(g: float, fields: np.ndarray):
+def _commutator_terms(g: float, fields: np.ndarray, homogeneous: bool = False):
     """-i g (A . E - E . A), its components summed in order as LieElements
     would sum them, and -i g ([phi, E] + A x B + B x A), from phi and the
-    components of A, E and B as one array (see _fields_at). The twelve
-    commutators (_LEFT, _RIGHT) are taken in one stacked call."""
-    comm = np.array(_commutator(fields.take(_LEFT, axis=1), fields.take(_RIGHT, axis=1)))
+    components of A, E and B as one array (see _fields_at); with
+    homogeneous, also the commutator terms of Faraday's law (see
+    _numeric_residuals). The commutators (_LEFT, _RIGHT), twelve or all
+    twenty-one, are taken in one stacked call."""
+    slots = len(_LEFT) if homogeneous else _EQUATIONS
+    comm = np.array(_commutator(fields.take(_LEFT[:slots], axis=1),
+                                fields.take(_RIGHT[:slots], axis=1)))
     terms = g * comm[:, 0:3]
     # -i g (A x B + B x A)_i = g eps_ijk su2._commutator(A_j, B_k)
     cross = g * (comm[:, 3:6] - comm[:, 6:9])
-    return (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2], cross + g * comm[:, 9:12])
+    out = (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2], cross + g * comm[:, 9:12])
+    if homogeneous:  # -g su2._commutator(phi, B_i) + g eps_ijk su2._commutator(A_j, E_k)
+        out += (g * (comm[:, 15:18] - comm[:, 18:21]) - g * comm[:, 12:15],)
+    return out
 
 
 def _point_fields(p: AnsatzParams, s: SpacetimePoint) -> np.ndarray:
@@ -228,9 +252,16 @@ def _fields_at(p: AnsatzParams, rows) -> np.ndarray:
     return fields
 
 
-def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, h: float, axes: str = "xyzt"):
+def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, h: float, axes: str = "xyzt",
+                       homogeneous: bool = False):
     """Numeric-mode gauss and ampere residuals at every point of coords,
-    shape (4, n), as arrays of shape (3, n) and (3, 3, n).
+    shape (4, n), as arrays of shape (3, n) and (3, 3, n); with
+    homogeneous, then the homogeneous equations' residuals of the same
+    shapes, div B and Faraday's (1/c) dB/dt + curl E + i g ([A_0, B] -
+    A x E - E x A) with A_0 = phi, from the same derivatives and one
+    stacked commutator call. D . B drops its commutator term, -i g (A . B -
+    B . A): A has no e_x part and B nothing else, so it vanishes
+    identically for this ansatz.
 
     E and B are evaluated once over the five-point block, phi and A once
     at the points (_fields_at). The zero components of E and B take the
@@ -246,22 +277,34 @@ def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, h: float, axes: str 
         # d[:, i, mu] = d_mu E_i at the points, then d_mu B_i
         d = _derivative(fields[:, 4:], _five_point, h)
         de, db = d[:, :3], d[:, 3:]
-        gauss_comm, ampere_comm = _commutator_terms(p.g, fields[:, :, 0])
-        gauss = de[:, 0, 1] + de[:, 1, 2] + de[:, 2, 3] + gauss_comm
+        comm = _commutator_terms(p.g, fields[:, :, 0], homogeneous)
+        gauss = de[:, 0, 1] + de[:, 1, 2] + de[:, 2, 3] + comm[0]
         curl = db[:, _K, _J1] - db[:, _J, _K1]
-        ampere = (-1.0 / p.c) * de[:, :, 0] + curl + ampere_comm
-    return gauss, ampere
+        ampere = (-1.0 / p.c) * de[:, :, 0] + curl + comm[1]
+        if not homogeneous:
+            return gauss, ampere
+        div_b = db[:, 0, 1] + db[:, 1, 2] + db[:, 2, 3]
+        faraday = (1.0 / p.c) * db[:, :, 0] + (de[:, _K, _J1] - de[:, _J, _K1]) + comm[2]
+    return gauss, ampere, (div_b, faraday)
 
 
-def _max_numeric_norm(p: AnsatzParams, coords: np.ndarray, h: float) -> float:
-    """The largest numeric residual_sample norm over the points of coords,
-    each summed as residual_sample sums it."""
-    gauss, ampere = _numeric_residuals(p, coords, h)
+def _largest_norm(scalar: np.ndarray, vector: np.ndarray) -> float:
+    """The largest over the points of sqrt(|scalar|^2 + |vector|^2), a
+    residual of shape (3, n) beside one of shape (3, 3, n), summed as
+    residual_sample sums it."""
     with np.errstate(all="ignore"):
-        am = _norm_squared(ampere)
-        norms = np.sqrt(_norm_squared(gauss) + (am[0] + am[1] + am[2]))
+        v = _norm_squared(vector)
+        norms = np.sqrt(_norm_squared(scalar) + (v[0] + v[1] + v[2]))
     # the built-in max, which treats NaN as the point-by-point route does
     return max(norms.tolist())
+
+
+def _max_numeric_norms(p: AnsatzParams, coords: np.ndarray, h: float):
+    """The largest numeric residual_sample norm over the points of coords,
+    then the largest norm of the homogeneous residual, from one
+    evaluation (_numeric_residuals)."""
+    gauss, ampere, homogeneous = _numeric_residuals(p, coords, h, homogeneous=True)
+    return _largest_norm(gauss, ampere), _largest_norm(*homogeneous)
 
 
 def _residual_coefficients(cv: ConstraintVector, cos_th, sin_th, cos_fr, sin_fr):
@@ -403,7 +446,7 @@ def max_residual_norm(p: AnsatzParams, points,
         angles = _rows(p, _coordinates(points)).angles()
         return _max_analytic_norm(_harmonics(*_values(p)), [angles])
     _check_h(h)
-    return _max_numeric_norm(p, _coordinates(points), h)
+    return _largest_norm(*_numeric_residuals(p, _coordinates(points), h))
 
 
 def _scales(p: AnsatzParams):

@@ -13,6 +13,7 @@ import pytest
 
 import ymwaves.cli
 import ymwaves.constraints
+import ymwaves.fields
 from ymwaves.cli import main
 from ymwaves.constraints import (
     build_family_i,
@@ -20,7 +21,8 @@ from ymwaves.constraints import (
     build_family_iii,
     normalized_constraints,
 )
-from ymwaves.fields import AnsatzParams
+from ymwaves.fields import AnsatzParams, SpacetimePoint
+from ymwaves.residuals import bianchi_residual
 
 SMALL_GRID = "0:6.2832:5,-1:1:3,0:6.2832:5"
 NON_SOLUTION = ["--alpha1", "0.7", "--alpha2", "-1.1", "--alpha3", "0.4",
@@ -684,6 +686,94 @@ def test_small_wave_speed_bianchi_budget(argv, capsys):
     code, out, _ = run(["verify", *argv], capsys)
     assert code == 0
     assert out.endswith("\nVERIFIED\n")
+
+
+def _bianchi_line(out):
+    """verify's Bianchi line as (value, allowance)."""
+    m = re.search(r"^bianchi residual norm over \d+ grid points = (\S+) "
+                  r"\(div B and Faraday, allowance (\S+)\)$", out, re.M)
+    return float(m.group(1)), float(m.group(2))
+
+
+def _numeric_line(out):
+    """verify's numeric residual line as (value, allowance)."""
+    m = re.search(r"^max numeric residual over \d+ grid points = (\S+) "
+                  r"\(h = \S+, allowance (\S+)\)$", out, re.M)
+    return float(m.group(1)), float(m.group(2))
+
+
+def test_the_bianchi_line_sees_a_closed_form_e_that_no_potential_gives(monkeypatch, capsys):
+    # flip the sign of -2 g alpha1 alpha5 in E's cos group: the homogeneous
+    # equations on the closed-form E and B see it, the nested probe on
+    # the potentials does not
+    argv = ["verify", "--family", "II", "--alpha4", "1", "--k", "2", "--lambda", "0.3",
+            "--g", "1.5"]
+    p = build_family_ii(k=2.0, alpha4=1.0, lam=0.3, g=1.5, eta=1, xi=1)
+    s = SpacetimePoint(t=0.3, x=0.17, y=-0.4, z=0.9)
+    probe = bianchi_residual(p, s).hex()
+    value, allowance = _bianchi_line(run(argv, capsys)[1])
+    assert value <= allowance
+    real = ymwaves.fields._field_groups
+
+    def mutant(a1, a2, a3, a4, a5, lam, k, omega, g, c):
+        (e_const, _, e_sin), b = real(a1, a2, a3, a4, a5, lam, k, omega, g, c)
+        return (e_const, omega / c * a4 + 2.0 * g * a1 * a5, e_sin), b
+    monkeypatch.setattr(ymwaves.fields, "_field_groups", mutant)
+    code, out, _ = run(argv, capsys)
+    value, allowance = _bianchi_line(out)
+    assert code == 1 and value > 1e6 * allowance
+    assert bianchi_residual(p, s).hex() == probe
+
+
+@pytest.mark.parametrize("family", ["I", "II"])
+def test_fast_waves_verify(family, capsys):
+    # at c = 100 the nested probe's second-order budget rejected these
+    # catalogued waves; the homogeneous equations hold them to 1e-9
+    code, out, _ = run(["verify", "--family", family, "--alpha4", "1", "--c", "100"], capsys)
+    assert code == 0 and out.endswith("\nVERIFIED\n")
+    value, allowance = _bianchi_line(out)
+    assert value <= allowance == 1.0000000000000001e-09
+
+
+def test_the_homogeneous_equations_hold_off_shell(capsys):
+    # they follow from the Bianchi identity, so they hold for every
+    # amplitude, not only on the roots that the equations of motion pick
+    rng = np.random.default_rng(7)
+    for i in range(24):
+        alphas = rng.uniform(-1.5, 1.5, 5)
+        couplings = {"--lambda": rng.uniform(-1.5, 1.5), "--k": rng.uniform(-1.5, 1.5),
+                     "--omega": rng.uniform(-1.5, 1.5), "--g": rng.uniform(-1.5, 1.5),
+                     "--c": (0.7, 1.0, 2.0)[i % 3]}
+        argv = [f for j, a in enumerate(alphas.tolist()) for f in (f"--alpha{j + 1}", repr(a))]
+        argv += [f for flag, v in couplings.items() for f in (flag, repr(float(v)))]
+        code, out, _ = run(["verify", *argv], capsys)
+        value, allowance = _bianchi_line(out)
+        numeric, numeric_allowance = _numeric_line(out)
+        assert code == 1
+        assert value <= allowance == numeric_allowance < numeric
+
+
+@pytest.mark.parametrize("lam", ["1e17", "3e16", "1e308"])
+@pytest.mark.parametrize("xi", ["1", "-1"])
+def test_energy_profile_names_a_lambda_that_cancels_away(lam, xi, capsys):
+    # lambda + 2 g alpha3 rounds to 0 in place of 2 g xi alpha4: the
+    # fields would be another wave's, not the Family II one profiled
+    code, out, err = run(["energy-profile", "--family", "II", "--alpha4", "1", "--xi", xi,
+                          "--lambda", lam], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --lambda {float(lam):.17g} cancels against 2 g alpha3")
+    # Family I's fields do not see the sum
+    code, out, _ = run(["energy-profile", "--family", "I", "--alpha4", "1", "--lambda", lam],
+                       capsys)
+    assert code == 0
+    _profile_matches_its_closed_form(out, 1.0, 1.0)
+
+
+def test_energy_profile_keeps_a_lambda_that_survives(capsys):
+    code, out, _ = run(["energy-profile", "--family", "II", "--alpha4", "1", "--xi", "-1",
+                        "--lambda", "1e16"], capsys)
+    assert code == 0
+    _profile_matches_its_closed_form(out, 1.0, 1.0)
 
 
 CALLS = [

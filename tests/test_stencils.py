@@ -33,6 +33,8 @@ from ymwaves.constraints import (
     oracle_constraints,
 )
 from ymwaves.fields import (
+    _CENTRAL,
+    _FIVE_POINT,
     AnsatzParams,
     SpacetimePoint,
     _coordinates,
@@ -60,6 +62,8 @@ steps = st.sampled_from((1e-4, 1e-3, 1e-2, 0.25))
 AMPLITUDES = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5")
 DEFAULT_GRID = build_parser().parse_args(["verify"]).grid
 FINE_GRID = "0:6.2832:16,-1:1:16,0:6.2832:16"
+FAMILY_II = ["--family", "II", "--k", "1.3", "--alpha4", "0.8", "--lambda", "0.4", "--g", "1.2",
+             "--xi", "-1"]
 
 
 @st.composite
@@ -204,18 +208,21 @@ def test_one_field_evaluation_per_numeric_call(monkeypatch):
     assert built == []
 
 
-def test_one_stacked_commutator_per_numeric_call(monkeypatch):
+def test_one_stacked_commutator_per_numeric_call(monkeypatch, capsys):
     calls = []
     real = ymwaves.residuals._commutator
     monkeypatch.setattr(ymwaves.residuals, "_commutator",
                         lambda a, b: calls.append(np.shape(a)) or real(a, b))
     p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1)
-    pts = [SpacetimePoint(t=0.1 * i, y=0.2 * i, z=-0.3 * i) for i in range(28)]
-    ymwaves.residuals._numeric_residuals(p, _coordinates(pts), 1e-4)
-    # A . E, A_j x B_k, A_k x B_j and [phi, E]: twelve slots of one call
-    assert calls == [(3, 12, 28)]
+    assert main(["verify", *FAMILY_II]) == 0
+    capsys.readouterr()
+    # A . E, A_j x B_k, A_k x B_j and [phi, E], then the homogeneous
+    # equations' [phi, B], A_j x E_k and A_k x E_j: twenty-one slots of one
+    # call at verify's 28 numeric points
+    assert calls == [(3, 21, 28)]
     calls.clear()
     oracle_constraints(p)
+    # the oracle takes the twelve of gauss and ampere alone
     assert calls == [(3, 12, 24)]
 
 
@@ -230,14 +237,37 @@ def test_verify_and_the_oracle_build_no_points_but_bianchis(monkeypatch, capsys)
     monkeypatch.setattr(SpacetimePoint, "__post_init__", counting)
     for grid in (DEFAULT_GRID, FINE_GRID):
         built.clear()
-        assert main(["verify", "--family", "II", "--k", "1.3", "--alpha4", "0.8",
-                     "--lambda", "0.4", "--g", "1.2", "--xi", "-1", "--grid", grid]) == 0
-        # the Bianchi point; the numeric points are read off the grid
-        assert len(built) <= 1
+        assert main(["verify", *FAMILY_II, "--grid", grid]) == 0
+        # the numeric points, and the Bianchi line with them, are read off the grid
+        assert built == []
     capsys.readouterr()
     built.clear()
     oracle_constraints(p)
     assert built == []
+
+
+def test_verify_takes_one_five_point_block(monkeypatch, capsys):
+    # the numeric residual and the Bianchi line share one five-point block;
+    # the only other block is the central one of the pure-gauge F line,
+    # taken only when the fields vanish
+    blocks = []
+    real = ymwaves.fields._block
+
+    def counted(coords, steps, h):
+        blocks.append(steps)
+        return real(coords, steps, h)
+    monkeypatch.setattr(ymwaves.fields, "_block", counted)
+    monkeypatch.setattr(ymwaves.residuals, "_block", counted)
+    family_iii = ["--family", "III", "--k", "0.7", "--omega", "-1.9", "--alpha4", "1.1",
+                  "--lambda", "-0.3", "--g", "0.8"]
+    for config, want in ((FAMILY_II, [_FIVE_POINT]), (family_iii, [_FIVE_POINT, _CENTRAL]),
+                         (["--alpha1", "0.7", "--alpha2", "-1.1", "--alpha4", "0.9"],
+                          [_FIVE_POINT])):
+        for grid in (DEFAULT_GRID, FINE_GRID):
+            blocks.clear()
+            main(["verify", *config, "--grid", grid])
+            assert blocks == want
+    capsys.readouterr()
 
 
 def test_verify_and_the_oracle_take_the_su2_algebra_on_arrays(monkeypatch, capsys):
@@ -284,8 +314,8 @@ def test_grid_coordinates_are_the_grid_points(grid):
     ranges = _parse_grid(grid)
     full = _Grid.from_ranges(*ranges)
     n = len(full)
-    # the rows verify takes its numeric points and its Bianchi point from
-    rows = list(range(0, n, max(1, n // _NUMERIC_POINTS))) + [n // 2]
+    # the rows verify takes its numeric points from
+    rows = list(range(0, n, max(1, n // _NUMERIC_POINTS)))
     points = grid_points(*ranges)
     want = [hexes([points[i].t, points[i].x, points[i].y, points[i].z]) for i in rows]
     assert [hexes(c) for c in full.coordinates(rows).T.tolist()] == want
