@@ -57,7 +57,6 @@ from .fields import (
 )
 from .observables import _profile_blocks
 from .residuals import (
-    _INNER_STEP,
     _max_analytic_norm,
     _max_numeric_norms,
     field_strength_allowance,
@@ -425,10 +424,6 @@ def main(argv=None) -> int:
             raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
         if "h" in args:
             _check_h(args.h, "--h")
-            inner = _INNER_STEP * args.h  # the Bianchi probe's inner step
-            if inner * inner == 0.0:
-                raise ValueError(f"--h is too small: (h * {_INNER_STEP}) ** 2 underflows to 0, "
-                                 f"got {args.h!r}")
         # looked up by name at each call, so a rebound cmd_* is the one run
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, OSError) as exc:

@@ -508,12 +508,12 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4) -> ConstraintVector:
     of _ORACLE_YS, projects every sample onto the rotated frame, and fits the
     harmonic series [1, cos, cos^2, sin] to all twelve channels by one
     least-squares solve (_oracle_fit). All samples come from one evaluation of the
-    numeric residuals on columns, the values gauss_residual and
-    ampere_residual give point by point. The nine entries of _ORACLE_ENTRIES reproduce
-    nine_constraints without ever evaluating the constraint polynomials;
-    this is the independent oracle the algebra is tested against. The
-    phases, the y's and the design matrix depend on no input, so they are
-    module constants.
+    numeric residuals on columns, the gauss and ampere values that
+    residual_sample gives point by point in numeric mode. The nine entries
+    of _ORACLE_ENTRIES reproduce nine_constraints without ever evaluating
+    the constraint polynomials; this is the independent oracle the algebra
+    is tested against. The phases, the y's and the design matrix depend on
+    no input, so they are module constants.
 
     Raises ValueError for k = omega = 0 (frozen phase, nothing to fit).
     """

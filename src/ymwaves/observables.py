@@ -91,10 +91,10 @@ def _phase_coordinates(p: AnsatzParams, theta):
     raise ValueError("k = omega = 0 admits no phase sweep")
 
 
-def point_at_phase(p: AnsatzParams, theta: float, y: float = 0.0) -> SpacetimePoint:
-    """A point realizing phase theta, through z when k != 0, else through t."""
+def point_at_phase(p: AnsatzParams, theta: float) -> SpacetimePoint:
+    """A point at x = y = 0 realizing phase theta, through z when k != 0, else through t."""
     t, z = _phase_coordinates(p, theta)
-    return SpacetimePoint(t=t, x=0.0, y=y, z=z)
+    return SpacetimePoint(t=t, x=0.0, y=0.0, z=z)
 
 
 def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):

@@ -22,23 +22,25 @@ forms that are the fields of no potential. bianchi_residual, the nested
 probe of the field strength built from the potentials, never sees the
 closed forms; it is a library diagnostic of the discretization.
 
-The analytic mode reads the residuals off the nine constraint
+gauss_residual, ampere_residual, max_residual_norm and the analytic mode
+of residual_sample read the residuals off the nine constraint
 polynomials c1..c9 (ConstraintVector), the harmonic groups of the
 reduced algebra, written once in _polynomials, whose magnitudes are also
 the constraint scales. The numeric mode differentiates the closed-form
 fields with five-point stencils and adds exact commutators, which makes
-it an independent check of that reduction. The closed-form fields
+it an independent check of that reduction; verify takes its largest
+norm over many points (_max_numeric_norms). The closed-form fields
 themselves are checked against finite differences of the potentials in
 the fields module, so the two links together cover the whole derivation.
 
-Both modes run on numpy columns, the points a (4, n) array of t, x, y,
-z. The numeric mode evaluates E and B once over the stencil block of the
-points (fields._stencil), phi and A once at the points, and takes every
-derivative, commutator and norm on the arrays with su2's triple algebra
-(_numeric_residuals), the homogeneous equations' too when asked;
+Both routes run on numpy columns, the points a (4, n) array of t, x, y,
+z. The numeric route evaluates E and B once over the stencil block of
+the points (fields._stencil), phi and A once at the points, and takes
+every derivative, commutator and norm on the arrays with su2's triple
+algebra (_numeric_residuals), the homogeneous equations' too when asked;
 bianchi_residual differentiates the field strength over the block of its
-point. The one-point functions are views of these columns
-(_residuals_at) and round as a point-by-point evaluation.
+point. The one-point functions are views of these columns and round as
+a point-by-point evaluation.
 """
 
 from __future__ import annotations
@@ -94,9 +96,6 @@ __all__ = [
     "bianchi_allowance",
     "field_strength_allowance",
 ]
-
-_MODES = ("analytic", "numeric")
-
 
 class ConstraintVector(NamedTuple):
     """The nine constraint polynomial values c1..c9, in fixed order.
@@ -170,11 +169,6 @@ def _polynomials(a1, a2, x, a4, a5, k, w, g) -> ConstraintVector:
         c8=x * (4.0 * g * a2 * a5 - k * a4),
         c9=4.0 * g ** 2 * a2 * (a5 ** 2 - a4 ** 2),
     )
-
-
-def _check_mode(mode: str):
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
 # Below, a LieElement of columns is an array of shape (3, n), its sx, sy,
@@ -252,7 +246,7 @@ def _fields_at(p: AnsatzParams, rows) -> np.ndarray:
     return fields
 
 
-def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, h: float, axes: str = "xyzt",
+def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, h: float,
                        homogeneous: bool = False):
     """Numeric-mode gauss and ampere residuals at every point of coords,
     shape (4, n), as arrays of shape (3, n) and (3, 3, n); with
@@ -266,12 +260,11 @@ def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, h: float, axes: str 
     E and B are evaluated once over the five-point block, phi and A once
     at the points (_fields_at). The zero components of E and B take the
     combination of four zeros, as a five-point stencil on whole
-    ColorVectors takes it. axes is the order in which a point-by-point
-    evaluation visits the stencil axes: x, y, z for gauss, t, x, y, z for
-    ampere, x, y, z, t for both; it decides which overflowing stencil
-    point raises first.
+    ColorVectors takes it. A point-by-point evaluation visits the stencil
+    axes x, y, z for gauss, then t for ampere, the order that decides
+    which overflowing stencil point raises first.
     """
-    rows = _stencil(p, coords, _FIVE_POINT, h, axes)
+    rows = _stencil(p, coords, _FIVE_POINT, h, "xyzt")
     with np.errstate(all="ignore"):
         fields = _fields_at(p, rows)
         # d[:, i, mu] = d_mu E_i at the points, then d_mu B_i
@@ -321,16 +314,10 @@ def _residual_coefficients(cv: ConstraintVector, cos_th, sin_th, cos_fr, sin_fr)
     )
 
 
-def _residuals_at(p: AnsatzParams, s: SpacetimePoint, mode: str, h: float, axes="xyzt"):
-    """Gauss and ampere residuals at s, read off c1..c9 in analytic mode;
-    axes as in _numeric_residuals."""
-    _check_mode(mode)
-    if mode == "analytic":
-        gauss, ey, ez = _residual_coefficients(_harmonics(*_values(p)), *_angles(p, s))
-        return LieElement(*gauss), ColorVector(LieElement(), LieElement(*ey), LieElement(*ez))
-    _check_h(h)
-    gauss, ampere = _numeric_residuals(p, _coordinates([s]), h, axes)
-    return LieElement(*gauss[:, 0].tolist()), _vector_at(ampere[:, :, 0])
+def _residuals_at(p: AnsatzParams, s: SpacetimePoint):
+    """Gauss and ampere residuals at s, read off c1..c9."""
+    gauss, ey, ez = _residual_coefficients(_harmonics(*_values(p)), *_angles(p, s))
+    return LieElement(*gauss), ColorVector(LieElement(), LieElement(*ey), LieElement(*ez))
 
 
 def _max_analytic_norm(cv: ConstraintVector, chunks) -> float:
@@ -356,16 +343,15 @@ def _max_analytic_norm(cv: ConstraintVector, chunks) -> float:
     return worst
 
 
-def gauss_residual(p: AnsatzParams, s: SpacetimePoint,
-                   mode: str = "analytic", h: float = 1e-4) -> LieElement:
-    """Gauss-law residual at one point; a LieElement along Sx for this ansatz."""
-    return _residuals_at(p, s, mode, h, "xyz")[0]
+def gauss_residual(p: AnsatzParams, s: SpacetimePoint) -> LieElement:
+    """Gauss-law residual at one point, read off c1..c9; a LieElement along
+    Sx for this ansatz."""
+    return _residuals_at(p, s)[0]
 
 
-def ampere_residual(p: AnsatzParams, s: SpacetimePoint,
-                    mode: str = "analytic", h: float = 1e-4) -> ColorVector:
-    """Ampere-law residual at one point, as a ColorVector."""
-    return _residuals_at(p, s, mode, h, "txyz")[1]
+def ampere_residual(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
+    """Ampere-law residual at one point, read off c1..c9, as a ColorVector."""
+    return _residuals_at(p, s)[1]
 
 
 # (mu, nu, ga) of the twelve covariant derivatives D_mu F_nu_ga: for each
@@ -420,8 +406,17 @@ class ResidualSample:
 
 def residual_sample(p: AnsatzParams, s: SpacetimePoint,
                     mode: str = "analytic", h: float = 1e-4) -> ResidualSample:
-    """Evaluate both residuals at s and bundle them with their joint norm."""
-    ga, am = _residuals_at(p, s, mode, h)
+    """Evaluate both residuals at s and bundle them with their joint norm:
+    read off c1..c9 in analytic mode, from five-point stencils of step h
+    in numeric mode."""
+    if mode == "analytic":
+        ga, am = _residuals_at(p, s)
+    elif mode == "numeric":
+        _check_h(h)
+        gauss, ampere = _numeric_residuals(p, _coordinates([s]), h)
+        ga, am = LieElement(*gauss[:, 0].tolist()), _vector_at(ampere[:, :, 0])
+    else:
+        raise ValueError(f"mode must be one of ('analytic', 'numeric'), got {mode!r}")
     norm = math.sqrt(ga.norm_squared() + am.norm_squared())
     return ResidualSample(gauss=ga, ampere=am, point=s, norm=norm)
 
@@ -437,16 +432,10 @@ def grid_points(t_range, y_range, z_range):
     return [SpacetimePoint(t=tv, x=_GRID_X, y=yv, z=zv) for tv in t for yv in y for zv in z]
 
 
-def max_residual_norm(p: AnsatzParams, points,
-                      mode: str = "analytic", h: float = 1e-4) -> float:
-    """Largest combined residual norm over an iterable of points."""
-    _check_mode(mode)
-    points = list(points)
-    if mode == "analytic":
-        angles = _rows(p, _coordinates(points)).angles()
-        return _max_analytic_norm(_harmonics(*_values(p)), [angles])
-    _check_h(h)
-    return _largest_norm(*_numeric_residuals(p, _coordinates(points), h))
+def max_residual_norm(p: AnsatzParams, points) -> float:
+    """Largest combined residual norm over an iterable of points, read off c1..c9."""
+    angles = _rows(p, _coordinates(list(points))).angles()
+    return _max_analytic_norm(_harmonics(*_values(p)), [angles])
 
 
 def _scales(p: AnsatzParams):

@@ -4,7 +4,8 @@ Every stencil point is its own SpacetimePoint, every field is evaluated
 through the one-point closed forms, and the potentials are built on the
 rotated frame of rotated_basis, a tuple of LieElements, with the
 commutators of minus_i_commutator on LieElements. The numeric residuals,
-field_strength, bianchi_residual and the oracle's samples in ymwaves run
+the homogeneous equations' among them, field_strength, bianchi_residual
+and the oracle's samples in ymwaves run
 on numpy columns instead (fields._stencil); they must equal these
 functions bit for bit, NaN and signed zeros included. ymwaves has no
 numeric E and B of its own: they are entries of field_strength,
@@ -164,6 +165,39 @@ def residual_sample(p, s, h=1e-4):
 
 def max_residual_norm(p, points, h=1e-4):
     return max(residual_sample(p, s, h).norm for s in points)
+
+
+def homogeneous_residual(p, s, h=1e-4):
+    """Numeric div B and Faraday residual (1/c) dB/dt + curl E + i g ([phi, B]
+    - A x E - E x A) at s. D . B's commutator term, -i g (A . B - B . A),
+    is left out: it vanishes identically for this ansatz."""
+    b = lambda q: magnetic_field_analytic(p, q)
+    div = (
+        central_difference4(b, s, "x", h).ex
+        + central_difference4(b, s, "y", h).ey
+        + central_difference4(b, s, "z", h).ez
+    )
+    db_dt = central_difference4(b, s, "t", h)
+    curl_e = curl(central_difference4, lambda q: electric_field_analytic(p, q), s, h)
+    phi, a = potentials(p, s)
+    e, bs = electric_field_analytic(p, s), magnetic_field_analytic(p, s)
+    comm = ColorVector(
+        p.g * (minus_i_commutator(a.ey, e.ez) - minus_i_commutator(a.ez, e.ey))
+        - p.g * minus_i_commutator(phi, bs.ex),
+        p.g * (minus_i_commutator(a.ez, e.ex) - minus_i_commutator(a.ex, e.ez))
+        - p.g * minus_i_commutator(phi, bs.ey),
+        p.g * (minus_i_commutator(a.ex, e.ey) - minus_i_commutator(a.ey, e.ex))
+        - p.g * minus_i_commutator(phi, bs.ez),
+    )
+    return div, (1.0 / p.c) * db_dt + curl_e + comm
+
+
+def max_numeric_norms(p, points, h=1e-4):
+    """max_residual_norm, then the largest norm of homogeneous_residual, over points."""
+    def norm(s):
+        div, faraday = homogeneous_residual(p, s, h)
+        return math.sqrt(div.norm_squared() + sum(e.norm_squared() for e in faraday.components()))
+    return max_residual_norm(p, points, h), max(norm(s) for s in points)
 
 
 def field_strength(p, s, h=1e-4):

@@ -384,11 +384,17 @@ def test_scan_writes_each_block_as_it_comes(monkeypatch, capsys):
     assert lines == {0, 1 + 4, 1 + 8}
 
 
-def test_a_step_whose_inner_square_underflows_is_named_as_typed(capsys):
-    # h ** 2 is a normal number; (h / 2) ** 2, the Bianchi probe's, is 0
+def test_a_step_whose_half_squares_to_zero_verifies(capsys):
+    # h ** 2 is a normal number and (h / 2) ** 2 is 0; verify takes no half
+    # step, only the library's nested Bianchi probe does
     code, out, err = run(["verify", "--family", "I", "--alpha4", "1", "--h", "2.3e-162"], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("\nVERIFIED\n")
+    # a step whose own square is 0 is refused, as typed
+    code, out, err = run(["verify", "--family", "I", "--alpha4", "1", "--h", "1e-163"], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: --h is too small: (h * 0.5) ** 2 underflows to 0, got 2.3e-162\n"
+    assert err == ("error: --h must be positive and finite, and h ** 2 must not underflow "
+                   "to 0, got 1e-163\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "classify", "fields"])

@@ -1,0 +1,93 @@
+"""Every defaulted parameter of a public function is set by some caller.
+
+A default that no caller overrides is a setting nobody reads: it widens
+the API, and its other values go untested by the program itself. The
+callers counted are the program and the gates that run it: src/, the
+benchmark (perfbench/) and the acceptance gate (tests/test_acceptance.py).
+Unit tests do not count; a value only they set belongs in a module
+constant. A call sets a parameter by keyword, or by position when it
+passes that many positional arguments; a call with *args or **kwargs
+sets every parameter. Functions are matched to calls by name alone, as
+f(...) or m.f(...).
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src").rglob("*.py"))
+CALLERS = SRC + sorted((ROOT / "perfbench").rglob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+_WAVE_SPEED = "the wave speed; the CLI sets it through the private _build and _scan_blocks"
+# the defaulted parameters no caller sets, and why each stays
+ALLOWED = {
+    "constraints.branch_projection(c)": _WAVE_SPEED,
+    "constraints.build_family_i(c)": _WAVE_SPEED,
+    "constraints.build_family_ii(c)": _WAVE_SPEED,
+    "constraints.build_family_iii(c)": _WAVE_SPEED,
+    "constraints.refine_alphas(c)": _WAVE_SPEED,
+    "constraints.scan_families(c)": _WAVE_SPEED,
+}
+
+
+def _defaulted(function: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """The defaulted parameters of a def: (position, name), position None
+    for a keyword-only one."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def _exported_functions(source: str):
+    """The top-level defs of a module that its __all__ lists."""
+    tree = ast.parse(source)
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported |= set(ast.literal_eval(node.value))
+    return [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in exported]
+
+
+def _sets(call: ast.Call, position: int | None, name: str) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def unset_knobs(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """'module.function(parameter)' for every defaulted parameter of a
+    function in a module's __all__ (module name -> source) that no call in
+    callers (sources) sets."""
+    calls = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return sorted(f"{module}.{fn.name}({param})"
+                  for module, source in modules.items()
+                  for fn in _exported_functions(source)
+                  for position, param in _defaulted(fn)
+                  if not any(_sets(call, position, param) for call in calls.get(fn.name, ())))
+
+
+def test_every_public_default_is_set_by_a_caller():
+    modules = {p.stem: p.read_text() for p in SRC}
+    assert unset_knobs(modules, [p.read_text() for p in CALLERS]) == sorted(ALLOWED)
+
+
+def test_the_check_sees_an_unset_knob():
+    module = ("__all__ = ['f', 'g']\n\n"
+              "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+              "def g(x=1):\n    pass\n\n"
+              "def _h(y=1):\n    pass\n")
+    callers = ["import m\nm.f(0, 1, e=5)\n", "g(*xs)\n"]
+    assert unset_knobs({"m": module}, callers) == ["m.f(c)", "m.f(d)"]

@@ -136,8 +136,8 @@ def test_density_is_phase_periodic():
 
 def test_point_at_phase_routes():
     p = build_family_i(k=2.0, alpha4=1.0, lam=0.0, g=1.0)
-    s = point_at_phase(p, 1.3, y=0.4)
-    assert s.z == pytest.approx(0.65) and s.t == 0.0 and s.y == 0.4
+    s = point_at_phase(p, 1.3)
+    assert s.z == pytest.approx(0.65) and s.t == 0.0 and s.x == s.y == 0.0
     static_k = AnsatzParams(alpha4=1.0, k=0.0, omega=2.0)
     s2 = point_at_phase(static_k, 1.3)
     assert s2.t == pytest.approx(-0.65) and s2.z == 0.0

@@ -43,13 +43,11 @@ from ymwaves.fields import (
     field_strength,
 )
 from ymwaves.residuals import (
+    _max_numeric_norms,
     ampere_commutator_term,
-    ampere_residual,
     bianchi_residual,
     gauss_commutator_term,
-    gauss_residual,
     grid_points,
-    max_residual_norm,
     residual_sample,
 )
 
@@ -97,8 +95,6 @@ def hexes(x):
 
 @given(configurations(), points, steps)
 def test_numeric_residuals_equal_the_reference(p, s, h):
-    assert hexes(gauss_residual(p, s, "numeric", h)) == hexes(ref.gauss_residual(p, s, h))
-    assert hexes(ampere_residual(p, s, "numeric", h)) == hexes(ref.ampere_residual(p, s, h))
     assert hexes(gauss_commutator_term(p, s)) == hexes(ref.gauss_commutator_term(p, s))
     assert hexes(ampere_commutator_term(p, s)) == hexes(ref.ampere_commutator_term(p, s))
     smp, want = residual_sample(p, s, "numeric", h), ref.residual_sample(p, s, h)
@@ -128,7 +124,9 @@ def test_numeric_e_and_b_equal_the_reference(p, zeroed, s, h):
 
 @given(configurations(), st.lists(points, min_size=1, max_size=8), steps)
 def test_many_points_equal_the_reference(p, pts, h):
-    assert hexes(max_residual_norm(p, pts, "numeric", h)) == hexes(ref.max_residual_norm(p, pts, h))
+    # the largest residual_sample norm, then the largest homogeneous one
+    want = ref.max_numeric_norms(p, pts, h)
+    assert hexes(_max_numeric_norms(p, _coordinates(pts), h)) == hexes(want)
     want = [ref.field_strength_norm(ref.field_strength(p, s, h)) for s in pts]
     assert hexes(_field_strength_norms(p, _coordinates(pts), h)) == hexes(want)
 
@@ -162,11 +160,9 @@ def test_oracle_fits_the_reference_samples(p):
 ])
 def test_overflowing_stencils_fail_as_the_reference(p, s, h):
     cases = [
-        (lambda: gauss_residual(p, s, "numeric", h), lambda: ref.gauss_residual(p, s, h)),
-        (lambda: ampere_residual(p, s, "numeric", h), lambda: ref.ampere_residual(p, s, h)),
         (lambda: residual_sample(p, s, "numeric", h), lambda: ref.residual_sample(p, s, h)),
-        (lambda: max_residual_norm(p, [SpacetimePoint(), s], "numeric", h),
-         lambda: ref.max_residual_norm(p, [SpacetimePoint(), s], h)),
+        (lambda: _max_numeric_norms(p, _coordinates([SpacetimePoint(), s]), h),
+         lambda: ref.max_numeric_norms(p, [SpacetimePoint(), s], h)),
         (lambda: field_strength(p, s, h), lambda: ref.field_strength(p, s, h)),
         (lambda: bianchi_residual(p, s, h), lambda: ref.bianchi_residual(p, s, h)),
     ]
@@ -197,14 +193,12 @@ def test_one_field_evaluation_per_numeric_call(monkeypatch):
         original(self)
     p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1)
     s = SpacetimePoint(t=0.3, x=0.17, y=-0.4, z=0.9)
-    pts = [SpacetimePoint(t=0.1 * i, y=0.2 * i, z=-0.3 * i) for i in range(28)]
+    coords = _coordinates([SpacetimePoint(t=0.1 * i, y=0.2 * i, z=-0.3 * i) for i in range(28)])
     monkeypatch.setattr(SpacetimePoint, "__post_init__", counting)
-    gauss_residual(p, s, "numeric")
-    ampere_residual(p, s, "numeric")
     residual_sample(p, s, "numeric")
-    max_residual_norm(p, pts, "numeric")
+    _max_numeric_norms(p, coords, 1e-4)
     # E and B once per call, over the points and their 16 stencil neighbours
-    assert calls == [(17, 1)] * 3 + [(17, 28)]
+    assert calls == [(17, 1), (17, 28)]
     assert built == []
 
 
