@@ -2,8 +2,8 @@
 
 Subcommands:
 
-    verify          evaluate the nine constraints and both residual modes
-                    for one configuration; exit 0 iff it verifies
+    verify          check the constraints and residuals of one
+                    configuration; exit 0 iff every check passes
     classify        name the solution branch of one configuration
     scan            random-seed Newton search over the amplitudes,
                     classification tally per branch
@@ -13,8 +13,8 @@ Subcommands:
 Configurations come either from --family with that family's free
 parameters or from the raw --alpha1..--alpha5/--k/--omega flags.
 Numbers are emitted with 17 significant digits so parsing them back
-reproduces the exact float. Exit codes: 0 verified / solution, 1
-constraint violation, 2 usage error.
+reproduces the exact float. Exit codes: 0 verified / solution, 1 a
+failing check / not a solution, 2 usage error.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import re
 import sys
 from collections import Counter
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,9 +39,10 @@ from .constraints import (
     NotASolution,
     PlaneSolution,
     TrivialZeroField,
+    _judged,
     _scan_blocks,
     _sign_suffix,
-    _static_conditions,
+    _STATIC_SUMS,
     classify,
     constraint_scales,
     nine_constraints,
@@ -68,8 +70,6 @@ _FMT = "%.17g"
 _FIELDS_ROW = "%s,%s,%s,%s,%.17g,%.17g,%s,%.17g,%.17g,%s\r\n"
 # verify's numeric residual runs on about this many of its grid points
 _NUMERIC_POINTS = 27
-# the sums at theta = 0 of constraints._static_conditions, judged at k = omega = 0
-_STATIC_SUMS = ("c1 + c2 - c3", "c4 + c5", "c7 + c8 + c9")
 
 
 def _fmt(x: float) -> str:
@@ -170,24 +170,32 @@ def _output(args):
             yield out
 
 
-def cmd_verify(args) -> int:
+class _Check(NamedTuple):
+    """A line of verify's report and the value it judges against an allowance."""
+
+    line: str
+    value: float
+    allowance: float
+
+    @property
+    def passes(self) -> bool:
+        return self.value <= self.allowance
+
+
+def _verify_checks(args):
+    """verify's report as records: the lines before its checks, the checks
+    (the judged constraints or static conditions, then the analytic,
+    numeric and Bianchi residuals), the judged kind and the notes after."""
     p = _build_params(args)
-    # the whole report is computed before any of it is written, so an
-    # input that fails part way leaves no partial report behind
     cv = nine_constraints(p)
     scales = constraint_scales(p)
     nm = abs(cv.as_array()) / scales  # normalized_constraints
     lines = [f"constraint c{i} = {_fmt(raw)} (normalized {_fmt(norm)})"
              for i, (raw, norm) in enumerate(zip(cv, nm), start=1)]
-    frozen = p.k == 0.0 and p.omega == 0.0
-    if frozen:
-        # the phase is frozen: classify's three static conditions replace
-        # the nine constraints, which are over-strong there
-        judged, kind = _static_conditions(p), "static conditions"
+    judged, kind, _ = _judged(p, args.tol, nm)
+    if kind == "static conditions":  # the nine are printed, not judged
         for i, (name, value) in enumerate(zip(_STATIC_SUMS, judged), start=1):
             lines.append(f"static condition {i}: {name} at theta = 0 (normalized {_fmt(value)})")
-    else:
-        judged, kind = nm, "constraints"
 
     grid = _Grid.from_ranges(*_parse_grid(args.grid))
     n = len(grid)
@@ -205,21 +213,30 @@ def cmd_verify(args) -> int:
                  f"{_fmt(max_numeric)} (h = {_fmt(args.h)}, allowance {_fmt(num_allow)})")
     lines.append(f"bianchi residual norm over {numeric.shape[1]} grid points = {_fmt(bia)} "
                  f"(div B and Faraday, allowance {_fmt(num_allow)})")
+    values = [*judged, max_analytic, max_numeric, bia]  # the last lines are the checks'
+    allowances = [args.tol] * len(judged) + [ana_allow, num_allow, num_allow]
+    checks = [_Check(*c) for c in zip(lines[-len(values):], values, allowances)]
 
-    constraints_ok = max(judged) <= args.tol if frozen else bool(nm.max() <= args.tol)
-    analytic_ok = constraints_ok and max_analytic <= ana_allow
-    ok = analytic_ok and max_numeric <= num_allow and bia <= num_allow
-
-    if analytic_ok and abs(p.alpha4) > 0 and _fields_vanish(p, args.tol):
+    notes = []  # the pure-gauge note, made only when the constraint and analytic checks pass
+    if all(c.passes for c in checks[:-2]) and abs(p.alpha4) > 0 and _fields_vanish(p, args.tol):
         f_norm = max(_field_strength_norms(p, numeric[:, :8], args.h))
         # F comes from second-order differences; judge it against the
         # matching budget, not the fourth-order residual one
         if f_norm <= max(args.tol, field_strength_allowance(p, args.h)):
-            lines.append(f"pure gauge: F ~ 0 (max field strength norm {_fmt(f_norm)})")
+            notes.append(f"pure gauge: F ~ 0 (max field strength norm {_fmt(f_norm)})")
+    return lines[:-len(values)], checks, kind, notes
 
-    if not constraints_ok:
-        bad = ", ".join(str(i + 1) for i, v in enumerate(judged) if v > args.tol)
+
+def cmd_verify(args) -> int:
+    # the whole report is computed before any of it is written, so an
+    # input that fails part way leaves no partial report behind
+    head, checks, kind, notes = _verify_checks(args)
+    lines = head + [c.line for c in checks] + notes
+    judged = checks[:-3]  # the last three are the residual checks
+    bad = ", ".join(str(i) for i, c in enumerate(judged, start=1) if not c.passes)
+    if bad:
         lines.append(f"violated {kind}: {bad}")
+    ok = all(c.passes for c in checks)
     lines.append("VERIFIED" if ok else "NOT VERIFIED")
 
     with _output(args) as out:

@@ -4,7 +4,7 @@ Collecting the harmonic coefficients of both equation-of-motion
 residuals gives nine polynomial constraints c1..c9 in the parameters; a
 configuration solves the equations of motion for all points iff all nine
 vanish (except in the static case k = omega = 0, where the phase is
-frozen and only three grouped sums remain, see classify). Verdicts scale
+frozen and only three grouped sums remain, see _judged). Verdicts scale
 each by its polynomial on magnitudes (constraint_scales).
 
 The known solution branches, Families I-III and the two degenerate
@@ -402,12 +402,14 @@ def build_family_iii(k: float, omega: float, alpha4: float, lam: float,
 
 
 _PATTERN_TOL = 1e-6  # classify's branch match, relative (see classify)
+# the names of the static conditions, in _static_conditions' order
+_STATIC_SUMS = ("c1 + c2 - c3", "c4 + c5", "c7 + c8 + c9")
 
 
 def _static_conditions(p: AnsatzParams) -> tuple[float, float, float]:
     """The normalized residuals of a frozen phase (k = omega = 0), which
     classify and verify judge in place of the over-strong nine: the
-    grouped sums c1 + c2 - c3, c4 + c5 and c7 + c8 + c9 at theta = 0."""
+    grouped sums of _STATIC_SUMS at theta = 0."""
     q = p.lam + 2.0 * p.g * (p.alpha3 + p.alpha5)
     scale_q = max(1.0, abs(p.lam), 2.0 * abs(p.g) * (abs(p.alpha3) + abs(p.alpha5)))
     return (
@@ -416,6 +418,19 @@ def _static_conditions(p: AnsatzParams) -> tuple[float, float, float]:
         / max(1.0, 2.0 * abs(p.g) * (p.alpha1 ** 2 + p.alpha2 ** 2) * scale_q),
         abs(p.alpha2) * q * q / max(1.0, abs(p.alpha2) * scale_q ** 2),
     )
+
+
+def _judged(p: AnsatzParams, tol: float, normalized=None):
+    """What classify and verify judge against tol, its kind and the 1-based
+    indices of the values not within tol: a frozen phase's static
+    conditions, over which the nine are over-strong, or else the nine
+    normalized constraints (normalized, when the caller has them)."""
+    if p.k == 0.0 and p.omega == 0.0:
+        values, kind = _static_conditions(p), "static conditions"
+    else:
+        values = normalized_constraints(p) if normalized is None else normalized
+        kind = "constraints"
+    return values, kind, tuple(i for i, v in enumerate(values, start=1) if not v <= tol)
 
 
 def _rel_close(a: float, b: float) -> bool:
@@ -435,26 +450,22 @@ def classify(p: AnsatzParams, tol: float = 1e-9):
     among them), or a NotASolution listing the violated constraints. A
     branch matches when the amplitudes and, where it needs it, the light
     cone hold to _PATTERN_TOL (relative) on the branch table's projection.
-    The static case k = omega = 0 is decided by the three grouped static
-    conditions rather than the nine constraints, which are over-strong
-    when the phase is frozen. Raises ClassificationError for a verified
-    solution matching no catalogued pattern, and ValueError for g = 0.
+    Whether p solves is _judged's verdict, which verify's checks share
+    (the static conditions at k = omega = 0, else the nine). Raises
+    ClassificationError for a verified solution matching no catalogued
+    pattern, and ValueError for g = 0.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if p.g == 0.0:
         raise ValueError("family classification requires g != 0")
 
-    if p.k == 0.0 and p.omega == 0.0:
-        groups = _static_conditions(p)
-        if max(groups) <= tol:
-            return TrivialZeroField(note="static configuration, zero fields")
-        return NotASolution(violated=(), worst=max(groups))
-
-    nm = normalized_constraints(p)
-    bad = tuple(int(i) + 1 for i in np.flatnonzero(nm > tol))
-    if bad:
-        return NotASolution(violated=bad, worst=float(nm.max()))
+    values, kind, bad = _judged(p, tol)
+    if bad:  # the static conditions are sums of constraints; none is named
+        return NotASolution(violated=bad if kind == "constraints" else (),
+                            worst=float(np.max(values)))
+    if kind == "static conditions":
+        return TrivialZeroField(note="static configuration, zero fields")
 
     alphas = _values(p)[:5]
     _check_offsets(_values(p)[5:])

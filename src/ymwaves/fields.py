@@ -290,12 +290,14 @@ def _arange(n: int) -> np.ndarray:
 
 def _grid_axis(lo, hi, n) -> np.ndarray:
     """One (start, stop, count) axis of a grid; a single count collapses to
-    the start value. A count below 1, or one that no array can hold, is a
-    ValueError.
+    the start value. A count that is not whole, is below 1, or that no array
+    can hold, is a ValueError.
 
     An axis that overflows holds inf or nan, without a numpy warning; its
     users reject it (SpacetimePoint, _Grid.check).
     """
+    if isinstance(n, float) and not n.is_integer():  # int() would drop its fraction
+        raise ValueError(f"count must be a whole number >= 1, got {n}")
     n = int(n)
     if n < 1:
         raise ValueError(f"count must be >= 1, got {n}")

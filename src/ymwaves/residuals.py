@@ -433,8 +433,11 @@ def grid_points(t_range, y_range, z_range):
 
 
 def max_residual_norm(p: AnsatzParams, points) -> float:
-    """Largest combined residual norm over an iterable of points, read off c1..c9."""
-    angles = _rows(p, _coordinates(list(points))).angles()
+    """Largest combined residual norm over a nonempty iterable of points, read off c1..c9."""
+    coords = _coordinates(list(points))
+    if not coords.size:
+        raise ValueError("max_residual_norm needs at least one point; the point list is empty")
+    angles = _rows(p, coords).angles()
     return _max_analytic_norm(_harmonics(*_values(p)), [angles])
 
 

@@ -16,6 +16,7 @@ import ymwaves.constraints
 import ymwaves.fields
 from ymwaves.cli import main
 from ymwaves.constraints import (
+    NotASolution,
     build_family_i,
     build_family_ii,
     build_family_iii,
@@ -132,24 +133,55 @@ def test_classify_trivial_static_configuration(capsys):
     assert "trivial zero-field configuration" in out
 
 
+def _raw(p: AnsatzParams) -> list[str]:
+    """The raw flags of a configuration."""
+    values = [p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5, p.lam, p.k, p.omega, p.g]
+    names = [f"--alpha{i}" for i in range(1, 6)] + ["--lambda", "--k", "--omega", "--g"]
+    return [f for name, v in zip(names, values) for f in (name, repr(v))]
+
+
+STATIC = ["--k", "0", "--omega", "0"]
+WAVE = ["--k", "1.3", "--alpha4", "-0.8", "--lambda", "0.4", "--g", "1.2"]
+DETUNED = build_family_ii(1.3, -0.8, 0.4, 1.2, -1, 1)  # detuned below by 1e-4 in alpha5
+
+
 @pytest.mark.parametrize("config, solves", [
-    (["--alpha1", "1", "--alpha4", "1"], True),
-    (["--alpha3", "0.25", "--alpha5", "-0.25"], True),
-    (["--alpha2", "0.8", "--alpha3", "-0.7", "--alpha5", "0.7", "--alpha4", "1.2"], True),
-    (["--alpha1", "0.3", "--alpha2", "0.4", "--alpha3", "0.5", "--lambda", "-1"], True),
-    (["--alpha1", "1", "--lambda", "1"], False),
-    (["--alpha2", "0.6", "--alpha5", "0.9", "--g", "1.5"], False),
-    (["--alpha1", "1", "--alpha2", "1", "--alpha4", "2", "--lambda", "0.5"], False),
+    ([*STATIC, "--alpha1", "1", "--alpha4", "1"], True),
+    ([*STATIC, "--alpha3", "0.25", "--alpha5", "-0.25"], True),
+    ([*STATIC, "--alpha2", "0.8", "--alpha3", "-0.7", "--alpha5", "0.7", "--alpha4", "1.2"], True),
+    ([*STATIC, "--alpha1", "0.3", "--alpha2", "0.4", "--alpha3", "0.5", "--lambda", "-1"], True),
+    ([*STATIC, "--alpha1", "1", "--lambda", "1"], False),
+    ([*STATIC, "--alpha2", "0.6", "--alpha5", "0.9", "--g", "1.5"], False),
+    ([*STATIC, "--alpha1", "1", "--alpha2", "1", "--alpha4", "2", "--lambda", "0.5"], False),
+    # running waves: the families, then two detuned configurations
+    (["--family", "I", *WAVE], True),
+    *((["--family", "II", *WAVE, "--eta", eta, "--xi", xi], True)
+      for eta in ("1", "-1") for xi in ("1", "-1")),
+    (["--family", "III", *WAVE, "--omega", "3"], True),
+    (NON_SOLUTION, False),
+    (_raw(replace(DETUNED, alpha5=DETUNED.alpha5 + 1e-4)), False),
 ])
 def test_verify_and_classify_agree_on_static_configurations(config, solves, capsys):
     # at k = omega = 0 both judge the three static conditions, not the nine
-    # constraints, which are over-strong when the phase is frozen
-    static = ["--k", "0", "--omega", "0", *config]
-    verified, report, _ = run(["verify", *static, "--grid", SMALL_GRID], capsys)
-    classified, _, _ = run(["classify", *static], capsys)
+    # constraints, which are over-strong when the phase is frozen; on a
+    # running wave both judge the nine
+    args = ymwaves.cli._parser().parse_args(["verify", *config, "--grid", SMALL_GRID])
+    _, checks, kind, _ = ymwaves.cli._verify_checks(args)
+    p = ymwaves.cli._build_params(args)
+    assert kind == ("static conditions" if p.k == p.omega == 0.0 else "constraints")
+    assert len(checks) == (3 if kind == "static conditions" else 9) + 3
+    failing = [i for i, c in enumerate(checks[:-3], start=1) if not c.value <= c.allowance]
+
+    verified, report, _ = run(["verify", *config, "--grid", SMALL_GRID], capsys)
+    assert verified == (0 if all(c.value <= c.allowance for c in checks) else 1)
+    lines = report.splitlines()
+    first = lines.index(checks[0].line)  # the checks' lines are printed in order
+    assert lines[first:first + len(checks)] == [c.line for c in checks]
+    violated = [line for line in lines if line.startswith("violated ")]
+    assert violated == [f"violated {kind}: " + ", ".join(map(str, failing))] * bool(failing)
+    assert isinstance(ymwaves.constraints.classify(p), NotASolution) == bool(failing)
+    classified, _, _ = run(["classify", *config], capsys)
     assert verified == classified == (0 if solves else 1)
-    assert "violated constraints" not in report
-    assert ("violated static conditions" in report) is not solves
 
 
 @pytest.mark.parametrize("config, lines, verdict", [

@@ -204,6 +204,15 @@ def test_classify_detects_detuned_family_iii():
     assert np.max(np.abs(fitted - direct.as_array())) < 1e-8
 
 
+def test_a_constraint_that_overflows_is_violated():
+    # c1 and c4 overflow to inf, as do their scales, so they normalize to
+    # NaN: not within tol, so not a solution, as verify's checks judge them
+    with np.errstate(all="ignore"):
+        out = classify(AnsatzParams(alpha1=1e103, alpha3=-1e103, k=1e100, omega=1e100))
+    assert isinstance(out, NotASolution)
+    assert out.violated == (1, 4)
+
+
 def test_classify_argument_validation():
     p = build_family_i(k=1.0, alpha4=1.0, lam=0.0, g=1.0)
     with pytest.raises(ValueError):

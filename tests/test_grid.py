@@ -8,6 +8,7 @@ one SpacetimePoint, the scalar closed-form fields and csv.writer per row.
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,3 +236,12 @@ def test_analytic_max_that_overflows_keeps_its_error(capsys):
     assert code == 2
     assert capsys.readouterr() == ("", "error: an input is too large: the analytic residual "
                                        "is not finite\n")
+
+
+@pytest.mark.parametrize("count", [2.5, 0.5, -1.5, math.inf, math.nan])
+def test_grid_points_rejects_a_count_that_is_not_whole(count):
+    # int() would take 2.5 as 2 and return two points
+    with pytest.raises(ValueError, match=re.escape(
+            f"grid axis t: count must be a whole number >= 1, got {count}")):
+        grid_points((0, 1, count), (0, 1, 1), (0, 1, 1))
+    assert len(grid_points((0, 1, 2.0), (0, 1, 1), (0, 1, 1))) == 2  # a whole float is a count

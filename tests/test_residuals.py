@@ -212,6 +212,14 @@ def test_grid_points_shape_and_default_x():
         grid_points((0.0, 1.0, 0), (0.0, 0.0, 1), (0.0, 0.0, 1))
 
 
+def test_max_residual_norm_names_an_empty_point_list():
+    p = build_family_i(1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="the point list is empty"):
+        max_residual_norm(p, [])
+    with pytest.raises(ValueError, match="the point list is empty"):
+        max_residual_norm(p, iter(()))
+
+
 @pytest.mark.parametrize("p, h, want", [
     (build_family_ii(k=2.0, alpha4=1.0, lam=0.3, g=1.5, eta=1, xi=-1), 1e-4, 5.361815888e-10),
     (build_family_ii(k=2.0, alpha4=1.0, lam=0.3, g=1.5, eta=1, xi=-1), 3e-3, 6.043479823333334e-08),
