@@ -189,7 +189,8 @@ def _verify_checks(args):
     p = _build_params(args)
     cv = nine_constraints(p)
     scales = constraint_scales(p)
-    nm = abs(cv.as_array()) / scales  # normalized_constraints
+    with np.errstate(all="ignore"):  # normalized_constraints
+        nm = abs(cv.as_array()) / scales
     lines = [f"constraint c{i} = {_fmt(raw)} (normalized {_fmt(norm)})"
              for i, (raw, norm) in enumerate(zip(cv, nm), start=1)]
     judged, kind, _ = _judged(p, args.tol, nm)

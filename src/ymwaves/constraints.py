@@ -174,9 +174,10 @@ def _monomials(table: _Substituted, amplitudes):
     """The terms of the substituted table at amplitude columns, shape
     (5, n) -> (terms, n)."""
     a1, a2, a3, a4, a5 = amplitudes
-    atoms = np.array([a1, a2, table.lam + table.two_g * a3, a4, a5, np.ones_like(a1)])
     f0, f1, f2 = _FACTORS[:, :len(table.coefficients)]
-    return table.coefficients[:, None] * atoms[f0] * atoms[f1] * atoms[f2]
+    with np.errstate(all="ignore"):  # a term that overflows is inf, judged by the callers
+        atoms = np.array([a1, a2, table.lam + table.two_g * a3, a4, a5, np.ones_like(a1)])
+        return table.coefficients[:, None] * atoms[f0] * atoms[f1] * atoms[f2]
 
 
 def _largest(monomials):
@@ -205,8 +206,11 @@ def _scale_columns(*values):
 
 
 def normalized_constraints(p: AnsatzParams) -> np.ndarray:
-    """Absolute constraint values divided by their monomial scales."""
-    return np.abs(nine_constraints(p).as_array()) / constraint_scales(p)
+    """Absolute constraint values divided by their monomial scales; a value
+    or scale that overflowed makes its entry inf or nan, a violation."""
+    values = np.abs(nine_constraints(p).as_array())
+    with np.errstate(all="ignore"):
+        return values / constraint_scales(p)
 
 
 @dataclass(frozen=True)
@@ -409,15 +413,26 @@ _STATIC_SUMS = ("c1 + c2 - c3", "c4 + c5", "c7 + c8 + c9")
 def _static_conditions(p: AnsatzParams) -> tuple[float, float, float]:
     """The normalized residuals of a frozen phase (k = omega = 0), which
     classify and verify judge in place of the over-strong nine: the
-    grouped sums of _STATIC_SUMS at theta = 0."""
-    q = p.lam + 2.0 * p.g * (p.alpha3 + p.alpha5)
-    scale_q = max(1.0, abs(p.lam), 2.0 * abs(p.g) * (abs(p.alpha3) + abs(p.alpha5)))
-    return (
-        abs(p.alpha1) * q * q / max(1.0, abs(p.alpha1) * scale_q ** 2),
-        2.0 * abs(p.g) * abs(p.alpha2 ** 2 - p.alpha1 ** 2) * abs(q)
-        / max(1.0, 2.0 * abs(p.g) * (p.alpha1 ** 2 + p.alpha2 ** 2) * scale_q),
-        abs(p.alpha2) * q * q / max(1.0, abs(p.alpha2) * scale_q ** 2),
-    )
+    grouped sums of _STATIC_SUMS at theta = 0.
+
+    An input too large is an OverflowError, never a verdict: c1..c9 are
+    evaluated first, so a square that overflows there is named as verify
+    names it, and a sum that overflows here is named after them."""
+    nine_constraints(p)
+    try:
+        q = p.lam + 2.0 * p.g * (p.alpha3 + p.alpha5)
+        scale_q = max(1.0, abs(p.lam), 2.0 * abs(p.g) * (abs(p.alpha3) + abs(p.alpha5)))
+        values = (
+            abs(p.alpha1) * q * q / max(1.0, abs(p.alpha1) * scale_q ** 2),
+            2.0 * abs(p.g) * abs(p.alpha2 ** 2 - p.alpha1 ** 2) * abs(q)
+            / max(1.0, 2.0 * abs(p.g) * (p.alpha1 ** 2 + p.alpha2 ** 2) * scale_q),
+            abs(p.alpha2) * q * q / max(1.0, abs(p.alpha2) * scale_q ** 2),
+        )
+    except OverflowError:  # a float ** reports only errno 34
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"the static conditions {', '.join(_STATIC_SUMS)} overflow")
+    return values
 
 
 def _judged(p: AnsatzParams, tol: float, normalized=None):

@@ -268,33 +268,62 @@ def _cos_sin(angle):
     return np.cos(angle), np.sin(angle)
 
 
+def _phase(p: AnsatzParams, t, z):
+    """AnsatzParams.phase on columns."""
+    return p.k * z - p.omega * t
+
+
 def _rows(p: AnsatzParams, coords: np.ndarray) -> _Rows:
     """The rows of coords, t, x, y, z along its first axis: a (4, n) array,
     or a block of them (4, rows, n). The one way from coordinates to rows."""
     t, _, y, z = coords
-    theta = p.k * z - p.omega * t  # AnsatzParams.phase on columns
+    theta = _phase(p, t, z)
     return _Rows(t, y, z, theta, *_cos_sin(theta), *_cos_sin(p.lam * y))
 
 
-def _arange(n: int) -> np.ndarray:
-    """np.arange(n) for a count n >= 1; a count that no array can hold is a
-    ValueError."""
+def _check_count(n: int):
+    """Raise ValueError for a count n >= 1 of floats that no array can hold.
+    The grid core makes its values block by block, never a whole axis, but
+    refuses such a count at once; the probe reserves the array and touches
+    none of it."""
     try:
-        steps = np.arange(n)
-        if len(steps) != n:  # numpy makes an empty arange(2**63 - 1)
+        if len(np.empty(n)) != n:
             raise MemoryError
     except (MemoryError, ValueError):  # ValueError: past numpy's largest size
         raise ValueError(f"count {n} is more than memory holds") from None
-    return steps
 
 
-def _grid_axis(lo, hi, n) -> np.ndarray:
+class _Axis(NamedTuple):
+    """A grid axis as (start, step, count): value i is start + i * step, or
+    start alone for a single count. Its values are made from their indices
+    as they are needed; no axis is held whole. They are monotone in i, also
+    after rounding, so its ends bound them.
+
+    An axis that overflows holds inf or nan, on which numpy warns; its
+    users reject it first (_Grid.check) or silence numpy (grid_points).
+    """
+
+    start: float
+    step: float
+    count: int
+
+    def at(self, i) -> np.ndarray:
+        """The values at the index array i."""
+        if self.count == 1:
+            return np.full(np.shape(i), float(self.start))
+        return self.start + i * self.step
+
+    def ends(self):
+        """The first and the last value, as at rounds them, as floats."""
+        if self.count == 1:
+            return float(self.start), float(self.start)
+        return self.start + 0 * self.step, self.start + (self.count - 1) * self.step
+
+
+def _grid_axis(lo, hi, n) -> _Axis:
     """One (start, stop, count) axis of a grid; a single count collapses to
     the start value. A count that is not whole, is below 1, or that no array
-    can hold, is a ValueError.
-
-    An axis that overflows holds inf or nan, without a numpy warning; its
-    users reject it (SpacetimePoint, _Grid.check).
+    can hold (_check_count), is a ValueError.
     """
     if isinstance(n, float) and not n.is_integer():  # int() would drop its fraction
         raise ValueError(f"count must be a whole number >= 1, got {n}")
@@ -302,15 +331,15 @@ def _grid_axis(lo, hi, n) -> np.ndarray:
     if n < 1:
         raise ValueError(f"count must be >= 1, got {n}")
     if n == 1:
-        return np.array([float(lo)])
-    steps = _arange(n)
-    with np.errstate(all="ignore"):
-        return lo + steps * ((hi - lo) / (n - 1))
+        return _Axis(lo, 0.0, 1)
+    _check_count(n)
+    return _Axis(lo, (hi - lo) / (n - 1), n)
 
 
 class _Grid:
     """The product grid of three axes t, y, z, t slowest and z fastest,
-    held as its axes; residuals.grid_points lists the same points."""
+    held as its axes (_Axis, or any with a count, values at indices and
+    ends); residuals.grid_points lists the same points."""
 
     def __init__(self, t, y, z):
         self.t, self.y, self.z = t, y, z
@@ -328,14 +357,15 @@ class _Grid:
         return cls(*axes)
 
     def __len__(self) -> int:
-        return len(self.t) * len(self.y) * len(self.z)
+        return self.t.count * self.y.count * self.z.count
 
     def coordinates(self, rows) -> np.ndarray:
         """The given row numbers as the columns t, x, y, z of a (4, n)
         array, at x = _GRID_X."""
-        it, rest = np.divmod(np.asarray(rows), len(self.y) * len(self.z))
-        iy, iz = np.divmod(rest, len(self.z))
-        return np.array([self.t[it], np.full(len(it), _GRID_X), self.y[iy], self.z[iz]])
+        it, rest = np.divmod(np.asarray(rows), self.y.count * self.z.count)
+        iy, iz = np.divmod(rest, self.z.count)
+        return np.array([self.t.at(it), np.full(len(it), _GRID_X), self.y.at(iy),
+                         self.z.at(iz)])
 
     def check(self, p: AnsatzParams):
         """Raise OverflowError unless the coordinates, the phase, the frame
@@ -343,10 +373,9 @@ class _Grid:
         The phase and the frame angle are monotone in each coordinate, also
         after rounding, so their values at the ends of the axes bound them.
         """
-        t_ends = (float(self.t.min()), float(self.t.max()))
-        z_ends = (float(self.z.min()), float(self.z.max()))
-        checked = [p.k * z - p.omega * t for t in t_ends for z in z_ends]
-        checked += [p.lam * float(self.y.min()), p.lam * float(self.y.max())]
+        t_ends, y_ends, z_ends = self.t.ends(), self.y.ends(), self.z.ends()
+        checked = [_phase(p, t, z) for t in t_ends for z in z_ends]
+        checked += [p.lam * y for y in y_ends]
         checked += [v for group in field_coefficient_groups(p) for v in group]
         if not all(map(math.isfinite, checked)):
             raise OverflowError("the grid coordinates, the phase, the frame angle "
@@ -361,32 +390,26 @@ class _Grid:
                 for start in range(0, n, _GRID_BLOCK))
 
     def angle_blocks(self, p: AnsatzParams):
-        """The grid's angles in chunks of at most _GRID_BLOCK points: the cos
-        and sin of the phase over a row of (t, z) pairs, shape (m,), then of
-        the frame angle lam y over a column of y's, shape (ny', 1). The
-        chunk is every y of the column at every pair of the row, by
-        broadcasting, in no particular order.
+        """The cos and sin of the grid's phases in chunks of at most
+        _GRID_BLOCK: each a row over (t, z) pairs, t slower, every pair once.
 
-        A point's angles depend on it only through its (t, z) pair and its
-        y, so the trigonometry runs on the nt nz phases and the ny frame
-        angles, not on the nt ny nz points; a phase is taken again only for
-        each further column of y's, when ny > _GRID_BLOCK. Each value rounds
-        as in _rows. Checks the whole grid (check) before any chunk is made.
+        A point's phase depends on it only through its (t, z) pair, so the
+        trigonometry runs on the nt nz phases, not on the nt ny nz points,
+        and no frame angle is taken (see residuals._max_analytic_norm).
+        Each phase rounds as in _rows. Checks the whole grid (check),
+        frame angles included, before any chunk is made.
         """
         self.check(p)
-        ny, nz = len(self.y), len(self.z)
-        per_y = min(ny, _GRID_BLOCK)
-        per_z = min(nz, _GRID_BLOCK // per_y)
-        per_t = _GRID_BLOCK // (per_y * per_z)
+        nt, nz = self.t.count, self.z.count
+        per_z = min(nz, _GRID_BLOCK)
+        per_t = _GRID_BLOCK // per_z
 
         def chunks():
-            for y0 in range(0, ny, per_y):
-                frame = _cos_sin(p.lam * self.y[y0:y0 + per_y, None])
-                for t0 in range(0, len(self.t), per_t):
-                    t = self.t[t0:t0 + per_t, None]
-                    for z0 in range(0, nz, per_z):
-                        theta = p.k * self.z[z0:z0 + per_z] - p.omega * t
-                        yield (*_cos_sin(theta.ravel()), *frame)
+            for t0 in range(0, nt, per_t):
+                t = self.t.at(np.arange(t0, min(t0 + per_t, nt)))[:, None]
+                for z0 in range(0, nz, per_z):
+                    z = self.z.at(np.arange(z0, min(z0 + per_z, nz)))
+                    yield _cos_sin(_phase(p, t, z).ravel())
         return chunks()
 
 

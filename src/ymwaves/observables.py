@@ -15,6 +15,7 @@ nothing else in the module depends on the choice.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,8 @@ from .constraints import FamilySolution
 from .fields import (
     AnsatzParams,
     SpacetimePoint,
-    _arange,
+    _Axis,
+    _check_count,
     _field_columns,
     _Grid,
     electric_field_analytic,
@@ -97,10 +99,33 @@ def point_at_phase(p: AnsatzParams, theta: float) -> SpacetimePoint:
     return SpacetimePoint(t=t, x=0.0, y=0.0, z=z)
 
 
+def _profile_phases(i, n: int):
+    """The profile's phases 2 pi i / n at the sample indices i."""
+    return 2.0 * math.pi * i / n
+
+
+class _Sweep(NamedTuple):
+    """The coordinate that realizes the profile's phases (_phase_coordinates),
+    z when k != 0 and t otherwise, as a grid axis of count samples."""
+
+    p: AnsatzParams
+    count: int
+
+    def at(self, i) -> np.ndarray:
+        with np.errstate(over="ignore"):  # an overflow is named by _Grid.check
+            t, z = _phase_coordinates(self.p, _profile_phases(i, self.count))
+        return z if self.p.k != 0.0 else t
+
+    def ends(self):
+        return self.at(np.array([0, self.count - 1])).tolist()
+
+
 def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
     """The density of p = sol.params(), a Family I or II wave, at n_samples
     phases theta in [0, 2 pi), as blocks of (thetas, densities, sol's closed
-    forms), lists of floats, one block of the grid core at a time.
+    forms), lists of floats, one block of the grid core at a time. The
+    phases and their coordinates are made block by block, so memory does
+    not grow with n_samples.
 
     Checks the input and the whole sweep before returning, so that a caller
     writing the blocks out writes nothing for a bad input: a count below 2,
@@ -109,14 +134,14 @@ def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
     """
     if n_samples < 2:
         raise ValueError("need at least 2 profile samples")
-    thetas = 2.0 * math.pi * _arange(n_samples) / n_samples
+    _check_count(n_samples)
+    point, sweep = _Axis(0.0, 0.0, 1), _Sweep(p, n_samples)
+    grid = _Grid(point, point, sweep) if p.k != 0.0 else _Grid(sweep, point, point)
 
     def densities(rows):  # energy_density's rounding at its default kappa = 1/4
         ey, bx = (_norm_squared(u) for u in _field_columns(p, rows))
         return 0.25 * 2.0 * (ey + bx)
     with np.errstate(over="ignore"):  # an overflow is named below
-        t, z = (np.atleast_1d(v) for v in _phase_coordinates(p, thetas))
-        grid = _Grid(t, np.zeros(1), z)
         # one pass over the sweep that keeps nothing, before any row is made
         finite = all(np.isfinite(densities(rows)).all() for rows in grid.blocks(p))
     if not (finite and math.isfinite((sol.k * sol.k) * (sol.alpha4 * sol.alpha4))):
@@ -125,7 +150,8 @@ def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
     def profile():
         start = 0
         for rows in grid.blocks(p):
-            block = thetas[start:start + len(rows.t)].tolist()
-            start += len(block)
+            stop = start + len(rows.t)
+            block = _profile_phases(np.arange(start, stop), n_samples).tolist()
+            start = stop
             yield block, densities(rows).tolist(), [energy_closed_form(sol, th) for th in block]
     return profile()

@@ -26,10 +26,14 @@ gauss_residual, ampere_residual, max_residual_norm and the analytic mode
 of residual_sample read the residuals off the nine constraint
 polynomials c1..c9 (ConstraintVector), the harmonic groups of the
 reduced algebra, written once in _polynomials, whose magnitudes are also
-the constraint scales. The numeric mode differentiates the closed-form
-fields with five-point stencils and adds exact commutators, which makes
-it an independent check of that reduction; verify takes its largest
-norm over many points (_max_numeric_norms). The closed-form fields
+the constraint scales. Their joint norm is one formula in c1..c9 and
+the cosine and sine of the phase (_analytic_norm_squared): the frame
+Sx, Sy, Sz is a rotation of sx, sy, sz, so the norm takes no frame
+angle, and verify takes its largest over a grid's (t, z) phases, not its
+points (_max_analytic_norm). The numeric mode differentiates the
+closed-form fields with five-point stencils and adds exact commutators,
+which makes it an independent check of that reduction; verify takes its
+largest norm over many points (_max_numeric_norms). The closed-form fields
 themselves are checked against finite differences of the potentials in
 the fields module, so the two links together cover the whole derivation.
 
@@ -65,13 +69,14 @@ from .fields import (
     _central,
     _check_h,
     _coordinates,
+    _cos_sin,
     _derivative,
     _field_columns,
     _field_strength_columns,
     _five_point,
     _Grid,
+    _phase,
     _potential_columns,
-    _rows,
     _stacked,
     _stencil,
     _summed,
@@ -300,43 +305,50 @@ def _max_numeric_norms(p: AnsatzParams, coords: np.ndarray, h: float):
     return _largest_norm(gauss, ampere), _largest_norm(*homogeneous)
 
 
-def _residual_coefficients(cv: ConstraintVector, cos_th, sin_th, cos_fr, sin_fr):
-    """Gauss, ampere e_y and ampere e_z residuals as coefficients on sx, sy, sz.
-
-    Plain arithmetic on c1..c9 and the cosines and sines of the phase and
-    of the frame angle, which may be floats or numpy columns.
-    """
+def _residual_parts(cv: ConstraintVector, cos_th, sin_th):
+    """The residuals' parts on the rotated frame at a phase: gauss along Sx,
+    the Sy and Sz parts of ampere's e_y, ampere's e_z along Sx. Plain
+    arithmetic on c1..c9 and the cosine and sine of the phase, which may
+    be floats or numpy columns."""
     c1, c2, c3, c4, c5, c6, c7, c8, c9 = cv
-    return (
-        _along_sx(cos_fr, sin_fr, c1 + c2 * cos_th - c3 * cos_th * cos_th),
-        _along_sy_sz(cos_fr, sin_fr, c6 * sin_th, c4 + c5 * cos_th),
-        _along_sx(cos_fr, sin_fr, c7 + c8 * cos_th + c9 * cos_th * cos_th),
-    )
+    return (c1 + c2 * cos_th - c3 * cos_th * cos_th, c6 * sin_th, c4 + c5 * cos_th,
+            c7 + c8 * cos_th + c9 * cos_th * cos_th)
+
+
+def _analytic_norm_squared(cv: ConstraintVector, cos_th, sin_th):
+    """The squared joint norm of the residuals read off c1..c9 at a phase,
+    floats or columns. The frame Sx, Sy, Sz is a rotation of sx, sy, sz, an
+    isometry, so the norm takes no frame angle: it is the one analytic
+    norm, of residual_sample and of _max_analytic_norm alike."""
+    gauss, sy, sz, ez = _residual_parts(cv, cos_th, sin_th)
+    return gauss * gauss + ((sy * sy + sz * sz) + ez * ez)
 
 
 def _residuals_at(p: AnsatzParams, s: SpacetimePoint):
-    """Gauss and ampere residuals at s, read off c1..c9."""
-    gauss, ey, ez = _residual_coefficients(_harmonics(*_values(p)), *_angles(p, s))
-    return LieElement(*gauss), ColorVector(LieElement(), LieElement(*ey), LieElement(*ez))
+    """Gauss and ampere residuals at s, read off c1..c9, as coefficients on
+    sx, sy, sz, and their joint norm."""
+    cv, (cos_th, sin_th, cos_fr, sin_fr) = _harmonics(*_values(p)), _angles(p, s)
+    gauss, sy, sz, ez = _residual_parts(cv, cos_th, sin_th)
+    ampere = ColorVector(LieElement(), LieElement(*_along_sy_sz(cos_fr, sin_fr, sy, sz)),
+                         LieElement(*_along_sx(cos_fr, sin_fr, ez)))
+    return (LieElement(*_along_sx(cos_fr, sin_fr, gauss)), ampere,
+            math.sqrt(_analytic_norm_squared(cv, cos_th, sin_th)))
 
 
 def _max_analytic_norm(cv: ConstraintVector, chunks) -> float:
-    """Largest residual_sample norm over chunks of points, read off the
-    configuration's c1..c9, cv. A chunk is the cos and sin of the phase,
-    then of the frame angle, as arrays that broadcast to the chunk's
-    points: a grid's product chunks (fields._Grid.angle_blocks), where the
-    harmonic groups run on the phases alone and only the frame products and
-    the norms on every point, or the columns of a block of rows
-    (fields._Rows.angles). Broadcasting rounds each element as the
-    point-by-point arithmetic does, so the result equals the max of
+    """Largest residual_sample norm over chunks of phases, read off the
+    configuration's c1..c9, cv. A chunk is the cos and sin of some phases,
+    as arrays: of a grid's nt nz (t, z) pairs (fields._Grid.angle_blocks),
+    since the norm depends on a point through its phase alone
+    (_analytic_norm_squared) and so takes no work per y, or of a list of
+    points (max_residual_norm). Each element rounds as the one-point
+    arithmetic does, so the result equals the max of
     residual_sample(...).norm over the same points. Raises OverflowError
     when a norm is not finite."""
     worst = -math.inf
     with np.errstate(all="ignore"):
-        for angles in chunks:
-            gauss, ey, ez = (_norm_squared(u) for u in _residual_coefficients(cv, *angles))
-            norms = np.sqrt(gauss + (ey + ez))
-            top = float(norms.max())
+        for cos_th, sin_th in chunks:
+            top = float(np.sqrt(_analytic_norm_squared(cv, cos_th, sin_th)).max())
             if not math.isfinite(top):
                 raise OverflowError("the analytic residual is not finite")
             worst = max(worst, top)
@@ -410,14 +422,14 @@ def residual_sample(p: AnsatzParams, s: SpacetimePoint,
     read off c1..c9 in analytic mode, from five-point stencils of step h
     in numeric mode."""
     if mode == "analytic":
-        ga, am = _residuals_at(p, s)
+        ga, am, norm = _residuals_at(p, s)
     elif mode == "numeric":
         _check_h(h)
         gauss, ampere = _numeric_residuals(p, _coordinates([s]), h)
         ga, am = LieElement(*gauss[:, 0].tolist()), _vector_at(ampere[:, :, 0])
+        norm = math.sqrt(ga.norm_squared() + am.norm_squared())
     else:
         raise ValueError(f"mode must be one of ('analytic', 'numeric'), got {mode!r}")
-    norm = math.sqrt(ga.norm_squared() + am.norm_squared())
     return ResidualSample(gauss=ga, ampere=am, point=s, norm=norm)
 
 
@@ -428,7 +440,8 @@ def grid_points(t_range, y_range, z_range):
     collapses to the start value.
     """
     grid = _Grid.from_ranges(t_range, y_range, z_range)
-    t, y, z = (axis.tolist() for axis in (grid.t, grid.y, grid.z))
+    with np.errstate(all="ignore"):  # SpacetimePoint rejects a value that overflowed
+        t, y, z = (axis.at(np.arange(axis.count)).tolist() for axis in (grid.t, grid.y, grid.z))
     return [SpacetimePoint(t=tv, x=_GRID_X, y=yv, z=zv) for tv in t for yv in y for zv in z]
 
 
@@ -437,7 +450,9 @@ def max_residual_norm(p: AnsatzParams, points) -> float:
     coords = _coordinates(list(points))
     if not coords.size:
         raise ValueError("max_residual_norm needs at least one point; the point list is empty")
-    angles = _rows(p, coords).angles()
+    t, _, _, z = coords
+    with np.errstate(all="ignore"):  # a phase that overflows leaves a norm not finite
+        angles = _cos_sin(_phase(p, t, z))
     return _max_analytic_norm(_harmonics(*_values(p)), [angles])
 
 

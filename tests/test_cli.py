@@ -5,8 +5,10 @@ import math
 import re
 import shutil
 import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -665,6 +667,42 @@ def test_scan_runs_at_k_zero_with_a_running_phase(capsys):
     code, out, err = run(["scan", "--seeds", "3", "--k", "0", "--omega", "1"], capsys)
     assert code != 2, err
     assert out.startswith("seed,converged,")
+
+
+def run_fresh(argv):
+    """Exit code, stdout and stderr of the CLI in a fresh process, where
+    numpy shows every warning it has not shown before."""
+    env = {"PYTHONPATH": str(Path(ymwaves.cli.__file__).parents[1]), "PATH": ""}
+    proc = subprocess.run([sys.executable, "-c", "import sys, ymwaves.cli; "
+                           "sys.exit(ymwaves.cli.main(sys.argv[1:]))", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# c1 and c7 and their scales overflow: the terms in the scales, the
+# normalization and verify's analytic residual each warned
+@pytest.mark.parametrize("command, want", [
+    ("classify", (1, "not a solution; violated constraints: 1, 7\n", "")),
+    ("verify", (2, "", "error: an input is too large: the analytic residual is not finite\n")),
+])
+def test_an_overflow_writes_no_runtime_warning(command, want):
+    code, out, err = run_fresh([command, "--alpha1", "1e150", "--alpha2", "1e150",
+                                "--alpha3", "1e150"])
+    assert "RuntimeWarning" not in err
+    assert (code, out, err) == want
+
+
+# a frozen phase whose c1..c9 overflow, then one whose static sums do
+@pytest.mark.parametrize("config, message", [
+    (["--alpha1", "2", "--alpha2", "1", "--g", "1e308"],
+     "squaring g = 1e+308 overflows in the constraints c1..c9"),
+    (["--alpha1", "1", "--alpha3", "1e154", "--alpha5", "1e154", "--g", "0.5"],
+     "the static conditions c1 + c2 - c3, c4 + c5, c7 + c8 + c9 overflow"),
+])
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_a_frozen_phase_that_overflows_is_an_error(command, config, message, capsys):
+    code, out, err = run([command, "--k", "0", "--omega", "0", *config], capsys)
+    assert (code, out, err) == (2, "", f"error: an input is too large: {message}\n")
 
 
 @pytest.mark.skipif(shutil.which("ymwaves") is None, reason="entry point not installed")

@@ -8,9 +8,12 @@ one SpacetimePoint, the scalar closed-form fields and csv.writer per row.
 import csv
 import io
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 import ymwaves.cli
@@ -178,8 +181,8 @@ def test_analytic_max_equals_residual_samples(rng):
             want = max(residual_sample(p, s).norm for s in on_grid)
             cv, full = nine_constraints(p), _Grid.from_ranges(*grid)
             assert _max_analytic_norm(cv, full.angle_blocks(p)) == want
-            # the flat route: every point's own angles, block by block
-            assert _max_analytic_norm(cv, (r.angles() for r in full.blocks(p))) == want
+            # the flat route: every point's own phase, block by block
+            assert _max_analytic_norm(cv, ((r.cos_th, r.sin_th) for r in full.blocks(p))) == want
 
 
 @pytest.mark.parametrize("block", [1, 4, 7, 64])
@@ -188,17 +191,17 @@ def test_analytic_chunks_hold_at_most_a_block(block, monkeypatch):
     p = build_family_ii(1.7, -0.8, 0.6, 1.3, -1, 1)
     for grid in ANALYTIC_GRIDS[:6]:
         full = _Grid.from_ranges(*grid)
-        sizes = [np.broadcast(*angles).size for angles in full.angle_blocks(p)]
+        sizes = [len(cos_th) for cos_th, _ in full.angle_blocks(p)]
         assert max(sizes) <= block
-        assert sum(sizes) == len(full)
+        assert sum(sizes) == full.t.count * full.z.count  # every (t, z) phase once
         want = max(residual_sample(p, s).norm for s in grid_points(*grid))
         assert _max_analytic_norm(nine_constraints(p), full.angle_blocks(p)) == want
 
 
 def test_verify_takes_trig_on_distinct_phases_and_frame_angles(monkeypatch, capsys):
     # only verify's analytic residual is counted, not its numeric or
-    # Bianchi stencils: phases are taken on a row over (t, z) pairs, frame
-    # angles on a column over y
+    # Bianchi stencils: phases are taken on rows over (t, z) pairs, and no
+    # frame angle is taken at all
     inside, phases, frames = [], [], []
     real_trig, real_max = ymwaves.fields._cos_sin, ymwaves.cli._max_analytic_norm
 
@@ -221,9 +224,30 @@ def test_verify_takes_trig_on_distinct_phases_and_frame_angles(monkeypatch, caps
         frames.clear()
         assert main(["verify", "--family", "II", "--k", "1.3", "--alpha4", "0.8",
                      "--lambda", "0.4", "--g", "1.2", "--xi", "-1", "--grid", grid]) == 0
-        assert sum(phases) == nt * nz and sum(frames) == ny
-        assert max(phases + frames) < nt * ny * nz
+        assert sum(phases) == nt * nz and frames == []
+        assert max(phases) <= ymwaves.fields._GRID_BLOCK
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("config", [
+    ["--alpha1", "0.7", "--alpha2", "-1.1", "--alpha3", "0.3", "--alpha4", "0.9", "--alpha5",
+     "-0.4", "--k", "1.3", "--omega", "0.8", "--lambda", "0.9", "--g", "1.7"],
+    ["--alpha1", "-2.3", "--alpha2", "0.6", "--alpha4", "1.9", "--alpha5", "1.2", "--k", "-0.7",
+     "--omega", "2.1", "--lambda", "-1.4", "--g", "-0.8"],
+    ["--family", "II", "--k", "1.3", "--alpha4", "0.8", "--lambda", "0.4", "--g", "1.2",
+     "--xi", "-1"],
+])
+def test_analytic_line_does_not_depend_on_the_y_axis(config, capsys):
+    # the analytic residual depends on a point only through its phase: grids
+    # that differ in their y axis alone, one y, ten, and more y's than a
+    # block, give the same value to the last bit
+    lines = set()
+    for y in ("0.4:0.4:1", "-1:1:10", "-3:5:1500"):
+        main(["verify", *config, "--grid", f"0:6.2832:7,{y},-1:4:13"])
+        analytic, = (line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("max analytic residual"))
+        lines.add(re.sub(r" over \d+ grid points", "", analytic))
+    assert len(lines) == 1
 
 
 def test_analytic_max_that_overflows_keeps_its_error(capsys):
@@ -245,3 +269,29 @@ def test_grid_points_rejects_a_count_that_is_not_whole(count):
             f"grid axis t: count must be a whole number >= 1, got {count}")):
         grid_points((0, 1, count), (0, 1, 1), (0, 1, 1))
     assert len(grid_points((0, 1, 2.0), (0, 1, 1), (0, 1, 1))) == 2  # a whole float is a count
+
+
+# the CLI in a fresh process that prints its exit code and peak RSS in kB
+PEAK = ("import resource, sys, ymwaves.cli; code = ymwaves.cli.main(sys.argv[1:]); "
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+
+
+def test_a_long_axis_is_not_held_whole():
+    # the grid core makes every block's values from their indices, so a
+    # single axis ten times as long takes no more memory; the four runs are
+    # independent processes and run side by side
+    env = {"PYTHONPATH": str(Path(ymwaves.cli.__file__).parents[1]), "PATH": ""}
+    commands = [["fields", "--family", "I", "--alpha4", "1", "--grid", "0:1:1,0:1:1,0:1:{n}"],
+                ["energy-profile", "--family", "I", "--alpha4", "1", "--theta-samples", "{n}"]]
+    procs = {(i, n): subprocess.Popen(
+        [sys.executable, "-c", PEAK, *(a.format(n=n) for a in argv), "--out", os.devnull],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        for i, argv in enumerate(commands) for n in (200_000, 2_000_000)}
+    peaks = {}
+    for key, proc in procs.items():
+        out, err = proc.communicate()
+        code, kb = out.split()
+        assert (code, err) == ("0", "")
+        peaks[key] = int(kb) / 1024
+    for i in range(len(commands)):
+        assert peaks[i, 2_000_000] - peaks[i, 200_000] < 3.0, peaks

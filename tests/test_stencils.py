@@ -348,7 +348,7 @@ def test_oracle_does_not_read_the_constraint_polynomials(monkeypatch):
         raise AssertionError("the oracle must not evaluate c1..c9 or read residuals off them")
     monkeypatch.setattr(ymwaves.residuals, "_harmonics", forbidden)
     monkeypatch.setattr(ymwaves.residuals, "_polynomials", forbidden)
-    monkeypatch.setattr(ymwaves.residuals, "_residual_coefficients", forbidden)
+    monkeypatch.setattr(ymwaves.residuals, "_residual_parts", forbidden)
     got = oracle_constraints(p).as_array()
     assert np.max(np.abs(got - want)) < 1e-6 * (1.0 + np.max(np.abs(want)))
 
