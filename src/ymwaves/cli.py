@@ -40,6 +40,7 @@ from .constraints import (
     PlaneSolution,
     TrivialZeroField,
     _judged,
+    _normalized,
     _scan_blocks,
     _sign_suffix,
     _STATIC_SUMS,
@@ -189,8 +190,7 @@ def _verify_checks(args):
     p = _build_params(args)
     cv = nine_constraints(p)
     scales = constraint_scales(p)
-    with np.errstate(all="ignore"):  # normalized_constraints
-        nm = abs(cv.as_array()) / scales
+    nm = _normalized(cv, scales, cv._fields)  # as normalized_constraints
     lines = [f"constraint c{i} = {_fmt(raw)} (normalized {_fmt(norm)})"
              for i, (raw, norm) in enumerate(zip(cv, nm), start=1)]
     judged, kind, _ = _judged(p, args.tol, nm)

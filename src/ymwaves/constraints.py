@@ -4,8 +4,8 @@ Collecting the harmonic coefficients of both equation-of-motion
 residuals gives nine polynomial constraints c1..c9 in the parameters; a
 configuration solves the equations of motion for all points iff all nine
 vanish (except in the static case k = omega = 0, where the phase is
-frozen and only three grouped sums remain, see _judged). Verdicts scale
-each by its polynomial on magnitudes (constraint_scales).
+frozen and only three grouped sums remain, see _judged). A verdict
+judges each against itself on magnitudes, with no floor (_normalized).
 
 The known solution branches, Families I-III and the two degenerate
 planes (abelian-z and pure-gauge, see scan_families), are written once,
@@ -28,6 +28,7 @@ from .fields import (
     AnsatzParams,
     _check_h,
     _fields_vanish,
+    _Magnitude,
     _require_finite,
     _values,
 )
@@ -79,7 +80,7 @@ class _Terms:
     a dict from the atoms' exponents to the coefficient of that monomial.
     + and - collect like monomials, * and ** multiply out, and constants
     enter as constants, so _polynomials on _Terms atoms expands c1..c9;
-    their scales are the expansion's largest monomial (_largest)."""
+    Newton's stop scales are the expansion's largest monomial (_largest)."""
 
     def __init__(self, terms):
         self.terms = {e: v for e, v in terms.items() if v != 0.0}
@@ -153,20 +154,20 @@ class _Substituted(NamedTuple):
     coefficients: np.ndarray
 
 
-def _substitute(lam, k, omega, g, c, count=None) -> _Substituted:
-    """The first count terms of the table (all by default) at couplings
-    (lam, k, omega, g, c); the first _STARTS[9] are those of c1..c9. The
-    powers of k, omega / c and g are taken once, by **, so that a float
-    coupling whose square overflows raises the OverflowError that names it."""
+def _substitute(lam, k, omega, g, c) -> _Substituted:
+    """The term table at couplings (lam, k, omega, g, c); the first
+    _STARTS[9] terms are those of c1..c9. The powers of k, omega / c and g
+    are taken once, by **, so that a float coupling whose square overflows
+    raises the OverflowError that names it."""
     w = omega / c
     try:
         powers = np.array([[v ** n for n in _EXPONENTS] for v in (k, w, g)]).ravel()
     except OverflowError:
         raise _squares_overflow(_ATOM_NAMES[5:], (k, w, g)) from None
-    pk, pw, pg = powers[_POWER_INDEX[:, :count]]
-    coefficients = _CONSTANTS[:count] * pk * pw * pg
+    pk, pw, pg = powers[_POWER_INDEX]
+    coefficients = _CONSTANTS * pk * pw * pg
     two_g = 2.0 * g
-    coefficients[_ALPHA3[:count]] *= two_g
+    coefficients[_ALPHA3] *= two_g
     return _Substituted(lam, two_g, coefficients)
 
 
@@ -174,43 +175,40 @@ def _monomials(table: _Substituted, amplitudes):
     """The terms of the substituted table at amplitude columns, shape
     (5, n) -> (terms, n)."""
     a1, a2, a3, a4, a5 = amplitudes
-    f0, f1, f2 = _FACTORS[:, :len(table.coefficients)]
+    f0, f1, f2 = _FACTORS
     with np.errstate(all="ignore"):  # a term that overflows is inf, judged by the callers
         atoms = np.array([a1, a2, table.lam + table.two_g * a3, a4, a5, np.ones_like(a1)])
         return table.coefficients[:, None] * atoms[f0] * atoms[f1] * atoms[f2]
 
 
 def _largest(monomials):
-    """The scales from a table's monomials: each constraint's largest
-    term magnitude, floored at 1, shape (9, n)."""
+    """Newton's stop scales from a table's monomials, shape (9, n): each
+    constraint's largest term magnitude, floored at 1 so that roots where all vanish pass."""
     return np.maximum(1.0, np.maximum.reduceat(np.abs(monomials[:_STARTS[9]]), _STARTS[:9]))
 
 
 def constraint_scales(p: AnsatzParams) -> tuple[float, ...]:
-    """Largest monomial magnitude of each constraint, floored at 1.
-
-    Used to normalize the raw values so that tolerance checks mean the
-    same thing for order-one and order-hundred parameters. Derived, not
-    tabulated: the terms of residuals._polynomials expanded (_term_table).
-    """
-    return tuple(_scale_columns(*_values(p)).tolist())
+    """Each constraint's bound on rounding: c1..c9 on the magnitudes of their
+    inputs (fields._Magnitude), lam + 2 g alpha3 as |lam| + 2|g alpha3|. With
+    no floor, it scales as its constraint under the dilation and g rescale."""
+    return tuple(m.value for m in _harmonics(*(_Magnitude(abs(v)) for v in _values(p))))
 
 
-def _scale_columns(*values):
-    """constraint_scales at the closed forms' arguments (fields._values),
-    the amplitudes floats or numpy columns, the couplings floats."""
-    amplitudes = np.array(values[:5], dtype=float)
-    table = _substitute(*values[5:], count=_STARTS[9])  # the value terms alone
-    scales = _largest(_monomials(table, amplitudes.reshape(5, -1)))
-    return scales.reshape(9, *amplitudes.shape[1:])
+def _normalized(values, bounds, names) -> np.ndarray:
+    """|value| / bound, what every verdict judges against tol: 0 for a value
+    of 0, inf or nan (a violation) for one that overflowed. A bound that
+    overflows under any other value is an OverflowError, never a verdict."""
+    ratios = []
+    for value, bound, name in zip(map(abs, values), bounds, names):
+        if 0.0 < value < math.inf and not bound < math.inf:
+            raise OverflowError(f"the bound of {name} on the magnitudes overflows")
+        ratios.append(value / bound if value else 0.0)  # inf / inf is nan, a violation
+    return np.array(ratios)
 
 
 def normalized_constraints(p: AnsatzParams) -> np.ndarray:
-    """Absolute constraint values divided by their monomial scales; a value
-    or scale that overflowed makes its entry inf or nan, a violation."""
-    values = np.abs(nine_constraints(p).as_array())
-    with np.errstate(all="ignore"):
-        return values / constraint_scales(p)
+    """Absolute constraint values over their bounds (constraint_scales, _normalized)."""
+    return _normalized(nine_constraints(p), constraint_scales(p), ConstraintVector._fields)
 
 
 @dataclass(frozen=True)
@@ -406,45 +404,41 @@ def build_family_iii(k: float, omega: float, alpha4: float, lam: float,
 
 
 _PATTERN_TOL = 1e-6  # classify's branch match, relative (see classify)
-# the names of the static conditions, in _static_conditions' order
-_STATIC_SUMS = ("c1 + c2 - c3", "c4 + c5", "c7 + c8 + c9")
+_STATIC_SUMS = ("c1 + c2 - c3", "c4 + c5", "c7 + c8 + c9")  # named in _static_sums' order
 
 
-def _static_conditions(p: AnsatzParams) -> tuple[float, float, float]:
-    """The normalized residuals of a frozen phase (k = omega = 0), which
-    classify and verify judge in place of the over-strong nine: the
-    grouped sums of _STATIC_SUMS at theta = 0.
+def _static_sums(a1, a2, a3, a5, lam, g):
+    """The sums of _STATIC_SUMS at theta = 0 and k = omega = 0, factored
+    through q = lam + 2 g (alpha3 + alpha5); on _Magnitude atoms, bounds."""
+    q = lam + 2.0 * g * (a3 + a5)
+    return a1 * q ** 2, 2.0 * g * (a2 ** 2 - a1 ** 2) * q, a2 * q ** 2
 
-    An input too large is an OverflowError, never a verdict: c1..c9 are
-    evaluated first, so a square that overflows there is named as verify
-    names it, and a sum that overflows here is named after them."""
-    nine_constraints(p)
+
+def _static_conditions(p: AnsatzParams) -> np.ndarray:
+    """The normalized static sums of a frozen phase (k = omega = 0), which
+    classify and verify judge in place of the over-strong nine. An input
+    too large is an OverflowError, never a verdict."""
+    inputs = (p.alpha1, p.alpha2, p.alpha3, p.alpha5, p.lam, p.g)
     try:
-        q = p.lam + 2.0 * p.g * (p.alpha3 + p.alpha5)
-        scale_q = max(1.0, abs(p.lam), 2.0 * abs(p.g) * (abs(p.alpha3) + abs(p.alpha5)))
-        values = (
-            abs(p.alpha1) * q * q / max(1.0, abs(p.alpha1) * scale_q ** 2),
-            2.0 * abs(p.g) * abs(p.alpha2 ** 2 - p.alpha1 ** 2) * abs(q)
-            / max(1.0, 2.0 * abs(p.g) * (p.alpha1 ** 2 + p.alpha2 ** 2) * scale_q),
-            abs(p.alpha2) * q * q / max(1.0, abs(p.alpha2) * scale_q ** 2),
-        )
+        values = _static_sums(*inputs)
+        bounds = [m.value for m in _static_sums(*(_Magnitude(abs(v)) for v in inputs))]
     except OverflowError:  # a float ** reports only errno 34
         values = (math.inf,)
     if not all(map(math.isfinite, values)):
         raise OverflowError(f"the static conditions {', '.join(_STATIC_SUMS)} overflow")
-    return values
+    return _normalized(values, bounds, _STATIC_SUMS)
 
 
 def _judged(p: AnsatzParams, tol: float, normalized=None):
     """What classify and verify judge against tol, its kind and the 1-based
     indices of the values not within tol: a frozen phase's static
     conditions, over which the nine are over-strong, or else the nine
-    normalized constraints (normalized, when the caller has them)."""
+    normalized constraints (normalized, when the caller has them). The
+    nine come first, so that an overflow in them is named as verify names it."""
+    values = normalized_constraints(p) if normalized is None else normalized
+    kind = "constraints"
     if p.k == 0.0 and p.omega == 0.0:
         values, kind = _static_conditions(p), "static conditions"
-    else:
-        values = normalized_constraints(p) if normalized is None else normalized
-        kind = "constraints"
     return values, kind, tuple(i for i, v in enumerate(values, start=1) if not v <= tol)
 
 

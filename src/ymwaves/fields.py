@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -160,19 +161,17 @@ def _potential_columns(p: AnsatzParams, cos_th, sin_th, cos_fr, sin_fr):
 
 
 class _Magnitude:
-    """The largest monomial magnitude of a polynomial, by evaluating it on
-    magnitudes: + and - take the larger, *, / and ** combine them, unary -
-    keeps them. Atoms enter as _Magnitude(abs(atom)), constants by their
-    magnitude; magnitudes may be floats or numpy columns."""
+    """An expression on magnitudes, the sum of its monomials' magnitudes
+    before any cancel, which bounds its rounding: + and - add, *, / and **
+    combine, unary - keeps. Atoms enter as _Magnitude(abs(atom)), constants
+    by their magnitude. Below the normal floats rounding is absolute, so a
+    nonzero magnitude there, an atom or a result, counts as the smallest
+    normal float."""
 
     def __init__(self, value):
-        self.value = value
+        self.value = sys.float_info.min if 0.0 < value < sys.float_info.min else value
 
-    @staticmethod
-    def _join(a, b):  # builtin max spares numpy's call overhead on floats
-        return max(a, b) if type(a) is float and type(b) is float else np.maximum(a, b)
-
-    __add__ = __radd__ = __sub__ = __rsub__ = lambda s, o: type(s)(s._join(s.value, _mag(o)))
+    __add__ = __radd__ = __sub__ = __rsub__ = lambda s, o: type(s)(s.value + _mag(o))
     __mul__ = __rmul__ = lambda s, o: type(s)(s.value * _mag(o))
     __truediv__ = lambda s, o: type(s)(s.value / _mag(o))
     __pow__ = lambda s, n: type(s)(s.value ** n)
@@ -185,7 +184,7 @@ def _mag(v):
 
 def _field_groups(a1, a2, a3, a4, a5, lam, k, omega, g, c):
     """field_coefficient_groups at the closed forms' arguments, the one place they
-    are written; on _Magnitude atoms, each group's largest monomial magnitude."""
+    are written; on _Magnitude atoms, each group's bound."""
     w = omega / c
     return (
         (-lam * a1 - 2.0 * g * a1 * a3, w * a4 - 2.0 * g * a1 * a5, -w * a5 + 2.0 * g * a1 * a4),
@@ -210,10 +209,10 @@ def field_coefficient_groups(p: AnsatzParams):
 
 def _fields_vanish(p: AnsatzParams, tol: float) -> bool:
     """Whether every field coefficient group is within tol of zero, relative
-    to the largest of 1 and the magnitudes of the field monomials."""
-    magnitudes = _field_groups(*(_Magnitude(abs(v)) for v in _values(p)))
-    scale = max(1.0, *(m.value for group in magnitudes for m in group))
-    return max(abs(v) for group in field_coefficient_groups(p) for v in group) <= tol * scale
+    to its own bound: the group evaluated on magnitudes (_Magnitude)."""
+    bounds = _field_groups(*(_Magnitude(abs(v)) for v in _values(p)))
+    pairs = zip(sum(field_coefficient_groups(p), ()), sum(bounds, ()))
+    return all(abs(v) <= tol * b.value for v, b in pairs)
 
 
 def _wave(group, cos_th, sin_th, cos_fr, sin_fr):

@@ -25,8 +25,8 @@ closed forms; it is a library diagnostic of the discretization.
 gauss_residual, ampere_residual, max_residual_norm and the analytic mode
 of residual_sample read the residuals off the nine constraint
 polynomials c1..c9 (ConstraintVector), the harmonic groups of the
-reduced algebra, written once in _polynomials, whose magnitudes are also
-the constraint scales. Their joint norm is one formula in c1..c9 and
+reduced algebra, written once in _polynomials, which on magnitudes also
+gives the constraints' bounds. Their joint norm is one formula in c1..c9 and
 the cosine and sine of the phase (_analytic_norm_squared): the frame
 Sx, Sy, Sz is a rotation of sx, sy, sz, so the norm takes no frame
 angle, and verify takes its largest over a grid's (t, z) phases, not its
@@ -134,9 +134,9 @@ _ATOM_NAMES = ("alpha1", "alpha2", "lambda + 2 g alpha3", "alpha4", "alpha5", "k
 
 
 def _harmonics(*values) -> ConstraintVector:
-    """c1..c9 at the closed forms' arguments (fields._values), floats or
-    columns. A column overflows to inf; a float atom whose square
-    overflows raises OverflowError, which names it."""
+    """c1..c9 at the closed forms' arguments (fields._values), floats,
+    columns or _Magnitudes (bounds). A column overflows to inf; a float
+    atom whose square overflows raises OverflowError, which names it."""
     atoms = _atoms(*values)
     try:
         return _polynomials(*atoms)
@@ -145,11 +145,14 @@ def _harmonics(*values) -> ConstraintVector:
 
 
 def _squares_overflow(names, atoms) -> OverflowError:
-    """The error for a float ** in c1..c9 that overflowed, which reports
-    only errno 34: it names the float atoms whose square overflows."""
-    big = [f"{name} = {a!r}" for name, a in zip(names, atoms)
+    """The error for a float ** in c1..c9 or their bounds that overflowed,
+    which reports only errno 34: it names the atoms whose square overflows."""
+    bound = hasattr(atoms[0], "value")  # a bound's atoms are fields._Magnitude
+    big = [f"{name}{' on magnitudes' * bound} = {a!r}"
+           for name, a in zip(names, (getattr(a, "value", a) for a in atoms))
            if type(a) is float and math.isinf(a * a)]
-    return OverflowError(f"squaring {' and '.join(big)} overflows in the constraints c1..c9")
+    return OverflowError(f"squaring {' and '.join(big)} overflows in the "
+                         f"{'bounds of the ' * bound}constraints c1..c9")
 
 
 def _atoms(a1, a2, a3, a4, a5, lam, k, omega, g, c):
@@ -158,9 +161,9 @@ def _atoms(a1, a2, a3, a4, a5, lam, k, omega, g, c):
 
 
 def _polynomials(a1, a2, x, a4, a5, k, w, g) -> ConstraintVector:
-    """c1..c9 in their atoms, the one place they are written. Expanded
-    once into monomials, they give the Newton core its values, Jacobian
-    and scales (constraints._term_table)."""
+    """c1..c9 in their atoms, the one place they are written: on magnitudes
+    their bounds; expanded once into monomials, the Newton core's values,
+    Jacobian and stop scales (constraints._term_table)."""
     quad = k ** 2 - w ** 2 - 4.0 * g ** 2 * (a1 ** 2 - a2 ** 2)
     mix = w * a1 - k * a2
     return ConstraintVector(

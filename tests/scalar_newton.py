@@ -2,7 +2,8 @@
 
 Every seed is refined alone, with the nine constraints evaluated through
 AnsatzParams and nine_constraints for each Jacobian column and
-line-search trial, and each step solved by np.linalg.lstsq. Roots are
+line-search trial, and each step solved by np.linalg.lstsq; it stops on
+the largest constraint over Newton's stop scale (stop_scales). Roots are
 labelled by nearest_branch, the branches written out by hand here rather
 than read from the library's branch table. The batched scan in
 ymwaves.constraints takes the same steps up to rounding, so labels and
@@ -13,12 +14,25 @@ import math
 
 import numpy as np
 
-from ymwaves.constraints import nine_constraints, normalized_constraints
+from ymwaves.constraints import _largest, _monomials, _substitute, nine_constraints
 from ymwaves.fields import AnsatzParams
 
 
 def _params(alphas, lam, k, omega, g, c):
     return AnsatzParams(*alphas, lam=lam, k=k, omega=omega, g=g, c=c)
+
+
+def stop_scales(alphas, table):
+    """Newton's stop scales at the amplitudes, from the term table at the
+    couplings (constraints._substitute): each constraint's largest term,
+    floored at 1 (constraints._largest), not the verdicts' bounds."""
+    return _largest(_monomials(table, np.reshape(np.array(alphas, dtype=float), (5, 1))))[:, 0]
+
+
+def worst_stop(alphas, lam, k, omega, g, c, table):
+    """The largest |c_i| of nine_constraints over its stop scale."""
+    values = nine_constraints(_params(alphas, lam, k, omega, g, c)).as_array()
+    return float(np.max(np.abs(values) / stop_scales(alphas, table)))
 
 
 def jacobian(fvec, x):
@@ -35,12 +49,13 @@ def jacobian(fvec, x):
 def refine(alphas0, lam, k, omega, g, c=1.0, tol=1e-13, max_iter=120):
     """(alphas, converged, iterations, max_normalized) of one seed."""
     x = np.array(alphas0, dtype=float)
+    table = _substitute(lam, k, omega, g, c)
 
     def fvec(arr):
         return nine_constraints(_params(arr, lam, k, omega, g, c)).as_array()
 
     def max_norm(arr):
-        return float(np.max(normalized_constraints(_params(arr, lam, k, omega, g, c))))
+        return worst_stop(arr, lam, k, omega, g, c, table)
 
     fx = fvec(x)
     it = 0
@@ -108,6 +123,7 @@ def scan_labels(n_seeds, seed, lam, k, omega, g, c=1.0, spread=3.0,
                 success_tol=1e-8, snap_tol=1e-3):
     """(label, converged) per seed, drawn and snapped as scan_families does."""
     rng = np.random.default_rng(seed)
+    table = _substitute(lam, k, omega, g, c)
     out = []
     for _ in range(n_seeds):
         start = tuple(rng.uniform(-spread, spread, size=5))
@@ -116,7 +132,7 @@ def scan_labels(n_seeds, seed, lam, k, omega, g, c=1.0, spread=3.0,
         label = ""
         if success:
             label, point, dist = nearest_branch(alphas, lam, k, omega, g, c)
-            snapped = float(np.max(normalized_constraints(_params(point, lam, k, omega, g, c))))
+            snapped = worst_stop(point, lam, k, omega, g, c, table)
             if dist > snap_tol or snapped > success_tol:
                 label = "none"
         out.append((label, success))

@@ -12,12 +12,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ymwaves.cli
 import ymwaves.constraints
 import ymwaves.fields
 from ymwaves.cli import main
 from ymwaves.constraints import (
+    ClassificationError,
+    FamilySolution,
     NotASolution,
     build_family_i,
     build_family_ii,
@@ -137,8 +141,8 @@ def test_classify_trivial_static_configuration(capsys):
 
 def _raw(p: AnsatzParams) -> list[str]:
     """The raw flags of a configuration."""
-    values = [p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5, p.lam, p.k, p.omega, p.g]
-    names = [f"--alpha{i}" for i in range(1, 6)] + ["--lambda", "--k", "--omega", "--g"]
+    values = [p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5, p.lam, p.k, p.omega, p.g, p.c]
+    names = [f"--alpha{i}" for i in range(1, 6)] + ["--lambda", "--k", "--omega", "--g", "--c"]
     return [f for name, v in zip(names, values) for f in (name, repr(v))]
 
 
@@ -186,6 +190,63 @@ def test_verify_and_classify_agree_on_static_configurations(config, solves, caps
     assert verified == classified == (0 if solves else 1)
 
 
+_AMPLITUDES = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5")
+_signed = st.builds(lambda m, sign: m * sign, st.floats(0.1, 3.0), st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def _configurations(draw):
+    """A configuration of one of five kinds: raw amplitudes, a static one,
+    a static one that solves (alpha1 = alpha2 = 0), a family, or a family
+    whose alpha5 is detuned by 1e-6 alpha4. The raw kinds may take g = 0."""
+    kind = draw(st.sampled_from(["raw", "static", "static root", "family", "detuned"]))
+    lam, k, omega, alpha4 = (draw(_signed) for _ in range(4))
+    g, c = draw(_signed), draw(st.floats(0.5, 2.0))
+    if kind in ("family", "detuned"):
+        family = draw(st.sampled_from(["I", "II", "III"]))
+        eta, xi = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+        p = FamilySolution(family, k, omega if family == "III" else k * c, alpha4, lam, g, c,
+                           eta, xi).params()
+        return replace(p, alpha5=p.alpha5 + 1e-6 * alpha4) if kind == "detuned" else p
+    alphas = [draw(_signed) for _ in range(5)]
+    if kind == "static root":
+        alphas[:2] = 0.0, 0.0
+    if kind != "raw":
+        k = omega = 0.0
+    return AnsatzParams(*alphas, lam=lam, k=k, omega=omega, g=draw(st.sampled_from([g, 0.0])),
+                        c=c)
+
+
+def _verdicts(p: AnsatzParams):
+    """verify's judged kind and which of its constraint or static-condition
+    checks pass, then whether classify calls p a solution (None at g = 0)."""
+    args = ymwaves.cli._parser().parse_args(["verify", *_raw(p), "--grid", "0:0:1,0:0:1,0:0:1"])
+    _, checks, kind, _ = ymwaves.cli._verify_checks(args)
+    judged = [c.passes for c in checks[:-3]]
+    if p.g == 0.0:
+        return kind, judged, None
+    try:
+        solves = not isinstance(ymwaves.constraints.classify(p), NotASolution)
+    except ClassificationError:
+        solves = True
+    return kind, judged, solves
+
+
+@settings(deadline=None)
+@given(_configurations(), st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e), st.booleans())
+def test_verdicts_do_not_change_under_the_dilation_or_the_g_rescale(p, s, dilate):
+    # (alpha, lam, k, omega) -> s (alpha, lam, k, omega) multiplies every
+    # constraint and every bound by s^3, and (alpha, g) -> (alpha / s, g s)
+    # divides both by s, so no verdict may move; the branch classify names
+    # is not pinned, since its pattern match keeps a floor (_rel_close)
+    if dilate:
+        q = replace(p, **{name: s * getattr(p, name)
+                          for name in (*_AMPLITUDES, "lam", "k", "omega")})
+    else:
+        q = replace(p, g=p.g * s, **{name: getattr(p, name) / s for name in _AMPLITUDES})
+    assert _verdicts(q) == _verdicts(p)
+
+
 @pytest.mark.parametrize("config, lines, verdict", [
     (["--alpha1", "1", "--alpha4", "1"], ["normalized 0", "normalized 0", "normalized 0"],
      "VERIFIED\n"),
@@ -213,6 +274,39 @@ def test_classify_abelian_z_plane(capsys):
     code, out, _ = run(["classify", "--alpha3", "0.3", "--alpha5", "0.7", "--k", "1"], capsys)
     assert code == 0
     assert out == "abelian-z plane (alpha3=0.29999999999999999, alpha5=0.69999999999999996)\n"
+
+
+def test_classify_names_the_abelian_z_plane_near_its_alpha5_edge(capsys):
+    # its fields omega alpha5 and k alpha5 are judged against themselves,
+    # so they do not vanish however small alpha5 is
+    code, out, _ = run(["classify", "--alpha3", "0.3", "--alpha5", "1e-12", "--k", "1"], capsys)
+    assert (code, out) == (0, "abelian-z plane (alpha3=0.29999999999999999, "
+                              "alpha5=9.9999999999999998e-13)\n")
+
+
+@pytest.mark.parametrize("argv, want", [
+    # lambda + 2 g alpha3 cancels to a rounding residue of order 1e-16
+    # |lambda|, which its bound |lambda| + 2 |g alpha3| carries
+    (["--family", "I", "--alpha4", "3", "--k", "5", "--lambda", "1e8", "--g", "1.3"],
+     "family I (k=5, omega=5, alpha4=3)\n"),
+    (["--family", "III", "--omega", "0.3", "--alpha4", "3", "--k", "5", "--lambda", "1e8",
+      "--g", "1.3"], "family III eta=+1 (k=5, omega=0.29999999999999999, alpha4=3)\n"),
+    (["--family", "II", "--k", "100", "--lambda", "1e6", "--g", "1e-3", "--alpha4", "1"],
+     "family II eta=+1 xi=+1 (k=100, omega=100, alpha4=1)\n"),
+])
+def test_classify_names_a_family_whose_lambda_cancels(argv, want, capsys):
+    assert run(["classify", *argv], capsys)[:2] == (0, want)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-4, 1e-5, 1e-30])
+def test_a_dilated_non_solution_is_rejected_at_every_size(s, capsys):
+    # with no floor on the bounds, tol is relative at every size
+    p = AnsatzParams(0.7 * s, -1.1 * s, 0.4 * s, 0.9 * s, -0.3 * s, lam=0.6 * s, k=1.3 * s,
+                     omega=0.8 * s)
+    code, out, _ = run(["verify", *_raw(p), "--grid", SMALL_GRID], capsys)
+    assert code == 1 and out.endswith("\nNOT VERIFIED\n")
+    code, out, _ = run(["classify", *_raw(p)], capsys)
+    assert (code, out) == (1, "not a solution; violated constraints: 1, 2, 3, 4, 5, 6, 7, 8, 9\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "classify", "fields"])
@@ -702,6 +796,27 @@ def test_an_overflow_writes_no_runtime_warning(command, want):
 @pytest.mark.parametrize("command", ["classify", "verify"])
 def test_a_frozen_phase_that_overflows_is_an_error(command, config, message, capsys):
     code, out, err = run([command, "--k", "0", "--omega", "0", *config], capsys)
+    assert (code, out, err) == (2, "", f"error: an input is too large: {message}\n")
+
+
+# lambda + 2 g alpha3 cancels to 0, on a frozen phase and on a wave, while
+# its bound |lambda| + 2 |g alpha3| squares past the largest float; then a
+# bound that overflows as a product, under c1 = 4e10
+@pytest.mark.parametrize("config, message", [
+    (["--k", "0", "--omega", "0", "--lambda", "1e200", "--alpha3", "-5e199", "--alpha1", "1"],
+     "squaring lambda + 2 g alpha3 on magnitudes = 2e+200 overflows in the bounds of the "
+     "constraints c1..c9"),
+    (["--k", "1", "--lambda", "1e200", "--alpha3", "-5e199", "--alpha1", "1", "--alpha4", "1"],
+     "squaring lambda + 2 g alpha3 on magnitudes = 2e+200 overflows in the bounds of the "
+     "constraints c1..c9"),
+    (["--k", "1", "--lambda", "5e153", "--alpha3", "-2.5e153", "--alpha1", "1e10",
+      "--alpha4", "1"], "the bound of c1 on the magnitudes overflows"),
+], ids=["frozen", "wave", "product"])
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_a_bound_that_overflows_is_never_a_verdict(command, config, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run([command, *config], capsys)
     assert (code, out, err) == (2, "", f"error: an input is too large: {message}\n")
 
 

@@ -1,10 +1,10 @@
-"""The algebra of c1..c9: the term table of their expansion, the derived
-constraint and field scales, the branch table, and symmetries.
+"""The algebra of c1..c9: the term table of their expansion, the
+constraint and field bounds on magnitudes, the branch table, and symmetries.
 
 The symmetry tests run every relation on the two evaluation paths of
 the one polynomial source: the scalar nine_constraints and the term
 table that gives the scan its values. The exact sign symmetries also
-keep the scales, and with them the normalized constraints, bit for bit.
+keep the bounds, and with them the normalized constraints, bit for bit.
 """
 
 from collections import Counter
@@ -21,10 +21,11 @@ from ymwaves.constraints import (
     _POWERS,
     _STARTS,
     _projections,
-    _scale_columns,
+    _static_sums,
     _substitute,
     _value_and_jacobian,
     branch_projection,
+    constraint_scales,
     nine_constraints,
     normalized_constraints,
 )
@@ -37,10 +38,14 @@ rows = st.lists(st.tuples(*[value] * 5), min_size=1, max_size=6).map(np.array)
 couplings = st.tuples(value, value, value, coupling, st.floats(min_value=0.5, max_value=2.0))
 
 
-def _largest_term(sp, poly, point):
-    """The largest |term| of sympy's expansion of poly, exactly, at the point."""
-    terms = sp.Add.make_args(sp.nsimplify(sp.expand(poly), rational=True))
-    return float(max(abs(t.subs(point)) for t in terms))
+def _terms(sp, poly):
+    """The terms of sympy's expansion of poly, with exact coefficients."""
+    return sp.Add.make_args(sp.nsimplify(sp.expand(poly), rational=True))
+
+
+def _summed(terms, point):
+    """The sum of |term| over terms, exactly, at the point."""
+    return float(sum(abs(t.subs(point)) for t in terms))
 
 
 def _within_ulps(got, want, n):
@@ -101,34 +106,53 @@ def test_exact_jacobian_is_sympys_derivative():
                 assert err <= 4 * np.spacing(scale), f"d c{i + 1} / d alpha{j + 1}"
 
 
-def test_scales_are_the_largest_expanded_monomial():
-    # the scales are the term table's largest monomial; at positive atoms
-    # of at least 1 (so the floor at 1 is idle) each must be the largest
-    # term of the same source's expansion, to rounding
+def _signed(rng, n):
+    """n values of magnitude 0.1 to 3 and random signs."""
+    return rng.uniform(0.1, 3.0, n) * rng.choice([-1.0, 1.0], n)
+
+
+def test_scales_are_the_sum_of_expanded_monomials():
+    # each constraint's bound is the sum of the magnitudes of its terms,
+    # expanded in the inputs themselves (lam + 2 g alpha3 and omega / c
+    # multiplied out), to rounding, at inputs of either sign
     sp = pytest.importorskip("sympy")
-    atoms = sp.symbols("a1 a2 x a4 a5 k w g", positive=True)
-    polys = _polynomials(*atoms)
+    names = sp.symbols("a1:6 lam k omega g c")
+    a1, a2, a3, a4, a5, lam, k, omega, g, c = names
+    polys = [_terms(sp, poly) for poly in _polynomials(a1, a2, lam + 2 * g * a3, a4, a5, k,
+                                                       omega / c, g)]
     rng = np.random.default_rng(3)
     for _ in range(20):
-        a1, a2, a3, a4, a5, lam, k, omega, g = rng.uniform(1.0, 3.0, 9)
-        scales = _scale_columns(a1, a2, a3, a4, a5, lam, k, omega, g, 1.0)
-        point = dict(zip(atoms, map(sp.Rational, (a1, a2, lam + 2.0 * g * a3, a4, a5, k, omega, g))))
-        for i, (poly, scale) in enumerate(zip(polys, scales), 1):
-            assert _within_ulps(float(scale), _largest_term(sp, poly, point), 4), f"c{i}"
+        values = _signed(rng, 10)
+        p = AnsatzParams(*values[:5], lam=values[5], k=values[6], omega=values[7], g=values[8],
+                         c=values[9])
+        point = dict(zip(names, map(sp.Rational, values)))
+        for i, (terms, bound) in enumerate(zip(polys, constraint_scales(p)), 1):
+            assert _within_ulps(bound, _summed(terms, point), 8), f"c{i}"
 
 
-def test_field_scale_is_the_largest_expanded_monomial():
-    # each field coefficient group's magnitude is its largest expanded term
+def test_field_scale_is_the_sum_of_expanded_monomials():
+    # each field coefficient group's bound is the sum of its expanded terms' magnitudes
     sp = pytest.importorskip("sympy")
-    names = sp.symbols("a1:6 lam k omega g c", positive=True)
-    groups = [v for group in _field_groups(*names) for v in group]
+    names = sp.symbols("a1:6 lam k omega g c")
+    groups = [_terms(sp, v) for group in _field_groups(*names) for v in group]
     rng = np.random.default_rng(4)
     for _ in range(20):
-        values = rng.uniform(0.1, 3.0, 10)
-        magnitudes = _field_groups(*map(_Magnitude, values))
+        values = _signed(rng, 10)
+        magnitudes = _field_groups(*(_Magnitude(abs(v)) for v in values))
         point = dict(zip(names, map(sp.Rational, values)))
-        for group, m in zip(groups, [m for group in magnitudes for m in group], strict=True):
-            assert _within_ulps(m.value, _largest_term(sp, group, point), 4)
+        for terms, m in zip(groups, [m for group in magnitudes for m in group], strict=True):
+            assert _within_ulps(m.value, _summed(terms, point), 4)
+
+
+def test_static_sums_are_the_grouped_constraints():
+    # at k = omega = 0 the factored static sums are c1 + c2 - c3, c4 + c5
+    # and c7 + c8 + c9 at theta = 0, all read off _polynomials
+    sp = pytest.importorskip("sympy")
+    a1, a2, a3, a4, a5, lam, g = sp.symbols("a1:6 lam g")
+    c = _polynomials(a1, a2, lam + 2 * g * a3, a4, a5, 0, 0, g)
+    grouped = (c.c1 + c.c2 - c.c3, c.c4 + c.c5, c.c7 + c.c8 + c.c9)
+    for i, (got, want) in enumerate(zip(_static_sums(a1, a2, a3, a5, lam, g), grouped), 1):
+        assert sp.expand(sp.nsimplify(got - want, rational=True)) == 0, f"static sum {i}"
 
 
 # the catalogue: Families I and II for every sign pair, Family III for
@@ -168,15 +192,14 @@ def _paths(x, lam, k, omega, g, c):
 
 
 def _normalized_and_scales(x, lam, k, omega, g, c):
-    """normalized_constraints of each amplitude row, then the batched scales."""
-    normalized = np.array([
-        normalized_constraints(AnsatzParams(*r, lam=lam, k=k, omega=omega, g=g, c=c))
-        for r in x.tolist()])
-    return normalized, _scale_columns(*x.T, lam, k, omega, g, c)
+    """normalized_constraints of each amplitude row, then its bounds."""
+    params = [AnsatzParams(*r, lam=lam, k=k, omega=omega, g=g, c=c) for r in x.tolist()]
+    return (np.array([normalized_constraints(p) for p in params]),
+            np.array([constraint_scales(p) for p in params]))
 
 
 def _unchanged(x, cpl, y, flipped):
-    """Whether the normalized constraints and the scales are bit-identical
+    """Whether the normalized constraints and the bounds are bit-identical
     at (x, cpl) and at the flipped (y, flipped)."""
     return all(np.array_equal(a, b) for a, b in
                zip(_normalized_and_scales(x, *cpl), _normalized_and_scales(y, *flipped)))
@@ -262,26 +285,17 @@ def test_parity(x, cpl):
     assert _unchanged(x, cpl, y, (lam, -k, omega, g, c))
 
 
-class _Sum(_Magnitude):
-    """The sum of the monomial magnitudes in place of the largest: + and - add."""
-
-    @staticmethod
-    def _join(a, b):
-        return a + b
-
-
 @given(rows, couplings, st.floats(min_value=0.25, max_value=4.0))
 def test_dilation(x, cpl, s):
     # (alpha, lam, k, omega) -> s (alpha, lam, k, omega) multiplies every
-    # constraint by s^3. The rounding is bounded by the magnitudes of the
-    # monomials before the sum cancels them, with |lam| + 2|g alpha3| for
-    # the rounded lam + 2 g alpha3 (measured worst 6.7e-16 of it on 4,000
-    # configurations), plus an absolute floor for subnormal inputs, which
-    # scale with less precision
+    # constraint by s^3. The rounding is bounded by the constraints' bounds,
+    # the magnitudes of the monomials before the sum cancels them, with
+    # |lam| + 2|g alpha3| for the rounded lam + 2 g alpha3 (measured worst
+    # 6.7e-16 of it on 4,000 configurations), plus an absolute floor for
+    # subnormal inputs, which scale with less precision
     lam, k, omega, g, c = cpl
-    a = np.abs(x).T
-    atoms = (a[0], a[1], abs(lam) + 2.0 * abs(g) * a[2], a[3], a[4], abs(k), abs(omega / c), abs(g))
-    total = np.array([m.value for m in _polynomials(*map(_Sum, atoms))])
-    bound = 1e-14 * s ** 3 * total.T + 1e-300
+    total = np.array([constraint_scales(AnsatzParams(*r, lam=lam, k=k, omega=omega, g=g, c=c))
+                      for r in x.tolist()])
+    bound = 1e-14 * s ** 3 * total + 1e-300
     for before, after in zip(_paths(x, *cpl), _paths(x * s, lam * s, k * s, omega * s, g, c)):
         assert np.all(np.abs(after - s ** 3 * before) <= bound)

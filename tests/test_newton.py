@@ -16,12 +16,11 @@ from ymwaves.constraints import (
     _substitute,
     _top_of_r,
     _value_and_jacobian,
-    constraint_scales,
     nine_constraints,
 )
 from ymwaves.fields import AnsatzParams
 
-from scalar_newton import jacobian
+from scalar_newton import jacobian, stop_scales
 
 value = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 rows = st.lists(st.tuples(*[value] * 5), min_size=1, max_size=6).map(np.array)
@@ -46,12 +45,12 @@ def test_exact_jacobian_is_the_column_by_column_difference(x, cpl):
     assert f.shape == (len(x), 9) and jac.shape == (len(x), 9, 5)
     # the table sums the expanded monomials, nine_constraints (the route
     # verify and classify take) the nested c1..c9 of the same atoms: they
-    # agree to rounding, 8 ulps of the scale (4.7 the most measured over
-    # 18,000 random rows and a 6,000-example targeted search)
+    # agree to rounding, 8 ulps of Newton's stop scale (4.7 the most
+    # measured over 18,000 random rows and a 6,000-example targeted search)
     rounding = 8.0 * np.finfo(float).eps
     for i, row in enumerate(x):
         p = _params(row, cpl)
-        scales = np.array(constraint_scales(p))
+        scales = stop_scales(row, _substitute(*cpl))
         assert np.all(np.abs(f[i] - nine_constraints(p).as_array()) <= rounding * scales)
         assert _hex(worst[i]) == _hex(np.max(np.abs(f[i]) / scales))
         # each row alone, bit for bit as in the batch

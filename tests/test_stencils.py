@@ -284,22 +284,22 @@ def test_verify_and_the_oracle_take_the_su2_algebra_on_arrays(monkeypatch, capsy
 
 
 def test_verify_evaluates_the_constraints_and_their_scales_once(monkeypatch, capsys):
+    # c1..c9 on floats, then their bounds on magnitudes (fields._Magnitude)
     calls = []
+    real = ymwaves.residuals._harmonics
 
-    def counted(name, fn):
-        return lambda *args: calls.append(name) or fn(*args)
-    harmonics = counted("c1..c9", ymwaves.residuals._harmonics)
+    def harmonics(*args):
+        calls.append("bounds" if isinstance(args[0], ymwaves.fields._Magnitude) else "c1..c9")
+        return real(*args)
     monkeypatch.setattr(ymwaves.residuals, "_harmonics", harmonics)
     monkeypatch.setattr(ymwaves.constraints, "_harmonics", harmonics)
-    monkeypatch.setattr(ymwaves.constraints, "_scale_columns",
-                        counted("scales", ymwaves.constraints._scale_columns))
     for argv in (["--family", "II", "--k", "1.3", "--alpha4", "0.8", "--xi", "-1"],
                  ["--family", "III", "--k", "0.7", "--omega", "-1.9", "--alpha4", "1.1"],
                  ["--alpha1", "0.7", "--alpha2", "-1.1", "--alpha4", "0.9", "--k", "1.3",
                   "--omega", "0.8"]):
         calls.clear()
         main(["verify", *argv])
-        assert sorted(calls) == ["c1..c9", "scales"]
+        assert sorted(calls) == ["bounds", "c1..c9"]
     capsys.readouterr()
 
 
