@@ -49,28 +49,29 @@ from .constraints import (
     nine_constraints,
 )
 from .fields import (
+    _COMPLEX_STEP,
     AnsatzParams,
-    _check_h,
+    _derivative_bounds,
     _field_columns,
-    _field_strength_norms,
+    _field_strength_columns,
     _fields_vanish,
     _Grid,
+    _phase,
     _require_finite,
     field_coefficient_groups,
 )
 from .observables import _profile_blocks
-from .residuals import (
-    _max_analytic_norm,
-    _max_numeric_norms,
-    field_strength_allowance,
-    residual_allowance,
-)
+from .residuals import _max_analytic_norm, _max_numeric_norms
 
 _FMT = "%.17g"
 # a fields row: t, y, z, theta and the two sigma_z columns come formatted
 _FIELDS_ROW = "%s,%s,%s,%s,%.17g,%.17g,%s,%.17g,%.17g,%s\r\n"
 # verify's numeric residual runs on about this many of its grid points
 _NUMERIC_POINTS = 27
+# K eps in the rounding K eps (1 + largest |phase| + largest |frame angle|)
+# of verify's complex-step allowances: K = 16 is 25 times the largest measured
+# on catalogued waves, 3.7 times the largest |numeric - analytic| on others
+_ROUNDING = 16.0 * sys.float_info.epsilon
 
 
 def _fmt(x: float) -> str:
@@ -203,29 +204,40 @@ def _verify_checks(args):
     max_analytic = _max_analytic_norm(cv, grid.angle_blocks(p))
     ana_allow = args.tol * max(scales)  # the residual is made of c1..c9
     numeric = grid.coordinates(range(0, n, max(1, n // _NUMERIC_POINTS)))
-    # the Bianchi line is the homogeneous equations, div B and Faraday's
-    # law, on the E and B stencils of the numeric residual: the same
-    # stencil on the same fields, so the same allowance
-    max_numeric, bia = _max_numeric_norms(p, numeric, args.h)
-    num_allow = max(args.tol, residual_allowance(p, args.h))
-    lines.append(f"max analytic residual over {n} grid points = {_fmt(max_analytic)} "
-                 f"(allowance {_fmt(ana_allow)})")
-    lines.append(f"max numeric residual over {numeric.shape[1]} grid points = "
-                 f"{_fmt(max_numeric)} (h = {_fmt(args.h)}, allowance {_fmt(num_allow)})")
-    lines.append(f"bianchi residual norm over {numeric.shape[1]} grid points = {_fmt(bia)} "
-                 f"(div B and Faraday, allowance {_fmt(num_allow)})")
-    values = [*judged, max_analytic, max_numeric, bia]  # the last lines are the checks'
-    allowances = [args.tol] * len(judged) + [ana_allow, num_allow, num_allow]
-    checks = [_Check(*c) for c in zip(lines[-len(values):], values, allowances)]
+    # the numeric residual and the Bianchi line (div B and Faraday's law)
+    # complex-step the closed forms with the largest h that keeps h |k|, h |omega|
+    # and h |lam| at most 1e-10, where their cosh and sinh are 1 and themselves
+    h = 1e-10 / max(abs(p.k), abs(p.omega), abs(p.lam), 1e-300)
+    max_numeric, bia = _max_numeric_norms(p, numeric, _COMPLEX_STEP, h)
+    t, _, y, z = numeric
+    angles = np.abs(_phase(p, t, z)).max() + np.abs(p.lam * y).max()
+    rounding = args.tol + _ROUNDING * (1.0 + float(angles))
+    field_bound, potential_bound = _derivative_bounds(p)
+    num_allow = field_bound * rounding
+    # an error even under a value of 0: the derivatives the bound bounds may
+    # have overflowed to NaN, which the largest norm passes over
+    if not num_allow < math.inf:
+        raise OverflowError("the bound of the numeric residual on the magnitudes overflows")
+    m = numeric.shape[1]
+    checks = [_Check(line, v, args.tol) for line, v in zip(lines[-len(judged):], judged)] + [
+        _Check(f"max analytic residual over {n} grid points = {_fmt(max_analytic)} "
+               f"(allowance {_fmt(ana_allow)})", max_analytic, ana_allow),
+        _Check(f"max numeric residual over {m} grid points = {_fmt(max_numeric)} "
+               f"(allowance {_fmt(num_allow)})", max_numeric, num_allow),
+        _Check(f"bianchi residual norm over {m} grid points = {_fmt(bia)} "
+               f"(div B and Faraday, allowance {_fmt(num_allow)})", bia, num_allow)]
 
     notes = []  # the pure-gauge note, made only when the constraint and analytic checks pass
     if all(c.passes for c in checks[:-2]) and abs(p.alpha4) > 0 and _fields_vanish(p, args.tol):
-        f_norm = max(_field_strength_norms(p, numeric[:, :8], args.h))
-        # F comes from second-order differences; judge it against the
-        # matching budget, not the fourth-order residual one
-        if f_norm <= max(args.tol, field_strength_allowance(p, args.h)):
+        f = _field_strength_columns(p, numeric[:, :8], _COMPLEX_STEP, h)[0]
+        with np.errstate(all="ignore"):
+            f_norm = float(np.sqrt((f * f).sum(axis=(0, 1, 2))).max())
+        f_allow = potential_bound * rounding
+        if not f_allow < math.inf:
+            raise OverflowError("the bound of the field strength on the magnitudes overflows")
+        if f_norm <= f_allow:
             notes.append(f"pure gauge: F ~ 0 (max field strength norm {_fmt(f_norm)})")
-    return lines[:-len(values)], checks, kind, notes
+    return lines[:-len(judged)], checks, kind, notes
 
 
 def cmd_verify(args) -> int:
@@ -392,14 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ymwaves",
         description="Construct and verify exact SU(2) Yang-Mills plane waves.")
-    # no abbreviations: --h would mean --help on a command without --h
+    # no abbreviations: --h would mean --help
     sub = parser.add_subparsers(dest="command", required=True, parser_class=functools.partial(
         argparse.ArgumentParser, allow_abbrev=False))
 
     sp = sub.add_parser("verify", help="check one configuration end to end")
     _add_config_flags(sp)
-    sp.add_argument("--h", type=float, default=1e-4,
-                    help="finite-difference step (default 1e-4)")
     sp.add_argument("--grid", default="0:6.2832:10,-1:1:10,0:6.2832:10",
                     help="t0:t1:n,y0:y1:n,z0:z1:n evaluation grid")
 
@@ -440,8 +450,6 @@ def main(argv=None) -> int:
     try:
         if "tol" in args and not (args.tol > 0.0 and math.isfinite(args.tol)):
             raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")
-        if "h" in args:
-            _check_h(args.h, "--h")
         # looked up by name at each call, so a rebound cmd_* is the one run
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, OSError) as exc:

@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .fields import (
+    _FIVE_POINT,
     AnsatzParams,
     _check_h,
     _fields_vanish,
@@ -555,7 +556,7 @@ def _oracle_fit(p: AnsatzParams, h: float):
     coords = np.array(np.broadcast_arrays(t, 0.17, y, z))  # at x = 0.17
 
     _check_h(h)
-    ga, am = _numeric_residuals(p, coords, h)
+    ga, am = _numeric_residuals(p, coords, _FIVE_POINT, h)
     with np.errstate(all="ignore"):
         frame = p.lam * y
         # gauss, ampere e_x, e_y, e_z on the frame: (Sx, Sy, Sz, channel, sample)

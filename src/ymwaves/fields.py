@@ -29,11 +29,12 @@ are plain arithmetic on the cosines and sines of the phase and of the
 frame angle, giving coefficient triples of floats for one point and of
 numpy columns for many, with the same rounding. _rows is the one way
 from a (4, n) coordinate array to rows: _Grid streams a grid through it
-in blocks, and a finite-difference stencil is one block of points
-(_block), the coordinates and their copies moved along each axis by the
-steps of a scheme, _central or _five_point. F is assembled once over its
-block, with su2's triple algebra on the arrays, for field_strength, its
-norms and the Bianchi probe alike. The one-point functions are views.
+in blocks, and a stencil is one block of points (_block), the
+coordinates and their copies moved along each axis by the steps of a
+scheme: _central, _five_point or _complex_step, whose step ih subtracts
+nothing. F is assembled once over its block, with su2's triple algebra,
+for field_strength, verify's pure-gauge line and the Bianchi probe
+alike. The one-point functions are views.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .su2 import LieElement, _along_sx, _along_sy_sz, _commutator, _norm_squared, _Triple
+from .su2 import LieElement, _along_sx, _along_sy_sz, _commutator, _Triple
 
 __all__ = [
     "AnsatzParams",
@@ -141,8 +142,14 @@ def _five_point(f1, f2, fm1, fm2, h: float):  # fourth order
     return ((f1 - fm1) * 8.0 - (f2 - fm2)) * (1.0 / (12.0 * h))
 
 
+def _complex_step(f1, h: float):  # no subtraction, so no cancellation at any h
+    return f1.imag / h
+
+
 _CENTRAL = (1.0, -1.0)
 _FIVE_POINT = (1.0, 2.0, -1.0, -2.0)
+_COMPLEX_STEP = (1j,)  # for f analytic: f'(x) = Im f(x + ih) / h + O(h^2)
+_SCHEMES = {_CENTRAL: _central, _FIVE_POINT: _five_point, _COMPLEX_STEP: _complex_step}
 
 # the zero coefficient triple of a field component that vanishes; _stacked
 # leaves it as the zeros it starts from
@@ -213,6 +220,18 @@ def _fields_vanish(p: AnsatzParams, tol: float) -> bool:
     bounds = _field_groups(*(_Magnitude(abs(v)) for v in _values(p)))
     pairs = zip(sum(field_coefficient_groups(p), ()), sum(bounds, ()))
     return all(abs(v) <= tol * b.value for v, b in pairs)
+
+
+def _derivative_bounds(p: AnsatzParams):
+    """The bounds on magnitudes of the equations of E and B, then of F: the
+    six field groups, then the amplitudes, summed, times the rates of a
+    derivative or a commutator with phi or A. No bound of c1..c9 exceeds
+    the first (measured, to an ulp), so what passes verify's analytic line
+    passes its numeric one."""
+    m = [_Magnitude(abs(v)) for v in _values(p)]
+    amp, (lam, k, omega, g, c) = _summed([m[:5]]), m[5:]
+    rates = k + omega / c + lam + 2.0 * g * amp
+    return (_summed(_field_groups(*m)) * rates).value, (amp * rates).value
 
 
 def _wave(group, cos_th, sin_th, cos_fr, sin_fr):
@@ -417,11 +436,11 @@ def _field_columns(p: AnsatzParams, rows: _Rows):
     return tuple(_wave(group, *rows.angles()) for group in field_coefficient_groups(p))
 
 
-def _stacked(triples, shape=()) -> np.ndarray:
+def _stacked(triples, shape=(), dtype=float) -> np.ndarray:
     """Coefficient triples of floats or columns of the given shape as one
-    array (3 coefficients, len(triples), *shape). The array starts as
-    zeros, and a triple that is _ZERO is not copied into it."""
-    out = np.zeros((3, len(triples), *shape))
+    array (3 coefficients, len(triples), *shape) of dtype. The array starts
+    as zeros, and a triple that is _ZERO is not copied into it."""
+    out = np.zeros((3, len(triples), *shape), dtype)
     for j, e in enumerate(triples):
         if e is not _ZERO:
             for i, c in enumerate(e):
@@ -453,11 +472,11 @@ def _block(coords: np.ndarray, steps, h: float) -> np.ndarray:
         return np.where(offsets != 0.0, coords + offsets * h, coords)
 
 
-def _derivative(values: np.ndarray, combine, h: float) -> np.ndarray:
+def _derivative(values: np.ndarray, steps, h: float) -> np.ndarray:
     """The derivatives along t, x, y and z from values over blocks of the
-    scheme combine: shape (..., rows, n) to (..., 4, n)."""
+    scheme of steps (_SCHEMES): shape (..., rows, n) to (..., 4, n), real."""
     moved = values[..., 1:, :].reshape(*values.shape[:-2], -1, 4, values.shape[-1])
-    return combine(*(moved[..., j, :, :] for j in range(moved.shape[-3])), h)
+    return _SCHEMES[steps](*(moved[..., j, :, :] for j in range(moved.shape[-3])), h)
 
 
 def _stencil(p: AnsatzParams, coords: np.ndarray, steps, h: float, axes: str,
@@ -487,43 +506,40 @@ def _stencil(p: AnsatzParams, coords: np.ndarray, steps, h: float, axes: str,
     hits = np.flatnonzero(bad[order].T)
     if hits.size:
         i, k = divmod(int(hits[0]), len(order))
-        for axis, value in zip(_AXES, moved[order[k], :, i].tolist()):
+        for axis, value in zip(_AXES, moved[order[k], :, i].real.tolist()):
             _require_finite(axis, value)
         raise ValueError("math domain error")
     return rows
 
 
 def _check_h(h: float, name: str = "step h"):  # the Bianchi budget divides by h ** 2
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"{name} must be positive and finite, got {h!r}")
-    if h * h == 0.0:
-        raise ValueError(f"{name} must be positive and finite, and h ** 2 must not "
-                         f"underflow to 0, got {h!r}")
+    if not (h > 0.0 and math.isfinite(h) and h * h > 0.0):
+        raise ValueError(f"{name} must be positive and finite, with h ** 2 above 0, got {h!r}")
 
 
 # the entries F_mu_nu with mu < nu, in row order
 _PAIRS = np.array([(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]).T
 
 
-def _field_strength_columns(p: AnsatzParams, coords: np.ndarray, h: float):
-    """field_strength at every point of coords, shape (4, n), as arrays.
+def _field_strength_columns(p: AnsatzParams, coords: np.ndarray, steps, h: float):
+    """F at every point of coords, shape (4, n), by the scheme of steps.
 
     Returns F, shape (3 coefficients, 4, 4, n), and A_mu = (phi, -A) at
     the points, shape (3, 4, n), from one evaluation of the potentials
-    over the central block. Each value rounds as the one-point assembly
-    of F does: (A(+h) - A(-h)) * (0.5 / h), then (1 / c) times the t row,
-    then d_mu A_nu - d_nu A_mu - g * su2._commutator(A_mu, A_nu) above
-    the diagonal and its negative below.
+    over the block. With _CENTRAL each value rounds as field_strength's:
+    (A(+h) - A(-h)) * (0.5 / h), then (1 / c) times the t row, then
+    d_mu A_nu - d_nu A_mu - g * su2._commutator(A_mu, A_nu) above the
+    diagonal and its negative below.
     """
-    rows = _stencil(p, coords, _CENTRAL, h, "txyz", here=True)
+    rows = _stencil(p, coords, steps, h, "txyz", here=True)
     with np.errstate(all="ignore"):
         phi, a = _potential_columns(p, *rows.angles())
-        pot = _stacked((phi, *a), rows.theta.shape)
+        pot = _stacked((phi, *a), rows.theta.shape, rows.theta.dtype)
         pot[:, 1:] = -pot[:, 1:]  # A_mu = (phi, -A); the zero e_x becomes -0.0
         # grad[:, nu, mu] = d_mu A_nu
-        grad = _derivative(pot, _central, h)
+        grad = _derivative(pot, steps, h)
         grad[:, :, 0] = (1.0 / p.c) * grad[:, :, 0]
-        here = pot[:, :, 0]
+        here = pot[:, :, 0].real
         mu, nu = _PAIRS
         # i g [A_mu, A_nu] = -g * su2._commutator(A_mu, A_nu)
         upper = (grad[:, nu, mu] - grad[:, mu, nu]
@@ -541,7 +557,7 @@ def field_strength(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4):
     A one-point view of _field_strength_columns.
     """
     _check_h(h)
-    f = _field_strength_columns(p, _coordinates([s]), h)[0]
+    f = _field_strength_columns(p, _coordinates([s]), _CENTRAL, h)[0]
     return [[LieElement(*c) for c in row] for row in f[..., 0].transpose(1, 2, 0).tolist()]
 
 
@@ -557,11 +573,3 @@ def _summed(table):
 def field_strength_norm(f_tensor) -> float:
     """Root of the summed squared coefficients over all 16 entries."""
     return math.sqrt(_summed([[e.norm_squared() for e in row] for row in f_tensor]))
-
-
-def _field_strength_norms(p: AnsatzParams, coords: np.ndarray, h: float) -> list[float]:
-    """field_strength_norm(field_strength(p, s, h)) at each point s of
-    coords, shape (4, n), from one column evaluation."""
-    f = _field_strength_columns(p, coords, h)[0]
-    with np.errstate(all="ignore"):
-        return np.sqrt(_summed(_norm_squared(f))).tolist()

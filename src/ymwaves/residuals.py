@@ -17,7 +17,7 @@ and with it the homogeneous equations vanish
 
 for every amplitude, not only on solutions. verify checks these on the
 closed-form E and B, beside the numeric gauss and ampere and from the
-same stencils (_numeric_residuals), so its Bianchi line sees closed
+same derivatives (_numeric_residuals), so its Bianchi line sees closed
 forms that are the fields of no potential. bianchi_residual, the nested
 probe of the field strength built from the potentials, never sees the
 closed forms; it is a library diagnostic of the discretization.
@@ -32,14 +32,15 @@ Sx, Sy, Sz is a rotation of sx, sy, sz, so the norm takes no frame
 angle, and verify takes its largest over a grid's (t, z) phases, not its
 points (_max_analytic_norm). The numeric mode differentiates the
 closed-form fields with five-point stencils and adds exact commutators,
-which makes it an independent check of that reduction; verify takes its
-largest norm over many points (_max_numeric_norms). The closed-form fields
-themselves are checked against finite differences of the potentials in
-the fields module, so the two links together cover the whole derivation.
+which makes it an independent check of that reduction; verify takes it
+by complex steps, which truncate nothing, as its largest norm over many
+points (_max_numeric_norms). The closed-form fields themselves are
+checked against finite differences of the potentials in the fields
+module, so the two links together cover the whole derivation.
 
 Both routes run on numpy columns, the points a (4, n) array of t, x, y,
-z. The numeric route evaluates E and B once over the stencil block of
-the points (fields._stencil), phi and A once at the points, and takes
+z. The numeric route evaluates E and B once over the block of its
+scheme (fields._stencil), phi and A once at the points, and takes
 every derivative, commutator and norm on the arrays with su2's triple
 algebra (_numeric_residuals), the homogeneous equations' too when asked;
 bianchi_residual differentiates the field strength over the block of its
@@ -66,14 +67,12 @@ from .fields import (
     SpacetimePoint,
     _angles,
     _block,
-    _central,
     _check_h,
     _coordinates,
     _cos_sin,
     _derivative,
     _field_columns,
     _field_strength_columns,
-    _five_point,
     _Grid,
     _phase,
     _potential_columns,
@@ -99,7 +98,6 @@ __all__ = [
     "max_residual_norm",
     "residual_allowance",
     "bianchi_allowance",
-    "field_strength_allowance",
 ]
 
 class ConstraintVector(NamedTuple):
@@ -246,15 +244,15 @@ def _fields_at(p: AnsatzParams, rows) -> np.ndarray:
     B are taken on every row; phi and A, which only the commutators at the
     points read, on the first row alone, the points themselves, and are
     zero on the others."""
-    shape = rows.theta.shape
+    shape, dtype = rows.theta.shape, rows.theta.dtype
     ey, bx = _field_columns(p, rows)
-    fields = _stacked((_ZERO,) * 5 + (ey, _ZERO, bx, _ZERO, _ZERO), shape)
+    fields = _stacked((_ZERO,) * 5 + (ey, _ZERO, bx, _ZERO, _ZERO), shape, dtype)
     phi, a = _potential_columns(p, *(v[0] for v in rows.angles()))
-    fields[:, :4, 0] = _stacked((phi, *a), shape[1:])
+    fields[:, :4, 0] = _stacked((phi, *a), shape[1:], dtype)
     return fields
 
 
-def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, h: float,
+def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, steps, h: float,
                        homogeneous: bool = False):
     """Numeric-mode gauss and ampere residuals at every point of coords,
     shape (4, n), as arrays of shape (3, n) and (3, 3, n); with
@@ -265,20 +263,20 @@ def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, h: float,
     B . A): A has no e_x part and B nothing else, so it vanishes
     identically for this ansatz.
 
-    E and B are evaluated once over the five-point block, phi and A once
-    at the points (_fields_at). The zero components of E and B take the
-    combination of four zeros, as a five-point stencil on whole
+    E and B are evaluated once over the block of the scheme of steps, phi
+    and A once at the points (_fields_at). The zero components of E and
+    B take the combination of four zeros, as a five-point stencil on whole
     ColorVectors takes it. A point-by-point evaluation visits the stencil
     axes x, y, z for gauss, then t for ampere, the order that decides
     which overflowing stencil point raises first.
     """
-    rows = _stencil(p, coords, _FIVE_POINT, h, "xyzt")
+    rows = _stencil(p, coords, steps, h, "xyzt")
     with np.errstate(all="ignore"):
         fields = _fields_at(p, rows)
         # d[:, i, mu] = d_mu E_i at the points, then d_mu B_i
-        d = _derivative(fields[:, 4:], _five_point, h)
+        d = _derivative(fields[:, 4:], steps, h)
         de, db = d[:, :3], d[:, 3:]
-        comm = _commutator_terms(p.g, fields[:, :, 0], homogeneous)
+        comm = _commutator_terms(p.g, fields[:, :, 0].real, homogeneous)
         gauss = de[:, 0, 1] + de[:, 1, 2] + de[:, 2, 3] + comm[0]
         curl = db[:, _K, _J1] - db[:, _J, _K1]
         ampere = (-1.0 / p.c) * de[:, :, 0] + curl + comm[1]
@@ -300,11 +298,10 @@ def _largest_norm(scalar: np.ndarray, vector: np.ndarray) -> float:
     return max(norms.tolist())
 
 
-def _max_numeric_norms(p: AnsatzParams, coords: np.ndarray, h: float):
-    """The largest numeric residual_sample norm over the points of coords,
-    then the largest norm of the homogeneous residual, from one
-    evaluation (_numeric_residuals)."""
-    gauss, ampere, homogeneous = _numeric_residuals(p, coords, h, homogeneous=True)
+def _max_numeric_norms(p: AnsatzParams, coords: np.ndarray, steps, h: float):
+    """The largest numeric residual norm over the points of coords, then that
+    of the homogeneous residual, from one _numeric_residuals by the scheme of steps."""
+    gauss, ampere, homogeneous = _numeric_residuals(p, coords, steps, h, homogeneous=True)
     return _largest_norm(gauss, ampere), _largest_norm(*homogeneous)
 
 
@@ -398,10 +395,10 @@ def bianchi_residual(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) -> flo
     # the order in which a point-by-point evaluation visits them
     outer = _block(_coordinates([s]), _CENTRAL, h)[:, :, 0].T
     # F at the nine points, (3 coefficients, mu, nu, point)
-    f, here = _field_strength_columns(p, outer, inner_h)
+    f, here = _field_strength_columns(p, outer, _CENTRAL, inner_h)
     mu, nu, ga = _CYCLIC
     with np.errstate(all="ignore"):
-        d = _derivative(f[..., None], _central, h)[:, nu, ga, mu, 0]
+        d = _derivative(f[..., None], _CENTRAL, h)[:, nu, ga, mu, 0]
         d = np.where(mu == 0, (1.0 / p.c) * d, d)
         # i g [A_mu, F_nu_ga] = -g * su2._commutator(A_mu, F_nu_ga)
         cov = d - p.g * np.array(_commutator(here[:, mu, 0], f[:, nu, ga, 0]))
@@ -428,7 +425,7 @@ def residual_sample(p: AnsatzParams, s: SpacetimePoint,
         ga, am, norm = _residuals_at(p, s)
     elif mode == "numeric":
         _check_h(h)
-        gauss, ampere = _numeric_residuals(p, _coordinates([s]), h)
+        gauss, ampere = _numeric_residuals(p, _coordinates([s]), _FIVE_POINT, h)
         ga, am = LieElement(*gauss[:, 0].tolist()), _vector_at(ampere[:, :, 0])
         norm = math.sqrt(ga.norm_squared() + am.norm_squared())
     else:
@@ -525,19 +522,3 @@ def bianchi_allowance(p: AnsatzParams, h: float) -> float:
     roundoff = 3.0 * 2.3e-16 * poly / h2 * max(1.0, 1.0 / abs(p.c))
     return _finite(truncation + roundoff, budget, freq, h)
 
-
-def field_strength_allowance(p: AnsatzParams, h: float) -> float:
-    """Error budget for a second-order field-strength evaluation at step h.
-
-    Third-derivative truncation of the central differences plus a
-    roundoff floor; the 0.5 prefactor sits 5-10x above measured worst
-    cases for amplitudes to ~10 and frequencies to ~5. This bounds the
-    finite-difference noise in F itself, which is what "F vanishes"
-    checks must compare against.
-    """
-    _check_h(h)
-    freq, amp = _scales(p)
-    budget = "field-strength allowance"
-    truncation = 0.5 * amp * _power(_FREQ, freq, 3, budget) * _power("h", h, 2, budget)
-    roundoff = 3.0 * 2.3e-16 * amp * freq / h
-    return _finite(truncation + roundoff, budget, freq, h)

@@ -218,10 +218,6 @@ def field_strength(p, s, h=1e-4):
     return f_tensor
 
 
-def field_strength_norm(f_tensor):
-    return math.sqrt(sum(f_tensor[m][n].norm_squared() for m in range(4) for n in range(4)))
-
-
 def bianchi_residual(p, s, h=1e-4, inner_h=None):
     if inner_h is None:
         inner_h = 0.5 * h

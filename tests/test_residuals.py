@@ -12,7 +12,6 @@ from ymwaves.residuals import (
     ampere_residual,
     bianchi_allowance,
     bianchi_residual,
-    field_strength_allowance,
     gauss_commutator_term,
     gauss_residual,
     grid_points,
@@ -182,18 +181,6 @@ def test_bianchi_family_iii():
     assert field_strength_norm(field_strength(p, s, h=1e-4)) < 1e-6
 
 
-def test_field_strength_allowance_bounds_fd_noise():
-    # the vanishing-F family probes the budget directly: anything left is noise
-    s = SpacetimePoint(t=0.2, y=0.4, z=0.9)
-    for kw in ((3.0, 5.0), (1.0, 2.0), (3.0, -3.0)):
-        p = build_family_iii(k=kw[0], omega=kw[1], alpha4=2.0, lam=0.5, g=1.0)
-        for h in (1e-3, 1e-4, 1e-5):
-            noise = field_strength_norm(field_strength(p, s, h=h))
-            assert noise < field_strength_allowance(p, h)
-    with pytest.raises(ValueError):
-        field_strength_allowance(p, 0.0)
-
-
 def test_residual_sample_norm_combines_both(rng):
     p = random_params(rng)
     s = random_point(rng)
@@ -254,8 +241,7 @@ def test_residual_allowance_covers_small_wave_speeds(c):
     assert worst < residual_allowance(p, 1e-4)
 
 
-@pytest.mark.parametrize("allowance", [residual_allowance, bianchi_allowance,
-                                       field_strength_allowance])
+@pytest.mark.parametrize("allowance", [residual_allowance, bianchi_allowance])
 @pytest.mark.parametrize("h", [0.0, 1e-320])
 def test_allowances_reject_steps_whose_square_underflows(allowance, h):
     with pytest.raises(ValueError, match="step h"):
@@ -265,7 +251,6 @@ def test_allowances_reject_steps_whose_square_underflows(allowance, h):
 @pytest.mark.parametrize("allowance, n, budget", [
     (residual_allowance, 4, "numeric residual allowance"),
     (bianchi_allowance, 2, "Bianchi allowance"),
-    (field_strength_allowance, 2, "field-strength allowance"),
 ])
 def test_allowances_name_the_power_that_overflows(allowance, n, budget):
     p = build_family_i(k=1.0, alpha4=1.0, lam=0.0, g=1.0)
@@ -280,7 +265,6 @@ def test_allowances_name_the_power_that_overflows(allowance, n, budget):
 @pytest.mark.parametrize("allowance, budget, lam, h", [
     (residual_allowance, "numeric residual allowance", 1e10, 1e70),
     (bianchi_allowance, "Bianchi allowance", 1e30, 1e120),
-    (field_strength_allowance, "field-strength allowance", 1e40, 1e100),
 ])
 def test_allowances_name_the_product_that_overflows(allowance, budget, lam, h):
     # every power is finite, and their product is not

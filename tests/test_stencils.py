@@ -6,7 +6,8 @@ numpy columns. tests/scalar_stencils.py builds one SpacetimePoint per
 stencil point instead; both must give the same floats bit for bit, and
 raise the same error where a stencil point overflows. The numeric E and
 B, entries of field_strength, must equal the reference's own E and B
-stencils value for value.
+stencils value for value. verify's complex step, which the reference
+does not take, must give the closed forms' own derivatives.
 """
 
 import math
@@ -34,12 +35,21 @@ from ymwaves.constraints import (
 )
 from ymwaves.fields import (
     _CENTRAL,
+    _COMPLEX_STEP,
     _FIVE_POINT,
     AnsatzParams,
     SpacetimePoint,
     _coordinates,
-    _field_strength_norms,
+    _derivative,
+    _field_columns,
+    _field_strength_columns,
     _Grid,
+    _potential_columns,
+    _rows,
+    _stacked,
+    _stencil,
+    _values,
+    field_coefficient_groups,
     field_strength,
 )
 from ymwaves.residuals import (
@@ -124,11 +134,58 @@ def test_numeric_e_and_b_equal_the_reference(p, zeroed, s, h):
 
 @given(configurations(), st.lists(points, min_size=1, max_size=8), steps)
 def test_many_points_equal_the_reference(p, pts, h):
-    # the largest residual_sample norm, then the largest homogeneous one
+    # the largest residual_sample norm, then the largest homogeneous one:
+    # the five-point scheme pins the assembly that verify's complex step
+    # shares, the Faraday signs included
     want = ref.max_numeric_norms(p, pts, h)
-    assert hexes(_max_numeric_norms(p, _coordinates(pts), h)) == hexes(want)
-    want = [ref.field_strength_norm(ref.field_strength(p, s, h)) for s in pts]
-    assert hexes(_field_strength_norms(p, _coordinates(pts), h)) == hexes(want)
+    assert hexes(_max_numeric_norms(p, _coordinates(pts), _FIVE_POINT, h)) == hexes(want)
+    # F at every point, one field_strength after another
+    f = _field_strength_columns(p, _coordinates(pts), _CENTRAL, h)[0]
+    want = [ref.field_strength(p, s, h) for s in pts]
+    assert hexes(f.transpose(3, 1, 2, 0).tolist()) == hexes(want)
+
+
+def _closed_forms(p, rows):
+    """E_y and B_x, then phi, A_y and A_z, over rows as one array (3, 5, *shape)."""
+    phi, (_, ay, az) = _potential_columns(p, *rows.angles())
+    return _stacked((*_field_columns(p, rows), phi, ay, az), rows.theta.shape, rows.theta.dtype)
+
+
+@given(configurations(), st.lists(points, min_size=1, max_size=8))
+def test_complex_step_derivatives_are_the_closed_form_ones(p, pts):
+    # the closed forms are affine in cos theta and sin theta, so d/dtheta
+    # takes cos to -sin and sin to cos and drops the constant part; the
+    # frame turns about sz at the rate lam, so d/dy of (u, v, w) on sx,
+    # sy, sz is lam (-v, u, 0); nothing depends on x. The step is verify's.
+    # An imaginary part below the normal floats rounds absolutely, to the
+    # smallest subnormal, which the coefficients and the division by h scale
+    coords = _coordinates(pts)
+    h = 1e-10 / max(abs(p.k), abs(p.omega), abs(p.lam), 1e-300)
+    coefficients = sum(map(abs, (*sum(field_coefficient_groups(p), ()), *_values(p)[:5])))
+    d = _derivative(_closed_forms(p, _stencil(p, coords, _COMPLEX_STEP, h, "txyz", here=True)),
+                    _COMPLEX_STEP, h)
+    at = _rows(p, coords)
+    here = _closed_forms(p, at)
+    zero = np.zeros_like(at.theta)
+    parts = (_closed_forms(p, at._replace(cos_th=-at.sin_th, sin_th=at.cos_th)),
+             _closed_forms(p, at._replace(cos_th=zero, sin_th=zero)))
+    turn = np.array([-here[1], here[0], 0.0 * here[2]])
+    for axis, rate, want, terms in ((3, p.k, parts[0] - parts[1], parts),
+                                    (0, -p.omega, parts[0] - parts[1], parts),
+                                    (2, p.lam, turn, (here,))):
+        size = max(np.abs(t).max() for t in terms)
+        bound = 4.0 * (abs(rate) * size * np.finfo(float).eps + (1.0 + coefficients) * 5e-324 / h)
+        assert np.abs(d[:, :, axis] - rate * want).max() <= bound
+    assert not d[:, :, 1].any()
+
+
+def test_a_complex_step_names_a_coordinate_that_is_not_finite():
+    # the moved coordinate is complex; the error names its real part
+    coords = _coordinates([SpacetimePoint(t=0.3, y=-0.4, z=0.9)])
+    coords[3, 0] = math.inf
+    p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1)
+    with pytest.raises(ValueError, match="^z must be finite, got inf$"):
+        _max_numeric_norms(p, coords, _COMPLEX_STEP, 1e-10)
 
 
 @given(configurations())
@@ -161,7 +218,7 @@ def test_oracle_fits_the_reference_samples(p):
 def test_overflowing_stencils_fail_as_the_reference(p, s, h):
     cases = [
         (lambda: residual_sample(p, s, "numeric", h), lambda: ref.residual_sample(p, s, h)),
-        (lambda: _max_numeric_norms(p, _coordinates([SpacetimePoint(), s]), h),
+        (lambda: _max_numeric_norms(p, _coordinates([SpacetimePoint(), s]), _FIVE_POINT, h),
          lambda: ref.max_numeric_norms(p, [SpacetimePoint(), s], h)),
         (lambda: field_strength(p, s, h), lambda: ref.field_strength(p, s, h)),
         (lambda: bianchi_residual(p, s, h), lambda: ref.bianchi_residual(p, s, h)),
@@ -196,7 +253,7 @@ def test_one_field_evaluation_per_numeric_call(monkeypatch):
     coords = _coordinates([SpacetimePoint(t=0.1 * i, y=0.2 * i, z=-0.3 * i) for i in range(28)])
     monkeypatch.setattr(SpacetimePoint, "__post_init__", counting)
     residual_sample(p, s, "numeric")
-    _max_numeric_norms(p, coords, 1e-4)
+    _max_numeric_norms(p, coords, _FIVE_POINT, 1e-4)
     # E and B once per call, over the points and their 16 stencil neighbours
     assert calls == [(17, 1), (17, 28)]
     assert built == []
@@ -240,10 +297,10 @@ def test_verify_and_the_oracle_build_no_points_but_bianchis(monkeypatch, capsys)
     assert built == []
 
 
-def test_verify_takes_one_five_point_block(monkeypatch, capsys):
-    # the numeric residual and the Bianchi line share one five-point block;
-    # the only other block is the central one of the pure-gauge F line,
-    # taken only when the fields vanish
+def test_verify_takes_one_complex_step_block(monkeypatch, capsys):
+    # the numeric residual and the Bianchi line share one complex-step
+    # block; the only other block is the complex-step one of the
+    # pure-gauge F line, taken only when the fields vanish
     blocks = []
     real = ymwaves.fields._block
 
@@ -254,9 +311,10 @@ def test_verify_takes_one_five_point_block(monkeypatch, capsys):
     monkeypatch.setattr(ymwaves.residuals, "_block", counted)
     family_iii = ["--family", "III", "--k", "0.7", "--omega", "-1.9", "--alpha4", "1.1",
                   "--lambda", "-0.3", "--g", "0.8"]
-    for config, want in ((FAMILY_II, [_FIVE_POINT]), (family_iii, [_FIVE_POINT, _CENTRAL]),
+    for config, want in ((FAMILY_II, [_COMPLEX_STEP]),
+                         (family_iii, [_COMPLEX_STEP, _COMPLEX_STEP]),
                          (["--alpha1", "0.7", "--alpha2", "-1.1", "--alpha4", "0.9"],
-                          [_FIVE_POINT])):
+                          [_COMPLEX_STEP])):
         for grid in (DEFAULT_GRID, FINE_GRID):
             blocks.clear()
             main(["verify", *config, "--grid", grid])
