@@ -49,7 +49,6 @@ from .constraints import (
     nine_constraints,
 )
 from .fields import (
-    _COMPLEX_STEP,
     AnsatzParams,
     _derivative_bounds,
     _field_columns,
@@ -205,10 +204,8 @@ def _verify_checks(args):
     ana_allow = args.tol * max(scales)  # the residual is made of c1..c9
     numeric = grid.coordinates(range(0, n, max(1, n // _NUMERIC_POINTS)))
     # the numeric residual and the Bianchi line (div B and Faraday's law)
-    # complex-step the closed forms with the largest h that keeps h |k|, h |omega|
-    # and h |lam| at most 1e-10, where their cosh and sinh are 1 and themselves
-    h = 1e-10 / max(abs(p.k), abs(p.omega), abs(p.lam), 1e-300)
-    max_numeric, bia = _max_numeric_norms(p, numeric, _COMPLEX_STEP, h)
+    # complex-step the closed forms
+    max_numeric, bia = _max_numeric_norms(p, numeric)
     t, _, y, z = numeric
     angles = np.abs(_phase(p, t, z)).max() + np.abs(p.lam * y).max()
     rounding = args.tol + _ROUNDING * (1.0 + float(angles))
@@ -229,7 +226,7 @@ def _verify_checks(args):
 
     notes = []  # the pure-gauge note, made only when the constraint and analytic checks pass
     if all(c.passes for c in checks[:-2]) and abs(p.alpha4) > 0 and _fields_vanish(p, args.tol):
-        f = _field_strength_columns(p, numeric[:, :8], _COMPLEX_STEP, h)[0]
+        f = _field_strength_columns(p, numeric[:, :8])[0]
         with np.errstate(all="ignore"):
             f_norm = float(np.sqrt((f * f).sum(axis=(0, 1, 2))).max())
         f_allow = potential_bound * rounding

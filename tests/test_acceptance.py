@@ -15,6 +15,7 @@ from ymwaves.constraints import (
     build_family_i,
     build_family_ii,
     build_family_iii,
+    constraint_scales,
     nine_constraints,
     normalized_constraints,
     oracle_constraints,
@@ -40,7 +41,6 @@ from ymwaves.residuals import (
     gauss_residual,
     grid_points,
     max_residual_norm,
-    residual_allowance,
     residual_sample,
 )
 
@@ -79,37 +79,32 @@ def test_acceptance_1_family_residuals(capsys):
         for p in sols:
             worst_analytic = max(worst_analytic, max_residual_norm(p, pts))
             for s in pts[:: len(pts) // 4]:
-                worst_numeric = max(worst_numeric,
-                                    residual_sample(p, s, mode="numeric", h=1e-4).norm)
+                worst_numeric = max(worst_numeric, residual_sample(p, s, mode="numeric").norm)
     elapsed = time.perf_counter() - start
-    ok = worst_analytic < 1e-10 and worst_numeric < 1e-6 and elapsed < 30.0
+    ok = worst_analytic < 1e-10 and worst_numeric < 1e-10 and elapsed < 30.0
     report(capsys, 1, ok,
            f"150 instances: max analytic {worst_analytic:.2e} (< 1e-10), "
-           f"max numeric {worst_numeric:.2e} (< 1e-6), {elapsed:.1f}s (< 30s)")
+           f"max numeric {worst_numeric:.2e} (< 1e-10), {elapsed:.1f}s (< 30s)")
     assert ok
 
 
 def test_acceptance_2_oracle_equivalence(capsys):
     """Direct constraint polynomials match the residual-fit oracle."""
     rng = np.random.default_rng(202)
-    h = 1e-4
     worst = 0.0
     worst_bound = 0.0
     for _ in range(100):
         p = random_params(rng)
-        diff = np.max(np.abs(nine_constraints(p).as_array()
-                             - oracle_constraints(p, h=h).as_array()))
-        bound = max(1e-8, 2.0 * residual_allowance(p, h))
+        diff = np.max(np.abs(nine_constraints(p).as_array() - oracle_constraints(p).as_array()))
+        bound = 1e-12 * max(constraint_scales(p))
         worst = max(worst, diff)
         worst_bound = max(worst_bound, diff / bound)
         if diff > bound:
             break
     ok = worst_bound <= 1.0
-    c_eff = 2.0 * residual_allowance(p, h) / h ** 2
     report(capsys, 2, ok,
            f"100 sets: max |direct - oracle| {worst:.2e}, worst fraction of "
-           f"max(1e-8, C h^2) bound {worst_bound:.2e} (C from the fd budget, "
-           f"last C = {c_eff:.1f})")
+           f"the 1e-12 x largest constraint bound {worst_bound:.2e}")
     assert ok
 
 
@@ -173,11 +168,10 @@ def test_acceptance_5_pure_gauge(capsys):
         p = build_family_iii(k, omega, draw(rng, hi=2.0), draw(rng, hi=2.0),
                              draw(rng, hi=2.0))
         for _ in range(3):
-            f = field_strength(p, random_point(rng), h=1e-4)
+            f = field_strength(p, random_point(rng))
             worst = max(worst, field_strength_norm(f))
-    ok = worst < 1e-6
-    report(capsys, 5, ok,
-           f"11 (k, omega) pairs incl. (0, 0): max |F| {worst:.2e} (< 1e-6) at h = 1e-4")
+    ok = worst < 1e-12
+    report(capsys, 5, ok, f"11 (k, omega) pairs incl. (0, 0): max |F| {worst:.2e} (< 1e-12)")
     assert ok
 
 
@@ -250,12 +244,9 @@ def test_acceptance_9_abelian_limit(capsys):
         commutators_zero &= ampere_commutator_term(p, s).norm() == 0.0
         worst = max(worst, gauss_residual(p, s).norm(),
                     ampere_residual(p, s).norm())
-        worst_numeric = max(worst_numeric,
-                            residual_sample(p, s, mode="numeric").norm
-                            / residual_allowance(p, 1e-4))
-    ok = commutators_zero and worst < 1e-12 and worst_numeric <= 1.0
+        worst_numeric = max(worst_numeric, residual_sample(p, s, mode="numeric").norm)
+    ok = commutators_zero and worst < 1e-12 and worst_numeric < 1e-12
     report(capsys, 9, ok,
            f"g = 0 linear waves: commutator terms identically zero, analytic "
-           f"residual {worst:.2e}, numeric within the Maxwell fd budget "
-           f"(worst fraction {worst_numeric:.2e})")
+           f"residual {worst:.2e} and numeric {worst_numeric:.2e} (both < 1e-12)")
     assert ok

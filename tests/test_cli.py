@@ -941,6 +941,16 @@ def test_a_numeric_bound_that_overflows_is_named(argv, capsys):
                    "magnitudes overflows\n")
 
 
+def test_a_commutator_that_overflows_is_zero_at_g_zero(capsys):
+    # on the light cone at lambda = 0 every constraint and the analytic
+    # residual are 0; A_y near 1e300 against E_y near 1e10 overflows their
+    # commutator, which g = 0 takes out of every line, not as 0 * inf = NaN
+    code, out, err = run(["verify", "--alpha3", "1e300", "--alpha4", "1e10", "--g", "0",
+                          "--grid", "0:6.2832:3,-1:1:3,0:6.2832:3"], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("\nVERIFIED\n") and "nan" not in out
+
+
 def test_the_homogeneous_equations_hold_off_shell(capsys):
     # they follow from the Bianchi identity, so they hold for every
     # amplitude, not only on the roots that the equations of motion pick

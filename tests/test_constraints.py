@@ -252,7 +252,7 @@ def test_oracle_omega_dominant_path():
 
 
 def test_oracle_fit_diagnostics():
-    coef, samples = _oracle_fit(PINNED, 1e-4)
+    coef, samples = _oracle_fit(PINNED)
     off = np.ones(coef.shape, dtype=bool)
     off[_ORACLE_FIT[0], _ORACLE_FIT[1]] = False
     assert np.max(np.abs(_ORACLE_DESIGN @ coef - samples)) < 1e-8  # the fit's residual

@@ -2,16 +2,14 @@
 
 The numeric residuals, field_strength, bianchi_residual and the oracle
 run every stencil point of every sample point through one evaluation on
-numpy columns. tests/scalar_stencils.py builds one SpacetimePoint per
-stencil point instead; both must give the same floats bit for bit, and
-raise the same error where a stencil point overflows. The numeric E and
-B, entries of field_strength, must equal the reference's own E and B
-stencils value for value. verify's complex step, which the reference
-does not take, must give the closed forms' own derivatives.
+numpy columns. tests/scalar_stencils.py takes one complex step at a time
+instead; both must give the same floats bit for bit, and raise the same
+error where a point overflows. The numeric E and B, entries of
+field_strength, must equal the reference's own E and B stencils value
+for value. The complex step must give the closed forms' own derivatives.
 """
 
 import math
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -34,9 +32,6 @@ from ymwaves.constraints import (
     oracle_constraints,
 )
 from ymwaves.fields import (
-    _CENTRAL,
-    _COMPLEX_STEP,
-    _FIVE_POINT,
     AnsatzParams,
     SpacetimePoint,
     _coordinates,
@@ -48,6 +43,7 @@ from ymwaves.fields import (
     _rows,
     _stacked,
     _stencil,
+    _step,
     _values,
     field_coefficient_groups,
     field_strength,
@@ -103,45 +99,42 @@ def hexes(x):
     return [h for e in x for h in hexes(e)]
 
 
-@given(configurations(), points, steps)
-def test_numeric_residuals_equal_the_reference(p, s, h):
-    assert hexes(gauss_commutator_term(p, s)) == hexes(ref.gauss_commutator_term(p, s))
-    assert hexes(ampere_commutator_term(p, s)) == hexes(ref.ampere_commutator_term(p, s))
-    smp, want = residual_sample(p, s, "numeric", h), ref.residual_sample(p, s, h)
+@given(configurations(), points)
+def test_numeric_residuals_equal_the_reference(p, s):
+    fields = ref.point_fields(p, s)
+    assert hexes(gauss_commutator_term(p, s)) == hexes(ref.gauss_commutator_term(p, fields))
+    assert hexes(ampere_commutator_term(p, s)) == hexes(ref.ampere_commutator_term(p, fields))
+    smp, want = residual_sample(p, s, "numeric"), ref.residual_sample(p, s)
     assert hexes([smp.gauss, smp.ampere, smp.norm]) == hexes([want.gauss, want.ampere, want.norm])
     assert smp.point == s
 
 
 @given(configurations(), points, steps)
 def test_field_strength_and_bianchi_equal_the_reference(p, s, h):
-    assert hexes(field_strength(p, s, h)) == hexes(ref.field_strength(p, s, h))
+    assert hexes(field_strength(p, s)) == hexes(ref.field_strength(p, s))
     assert hexes(bianchi_residual(p, s, h)) == hexes(ref.bianchi_residual(p, s, h))
-    # a function-scoped monkeypatch would span all of hypothesis' examples
-    with patch.object(ymwaves.residuals, "_INNER_STEP", 1.0):
-        assert hexes(bianchi_residual(p, s, h)) == hexes(ref.bianchi_residual(p, s, h, h))
 
 
-@given(configurations(), st.sets(st.sampled_from(AMPLITUDES)), points, steps)
-def test_numeric_e_and_b_equal_the_reference(p, zeroed, s, h):
+@given(configurations(), st.sets(st.sampled_from(AMPLITUDES)), points)
+def test_numeric_e_and_b_equal_the_reference(p, zeroed, s):
     # B negates entries of field_strength: == on every coefficient, since
     # only the sign of a zero may differ
     p = AnsatzParams(**{**vars(p), **dict.fromkeys(zeroed, 0.0)})
-    wants = (ref.electric_field_numeric(p, s, h), ref.magnetic_field_numeric(p, s, h))
-    for got, want in zip(numeric_e_and_b(p, s, h), wants):
+    wants = (ref.electric_field_numeric(p, s), ref.magnetic_field_numeric(p, s))
+    for got, want in zip(numeric_e_and_b(p, s), wants):
         for u, v in zip(got.components(), want.components()):
             assert u.coeffs() == v.coeffs()
 
 
-@given(configurations(), st.lists(points, min_size=1, max_size=8), steps)
-def test_many_points_equal_the_reference(p, pts, h):
-    # the largest residual_sample norm, then the largest homogeneous one:
-    # the five-point scheme pins the assembly that verify's complex step
-    # shares, the Faraday signs included
-    want = ref.max_numeric_norms(p, pts, h)
-    assert hexes(_max_numeric_norms(p, _coordinates(pts), _FIVE_POINT, h)) == hexes(want)
+@given(configurations(), st.lists(points, min_size=1, max_size=8))
+def test_many_points_equal_the_reference(p, pts):
+    # the largest residual_sample norm, then the largest homogeneous one,
+    # as verify takes them, the Faraday signs included
+    want = ref.max_numeric_norms(p, pts)
+    assert hexes(_max_numeric_norms(p, _coordinates(pts))) == hexes(want)
     # F at every point, one field_strength after another
-    f = _field_strength_columns(p, _coordinates(pts), _CENTRAL, h)[0]
-    want = [ref.field_strength(p, s, h) for s in pts]
+    f = _field_strength_columns(p, _coordinates(pts))[0]
+    want = [ref.field_strength(p, s) for s in pts]
     assert hexes(f.transpose(3, 1, 2, 0).tolist()) == hexes(want)
 
 
@@ -156,14 +149,13 @@ def test_complex_step_derivatives_are_the_closed_form_ones(p, pts):
     # the closed forms are affine in cos theta and sin theta, so d/dtheta
     # takes cos to -sin and sin to cos and drops the constant part; the
     # frame turns about sz at the rate lam, so d/dy of (u, v, w) on sx,
-    # sy, sz is lam (-v, u, 0); nothing depends on x. The step is verify's.
-    # An imaginary part below the normal floats rounds absolutely, to the
-    # smallest subnormal, which the coefficients and the division by h scale
+    # sy, sz is lam (-v, u, 0); nothing depends on x. An imaginary part
+    # below the normal floats rounds absolutely, to the smallest subnormal,
+    # which the coefficients and the division by h scale
     coords = _coordinates(pts)
-    h = 1e-10 / max(abs(p.k), abs(p.omega), abs(p.lam), 1e-300)
+    h = _step(p)
     coefficients = sum(map(abs, (*sum(field_coefficient_groups(p), ()), *_values(p)[:5])))
-    d = _derivative(_closed_forms(p, _stencil(p, coords, _COMPLEX_STEP, h, "txyz", here=True)),
-                    _COMPLEX_STEP, h)
+    d = _derivative(_closed_forms(p, _stencil(p, coords, h)), h)
     at = _rows(p, coords)
     here = _closed_forms(p, at)
     zero = np.zeros_like(at.theta)
@@ -185,7 +177,7 @@ def test_a_complex_step_names_a_coordinate_that_is_not_finite():
     coords[3, 0] = math.inf
     p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1)
     with pytest.raises(ValueError, match="^z must be finite, got inf$"):
-        _max_numeric_norms(p, coords, _COMPLEX_STEP, 1e-10)
+        _max_numeric_norms(p, coords)
 
 
 @given(configurations())
@@ -204,11 +196,14 @@ def test_oracle_fits_the_reference_samples(p):
 
 
 @pytest.mark.parametrize("p, s, h", [
-    # a stencil coordinate overflows: x first in gauss order, t in ampere order
-    (build_family_ii(1.3, 0.8, 0.4, 1.2, 1, -1), SpacetimePoint(t=1.7e308, x=1.7e308), 1e307),
-    (build_family_ii(1.3, 0.8, 0.4, 1.2, 1, -1), SpacetimePoint(t=1.7e308), 1e307),
+    # Bianchi's outer step h takes a coordinate past the largest float, x
+    # at +h, then t at -h; a complex step moves no real part, so the other
+    # routes take the point itself
+    (build_family_ii(1.3, 0.8, 0.4, 1.2, 1, -1), SpacetimePoint(x=1.7e308), 1e307),
+    (build_family_iii(1.3, 0.5, 0.8, 0.4, 1.2), SpacetimePoint(t=-1.7e308), 1e307),
+    # the phase or the frame angle overflows at the point, or at a
+    # neighbour of Bianchi's outer step
     (build_family_ii(1.3, 0.8, 0.4, 1.2, 1, -1), SpacetimePoint(y=-1.7e308, z=1.7e308), 1e307),
-    # the phase or the frame angle overflows at a neighbour, or at the point
     (build_family_i(1e300, 1.0, 0.5, 1.0), SpacetimePoint(z=1.797693134862e8), 1e-4),
     (build_family_i(1e300, 1.0, 0.5, 1.0), SpacetimePoint(z=1e9), 1e-4),
     (build_family_i(1.0, 1.0, 1e300, 1.0), SpacetimePoint(y=1.797693134862e8), 1e-4),
@@ -217,10 +212,10 @@ def test_oracle_fits_the_reference_samples(p):
 ])
 def test_overflowing_stencils_fail_as_the_reference(p, s, h):
     cases = [
-        (lambda: residual_sample(p, s, "numeric", h), lambda: ref.residual_sample(p, s, h)),
-        (lambda: _max_numeric_norms(p, _coordinates([SpacetimePoint(), s]), _FIVE_POINT, h),
-         lambda: ref.max_numeric_norms(p, [SpacetimePoint(), s], h)),
-        (lambda: field_strength(p, s, h), lambda: ref.field_strength(p, s, h)),
+        (lambda: residual_sample(p, s, "numeric"), lambda: ref.residual_sample(p, s)),
+        (lambda: _max_numeric_norms(p, _coordinates([SpacetimePoint(), s])),
+         lambda: ref.max_numeric_norms(p, [SpacetimePoint(), s])),
+        (lambda: field_strength(p, s), lambda: ref.field_strength(p, s)),
         (lambda: bianchi_residual(p, s, h), lambda: ref.bianchi_residual(p, s, h)),
     ]
     for core, scalar in cases:
@@ -235,6 +230,21 @@ def test_overflowing_stencils_fail_as_the_reference(p, s, h):
                     else result
                 outcomes.append(("ok", hexes(got)))
         assert outcomes[0] == outcomes[1]
+
+
+def test_commutators_at_g_zero_are_zero_as_in_the_reference():
+    # phi, A_y and A_z near 1e10, 1e300 and 1e10 overflow every commutator
+    # they enter; at g = 0 each term is zero, in the core and the reference
+    p = AnsatzParams(alpha1=1e10, alpha2=1e10, alpha3=1e300, alpha4=1e10, k=1.0, omega=1.0,
+                     g=0.0)
+    pts = [SpacetimePoint(t=0.3, x=0.17, y=-0.4, z=0.9), SpacetimePoint(z=-1.1)]
+    got = [_max_numeric_norms(p, _coordinates(pts)),
+           _field_strength_columns(p, _coordinates(pts))[0].transpose(3, 1, 2, 0).tolist(),
+           bianchi_residual(p, pts[0])]
+    want = [ref.max_numeric_norms(p, pts), [ref.field_strength(p, s) for s in pts],
+            ref.bianchi_residual(p, pts[0])]
+    assert hexes(got) == hexes(want)
+    assert all(map(math.isfinite, (*got[0], got[2]))) and np.isfinite(got[1]).all()
 
 
 def test_one_field_evaluation_per_numeric_call(monkeypatch):
@@ -253,16 +263,16 @@ def test_one_field_evaluation_per_numeric_call(monkeypatch):
     coords = _coordinates([SpacetimePoint(t=0.1 * i, y=0.2 * i, z=-0.3 * i) for i in range(28)])
     monkeypatch.setattr(SpacetimePoint, "__post_init__", counting)
     residual_sample(p, s, "numeric")
-    _max_numeric_norms(p, coords, _FIVE_POINT, 1e-4)
-    # E and B once per call, over the points and their 16 stencil neighbours
-    assert calls == [(17, 1), (17, 28)]
+    _max_numeric_norms(p, coords)
+    # E and B once per call, over the points and their 4 complex steps
+    assert calls == [(5, 1), (5, 28)]
     assert built == []
 
 
 def test_one_stacked_commutator_per_numeric_call(monkeypatch, capsys):
     calls = []
-    real = ymwaves.residuals._commutator
-    monkeypatch.setattr(ymwaves.residuals, "_commutator",
+    real = ymwaves.fields._commutator
+    monkeypatch.setattr(ymwaves.fields, "_commutator",
                         lambda a, b: calls.append(np.shape(a)) or real(a, b))
     p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1)
     assert main(["verify", *FAMILY_II]) == 0
@@ -298,23 +308,20 @@ def test_verify_and_the_oracle_build_no_points_but_bianchis(monkeypatch, capsys)
 
 
 def test_verify_takes_one_complex_step_block(monkeypatch, capsys):
-    # the numeric residual and the Bianchi line share one complex-step
-    # block; the only other block is the complex-step one of the
-    # pure-gauge F line, taken only when the fields vanish
+    # the numeric residual and the Bianchi line share one block of 28
+    # points; the only other block is the pure-gauge F line's, of 8 of
+    # them, taken only when the fields vanish
     blocks = []
     real = ymwaves.fields._block
 
-    def counted(coords, steps, h):
-        blocks.append(steps)
-        return real(coords, steps, h)
+    def counted(coords, h):
+        blocks.append(coords.shape[1])
+        return real(coords, h)
     monkeypatch.setattr(ymwaves.fields, "_block", counted)
-    monkeypatch.setattr(ymwaves.residuals, "_block", counted)
     family_iii = ["--family", "III", "--k", "0.7", "--omega", "-1.9", "--alpha4", "1.1",
                   "--lambda", "-0.3", "--g", "0.8"]
-    for config, want in ((FAMILY_II, [_COMPLEX_STEP]),
-                         (family_iii, [_COMPLEX_STEP, _COMPLEX_STEP]),
-                         (["--alpha1", "0.7", "--alpha2", "-1.1", "--alpha4", "0.9"],
-                          [_COMPLEX_STEP])):
+    for config, want in ((FAMILY_II, [28]), (family_iii, [28, 8]),
+                         (["--alpha1", "0.7", "--alpha2", "-1.1", "--alpha4", "0.9"], [28])):
         for grid in (DEFAULT_GRID, FINE_GRID):
             blocks.clear()
             main(["verify", *config, "--grid", grid])
@@ -393,8 +400,9 @@ def test_field_strength_evaluates_the_potentials_once(monkeypatch):
     s = SpacetimePoint(t=0.3, x=0.17, y=-0.4, z=0.9)
     field_strength(p, s)
     bianchi_residual(p, s)
-    # the point and its eight neighbours; for Bianchi, each of nine points
-    assert calls == [(9, 1), (9, 9)]
+    # the point and its four complex steps; for Bianchi, at each of the
+    # nine points of its outer difference
+    assert calls == [(5, 1), (5, 9)]
 
 
 def test_oracle_does_not_read_the_constraint_polynomials(monkeypatch):
