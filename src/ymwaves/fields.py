@@ -33,8 +33,8 @@ coordinates and their copies moved by ih along each axis. Every
 derivative in the library is this complex step, f'(x) = Im f(x + ih) / h
 (_derivative), which subtracts nothing and so truncates nothing, at the
 one step _step(p). F is assembled once over its block, with su2's
-triple algebra, for field_strength, verify's pure-gauge line and the
-Bianchi probe alike. The one-point functions are views.
+triple algebra, for field_strength and verify's pure-gauge line alike.
+The one-point functions are views.
 """
 
 from __future__ import annotations
@@ -498,11 +498,10 @@ _PAIRS = np.array([(mu, nu) for mu in range(4) for nu in range(mu + 1, 4)]).T
 def _field_strength_columns(p: AnsatzParams, coords: np.ndarray):
     """F at every point of coords, shape (4, n), by complex steps.
 
-    Returns F, shape (3 coefficients, 4, 4, n), and A_mu = (phi, -A) at
-    the points, shape (3, 4, n), from one evaluation of the potentials
-    over the block: Im A(+ih) / h, then (1 / c) times the t row, then
-    d_mu A_nu - d_nu A_mu - g * su2._commutator(A_mu, A_nu) above the
-    diagonal and its negative below.
+    Returns F, shape (3 coefficients, 4, 4, n), from one evaluation of
+    the potentials A_mu = (phi, -A) over the block: Im A(+ih) / h, then
+    (1 / c) times the t row, then d_mu A_nu - d_nu A_mu - g *
+    su2._commutator(A_mu, A_nu) above the diagonal and its negative below.
     """
     h = _step(p)
     rows = _stencil(p, coords, h)
@@ -520,7 +519,7 @@ def _field_strength_columns(p: AnsatzParams, coords: np.ndarray):
         upper = grad[:, nu, mu] - grad[:, mu, nu] - p.g * comm
         f = np.zeros((3, 4, 4, here.shape[-1]))
         f[:, mu, nu], f[:, nu, mu] = upper, -upper
-    return f, here
+    return f
 
 
 def field_strength(p: AnsatzParams, s: SpacetimePoint):
@@ -530,7 +529,7 @@ def field_strength(p: AnsatzParams, s: SpacetimePoint):
     exact. Index 0 differentiates via (1/c) d/dt. A one-point view of
     _field_strength_columns.
     """
-    f = _field_strength_columns(p, _coordinates([s]))[0]
+    f = _field_strength_columns(p, _coordinates([s]))
     return [[LieElement(*c) for c in row] for row in f[..., 0].transpose(1, 2, 0).tolist()]
 
 

@@ -5,7 +5,8 @@ Three residuals are exposed:
     gauss:   div E - i g (A . E - E . A)
     ampere:  -(1/c) dE/dt + curl B - i g ([phi, E] + A x B + B x A)
     bianchi: cyclic covariant derivative of the field strength,
-             D_mu F_nu_ga + D_nu F_ga_mu + D_ga F_mu_nu
+             D_mu F_nu_ga + D_nu F_ga_mu + D_ga F_mu_nu, whose four
+             independent sums are the homogeneous equations below
 
 A configuration solves the equations of motion iff gauss and ampere
 vanish for all points. The Bianchi identity holds for any potentials,
@@ -15,13 +16,11 @@ and with it the homogeneous equations vanish
                                             term vanishes for the ansatz)
     (1/c) dB/dt + curl E + i g ([phi, B] - A x E - E x A)
 
-for every amplitude, not only on solutions. verify checks these on the
+for every amplitude, not only on solutions. They are checked on the
 closed-form E and B, beside the numeric gauss and ampere and from the
-same derivatives (_numeric_residuals), so its Bianchi line sees closed
-forms that are the fields of no potential. bianchi_residual, the nested
-probe of the field strength built from the potentials, never sees the
-closed forms; it is a library diagnostic of its outer central
-difference.
+same derivatives (_numeric_residuals), so the check sees closed forms
+that are the fields of no potential: verify's Bianchi line over its
+points, bianchi_residual at one.
 
 gauss_residual, ampere_residual, max_residual_norm and the analytic mode
 of residual_sample read the residuals off the nine constraint
@@ -44,17 +43,15 @@ Both routes run on numpy columns, the points a (4, n) array of t, x, y,
 z. The numeric route evaluates E and B once over the block of its
 points (fields._stencil), phi and A once at the points, and takes
 every derivative, commutator and norm on the arrays with su2's triple
-algebra (_numeric_residuals), the homogeneous equations' too when asked;
-bianchi_residual differentiates the field strength at the points of its
-outer central difference. The one-point functions are views of these
-columns and round as a point-by-point evaluation.
+algebra (_numeric_residuals), the homogeneous equations' too when asked.
+The one-point functions are views of these columns and round as a
+point-by-point evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -71,14 +68,12 @@ from .fields import (
     _cos_sin,
     _derivative,
     _field_columns,
-    _field_strength_columns,
     _Grid,
     _phase,
     _potential_columns,
     _stacked,
     _stencil,
     _step,
-    _summed,
     _values,
     electric_field_analytic,
     magnetic_field_analytic,
@@ -96,7 +91,6 @@ __all__ = [
     "residual_sample",
     "grid_points",
     "max_residual_norm",
-    "bianchi_allowance",
 ]
 
 class ConstraintVector(NamedTuple):
@@ -362,45 +356,14 @@ def ampere_residual(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
     return _residuals_at(p, s)[1]
 
 
-# (mu, nu, ga) of the twelve covariant derivatives D_mu F_nu_ga: for each
-# triple mu < nu < ga its three cyclic orders, as bianchi_residual sums them
-_CYCLIC = np.array([cyc for mu, nu, ga in combinations(range(4), 3)
-                    for cyc in ((mu, nu, ga), (nu, ga, mu), (ga, mu, nu))]).T
-# the points of bianchi_residual's outer difference, as multiples of h
-# along t, x, y, z: the point, then +h along each axis, then -h
-_OUTER = np.hstack([np.zeros((4, 1)), np.eye(4), -np.eye(4)])
-
-
-def _check_h(h: float):  # the Bianchi budget divides by h ** 2
-    if not (h > 0.0 and math.isfinite(h) and h * h > 0.0):
-        raise ValueError(f"step h must be positive and finite, with h ** 2 above 0, got {h!r}")
-
-
-def bianchi_residual(p: AnsatzParams, s: SpacetimePoint, h: float = 1e-4) -> float:
-    """Norm of the cyclic covariant derivative of the numeric field strength.
-
-    Identically zero in exact arithmetic for any parameters. F is taken
-    by complex steps, which truncate nothing, at nine points: s, then s
-    moved by +h along t, x, y and z, then by -h, the order in which a
-    point-by-point evaluation visits them. The outer derivative is their
-    central difference, (F(+h) - F(-h)) * (0.5 / h), so the returned value
-    is its truncation error, O(h^2) in the step (see bianchi_allowance for
-    the scale).
-    """
-    _check_h(h)
-    point = _coordinates([s])
-    with np.errstate(all="ignore"):
-        outer = np.where(_OUTER != 0.0, point + _OUTER * h, point)
-    # F at the nine points, (3 coefficients, mu, nu, point)
-    f, here = _field_strength_columns(p, outer)
-    mu, nu, ga = _CYCLIC
-    with np.errstate(all="ignore"):
-        d = (f[:, nu, ga, 1 + mu] - f[:, nu, ga, 5 + mu]) * (0.5 / h)
-        d = np.where(mu == 0, (1.0 / p.c) * d, d)
-        # i g [A_mu, F_nu_ga] = -g * su2._commutator(A_mu, F_nu_ga)
-        cov = d - p.g * _commutators(p.g, here[:, mu, 0], f[:, nu, ga, 0])
-        squares = _norm_squared(cov[:, 0::3] + cov[:, 1::3] + cov[:, 2::3]).tolist()
-    return math.sqrt(_summed([squares]))
+def bianchi_residual(p: AnsatzParams, s: SpacetimePoint) -> float:
+    """Norm of the homogeneous equations' residual at s, div B and
+    Faraday's law on the closed-form E and B: the four independent cyclic
+    sums D_[mu F_nu ga] of the Bianchi identity, zero in exact arithmetic
+    for any parameters. A one-point view of verify's Bianchi line
+    (_max_numeric_norms), bit for bit; its complex steps truncate
+    nothing, so the value is rounding alone."""
+    return _largest_norm(*_numeric_residuals(p, _coordinates([s]), homogeneous=True)[2])
 
 
 @dataclass(frozen=True)
@@ -449,53 +412,3 @@ def max_residual_norm(p: AnsatzParams, points) -> float:
     with np.errstate(all="ignore"):  # a phase that overflows leaves a norm not finite
         angles = _cos_sin(_phase(p, t, z))
     return _max_analytic_norm(_harmonics(*_values(p)), [angles])
-
-
-def _scales(p: AnsatzParams):
-    freq = max(abs(p.k), abs(p.omega) / abs(p.c), abs(p.lam), 1.0)
-    amp = 1.0 + sum(abs(a) for a in (p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5))
-    return freq, amp
-
-
-def _power(name: str, base: float, n: int, budget: str) -> float:
-    """base ** n in an error budget. A float ** that overflows reports only
-    errno 34, so the OverflowError is raised again naming the step."""
-    try:
-        return base ** n
-    except OverflowError:
-        raise OverflowError(f"raising {name} = {base!r} to the power {n} overflows in the "
-                            f"{budget}") from None
-
-
-_FREQ = "the frequency scale max(1, |k|, |omega / c|, |lambda|)"
-
-
-def _finite(total: float, budget: str, freq: float, h: float) -> float:
-    """A budget's total, which overflows as a product of finite factors
-    without raising: then an OverflowError names the budget and its inputs."""
-    if not math.isfinite(total):
-        raise OverflowError(f"the {budget} overflows at {_FREQ} = {freq!r} and h = {h!r}")
-    return total
-
-
-def bianchi_allowance(p: AnsatzParams, h: float) -> float:
-    """Error budget for the Bianchi residual at step h.
-
-    The outer central difference is second order; the budget scales with
-    the fourth power of the largest frequency and with the commutator
-    amplitudes. The roundoff floor carries a 1/h^2 amplification, which
-    covers the outer difference's 1/h, and the 1 / c of its time
-    derivative when |c| < 1. Prefactors were calibrated, with roughly a
-    10x margin, on nested central differences (worst cases 1.3e-2 and 0.2,
-    amplitudes to ~50); the complex-step F reads at most 0.092 of the
-    budget on the acceptance gate's 20 random sets.
-    """
-    _check_h(h)
-    freq, amp = _scales(p)
-    poly = amp * (1.0 + abs(p.g) * amp)
-    budget = "Bianchi allowance"
-    h2 = _power("h", h, 2, budget)
-    truncation = 0.15 * poly * _power(_FREQ, freq, 4, budget) * h2
-    roundoff = 3.0 * 2.3e-16 * poly / h2 * max(1.0, 1.0 / abs(p.c))
-    return _finite(truncation + roundoff, budget, freq, h)
-

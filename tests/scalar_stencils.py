@@ -12,12 +12,12 @@ that underflowed; everything after it runs on Python numbers. A
 derivative is Im f(s + ih) / h (complex_step), a value at the point is
 the real part of f there (value), and the commutators are those of
 minus_i_commutator on LieElements, zero at g = 0 (commutator). The
-numeric residuals, the homogeneous equations' among them,
-field_strength, bianchi_residual and the oracle's samples in ymwaves run
-on numpy columns instead (fields._stencil); they must equal these
-functions bit for bit, NaN and signed zeros included. ymwaves has no
-numeric E and B of its own: they are entries of field_strength,
-E_i = F_0i and B = (-F_23, -F_31, -F_12), and must equal
+numeric residuals, the homogeneous equations' among them (verify's
+Bianchi line and bianchi_residual), field_strength and the oracle's
+samples in ymwaves run on numpy columns instead (fields._stencil); they
+must equal these functions bit for bit, NaN and signed zeros included.
+ymwaves has no numeric E and B of its own: they are entries of
+field_strength, E_i = F_0i and B = (-F_23, -F_31, -F_12), and must equal
 electric_field_numeric and magnetic_field_numeric here value for value
 (a zero's sign may differ). The library's public commutator terms read
 the fields at a real point (point_fields), the potentials built on the
@@ -25,8 +25,6 @@ frame of rotated_basis.
 """
 
 import math
-from dataclasses import replace
-from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -80,11 +78,6 @@ def rotated_basis(lam: float, y: float) -> tuple[LieElement, LieElement, LieElem
 def rotated_coeffs(e: LieElement, lam: float, y: float) -> tuple[float, float, float]:
     """Components of e on the rotated frame at (lam, y)."""
     return _frame_coeffs(math.cos(lam * y), math.sin(lam * y), e.coeffs())
-
-
-def shifted(s, axis, delta):
-    """Copy of s displaced by delta along one of 't', 'x', 'y', 'z'."""
-    return replace(s, **{axis: getattr(s, axis) + delta})
 
 
 def at(s, axis=None, h=0.0):
@@ -293,27 +286,6 @@ def field_strength(p, s):
             f_tensor[mu][nu] = val
             f_tensor[nu][mu] = -val
     return f_tensor
-
-
-def bianchi_residual(p, s, h=1e-4):
-    """The cyclic covariant derivative of field_strength by its central
-    difference of step h, at s, then +h and -h along each axis in turn."""
-    f_here = field_strength(p, s)
-    f_plus = [field_strength(p, shifted(s, ax, h)) for ax in AXES]
-    f_minus = [field_strength(p, shifted(s, ax, -h)) for ax in AXES]
-    a_here = value(lambda q: covariant_potential(p, q), s)
-
-    def cov_deriv(mu, nu, ga):
-        d = (f_plus[mu][nu][ga] - f_minus[mu][nu][ga]) * (0.5 / h)
-        if mu == 0:
-            d = (1.0 / p.c) * d
-        return d - p.g * commutator(p, a_here[mu], f_here[nu][ga])
-
-    total = 0.0
-    for mu, nu, ga in combinations(range(4), 3):
-        term = cov_deriv(mu, nu, ga) + cov_deriv(nu, ga, mu) + cov_deriv(ga, mu, nu)
-        total += term.norm_squared()
-    return math.sqrt(total)
 
 
 def oracle_samples(p, points):

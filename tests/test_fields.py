@@ -16,7 +16,6 @@ from ymwaves.fields import (
     field_strength_norm,
     magnetic_field_analytic,
 )
-from ymwaves.residuals import bianchi_residual
 from ymwaves.su2 import LieElement
 
 from conftest import numeric_e_and_b, random_params, random_point
@@ -43,15 +42,6 @@ def potentials(p, s):
     """phi and A at s, from the core's potential columns."""
     phi, a = _potential_columns(p, *_angles(p, s))
     return LieElement(*phi), ColorVector(*(LieElement(*v) for v in a))
-
-
-def test_shifted_and_difference_validation():
-    # field_strength takes no step; the one step left to a caller is that
-    # of bianchi_residual's outer central difference of F
-    s = SpacetimePoint()
-    for h in (0.0, -1e-4, float("nan")):
-        with pytest.raises(ValueError, match="^step h must be positive and finite"):
-            bianchi_residual(AnsatzParams(), s, h=h)
 
 
 def test_scalar_potential_cases():

@@ -66,10 +66,10 @@ def test_every_regime_verifies_and_a_detuned_copy_does_not(family):
 
 @pytest.mark.parametrize("family", ["I", "II", "III"])
 def test_public_numeric_routes_truncate_nothing(family):
-    # on every third point of verify's grid, each point's rounding as verify
-    # takes it, without tol: the numeric residual against the bound of
-    # verify's numeric line, Family III's F against that of its F line, and
-    # the oracle against nine_constraints; c = 1e-6 slows the wave further
+    # on every third point of verify's grid, verify's rounding without tol:
+    # the numeric residual against the bound of verify's numeric line,
+    # Family III's F against that of its F line, and the oracle against
+    # nine_constraints; c = 1e-6 slows the wave further
     points = grid_points(*_parse_grid(GRID))[::3]
     wrong = []
     for k, lam, g, alpha4, c in itertools.product(DECADES, ENDS, ENDS, DECADES, SPEEDS + (1e-6,)):
@@ -77,11 +77,10 @@ def test_public_numeric_routes_truncate_nothing(family):
         p = FamilySolution(family, k, omega, alpha4, lam, g, c, 1, -1).params()
         field_bound, potential_bound = _derivative_bounds(p)
         for s in points:
-            rounding = _ROUNDING * (1.0 + abs(p.phase(s)) + abs(p.lam * s.y))
-            if not residual_sample(p, s, "numeric").norm <= field_bound * rounding:
+            if not residual_sample(p, s, "numeric").norm <= field_bound * _ROUNDING:
                 wrong.append(("numeric", k, lam, g, alpha4, c, s))
             if family == "III" and not (field_strength_norm(field_strength(p, s))
-                                        <= potential_bound * rounding):
+                                        <= potential_bound * _ROUNDING):
                 wrong.append(("F", k, lam, g, alpha4, c, s))
         oracle = np.array(oracle_constraints(p)) - np.array(nine_constraints(p))
         if not np.abs(oracle).max() <= 1e-12 * max(constraint_scales(p)):
