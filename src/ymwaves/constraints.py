@@ -10,8 +10,13 @@ judges each against itself on magnitudes, with no floor (_normalized).
 The known solution branches, Families I-III and the two degenerate
 planes (abelian-z and pure-gauge, see scan_families), are written once,
 in the branch table _BRANCHES: each is an offset plus free parameters
-along 0/+-1 directions in amplitude space. The builders, classify,
-branch_projection and the scan's snap all read the branches from it.
+along 0/+-1 directions in amplitude space, and its linear equations
+(_EQUATIONS) are the residual of the projection onto it. The builders,
+classify, branch_projection and the scan's snap all read the branches
+from it. classify judges each branch's equations as a verdict, against
+themselves on magnitudes (_misfits); the light cone (_on_cone) is
+judged the same way, and a wave family describes only a running wave,
+alpha4 != 0 (_applies).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .fields import (
+    _TINY,
     AnsatzParams,
     _fields_vanish,
     _Magnitude,
@@ -267,7 +273,7 @@ class _Branch(NamedTuple):
     eta: Optional[int]
     xi: Optional[int]
     cone: bool  # exists only on the light cone omega = k c
-    wave: bool  # describes only rows with a running wave, |alpha4| > 1e-9
+    wave: bool  # describes only rows with a running wave, alpha4 != 0
     offset: Callable  # (lam, k, omega, g, c) -> five amplitudes
     directions: tuple  # one or two 0/+-1 vectors with no coordinate in common
 
@@ -303,6 +309,12 @@ _CONE = np.array([b.cone for b in _BRANCHES])
 _WAVE = np.array([b.wave for b in _BRANCHES])
 _DIRECTIONS = np.array([b.directions + ((0,) * 5,) * (2 - len(b.directions))
                         for b in _BRANCHES], dtype=float)
+# each branch's linear equations E (x - offset) = 0, E = I - sum_m d_m d_m^T / d_m . d_m
+# over its directions d_m, so that E (x - offset) = x - P(x) for the
+# projection P onto it that _projections takes
+_EQUATIONS = np.array([np.eye(5) - sum(np.outer(d, d) / d.dot(d)
+                                       for d in np.array(b.directions, dtype=float))
+                       for b in _BRANCHES])
 
 
 def _check_finite(couplings):
@@ -324,17 +336,31 @@ def _check_offsets(couplings, branches=_BRANCHES):
                              "it divides by g and by g c")
 
 
+def _on_cone(k, omega, c, tol) -> bool:
+    """Whether omega = k c to tol, judged on magnitudes in the atoms k and
+    omega / c: |omega / c - k| <= tol (|omega / c| + |k|). As in _Magnitude,
+    a bound below the normal floats counts as the smallest normal float;
+    an omega / c that overflows is nan here, off the cone."""
+    w = omega / c
+    return abs(w - k) / max(abs(w) + abs(k), _TINY) <= tol
+
+
+def _applies(x, on_cone: bool) -> np.ndarray:
+    """Which branches can describe each amplitude row of x, shape (n,
+    branches): a cone branch only on the light cone, a wave family only
+    where alpha4 != 0, a running wave; a vacuum point is the planes'."""
+    return (on_cone | ~_CONE) & ((x[:, 3:4] != 0.0) | ~_WAVE)
+
+
 def _projections(x, couplings, on_cone: bool):
     """The nearest points of every branch to every amplitude row of x, shape
     (n, branches, 5), and their distances, shape (n, branches).
 
-    The distance is inf where the branch cannot describe the row: off the
-    light cone for a cone branch, and for a wave family when
-    |alpha4| <= 1e-9, a vacuum point that the planes describe. A distance
-    that overflows reads as the largest float, so that it still beats a
-    branch that does not apply. A branch's directions are orthogonal, so
-    the least-squares parameter along d is d . (x - offset) / d . d; with
-    0/+-1 entries only its sums round.
+    The distance is inf where the branch cannot describe the row
+    (_applies). A distance that overflows reads as the largest float, so
+    that it still beats a branch that does not apply. A branch's
+    directions are orthogonal, so the least-squares parameter along d is
+    d . (x - offset) / d . d; with 0/+-1 entries only its sums round.
     """
     offsets = np.array([b.offset(*couplings) for b in _BRANCHES])
     r = x[:, None, :] - offsets
@@ -344,18 +370,31 @@ def _projections(x, couplings, on_cone: bool):
         points = np.where(d != 0.0, offsets + d * t[..., None], points)
     diff = points - x[:, None, :]
     dist = np.sqrt(sum(diff[..., j] * diff[..., j] for j in range(5)))
-    applies = (on_cone | ~_CONE) & ((np.abs(x[:, 3:4]) > 1e-9) | ~_WAVE)
-    return points, np.where(applies, np.fmin(dist, np.finfo(float).max), np.inf)
+    return points, np.where(_applies(x, on_cone), np.fmin(dist, np.finfo(float).max), np.inf)
 
 
 def _nearest(x, couplings):
     """The nearest branch of each amplitude row of x, with the light cone to
-    1e-9 relative: its table index, the point on it and the distance."""
+    1e-9 (_on_cone): its table index, the point on it and the distance."""
     lam, k, omega, g, c = couplings
-    points, dist = _projections(x, couplings, abs(omega - k * c) <= 1e-9 * max(1.0, abs(k * c)))
+    points, dist = _projections(x, couplings, _on_cone(k, omega, c, 1e-9))
     best = dist.argmin(axis=1)
     rows = np.arange(len(x))
     return best, points[rows, best], dist[rows, best]
+
+
+def _misfits(x, couplings) -> np.ndarray:
+    """Each branch's misfit at the amplitudes x, shape (branches,): the
+    largest of its equations |E (x - offset)| (_EQUATIONS), each over the
+    same sum on magnitudes, |E| (|x| + |offset|), as every verdict is
+    judged: no floor but _Magnitude's smallest normal float, and an
+    equation whose value is 0 reads 0. The dilation and the g rescale
+    scale x and the offsets alike, so no misfit moves."""
+    offsets = np.array([b.offset(*couplings) for b in _BRANCHES])
+    with np.errstate(all="ignore"):  # an overflow reads nan, which matches nothing
+        values = np.abs(np.einsum("bij,bj->bi", _EQUATIONS, x - offsets))
+        bounds = np.einsum("bij,bj->bi", np.abs(_EQUATIONS), np.abs(x) + np.abs(offsets))
+        return np.where(values == 0.0, 0.0, values / np.maximum(bounds, _TINY)).max(axis=1)
 
 
 def _build(family, k, omega, alpha4, lam, g, c, eta=None, xi=None) -> AnsatzParams:
@@ -402,7 +441,7 @@ def build_family_iii(k: float, omega: float, alpha4: float, lam: float,
     return _build("III", k, omega, alpha4, lam, g, c, eta)
 
 
-_PATTERN_TOL = 1e-6  # classify's branch match, relative (see classify)
+_PATTERN_TOL = 1e-6  # classify's branch misfit and light cone (see classify)
 _STATIC_SUMS = ("c1 + c2 - c3", "c4 + c5", "c7 + c8 + c9")  # named in _static_sums' order
 
 
@@ -441,10 +480,6 @@ def _judged(p: AnsatzParams, tol: float, normalized=None):
     return values, kind, tuple(i for i, v in enumerate(values, start=1) if not v <= tol)
 
 
-def _rel_close(a: float, b: float) -> bool:
-    return abs(a - b) <= _PATTERN_TOL * max(1.0, abs(a), abs(b))
-
-
 def _sign_suffix(eta, xi) -> str:  # ' eta=+1 xi=-1', the signs a branch has
     return "".join(f" {name}={v:+d}" for name, v in (("eta", eta), ("xi", xi)) if v is not None)
 
@@ -456,11 +491,13 @@ def classify(p: AnsatzParams, tol: float = 1e-9):
     PlaneSolution on the abelian-z plane, a TrivialZeroField for other
     solving configurations with vanishing fields (the pure-gauge plane
     among them), or a NotASolution listing the violated constraints. A
-    branch matches when the amplitudes and, where it needs it, the light
-    cone hold to _PATTERN_TOL (relative) on the branch table's projection.
-    Whether p solves is _judged's verdict, which verify's checks share
-    (the static conditions at k = omega = 0, else the nine). Raises
-    ClassificationError for a verified solution matching no catalogued
+    branch matches when it applies (_applies, with the light cone to
+    _PATTERN_TOL) and its misfit (_misfits) is at most _PATTERN_TOL;
+    within a label the smallest misfit wins, so that the signs are read
+    where lam dwarfs g alpha4. Whether p solves is _judged's verdict,
+    which verify's checks share (the static conditions at k = omega = 0,
+    else the nine). Raises ClassificationError, naming the nearest branch
+    (_projections), for a verified solution matching no catalogued
     pattern, and ValueError for g = 0.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -475,28 +512,31 @@ def classify(p: AnsatzParams, tol: float = 1e-9):
     if kind == "static conditions":
         return TrivialZeroField(note="static configuration, zero fields")
 
-    alphas = _values(p)[:5]
-    _check_offsets(_values(p)[5:])
-    points, dist = _projections(np.array([alphas]), _values(p)[5:],
-                                _rel_close(p.omega, p.k * p.c))
+    alphas, couplings = _values(p)[:5], _values(p)[5:]
+    _check_offsets(couplings)
+    x = np.array([alphas])
+    on_cone = _on_cone(p.k, p.omega, p.c, _PATTERN_TOL)
+    misfit = _misfits(x[0], couplings)
+    match = _applies(x, on_cone)[0] & (misfit <= _PATTERN_TOL)
     vanish = _fields_vanish(p, tol)
     # family III is pure gauge, the one family whose fields vanish
     for label in ("III",) if vanish else ("II", "I", "abelian-z"):
-        for branch, point, d in zip(_BRANCHES, points[0].tolist(), dist[0]):
-            if not (branch.label == label and d < math.inf
-                    and all(_rel_close(a, b) for a, b in zip(alphas, point))):
-                continue
-            if label == "abelian-z":
-                return PlaneSolution(label, alphas)
-            return FamilySolution(label, k=p.k, omega=p.omega, alpha4=p.alpha4, lam=p.lam,
-                                  g=p.g, c=p.c, eta=branch.eta, xi=branch.xi)
+        rows = np.flatnonzero(match & (_LABELS == label))
+        if not rows.size:
+            continue
+        if label == "abelian-z":
+            return PlaneSolution(label, alphas)
+        branch = _BRANCHES[rows[misfit[rows].argmin()]]
+        return FamilySolution(label, k=p.k, omega=p.omega, alpha4=p.alpha4, lam=p.lam,
+                              g=p.g, c=p.c, eta=branch.eta, xi=branch.xi)
     if vanish:
         return TrivialZeroField(note="zero fields")
-    near = int(dist[0].argmin())
+    dist = _projections(x, couplings, on_cone)[1][0]
+    near = int(dist.argmin())
     branch = _BRANCHES[near]
     raise ClassificationError(f"solution outside the catalogued patterns; nearest branch "
                               f"{branch.label}{_sign_suffix(branch.eta, branch.xi)} "
-                              f"at distance {dist[0, near]:.17g}")
+                              f"at distance {dist[near]:.17g}")
 
 
 # (harmonic, channel, sign) of c1..c9 among the oracle's fit coefficients:
@@ -765,11 +805,11 @@ def branch_projection(alphas, lam: float, k: float, omega: float, g: float,
     A one-row view of the branch table's projection: each branch is a
     line or plane in amplitude space, and its nearest point the exact
     least-squares fit of its free parameters. Branches that only exist on
-    the light cone are skipped when omega is off it, the wave families
-    when |alpha4| <= 1e-9. Ties go to the earlier branch in the order I,
-    II, III, abelian-z, pure-gauge. Raises ValueError unless the
-    amplitudes are five finite values and the couplings finite with g
-    and c nonzero.
+    the light cone are skipped when omega is off it (_on_cone, to 1e-9),
+    the wave families when alpha4 = 0 (_applies). Ties go to the earlier
+    branch in the order I, II, III, abelian-z, pure-gauge. Raises
+    ValueError unless the amplitudes are five finite values and the
+    couplings finite with g and c nonzero.
     """
     x = _check_alphas("alphas", alphas, (lam, k, omega, g, c))
     best, point, dist = _nearest(x[None, :], (lam, k, omega, g, c))

@@ -85,14 +85,15 @@ def nearest_branch(alphas, lam, k, omega, g, c=1.0):
 
     Each branch is a line or plane in amplitude space, projected onto by
     a closed-form least-squares fit of its free parameters. Branches of
-    the light cone count only on it, the wave families only for
-    |alpha4| > 1e-9; ties prefer I, II, III, abelian-z, pure-gauge in
-    that order.
+    the light cone count only on it, to 1e-9 of |omega / c| + |k| with no
+    floor, the wave families only for alpha4 != 0; ties prefer I, II,
+    III, abelian-z, pure-gauge in that order.
     """
     a1, a2, a3, a4, a5 = (float(v) for v in alphas)
     base3 = -lam / (2.0 * g)
-    on_cone = abs(omega - k * c) <= 1e-9 * max(1.0, abs(k * c))
-    wavelike = abs(a4) > 1e-9
+    speed = omega / c
+    on_cone = abs(speed - k) <= 1e-9 * (abs(speed) + abs(k))
+    wavelike = a4 != 0.0
     cand = {}
 
     def put(name, point):

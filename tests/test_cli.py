@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ymwaves.cli
@@ -23,6 +23,7 @@ from ymwaves.constraints import (
     ClassificationError,
     FamilySolution,
     NotASolution,
+    PlaneSolution,
     build_family_i,
     build_family_ii,
     build_family_iii,
@@ -219,26 +220,38 @@ def _configurations(draw):
 
 def _verdicts(p: AnsatzParams):
     """verify's judged kind and which of its constraint or static-condition
-    checks pass, then whether classify calls p a solution (None at g = 0)."""
+    checks pass, then the name classify gives p (None at g = 0): a family
+    and its signs, a plane's label, the violated indices, a trivial zero
+    field with its note, or 'unclassified'. The amplitudes and couplings
+    classify returns with the name are p's own, so they are left out."""
     args = ymwaves.cli._parser().parse_args(["verify", *_raw(p), "--grid", "0:0:1,0:0:1,0:0:1"])
     _, checks, kind, _ = ymwaves.cli._verify_checks(args)
     judged = [c.passes for c in checks[:-3]]
     if p.g == 0.0:
         return kind, judged, None
     try:
-        solves = not isinstance(ymwaves.constraints.classify(p), NotASolution)
+        out = ymwaves.constraints.classify(p)
     except ClassificationError:
-        solves = True
-    return kind, judged, solves
+        return kind, judged, "unclassified"
+    if isinstance(out, FamilySolution):
+        return kind, judged, (out.family, out.eta, out.xi)
+    if isinstance(out, PlaneSolution):
+        return kind, judged, out.label
+    if isinstance(out, NotASolution):
+        return kind, judged, out.violated
+    return kind, judged, out
 
 
 @settings(deadline=None)
 @given(_configurations(), st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e), st.booleans())
+# names that a match floored at 1 moves: to Family II, and to eta=+1
+@example(build_family_i(1.0, 1.0, 1.0, 1.0), 1e-6, True)
+@example(build_family_iii(1.0, 0.5, 1.0, 1.0, 1.0, -1), 1e-6, False)
 def test_verdicts_do_not_change_under_the_dilation_or_the_g_rescale(p, s, dilate):
     # (alpha, lam, k, omega) -> s (alpha, lam, k, omega) multiplies every
     # constraint and every bound by s^3, and (alpha, g) -> (alpha / s, g s)
-    # divides both by s, so no verdict may move; the branch classify names
-    # is not pinned, since its pattern match keeps a floor (_rel_close)
+    # divides both by s, so no verdict may move, nor the branch classify
+    # names: its equations and their bounds scale alike
     if dilate:
         q = replace(p, **{name: s * getattr(p, name)
                           for name in (*_AMPLITUDES, "lam", "k", "omega")})
@@ -293,6 +306,15 @@ def test_classify_names_the_abelian_z_plane_near_its_alpha5_edge(capsys):
       "--g", "1.3"], "family III eta=+1 (k=5, omega=0.29999999999999999, alpha4=3)\n"),
     (["--family", "II", "--k", "100", "--lambda", "1e6", "--g", "1e-3", "--alpha4", "1"],
      "family II eta=+1 xi=+1 (k=100, omega=100, alpha4=1)\n"),
+    # a wave however small is a wave: alpha4 != 0
+    (["--family", "II", "--alpha4", "1e-12"],
+     "family II eta=+1 xi=+1 (k=1, omega=1, alpha4=9.9999999999999998e-13)\n"),
+    (["--family", "I", "--alpha4", "1e-12"],
+     "family I (k=1, omega=1, alpha4=9.9999999999999998e-13)\n"),
+    # xi = +1 misfits by 2e-14 here, within _PATTERN_TOL, but xi = -1 by less
+    *((["--family", "II", "--alpha4", "1e-3", "--k", "1e-2", "--lambda", "1e8", "--g", "1e-3",
+        "--xi", "-1", "--eta", eta],
+       f"family II eta={eta} xi=-1 (k=0.01, omega=0.01, alpha4=0.001)\n") for eta in ("+1", "-1")),
 ])
 def test_classify_names_a_family_whose_lambda_cancels(argv, want, capsys):
     assert run(["classify", *argv], capsys)[:2] == (0, want)
@@ -431,9 +453,10 @@ def _profile_matches_its_closed_form(out, k, alpha4, n=256):
     assert max(float(r["abs_diff"]) for r in rows) <= 1e-12 * (1.0 + k * k * alpha4 * alpha4)
 
 
-# catalogued waves that classify does not name: the first two cancel
-# lambda against 2 g alpha3 and read as not a solution, the third's fields
-# are within its tolerance of zero; the profile is the family's all the same
+# catalogued waves at the edges of classify's branch match (which names
+# each, see test_classify_names_a_family_whose_lambda_cancels): the first
+# two cancel lambda against 2 g alpha3, the third's alpha4 is 1e-12; the
+# profile is that of the family the flags build
 @pytest.mark.parametrize("family, alpha4, couplings", [
     ("I", 3.0, ["--k", "5", "--lambda", "1e8", "--g", "1.3"]),
     ("II", 1.0, ["--k", "100", "--lambda", "1e6", "--g", "1e-3"]),

@@ -20,6 +20,8 @@ from ymwaves.constraints import (
     _FACTORS,
     _POWERS,
     _STARTS,
+    _applies,
+    _misfits,
     _projections,
     _static_sums,
     _substitute,
@@ -178,7 +180,9 @@ def test_every_branch_solves_the_constraints(branch, lam, k, g, c, omega, free):
     points, dist = _projections(point[None, :], couplings, True)
     row = _BRANCHES.index(branch)
     assert np.max(np.abs(points[0, row] - point)) <= 1e-12
-    if abs(point[3]) > 1e-9 or not branch.wave:
+    # its own equations hold to rounding, judged on their magnitudes
+    assert _misfits(point, couplings)[row] <= 4.0 * np.finfo(float).eps
+    if _applies(point[None, :], True)[0, row]:
         assert dist[0, row] <= 1e-12
         assert branch_projection(point, *couplings)[2] <= 1e-12
 

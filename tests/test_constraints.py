@@ -373,6 +373,14 @@ def test_classify_agrees_with_scan_labels(lam, k, omega, g):
             assert out.params() == p
 
 
+def test_a_tiny_wave_number_off_the_cone_names_no_cone_branch():
+    # omega = 2 k c is off the light cone at every size: Families I and II
+    # and the abelian-z plane exist only on it
+    rows = [r for r in scan_families(200, k=1e-12, omega=2e-12) if r.converged]
+    assert rows
+    assert not {r.label for r in rows} & {"I", "II", "abelian-z"}
+
+
 # The scan stops Newton at _SNAP_STOP, snaps, and resumes the rows no
 # branch explains to _TOL. At omega = -1, whose light cone roots the
 # catalogue does not yet hold, many rows take that path; at omega = 1/2
