@@ -77,22 +77,27 @@ def _fmt(x: float) -> str:
     return _FMT % x
 
 
-def _add_shared_flags(sp):  # the couplings and --out, the flags of every command
+# the couplings and --out, the flags of every command; a Family I or II wave
+# alone (family_wave) reads omega / c = k alone, so takes no --omega or --c
+def _add_shared_flags(sp, family_wave=False):
     sp.add_argument("--k", type=float, default=1.0, help="wave number (default 1)")
-    sp.add_argument("--omega", type=float, default=None,
-                    help="frequency; defaults to k*c, family III takes it freely")
+    if not family_wave:
+        sp.add_argument("--omega", type=float, default=None,
+                        help="frequency; defaults to k*c, family III takes it freely")
     sp.add_argument("--lambda", dest="lam", type=float, default=0.0,
                     help="frame rotation rate (default 0)")
     sp.add_argument("--g", type=float, default=1.0, help="coupling (default 1)")
-    sp.add_argument("--c", type=float, default=1.0, help="wave speed (default 1)")
+    if not family_wave:
+        sp.add_argument("--c", type=float, default=1.0, help="wave speed (default 1)")
     sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
-def _add_config_flags(sp, amplitudes=range(1, 6), tol=True):
+def _add_config_flags(sp, family_wave=False, tol=True):
     sp.add_argument("--family", choices=("I", "II", "III"),
                     help="build the configuration from a family's free parameters")
-    _add_shared_flags(sp)
-    for i in amplitudes:  # a raw amplitude not given is absent from the namespace
+    _add_shared_flags(sp, family_wave)
+    # a family wave reads alpha4 alone; a raw amplitude not given is absent
+    for i in (4,) if family_wave else range(1, 6):
         sp.add_argument(f"--alpha{i}", type=float, default=0.0 if i == 4 else argparse.SUPPRESS,
                         help=f"amplitude alpha{i}" + (" (not with --family)" if i != 4 else ""))
     sp.add_argument("--eta", type=int, choices=(1, -1), default=1,
@@ -120,11 +125,6 @@ def _omega(k, omega, c, family=None) -> float:
     return kc
 
 
-def _family(args) -> FamilySolution:  # a family ignores the signs it does not have
-    return FamilySolution(args.family, args.k, _omega(args.k, args.omega, args.c, args.family),
-                          args.alpha4, args.lam, args.g, args.c, args.eta, args.xi)
-
-
 def _build_params(args) -> AnsatzParams:
     if args.family is None:
         return AnsatzParams(*(getattr(args, f"alpha{i}", 0.0) for i in range(1, 6)), args.lam,
@@ -133,7 +133,9 @@ def _build_params(args) -> AnsatzParams:
     if given:
         raise ValueError(f"--family {args.family} builds every amplitude from --alpha4, "
                          f"not {given}")
-    return _family(args).params()
+    # a family ignores the signs it does not have
+    return FamilySolution(args.family, args.k, _omega(args.k, args.omega, args.c, args.family),
+                          args.alpha4, args.lam, args.g, args.c, args.eta, args.xi).params()
 
 
 def _parse_grid(text: str):
@@ -377,10 +379,12 @@ def _check_cancellation(p: AnsatzParams, atom: float):
 
 def cmd_energy_profile(args) -> int:
     """The density of the Family I or II wave that the flags build, as
-    _build_params does, next to its closed form over one period, as CSV."""
+    _build_params does, next to its closed form over one period, as CSV.
+    The wave reads omega / c = k alone, so it is built at c = 1."""
     if args.family not in ("I", "II"):
         raise ValueError("energy-profile needs --family I or II")
-    sol = _family(args)
+    sol = FamilySolution(args.family, args.k, args.k, args.alpha4, args.lam, args.g, 1.0,
+                         args.eta, args.xi)
     p = sol.params()  # built first, so that a build error keeps its own wording
     try:  # the sweep is checked whole before the first row is written
         blocks = _profile_blocks(p, sol, args.theta_samples)
@@ -424,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="t0:t1:n,y0:y1:n,z0:z1:n evaluation grid")
 
     sp = sub.add_parser("energy-profile", help="CSV of the density over one period")
-    _add_config_flags(sp, amplitudes=(4,), tol=False)  # it needs --family, so reads only alpha4
+    _add_config_flags(sp, family_wave=True, tol=False)  # it needs --family I or II
     sp.add_argument("--theta-samples", type=int, default=256,
                     help="number of phase samples (default 256)")
 

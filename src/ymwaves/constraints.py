@@ -467,14 +467,13 @@ def _static_conditions(p: AnsatzParams) -> np.ndarray:
     return _normalized(values, bounds, _STATIC_SUMS)
 
 
-def _judged(p: AnsatzParams, tol: float, normalized=None):
+def _judged(p: AnsatzParams, tol: float, normalized):
     """What classify and verify judge against tol, its kind and the 1-based
     indices of the values not within tol: a frozen phase's static
     conditions, over which the nine are over-strong, or else the nine
-    normalized constraints (normalized, when the caller has them). The
-    nine come first, so that an overflow in them is named as verify names it."""
-    values = normalized_constraints(p) if normalized is None else normalized
-    kind = "constraints"
+    normalized constraints, normalized. The caller takes the nine first,
+    so that an overflow in them is named as verify names it."""
+    values, kind = normalized, "constraints"
     if p.k == 0.0 and p.omega == 0.0:
         values, kind = _static_conditions(p), "static conditions"
     return values, kind, tuple(i for i, v in enumerate(values, start=1) if not v <= tol)
@@ -505,7 +504,7 @@ def classify(p: AnsatzParams, tol: float = 1e-9):
     if p.g == 0.0:
         raise ValueError("family classification requires g != 0")
 
-    values, kind, bad = _judged(p, tol)
+    values, kind, bad = _judged(p, tol, normalized_constraints(p))
     if bad:  # the static conditions are sums of constraints; none is named
         return NotASolution(violated=bad if kind == "constraints" else (),
                             worst=float(np.max(values)))
@@ -593,7 +592,7 @@ def _oracle_fit(p: AnsatzParams):
         t, z = (0.0, th / p.k) if use_z else ((p.k * 0.3 - th) / p.omega, 0.3)
     coords = np.array(np.broadcast_arrays(t, 0.17, y, z))  # at x = 0.17
 
-    ga, am = _numeric_residuals(p, coords)
+    ga, am, _ = _numeric_residuals(p, coords)
     with np.errstate(all="ignore"):
         frame = p.lam * y
         # gauss, ampere e_x, e_y, e_z on the frame: (Sx, Sy, Sz, channel, sample)

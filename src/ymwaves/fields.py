@@ -400,27 +400,18 @@ class _Grid:
                 for start in range(0, n, _GRID_BLOCK))
 
     def angle_blocks(self, p: AnsatzParams):
-        """The cos and sin of the grid's phases in chunks of at most
-        _GRID_BLOCK: each a row over (t, z) pairs, t slower, every pair once.
+        """The cos and sin of the grid's phases, each (t, z) pair once, t
+        slower: the blocks of the grid's (t, z) plane, the grid with a
+        single y = 0.
 
         A point's phase depends on it only through its (t, z) pair, so the
-        trigonometry runs on the nt nz phases, not on the nt ny nz points,
-        and no frame angle is taken (see residuals._max_analytic_norm).
-        Each phase rounds as in _rows. Checks the whole grid (check),
-        frame angles included, before any chunk is made.
+        trigonometry runs on the nt nz phases, not on the nt ny nz points
+        (see residuals._max_analytic_norm). Checks the whole grid (check),
+        frame angles included, before the plane's blocks are made.
         """
         self.check(p)
-        nt, nz = self.t.count, self.z.count
-        per_z = min(nz, _GRID_BLOCK)
-        per_t = _GRID_BLOCK // per_z
-
-        def chunks():
-            for t0 in range(0, nt, per_t):
-                t = self.t.at(np.arange(t0, min(t0 + per_t, nt)))[:, None]
-                for z0 in range(0, nz, per_z):
-                    z = self.z.at(np.arange(z0, min(z0 + per_z, nz)))
-                    yield _cos_sin(_phase(p, t, z).ravel())
-        return chunks()
+        plane = _Grid(self.t, _Axis(0.0, 0.0, 1), self.z)
+        return ((r.cos_th, r.sin_th) for r in plane.blocks(p))
 
 
 def _field_columns(p: AnsatzParams, rows: _Rows):

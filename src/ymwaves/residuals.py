@@ -43,7 +43,8 @@ Both routes run on numpy columns, the points a (4, n) array of t, x, y,
 z. The numeric route evaluates E and B once over the block of its
 points (fields._stencil), phi and A once at the points, and takes
 every derivative, commutator and norm on the arrays with su2's triple
-algebra (_numeric_residuals), the homogeneous equations' too when asked.
+algebra (_numeric_residuals), gauss, ampere and the homogeneous
+equations in every call.
 The one-point functions are views of these columns and round as a
 point-by-point evaluation.
 """
@@ -65,12 +66,11 @@ from .fields import (
     _angles,
     _commutators,
     _coordinates,
-    _cos_sin,
     _derivative,
     _field_columns,
     _Grid,
-    _phase,
     _potential_columns,
+    _rows,
     _stacked,
     _stencil,
     _step,
@@ -177,17 +177,17 @@ def _polynomials(a1, a2, x, a4, a5, k, w, g) -> ConstraintVector:
 
 # (A x B)_i = A_j B_k - A_k B_j for the cyclic (i, j, k): j and k per i
 _J, _K = [1, 2, 0], [2, 0, 1]
-_J1, _K1 = [1 + j for j in _J], [1 + k for k in _K]  # j and k among the axes t, x, y, z
+# (curl F)_i = d_j F_k - d_k F_j for F = E, then B: the entries d_j F_k,
+# then d_k F_j, of their derivatives flattened as (component, axis t x y z)
+_CURL = [np.array([4 * (f + a) + 1 + b for f in (0, 3) for b, a in zip(*pair)])
+         for pair in ((_J, _K), (_K, _J))]
 # The commutators of _commutator_terms as pairs of rows of the _fields_at
-# array (phi, A, E, B), each for i = x, y, z: A_i with E_i, A_j with B_k,
-# A_k with B_j and phi with E_i, the twelve of gauss and ampere; then phi
-# with B_i, A_j with E_k and A_k with E_j, the nine more of the
-# homogeneous equations
-_LEFT = np.array([1, 2, 3, *(1 + j for j in _J), *(1 + k for k in _K), 0, 0, 0,
-                  0, 0, 0, *(1 + j for j in _J), *(1 + k for k in _K)])
-_RIGHT = np.array([4, 5, 6, *(7 + k for k in _K), *(7 + j for j in _J), 4, 5, 6,
-                   7, 8, 9, *(4 + k for k in _K), *(4 + j for j in _J)])
-_EQUATIONS = 12  # the slots of gauss and ampere
+# array (phi, A, E, B), each for i = x, y, z: A_i with E_i, phi with E_i,
+# phi with B_i, A_j with B_k, A_j with E_k, A_k with B_j and A_k with E_j;
+# gauss and ampere take twelve, the homogeneous equations the other nine
+_LEFT = np.array([1, 2, 3, 0, 0, 0, 0, 0, 0, *(1 + j for j in _J * 2), *(1 + k for k in _K * 2)])
+_RIGHT = np.array([4, 5, 6, 4, 5, 6, 7, 8, 9, *(7 + k for k in _K), *(4 + k for k in _K),
+                   *(7 + j for j in _J), *(4 + j for j in _J)])
 
 
 def _vector_at(v: np.ndarray) -> ColorVector:
@@ -195,24 +195,20 @@ def _vector_at(v: np.ndarray) -> ColorVector:
     return ColorVector(*(LieElement(*c) for c in v.T.tolist()))
 
 
-def _commutator_terms(g: float, fields: np.ndarray, homogeneous: bool = False):
+def _commutator_terms(g: float, fields: np.ndarray):
     """-i g (A . E - E . A), its components summed in order as LieElements
-    would sum them, and -i g ([phi, E] + A x B + B x A), from phi and the
-    components of A, E and B as one array (see _fields_at); with
-    homogeneous, also the commutator terms of Faraday's law (see
-    _numeric_residuals). The commutators (_LEFT, _RIGHT), twelve or all
-    twenty-one, are taken in one stacked call; at g = 0 every term is
-    zero."""
-    slots = len(_LEFT) if homogeneous else _EQUATIONS
-    comm = _commutators(g, fields.take(_LEFT[:slots], axis=1),
-                        fields.take(_RIGHT[:slots], axis=1))
-    terms = g * comm[:, 0:3]
-    # -i g (A x B + B x A)_i = g eps_ijk su2._commutator(A_j, B_k)
-    cross = g * (comm[:, 3:6] - comm[:, 6:9])
-    out = (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2], cross + g * comm[:, 9:12])
-    if homogeneous:  # -g su2._commutator(phi, B_i) + g eps_ijk su2._commutator(A_j, E_k)
-        out += (g * (comm[:, 15:18] - comm[:, 18:21]) - g * comm[:, 12:15],)
-    return out
+    would sum them, -i g ([phi, E] + A x B + B x A), and the commutator
+    terms of Faraday's law (see _numeric_residuals), from phi and the
+    components of A, E and B as one array (see _fields_at). All twenty-one
+    commutators (_LEFT, _RIGHT) are taken in one stacked call; at g = 0
+    every term is zero."""
+    comm = _commutators(g, fields.take(_LEFT, axis=1), fields.take(_RIGHT, axis=1))
+    terms = g * comm[:, :9]
+    # -i g (A x B + B x A)_i = g eps_ijk su2._commutator(A_j, B_k), and so
+    # with E; Faraday's takes -g su2._commutator(phi, B_i)
+    cross = g * (comm[:, 9:15] - comm[:, 15:21])
+    return (0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2], cross[:, :3] + terms[:, 3:6],
+            cross[:, 3:] - terms[:, 6:9])
 
 
 def _point_fields(p: AnsatzParams, s: SpacetimePoint) -> np.ndarray:
@@ -222,14 +218,21 @@ def _point_fields(p: AnsatzParams, s: SpacetimePoint) -> np.ndarray:
     return _stacked([phi, *a, *(c.coeffs() for v in (e, b) for c in v.components())])
 
 
+def _point_terms(p: AnsatzParams, s: SpacetimePoint):
+    """_commutator_terms at s, overflowing to inf or NaN silently as floats do."""
+    fields = _point_fields(p, s)
+    with np.errstate(all="ignore"):
+        return _commutator_terms(p.g, fields)
+
+
 def gauss_commutator_term(p: AnsatzParams, s: SpacetimePoint) -> LieElement:
     """Exact -i g (A . E - E . A) with the closed-form E; zero at g = 0."""
-    return LieElement(*_commutator_terms(p.g, _point_fields(p, s))[0].tolist())
+    return LieElement(*_point_terms(p, s)[0].tolist())
 
 
 def ampere_commutator_term(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
     """Exact -i g ([phi, E] + A x B + B x A) with closed-form fields; zero at g = 0."""
-    return _vector_at(_commutator_terms(p.g, _point_fields(p, s))[1])
+    return _vector_at(_point_terms(p, s)[1])
 
 
 def _fields_at(p: AnsatzParams, rows) -> np.ndarray:
@@ -246,15 +249,14 @@ def _fields_at(p: AnsatzParams, rows) -> np.ndarray:
     return fields
 
 
-def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, homogeneous: bool = False):
+def _numeric_residuals(p: AnsatzParams, coords: np.ndarray):
     """Numeric-mode gauss and ampere residuals at every point of coords,
-    shape (4, n), as arrays of shape (3, n) and (3, 3, n); with
-    homogeneous, then the homogeneous equations' residuals of the same
-    shapes, div B and Faraday's (1/c) dB/dt + curl E + i g ([A_0, B] -
-    A x E - E x A) with A_0 = phi, from the same derivatives and one
-    stacked commutator call. D . B drops its commutator term, -i g (A . B -
-    B . A): A has no e_x part and B nothing else, so it vanishes
-    identically for this ansatz.
+    shape (4, n), as arrays of shape (3, n) and (3, 3, n), then the
+    homogeneous equations' residuals of the same shapes, div B and
+    Faraday's (1/c) dB/dt + curl E + i g ([A_0, B] - A x E - E x A) with
+    A_0 = phi, from the same derivatives and one stacked commutator call.
+    D . B drops its commutator term, -i g (A . B - B . A): A has no e_x
+    part and B nothing else, so it vanishes identically for this ansatz.
 
     E and B are evaluated once over the block of the points and their
     complex steps, phi and A once at the points (_fields_at).
@@ -263,24 +265,25 @@ def _numeric_residuals(p: AnsatzParams, coords: np.ndarray, homogeneous: bool = 
     rows = _stencil(p, coords, h)
     with np.errstate(all="ignore"):
         fields = _fields_at(p, rows)
-        # d[:, i, mu] = d_mu E_i at the points, then d_mu B_i
+        # d[:, i, mu] = d_mu E_i at the points, then d_mu B_i; below, E's
+        # div, curl and (1/c) d/dt, then B's, at once
         d = _derivative(fields[:, 4:], h)
-        de, db = d[:, :3], d[:, 3:]
-        comm = _commutator_terms(p.g, fields[:, :, 0].real, homogeneous)
-        gauss = de[:, 0, 1] + de[:, 1, 2] + de[:, 2, 3] + comm[0]
-        curl = db[:, _K, _J1] - db[:, _J, _K1]
-        ampere = (-1.0 / p.c) * de[:, :, 0] + curl + comm[1]
-        if not homogeneous:
-            return gauss, ampere
-        div_b = db[:, 0, 1] + db[:, 1, 2] + db[:, 2, 3]
-        faraday = (1.0 / p.c) * db[:, :, 0] + (de[:, _K, _J1] - de[:, _J, _K1]) + comm[2]
-    return gauss, ampere, (div_b, faraday)
+        div = d[:, 0::3, 1] + d[:, 1::3, 2] + d[:, 2::3, 3]
+        flat = d.reshape(3, 24, -1)
+        curl = flat.take(_CURL[0], axis=1) - flat.take(_CURL[1], axis=1)
+        rate = (1.0 / p.c) * d[:, :, 0]
+        comm = _commutator_terms(p.g, fields[:, :, 0].real)
+        # curl B - (1/c) dE/dt rounds as -(1/c) dE/dt + curl B
+        ampere = curl[:, 3:] - rate[:, :3] + comm[1]
+        faraday = rate[:, 3:] + curl[:, :3] + comm[2]
+    return div[:, 0] + comm[0], ampere, (div[:, 1], faraday)
 
 
 def _largest_norm(scalar: np.ndarray, vector: np.ndarray) -> float:
     """The largest over the points of sqrt(|scalar|^2 + |vector|^2), a
-    residual of shape (3, n) beside one of shape (3, 3, n), summed as
-    residual_sample sums it."""
+    residual of shape (3, n) beside one of shape (3, 3, n): the one norm of
+    the numeric residuals, of residual_sample, verify and bianchi_residual
+    alike, summed as LieElement and ColorVector sum it."""
     with np.errstate(all="ignore"):
         v = _norm_squared(vector)
         norms = np.sqrt(_norm_squared(scalar) + (v[0] + v[1] + v[2]))
@@ -291,7 +294,7 @@ def _largest_norm(scalar: np.ndarray, vector: np.ndarray) -> float:
 def _max_numeric_norms(p: AnsatzParams, coords: np.ndarray):
     """The largest numeric residual norm over the points of coords, then that
     of the homogeneous residual, from one _numeric_residuals."""
-    gauss, ampere, homogeneous = _numeric_residuals(p, coords, homogeneous=True)
+    gauss, ampere, homogeneous = _numeric_residuals(p, coords)
     return _largest_norm(gauss, ampere), _largest_norm(*homogeneous)
 
 
@@ -363,7 +366,7 @@ def bianchi_residual(p: AnsatzParams, s: SpacetimePoint) -> float:
     for any parameters. A one-point view of verify's Bianchi line
     (_max_numeric_norms), bit for bit; its complex steps truncate
     nothing, so the value is rounding alone."""
-    return _largest_norm(*_numeric_residuals(p, _coordinates([s]), homogeneous=True)[2])
+    return _largest_norm(*_numeric_residuals(p, _coordinates([s]))[2])
 
 
 @dataclass(frozen=True)
@@ -383,9 +386,9 @@ def residual_sample(p: AnsatzParams, s: SpacetimePoint, mode: str = "analytic") 
     if mode == "analytic":
         ga, am, norm = _residuals_at(p, s)
     elif mode == "numeric":
-        gauss, ampere = _numeric_residuals(p, _coordinates([s]))
+        gauss, ampere, _ = _numeric_residuals(p, _coordinates([s]))
         ga, am = LieElement(*gauss[:, 0].tolist()), _vector_at(ampere[:, :, 0])
-        norm = math.sqrt(ga.norm_squared() + am.norm_squared())
+        norm = _largest_norm(gauss, ampere)
     else:
         raise ValueError(f"mode must be one of ('analytic', 'numeric'), got {mode!r}")
     return ResidualSample(gauss=ga, ampere=am, point=s, norm=norm)
@@ -408,7 +411,6 @@ def max_residual_norm(p: AnsatzParams, points) -> float:
     coords = _coordinates(list(points))
     if not coords.size:
         raise ValueError("max_residual_norm needs at least one point; the point list is empty")
-    t, _, _, z = coords
     with np.errstate(all="ignore"):  # a phase that overflows leaves a norm not finite
-        angles = _cos_sin(_phase(p, t, z))
-    return _max_analytic_norm(_harmonics(*_values(p)), [angles])
+        rows = _rows(p, coords)
+    return _max_analytic_norm(_harmonics(*_values(p)), [(rows.cos_th, rows.sin_th)])

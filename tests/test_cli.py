@@ -596,7 +596,7 @@ def test_scan_rejects_flags_it_does_not_read(extra, capsys):
 @pytest.mark.parametrize("command, flag", [
     ("verify", "--h"), ("classify", "--h"), ("fields", "--h"), ("fields", "--tol"),
     ("energy-profile", "--h"),
-    ("energy-profile", "--tol"),
+    ("energy-profile", "--tol"), ("energy-profile", "--omega"), ("energy-profile", "--c"),
     *(("energy-profile", f"--alpha{i}") for i in (1, 2, 3, 5)),
 ])
 def test_commands_reject_flags_they_do_not_read(command, flag, tmp_path, capsys):
@@ -618,8 +618,9 @@ def test_each_command_takes_exactly_the_flags_it_reads():
         "classify": config + ["--tol"],
         "scan": shared + ["--seeds", "--seed"],
         "fields": config + ["--grid"],
-        "energy-profile": [f for f in config if f not in ("--alpha1", "--alpha2", "--alpha3",
-                                                          "--alpha5")]
+        # a Family I or II wave reads omega / c = k alone
+        "energy-profile": [f for f in config if f not in ("--omega", "--c", "--alpha1",
+                                                          "--alpha2", "--alpha3", "--alpha5")]
         + ["--theta-samples"],
     }
     (sub,) = [a for a in ymwaves.cli.build_parser()._actions
@@ -713,7 +714,7 @@ def test_a_coupling_whose_square_overflows_is_named(command, extra, names, capsy
 
 
 # every command that forms omega = k*c when --omega is not given, for raw
-# amplitudes and for a family
+# amplitudes and for a family, and energy-profile, which refuses --c
 WAVE_SPEED_CONFIGS = [
     *([command, "--alpha4", "1"] for command in ("verify", "classify", "fields")),
     *([command, "--family", "II", "--alpha4", "1"]
@@ -722,16 +723,32 @@ WAVE_SPEED_CONFIGS = [
 ]
 
 
+def _refuses(argv, flag, capsys):
+    """Whether the CLI refuses argv as a usage error that names flag, before
+    any output: energy-profile takes no --omega or --c, since a Family I or
+    II profile reads omega / c = k alone."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code == 2 and out == "" and f"unrecognized arguments: {flag}" in err
+
+
 @pytest.mark.parametrize("config", WAVE_SPEED_CONFIGS, ids=" ".join)
 @pytest.mark.parametrize("c", ["inf", "-inf", "nan"])
 def test_a_bad_wave_speed_is_named_before_k_c(config, c, capsys):
     # omega = k*c would be inf or nan too, but the user gave --c, not --omega
+    if config[0] == "energy-profile":
+        assert _refuses([*config, f"--c={c}"], f"--c={c}", capsys)
+        return
     code, out, err = run([*config, f"--c={c}"], capsys)
     assert (code, out, err) == (2, "", f"error: c must be finite, got {float(c)!r}\n")
 
 
 @pytest.mark.parametrize("config", WAVE_SPEED_CONFIGS, ids=" ".join)
 def test_a_wave_frequency_k_c_that_overflows_is_named(config, capsys):
+    if config[0] == "energy-profile":
+        assert _refuses([*config, "--k", "1e200", "--c=-1e200"], "--c=-1e200", capsys)
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run([*config, "--k", "1e200", "--c=-1e200"], capsys)
@@ -834,6 +851,10 @@ def test_fields_bad_grid_writes_nothing(extra, message, tmp_path, capsys):
 @pytest.mark.parametrize("family", ["I", "II"])
 def test_family_omega_must_be_k_c(command, family, capsys):
     base = [command, "--family", family, "--alpha4", "1", "--k", "2"]
+    if command == "energy-profile":  # it takes no --omega, even at k c
+        assert _refuses(base + ["--omega", "3"], "--omega 3", capsys)
+        assert _refuses(base + ["--omega", "2"], "--omega 2", capsys)
+        return
     code, out, err = run(base + ["--omega", "3"], capsys)
     assert code == 2
     assert err.startswith("error: ") and "--omega 3 differs" in err

@@ -200,14 +200,14 @@ def test_analytic_chunks_hold_at_most_a_block(block, monkeypatch):
 
 def test_verify_takes_trig_on_distinct_phases_and_frame_angles(monkeypatch, capsys):
     # only verify's analytic residual is counted, not its numeric or
-    # Bianchi stencils: phases are taken on rows over (t, z) pairs, and no
-    # frame angle is taken at all
-    inside, phases, frames = [], [], []
+    # Bianchi stencils: phases are taken on rows over (t, z) pairs, and
+    # frame angles on the same rows alone, those of the (t, z) plane at y = 0
+    inside, sizes = [], []
     real_trig, real_max = ymwaves.fields._cos_sin, ymwaves.cli._max_analytic_norm
 
     def trig(angle):
         if inside:
-            (frames if angle.ndim == 2 else phases).append(angle.size)
+            sizes.append(angle.size)
         return real_trig(angle)
 
     def analytic(cv, chunks):
@@ -220,11 +220,11 @@ def test_verify_takes_trig_on_distinct_phases_and_frame_angles(monkeypatch, caps
     monkeypatch.setattr(ymwaves.cli, "_max_analytic_norm", analytic)
     for grid in (DEFAULT_GRID, FINE_GRID, "0:1:3,-1:1:1,0:6:400"):
         (_, _, nt), (_, _, ny), (_, _, nz) = _parse_grid(grid)
-        phases.clear()
-        frames.clear()
+        sizes.clear()
         assert main(["verify", "--family", "II", "--k", "1.3", "--alpha4", "0.8",
                      "--lambda", "0.4", "--g", "1.2", "--xi", "-1", "--grid", grid]) == 0
-        assert sum(phases) == nt * nz and frames == []
+        phases, frames = sizes[0::2], sizes[1::2]  # each block's phases, then its frame angles
+        assert sum(phases) == nt * nz and frames == phases
         assert max(phases) <= ymwaves.fields._GRID_BLOCK
     capsys.readouterr()
 

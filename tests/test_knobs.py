@@ -9,6 +9,10 @@ constant. A call sets a parameter by keyword, or by position when it
 passes that many positional arguments; a call with *args or **kwargs
 sets every parameter. Functions are matched to calls by name alone, as
 f(...) or m.f(...).
+
+A private function's default must be both set and read by src/ itself:
+a default that no call sets is a switch nobody flips, and one that every
+call sets is a default nobody reads.
 """
 
 import ast
@@ -61,10 +65,8 @@ def _sets(call: ast.Call, position: int | None, name: str) -> bool:
     return position is not None and position < len(call.args)
 
 
-def unset_knobs(modules: dict[str, str], callers: list[str]) -> list[str]:
-    """'module.function(parameter)' for every defaulted parameter of a
-    function in a module's __all__ (module name -> source) that no call in
-    callers (sources) sets."""
+def _calls(callers: list[str]) -> dict[str, list[ast.Call]]:
+    """The calls in callers (sources) by the name of the function called."""
     calls = {}
     for source in callers:
         for node in ast.walk(ast.parse(source)):
@@ -72,11 +74,38 @@ def unset_knobs(modules: dict[str, str], callers: list[str]) -> list[str]:
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def unset_knobs(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """'module.function(parameter)' for every defaulted parameter of a
+    function in a module's __all__ (module name -> source) that no call in
+    callers (sources) sets."""
+    calls = _calls(callers)
     return sorted(f"{module}.{fn.name}({param})"
                   for module, source in modules.items()
                   for fn in _exported_functions(source)
                   for position, param in _defaulted(fn)
                   if not any(_sets(call, position, param) for call in calls.get(fn.name, ())))
+
+
+def idle_private_defaults(modules: dict[str, str]) -> list[str]:
+    """'module.function(parameter): reason' for every defaulted parameter of
+    a top-level private function of the modules (module name -> source)
+    that no call in the modules sets, or that every call sets."""
+    calls = _calls(list(modules.values()))
+    out = []
+    for module, source in modules.items():
+        for fn in ast.parse(source).body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")):
+                continue
+            for position, param in _defaulted(fn):
+                sets = [_sets(call, position, param) for call in calls.get(fn.name, ())]
+                if not any(sets):
+                    out.append(f"{module}.{fn.name}({param}): never set")
+                elif all(sets):
+                    out.append(f"{module}.{fn.name}({param}): never read")
+    return sorted(out)
 
 
 def test_every_public_default_is_set_by_a_caller():
@@ -91,3 +120,16 @@ def test_the_check_sees_an_unset_knob():
               "def _h(y=1):\n    pass\n")
     callers = ["import m\nm.f(0, 1, e=5)\n", "g(*xs)\n"]
     assert unset_knobs({"m": module}, callers) == ["m.f(c)", "m.f(d)"]
+
+
+def test_every_private_default_is_set_and_read_in_src():
+    assert idle_private_defaults({p.stem: p.read_text() for p in SRC}) == []
+
+
+def test_the_check_sees_an_idle_private_default():
+    module = ("def _f(a, b=1, c=2, *, d=3):\n    pass\n\n"
+              "def _g(x=1):\n    pass\n\n"
+              "def h(y=1):\n    pass\n\n"
+              "_f(0)\n_f(0, 1, d=4)\n_g(2)\nh()\n")
+    assert idle_private_defaults({"m": module}) == ["m._f(c): never set",
+                                                   "m._g(x): never read"]

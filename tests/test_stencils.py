@@ -10,6 +10,7 @@ for value. The complex step must give the closed forms' own derivatives.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,14 +46,19 @@ from ymwaves.fields import (
     _stencil,
     _step,
     _values,
+    electric_field_analytic,
     field_coefficient_groups,
     field_strength,
+    magnetic_field_analytic,
 )
+from ymwaves.observables import energy_density
 from ymwaves.residuals import (
     _max_numeric_norms,
     ampere_commutator_term,
+    ampere_residual,
     bianchi_residual,
     gauss_commutator_term,
+    gauss_residual,
     grid_points,
     residual_sample,
 )
@@ -229,6 +235,29 @@ def test_overflowing_stencils_fail_as_the_reference(p, s):
         assert outcomes[0] == outcomes[1]
 
 
+# every public one-point function, at a phase that overflows and at a
+# frame angle that overflows: math.cos's error, which a route through numpy
+# columns would trade for a RuntimeWarning and a NaN
+@pytest.mark.parametrize("p, s", [
+    (build_family_i(1e150, 1.0, 0.0, 1.0), SpacetimePoint(z=1e160)),
+    (build_family_ii(1.0, 1.0, 1e150, 1.0, 1, 1), SpacetimePoint(y=1e160)),
+], ids=["phase", "frame-angle"])
+@pytest.mark.parametrize("view", [
+    gauss_commutator_term, ampere_commutator_term, electric_field_analytic,
+    magnetic_field_analytic, gauss_residual, ampere_residual,
+    lambda p, s: residual_sample(p, s, "analytic"), lambda p, s: residual_sample(p, s, "numeric"),
+    bianchi_residual, field_strength, energy_density,
+], ids=["gauss_commutator_term", "ampere_commutator_term", "electric_field_analytic",
+        "magnetic_field_analytic", "gauss_residual", "ampere_residual",
+        "residual_sample-analytic", "residual_sample-numeric", "bianchi_residual",
+        "field_strength", "energy_density"])
+def test_one_point_views_fail_where_an_angle_overflows(view, p, s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^math domain error$"):
+            view(p, s)
+
+
 def test_commutators_at_g_zero_are_zero_as_in_the_reference():
     # phi, A_y and A_z near 1e10, 1e300 and 1e10 overflow every commutator
     # they enter; at g = 0 each term is zero, in the core and the reference
@@ -242,6 +271,21 @@ def test_commutators_at_g_zero_are_zero_as_in_the_reference():
             ref.max_numeric_norms(p, pts[:1])[1]]
     assert hexes(got) == hexes(want)
     assert all(map(math.isfinite, (*got[0], got[2]))) and np.isfinite(got[1]).all()
+
+
+# phi near 1e20 against B near 1e290: [phi, B], a commutator of the
+# homogeneous equations, overflows in the same stacked call as the
+# commutator terms, which do not; then the terms themselves overflow
+@pytest.mark.parametrize("p", [AnsatzParams(alpha1=1e20, alpha5=1e-10, k=1e300),
+                               AnsatzParams(alpha1=1e200, alpha4=1e200, k=1.0, omega=1.0)])
+def test_commutator_terms_overflow_silently_as_the_reference(p):
+    s = SpacetimePoint(t=0.3, x=0.17, y=-0.4, z=0.9)
+    fields = ref.point_fields(p, s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [gauss_commutator_term(p, s), ampere_commutator_term(p, s)]
+        want = [ref.gauss_commutator_term(p, fields), ref.ampere_commutator_term(p, fields)]
+    assert hexes(got) == hexes(want)
 
 
 def test_one_field_evaluation_per_numeric_call(monkeypatch):
@@ -280,8 +324,8 @@ def test_one_stacked_commutator_per_numeric_call(monkeypatch, capsys):
     assert calls == [(3, 21, 28)]
     calls.clear()
     oracle_constraints(p)
-    # the oracle takes the twelve of gauss and ampere alone
-    assert calls == [(3, 12, 24)]
+    # every numeric call takes all twenty-one, the oracle's at its 24 samples
+    assert calls == [(3, 21, 24)]
 
 
 def test_verify_and_the_oracle_build_no_points_but_bianchis(monkeypatch, capsys):
