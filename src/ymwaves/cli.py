@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constraints import (
+    _BRANCHES,
     ClassificationError,
     FamilySolution,
     NotASolution,
@@ -100,9 +101,10 @@ def _add_config_flags(sp, family_wave=False, tol=True):
     for i in (4,) if family_wave else range(1, 6):
         sp.add_argument(f"--alpha{i}", type=float, default=0.0 if i == 4 else argparse.SUPPRESS,
                         help=f"amplitude alpha{i}" + (" (not with --family)" if i != 4 else ""))
-    sp.add_argument("--eta", type=int, choices=(1, -1), default=1,
+    # the signs, like the raw amplitudes, are absent when not given
+    sp.add_argument("--eta", type=int, choices=(1, -1), default=argparse.SUPPRESS,
                     help="sign for families II and III (default +1)")
-    sp.add_argument("--xi", type=int, choices=(1, -1), default=1,
+    sp.add_argument("--xi", type=int, choices=(1, -1), default=argparse.SUPPRESS,
                     help="sign for family II (default +1)")
     if tol:
         sp.add_argument("--tol", type=float, default=1e-9,
@@ -110,10 +112,10 @@ def _add_config_flags(sp, family_wave=False, tol=True):
 
 
 def _omega(k, omega, c, family=None) -> float:
-    """--omega, or k*c without it; families I and II take only k*c. --c is
-    checked before k*c is formed, so that a bad --c is named, and a k*c
-    that overflows is named as such."""
-    if omega is not None and family not in ("I", "II"):
+    """--omega, or k*c without it; a family on the light cone (its rows of
+    the branch table) takes only k*c. --c is checked before k*c is formed,
+    so that a bad --c is named, and a k*c that overflows is named as such."""
+    if omega is not None and not any(b.cone for b in _BRANCHES if b.label == family):
         return omega
     _require_finite("c", c)
     kc = k * c
@@ -125,7 +127,18 @@ def _omega(k, omega, c, family=None) -> float:
     return kc
 
 
+def _signs(args):
+    """--eta and --xi, +1 where not given. Only a family reads them, so
+    either one without --family is a usage error."""
+    given = ", ".join(f"--{name}" for name in ("eta", "xi") if name in args)
+    if given and args.family is None:
+        raise ValueError(f"{given} signs a family's amplitudes; without --family "
+                         "the raw amplitudes carry their own signs")
+    return getattr(args, "eta", 1), getattr(args, "xi", 1)
+
+
 def _build_params(args) -> AnsatzParams:
+    eta, xi = _signs(args)
     if args.family is None:
         return AnsatzParams(*(getattr(args, f"alpha{i}", 0.0) for i in range(1, 6)), args.lam,
                             args.k, _omega(args.k, args.omega, args.c), args.g, args.c)
@@ -135,7 +148,7 @@ def _build_params(args) -> AnsatzParams:
                          f"not {given}")
     # a family ignores the signs it does not have
     return FamilySolution(args.family, args.k, _omega(args.k, args.omega, args.c, args.family),
-                          args.alpha4, args.lam, args.g, args.c, args.eta, args.xi).params()
+                          args.alpha4, args.lam, args.g, args.c, eta, xi).params()
 
 
 def _parse_grid(text: str):
@@ -352,7 +365,7 @@ def cmd_fields(args) -> int:
 
     def text():
         for r in blocks:
-            (ey_x, ey_y, ey_z), (bx_x, bx_y, bx_z) = _field_columns(p, r)  # on sx, sy, sz
+            (ey_x, ey_y, ey_z), (bx_x, bx_y, bx_z) = _field_columns(p, r.angles())  # sx, sy, sz
             columns = [_distinct_text(c) for c in (r.t, r.y, r.z, r.theta)]
             columns += [ey_x.tolist(), ey_y.tolist(), _distinct_text(ey_z),
                         bx_x.tolist(), bx_y.tolist(), _distinct_text(bx_z)]
@@ -384,7 +397,7 @@ def cmd_energy_profile(args) -> int:
     if args.family not in ("I", "II"):
         raise ValueError("energy-profile needs --family I or II")
     sol = FamilySolution(args.family, args.k, args.k, args.alpha4, args.lam, args.g, 1.0,
-                         args.eta, args.xi)
+                         *_signs(args))
     p = sol.params()  # built first, so that a build error keeps its own wording
     try:  # the sweep is checked whole before the first row is written
         blocks = _profile_blocks(p, sol, args.theta_samples)

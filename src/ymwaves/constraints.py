@@ -323,17 +323,24 @@ def _check_finite(couplings):
         _require_finite(name, value)
 
 
-def _check_offsets(couplings, branches=_BRANCHES):
-    """Reject couplings at which a branch offset is not finite: it overflows,
-    or 2 g or 2 g c underflows to zero and the offset divides by it."""
+def _offsets(couplings, branches=_BRANCHES) -> np.ndarray:
+    """The offsets of the branches at couplings (lam, k, omega, g, c), shape
+    (branches, 5), the one place the table's offsets are evaluated. Each is
+    taken once, on the couplings as the caller holds them, so that an int
+    lam = 0 gives alpha3 = 0.0 where np.float64 would give -0.0. Raises
+    ValueError where one is not finite: it overflows, or 2 g or 2 g c
+    underflows to zero and the offset divides by it."""
+    rows = []
     for b in branches:
         try:
-            finite = all(map(math.isfinite, b.offset(*couplings)))
+            row = b.offset(*couplings)
         except ZeroDivisionError:
-            finite = False
-        if not finite:
+            row = (math.nan,)
+        if not all(map(math.isfinite, row)):
             raise ValueError(f"the {b.label} branch offset is not finite at these couplings; "
                              "it divides by g and by g c")
+        rows.append(row)
+    return np.array(rows)
 
 
 def _on_cone(k, omega, c, tol) -> bool:
@@ -352,9 +359,10 @@ def _applies(x, on_cone: bool) -> np.ndarray:
     return (on_cone | ~_CONE) & ((x[:, 3:4] != 0.0) | ~_WAVE)
 
 
-def _projections(x, couplings, on_cone: bool):
-    """The nearest points of every branch to every amplitude row of x, shape
-    (n, branches, 5), and their distances, shape (n, branches).
+def _projections(x, offsets, on_cone: bool):
+    """The nearest points of every branch (offsets, see _offsets) to every
+    amplitude row of x, shape (n, branches, 5), and their distances, shape
+    (n, branches).
 
     The distance is inf where the branch cannot describe the row
     (_applies). A distance that overflows reads as the largest float, so
@@ -362,7 +370,6 @@ def _projections(x, couplings, on_cone: bool):
     directions are orthogonal, so the least-squares parameter along d is
     d . (x - offset) / d . d; with 0/+-1 entries only its sums round.
     """
-    offsets = np.array([b.offset(*couplings) for b in _BRANCHES])
     r = x[:, None, :] - offsets
     points = np.broadcast_to(offsets, r.shape)
     for d in _DIRECTIONS.transpose(1, 0, 2):
@@ -373,24 +380,25 @@ def _projections(x, couplings, on_cone: bool):
     return points, np.where(_applies(x, on_cone), np.fmin(dist, np.finfo(float).max), np.inf)
 
 
-def _nearest(x, couplings):
+def _nearest(x, couplings, offsets):
     """The nearest branch of each amplitude row of x, with the light cone to
-    1e-9 (_on_cone): its table index, the point on it and the distance."""
+    1e-9 (_on_cone) at the couplings and the branches' offsets there: its
+    table index, the point on it and the distance."""
     lam, k, omega, g, c = couplings
-    points, dist = _projections(x, couplings, _on_cone(k, omega, c, 1e-9))
+    points, dist = _projections(x, offsets, _on_cone(k, omega, c, 1e-9))
     best = dist.argmin(axis=1)
     rows = np.arange(len(x))
     return best, points[rows, best], dist[rows, best]
 
 
-def _misfits(x, couplings) -> np.ndarray:
+def _misfits(x, offsets) -> np.ndarray:
     """Each branch's misfit at the amplitudes x, shape (branches,): the
-    largest of its equations |E (x - offset)| (_EQUATIONS), each over the
+    largest of its equations |E (x - offset)| (_EQUATIONS, offsets from
+    _offsets), each over the
     same sum on magnitudes, |E| (|x| + |offset|), as every verdict is
     judged: no floor but _Magnitude's smallest normal float, and an
     equation whose value is 0 reads 0. The dilation and the g rescale
     scale x and the offsets alike, so no misfit moves."""
-    offsets = np.array([b.offset(*couplings) for b in _BRANCHES])
     with np.errstate(all="ignore"):  # an overflow reads nan, which matches nothing
         values = np.abs(np.einsum("bij,bj->bi", _EQUATIONS, x - offsets))
         bounds = np.einsum("bij,bj->bi", np.abs(_EQUATIONS), np.abs(x) + np.abs(offsets))
@@ -417,9 +425,9 @@ def _build(family, k, omega, alpha4, lam, g, c, eta=None, xi=None) -> AnsatzPara
     if branch.xi is not None and alpha4 == 0.0:
         raise ValueError(f"family {family} requires alpha4 != 0")
     omega = k * c if branch.cone else omega
-    _check_offsets((lam, k, omega, g, c), [branch])
+    (offset,) = _offsets((lam, k, omega, g, c), [branch]).tolist()
     (d,) = branch.directions
-    point = [o + s * alpha4 if s else o for o, s in zip(branch.offset(lam, k, omega, g, c), d)]
+    point = [o + s * alpha4 if s else o for o, s in zip(offset, d)]
     return AnsatzParams(*point, lam=lam, k=k, omega=omega, g=g, c=c)
 
 
@@ -511,11 +519,10 @@ def classify(p: AnsatzParams, tol: float = 1e-9):
     if kind == "static conditions":
         return TrivialZeroField(note="static configuration, zero fields")
 
-    alphas, couplings = _values(p)[:5], _values(p)[5:]
-    _check_offsets(couplings)
+    alphas, offsets = _values(p)[:5], _offsets(_values(p)[5:])
     x = np.array([alphas])
     on_cone = _on_cone(p.k, p.omega, p.c, _PATTERN_TOL)
-    misfit = _misfits(x[0], couplings)
+    misfit = _misfits(x[0], offsets)
     match = _applies(x, on_cone)[0] & (misfit <= _PATTERN_TOL)
     vanish = _fields_vanish(p, tol)
     # family III is pure gauge, the one family whose fields vanish
@@ -530,7 +537,7 @@ def classify(p: AnsatzParams, tol: float = 1e-9):
                               g=p.g, c=p.c, eta=branch.eta, xi=branch.xi)
     if vanish:
         return TrivialZeroField(note="zero fields")
-    dist = _projections(x, couplings, on_cone)[1][0]
+    dist = _projections(x, offsets, on_cone)[1][0]
     near = int(dist.argmin())
     branch = _BRANCHES[near]
     raise ClassificationError(f"solution outside the catalogued patterns; nearest branch "
@@ -625,24 +632,25 @@ _BLOCK = 512
 _RCOND = 9.0 * np.finfo(float).eps
 
 
-def _check_couplings(lam, k, omega, g, c):
-    """Reject couplings before any Newton work rather than part way."""
+def _check_couplings(lam, k, omega, g, c) -> np.ndarray:
+    """Reject couplings before any Newton work rather than part way; returns
+    the branch offsets there (_offsets)."""
     _check_finite((lam, k, omega, g, c))
     if g == 0.0:
         raise ValueError("g must be nonzero: the branch patterns divide by it")
     if c == 0.0:
         raise ValueError("c must be nonzero")
-    _check_offsets((lam, k, omega, g, c))
+    return _offsets((lam, k, omega, g, c))
 
 
-def _check_alphas(name, alphas, couplings) -> np.ndarray:
+def _check_alphas(name, alphas, couplings):
+    """The amplitudes as an array, and the branch offsets at the couplings."""
     x = np.array(alphas, dtype=float)
     if x.shape != (5,):
         raise ValueError(f"{name} must have five entries")
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite, got {tuple(alphas)!r}")
-    _check_couplings(*couplings)
-    return x
+    return x, _check_couplings(*couplings)
 
 
 def _norms(a):
@@ -711,14 +719,16 @@ def _step(jac, f):
 def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
     """Damped least-squares Newton on every amplitude row of x0 at once.
 
-    Returns the final rows, the iterations each took and their largest
-    normalized constraint. A row stops when it converges to tol (counting
-    the iterations completed before), when its Jacobian overflows, its
-    line search fails or its norm passes 1e8 (counting the current one),
-    or when it has used its budget, _MAX_ITER iterations or one count per
-    row. table is the term table at the couplings (_substitute); only
-    scan_families sets tol and budget (see there). Raises OverflowError
-    when the constraints are not finite at x0.
+    Returns the final rows, the iterations each took, their largest
+    normalized constraint and which passed: converged to tol without
+    failing. A row stops when it converges to tol (counting the
+    iterations completed before), when its Jacobian overflows or it fails,
+    its line search failing or its norm passing 1e8 whatever its
+    constraint (counting the current one), or when it has used its
+    budget, _MAX_ITER iterations or one count per row. table is the term
+    table at the couplings (_substitute); only scan_families sets tol and
+    budget (see there). Raises OverflowError when the constraints are not
+    finite at x0.
 
     The rows still iterating are the working set: their amplitudes, values,
     value norms, Jacobians and largest normalized constraints sit in
@@ -730,6 +740,7 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
     xw = np.array(x0, dtype=float)
     budget = np.broadcast_to(_MAX_ITER if budget is None else budget, len(xw))
     x, iters, worst = np.empty_like(xw), np.empty(len(xw), dtype=int), np.empty(len(xw))
+    passed = np.empty(len(xw), dtype=bool)
     with np.errstate(all="ignore"):
         fw, jw, ww = _value_and_jacobian(xw, table)
         if not np.isfinite(fw).all():
@@ -740,12 +751,13 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
         for it in range(1, int(budget.max()) + 2):
             # a stopped, converged or spent row completed it - 1
             # iterations; one whose Jacobian overflowed stops in this one
-            stop = failed | (ww <= tol) | (budget[rows] < it)
+            done = ~failed & (ww <= tol)
+            stop = failed | done | (budget[rows] < it)
             go = ~stop & np.isfinite(jw).all(axis=(1, 2))
             if not go.all():
                 out = rows[~go]
                 iters[out] = it - stop[~go]
-                x[out], worst[out] = xw[~go], ww[~go]
+                x[out], worst[out], passed[out] = xw[~go], ww[~go], done[~go]
                 rows, xw, fw, nw, jw, ww = rows[go], xw[go], fw[go], nw[go], jw[go], ww[go]
                 if not rows.size:
                     break
@@ -769,7 +781,7 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
                 xt[trying], ft[trying], wt[trying] = xw[trying], fw[trying], ww[trying]
             xw, fw, nw, jw, ww = xt, ft, nt, jt, wt
             failed |= _norms(xw) > 1e8
-    return x, iters, worst
+    return x, iters, worst, passed
 
 
 def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float,
@@ -792,8 +804,8 @@ def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float,
     discarded by the caller. Raises OverflowError when the constraints
     overflow at alphas0.
     """
-    x = _check_alphas("alphas0", alphas0, (lam, k, omega, g, c))
-    xs, iters, worst = _newton(x[None, :], _substitute(lam, k, omega, g, c))
+    x, _ = _check_alphas("alphas0", alphas0, (lam, k, omega, g, c))
+    xs, iters, worst, _ = _newton(x[None, :], _substitute(lam, k, omega, g, c))
     return RefineResult(tuple(xs[0]), bool(worst[0] <= _TOL), int(iters[0]), float(worst[0]))
 
 
@@ -810,8 +822,8 @@ def branch_projection(alphas, lam: float, k: float, omega: float, g: float,
     ValueError unless the amplitudes are five finite values and the
     couplings finite with g and c nonzero.
     """
-    x = _check_alphas("alphas", alphas, (lam, k, omega, g, c))
-    best, point, dist = _nearest(x[None, :], (lam, k, omega, g, c))
+    x, offsets = _check_alphas("alphas", alphas, (lam, k, omega, g, c))
+    best, point, dist = _nearest(x[None, :], (lam, k, omega, g, c), offsets)
     return str(_LABELS[best[0]]), tuple(point[0].tolist()), float(dist[0])
 
 
@@ -826,9 +838,10 @@ class ScanRow(NamedTuple):
     iterations: int
 
 
-def _snap(x, worst, couplings, table):
+def _snap(x, worst, couplings, offsets, table):
     """The scan's snap of every amplitude row of x with largest normalized
-    constraint worst: a row at most _SUCCESS_TOL whose nearest branch lies
+    constraint worst, at the couplings and the branch offsets there: a row
+    at most _SUCCESS_TOL whose nearest branch lies
     within _SNAP_TOL moves onto it when the point there is at most
     _SUCCESS_TOL too. Writes the snapped points and their worst into x and
     worst; returns each row's branch label ('' where it did not snap) and
@@ -838,14 +851,14 @@ def _snap(x, worst, couplings, table):
     dist = np.full(len(x), math.inf)
     ok = np.flatnonzero(worst <= _SUCCESS_TOL)
     with np.errstate(all="ignore"):
-        best, points, dist[ok] = _nearest(x[ok], couplings)
+        best, points, dist[ok] = _nearest(x[ok], couplings, offsets)
         near = np.flatnonzero(dist[ok] <= _SNAP_TOL)
         snapped = _value_and_jacobian(points[near], table)[2]
         passed = snapped <= _SUCCESS_TOL
         kept = near[passed]  # positions among the rows at most _SUCCESS_TOL
         x[ok[kept]], worst[ok[kept]] = points[kept], snapped[passed]
         labels[ok[kept]] = _LABELS[best[kept]]
-        dist[ok[kept]] = _nearest(x[ok[kept]], couplings)[2]
+        dist[ok[kept]] = _nearest(x[ok[kept]], couplings, offsets)[2]
     return labels, dist
 
 
@@ -902,7 +915,7 @@ def _scan_blocks(n_seeds: int, seed: int, lam: float, k: float, omega: Optional[
         raise ValueError("n_seeds must be >= 1")
     if omega is None:
         omega = k * c
-    _check_couplings(lam, k, omega, g, c)
+    offsets = _check_couplings(lam, k, omega, g, c)
     if k == 0.0 and omega == 0.0:
         raise ValueError("phase is frozen at k = omega = 0; the scan needs a wave")
     couplings = (lam, k, omega, g, c)
@@ -912,18 +925,13 @@ def _scan_blocks(n_seeds: int, seed: int, lam: float, k: float, omega: Optional[
     def blocks():
         for lo in range(0, n_seeds, _BLOCK):
             starts = rng.uniform(-_SPREAD, _SPREAD, size=(min(_BLOCK, n_seeds - lo), 5))
-            x, iters, worst = _newton(starts, table, _SNAP_STOP)
-            labels, dist = _snap(x, worst, couplings, table)
-            # the rows the loose test stopped that no branch explains: a row
-            # that failed its line search stopped where that test had turned
-            # it away, one past norm 1e8 stopped failed whatever the test
-            # said, and one whose Jacobian overflowed as it passed stops in
-            # its resumed first iteration, counted as refine_alphas counts it
-            resume = np.flatnonzero((labels == "") & (worst > _TOL) & (worst <= _SNAP_STOP)
-                                    & (iters < _MAX_ITER) & (_norms(x) <= 1e8))
+            x, iters, worst, passed = _newton(starts, table, _SNAP_STOP)
+            labels, dist = _snap(x, worst, couplings, offsets, table)
+            # the rows the loose test stopped that no branch explains
+            resume = np.flatnonzero((labels == "") & passed & (worst > _TOL) & (iters < _MAX_ITER))
             if resume.size:
-                xr, more, wr = _newton(x[resume], table, _TOL, _MAX_ITER - iters[resume])
-                labels[resume], dist[resume] = _snap(xr, wr, couplings, table)
+                xr, more, wr, _ = _newton(x[resume], table, _TOL, _MAX_ITER - iters[resume])
+                labels[resume], dist[resume] = _snap(xr, wr, couplings, offsets, table)
                 x[resume], iters[resume], worst[resume] = xr, iters[resume] + more, wr
             converged = worst <= _SUCCESS_TOL
             labels[converged & (labels == "")] = "none"

@@ -34,7 +34,11 @@ derivative in the library is this complex step, f'(x) = Im f(x + ih) / h
 (_derivative), which subtracts nothing and so truncates nothing, at the
 one step _step(p). F is assembled once over its block, with su2's
 triple algebra, for field_strength and verify's pure-gauge line alike.
-The one-point functions are views.
+field_strength is a one-column view of the core. The closed-form E and
+B, and observables.energy_density on them, take the same arithmetic on
+floats, at the cosines and sines of _angles: a trip through the column
+core would cost each call its array setup, several times the call's own
+work.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ class AnsatzParams:
             raise ValueError("c must be nonzero")
 
     def phase(self, s: "SpacetimePoint") -> float:
-        return self.k * s.z - self.omega * s.t
+        return _phase(self, s.t, s.z)
 
 
 @dataclass(frozen=True)
@@ -279,7 +283,7 @@ def _cos_sin(angle):
 
 
 def _phase(p: AnsatzParams, t, z):
-    """AnsatzParams.phase on columns."""
+    """The phase k z - omega t at floats or columns t and z."""
     return p.k * z - p.omega * t
 
 
@@ -414,9 +418,11 @@ class _Grid:
         return ((r.cos_th, r.sin_th) for r in plane.blocks(p))
 
 
-def _field_columns(p: AnsatzParams, rows: _Rows):
-    """E_y and B_x coefficient columns on sx, sy, sz over one block of rows."""
-    return tuple(_wave(group, *rows.angles()) for group in field_coefficient_groups(p))
+def _field_columns(p: AnsatzParams, angles):
+    """E_y and B_x coefficients on sx, sy, sz at the cosines and sines of the
+    phase and of the frame angle (_angles, _Rows.angles): floats, or
+    columns over one block of rows."""
+    return tuple(_wave(group, *angles) for group in field_coefficient_groups(p))
 
 
 def _stacked(triples, shape=(), dtype=float) -> np.ndarray:

@@ -23,12 +23,11 @@ from .constraints import FamilySolution
 from .fields import (
     AnsatzParams,
     SpacetimePoint,
+    _angles,
     _Axis,
     _check_count,
     _field_columns,
     _Grid,
-    electric_field_analytic,
-    magnetic_field_analytic,
 )
 from .su2 import _norm_squared
 
@@ -46,13 +45,19 @@ def _check_kappa(kappa: float):
         raise ValueError(f"kappa must be positive, got {kappa!r}")
 
 
+def _density(p: AnsatzParams, angles, kappa: float):
+    """kappa * Tr(E.E + B.B) from the closed-form E_y and B_x at the cosines
+    and sines of the phase and of the frame angle (fields._field_columns),
+    floats or columns: Tr of a squared coefficient triple is twice its
+    Euclidean square."""
+    ey, bx = (_norm_squared(u) for u in _field_columns(p, angles))
+    return kappa * 2.0 * (ey + bx)
+
+
 def energy_density(p: AnsatzParams, s: SpacetimePoint, kappa: float = 0.25) -> float:
     """kappa * Tr(E.E + B.B) at one point; nonnegative for any input."""
     _check_kappa(kappa)
-    e = electric_field_analytic(p, s)
-    b = magnetic_field_analytic(p, s)
-    # Tr of a squared coefficient triple is twice its Euclidean square
-    return kappa * 2.0 * (e.norm_squared() + b.norm_squared())
+    return _density(p, _angles(p, s), kappa)
 
 
 def energy_closed_form(sol: FamilySolution, theta: float) -> float:
@@ -121,11 +126,12 @@ class _Sweep(NamedTuple):
 
 
 def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
-    """The density of p = sol.params(), a Family I or II wave, at n_samples
-    phases theta in [0, 2 pi), as blocks of (thetas, densities, sol's closed
-    forms), lists of floats, one block of the grid core at a time. The
-    phases and their coordinates are made block by block, so memory does
-    not grow with n_samples.
+    """The density of p = sol.params(), a Family I or II wave, at kappa =
+    1/4, the closed forms' normalization, at n_samples phases theta in
+    [0, 2 pi), as blocks of (thetas, densities, sol's closed forms), lists
+    of floats, one block of the grid core at a time. The phases and their
+    coordinates are made block by block, so memory does not grow with
+    n_samples.
 
     Checks the input and the whole sweep before returning, so that a caller
     writing the blocks out writes nothing for a bad input: a count below 2,
@@ -137,13 +143,10 @@ def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
     _check_count(n_samples)
     point, sweep = _Axis(0.0, 0.0, 1), _Sweep(p, n_samples)
     grid = _Grid(point, point, sweep) if p.k != 0.0 else _Grid(sweep, point, point)
-
-    def densities(rows):  # energy_density's rounding at its default kappa = 1/4
-        ey, bx = (_norm_squared(u) for u in _field_columns(p, rows))
-        return 0.25 * 2.0 * (ey + bx)
     with np.errstate(over="ignore"):  # an overflow is named below
         # one pass over the sweep that keeps nothing, before any row is made
-        finite = all(np.isfinite(densities(rows)).all() for rows in grid.blocks(p))
+        finite = all(np.isfinite(_density(p, rows.angles(), 0.25)).all()
+                     for rows in grid.blocks(p))
     if not (finite and math.isfinite((sol.k * sol.k) * (sol.alpha4 * sol.alpha4))):
         raise OverflowError("the energy density or its closed form overflows")
 
@@ -153,5 +156,6 @@ def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
             stop = start + len(rows.t)
             block = _profile_phases(np.arange(start, stop), n_samples).tolist()
             start = stop
-            yield block, densities(rows).tolist(), [energy_closed_form(sol, th) for th in block]
+            yield (block, _density(p, rows.angles(), 0.25).tolist(),
+                   [energy_closed_form(sol, th) for th in block])
     return profile()

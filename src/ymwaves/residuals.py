@@ -45,8 +45,12 @@ points (fields._stencil), phi and A once at the points, and takes
 every derivative, commutator and norm on the arrays with su2's triple
 algebra (_numeric_residuals), gauss, ampere and the homogeneous
 equations in every call.
-The one-point functions are views of these columns and round as a
-point-by-point evaluation.
+bianchi_residual and the numeric mode of residual_sample are one-column
+views of these columns. The analytic residuals (gauss_residual,
+ampere_residual, the analytic mode of residual_sample) and the
+commutator terms take the same arithmetic on floats, at the cosines and
+sines of fields._angles: a trip through the column core would cost each
+call its array setup, several times the call's own work.
 """
 
 from __future__ import annotations
@@ -242,7 +246,7 @@ def _fields_at(p: AnsatzParams, rows) -> np.ndarray:
     points read, on the first row alone, the points themselves, and are
     zero on the others."""
     shape, dtype = rows.theta.shape, rows.theta.dtype
-    ey, bx = _field_columns(p, rows)
+    ey, bx = _field_columns(p, rows.angles())
     fields = _stacked((_ZERO,) * 5 + (ey, _ZERO, bx, _ZERO, _ZERO), shape, dtype)
     phi, a = _potential_columns(p, *(v[0] for v in rows.angles()))
     fields[:, :4, 0] = _stacked((phi, *a), shape[1:], dtype)

@@ -549,6 +549,29 @@ def test_a_raw_amplitude_with_a_family_is_a_usage_error(command, extra, given, t
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "classify", "fields"])
+@pytest.mark.parametrize("extra, given", [(["--eta", "-1"], "--eta"), (["--xi", "1"], "--xi"),
+                                          (["--xi=-1", "--eta", "1"], "--eta, --xi")])
+def test_a_sign_without_a_family_is_a_usage_error(command, extra, given, tmp_path, capsys):
+    # only a family reads --eta and --xi; raw amplitudes would ignore them
+    dest = tmp_path / "out.txt"
+    code, out, err = run([command, "--alpha1", "1", *extra, "--out", str(dest)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {given} signs a family's amplitudes; without --family "
+                   "the raw amplitudes carry their own signs\n")
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "classify", "fields"])
+@pytest.mark.parametrize("family", ["I", "III"])
+def test_a_family_takes_the_signs_it_does_not_have(command, family, capsys):
+    # Family I has no sign and Family III no xi: the flags are read and ignored
+    argv = [command, "--family", family, "--alpha4", "0.7", "--omega", "1"]
+    signed = run(argv + ["--eta", "1", "--xi", "1"], capsys)
+    assert signed[0] == 0
+    assert signed == run(argv, capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--alpha4", "1", "--lambda", "-1e-3", "--grid", SMALL_GRID],
     ["scan", "--seeds", "3", "--omega", "-1e-3", "--lambda", "-.5"],

@@ -22,6 +22,7 @@ from ymwaves.constraints import (
     _STARTS,
     _applies,
     _misfits,
+    _offsets,
     _projections,
     _static_sums,
     _substitute,
@@ -177,11 +178,12 @@ def test_every_branch_solves_the_constraints(branch, lam, k, g, c, omega, free):
         t * np.array(d) for t, d in zip(free, branch.directions))
     worst = normalized_constraints(AnsatzParams(*point, lam=lam, k=k, omega=omega, g=g, c=c))
     assert np.max(worst) <= 1e-12
-    points, dist = _projections(point[None, :], couplings, True)
+    offsets = _offsets(couplings)
+    points, dist = _projections(point[None, :], offsets, True)
     row = _BRANCHES.index(branch)
     assert np.max(np.abs(points[0, row] - point)) <= 1e-12
     # its own equations hold to rounding, judged on their magnitudes
-    assert _misfits(point, couplings)[row] <= 4.0 * np.finfo(float).eps
+    assert _misfits(point, offsets)[row] <= 4.0 * np.finfo(float).eps
     if _applies(point[None, :], True)[0, row]:
         assert dist[0, row] <= 1e-12
         assert branch_projection(point, *couplings)[2] <= 1e-12

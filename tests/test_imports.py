@@ -109,6 +109,16 @@ def test_every_exported_name_resolves(name):
     exec(f"from {name} import *", {})
 
 
+def test_the_package_exports_every_module_export():
+    # the package's __all__ is the union of its modules' and its version,
+    # each name once
+    package = importlib.import_module("ymwaves")
+    modules = [importlib.import_module(name) for name in SRC_MODULES if name != "ymwaves"]
+    union = {name for module in modules for name in getattr(module, "__all__", ())}
+    assert len(package.__all__) == len(set(package.__all__))
+    assert set(package.__all__) == union | {"__version__"}
+
+
 def test_the_check_sees_a_stale_export():
     module = types.ModuleType("m")
     module.__all__ = ["kept", "gone"]

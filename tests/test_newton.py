@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ymwaves.constraints import (
     _RCOND,
+    _SNAP_STOP,
     _TOL,
     _newton,
     _step,
@@ -125,11 +126,14 @@ _ORDERS = [1.0, 3e7, 1e20]
 
 def _batch_matches_each_row_alone(x0, cpl):
     table = _substitute(*cpl)
-    x, iters, worst = _newton(x0, table)
+    x, iters, worst, passed = _newton(x0, table)
     for i in range(len(x0)):
-        xi, it_i, worst_i = _newton(x0[i:i + 1], table)
+        xi, it_i, worst_i, passed_i = _newton(x0[i:i + 1], table)
         assert _hex(x[i]) == _hex(xi[0])
-        assert (iters[i], _hex(worst[i])) == (it_i[0], _hex(worst_i[0]))
+        assert (iters[i], _hex(worst[i]), passed[i]) == (it_i[0], _hex(worst_i[0]), passed_i[0])
+    # a row passes exactly when it ends within tol inside norm 1e8; one whose
+    # line search failed ends where the test against tol turned it away
+    assert np.array_equal(passed, (worst <= _TOL) & ~(np.linalg.norm(x, axis=1) > 1e8))
     return x, iters, worst
 
 
@@ -157,3 +161,16 @@ def test_one_batch_holds_every_way_to_stop():
     assert np.isfinite(f).all()
     assert np.isfinite(jac).all(axis=(1, 2)).tolist() == [False, True]
     assert np.linalg.norm(x[3]) > 1e8
+
+
+def test_a_row_that_lands_within_tol_past_norm_1e8_has_not_passed():
+    # one step lands at norm 1e8 + 5e-5 with its largest normalized
+    # constraint 3.5e-11, within _SNAP_STOP: it stops failed, not passed,
+    # alone and in a batch with a row that passes
+    table = _substitute(0.0, 1.0, 1.0, 1.0, 1.0)
+    x0 = np.array([(99999999.99999997, 100.0, 1e-3, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0)])
+    for rows in (x0[:1], x0):
+        x, iters, worst, passed = _newton(rows, table, _SNAP_STOP)
+        assert iters[0] == 1 and worst[0] <= _SNAP_STOP
+        assert 1e8 < np.linalg.norm(x[0]) <= 1e8 + 1e-4
+        assert passed.tolist() == [False, True][:len(rows)]

@@ -146,7 +146,8 @@ def test_many_points_equal_the_reference(p, pts):
 def _closed_forms(p, rows):
     """E_y and B_x, then phi, A_y and A_z, over rows as one array (3, 5, *shape)."""
     phi, (_, ay, az) = _potential_columns(p, *rows.angles())
-    return _stacked((*_field_columns(p, rows), phi, ay, az), rows.theta.shape, rows.theta.dtype)
+    return _stacked((*_field_columns(p, rows.angles()), phi, ay, az), rows.theta.shape,
+                    rows.theta.dtype)
 
 
 @given(configurations(), st.lists(points, min_size=1, max_size=8))
@@ -292,7 +293,7 @@ def test_one_field_evaluation_per_numeric_call(monkeypatch):
     calls = []
     real = ymwaves.residuals._field_columns
     monkeypatch.setattr(ymwaves.residuals, "_field_columns",
-                        lambda p, rows: calls.append(rows.t.shape) or real(p, rows))
+                        lambda p, angles: calls.append(angles[0].shape) or real(p, angles))
     built = []
     original = SpacetimePoint.__post_init__
 
