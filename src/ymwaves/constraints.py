@@ -116,11 +116,13 @@ def _expanded(v):
 def _term_table():
     """c1..c9 and their derivatives, expanded once into a table of terms.
 
-    The terms come in 54 groups, each a run of rows: c1..c9, then for
-    each c_i its derivatives in the five amplitude atoms alpha1, alpha2,
-    x = lam + 2 g alpha3, alpha4 and alpha5, in that order; a derivative
-    that is identically zero holds one zero term. A term is a constant
-    times up to three atoms times powers of k, omega / c and g.
+    The terms come in 54 groups, each a run of rows, six per constraint:
+    for each c_i its derivatives in the five amplitude atoms alpha1,
+    alpha2, x = lam + 2 g alpha3, alpha4 and alpha5, in that order, then
+    c_i itself, so that group 6 i + j sums to the entry (i, j) of [J | f],
+    the Jacobian with the values as a sixth column. A derivative that is
+    identically zero holds one zero term. A term is a constant times up
+    to three atoms times powers of k, omega / c and g.
     Returns the atoms of each term, shape (3, terms), 5 standing for a
     factor 1; the powers of k, omega / c and g, shape (3, terms); the
     constants; where each group starts; and which terms are derivatives
@@ -129,18 +131,17 @@ def _term_table():
     n = len(_ATOM_NAMES)
     polys = _polynomials(*(_Terms({tuple(int(i == j) for j in range(n)): 1.0})
                            for i in range(n)))
-    groups = [p.terms for p in polys]
+    groups = []
     for p in polys:
-        for j in range(5):
-            groups.append({e[:j] + (e[j] - 1,) + e[j + 1:]: v * e[j]
-                           for e, v in p.terms.items() if e[j]} or {(0,) * n: 0.0})
+        groups += [{e[:j] + (e[j] - 1,) + e[j + 1:]: v * e[j]
+                    for e, v in p.terms.items() if e[j]} or {(0,) * n: 0.0} for j in range(5)]
+        groups.append(p.terms)
     group, exponents, constants = map(np.array, zip(*[
         (i, e, v) for i, terms in enumerate(groups) for e, v in terms.items()]))
     factors = [[j for j in range(5) for _ in range(e[j])] + [5] * (3 - sum(e[:5]))
                for e in exponents.tolist()]
-    in_x = (group >= 9) & ((group - 9) % 5 == 2)
     return (np.array(factors).T, exponents[:, 5:].T, constants,
-            np.searchsorted(group, np.arange(len(groups))), in_x)
+            np.searchsorted(group, np.arange(len(groups))), group % 6 == 2)
 
 
 _FACTORS, _POWERS, _CONSTANTS, _STARTS, _ALPHA3 = _term_table()
@@ -160,10 +161,10 @@ class _Substituted(NamedTuple):
 
 
 def _substitute(lam, k, omega, g, c) -> _Substituted:
-    """The term table at couplings (lam, k, omega, g, c); the first
-    _STARTS[9] terms are those of c1..c9. The powers of k, omega / c and g
-    are taken once, by **, so that a float coupling whose square overflows
-    raises the OverflowError that names it."""
+    """The term table at couplings (lam, k, omega, g, c), in its groups'
+    order (_term_table). The powers of k, omega / c and g are taken once,
+    by **, so that a float coupling whose square overflows raises the
+    OverflowError that names it."""
     w = omega / c
     try:
         powers = np.array([[v ** n for n in _EXPONENTS] for v in (k, w, g)]).ravel()
@@ -176,20 +177,32 @@ def _substitute(lam, k, omega, g, c) -> _Substituted:
     return _Substituted(lam, two_g, coefficients)
 
 
-def _monomials(table: _Substituted, amplitudes):
-    """The terms of the substituted table at amplitude columns, shape
-    (5, n) -> (terms, n)."""
-    a1, a2, a3, a4, a5 = amplitudes
-    f0, f1, f2 = _FACTORS
-    with np.errstate(all="ignore"):  # a term that overflows is inf, judged by the callers
-        atoms = np.array([a1, a2, table.lam + table.two_g * a3, a4, a5, np.ones_like(a1)])
-        return table.coefficients[:, None] * atoms[f0] * atoms[f1] * atoms[f2]
+def _monomials(table: _Substituted, x):
+    """The terms of the substituted table at every amplitude row of x,
+    shape (n, 5) -> (terms, n), a column per row, from one gather of the
+    three factors of every term. A term that overflows is inf, which the
+    callers judge under their np.errstate."""
+    atoms = np.ones((6, len(x)))
+    atoms[:5] = x.T
+    atoms[2] *= table.two_g
+    atoms[2] += table.lam
+    factors = atoms.take(_FACTORS, axis=0)
+    m = table.coefficients[:, None] * factors[0]
+    m *= factors[1]
+    m *= factors[2]
+    return m
+
+
+# each value group's first term and the next group's, so that the even
+# results of a reduceat over them are the nine value groups
+_VALUE_RUNS = np.sort(np.concatenate([_STARTS[5::6], _STARTS[6::6]]))
 
 
 def _largest(monomials):
-    """Newton's stop scales from a table's monomials, shape (9, n): each
-    constraint's largest term magnitude, floored at 1 so that roots where all vanish pass."""
-    return np.maximum(1.0, np.maximum.reduceat(np.abs(monomials[:_STARTS[9]]), _STARTS[:9]))
+    """Newton's stop scales from a table's monomials (_monomials), shape
+    (n, 9): each constraint's largest term magnitude, over its value group
+    alone, floored at 1 so that roots where all vanish pass."""
+    return np.maximum(1.0, np.maximum.reduceat(np.abs(monomials), _VALUE_RUNS)[::2]).T
 
 
 def constraint_scales(p: AnsatzParams) -> tuple[float, ...]:
@@ -365,10 +378,12 @@ def _projections(x, offsets, on_cone: bool):
     (n, branches).
 
     The distance is inf where the branch cannot describe the row
-    (_applies). A distance that overflows reads as the largest float, so
-    that it still beats a branch that does not apply. A branch's
-    directions are orthogonal, so the least-squares parameter along d is
-    d . (x - offset) / d . d; with 0/+-1 entries only its sums round.
+    (_applies). A distance that overflows, as an offset near 1e299 at g
+    or c near 1e-300 does when squared, reads as the largest float without
+    numpy's warning, so that it still beats a branch that does not apply.
+    A branch's directions are orthogonal, so the least-squares parameter
+    along d is d . (x - offset) / d . d; with 0/+-1 entries only its sums
+    round.
     """
     r = x[:, None, :] - offsets
     points = np.broadcast_to(offsets, r.shape)
@@ -376,7 +391,8 @@ def _projections(x, offsets, on_cone: bool):
         t = sum(r[..., j] * d[:, j] for j in range(5)) / np.maximum(1.0, np.sum(d * d, axis=1))
         points = np.where(d != 0.0, offsets + d * t[..., None], points)
     diff = points - x[:, None, :]
-    dist = np.sqrt(sum(diff[..., j] * diff[..., j] for j in range(5)))
+    with np.errstate(over="ignore"):  # read as the largest float below
+        dist = np.sqrt(sum(diff[..., j] * diff[..., j] for j in range(5)))
     return points, np.where(_applies(x, on_cone), np.fmin(dist, np.finfo(float).max), np.inf)
 
 
@@ -660,20 +676,23 @@ def _norms(a):
 
 
 def _value_and_jacobian(x, table: _Substituted):
-    """The constraints of every amplitude row of x, shape (n, 9), their
-    exact Jacobian, shape (n, 9, 5), and each row's largest normalized
-    constraint, all from one evaluation of the term table.
+    """[J | f] of every amplitude row of x, shape (n, 9, 6): the exact
+    Jacobian of the constraints, then their values as a sixth column; and
+    each row's largest normalized constraint. Both come from one
+    evaluation of the term table, whose groups lie in this order
+    (_term_table), so one reduceat sum over the monomials makes the whole
+    array.
 
     It takes only gathers, elementwise products and reduceat sums, so a
     row rounds the same whatever the other rows are, which a BLAS
     contraction would not. A line-search trial that is accepted already
     carries the Jacobian and the stop test of the next Newton iteration.
     """
-    m = _monomials(table, x.T)
-    # contiguous rows, which _norms sums in one order whatever their number
-    sums = np.add.reduceat(m, _STARTS).T.copy()
-    f = sums[:, :9]
-    return f, sums[:, 9:].reshape(-1, 9, 5), np.max(np.abs(f) / _largest(m).T, axis=1)
+    m = _monomials(table, x)
+    # a reduceat over the terms sums each group over every row at once;
+    # turning the groups into rows is the reshape's one copy
+    jf = np.add.reduceat(m, _STARTS).T.reshape(-1, 9, 6)
+    return jf, np.max(np.abs(jf[:, :, 5]) / _largest(m), axis=1)
 
 
 # R's entries among the top five rows of a factored (9, 6) matrix
@@ -690,29 +709,37 @@ def _top_of_r(a):
     return np.where(_UPPER, h.transpose(0, 2, 1)[:, :5], 0.0)
 
 
-def _step(jac, f):
-    """The least-squares Newton step -pinv(J) f of every row, (n, 9, 5) and
-    (n, 9) -> (n, 5).
+def _step(jf):
+    """The least-squares Newton step -pinv(J) f of every row of [J | f]
+    (_value_and_jacobian), (n, 9, 6) -> (n, 5).
 
-    One QR of [J | f] gives R, the top 5 x 5 block, and Q^T f, the top of
-    the last column; the step is -R^-1 Q^T f, R^-1 from np.linalg.inv.
-    ||R||_F ||R^-1||_F bounds sigma_max / sigma_min from above, by at most
-    5 times, so every row whose smallest singular value pinv would cut at
-    _RCOND takes pinv's minimum-norm step instead. The diagonal of R alone
-    bounds nothing without pivoting.
+    One QR of [J | f], factored as it stands, gives R, the top 5 x 5
+    block, and Q^T f, the top of the last column; the step is -R^-1 Q^T f,
+    R^-1 from np.linalg.inv. ||R||_F ||R^-1||_F bounds sigma_max /
+    sigma_min from above, by at most 5 times, so every row whose smallest
+    singular value pinv would cut at _RCOND takes pinv's minimum-norm step
+    instead. The diagonal of R alone bounds nothing without pivoting.
+
+    Only an exactly zero pivot stops the inversion: LU of an upper
+    triangular R, zeros below its diagonal, fails exactly then. So R's
+    diagonal is scanned only when inv raises, and its rows with a zero
+    pivot are inverted as the identity and take pinv's step. A NaN pivot
+    takes pinv's step too, its kappa not below the cutoff.
     """
-    r = _top_of_r(np.concatenate([jac, f[:, :, None]], axis=2))
+    r = _top_of_r(jf)
     rj = r[:, :, :5]
-    # an exactly zero pivot would stop the inversion; such rows fall back
-    singular = ~(np.abs(np.diagonal(rj, axis1=1, axis2=2)).min(axis=1) > 0.0)
-    if singular.any():
+    singular = False
+    try:
+        inv = np.linalg.inv(rj)
+    except np.linalg.LinAlgError:
+        singular = ~(np.abs(np.diagonal(rj, axis1=1, axis2=2)).min(axis=1) > 0.0)
         rj = np.where(singular[:, None, None], np.eye(5), rj)
-    inv = np.linalg.inv(rj)
+        inv = np.linalg.inv(rj)
     step = -(inv @ r[:, :, 5:])[:, :, 0]
     kappa2 = np.einsum("nij,nij->n", rj, rj) * np.einsum("nij,nij->n", inv, inv)
     cut = singular | ~(kappa2 * _RCOND ** 2 < 1.0)
     if cut.any():
-        step[cut] = -(np.linalg.pinv(jac[cut], rcond=_RCOND) @ f[cut, :, None])[:, :, 0]
+        step[cut] = -(np.linalg.pinv(jf[cut, :, :5], rcond=_RCOND) @ jf[cut, :, 5:])[:, :, 0]
     return step
 
 
@@ -730,56 +757,61 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
     budget (see there). Raises OverflowError when the constraints are not
     finite at x0.
 
-    The rows still iterating are the working set: their amplitudes, values,
-    value norms, Jacobians and largest normalized constraints sit in
-    working arrays, which are written out and compacted only in an
-    iteration where a row stops. Every row tries the full step at once;
-    only the rows it does not improve backtrack. Rows never interact, so
-    each comes out as it would alone.
+    The rows still iterating are the working set: their amplitudes, value
+    norms, [J | f] (_value_and_jacobian) and largest normalized
+    constraints sit in working arrays, which are written out and
+    compacted only in an iteration where a row stops; a budget per row is
+    compacted with them, a single budget compared as it is. Every row
+    tries the full step at once; only the rows it does not improve
+    backtrack. Rows never interact, so each comes out as it would alone.
     """
     xw = np.array(x0, dtype=float)
-    budget = np.broadcast_to(_MAX_ITER if budget is None else budget, len(xw))
+    budget = _MAX_ITER if budget is None else budget
     x, iters, worst = np.empty_like(xw), np.empty(len(xw), dtype=int), np.empty(len(xw))
     passed = np.empty(len(xw), dtype=bool)
     with np.errstate(all="ignore"):
-        fw, jw, ww = _value_and_jacobian(xw, table)
-        if not np.isfinite(fw).all():
+        jfw, ww = _value_and_jacobian(xw, table)
+        if not np.isfinite(jfw[:, :, 5]).all():
             raise OverflowError("the constraints overflow at the starting amplitudes")
-        nw = _norms(fw)
+        nw = _norms(jfw[:, :, 5])
         rows = np.arange(len(xw))  # where each working row goes in x
         failed = np.zeros(len(xw), dtype=bool)  # stopped by the last iteration
-        for it in range(1, int(budget.max()) + 2):
+        for it in range(1, int(np.max(budget)) + 2):
             # a stopped, converged or spent row completed it - 1
             # iterations; one whose Jacobian overflowed stops in this one
+            # (its values are finite: a step is kept only where it lowers
+            # their norm)
             done = ~failed & (ww <= tol)
-            stop = failed | done | (budget[rows] < it)
-            go = ~stop & np.isfinite(jw).all(axis=(1, 2))
+            stop = failed | done | (budget < it)
+            go = ~stop & np.isfinite(jfw).all(axis=(1, 2))
             if not go.all():
                 out = rows[~go]
                 iters[out] = it - stop[~go]
                 x[out], worst[out], passed[out] = xw[~go], ww[~go], done[~go]
-                rows, xw, fw, nw, jw, ww = rows[go], xw[go], fw[go], nw[go], jw[go], ww[go]
+                rows, xw, nw, jfw, ww = rows[go], xw[go], nw[go], jfw[go], ww[go]
+                if np.ndim(budget):
+                    budget = budget[go]
                 if not rows.size:
                     break
-            step = _step(jw, fw)
+            step = _step(jfw)
             xt = xw + step
-            ft, jt, wt = _value_and_jacobian(xt, table)
-            nt = _norms(ft)
+            jft, wt = _value_and_jacobian(xt, table)
+            nt = _norms(jft[:, :, 5])
             failed = ~(nt < (1.0 - 1e-4) * nw)
             trying, t = np.flatnonzero(failed), 0.5
             while trying.size and t >= 2.0 ** -24:
                 xb = xw[trying] + t * step[trying]
-                fb, jb, wb = _value_and_jacobian(xb, table)
-                nb = _norms(fb)
+                jfb, wb = _value_and_jacobian(xb, table)
+                nb = _norms(jfb[:, :, 5])
                 better = nb < (1.0 - 1e-4 * t) * nw[trying]
                 won = trying[better]
-                xt[won], ft[won], nt[won], jt[won], wt[won] = (
-                    xb[better], fb[better], nb[better], jb[better], wb[better])
+                xt[won], nt[won], jft[won], wt[won] = (
+                    xb[better], nb[better], jfb[better], wb[better])
                 failed[won] = False
                 trying, t = trying[~better], 0.5 * t
             if trying.size:  # a row that found no descent stops where it was
-                xt[trying], ft[trying], wt[trying] = xw[trying], fw[trying], ww[trying]
-            xw, fw, nw, jw, ww = xt, ft, nt, jt, wt
+                xt[trying], jft[trying], wt[trying] = xw[trying], jfw[trying], ww[trying]
+            xw, nw, jfw, ww = xt, nt, jft, wt
             failed |= _norms(xw) > 1e8
     return x, iters, worst, passed
 
@@ -853,7 +885,7 @@ def _snap(x, worst, couplings, offsets, table):
     with np.errstate(all="ignore"):
         best, points, dist[ok] = _nearest(x[ok], couplings, offsets)
         near = np.flatnonzero(dist[ok] <= _SNAP_TOL)
-        snapped = _value_and_jacobian(points[near], table)[2]
+        snapped = _value_and_jacobian(points[near], table)[1]
         passed = snapped <= _SUCCESS_TOL
         kept = near[passed]  # positions among the rows at most _SUCCESS_TOL
         x[ok[kept]], worst[ok[kept]] = points[kept], snapped[passed]

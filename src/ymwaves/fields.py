@@ -405,17 +405,24 @@ class _Grid:
 
     def angle_blocks(self, p: AnsatzParams):
         """The cos and sin of the grid's phases, each (t, z) pair once, t
-        slower: the blocks of the grid's (t, z) plane, the grid with a
-        single y = 0.
+        slower, in blocks of at most _GRID_BLOCK pairs.
 
         A point's phase depends on it only through its (t, z) pair, so the
         trigonometry runs on the nt nz phases, not on the nt ny nz points
-        (see residuals._max_analytic_norm). Checks the whole grid (check),
-        frame angles included, before the plane's blocks are made.
+        (see residuals._max_analytic_norm), and takes no frame angle.
+        Checks the whole grid (check), frame angles included, before any
+        block is made.
         """
         self.check(p)
-        plane = _Grid(self.t, _Axis(0.0, 0.0, 1), self.z)
-        return ((r.cos_th, r.sin_th) for r in plane.blocks(p))
+        n = self.t.count * self.z.count
+        return (_cos_sin(self._phases(p, np.arange(start, min(start + _GRID_BLOCK, n))))
+                for start in range(0, n, _GRID_BLOCK))
+
+    def _phases(self, p: AnsatzParams, pairs) -> np.ndarray:
+        """The phases of the given (t, z) pair numbers, t slower, as
+        blocks' rows take them."""
+        it, iz = np.divmod(pairs, self.z.count)
+        return _phase(p, self.t.at(it), self.z.at(iz))
 
 
 def _field_columns(p: AnsatzParams, angles):

@@ -25,8 +25,10 @@ def _params(alphas, lam, k, omega, g, c):
 def stop_scales(alphas, table):
     """Newton's stop scales at the amplitudes, from the term table at the
     couplings (constraints._substitute): each constraint's largest term,
-    floored at 1 (constraints._largest), not the verdicts' bounds."""
-    return _largest(_monomials(table, np.reshape(np.array(alphas, dtype=float), (5, 1))))[:, 0]
+    floored at 1 (constraints._largest), not the verdicts' bounds. A term
+    that overflows is inf, as in the library's Newton."""
+    with np.errstate(all="ignore"):
+        return _largest(_monomials(table, np.array(alphas, dtype=float)[None, :]))[0]
 
 
 def worst_stop(alphas, lam, k, omega, g, c, table):

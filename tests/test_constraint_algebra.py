@@ -62,7 +62,8 @@ def _expanded_constraints(sp, atoms):
 
 def _table_groups(sp, atoms):
     """The term table read back as lists of sympy terms, one per group:
-    c1..c9, then the derivative of each in alpha1, alpha2, x, alpha4, alpha5."""
+    for each of c1..c9 its derivatives in alpha1, alpha2, x, alpha4 and
+    alpha5, then the constraint itself."""
     factors = [*atoms[:5], sp.Integer(1)]
     k, w, g = atoms[5:]
     terms = [sp.Rational(c) * factors[f0] * factors[f1] * factors[f2] * k ** pk * w ** pw * g ** pg
@@ -72,16 +73,16 @@ def _table_groups(sp, atoms):
 
 
 def test_term_table_is_the_expansion_of_c1_to_c9():
-    # read back, the table holds c1..c9 term for term as sympy expands
-    # them, and then their derivatives in the five amplitude atoms
+    # read back, the table holds each of c1..c9 term for term as sympy
+    # expands it, after its derivatives in the five amplitude atoms
     sp = pytest.importorskip("sympy")
     atoms = sp.symbols("a1 a2 x a4 a5 k w g")
     groups = _table_groups(sp, atoms)
     assert len(groups) == 9 + 9 * 5
     for i, poly in enumerate(_expanded_constraints(sp, atoms)):
-        assert Counter(groups[i]) == Counter(sp.Add.make_args(poly)), f"c{i + 1}"
+        assert Counter(groups[6 * i + 5]) == Counter(sp.Add.make_args(poly)), f"c{i + 1}"
         for j in range(5):
-            derivative = sp.Add(*groups[9 + 5 * i + j])
+            derivative = sp.Add(*groups[6 * i + j])
             assert sp.expand(derivative - sp.diff(poly, atoms[j])) == 0, f"c{i + 1}, atom {j}"
 
 
@@ -97,7 +98,7 @@ def test_exact_jacobian_is_sympys_derivative():
         a = rng.uniform(-3.0, 3.0, 5)
         lam, k, omega = rng.uniform(-3.0, 3.0, 3)
         g, c = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0)
-        jac = _value_and_jacobian(a[None, :], _substitute(lam, k, omega, g, c))[1][0]
+        jac = _value_and_jacobian(a[None, :], _substitute(lam, k, omega, g, c))[0][0, :, :5]
         # the atoms as the table takes them, x and omega / c rounded
         values = (a[0], a[1], lam + 2.0 * g * a[2], a[3], a[4], k, omega / c, g)
         point = dict(zip(atoms, map(sp.Rational, values)))
@@ -194,7 +195,7 @@ def _paths(x, lam, k, omega, g, c):
     term table's values."""
     scalar = np.array([nine_constraints(AnsatzParams(*r, lam=lam, k=k, omega=omega, g=g, c=c))
                        for r in x.tolist()])
-    return scalar, _value_and_jacobian(x, _substitute(lam, k, omega, g, c))[0]
+    return scalar, _value_and_jacobian(x, _substitute(lam, k, omega, g, c))[0][:, :, 5]
 
 
 def _normalized_and_scales(x, lam, k, omega, g, c):

@@ -6,6 +6,7 @@ import pytest
 
 import ymwaves.constraints
 from ymwaves.constraints import (
+    _BRANCHES,
     _ORACLE_DESIGN,
     _ORACLE_FIT,
     ClassificationError,
@@ -14,7 +15,10 @@ from ymwaves.constraints import (
     NotASolution,
     PlaneSolution,
     TrivialZeroField,
+    _offsets,
+    _on_cone,
     _oracle_fit,
+    _projections,
     branch_projection,
     build_family_i,
     build_family_ii,
@@ -313,6 +317,23 @@ def test_branch_projection_validates_input(alphas, bad):
 def test_couplings_that_overflow_a_branch_offset_are_rejected(call):
     with pytest.raises(ValueError, match="branch offset is not finite"):
         call()
+
+
+@pytest.mark.parametrize("g, c, want", [
+    # on the light cone Family II's offsets, k / 4g, are 2.5e299
+    (1e-300, 1.0, ("abelian-z", (0.0, 0.0, 0.3, 0.0, 0.5), 0.45825756949558405)),
+    # off it Family III's, omega / 2gc, are 5e299
+    (1.0, 1e-300, ("pure-gauge", (0.1, 0.2, -0.0, 0.0, 0.0), 0.7071067811865476)),
+])
+def test_a_distance_that_overflows_reads_the_largest_float_without_a_warning(g, c, want):
+    # the distance squares the offsets; under tier-1's warnings-as-errors
+    # the call returns the nearest branch, the far ones at the largest float
+    alphas = (0.1, 0.2, 0.3, 0.4, 0.5)
+    assert branch_projection(alphas, 0.0, 1.0, 1.0, g, c) == want
+    couplings = (0.0, 1.0, 1.0, g, c)
+    dist = _projections(np.array([alphas]), _offsets(couplings), _on_cone(1.0, 1.0, c, 1e-9))[1][0]
+    far = dist[[i for i, b in enumerate(_BRANCHES) if b.label in ("II", "III")]]
+    assert np.all(far >= np.finfo(float).max) and np.finfo(float).max in far
 
 
 def test_scan_is_deterministic_and_labeled():

@@ -42,8 +42,9 @@ def _params(a, cpl):
 @given(rows, couplings)
 def test_exact_jacobian_is_the_column_by_column_difference(x, cpl):
     table = _substitute(*cpl)
-    f, jac, worst = _value_and_jacobian(x, table)
-    assert f.shape == (len(x), 9) and jac.shape == (len(x), 9, 5)
+    jf, worst = _value_and_jacobian(x, table)
+    assert jf.shape == (len(x), 9, 6) and worst.shape == (len(x),)
+    jac, f = jf[:, :, :5], jf[:, :, 5]
     # the table sums the expanded monomials, nine_constraints (the route
     # verify and classify take) the nested c1..c9 of the same atoms: they
     # agree to rounding, 8 ulps of Newton's stop scale (4.7 the most
@@ -56,7 +57,7 @@ def test_exact_jacobian_is_the_column_by_column_difference(x, cpl):
         assert _hex(worst[i]) == _hex(np.max(np.abs(f[i]) / scales))
         # each row alone, bit for bit as in the batch
         alone = _value_and_jacobian(row[None, :], table)
-        assert [_hex(a[0]) for a in alone] == [_hex(b[i]) for b in (f, jac, worst)]
+        assert [_hex(a[0]) for a in alone] == [_hex(b[i]) for b in (jf, worst)]
         # the central difference of nine_constraints through AnsatzParams
         # agrees with the exact Jacobian to its truncation and rounding
         want = jacobian(lambda a: nine_constraints(_params(a, cpl)).as_array(), row)
@@ -67,13 +68,18 @@ def _pinv_step(jac, f):
     return np.array([-(np.linalg.pinv(j, rcond=_RCOND) @ v) for j, v in zip(jac, f)])
 
 
+def _jf(jac, f):
+    """[J | f], as _value_and_jacobian lays it out and _step takes it."""
+    return np.concatenate([jac, f[:, :, None]], axis=2)
+
+
 def test_qr_step_matches_pinv_on_full_rank_rows():
     rng = np.random.default_rng(7)
     for n in (1, 6, 64):
         jac = rng.normal(size=(n, 9, 5)) * rng.uniform(0.1, 10.0, size=(n, 1, 5))
         f = rng.normal(size=(n, 9))
         want = _pinv_step(jac, f)
-        got = _step(jac, f)
+        got = _step(_jf(jac, f))
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want).max(axis=1, keepdims=True))
 
 
@@ -102,11 +108,26 @@ def test_rank_deficient_rows_take_the_pinv_step_exactly():
     jac[4] = 0.0
     jac[4, :5, :5] = np.eye(5)
     jac[4, 0, 1] = 1e8
-    got = _step(jac, f)
+    got = _step(_jf(jac, f))
     want = _pinv_step(jac, f)
     for i in (1, 3, 4):
         assert _hex(got[i]) == _hex(want[i])
     assert np.allclose(got[[0, 2]], want[[0, 2]], rtol=1e-10, atol=0.0)
+
+
+def test_a_zero_pivot_changes_no_other_row_of_the_batch():
+    # a zero column gives R an exactly zero pivot, so inverting the batch's R
+    # raises and _step scans for the pivot; every row, full rank or not,
+    # steps as it does alone, bit for bit
+    rng = np.random.default_rng(9)
+    jf = rng.normal(size=(6, 9, 6))
+    jf[2, :, 3] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(_top_of_r(jf)[:, :, :5])
+    got = _step(jf)
+    for i in range(len(jf)):
+        assert _hex(got[i]) == _hex(_step(jf[i:i + 1])[0])
+    assert _hex(got[2]) == _hex(_pinv_step(jf[2:3, :, :5], jf[2:3, :, 5]))
 
 
 # At lam = sqrt of the largest float (as in test_refine_overflow) every
@@ -157,9 +178,9 @@ def test_one_batch_holds_every_way_to_stop():
     assert np.all(worst[1:4] > _TOL) and np.all(iters[1:4] == 1)  # stopped in the first
     assert np.array_equal(x[1:3], x0[1:3])  # unmoved: no step, or no descent
     with np.errstate(all="ignore"):
-        f, jac, _ = _value_and_jacobian(x0[1:3], _substitute(*cpl))
-    assert np.isfinite(f).all()
-    assert np.isfinite(jac).all(axis=(1, 2)).tolist() == [False, True]
+        jf, _ = _value_and_jacobian(x0[1:3], _substitute(*cpl))
+    assert np.isfinite(jf[:, :, 5]).all()
+    assert np.isfinite(jf[:, :, :5]).all(axis=(1, 2)).tolist() == [False, True]
     assert np.linalg.norm(x[3]) > 1e8
 
 
