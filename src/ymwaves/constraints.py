@@ -171,9 +171,12 @@ def _substitute(lam, k, omega, g, c) -> _Substituted:
     except OverflowError:
         raise _squares_overflow(_ATOM_NAMES[5:], (k, w, g)) from None
     pk, pw, pg = powers[_POWER_INDEX]
-    coefficients = _CONSTANTS * pk * pw * pg
     two_g = 2.0 * g
-    coefficients[_ALPHA3] *= two_g
+    # a coefficient may overflow although no power does: an inf or nan
+    # term is judged by the callers, as the monomials are
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = _CONSTANTS * pk * pw * pg
+        coefficients[_ALPHA3] *= two_g
     return _Substituted(lam, two_g, coefficients)
 
 
@@ -748,14 +751,14 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
 
     Returns the final rows, the iterations each took, their largest
     normalized constraint and which passed: converged to tol without
-    failing. A row stops when it converges to tol (counting the
-    iterations completed before), when its Jacobian overflows or it fails,
-    its line search failing or its norm passing 1e8 whatever its
-    constraint (counting the current one), or when it has used its
-    budget, _MAX_ITER iterations or one count per row. table is the term
-    table at the couplings (_substitute); only scan_families sets tol and
-    budget (see there). Raises OverflowError when the constraints are not
-    finite at x0.
+    failing, within norm 1e8. A row stops when it converges to tol
+    (counting the iterations completed before), when its Jacobian
+    overflows or it fails, its line search failing or its norm passing
+    1e8 whatever its constraint (counting the current one), or when it
+    has used its budget, _MAX_ITER iterations or one count per row. table
+    is the term table at the couplings (_substitute); only scan_families
+    sets tol and budget (see there). Raises OverflowError when the
+    constraints are not finite at x0.
 
     The rows still iterating are the working set: their amplitudes, value
     norms, [J | f] (_value_and_jacobian) and largest normalized
@@ -813,6 +816,7 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
                 xt[trying], jft[trying], wt[trying] = xw[trying], jfw[trying], ww[trying]
             xw, nw, jfw, ww = xt, nt, jft, wt
             failed |= _norms(xw) > 1e8
+        passed &= ~(_norms(x) > 1e8)  # also a start past it, converged before any step
     return x, iters, worst, passed
 
 
@@ -877,8 +881,9 @@ def _snap(x, worst, couplings, offsets, table):
     within _SNAP_TOL moves onto it when the point there is at most
     _SUCCESS_TOL too. Writes the snapped points and their worst into x and
     worst; returns each row's branch label ('' where it did not snap) and
-    its distance to the nearest branch (inf where worst is above
-    _SUCCESS_TOL)."""
+    its distance to the nearest branch: inf where worst is above
+    _SUCCESS_TOL, and 0 where the row snapped, since the point is that
+    branch's own projection."""
     labels = np.full(len(x), "", dtype=object)
     dist = np.full(len(x), math.inf)
     ok = np.flatnonzero(worst <= _SUCCESS_TOL)
@@ -890,7 +895,7 @@ def _snap(x, worst, couplings, offsets, table):
         kept = near[passed]  # positions among the rows at most _SUCCESS_TOL
         x[ok[kept]], worst[ok[kept]] = points[kept], snapped[passed]
         labels[ok[kept]] = _LABELS[best[kept]]
-        dist[ok[kept]] = _nearest(x[ok[kept]], couplings, offsets)[2]
+        dist[ok[kept]] = 0.0
     return labels, dist
 
 

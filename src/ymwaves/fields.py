@@ -352,8 +352,8 @@ def _grid_axis(lo, hi, n) -> _Axis:
 
 class _Grid:
     """The product grid of three axes t, y, z, t slowest and z fastest,
-    held as its axes (_Axis, or any with a count, values at indices and
-    ends); residuals.grid_points lists the same points."""
+    held as its three _Axis tuples; residuals.grid_points lists the same
+    points."""
 
     def __init__(self, t, y, z):
         self.t, self.y, self.z = t, y, z

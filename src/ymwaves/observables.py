@@ -10,25 +10,21 @@ below, so kappa defaults to 1/4, the normalization under which
 
 hold pointwise. Pick kappa = 1/2 to recover the conventional scale;
 nothing else in the module depends on the choice.
+
+Both are functions of the phase alone, so the phase profile of
+energy-profile evaluates the density at each of its phases directly,
+not at a point whose coordinates realize it (point_at_phase).
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
+from . import fields
 from .constraints import FamilySolution
-from .fields import (
-    AnsatzParams,
-    SpacetimePoint,
-    _angles,
-    _Axis,
-    _check_count,
-    _field_columns,
-    _Grid,
-)
+from .fields import AnsatzParams, SpacetimePoint, _angles, _check_count, _cos_sin, _field_columns
 from .su2 import _norm_squared
 
 __all__ = [
@@ -86,52 +82,23 @@ def node_locations(sol: FamilySolution) -> list[float]:
     raise ValueError(f"no density nodes defined for family {sol.family!r}")
 
 
-def _phase_coordinates(p: AnsatzParams, theta):
-    """(t, z) realizing phase theta, through z when k != 0, else through t.
-
-    Plain arithmetic, so theta may be a float or a numpy column.
-    """
-    if p.k != 0.0:
-        return 0.0, theta / p.k
-    if p.omega != 0.0:
-        return -theta / p.omega, 0.0
-    raise ValueError("k = omega = 0 admits no phase sweep")
-
-
 def point_at_phase(p: AnsatzParams, theta: float) -> SpacetimePoint:
     """A point at x = y = 0 realizing phase theta, through z when k != 0, else through t."""
-    t, z = _phase_coordinates(p, theta)
-    return SpacetimePoint(t=t, x=0.0, y=0.0, z=z)
-
-
-def _profile_phases(i, n: int):
-    """The profile's phases 2 pi i / n at the sample indices i."""
-    return 2.0 * math.pi * i / n
-
-
-class _Sweep(NamedTuple):
-    """The coordinate that realizes the profile's phases (_phase_coordinates),
-    z when k != 0 and t otherwise, as a grid axis of count samples."""
-
-    p: AnsatzParams
-    count: int
-
-    def at(self, i) -> np.ndarray:
-        with np.errstate(over="ignore"):  # an overflow is named by _Grid.check
-            t, z = _phase_coordinates(self.p, _profile_phases(i, self.count))
-        return z if self.p.k != 0.0 else t
-
-    def ends(self):
-        return self.at(np.array([0, self.count - 1])).tolist()
+    if p.k != 0.0:
+        return SpacetimePoint(z=theta / p.k)
+    if p.omega != 0.0:
+        return SpacetimePoint(t=-theta / p.omega)
+    raise ValueError("k = omega = 0 admits no phase sweep")
 
 
 def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
     """The density of p = sol.params(), a Family I or II wave, at kappa =
-    1/4, the closed forms' normalization, at n_samples phases theta in
-    [0, 2 pi), as blocks of (thetas, densities, sol's closed forms), lists
-    of floats, one block of the grid core at a time. The phases and their
-    coordinates are made block by block, so memory does not grow with
-    n_samples.
+    1/4, the closed forms' normalization, at the n_samples phases theta =
+    2 pi i / n_samples, as blocks of (thetas, densities, sol's closed
+    forms), lists of floats. The density is evaluated at each theta itself,
+    through its cosine and sine, at frame angle 0: the profile's points sit
+    at y = 0. The phases are made block by block, fields._GRID_BLOCK at a
+    time, so memory does not grow with n_samples.
 
     Checks the input and the whole sweep before returning, so that a caller
     writing the blocks out writes nothing for a bad input: a count below 2,
@@ -141,21 +108,21 @@ def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
     if n_samples < 2:
         raise ValueError("need at least 2 profile samples")
     _check_count(n_samples)
-    point, sweep = _Axis(0.0, 0.0, 1), _Sweep(p, n_samples)
-    grid = _Grid(point, point, sweep) if p.k != 0.0 else _Grid(sweep, point, point)
-    with np.errstate(over="ignore"):  # an overflow is named below
+    size = fields._GRID_BLOCK
+
+    def blocks():
+        for start in range(0, n_samples, size):
+            theta = 2.0 * math.pi * np.arange(start, min(start + size, n_samples)) / n_samples
+            yield theta, _density(p, (*_cos_sin(theta), 1.0, 0.0), 0.25)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         # one pass over the sweep that keeps nothing, before any row is made
-        finite = all(np.isfinite(_density(p, rows.angles(), 0.25)).all()
-                     for rows in grid.blocks(p))
+        finite = all(np.isfinite(density).all() for _, density in blocks())
     if not (finite and math.isfinite((sol.k * sol.k) * (sol.alpha4 * sol.alpha4))):
         raise OverflowError("the energy density or its closed form overflows")
 
     def profile():
-        start = 0
-        for rows in grid.blocks(p):
-            stop = start + len(rows.t)
-            block = _profile_phases(np.arange(start, stop), n_samples).tolist()
-            start = stop
-            yield (block, _density(p, rows.angles(), 0.25).tolist(),
-                   [energy_closed_form(sol, th) for th in block])
+        for theta, density in blocks():
+            block = theta.tolist()
+            yield block, density.tolist(), [energy_closed_form(sol, th) for th in block]
     return profile()

@@ -280,7 +280,8 @@ def _numeric_residuals(p: AnsatzParams, coords: np.ndarray):
         # curl B - (1/c) dE/dt rounds as -(1/c) dE/dt + curl B
         ampere = curl[:, 3:] - rate[:, :3] + comm[1]
         faraday = rate[:, 3:] + curl[:, :3] + comm[2]
-    return div[:, 0] + comm[0], ampere, (div[:, 1], faraday)
+        gauss = div[:, 0] + comm[0]
+    return gauss, ampere, (div[:, 1], faraday)
 
 
 def _largest_norm(scalar: np.ndarray, vector: np.ndarray) -> float:

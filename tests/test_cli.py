@@ -469,6 +469,20 @@ def test_energy_profile_prints_the_family_the_flags_build(family, alpha4, coupli
     _profile_matches_its_closed_form(out, float(couplings[1]) if couplings else 1.0, alpha4)
 
 
+@pytest.mark.parametrize("k", ["1e-308", "1e-320"])
+def test_energy_profile_at_a_subnormal_k_is_its_zero_profile(k, capsys):
+    # the density is k^2 alpha4^2 cos^2 theta, 0 in floats; theta / k, a
+    # coordinate that realizes the phase, would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["energy-profile", "--family", "I", "--alpha4", "1", "--k", k,
+                              "--theta-samples", "8"], capsys)
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [float(row[0]) for row in rows[1:]] == [2.0 * math.pi * i / 8 for i in range(8)]
+    assert all(float(v) == 0.0 for row in rows[1:] for v in row[1:])
+
+
 def test_energy_profile_rejects_family_iii(capsys):
     code, _, err = run(["energy-profile", "--family", "III", "--alpha4", "1"], capsys)
     assert code == 2
@@ -703,6 +717,9 @@ def test_couplings_that_overflow_a_branch_offset_are_usage_errors(argv, message,
     (["--seed", "-1"], "--seed must be >= 0, got -1"),
     (["--seeds", "0"], "--seeds must be >= 1, got 0"),
     (["--seeds", "-3"], "--seeds must be >= 1, got -3"),
+    # g^2 is finite, but a term's coefficient, g^2 times a constant or 2 g, is not
+    (["--g", "1e154"],
+     "an input is too large: the constraints overflow at the starting amplitudes"),
 ], ids=lambda value: re.split("[:;,]", value)[0] if isinstance(value, str) else None)
 def test_scan_bad_couplings_are_usage_errors(extra, message, capsys):
     with warnings.catch_warnings():
@@ -1023,6 +1040,9 @@ def test_fast_phases_give_a_verdict(argv, capsys):
     # fields near 1e300 whose derivatives overflow: the residual reads NaN
     # at some points, and its largest norm 0
     ["--alpha4", "1e150", "--k", "1e150"],
+    # a frame rotation near the largest float: gauss's divergence and its
+    # commutator term are inf of opposite signs, and their sum NaN
+    ["--alpha4", "1e103", "--lambda", "1e308"],
 ])
 def test_a_numeric_bound_that_overflows_is_named(argv, capsys):
     with warnings.catch_warnings():

@@ -34,7 +34,7 @@ from ymwaves.constraints import (
 from ymwaves.fields import AnsatzParams
 
 from conftest import random_params
-from scalar_newton import scan_labels
+from scalar_newton import nearest_branch, scan_labels
 
 # independently recomputed by polynomial expansion of the harmonic groups,
 # then frozen; guards against silent sign or factor drift
@@ -394,6 +394,40 @@ def test_classify_agrees_with_scan_labels(lam, k, omega, g):
             assert out.params() == p
 
 
+@pytest.mark.parametrize("lam, k, omega, g", SCAN_REGIMES)
+def test_every_labelled_scan_root_lies_on_its_branch_by_the_reference(lam, k, omega, g):
+    # a snapped row's distance reads 0 by construction, the point being its
+    # branch's own projection; the reference's hand-written branches measure
+    # it independently. Only the vacuum line off the light cone is unnamed.
+    rows = [r for r in scan_families(200, seed=5, lam=lam, k=k, omega=omega, g=g) if r.converged]
+    assert sum(r.label != "none" for r in rows) > 190
+    for r in rows:
+        if r.label == "none":
+            assert omega != k and max(abs(r.alphas[i]) for i in (0, 1, 3, 4)) < 1e-6
+            continue
+        label, _, distance = nearest_branch(r.alphas, lam, k, omega, g)
+        assert (label, r.distance) == (r.label, 0.0)
+        assert distance <= 1e-6
+
+
+def test_a_snap_projects_once(monkeypatch):
+    calls = []
+    projections, snap = ymwaves.constraints._projections, ymwaves.constraints._snap
+
+    def counting_projections(*args):
+        calls[-1] += 1
+        return projections(*args)
+
+    def counting_snap(*args):
+        calls.append(0)
+        return snap(*args)
+    monkeypatch.setattr(ymwaves.constraints, "_projections", counting_projections)
+    monkeypatch.setattr(ymwaves.constraints, "_snap", counting_snap)
+    rows = scan_families(50, seed=3, lam=0.0, k=1.0, omega=0.5, g=1.0)
+    assert sum(r.label not in ("", "none") for r in rows) > 40
+    assert calls == [1, 1]  # the snap, then the resumed rows' snap
+
+
 def test_a_tiny_wave_number_off_the_cone_names_no_cone_branch():
     # omega = 2 k c is off the light cone at every size: Families I and II
     # and the abelian-z plane exist only on it
@@ -470,6 +504,8 @@ def test_scan_validates_couplings_before_newton(monkeypatch):
 def test_refine_overflow(recwarn):
     with pytest.raises(OverflowError):
         refine_alphas((1.0, 0.0, 0.0, 0.0, 0.0), lam=1e308, k=1.0, omega=1.0, g=1.0)
+    with pytest.raises(OverflowError):  # g^2 is finite, g^2 times 2 g is not
+        refine_alphas((0.1, 0.2, 0.3, 0.4, 0.5), lam=0.0, k=1.0, omega=1.0, g=1e154)
     # finite constraints whose Jacobian overflows: the row stops unconverged.
     # x = lam + 2 g alpha3 = 3 lam / 2, so c1 = alpha1 x^2 is finite and
     # its derivative x^2 in alpha1 is not

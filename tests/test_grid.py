@@ -1,8 +1,10 @@
 """The grid core against the scalar, one-point-at-a-time routes.
 
 fields and energy-profile evaluate their rows in blocks of numpy columns;
-the references here build the same CSV the way the per-point code does:
-one SpacetimePoint, the scalar closed-form fields and csv.writer per row.
+the references here build the same CSV the way the per-point code does,
+with csv.writer per row: for fields one SpacetimePoint and the scalar
+closed-form fields, for the profile the density's float route at each
+phase.
 """
 
 import csv
@@ -27,7 +29,7 @@ from ymwaves.fields import (
     electric_field_analytic,
     magnetic_field_analytic,
 )
-from ymwaves.observables import energy_closed_form, energy_density, point_at_phase
+from ymwaves.observables import _density, _profile_blocks, energy_closed_form
 from ymwaves.residuals import _max_analytic_norm, grid_points, max_residual_norm, residual_sample
 
 from conftest import random_params, random_point
@@ -94,13 +96,14 @@ def _fields_reference(p, grid):
 
 
 def _profile_reference(p, n):
+    # the one-point float route at exactly theta, at frame angle 0 (y = 0)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["theta", "density", "closed_form", "abs_diff"])
     sol = classify(p)
     for i in range(n):
         th = 2.0 * math.pi * i / n
-        dens = energy_density(p, point_at_phase(p, th))
+        dens = _density(p, (math.cos(th), math.sin(th), 1.0, 0.0), 0.25)
         cf = energy_closed_form(sol, th)
         writer.writerow([_num(v) for v in (th, dens, cf, abs(dens - cf))])
     return out.getvalue()
@@ -139,6 +142,10 @@ def test_output_does_not_depend_on_block_size(monkeypatch, capsys):
     whole = [_run(argv, capsys) for argv in argvs]
     monkeypatch.setattr(ymwaves.fields, "_GRID_BLOCK", 4)
     assert [_run(argv, capsys) for argv in argvs] == whole
+    # the patched block size reaches the profile, which reads it at each call
+    sol = classify(_params(*physics))
+    sizes = [len(block[0]) for block in _profile_blocks(sol.params(), sol, 1030)]
+    assert sizes == [4] * 257 + [2]
 
 
 def test_fields_builds_no_point_per_row(monkeypatch, capsys):

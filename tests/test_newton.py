@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ymwaves.constraints import (
@@ -165,6 +165,9 @@ def _batch_matches_each_row_alone(x0, cpl):
     st.tuples(st.lists(st.tuples(*[value] * 5, st.sampled_from(_ORDERS)), min_size=1, max_size=8)
               .map(lambda r: np.array(r)[:, :5] * np.array(r)[:, 5:]), st.just(_WIDE)),
     st.tuples(rows, st.sampled_from([(0.0, 1.0, 2.0, 1.0, 1.0), (-0.7, 1.3, 1.3, 1.6, 1.0)]))))
+# an exact root past norm 1e8 (alpha5 alone, on the cone) converges before
+# any step, and has not passed
+@example((np.array([(0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 1e20)]), _WIDE))
 def test_batching_never_changes_a_row(batch):
     x0, cpl = batch
     _batch_matches_each_row_alone(x0, cpl)
