@@ -11,7 +11,8 @@ Subcommands:
     energy-profile  CSV of the energy density over one phase period
 
 Configurations come either from --family with that family's free
-parameters or from the raw --alpha1..--alpha5/--k/--omega flags.
+parameters or from the raw --alpha1..--alpha5/--k/--omega flags, converted
+once to the library's units, where omega is omega / c and time c t.
 Numbers are emitted with 17 significant digits so parsing them back
 reproduces the exact float. Exit codes: 0 verified / solution, 1 a
 failing check / not a solution, 2 usage error.
@@ -111,20 +112,31 @@ def _add_config_flags(sp, family_wave=False, tol=True):
                         help="verification tolerance (default 1e-9)")
 
 
-def _omega(k, omega, c, family=None) -> float:
-    """--omega, or k*c without it; a family on the light cone (its rows of
-    the branch table) takes only k*c. --c is checked before k*c is formed,
-    so that a bad --c is named, and a k*c that overflows is named as such."""
-    if omega is not None and not any(b.cone for b in _BRANCHES if b.label == family):
-        return omega
+def _converted(name: str, value: float, **inputs) -> float:
+    """value, unless it overflowed: then an OverflowError naming it and its inputs."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{name} overflows at "
+                            + " and ".join(f"{k} = {v!r}" for k, v in inputs.items()))
+    return value
+
+
+def _omega(args, family=None) -> float:
+    """The library's omega, --omega / --c, or exactly k where omega = k c:
+    without --omega, and for a family on the light cone (its rows of the
+    branch table), which takes --omega only at k c. Checks --c first."""
+    c = args.c
     _require_finite("c", c)
-    kc = k * c
-    if math.isfinite(k) and not math.isfinite(kc):
-        raise OverflowError(f"omega = k*c overflows at k = {k!r} and c = {c!r}")
-    if omega is not None and omega != kc:
-        raise ValueError(f"--family {family} has omega = k*c = {_fmt(kc)}; "
-                         f"--omega {_fmt(omega)} differs")
-    return kc
+    if c == 0.0:
+        raise ValueError("c must be nonzero")
+    if args.omega is None:
+        return args.k
+    if any(b.cone for b in _BRANCHES if b.label == family):
+        if args.omega != args.k * c:
+            raise ValueError(f"--family {family} has omega = k*c = {_fmt(args.k * c)}; "
+                             f"--omega {_fmt(args.omega)} differs")
+        return args.k
+    _require_finite("omega", args.omega)
+    return _converted("omega / c", args.omega / c, omega=args.omega, c=c)
 
 
 def _signs(args):
@@ -141,14 +153,14 @@ def _build_params(args) -> AnsatzParams:
     eta, xi = _signs(args)
     if args.family is None:
         return AnsatzParams(*(getattr(args, f"alpha{i}", 0.0) for i in range(1, 6)), args.lam,
-                            args.k, _omega(args.k, args.omega, args.c), args.g, args.c)
+                            args.k, _omega(args), args.g)
     given = ", ".join(f"--alpha{i}" for i in (1, 2, 3, 5) if f"alpha{i}" in args)
     if given:
         raise ValueError(f"--family {args.family} builds every amplitude from --alpha4, "
                          f"not {given}")
     # a family ignores the signs it does not have
-    return FamilySolution(args.family, args.k, _omega(args.k, args.omega, args.c, args.family),
-                          args.alpha4, args.lam, args.g, args.c, eta, xi).params()
+    return FamilySolution(args.family, args.k, _omega(args, args.family), args.alpha4,
+                          args.lam, args.g, eta, xi).params()
 
 
 def _parse_grid(text: str):
@@ -174,6 +186,14 @@ def _parse_grid(text: str):
                              f"got {bits[2]!r}") from None
         ranges.append((lo, hi, n))
     return ranges
+
+
+def _grids(args):
+    """The grid of --grid as given, then in the library's units, at --c as
+    _omega checked it: the t axis (t0, t1, n) scaled to (c t0, c t1, n)."""
+    (t0, t1, n), *rest = _parse_grid(args.grid)
+    ct = [_converted("c*t", args.c * t, t=t, c=args.c) for t in (t0, t1)]
+    return _Grid.from_ranges((t0, t1, n), *rest), _Grid.from_ranges((*ct, n), *rest)
 
 
 @contextlib.contextmanager
@@ -213,7 +233,7 @@ def _verify_checks(args):
         for i, (name, value) in enumerate(zip(_STATIC_SUMS, judged), start=1):
             lines.append(f"static condition {i}: {name} at theta = 0 (normalized {_fmt(value)})")
 
-    grid = _Grid.from_ranges(*_parse_grid(args.grid))
+    grid = _grids(args)[1]
     n = len(grid)
     max_analytic = _max_analytic_norm(cv, grid.angle_blocks(p))
     ana_allow = args.tol * max(scales)  # the residual is made of c1..c9
@@ -277,10 +297,12 @@ def cmd_classify(args) -> int:
         if isinstance(result, ClassificationError):
             out.write(f"unclassified solution: {result}\n")
             return 1
-        if isinstance(result, FamilySolution):
+        if isinstance(result, FamilySolution):  # omega in the caller's units
+            omega = args.omega if args.omega is not None else _converted(
+                "omega = k*c", args.k * args.c, k=args.k, c=args.c)
             out.write(f"family {result.family}{_sign_suffix(result.eta, result.xi)} "
                       f"(k={_fmt(result.k)}, "
-                      f"omega={_fmt(result.omega)}, alpha4={_fmt(result.alpha4)})\n")
+                      f"omega={_fmt(omega)}, alpha4={_fmt(result.alpha4)})\n")
             return 0
         if isinstance(result, PlaneSolution):
             a = result.alphas
@@ -306,8 +328,7 @@ def cmd_scan(args) -> int:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     if args.seed < 0:  # nor does numpy's
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    blocks = _scan_blocks(args.seeds, args.seed, args.lam, args.k,
-                          _omega(args.k, args.omega, args.c), args.g, args.c)
+    blocks = _scan_blocks(args.seeds, args.seed, args.lam, args.k, _omega(args), args.g)
     tally = Counter()
 
     def text():
@@ -358,15 +379,18 @@ def cmd_fields(args) -> int:
     and z repeat, theta depends only on (t, z) and the sigma_z parts of
     E_y and B_x do not depend on y, so each of these six columns formats
     every distinct value once per block (_distinct_text); only the four
-    sigma_x and sigma_y coefficients are formatted row by row."""
+    sigma_x and sigma_y coefficients are formatted row by row. The
+    coordinates are printed as given, t too, not c t."""
     p = _build_params(args)
+    shown, grid = _grids(args)
     # the grid is checked whole before the first row is written
-    blocks = _Grid.from_ranges(*_parse_grid(args.grid)).blocks(p)
+    blocks = grid.blocks(p)
 
     def text():
-        for r in blocks:
+        for rows, r in blocks:
             (ey_x, ey_y, ey_z), (bx_x, bx_y, bx_z) = _field_columns(p, r.angles())  # sx, sy, sz
-            columns = [_distinct_text(c) for c in (r.t, r.y, r.z, r.theta)]
+            t, _, y, z = shown.coordinates(rows)
+            columns = [_distinct_text(c) for c in (t, y, z, r.theta)]
             columns += [ey_x.tolist(), ey_y.tolist(), _distinct_text(ey_z),
                         bx_x.tolist(), bx_y.tolist(), _distinct_text(bx_z)]
             yield "".join(_FIELDS_ROW % row for row in zip(*columns))
@@ -393,11 +417,10 @@ def _check_cancellation(p: AnsatzParams, atom: float):
 def cmd_energy_profile(args) -> int:
     """The density of the Family I or II wave that the flags build, as
     _build_params does, next to its closed form over one period, as CSV.
-    The wave reads omega / c = k alone, so it is built at c = 1."""
+    The wave reads omega / c = k alone, so it takes no --omega or --c."""
     if args.family not in ("I", "II"):
         raise ValueError("energy-profile needs --family I or II")
-    sol = FamilySolution(args.family, args.k, args.k, args.alpha4, args.lam, args.g, 1.0,
-                         *_signs(args))
+    sol = FamilySolution(args.family, args.k, args.k, args.alpha4, args.lam, args.g, *_signs(args))
     p = sol.params()  # built first, so that a build error keeps its own wording
     try:  # the sweep is checked whole before the first row is written
         blocks = _profile_blocks(p, sol, args.theta_samples)

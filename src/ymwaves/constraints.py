@@ -122,9 +122,9 @@ def _term_table():
     c_i itself, so that group 6 i + j sums to the entry (i, j) of [J | f],
     the Jacobian with the values as a sixth column. A derivative that is
     identically zero holds one zero term. A term is a constant times up
-    to three atoms times powers of k, omega / c and g.
+    to three atoms times powers of k, omega and g.
     Returns the atoms of each term, shape (3, terms), 5 standing for a
-    factor 1; the powers of k, omega / c and g, shape (3, terms); the
+    factor 1; the powers of k, omega and g, shape (3, terms); the
     constants; where each group starts; and which terms are derivatives
     in x, which the chain rule multiplies by d x / d alpha3 = 2 g.
     """
@@ -145,7 +145,7 @@ def _term_table():
 
 
 _FACTORS, _POWERS, _CONSTANTS, _STARTS, _ALPHA3 = _term_table()
-# the exponents the terms take, and where each term's powers of k, omega / c
+# the exponents the terms take, and where each term's powers of k, omega
 # and g sit in the flattened (3, len(_EXPONENTS)) array of their powers
 _EXPONENTS = range(int(_POWERS.max()) + 1)
 _POWER_INDEX = _POWERS + len(_EXPONENTS) * np.arange(3)[:, None]
@@ -160,16 +160,15 @@ class _Substituted(NamedTuple):
     coefficients: np.ndarray
 
 
-def _substitute(lam, k, omega, g, c) -> _Substituted:
-    """The term table at couplings (lam, k, omega, g, c), in its groups'
-    order (_term_table). The powers of k, omega / c and g are taken once,
-    by **, so that a float coupling whose square overflows raises the
+def _substitute(lam, k, omega, g) -> _Substituted:
+    """The term table at couplings (lam, k, omega, g), in its groups'
+    order (_term_table). The powers of k, omega and g are taken once, by
+    **, so that a float coupling whose square overflows raises the
     OverflowError that names it."""
-    w = omega / c
     try:
-        powers = np.array([[v ** n for n in _EXPONENTS] for v in (k, w, g)]).ravel()
+        powers = np.array([[v ** n for n in _EXPONENTS] for v in (k, omega, g)]).ravel()
     except OverflowError:
-        raise _squares_overflow(_ATOM_NAMES[5:], (k, w, g)) from None
+        raise _squares_overflow(_ATOM_NAMES[5:], (k, omega, g)) from None
     pk, pw, pg = powers[_POWER_INDEX]
     two_g = 2.0 * g
     # a coefficient may overflow although no power does: an inf or nan
@@ -242,13 +241,11 @@ class FamilySolution:
     alpha4: float
     lam: float
     g: float
-    c: float = 1.0
     eta: Optional[int] = None
     xi: Optional[int] = None
 
     def params(self) -> AnsatzParams:
-        return _build(self.family, self.k, self.omega, self.alpha4, self.lam, self.g, self.c,
-                      self.eta, self.xi)
+        return _build(**vars(self))
 
 
 @dataclass(frozen=True)
@@ -288,9 +285,9 @@ class _Branch(NamedTuple):
     label: str
     eta: Optional[int]
     xi: Optional[int]
-    cone: bool  # exists only on the light cone omega = k c
+    cone: bool  # exists only on the light cone omega = k
     wave: bool  # describes only rows with a running wave, alpha4 != 0
-    offset: Callable  # (lam, k, omega, g, c) -> five amplitudes
+    offset: Callable  # (lam, k, omega, g) -> five amplitudes
     directions: tuple  # one or two 0/+-1 vectors with no coordinate in common
 
 
@@ -299,23 +296,23 @@ class _Branch(NamedTuple):
 # an offset holds -0.0, the additive identity, so offset + t is t exactly.
 _BRANCHES = (
     _Branch("I", None, None, True, True,
-            lambda lam, k, omega, g, c: (0.0, 0.0, -lam / (2.0 * g), -0.0, 0.0),
+            lambda lam, k, omega, g: (0.0, 0.0, -lam / (2.0 * g), -0.0, 0.0),
             ((0, 0, 0, 1, 0),)),
     *(_Branch("II", eta, xi, True, True,
-              lambda lam, k, omega, g, c, eta=eta: (
+              lambda lam, k, omega, g, eta=eta: (
                   eta * k / (4.0 * g), eta * k / (4.0 * g), -lam / (2.0 * g), -0.0, -0.0),
               ((0, 0, xi, 1, eta),))
       for eta in (1, -1) for xi in (1, -1)),
     *(_Branch("III", eta, None, False, True,
-              lambda lam, k, omega, g, c, eta=eta: (
-                  eta * omega / (2.0 * g * c), eta * k / (2.0 * g), -lam / (2.0 * g), -0.0, -0.0),
+              lambda lam, k, omega, g, eta=eta: (
+                  eta * omega / (2.0 * g), eta * k / (2.0 * g), -lam / (2.0 * g), -0.0, -0.0),
               ((0, 0, 0, 1, eta),))
       for eta in (1, -1)),
     _Branch("abelian-z", None, None, True, False,
-            lambda lam, k, omega, g, c: (0.0, 0.0, -0.0, 0.0, -0.0),
+            lambda lam, k, omega, g: (0.0, 0.0, -0.0, 0.0, -0.0),
             ((0, 0, 1, 0, 0), (0, 0, 0, 0, 1))),
     _Branch("pure-gauge", None, None, False, False,
-            lambda lam, k, omega, g, c: (-0.0, -0.0, -lam / (2.0 * g), 0.0, 0.0),
+            lambda lam, k, omega, g: (-0.0, -0.0, -lam / (2.0 * g), 0.0, 0.0),
             ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))),
 )
 
@@ -333,39 +330,30 @@ _EQUATIONS = np.array([np.eye(5) - sum(np.outer(d, d) / d.dot(d)
                        for b in _BRANCHES])
 
 
-def _check_finite(couplings):
-    """Reject a coupling (lam, k, omega, g, c) that is not finite, by name."""
-    for name, value in zip(("lambda", "k", "omega", "g", "c"), couplings):
-        _require_finite(name, value)
-
-
 def _offsets(couplings, branches=_BRANCHES) -> np.ndarray:
-    """The offsets of the branches at couplings (lam, k, omega, g, c), shape
+    """The offsets of the branches at couplings (lam, k, omega, g), shape
     (branches, 5), the one place the table's offsets are evaluated. Each is
     taken once, on the couplings as the caller holds them, so that an int
     lam = 0 gives alpha3 = 0.0 where np.float64 would give -0.0. Raises
-    ValueError where one is not finite: it overflows, or 2 g or 2 g c
-    underflows to zero and the offset divides by it."""
+    ValueError naming a coupling that is not finite, and where an offset
+    overflows, as a coupling over a small g does."""
+    for name, value in zip(("lambda", "k", "omega", "g"), couplings):
+        _require_finite(name, value)
     rows = []
     for b in branches:
-        try:
-            row = b.offset(*couplings)
-        except ZeroDivisionError:
-            row = (math.nan,)
+        row = b.offset(*couplings)
         if not all(map(math.isfinite, row)):
             raise ValueError(f"the {b.label} branch offset is not finite at these couplings; "
-                             "it divides by g and by g c")
+                             "it divides by g")
         rows.append(row)
     return np.array(rows)
 
 
-def _on_cone(k, omega, c, tol) -> bool:
-    """Whether omega = k c to tol, judged on magnitudes in the atoms k and
-    omega / c: |omega / c - k| <= tol (|omega / c| + |k|). As in _Magnitude,
-    a bound below the normal floats counts as the smallest normal float;
-    an omega / c that overflows is nan here, off the cone."""
-    w = omega / c
-    return abs(w - k) / max(abs(w) + abs(k), _TINY) <= tol
+def _on_cone(k, omega, tol) -> bool:
+    """Whether omega = k to tol, judged on magnitudes: |omega - k| <= tol
+    (|omega| + |k|), a bound below the normal floats counting as the
+    smallest normal float, as in _Magnitude. An overflow is off the cone."""
+    return abs(omega - k) / max(abs(omega) + abs(k), _TINY) <= tol
 
 
 def _applies(x, on_cone: bool) -> np.ndarray:
@@ -382,7 +370,7 @@ def _projections(x, offsets, on_cone: bool):
 
     The distance is inf where the branch cannot describe the row
     (_applies). A distance that overflows, as an offset near 1e299 at g
-    or c near 1e-300 does when squared, reads as the largest float without
+    near 1e-300 does when squared, reads as the largest float without
     numpy's warning, so that it still beats a branch that does not apply.
     A branch's directions are orthogonal, so the least-squares parameter
     along d is d . (x - offset) / d . d; with 0/+-1 entries only its sums
@@ -403,8 +391,8 @@ def _nearest(x, couplings, offsets):
     """The nearest branch of each amplitude row of x, with the light cone to
     1e-9 (_on_cone) at the couplings and the branches' offsets there: its
     table index, the point on it and the distance."""
-    lam, k, omega, g, c = couplings
-    points, dist = _projections(x, offsets, _on_cone(k, omega, c, 1e-9))
+    lam, k, omega, g = couplings
+    points, dist = _projections(x, offsets, _on_cone(k, omega, 1e-9))
     best = dist.argmin(axis=1)
     rows = np.arange(len(x))
     return best, points[rows, best], dist[rows, best]
@@ -424,15 +412,12 @@ def _misfits(x, offsets) -> np.ndarray:
         return np.where(values == 0.0, 0.0, values / np.maximum(bounds, _TINY)).max(axis=1)
 
 
-def _build(family, k, omega, alpha4, lam, g, c, eta=None, xi=None) -> AnsatzParams:
+def _build(family, k, omega, alpha4, lam, g, eta=None, xi=None) -> AnsatzParams:
     """A family's configuration: its offset plus alpha4 along its direction.
     Signs the family does not have are ignored. A family on the light cone
-    takes omega = k c and needs k != 0."""
-    _check_finite((lam, k, omega, g, c))
+    takes omega = k and needs k != 0."""
     if g == 0.0:
         raise ValueError(f"family {family} requires g != 0")
-    if c == 0.0:
-        raise ValueError("c must be nonzero")
     branch = next((b for b in _BRANCHES if b.wave and b.label == family
                    and b.eta in (None, eta) and b.xi in (None, xi)), None)
     if branch is None:
@@ -443,29 +428,28 @@ def _build(family, k, omega, alpha4, lam, g, c, eta=None, xi=None) -> AnsatzPara
     # xi, the sign of (alpha3 - offset) / alpha4, needs a running wave
     if branch.xi is not None and alpha4 == 0.0:
         raise ValueError(f"family {family} requires alpha4 != 0")
-    omega = k * c if branch.cone else omega
-    (offset,) = _offsets((lam, k, omega, g, c), [branch]).tolist()
+    omega = k if branch.cone else omega
+    (offset,) = _offsets((lam, k, omega, g), [branch]).tolist()
     (d,) = branch.directions
     point = [o + s * alpha4 if s else o for o, s in zip(offset, d)]
-    return AnsatzParams(*point, lam=lam, k=k, omega=omega, g=g, c=c)
+    return AnsatzParams(*point, lam=lam, k=k, omega=omega, g=g)
 
 
-def build_family_i(k: float, alpha4: float, lam: float, g: float,
-                   c: float = 1.0) -> AnsatzParams:
+def build_family_i(k: float, alpha4: float, lam: float, g: float) -> AnsatzParams:
     """Linear-wave branch; requires g != 0 and k != 0."""
-    return _build("I", k, k * c, alpha4, lam, g, c)
+    return _build("I", k, k, alpha4, lam, g)
 
 
 def build_family_ii(k: float, alpha4: float, lam: float, g: float,
-                    eta: int, xi: int, c: float = 1.0) -> AnsatzParams:
+                    eta: int, xi: int) -> AnsatzParams:
     """Nonlinear-wave branch; any sign pair (eta, xi) yields a solution."""
-    return _build("II", k, k * c, alpha4, lam, g, c, eta, xi)
+    return _build("II", k, k, alpha4, lam, g, eta, xi)
 
 
 def build_family_iii(k: float, omega: float, alpha4: float, lam: float,
-                     g: float, eta: int = 1, c: float = 1.0) -> AnsatzParams:
+                     g: float, eta: int = 1) -> AnsatzParams:
     """Pure-gauge branch; no dispersion relation ties omega to k."""
-    return _build("III", k, omega, alpha4, lam, g, c, eta)
+    return _build("III", k, omega, alpha4, lam, g, eta)
 
 
 _PATTERN_TOL = 1e-6  # classify's branch misfit and light cone (see classify)
@@ -540,7 +524,7 @@ def classify(p: AnsatzParams, tol: float = 1e-9):
 
     alphas, offsets = _values(p)[:5], _offsets(_values(p)[5:])
     x = np.array([alphas])
-    on_cone = _on_cone(p.k, p.omega, p.c, _PATTERN_TOL)
+    on_cone = _on_cone(p.k, p.omega, _PATTERN_TOL)
     misfit = _misfits(x[0], offsets)
     match = _applies(x, on_cone)[0] & (misfit <= _PATTERN_TOL)
     vanish = _fields_vanish(p, tol)
@@ -553,7 +537,7 @@ def classify(p: AnsatzParams, tol: float = 1e-9):
             return PlaneSolution(label, alphas)
         branch = _BRANCHES[rows[misfit[rows].argmin()]]
         return FamilySolution(label, k=p.k, omega=p.omega, alpha4=p.alpha4, lam=p.lam,
-                              g=p.g, c=p.c, eta=branch.eta, xi=branch.xi)
+                              g=p.g, eta=branch.eta, xi=branch.xi)
     if vanish:
         return TrivialZeroField(note="zero fields")
     dist = _projections(x, offsets, on_cone)[1][0]
@@ -651,15 +635,12 @@ _BLOCK = 512
 _RCOND = 9.0 * np.finfo(float).eps
 
 
-def _check_couplings(lam, k, omega, g, c) -> np.ndarray:
+def _check_couplings(lam, k, omega, g) -> np.ndarray:
     """Reject couplings before any Newton work rather than part way; returns
     the branch offsets there (_offsets)."""
-    _check_finite((lam, k, omega, g, c))
     if g == 0.0:
         raise ValueError("g must be nonzero: the branch patterns divide by it")
-    if c == 0.0:
-        raise ValueError("c must be nonzero")
-    return _offsets((lam, k, omega, g, c))
+    return _offsets((lam, k, omega, g))
 
 
 def _check_alphas(name, alphas, couplings):
@@ -820,12 +801,11 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
     return x, iters, worst, passed
 
 
-def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float,
-                  c: float = 1.0) -> RefineResult:
+def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float) -> RefineResult:
     """Damped least-squares Newton on the nine constraints over the amplitudes.
 
-    The five amplitudes are the unknowns; lam, k, omega, g, c stay fixed
-    and must be finite with g and c nonzero. The couplings are
+    The five amplitudes are the unknowns; lam, k, omega, g stay fixed and
+    must be finite with g nonzero. The couplings are
     substituted once into the term table of c1..c9 (_term_table), which
     gives every iteration its values, their exact Jacobian and the scales
     of the stop test. Each step is the least-squares solution from one
@@ -840,13 +820,13 @@ def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float,
     discarded by the caller. Raises OverflowError when the constraints
     overflow at alphas0.
     """
-    x, _ = _check_alphas("alphas0", alphas0, (lam, k, omega, g, c))
-    xs, iters, worst, _ = _newton(x[None, :], _substitute(lam, k, omega, g, c))
+    x, _ = _check_alphas("alphas0", alphas0, (lam, k, omega, g))
+    xs, iters, worst, _ = _newton(x[None, :], _substitute(lam, k, omega, g))
     return RefineResult(tuple(xs[0]), bool(worst[0] <= _TOL), int(iters[0]), float(worst[0]))
 
 
-def branch_projection(alphas, lam: float, k: float, omega: float, g: float,
-                      c: float = 1.0) -> tuple[str, tuple[float, ...], float]:
+def branch_projection(alphas, lam: float, k: float, omega: float,
+                      g: float) -> tuple[str, tuple[float, ...], float]:
     """Closest solution branch: its label, nearest point, and the distance.
 
     A one-row view of the branch table's projection: each branch is a
@@ -856,10 +836,10 @@ def branch_projection(alphas, lam: float, k: float, omega: float, g: float,
     the wave families when alpha4 = 0 (_applies). Ties go to the earlier
     branch in the order I, II, III, abelian-z, pure-gauge. Raises
     ValueError unless the amplitudes are five finite values and the
-    couplings finite with g and c nonzero.
+    couplings finite with g nonzero.
     """
-    x, offsets = _check_alphas("alphas", alphas, (lam, k, omega, g, c))
-    best, point, dist = _nearest(x[None, :], (lam, k, omega, g, c), offsets)
+    x, offsets = _check_alphas("alphas", alphas, (lam, k, omega, g))
+    best, point, dist = _nearest(x[None, :], (lam, k, omega, g), offsets)
     return str(_LABELS[best[0]]), tuple(point[0].tolist()), float(dist[0])
 
 
@@ -900,12 +880,12 @@ def _snap(x, worst, couplings, offsets, table):
 
 
 def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
-                  omega: Optional[float] = None, g: float = 1.0, c: float = 1.0) -> list[ScanRow]:
+                  omega: Optional[float] = None, g: float = 1.0) -> list[ScanRow]:
     """Random-seed search for solutions of the nine constraints.
 
     Seeds are drawn from numpy's default_rng(seed), five uniform values
     in [-_SPREAD, _SPREAD] per row in row order, so output is reproducible
-    per version. omega defaults to k c. All seeds are Newton-refined
+    per version. omega defaults to k. All seeds are Newton-refined
     together, as refine_alphas refines one, with the couplings
     substituted into the term table once for the whole call; a root
     counts as successful when every normalized constraint is below
@@ -932,17 +912,17 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
     to the stop whose root was labelled, the loose one for a row snapped
     there.
 
-    Raises ValueError for non-finite couplings, g = 0, c = 0 or a frozen
+    Raises ValueError for non-finite couplings, g = 0 or a frozen
     phase k = omega = 0 before any Newton work, and OverflowError when a
     coupling's square overflows (naming it, as nine_constraints does) or
     the constraints overflow at the seeds. The rows are those of
     _scan_blocks, listed.
     """
-    return [row for block in _scan_blocks(n_seeds, seed, lam, k, omega, g, c) for row in block]
+    return [row for block in _scan_blocks(n_seeds, seed, lam, k, omega, g) for row in block]
 
 
 def _scan_blocks(n_seeds: int, seed: int, lam: float, k: float, omega: Optional[float],
-                 g: float, c: float):
+                 g: float):
     """The rows of scan_families as lists of ScanRow, one block of _BLOCK
     seeds at a time, so that a caller can write each block as it comes.
     Checks the inputs before returning, before any block is made, so that
@@ -951,11 +931,11 @@ def _scan_blocks(n_seeds: int, seed: int, lam: float, k: float, omega: Optional[
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     if omega is None:
-        omega = k * c
-    offsets = _check_couplings(lam, k, omega, g, c)
+        omega = k
+    offsets = _check_couplings(lam, k, omega, g)
     if k == 0.0 and omega == 0.0:
         raise ValueError("phase is frozen at k = omega = 0; the scan needs a wave")
-    couplings = (lam, k, omega, g, c)
+    couplings = (lam, k, omega, g)
     table = _substitute(*couplings)
     rng = np.random.default_rng(seed)
 

@@ -8,13 +8,17 @@ theta = k z - omega t:
     A   = [(alpha3 + alpha5 cos theta) Sz + alpha4 sin theta Sy] e_y
           + alpha2 Sx e_z
 
+The library works in units where the wave speed c is 1: omega is omega / c
+and the time t is c t, the only forms in which c enters the phase and the
+equations. The command line converts --omega, --c and its grid's t once.
+
 The fields follow the non-Abelian definitions
 
-    E = -(1/c) dA/dt - grad phi - i g [phi, A]
+    E = -dA/dt - grad phi - i g [phi, A]
     B = curl A - i g (A x A),        (A x A)_i = eps_ijk A_j A_k
 
 and the covariant tensor F_mu_nu = d_mu A_nu - d_nu A_mu + i g [A_mu, A_nu]
-with A_mu = (phi, -A) and d_0 = (1/c) d/dt, so F_0i = E_i and
+with A_mu = (phi, -A) and d_0 = d/dt, so F_0i = E_i and
 B_i = -(1/2) eps_ijk F_jk.
 
 Every field comes in two routes: a closed form (the reduced algebra) and
@@ -81,7 +85,8 @@ class AnsatzParams:
     """Amplitudes and couplings of one configuration.
 
     alpha1..alpha5 are the ansatz amplitudes, lam the frame rotation rate,
-    k and omega the wave numbers, g the coupling and c the wave speed.
+    k and omega the wave numbers and g the coupling, in units where the
+    wave speed c is 1: omega is omega / c, and a SpacetimePoint's t is c t.
     """
 
     alpha1: float = 0.0
@@ -93,14 +98,11 @@ class AnsatzParams:
     k: float = 0.0
     omega: float = 0.0
     g: float = 1.0
-    c: float = 1.0
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5",
-                     "lam", "k", "omega", "g", "c"):
+                     "lam", "k", "omega", "g"):
             _require_finite(name, getattr(self, name))
-        if self.c == 0.0:
-            raise ValueError("c must be nonzero")
 
     def phase(self, s: "SpacetimePoint") -> float:
         return _phase(self, s.t, s.z)
@@ -185,10 +187,9 @@ def _mag(v):
     return v.value if isinstance(v, _Magnitude) else abs(v)
 
 
-def _field_groups(a1, a2, a3, a4, a5, lam, k, omega, g, c):
+def _field_groups(a1, a2, a3, a4, a5, lam, k, w, g):
     """field_coefficient_groups at the closed forms' arguments, the one place they
     are written; on _Magnitude atoms, each group's bound."""
-    w = omega / c
     return (
         (-lam * a1 - 2.0 * g * a1 * a3, w * a4 - 2.0 * g * a1 * a5, -w * a5 + 2.0 * g * a1 * a4),
         (lam * a2 + 2.0 * g * a2 * a3, -k * a4 + 2.0 * g * a2 * a5, k * a5 - 2.0 * g * a2 * a4),
@@ -197,7 +198,7 @@ def _field_groups(a1, a2, a3, a4, a5, lam, k, omega, g, c):
 
 def _values(p: AnsatzParams):
     """The amplitudes, then the couplings: the arguments of the closed forms."""
-    return (p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5, p.lam, p.k, p.omega, p.g, p.c)
+    return (p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5, p.lam, p.k, p.omega, p.g)
 
 
 def field_coefficient_groups(p: AnsatzParams):
@@ -225,8 +226,8 @@ def _derivative_bounds(p: AnsatzParams):
     the first (measured, to an ulp), so what passes verify's analytic line
     passes its numeric one."""
     m = [_Magnitude(abs(v)) for v in _values(p)]
-    amp, (lam, k, omega, g, c) = _summed([m[:5]]), m[5:]
-    rates = k + omega / c + lam + 2.0 * g * amp
+    amp, (lam, k, omega, g) = _summed([m[:5]]), m[5:]
+    rates = k + omega + lam + 2.0 * g * amp
     return (_summed(_field_groups(*m)) * rates).value, (amp * rates).value
 
 
@@ -261,12 +262,9 @@ def magnetic_field_analytic(p: AnsatzParams, s: SpacetimePoint) -> ColorVector:
 
 
 class _Rows(NamedTuple):
-    """A block of points as numpy columns: the coordinates, the phase, then
-    cos and sin of the phase and of the frame angle lam y."""
+    """A block of points as numpy columns: the phase, then cos and sin of
+    the phase and of the frame angle lam y."""
 
-    t: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
     theta: np.ndarray
     cos_th: np.ndarray
     sin_th: np.ndarray
@@ -292,7 +290,7 @@ def _rows(p: AnsatzParams, coords: np.ndarray) -> _Rows:
     or a block of them (4, rows, n). The one way from coordinates to rows."""
     t, _, y, z = coords
     theta = _phase(p, t, z)
-    return _Rows(t, y, z, theta, *_cos_sin(theta), *_cos_sin(p.lam * y))
+    return _Rows(theta, *_cos_sin(theta), *_cos_sin(p.lam * y))
 
 
 def _check_count(n: int):
@@ -396,12 +394,14 @@ class _Grid:
                                 "or the field coefficients are not finite")
 
     def blocks(self, p: AnsatzParams):
-        """The rows in blocks of at most _GRID_BLOCK, as _Rows, in grid order.
-        Checks the whole grid (check) before any block is made."""
+        """The rows in blocks of at most _GRID_BLOCK, in grid order: each
+        block's row numbers and its _Rows. Checks the whole grid (check)
+        before any block is made."""
         self.check(p)
         n = len(self)
-        return (_rows(p, self.coordinates(np.arange(start, min(start + _GRID_BLOCK, n))))
-                for start in range(0, n, _GRID_BLOCK))
+        return ((rows, _rows(p, self.coordinates(rows)))
+                for rows in (np.arange(start, min(start + _GRID_BLOCK, n))
+                             for start in range(0, n, _GRID_BLOCK)))
 
     def angle_blocks(self, p: AnsatzParams):
         """The cos and sin of the grid's phases, each (t, z) pair once, t
@@ -504,8 +504,8 @@ def _field_strength_columns(p: AnsatzParams, coords: np.ndarray):
 
     Returns F, shape (3 coefficients, 4, 4, n), from one evaluation of
     the potentials A_mu = (phi, -A) over the block: Im A(+ih) / h, then
-    (1 / c) times the t row, then d_mu A_nu - d_nu A_mu - g *
-    su2._commutator(A_mu, A_nu) above the diagonal and its negative below.
+    d_mu A_nu - d_nu A_mu - g * su2._commutator(A_mu, A_nu) above the
+    diagonal and its negative below.
     """
     h = _step(p)
     rows = _stencil(p, coords, h)
@@ -515,7 +515,6 @@ def _field_strength_columns(p: AnsatzParams, coords: np.ndarray):
         pot[:, 1:] = -pot[:, 1:]  # A_mu = (phi, -A); the zero e_x becomes -0.0
         # grad[:, nu, mu] = d_mu A_nu
         grad = _derivative(pot, h)
-        grad[:, :, 0] = (1.0 / p.c) * grad[:, :, 0]
         here = pot[:, :, 0].real
         mu, nu = _PAIRS
         # i g [A_mu, A_nu] = -g * su2._commutator(A_mu, A_nu)
@@ -530,7 +529,7 @@ def field_strength(p: AnsatzParams, s: SpacetimePoint):
     """Antisymmetric 4x4 tensor of LieElement, assembled numerically.
 
     Derivatives are complex steps; the commutator i g [A_mu, A_nu] is
-    exact. Index 0 differentiates via (1/c) d/dt. A one-point view of
+    exact. Index 0 differentiates along t. A one-point view of
     _field_strength_columns.
     """
     f = _field_strength_columns(p, _coordinates([s]))

@@ -1,9 +1,10 @@
 """Equation-of-motion residuals for the ansatz fields.
 
-Three residuals are exposed:
+Three residuals are exposed, in the fields module's units, where the
+wave speed c is 1 (omega is omega / c and t is c t):
 
     gauss:   div E - i g (A . E - E . A)
-    ampere:  -(1/c) dE/dt + curl B - i g ([phi, E] + A x B + B x A)
+    ampere:  -dE/dt + curl B - i g ([phi, E] + A x B + B x A)
     bianchi: cyclic covariant derivative of the field strength,
              D_mu F_nu_ga + D_nu F_ga_mu + D_ga F_mu_nu, whose four
              independent sums are the homogeneous equations below
@@ -14,7 +15,7 @@ and with it the homogeneous equations vanish
 
     div B                                  (D . B, whose commutator
                                             term vanishes for the ansatz)
-    (1/c) dB/dt + curl E + i g ([phi, B] - A x E - E x A)
+    dB/dt + curl E + i g ([phi, B] - A x E - E x A)
 
 for every amplitude, not only on solutions. They are checked on the
 closed-form E and B, beside the numeric gauss and ampere and from the
@@ -123,16 +124,17 @@ class ConstraintVector(NamedTuple):
         return float(np.max(np.abs(self.as_array())))
 
 
-# the atoms of c1..c9 by name, in the order _atoms returns them
+# the atoms of c1..c9 by name, in the order _harmonics forms them
 _ATOM_NAMES = ("alpha1", "alpha2", "lambda + 2 g alpha3", "alpha4", "alpha5", "k", "omega / c",
                "g")
 
 
-def _harmonics(*values) -> ConstraintVector:
+def _harmonics(a1, a2, a3, a4, a5, lam, k, omega, g) -> ConstraintVector:
     """c1..c9 at the closed forms' arguments (fields._values), floats,
-    columns or _Magnitudes (bounds). A column overflows to inf; a float
-    atom whose square overflows raises OverflowError, which names it."""
-    atoms = _atoms(*values)
+    columns or _Magnitudes (bounds), in their atoms, x = lam + 2 g alpha3
+    for lam and alpha3. A column overflows to inf; a float atom whose
+    square overflows raises OverflowError, which names it."""
+    atoms = a1, a2, lam + 2.0 * g * a3, a4, a5, k, omega, g
     try:
         return _polynomials(*atoms)
     except OverflowError:
@@ -148,11 +150,6 @@ def _squares_overflow(names, atoms) -> OverflowError:
            if type(a) is float and math.isinf(a * a)]
     return OverflowError(f"squaring {' and '.join(big)} overflows in the "
                          f"{'bounds of the ' * bound}constraints c1..c9")
-
-
-def _atoms(a1, a2, a3, a4, a5, lam, k, omega, g, c):
-    """The atoms of c1..c9: x = lam + 2 g alpha3 for lam and alpha3, w = omega / c."""
-    return a1, a2, lam + 2.0 * g * a3, a4, a5, k, omega / c, g
 
 
 def _polynomials(a1, a2, x, a4, a5, k, w, g) -> ConstraintVector:
@@ -257,7 +254,7 @@ def _numeric_residuals(p: AnsatzParams, coords: np.ndarray):
     """Numeric-mode gauss and ampere residuals at every point of coords,
     shape (4, n), as arrays of shape (3, n) and (3, 3, n), then the
     homogeneous equations' residuals of the same shapes, div B and
-    Faraday's (1/c) dB/dt + curl E + i g ([A_0, B] - A x E - E x A) with
+    Faraday's dB/dt + curl E + i g ([A_0, B] - A x E - E x A) with
     A_0 = phi, from the same derivatives and one stacked commutator call.
     D . B drops its commutator term, -i g (A . B - B . A): A has no e_x
     part and B nothing else, so it vanishes identically for this ansatz.
@@ -270,14 +267,14 @@ def _numeric_residuals(p: AnsatzParams, coords: np.ndarray):
     with np.errstate(all="ignore"):
         fields = _fields_at(p, rows)
         # d[:, i, mu] = d_mu E_i at the points, then d_mu B_i; below, E's
-        # div, curl and (1/c) d/dt, then B's, at once
+        # div, curl and d/dt, then B's, at once
         d = _derivative(fields[:, 4:], h)
         div = d[:, 0::3, 1] + d[:, 1::3, 2] + d[:, 2::3, 3]
         flat = d.reshape(3, 24, -1)
         curl = flat.take(_CURL[0], axis=1) - flat.take(_CURL[1], axis=1)
-        rate = (1.0 / p.c) * d[:, :, 0]
+        rate = d[:, :, 0]
         comm = _commutator_terms(p.g, fields[:, :, 0].real)
-        # curl B - (1/c) dE/dt rounds as -(1/c) dE/dt + curl B
+        # curl B - dE/dt rounds as -dE/dt + curl B
         ampere = curl[:, 3:] - rate[:, :3] + comm[1]
         faraday = rate[:, 3:] + curl[:, :3] + comm[2]
         gauss = div[:, 0] + comm[0]

@@ -18,8 +18,8 @@ from ymwaves.constraints import _largest, _monomials, _substitute, nine_constrai
 from ymwaves.fields import AnsatzParams
 
 
-def _params(alphas, lam, k, omega, g, c):
-    return AnsatzParams(*alphas, lam=lam, k=k, omega=omega, g=g, c=c)
+def _params(alphas, lam, k, omega, g):
+    return AnsatzParams(*alphas, lam=lam, k=k, omega=omega, g=g)
 
 
 def stop_scales(alphas, table):
@@ -31,9 +31,9 @@ def stop_scales(alphas, table):
         return _largest(_monomials(table, np.array(alphas, dtype=float)[None, :]))[0]
 
 
-def worst_stop(alphas, lam, k, omega, g, c, table):
+def worst_stop(alphas, lam, k, omega, g, table):
     """The largest |c_i| of nine_constraints over its stop scale."""
-    values = nine_constraints(_params(alphas, lam, k, omega, g, c)).as_array()
+    values = nine_constraints(_params(alphas, lam, k, omega, g)).as_array()
     return float(np.max(np.abs(values) / stop_scales(alphas, table)))
 
 
@@ -48,16 +48,16 @@ def jacobian(fvec, x):
     return jac
 
 
-def refine(alphas0, lam, k, omega, g, c=1.0, tol=1e-13, max_iter=120):
+def refine(alphas0, lam, k, omega, g, tol=1e-13, max_iter=120):
     """(alphas, converged, iterations, max_normalized) of one seed."""
     x = np.array(alphas0, dtype=float)
-    table = _substitute(lam, k, omega, g, c)
+    table = _substitute(lam, k, omega, g)
 
     def fvec(arr):
-        return nine_constraints(_params(arr, lam, k, omega, g, c)).as_array()
+        return nine_constraints(_params(arr, lam, k, omega, g)).as_array()
 
     def max_norm(arr):
-        return worst_stop(arr, lam, k, omega, g, c, table)
+        return worst_stop(arr, lam, k, omega, g, table)
 
     fx = fvec(x)
     it = 0
@@ -82,19 +82,18 @@ def refine(alphas0, lam, k, omega, g, c=1.0, tol=1e-13, max_iter=120):
     return tuple(x), final <= tol, it, final
 
 
-def nearest_branch(alphas, lam, k, omega, g, c=1.0):
+def nearest_branch(alphas, lam, k, omega, g):
     """(label, point, distance) of the nearest catalogued branch.
 
     Each branch is a line or plane in amplitude space, projected onto by
     a closed-form least-squares fit of its free parameters. Branches of
-    the light cone count only on it, to 1e-9 of |omega / c| + |k| with no
+    the light cone count only on it, to 1e-9 of |omega| + |k| with no
     floor, the wave families only for alpha4 != 0; ties prefer I, II,
     III, abelian-z, pure-gauge in that order.
     """
     a1, a2, a3, a4, a5 = (float(v) for v in alphas)
     base3 = -lam / (2.0 * g)
-    speed = omega / c
-    on_cone = abs(speed - k) <= 1e-9 * (abs(speed) + abs(k))
+    on_cone = abs(omega - k) <= 1e-9 * (abs(omega) + abs(k))
     wavelike = a4 != 0.0
     cand = {}
 
@@ -115,27 +114,27 @@ def nearest_branch(alphas, lam, k, omega, g, c=1.0):
     if wavelike:
         for eta in (1, -1):
             t = (a4 + eta * a5) / 2.0
-            put("III", (eta * omega / (2.0 * g * c), eta * k / (2.0 * g), base3, t, eta * t))
+            put("III", (eta * omega / (2.0 * g), eta * k / (2.0 * g), base3, t, eta * t))
     put("pure-gauge", (a1, a2, base3, 0.0, 0.0))
     order = ("I", "II", "III", "abelian-z", "pure-gauge")
     best = min(order, key=lambda name: cand.get(name, ((), math.inf))[1])
     return (best, *cand[best])
 
 
-def scan_labels(n_seeds, seed, lam, k, omega, g, c=1.0, spread=3.0,
+def scan_labels(n_seeds, seed, lam, k, omega, g, spread=3.0,
                 success_tol=1e-8, snap_tol=1e-3):
     """(label, converged) per seed, drawn and snapped as scan_families does."""
     rng = np.random.default_rng(seed)
-    table = _substitute(lam, k, omega, g, c)
+    table = _substitute(lam, k, omega, g)
     out = []
     for _ in range(n_seeds):
         start = tuple(rng.uniform(-spread, spread, size=5))
-        alphas, _, _, worst = refine(start, lam, k, omega, g, c)
+        alphas, _, _, worst = refine(start, lam, k, omega, g)
         success = worst <= success_tol
         label = ""
         if success:
-            label, point, dist = nearest_branch(alphas, lam, k, omega, g, c)
-            snapped = worst_stop(point, lam, k, omega, g, c, table)
+            label, point, dist = nearest_branch(alphas, lam, k, omega, g)
+            snapped = worst_stop(point, lam, k, omega, g, table)
             if dist > snap_tol or snapped > success_tol:
                 label = "none"
         out.append((label, success))

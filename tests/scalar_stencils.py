@@ -181,7 +181,7 @@ def electric_field_numeric(p, s):
                          for axis in ("x", "y", "z")))
     phi, a = value(lambda q: potentials(p, q), s)
     comm = ColorVector(*(p.g * commutator(p, phi, ai) for ai in a.components()))
-    return (-1.0 / p.c) * da_dt - grad + comm
+    return -da_dt - grad + comm
 
 
 def magnetic_field_numeric(p, s):
@@ -227,7 +227,7 @@ def ampere_residual(p, s):
     h = _step(p)
     de_dt = complex_step(lambda q: closed_forms(p, q)[0], s, "t", h)
     curl_b = curl(lambda q: closed_forms(p, q)[1], s, h)
-    return (-1.0 / p.c) * de_dt + curl_b + ampere_commutator_term(p, stencil_fields(p, s))
+    return -de_dt + curl_b + ampere_commutator_term(p, stencil_fields(p, s))
 
 
 def residual_sample(p, s):
@@ -242,7 +242,7 @@ def max_residual_norm(p, points):
 
 
 def homogeneous_residual(p, s):
-    """Numeric div B and Faraday residual (1/c) dB/dt + curl E + i g ([phi, B]
+    """Numeric div B and Faraday residual dB/dt + curl E + i g ([phi, B]
     - A x E - E x A) at s. D . B's commutator term, -i g (A . B - B . A),
     is left out: it vanishes identically for this ansatz."""
     h = _step(p)
@@ -259,7 +259,7 @@ def homogeneous_residual(p, s):
         p.g * (commutator(p, a.ex, e.ey) - commutator(p, a.ey, e.ex))
         - p.g * commutator(p, phi, bs.ez),
     )
-    return div, (1.0 / p.c) * db_dt + curl_e + comm
+    return div, db_dt + curl_e + comm
 
 
 def max_numeric_norms(p, points):
@@ -275,10 +275,7 @@ def field_strength(p, s):
     h = _step(p)
     pot = lambda q: covariant_potential(p, q)
     here = value(pot, s)
-    grad = []
-    for mu, axis in enumerate(AXES):
-        row = complex_step(pot, s, axis, h)
-        grad.append([(1.0 / p.c) * d for d in row] if mu == 0 else row)
+    grad = [complex_step(pot, s, axis, h) for axis in AXES]
     f_tensor = [[LieElement() for _ in range(4)] for _ in range(4)]
     for mu in range(4):
         for nu in range(mu + 1, 4):

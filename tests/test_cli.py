@@ -1,9 +1,9 @@
 import argparse
 import csv
+import importlib
 import io
 import math
 import re
-import shutil
 import subprocess
 import sys
 import warnings
@@ -140,9 +140,10 @@ def test_classify_trivial_static_configuration(capsys):
     assert "trivial zero-field configuration" in out
 
 
-def _raw(p: AnsatzParams) -> list[str]:
-    """The raw flags of a configuration."""
-    values = [p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5, p.lam, p.k, p.omega, p.g, p.c]
+def _raw(p: AnsatzParams, c: float = 1.0) -> list[str]:
+    """The raw flags of a configuration at wave speed c: --omega is c times
+    the library's omega, exactly where c is a power of 2."""
+    values = [p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5, p.lam, p.k, p.omega * c, p.g, c]
     names = [f"--alpha{i}" for i in range(1, 6)] + ["--lambda", "--k", "--omega", "--g", "--c"]
     return [f for name, v in zip(names, values) for f in (name, repr(v))]
 
@@ -201,12 +202,11 @@ def _configurations(draw):
     a static one that solves (alpha1 = alpha2 = 0), a family, or a family
     whose alpha5 is detuned by 1e-6 alpha4. The raw kinds may take g = 0."""
     kind = draw(st.sampled_from(["raw", "static", "static root", "family", "detuned"]))
-    lam, k, omega, alpha4 = (draw(_signed) for _ in range(4))
-    g, c = draw(_signed), draw(st.floats(0.5, 2.0))
+    lam, k, omega, alpha4, g = (draw(_signed) for _ in range(5))
     if kind in ("family", "detuned"):
         family = draw(st.sampled_from(["I", "II", "III"]))
         eta, xi = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
-        p = FamilySolution(family, k, omega if family == "III" else k * c, alpha4, lam, g, c,
+        p = FamilySolution(family, k, omega if family == "III" else k, alpha4, lam, g,
                            eta, xi).params()
         return replace(p, alpha5=p.alpha5 + 1e-6 * alpha4) if kind == "detuned" else p
     alphas = [draw(_signed) for _ in range(5)]
@@ -214,8 +214,7 @@ def _configurations(draw):
         alphas[:2] = 0.0, 0.0
     if kind != "raw":
         k = omega = 0.0
-    return AnsatzParams(*alphas, lam=lam, k=k, omega=omega, g=draw(st.sampled_from([g, 0.0])),
-                        c=c)
+    return AnsatzParams(*alphas, lam=lam, k=k, omega=omega, g=draw(st.sampled_from([g, 0.0])))
 
 
 def _verdicts(p: AnsatzParams):
@@ -223,8 +222,10 @@ def _verdicts(p: AnsatzParams):
     checks pass, then the name classify gives p (None at g = 0): a family
     and its signs, a plane's label, the violated indices, a trivial zero
     field with its note, or 'unclassified'. The amplitudes and couplings
-    classify returns with the name are p's own, so they are left out."""
-    args = ymwaves.cli._parser().parse_args(["verify", *_raw(p), "--grid", "0:0:1,0:0:1,0:0:1"])
+    classify returns with the name are p's own, so they are left out.
+    verify runs at wave speed 2, which the CLI divides out exactly."""
+    args = ymwaves.cli._parser().parse_args(["verify", *_raw(p, 2.0),
+                                             "--grid", "0:0:1,0:0:1,0:0:1"])
     _, checks, kind, _ = ymwaves.cli._verify_checks(args)
     judged = [c.passes for c in checks[:-3]]
     if p.g == 0.0:
@@ -753,7 +754,7 @@ def test_a_coupling_whose_square_overflows_is_named(command, extra, names, capsy
         _profile_matches_its_closed_form(out, 1.0, 1.0)
 
 
-# every command that forms omega = k*c when --omega is not given, for raw
+# every command that reads --c where --omega is not given, for raw
 # amplitudes and for a family, and energy-profile, which refuses --c
 WAVE_SPEED_CONFIGS = [
     *([command, "--alpha4", "1"] for command in ("verify", "classify", "fields")),
@@ -786,15 +787,23 @@ def test_a_bad_wave_speed_is_named_before_k_c(config, c, capsys):
 
 @pytest.mark.parametrize("config", WAVE_SPEED_CONFIGS, ids=" ".join)
 def test_a_wave_frequency_k_c_that_overflows_is_named(config, capsys):
+    # the library reads omega / c = k, so k*c is formed only where classify
+    # prints a family's omega in the caller's units
+    extra = ["--k", "1e100", "--c=-1e250"]
     if config[0] == "energy-profile":
-        assert _refuses([*config, "--k", "1e200", "--c=-1e200"], "--c=-1e200", capsys)
+        assert _refuses([*config, *extra], "--c=-1e250", capsys)
         return
+    if config[0] == "verify":  # at t = 0, where c t is 0
+        extra += ["--grid", "0:0:1,-1:1:3,0:6.2832:5"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run([*config, "--k", "1e200", "--c=-1e200"], capsys)
-    assert (code, out) == (2, "")
-    assert err == ("error: an input is too large: omega = k*c overflows at k = 1e+200 "
-                   "and c = -1e+200\n")
+        code, out, err = run([*config, *extra], capsys)
+    if config[0] == "classify":
+        assert (code, out) == (2, "")
+        assert err == ("error: an input is too large: omega = k*c overflows at k = 1e+100 "
+                       "and c = -1e+250\n")
+    else:
+        assert code in (0, 1) and out and "error" not in err
 
 
 def test_scan_runs_at_k_zero_with_a_running_phase(capsys):
@@ -860,12 +869,19 @@ def test_a_bound_that_overflows_is_never_a_verdict(command, config, message, cap
     assert (code, out, err) == (2, "", f"error: an input is too large: {message}\n")
 
 
-@pytest.mark.skipif(shutil.which("ymwaves") is None, reason="entry point not installed")
 def test_console_entry_point():
-    proc = subprocess.run(["ymwaves", "classify", "--family", "I", "--alpha4", "1"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "family I" in proc.stdout
+    # the ymwaves script that pyproject.toml declares is cli.main, which
+    # the module runs as a program too
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["ymwaves"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+    proc = subprocess.run([sys.executable, "-m", module, "classify", "--family", "I",
+                           "--alpha4", "1"], capture_output=True, text=True, cwd=root)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "family I (k=1, omega=1, alpha4=1)\n"
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -903,10 +919,101 @@ def test_family_omega_must_be_k_c(command, family, capsys):
     assert code == 0 and out
 
 
+# calls that read --c: a family off the light cone and raw amplitudes at a
+# given --omega, a family on it and a scan at omega = k c; (command and
+# flags, --omega or None, --grid or None)
+UNIT_CALLS = [
+    (["verify", "--family", "III", "--alpha4", "0.8", "--k", "1.3", "--lambda", "0.4",
+      "--g", "1.2", "--eta", "-1"], 0.75, "0.5:3.25:5,-1:1:3,0:6.2832:5"),
+    (["verify", *NON_SOLUTION[:-4], "--g", "0.9"], 0.8, "-1:2:4,-1:1:2,0:6.2832:4"),
+    (["verify", "--family", "II", "--alpha4", "1", "--k", "2", "--xi", "-1"], None,
+     "0.5:3.25:5,-1:1:3,0:6.2832:5"),
+    (["classify", "--family", "III", "--alpha4", "0.8", "--k", "1.3", "--g", "1.2"], 0.75, None),
+    (["scan", "--seeds", "40", "--seed", "3", "--k", "0.8"], 0.4, None),
+    (["scan", "--seeds", "40", "--lambda", "-0.7", "--k", "1.3", "--g", "1.6"], None, None),
+    (["fields", "--family", "III", "--alpha4", "0.8", "--k", "1.3", "--lambda", "0.4",
+      "--g", "1.2"], 0.75, "0.5:3.25:4,-1:1:2,0:6.2832:4"),
+    (["fields", *NON_SOLUTION[:-4], "--g", "0.9"], 0.8, "-1:2:3,-1:1:2,0:6.2832:3"),
+]
+
+
+def _at_speed(call, c, units):
+    """A call of UNIT_CALLS at wave speed c, or, with units, the same call in
+    the library's units: --omega over c, the grid's t range times c, and
+    --c 1. At c a power of 2 both give the library the same numbers."""
+    argv, omega, grid = call
+    argv = [*argv, "--c", "1" if units else repr(c)]
+    if omega is not None:
+        argv += ["--omega", repr(omega / c if units else omega)]
+    if grid is not None:
+        t, rest = grid.split(",", 1)
+        t0, t1, n = t.split(":")
+        if units:
+            t0, t1 = repr(c * float(t0)), repr(c * float(t1))
+        argv += [f"--grid={t0}:{t1}:{n},{rest}"]
+    return argv
+
+
+@pytest.mark.parametrize("c", [2.0, 0.5, 2.0 ** -10])
+@pytest.mark.parametrize("call", UNIT_CALLS, ids=lambda call: " ".join(call[0][:3]))
+def test_the_cli_converts_the_wave_speed_once(call, c, capsys):
+    # verify's report and the scan's CSV and tally are the same at (omega,
+    # c, t) as at (omega / c, 1, c t); fields' columns but t, which prints
+    # the grid as given, and classify's report but omega, which prints the
+    # caller's
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run(_at_speed(call, c, False), capsys)
+        want = run(_at_speed(call, c, True), capsys)
+    command, omega = call[0][0], call[1]
+    assert got[0] in (0, 1) and got[2] == want[2]
+    if command == "fields":
+        rows, units = ([row.split(",") for row in out.splitlines()] for out in (got[1], want[1]))
+        assert [row[1:] for row in rows] == [row[1:] for row in units]
+        at_one = run(_at_speed(call, 1.0, False), capsys)[1]  # the grid's own t
+        assert [row[0] for row in rows] == [row.split(",")[0] for row in at_one.splitlines()]
+        assert len(rows) > 1 and rows != units
+    elif command == "classify":
+        assert got[1] == want[1].replace(f"omega={omega / c:.17g}", f"omega={omega:.17g}")
+        assert got[1] != want[1] and got[1].startswith("family III")
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("c", ["1e-308", "3e-320"])
+def test_a_catalogued_wave_verifies_at_a_subnormal_wave_speed(c, capsys):
+    # the library forms no 1 / c and no k c: it sees omega / c = k and the
+    # grid's time as c t, here from 0 to c, and so the report of the wave
+    # at c = 1 on that grid
+    config = ["verify", "--family", "I", "--alpha4", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run([*config, "--c", c, "--grid", "0:1:2,0:1:2,0:1:2"], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("\nVERIFIED\n") and "nan" not in out
+    assert run([*config, "--grid", f"0:{c}:2,0:1:2,0:1:2"], capsys) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--family", "III", "--alpha4", "1", "--omega", "1", "--c", "1e-320"],
+     "omega / c overflows at omega = 1.0 and c = 1e-320"),
+    (["scan", "--omega", "-1e10", "--c", "1e-300"],
+     "omega / c overflows at omega = -10000000000.0 and c = 1e-300"),
+    (["fields", "--family", "I", "--alpha4", "1", "--c", "1e300",
+      "--grid", "0:1e10:2,0:0:1,0:1:2"], "c*t overflows at t = 10000000000.0 and c = 1e+300"),
+    (["verify", "--family", "I", "--alpha4", "1", "--c", "-1e300",
+      "--grid", "-1e10:0:2,0:0:1,0:1:2"], "c*t overflows at t = -10000000000.0 and c = -1e+300"),
+], ids=["verify-omega", "scan-omega", "fields-t", "verify-t"])
+def test_a_converted_omega_or_time_that_overflows_is_named(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: an input is too large: {message}\n")
+
+
 @pytest.mark.parametrize("c", ["1e-3", "1e-6"])
 def test_small_wave_speed_verifies(c, capsys):
-    # the Ampere residual's time derivative is scaled by 1 / c, and its bound
-    # carries |omega / c|
+    # the library reads omega / c = k and the grid's t as c t
     code, out, _ = run(["verify", "--family", "I", "--alpha4", "1", "--c", c], capsys)
     assert code == 0
     assert out.endswith("\nVERIFIED\n")
@@ -918,7 +1025,8 @@ def test_small_wave_speed_verifies(c, capsys):
     ["--family", "I", "--alpha4", "2", "--k", "3", "--c", "1e-6"],
 ])
 def test_small_wave_speed_bianchi_budget(argv, capsys):
-    # Faraday's time derivative carries 1 / c, and so does the Bianchi bound
+    # Faraday's time derivative is along c t, and the Bianchi bound carries
+    # omega / c
     code, out, _ = run(["verify", *argv], capsys)
     assert code == 0
     assert out.endswith("\nVERIFIED\n")
@@ -951,9 +1059,9 @@ def test_the_bianchi_line_sees_a_closed_form_e_that_no_potential_gives(monkeypat
     assert max(value, bianchi_residual(p, s)) <= allowance
     real = ymwaves.fields._field_groups
 
-    def mutant(a1, a2, a3, a4, a5, lam, k, omega, g, c):
-        (e_const, _, e_sin), b = real(a1, a2, a3, a4, a5, lam, k, omega, g, c)
-        return (e_const, omega / c * a4 + 2.0 * g * a1 * a5, e_sin), b
+    def mutant(a1, a2, a3, a4, a5, lam, k, w, g):
+        (e_const, _, e_sin), b = real(a1, a2, a3, a4, a5, lam, k, w, g)
+        return (e_const, w * a4 + 2.0 * g * a1 * a5, e_sin), b
     monkeypatch.setattr(ymwaves.fields, "_field_groups", mutant)
     code, out, _ = run(argv, capsys)
     value, _ = _bianchi_line(out)
@@ -963,20 +1071,20 @@ def test_the_bianchi_line_sees_a_closed_form_e_that_no_potential_gives(monkeypat
 
 def test_bianchi_residual_is_verifys_bianchi_line_at_one_point(capsys):
     # the one-point grid t:t:1,y:y:1,z:z:1 at x = _GRID_X, on random
-    # amplitudes off shell and on the catalogued waves, fast and slow
+    # amplitudes off shell and on the catalogued waves, fast and slow: at
+    # wave speeds that are powers of 2, so that the CLI's omega / c and
+    # c t are the library's omega and t exactly
     rng = np.random.default_rng(29)
-    configs = [AnsatzParams(*rng.uniform(-2.0, 2.0, 9).tolist(), c=float(c))
-               for c in (0.7, 1.0, 3.0) for _ in range(4)]
-    configs += [build_family_i(1.0, 1.0, 0.0, 1.0, c) for c in (1e-6, 100.0, 1e4)]
-    configs += [build_family_ii(2.0, 1.0, 0.3, 1.5, 1, -1),
-                build_family_iii(1.3, 0.5, 0.8, 0.4, 1.2)]
+    configs = [(AnsatzParams(*rng.uniform(-2.0, 2.0, 9).tolist()), c)
+               for c in (0.5, 1.0, 4.0) for _ in range(4)]
+    configs += [(build_family_i(1.0, 1.0, 0.0, 1.0), c) for c in (2.0 ** -20, 2.0 ** 7, 2.0 ** 13)]
+    configs += [(build_family_ii(2.0, 1.0, 0.3, 1.5, 1, -1), 1.0),
+                (build_family_iii(1.3, 0.5, 0.8, 0.4, 1.2), 1.0)]
     nonzero = 0
-    for p in configs:
+    for p, c in configs:
         t, y, z = rng.uniform(-3.0, 3.0, 3).tolist()
-        raw = [a for name in ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "k", "omega",
-                              "g", "c") for a in (f"--{name}", repr(getattr(p, name)))]
-        grid = f"{t!r}:{t!r}:1,{y!r}:{y!r}:1,{z!r}:{z!r}:1"
-        out = run(["verify", *raw, "--lambda", repr(p.lam), "--grid", grid], capsys)[1]
+        grid = f"{t / c!r}:{t / c!r}:1,{y!r}:{y!r}:1,{z!r}:{z!r}:1"
+        out = run(["verify", *_raw(p, c), "--grid", grid], capsys)[1]
         value = _bianchi_line(out)[0]
         s = SpacetimePoint(t, ymwaves.fields._GRID_X, y, z)
         assert bianchi_residual(p, s).hex() == value.hex()
@@ -992,8 +1100,7 @@ def test_fast_waves_verify(family, capsys):
     code, out, _ = run(["verify", "--family", family, "--alpha4", "1", "--c", "100"], capsys)
     assert code == 0 and out.endswith("\nVERIFIED\n")
     value, allowance = _bianchi_line(out)
-    bound = _derivative_bounds(FamilySolution(family, 1.0, 100.0, 1.0, 0.0, 1.0, 100.0, 1,
-                                              1).params())[0]
+    bound = _derivative_bounds(FamilySolution(family, 1.0, 1.0, 1.0, 0.0, 1.0, 1, 1).params())[0]
     assert value <= 1e-6 * allowance and 1e-9 * bound < allowance < 1.01e-9 * bound
 
 
@@ -1003,10 +1110,9 @@ def test_fast_waves_verify(family, capsys):
 # numeric line as (value, allowance), the allowance tol times its bound
 # plus rounding
 @pytest.mark.parametrize("argv, want", [
-    (["--family", "I", "--alpha4", "1", "--c", "1e4"],
-     (2.2204460492503131e-16, 8.0000284217094309e-09)),
+    (["--family", "I", "--alpha4", "1", "--c", "1e4"], (0.0, 8.0000284217094309e-09)),
     (["--family", "I", "--k", "1", "--g", "1e-3", "--c", "100", "--alpha4", "1000"],
-     (2.2737367544323206e-13, 8.0000284217094317e-06)),
+     (0.0, 8.0000284217094317e-06)),
     (["--family", "III", "--alpha4", "1", "--omega", "0.3", "--c", "1e-6"],
      (0.0, 720.01215801195497)),
 ])

@@ -7,6 +7,7 @@ table that gives the scan its values. The exact sign symmetries also
 keep the bounds, and with them the normalized constraints, bit for bit.
 """
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -32,13 +33,20 @@ from ymwaves.constraints import (
     nine_constraints,
     normalized_constraints,
 )
-from ymwaves.fields import AnsatzParams, _field_groups, _Magnitude
+from ymwaves.fields import (
+    AnsatzParams,
+    SpacetimePoint,
+    _field_groups,
+    _Magnitude,
+    electric_field_analytic,
+    magnetic_field_analytic,
+)
 from ymwaves.residuals import _polynomials
 
 value = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 coupling = st.floats(min_value=0.2, max_value=2.0) | st.floats(min_value=-2.0, max_value=-0.2)
 rows = st.lists(st.tuples(*[value] * 5), min_size=1, max_size=6).map(np.array)
-couplings = st.tuples(value, value, value, coupling, st.floats(min_value=0.5, max_value=2.0))
+couplings = st.tuples(value, value, value, coupling)
 
 
 def _terms(sp, poly):
@@ -97,10 +105,10 @@ def test_exact_jacobian_is_sympys_derivative():
     for _ in range(10):
         a = rng.uniform(-3.0, 3.0, 5)
         lam, k, omega = rng.uniform(-3.0, 3.0, 3)
-        g, c = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0)
-        jac = _value_and_jacobian(a[None, :], _substitute(lam, k, omega, g, c))[0][0, :, :5]
-        # the atoms as the table takes them, x and omega / c rounded
-        values = (a[0], a[1], lam + 2.0 * g * a[2], a[3], a[4], k, omega / c, g)
+        g = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+        jac = _value_and_jacobian(a[None, :], _substitute(lam, k, omega, g))[0][0, :, :5]
+        # the atoms as the table takes them, x rounded
+        values = (a[0], a[1], lam + 2.0 * g * a[2], a[3], a[4], k, omega, g)
         point = dict(zip(atoms, map(sp.Rational, values)))
         for i, row in enumerate(derivatives):
             for j, d in enumerate(row):
@@ -117,18 +125,17 @@ def _signed(rng, n):
 
 def test_scales_are_the_sum_of_expanded_monomials():
     # each constraint's bound is the sum of the magnitudes of its terms,
-    # expanded in the inputs themselves (lam + 2 g alpha3 and omega / c
-    # multiplied out), to rounding, at inputs of either sign
+    # expanded in the inputs themselves (lam + 2 g alpha3 multiplied out),
+    # to rounding, at inputs of either sign
     sp = pytest.importorskip("sympy")
-    names = sp.symbols("a1:6 lam k omega g c")
-    a1, a2, a3, a4, a5, lam, k, omega, g, c = names
+    names = sp.symbols("a1:6 lam k omega g")
+    a1, a2, a3, a4, a5, lam, k, omega, g = names
     polys = [_terms(sp, poly) for poly in _polynomials(a1, a2, lam + 2 * g * a3, a4, a5, k,
-                                                       omega / c, g)]
+                                                       omega, g)]
     rng = np.random.default_rng(3)
     for _ in range(20):
-        values = _signed(rng, 10)
-        p = AnsatzParams(*values[:5], lam=values[5], k=values[6], omega=values[7], g=values[8],
-                         c=values[9])
+        values = _signed(rng, 9)
+        p = AnsatzParams(*values[:5], lam=values[5], k=values[6], omega=values[7], g=values[8])
         point = dict(zip(names, map(sp.Rational, values)))
         for i, (terms, bound) in enumerate(zip(polys, constraint_scales(p)), 1):
             assert _within_ulps(bound, _summed(terms, point), 8), f"c{i}"
@@ -137,11 +144,11 @@ def test_scales_are_the_sum_of_expanded_monomials():
 def test_field_scale_is_the_sum_of_expanded_monomials():
     # each field coefficient group's bound is the sum of its expanded terms' magnitudes
     sp = pytest.importorskip("sympy")
-    names = sp.symbols("a1:6 lam k omega g c")
+    names = sp.symbols("a1:6 lam k omega g")
     groups = [_terms(sp, v) for group in _field_groups(*names) for v in group]
     rng = np.random.default_rng(4)
     for _ in range(20):
-        values = _signed(rng, 10)
+        values = _signed(rng, 9)
         magnitudes = _field_groups(*(_Magnitude(abs(v)) for v in values))
         point = dict(zip(names, map(sp.Rational, values)))
         for terms, m in zip(groups, [m for group in magnitudes for m in group], strict=True):
@@ -166,18 +173,17 @@ CATALOGUE = {("I", None, None), ("abelian-z", None, None), ("pure-gauge", None, 
              ("III", 1, None), ("III", -1, None)}
 
 
-@given(st.sampled_from(_BRANCHES), value, value, coupling, st.floats(min_value=0.5, max_value=2.0),
-       value, st.tuples(value, value))
-def test_every_branch_solves_the_constraints(branch, lam, k, g, c, omega, free):
+@given(st.sampled_from(_BRANCHES), value, value, coupling, value, st.tuples(value, value))
+def test_every_branch_solves_the_constraints(branch, lam, k, g, omega, free):
     # a point of any branch solves c1..c9, and projects onto itself
     assert {(b.label, b.eta, b.xi) for b in _BRANCHES} == CATALOGUE
     assert len(_BRANCHES) == len(CATALOGUE)
     if branch.cone:
-        omega = k * c
-    couplings = (lam, k, omega, g, c)
+        omega = k
+    couplings = (lam, k, omega, g)
     point = np.array(branch.offset(*couplings)) + sum(
         t * np.array(d) for t, d in zip(free, branch.directions))
-    worst = normalized_constraints(AnsatzParams(*point, lam=lam, k=k, omega=omega, g=g, c=c))
+    worst = normalized_constraints(AnsatzParams(*point, lam=lam, k=k, omega=omega, g=g))
     assert np.max(worst) <= 1e-12
     offsets = _offsets(couplings)
     points, dist = _projections(point[None, :], offsets, True)
@@ -190,17 +196,17 @@ def test_every_branch_solves_the_constraints(branch, lam, k, g, c, omega, free):
         assert branch_projection(point, *couplings)[2] <= 1e-12
 
 
-def _paths(x, lam, k, omega, g, c):
+def _paths(x, lam, k, omega, g):
     """c1..c9 of each amplitude row: scalar nine_constraints, then the
     term table's values."""
-    scalar = np.array([nine_constraints(AnsatzParams(*r, lam=lam, k=k, omega=omega, g=g, c=c))
+    scalar = np.array([nine_constraints(AnsatzParams(*r, lam=lam, k=k, omega=omega, g=g))
                        for r in x.tolist()])
-    return scalar, _value_and_jacobian(x, _substitute(lam, k, omega, g, c))[0][:, :, 5]
+    return scalar, _value_and_jacobian(x, _substitute(lam, k, omega, g))[0][:, :, 5]
 
 
-def _normalized_and_scales(x, lam, k, omega, g, c):
+def _normalized_and_scales(x, lam, k, omega, g):
     """normalized_constraints of each amplitude row, then its bounds."""
-    params = [AnsatzParams(*r, lam=lam, k=k, omega=omega, g=g, c=c) for r in x.tolist()]
+    params = [AnsatzParams(*r, lam=lam, k=k, omega=omega, g=g) for r in x.tolist()]
     return (np.array([normalized_constraints(p) for p in params]),
             np.array([constraint_scales(p) for p in params]))
 
@@ -212,38 +218,38 @@ def _unchanged(x, cpl, y, flipped):
                zip(_normalized_and_scales(x, *cpl), _normalized_and_scales(y, *flipped)))
 
 
-def _rounding_bound(x, lam, k, omega, g, c):
+def _rounding_bound(x, lam, k, omega, g):
     """An absolute bound on the rounding in c1..c9, per row.
 
     Every monomial is at most 4 M^5, M the largest of 1 and the
     magnitudes of the inputs and of the unexpanded lam + 2 g alpha3.
     """
     m = np.maximum(np.abs(x).max(axis=1), abs(lam) + 2.0 * abs(g) * np.abs(x[:, 2]))
-    m = np.maximum(m, max(1.0, abs(k), abs(omega / c), abs(g)))
+    m = np.maximum(m, max(1.0, abs(k), abs(omega), abs(g)))
     return 1e-12 * m[:, None] ** 5
 
 
 @given(rows, couplings, value)
 def test_lambda_shift_into_alpha3(x, cpl, delta):
     # c depends on lam and alpha3 only through lam + 2 g alpha3
-    lam, k, omega, g, c = cpl
+    lam, k, omega, g = cpl
     y = x.copy()
     y[:, 2] -= delta
     lam2 = lam + 2.0 * g * delta
-    bound = np.maximum(_rounding_bound(x, lam, k, omega, g, c),
-                       _rounding_bound(y, lam2, k, omega, g, c))
-    for before, after in zip(_paths(x, *cpl), _paths(y, lam2, k, omega, g, c)):
+    bound = np.maximum(_rounding_bound(x, lam, k, omega, g),
+                       _rounding_bound(y, lam2, k, omega, g))
+    for before, after in zip(_paths(x, *cpl), _paths(y, lam2, k, omega, g)):
         assert np.all(np.abs(after - before) <= bound)
 
 
 @given(rows, couplings, st.floats(min_value=0.25, max_value=4.0))
 def test_coupling_rescale(x, cpl, s):
     # (alpha, g) -> (alpha / s, g s) divides every constraint by s
-    lam, k, omega, g, c = cpl
+    lam, k, omega, g = cpl
     y = x / s
-    bound = np.maximum(_rounding_bound(x, lam, k, omega, g, c),
-                       _rounding_bound(y, lam, k, omega, g * s, c))
-    for before, after in zip(_paths(x, *cpl), _paths(y, lam, k, omega, g * s, c)):
+    bound = np.maximum(_rounding_bound(x, lam, k, omega, g),
+                       _rounding_bound(y, lam, k, omega, g * s))
+    for before, after in zip(_paths(x, *cpl), _paths(y, lam, k, omega, g * s)):
         assert np.all(np.abs(after * s - before) <= bound)
 
 
@@ -260,36 +266,36 @@ def test_eta_flip(x, cpl):
 @given(rows, couplings)
 def test_xi_flip(x, cpl):
     # (lam, alpha3) -> -(lam, alpha3) negates lam + 2 g alpha3 exactly
-    lam, k, omega, g, c = cpl
+    lam, k, omega, g = cpl
     y = x * np.array([1.0, 1.0, -1.0, 1.0, 1.0])
     flipped = [1, 3, 7]  # c2, c4, c8
     kept = [0, 2, 4, 5, 6, 8]
-    for before, after in zip(_paths(x, *cpl), _paths(y, -lam, k, omega, g, c)):
+    for before, after in zip(_paths(x, *cpl), _paths(y, -lam, k, omega, g)):
         assert np.all(after[:, flipped] == -before[:, flipped])
         assert np.all(after[:, kept] == before[:, kept])
-    assert _unchanged(x, cpl, y, (-lam, k, omega, g, c))
+    assert _unchanged(x, cpl, y, (-lam, k, omega, g))
 
 
 @given(rows, couplings)
 def test_time_reversal(x, cpl):
     # (omega, alpha1) -> -(omega, alpha1) negates c1..c3 and keeps the rest, exactly
-    lam, k, omega, g, c = cpl
+    lam, k, omega, g = cpl
     y = x * np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
-    for before, after in zip(_paths(x, *cpl), _paths(y, lam, k, -omega, g, c)):
+    for before, after in zip(_paths(x, *cpl), _paths(y, lam, k, -omega, g)):
         assert np.all(after[:, :3] == -before[:, :3])
         assert np.all(after[:, 3:] == before[:, 3:])
-    assert _unchanged(x, cpl, y, (lam, k, -omega, g, c))
+    assert _unchanged(x, cpl, y, (lam, k, -omega, g))
 
 
 @given(rows, couplings)
 def test_parity(x, cpl):
     # (k, alpha2) -> -(k, alpha2) negates c7..c9 and keeps the rest, exactly
-    lam, k, omega, g, c = cpl
+    lam, k, omega, g = cpl
     y = x * np.array([1.0, -1.0, 1.0, 1.0, 1.0])
-    for before, after in zip(_paths(x, *cpl), _paths(y, lam, -k, omega, g, c)):
+    for before, after in zip(_paths(x, *cpl), _paths(y, lam, -k, omega, g)):
         assert np.all(after[:, 6:] == -before[:, 6:])
         assert np.all(after[:, :6] == before[:, :6])
-    assert _unchanged(x, cpl, y, (lam, -k, omega, g, c))
+    assert _unchanged(x, cpl, y, (lam, -k, omega, g))
 
 
 @given(rows, couplings, st.floats(min_value=0.25, max_value=4.0))
@@ -300,9 +306,60 @@ def test_dilation(x, cpl, s):
     # |lam| + 2|g alpha3| for the rounded lam + 2 g alpha3 (measured worst
     # 6.7e-16 of it on 4,000 configurations), plus an absolute floor for
     # subnormal inputs, which scale with less precision
-    lam, k, omega, g, c = cpl
-    total = np.array([constraint_scales(AnsatzParams(*r, lam=lam, k=k, omega=omega, g=g, c=c))
+    lam, k, omega, g = cpl
+    total = np.array([constraint_scales(AnsatzParams(*r, lam=lam, k=k, omega=omega, g=g))
                       for r in x.tolist()])
     bound = 1e-14 * s ** 3 * total + 1e-300
-    for before, after in zip(_paths(x, *cpl), _paths(x * s, lam * s, k * s, omega * s, g, c)):
+    for before, after in zip(_paths(x, *cpl), _paths(x * s, lam * s, k * s, omega * s, g)):
         assert np.all(np.abs(after - s ** 3 * before) <= bound)
+
+
+def _boosted(b, u0, u1):
+    """The (time, space) pair (u0, u1) under a boost along z of rapidity b."""
+    ch, sh = math.cosh(b), math.sinh(b)
+    return u0 * ch - u1 * sh, u1 * ch - u0 * sh
+
+
+@given(st.tuples(*[value] * 9), st.floats(min_value=-2.0, max_value=2.0),
+       st.tuples(value, value, value))
+def test_boost_along_z(params, b, point):
+    # a boost along z moves (alpha1, alpha2) = (phi, A_z), (omega, k) and
+    # (t, z) as (time, space) pairs and keeps alpha3..alpha5, lam, g, y
+    # and the phase k z - omega t: c4, c5 and c6 are invariant, (c1, c7),
+    # (c2, c8) and (c3, -c9) move as pairs, and the closed-form E_y and
+    # B_x mix as E_y cosh b + B_x sinh b and B_x cosh b + E_y sinh b. The
+    # rounding is bounded on magnitudes, a boosted pair's atoms by
+    # (|u0| + |u1|) cosh b, the fields' also by the boosted phase's
+    # magnitude; over 3,000 uniform draws the worst errors were 0.23 and
+    # 0.04 of these bounds
+    a1, a2, a3, a4, a5, lam, k, omega, g = params
+    t, y, z = point
+    ch, eps = math.cosh(b), np.finfo(float).eps
+    (b1, b2), (w, q), (bt, bz) = (_boosted(b, *u) for u in ((a1, a2), (omega, k), (t, z)))
+    x = lam + 2.0 * g * a3
+    c = _polynomials(a1, a2, x, a4, a5, k, omega, g)
+    (c1, c7), (c2, c8), (c3, c9) = (_boosted(b, *u) for u in ((c.c1, c.c7), (c.c2, c.c8),
+                                                              (c.c3, -c.c9)))
+    want = (c1, c2, c3, c.c4, c.c5, c.c6, c7, c8, -c9)
+    got = _polynomials(b1, b2, x, a4, a5, q, w, g)
+    # the atoms on magnitudes, a boosted pair's bounding both frames'
+    pair, rate = _Magnitude((abs(a1) + abs(a2)) * ch), _Magnitude((abs(omega) + abs(k)) * ch)
+    m = [_Magnitude(abs(v)) for v in params]
+    bounds = _polynomials(pair, pair, m[5] + 2.0 * m[8] * m[2], m[3], m[4], rate, rate, m[8])
+    for i, (u, v, bound) in enumerate(zip(got, want, bounds), 1):
+        assert abs(u - v) <= 4.0 * eps * 2.0 * ch * bound.value, f"c{i}"
+
+    p = AnsatzParams(a1, a2, a3, a4, a5, lam, k, omega, g)
+    boosted = AnsatzParams(b1, b2, a3, a4, a5, lam, q, w, g)
+    s, sb = SpacetimePoint(t, 0.3, y, z), SpacetimePoint(bt, 0.3, y, bz)
+    e, bx, e2, bx2 = (np.array(v) for v in (
+        electric_field_analytic(p, s).ey.coeffs(), magnetic_field_analytic(p, s).ex.coeffs(),
+        electric_field_analytic(boosted, sb).ey.coeffs(),
+        magnetic_field_analytic(boosted, sb).ex.coeffs()))
+    sh = math.sinh(b)
+    fields = sum(v for group in _field_groups(pair, pair, *m[2:6], rate, rate, m[8])
+                 for v in group)
+    phase = (2.0 * rate * ((abs(t) + abs(z)) * ch)).value
+    bound = 4.0 * eps * fields.value * (1.0 + phase)
+    assert np.all(np.abs(e2 - (e * ch + bx * sh)) <= bound)
+    assert np.all(np.abs(bx2 - (bx * ch + e * sh)) <= bound)

@@ -269,7 +269,7 @@ def test_refine_recovers_family_ii(rng):
     p = build_family_ii(k=1.0, alpha4=1.0, lam=0.2, g=1.0, eta=1, xi=1)
     start = np.array([p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5])
     start = start + rng.uniform(-0.05, 0.05, size=5)
-    out = refine_alphas(start, lam=0.2, k=1.0, omega=1.0, g=1.0, c=1.0)
+    out = refine_alphas(start, lam=0.2, k=1.0, omega=1.0, g=1.0)
     assert out.converged
     assert out.max_normalized < 1e-10
     _, _, dist = branch_projection(tuple(out.alphas), lam=0.2, k=1.0, omega=1.0, g=1.0)
@@ -296,21 +296,21 @@ def test_branch_projection_is_exact_on_branch():
     ((0.1, 0.2, 0.3, 0.4), {}),
     ((0.1, 0.2, 0.3, 0.4, 0.5), {"k": math.inf}),
     ((0.1, 0.2, 0.3, 0.4, 0.5), {"omega": math.nan}),
-    ((0.1, 0.2, 0.3, 0.4, 0.5), {"c": 0.0}),
+    ((0.1, 0.2, 0.3, 0.4, 0.5), {"lam": math.inf}),
     ((0.1, 0.2, 0.3, 0.4, 0.5), {"g": 0.0}),
 ])
 def test_branch_projection_validates_input(alphas, bad):
     with pytest.raises(ValueError):
-        branch_projection(alphas, **(dict(lam=0.0, k=1.0, omega=1.0, g=1.0, c=1.0) | bad))
+        branch_projection(alphas, **(dict(lam=0.0, k=1.0, omega=1.0, g=1.0) | bad))
 
 
 @pytest.mark.parametrize("call", [
-    # 2 g c underflows to zero and the Family III offset divides by it
-    lambda: branch_projection((0.0, 0.0, 0.0, 1.0, 0.0), 0.0, 1.0, 1.0, 1e-300, 1e-300),
-    lambda: refine_alphas((0.5, -1.0, 0.7, 1.1, -0.2), 0.0, 1.0, 1.0, 1e-300, 1e-300),
-    lambda: scan_families(3, g=1e-300, c=1e-300),
-    lambda: build_family_iii(1.0, 0.5, 1.0, 0.0, 1e-300, c=1e-300),
-    lambda: classify(AnsatzParams(k=1.0, omega=1e-300, g=1e-300, c=1e-300)),
+    # omega / 2g overflows, the Family III offset, while omega^2 does not
+    lambda: branch_projection((0.0, 0.0, 0.0, 1.0, 0.0), 0.0, 1.0, 1e150, 1e-200),
+    lambda: refine_alphas((0.5, -1.0, 0.7, 1.1, -0.2), 0.0, 1.0, 1e150, 1e-200),
+    lambda: scan_families(3, omega=1e150, g=1e-200),
+    lambda: build_family_iii(1.0, 1e150, 1.0, 0.0, 1e-200),
+    lambda: classify(AnsatzParams(k=1.0, omega=1e150, g=1e-200)),
     # k / 4g overflows
     lambda: build_family_ii(1e10, 1.0, 0.0, 1e-300, 1, 1),
 ])
@@ -319,19 +319,19 @@ def test_couplings_that_overflow_a_branch_offset_are_rejected(call):
         call()
 
 
-@pytest.mark.parametrize("g, c, want", [
+@pytest.mark.parametrize("g, omega, want", [
     # on the light cone Family II's offsets, k / 4g, are 2.5e299
     (1e-300, 1.0, ("abelian-z", (0.0, 0.0, 0.3, 0.0, 0.5), 0.45825756949558405)),
-    # off it Family III's, omega / 2gc, are 5e299
-    (1.0, 1e-300, ("pure-gauge", (0.1, 0.2, -0.0, 0.0, 0.0), 0.7071067811865476)),
+    # off it Family III's, omega / 2g, are 5e299
+    (1.0, 1e300, ("pure-gauge", (0.1, 0.2, -0.0, 0.0, 0.0), 0.7071067811865476)),
 ])
-def test_a_distance_that_overflows_reads_the_largest_float_without_a_warning(g, c, want):
+def test_a_distance_that_overflows_reads_the_largest_float_without_a_warning(g, omega, want):
     # the distance squares the offsets; under tier-1's warnings-as-errors
     # the call returns the nearest branch, the far ones at the largest float
     alphas = (0.1, 0.2, 0.3, 0.4, 0.5)
-    assert branch_projection(alphas, 0.0, 1.0, 1.0, g, c) == want
-    couplings = (0.0, 1.0, 1.0, g, c)
-    dist = _projections(np.array([alphas]), _offsets(couplings), _on_cone(1.0, 1.0, c, 1e-9))[1][0]
+    assert branch_projection(alphas, 0.0, 1.0, omega, g) == want
+    couplings = (0.0, 1.0, omega, g)
+    dist = _projections(np.array([alphas]), _offsets(couplings), _on_cone(1.0, omega, 1e-9))[1][0]
     far = dist[[i for i, b in enumerate(_BRANCHES) if b.label in ("II", "III")]]
     assert np.all(far >= np.finfo(float).max) and np.finfo(float).max in far
 
@@ -491,7 +491,7 @@ def test_scan_validates_couplings_before_newton(monkeypatch):
         raise AssertionError("Newton ran on invalid couplings")
 
     monkeypatch.setattr(ymwaves.constraints, "_newton", no_newton)
-    for bad in ({"g": 0.0}, {"c": 0.0}, {"omega": math.nan}, {"lam": math.inf}):
+    for bad in ({"g": 0.0}, {"k": math.inf}, {"omega": math.nan}, {"lam": math.inf}):
         with pytest.raises(ValueError):
             scan_families(3, **bad)
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         AnsatzParams(alpha1=float("nan"))
     with pytest.raises(ValueError):
-        AnsatzParams(c=0.0)
+        AnsatzParams(omega=float("inf"))
     with pytest.raises(ValueError):
         SpacetimePoint(t=float("inf"))
 

@@ -22,16 +22,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src").rglob("*.py"))
 CALLERS = SRC + sorted((ROOT / "perfbench").rglob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
-_WAVE_SPEED = "the wave speed; the CLI sets it through the private _build and _scan_blocks"
 # the defaulted parameters no caller sets, and why each stays
-ALLOWED = {
-    "constraints.branch_projection(c)": _WAVE_SPEED,
-    "constraints.build_family_i(c)": _WAVE_SPEED,
-    "constraints.build_family_ii(c)": _WAVE_SPEED,
-    "constraints.build_family_iii(c)": _WAVE_SPEED,
-    "constraints.refine_alphas(c)": _WAVE_SPEED,
-    "constraints.scan_families(c)": _WAVE_SPEED,
-}
+ALLOWED = {}
 
 
 def _defaulted(function: ast.FunctionDef) -> list[tuple[int | None, str]]:

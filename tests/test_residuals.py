@@ -169,9 +169,10 @@ def test_bianchi_family_iii():
 
 @pytest.mark.parametrize("c", [1e-6, 100.0, 1e4])
 def test_bianchi_residual_is_rounding_at_any_wave_speed(c):
-    # complex steps carry no truncation in omega h or (omega / c) h
-    p = build_family_i(1.0, 1.0, 0.0, 1.0, c)
-    s = SpacetimePoint(t=0.3, x=0.17, y=-0.4, z=0.9)
+    # at wave speed c the library's time is c t; complex steps carry no
+    # truncation at any scale of it
+    p = build_family_i(1.0, 1.0, 0.0, 1.0)
+    s = SpacetimePoint(t=0.3 * c, x=0.17, y=-0.4, z=0.9)
     assert bianchi_residual(p, s) <= _derivative_bounds(p)[0] * _ROUNDING
 
 
@@ -203,10 +204,11 @@ def test_max_residual_norm_names_an_empty_point_list():
 
 @pytest.mark.parametrize("c", [1e-3, 1e-6])
 def test_numeric_residual_is_rounding_at_small_wave_speeds(c):
-    # at each point, verify's rounding bound without tol
-    p = build_family_i(k=1.0, alpha4=1.0, lam=0.0, g=1.0, c=c)
+    # at each point, verify's rounding bound without tol, on a grid whose
+    # time is c t
+    p = build_family_i(k=1.0, alpha4=1.0, lam=0.0, g=1.0)
     bound = _derivative_bounds(p)[0]
-    for s in grid_points((0.0, 2.0 * math.pi, 4), (-1.0, 1.0, 3), (0.0, 2.0 * math.pi, 4)):
+    for s in grid_points((0.0, 2.0 * math.pi * c, 4), (-1.0, 1.0, 3), (0.0, 2.0 * math.pi, 4)):
         assert residual_sample(p, s, mode="numeric").norm <= bound * _ROUNDING
 
 

@@ -65,7 +65,6 @@ from ymwaves.residuals import (
 
 value = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 coupling = st.floats(min_value=0.2, max_value=2.0) | st.floats(min_value=-2.0, max_value=-0.2)
-speed = st.floats(min_value=0.3, max_value=3.0)
 sign = st.sampled_from((1, -1))
 points = st.builds(SpacetimePoint, value, value, value, value)
 AMPLITUDES = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5")
@@ -78,15 +77,15 @@ FAMILY_II = ["--family", "II", "--k", "1.3", "--alpha4", "0.8", "--lambda", "0.4
 @st.composite
 def configurations(draw):
     """Family I, II and III waves and perturbed non-solutions, with lam != 0
-    allowed, g of both signs and c != 1."""
-    k, alpha4, lam, g, c = draw(coupling), draw(coupling), draw(value), draw(coupling), draw(speed)
+    allowed and g of both signs."""
+    k, alpha4, lam, g = draw(coupling), draw(coupling), draw(value), draw(coupling)
     family = draw(st.sampled_from(("I", "II", "III")))
     if family == "I":
-        p = build_family_i(k, alpha4, lam, g, c)
+        p = build_family_i(k, alpha4, lam, g)
     elif family == "II":
-        p = build_family_ii(k, alpha4, lam, g, draw(sign), draw(sign), c)
+        p = build_family_ii(k, alpha4, lam, g, draw(sign), draw(sign))
     else:
-        p = build_family_iii(k, draw(value), alpha4, lam, g, draw(sign), c)
+        p = build_family_iii(k, draw(value), alpha4, lam, g, draw(sign))
     if draw(st.booleans()):
         name = draw(st.sampled_from(AMPLITUDES))
         p = AnsatzParams(**{**vars(p), name: getattr(p, name) + draw(value)})
@@ -450,7 +449,7 @@ def test_field_strength_evaluates_the_potentials_once(monkeypatch):
 
 def test_oracle_does_not_read_the_constraint_polynomials(monkeypatch):
     p = AnsatzParams(alpha1=0.7, alpha2=-1.1, alpha3=0.4, alpha4=0.9, alpha5=-0.3,
-                     lam=0.6, k=1.3, omega=0.8, g=0.9, c=1.4)
+                     lam=0.6, k=1.3, omega=0.8, g=0.9)
     want = nine_constraints(p).as_array()
 
     def forbidden(*args):
@@ -468,10 +467,10 @@ def test_oracle_sees_a_wrong_field_monomial(monkeypatch):
     # from nine_constraints
     real = ymwaves.fields._field_groups
 
-    def perturbed(a1, a2, a3, a4, a5, lam, k, omega, g, c):
-        e, (b_const, b_cos, b_sin) = real(a1, a2, a3, a4, a5, lam, k, omega, g, c)
+    def perturbed(a1, a2, a3, a4, a5, lam, k, w, g):
+        e, (b_const, b_cos, b_sin) = real(a1, a2, a3, a4, a5, lam, k, w, g)
         return e, (b_const, b_cos + 0.01 * (2.0 * g * a2 * a5), b_sin)
-    p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1, c=1.5)
+    p = build_family_ii(k=1.3, alpha4=0.8, lam=0.4, g=1.2, eta=1, xi=-1)
     want = nine_constraints(p).as_array()
     assert np.max(np.abs(oracle_constraints(p).as_array() - want)) < 1e-6
     monkeypatch.setattr(ymwaves.fields, "_field_groups", perturbed)
