@@ -1,55 +1,11 @@
 """Exact SU(2) Yang-Mills plane waves: construction, residuals, verification."""
 
-from .su2 import LieElement
-from .fields import (
-    AnsatzParams,
-    ColorVector,
-    SpacetimePoint,
-    electric_field_analytic,
-    field_coefficient_groups,
-    field_strength,
-    field_strength_norm,
-    magnetic_field_analytic,
-)
-from .residuals import (
-    ResidualSample,
-    ampere_commutator_term,
-    ampere_residual,
-    bianchi_residual,
-    gauss_commutator_term,
-    gauss_residual,
-    grid_points,
-    max_residual_norm,
-    residual_sample,
-)
-from .constraints import (
-    ClassificationError,
-    ConstraintVector,
-    FamilySolution,
-    NotASolution,
-    PlaneSolution,
-    RefineResult,
-    ScanRow,
-    TrivialZeroField,
-    branch_projection,
-    build_family_i,
-    build_family_ii,
-    build_family_iii,
-    classify,
-    constraint_scales,
-    nine_constraints,
-    normalized_constraints,
-    oracle_constraints,
-    refine_alphas,
-    scan_families,
-)
-from .observables import (
-    energy_closed_form,
-    energy_density,
-    mean_energy_closed_form,
-    node_locations,
-    point_at_phase,
-)
+# each module's __all__, republished; __all__ below lists every name once
+from .su2 import *
+from .fields import *
+from .residuals import *
+from .constraints import *
+from .observables import *
 
 __version__ = "0.1.0"
 

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import io
 import math
 import re
 import sys
@@ -57,6 +55,7 @@ from .fields import (
     _field_strength_columns,
     _fields_vanish,
     _Grid,
+    _grid_axis,
     _require_finite,
     field_coefficient_groups,
 )
@@ -66,6 +65,8 @@ from .residuals import _max_analytic_norm, _max_numeric_norms
 _FMT = "%.17g"
 # a fields row: t, y, z, theta and the two sigma_z columns come formatted
 _FIELDS_ROW = "%s,%s,%s,%s,%.17g,%.17g,%s,%.17g,%.17g,%s\r\n"
+# a scan row; no label needs quoting: each is empty, none or a branch's
+_SCAN_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%.17g,%d\r\n"
 # verify's numeric residual runs on about this many of its grid points
 _NUMERIC_POINTS = 27
 # K eps, the rounding of verify's complex-step allowances relative to their
@@ -189,11 +190,12 @@ def _parse_grid(text: str):
 
 
 def _grids(args):
-    """The grid of --grid as given, then in the library's units, at --c as
-    _omega checked it: the t axis (t0, t1, n) scaled to (c t0, c t1, n)."""
+    """The grid of --grid in the library's units, at --c as _omega checked
+    it, its t axis (t0, t1, n) scaled to (c t0, c t1, n); then that t axis
+    as given."""
     (t0, t1, n), *rest = _parse_grid(args.grid)
     ct = [_converted("c*t", args.c * t, t=t, c=args.c) for t in (t0, t1)]
-    return _Grid.from_ranges((t0, t1, n), *rest), _Grid.from_ranges((*ct, n), *rest)
+    return _Grid.from_ranges((*ct, n), *rest), _grid_axis(t0, t1, n)
 
 
 @contextlib.contextmanager
@@ -233,7 +235,7 @@ def _verify_checks(args):
         for i, (name, value) in enumerate(zip(_STATIC_SUMS, judged), start=1):
             lines.append(f"static condition {i}: {name} at theta = 0 (normalized {_fmt(value)})")
 
-    grid = _grids(args)[1]
+    grid, _ = _grids(args)
     n = len(grid)
     max_analytic = _max_analytic_norm(cv, grid.angle_blocks(p))
     ana_allow = args.tol * max(scales)  # the residual is made of c1..c9
@@ -334,12 +336,9 @@ def cmd_scan(args) -> int:
     def text():
         for rows in blocks:
             tally.update(row.label if row.converged else "discarded" for row in rows)
-            block = io.StringIO()
-            csv.writer(block).writerows(
-                [row.seed_index, int(row.converged)] + [_fmt(a) for a in row.alphas]
-                + [_fmt(row.max_constraint), row.label, _fmt(row.distance), row.iterations]
-                for row in rows)
-            yield block.getvalue()
+            yield "".join(_SCAN_ROW % (row.seed_index, row.converged, *row.alphas,
+                                       row.max_constraint, row.label, row.distance,
+                                       row.iterations) for row in rows)
 
     _write_csv(args, ["seed", "converged", "alpha1", "alpha2", "alpha3", "alpha4", "alpha5",
                       "max_constraint", "classification", "distance", "iterations"], text())
@@ -363,9 +362,9 @@ def _distinct_text(column) -> list:
 
 def _write_csv(args, header, blocks):
     """Write a header and blocks of CSV text, one write per block; each
-    block is whole rows, "\r\n" ends included, as csv.writer would end
-    them. The first block is made before the output is opened, so an
-    input that fails on it leaves nothing behind."""
+    block is whole rows, each ended by "\r\n", as RFC 4180 ends them. The
+    first block is made before the output is opened, so an input that
+    fails on it leaves nothing behind."""
     blocks = iter(blocks)
     first = next(blocks, "")
     with _output(args) as out:
@@ -379,18 +378,18 @@ def cmd_fields(args) -> int:
     and z repeat, theta depends only on (t, z) and the sigma_z parts of
     E_y and B_x do not depend on y, so each of these six columns formats
     every distinct value once per block (_distinct_text); only the four
-    sigma_x and sigma_y coefficients are formatted row by row. The
-    coordinates are printed as given, t too, not c t."""
+    sigma_x and sigma_y coefficients are formatted row by row. y and z are
+    printed as evaluated, t as given, from its own axis, not c t."""
     p = _build_params(args)
-    shown, grid = _grids(args)
+    grid, t_given = _grids(args)
     # the grid is checked whole before the first row is written
     blocks = grid.blocks(p)
+    per_t = grid.y.count * grid.z.count
 
     def text():
-        for rows, r in blocks:
+        for rows, (_, _, y, z), r in blocks:
             (ey_x, ey_y, ey_z), (bx_x, bx_y, bx_z) = _field_columns(p, r.angles())  # sx, sy, sz
-            t, _, y, z = shown.coordinates(rows)
-            columns = [_distinct_text(c) for c in (t, y, z, r.theta)]
+            columns = [_distinct_text(c) for c in (t_given.at(rows // per_t), y, z, r.theta)]
             columns += [ey_x.tolist(), ey_y.tolist(), _distinct_text(ey_z),
                         bx_x.tolist(), bx_y.tolist(), _distinct_text(bx_z)]
             yield "".join(_FIELDS_ROW % row for row in zip(*columns))

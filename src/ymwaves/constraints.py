@@ -736,7 +736,7 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
     (counting the iterations completed before), when its Jacobian
     overflows or it fails, its line search failing or its norm passing
     1e8 whatever its constraint (counting the current one), or when it
-    has used its budget, _MAX_ITER iterations or one count per row. table
+    has used its budget, a count per row, _MAX_ITER unless given. table
     is the term table at the couplings (_substitute); only scan_families
     sets tol and budget (see there). Raises OverflowError when the
     constraints are not finite at x0.
@@ -744,13 +744,13 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
     The rows still iterating are the working set: their amplitudes, value
     norms, [J | f] (_value_and_jacobian) and largest normalized
     constraints sit in working arrays, which are written out and
-    compacted only in an iteration where a row stops; a budget per row is
-    compacted with them, a single budget compared as it is. Every row
-    tries the full step at once; only the rows it does not improve
-    backtrack. Rows never interact, so each comes out as it would alone.
+    compacted only in an iteration where a row stops, the budget with
+    them. Every row tries the full step at once; only the rows it does
+    not improve backtrack. Rows never interact, so each comes out as it
+    would alone.
     """
     xw = np.array(x0, dtype=float)
-    budget = _MAX_ITER if budget is None else budget
+    budget = np.full(len(xw), _MAX_ITER) if budget is None else budget
     x, iters, worst = np.empty_like(xw), np.empty(len(xw), dtype=int), np.empty(len(xw))
     passed = np.empty(len(xw), dtype=bool)
     with np.errstate(all="ignore"):
@@ -773,8 +773,7 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
                 iters[out] = it - stop[~go]
                 x[out], worst[out], passed[out] = xw[~go], ww[~go], done[~go]
                 rows, xw, nw, jfw, ww = rows[go], xw[go], nw[go], jfw[go], ww[go]
-                if np.ndim(budget):
-                    budget = budget[go]
+                budget = budget[go]
                 if not rows.size:
                     break
             step = _step(jfw)

@@ -299,8 +299,7 @@ def _check_count(n: int):
     refuses such a count at once; the probe reserves the array and touches
     none of it."""
     try:
-        if len(np.empty(n)) != n:
-            raise MemoryError
+        np.empty(n)
     except (MemoryError, ValueError):  # ValueError: past numpy's largest size
         raise ValueError(f"count {n} is more than memory holds") from None
 
@@ -395,11 +394,11 @@ class _Grid:
 
     def blocks(self, p: AnsatzParams):
         """The rows in blocks of at most _GRID_BLOCK, in grid order: each
-        block's row numbers and its _Rows. Checks the whole grid (check)
-        before any block is made."""
+        block's row numbers, its coordinates (coordinates) and its _Rows.
+        Checks the whole grid (check) before any block is made."""
         self.check(p)
         n = len(self)
-        return ((rows, _rows(p, self.coordinates(rows)))
+        return ((rows, (coords := self.coordinates(rows)), _rows(p, coords))
                 for rows in (np.arange(start, min(start + _GRID_BLOCK, n))
                              for start in range(0, n, _GRID_BLOCK)))
 

@@ -143,13 +143,16 @@ def _harmonics(a1, a2, a3, a4, a5, lam, k, omega, g) -> ConstraintVector:
 
 def _squares_overflow(names, atoms) -> OverflowError:
     """The error for a float ** in c1..c9 or their bounds that overflowed,
-    which reports only errno 34: it names the atoms whose square overflows."""
+    which reports only errno 34. A float ** raises only at a finite base,
+    so it names the finite atoms whose square overflows, and apart from
+    them an atom already infinite, which overflowed in its own sum."""
     bound = hasattr(atoms[0], "value")  # a bound's atoms are fields._Magnitude
-    big = [f"{name}{' on magnitudes' * bound} = {a!r}"
+    big = [(f"{name}{' on magnitudes' * bound} = {a!r}", math.isinf(a))
            for name, a in zip(names, (getattr(a, "value", a) for a in atoms))
            if type(a) is float and math.isinf(a * a)]
-    return OverflowError(f"squaring {' and '.join(big)} overflows in the "
-                         f"{'bounds of the ' * bound}constraints c1..c9")
+    summed = "".join(f"{atom} overflows in its own sum, and " for atom, inf in big if inf)
+    return OverflowError(f"{summed}squaring {' and '.join(atom for atom, inf in big if not inf)} "
+                         f"overflows in the {'bounds of the ' * bound}constraints c1..c9")
 
 
 def _polynomials(a1, a2, x, a4, a5, k, w, g) -> ConstraintVector:

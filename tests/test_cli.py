@@ -510,6 +510,8 @@ def test_bad_grid_is_usage_error(capsys):
     ("0:1:2,0:0:1,0:1:0", "grid axis z: count must be >= 1, got 0"),
     ("a:1:2,0:0:1,0:1:2", "grid axis t: start and stop must be numbers, got 'a:1:2'"),
     ("0:1:2,0:0:1,0:1e:2", "grid axis z: start and stop must be numbers, got '0:1e:2'"),
+    ("0:1,0:0:1,0:1:2", "each grid axis must be 'start:stop:count'"),
+    ("0:1:2:3,0:0:1,0:1:2", "each grid axis must be 'start:stop:count'"),
 ])
 @pytest.mark.parametrize("command", ["verify", "fields"])
 def test_a_bad_grid_count_names_its_axis(command, grid, message, capsys):
@@ -867,6 +869,23 @@ def test_a_bound_that_overflows_is_never_a_verdict(command, config, message, cap
         warnings.simplefilter("error")
         code, out, err = run([command, *config], capsys)
     assert (code, out, err) == (2, "", f"error: an input is too large: {message}\n")
+
+
+# lambda + 2 g alpha3 = -inf overflowed in its own sum, where a float **
+# raises no error, while alpha1, alpha2, alpha4, alpha5, k and omega each
+# square past the largest float
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_an_atom_that_overflowed_in_its_sum_is_named_apart(command, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run([command, "--family", "II", "--alpha4", "-1e308", "--eta", "1",
+                              "--xi", "1", "--k", "1e308", "--lambda", "1e154", "--g", "1e103"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: an input is too large: lambda + 2 g alpha3 = -inf overflows in its "
+                   "own sum, and squaring alpha1 = 2.5e+204 and alpha2 = 2.5e+204 and "
+                   "alpha4 = -1e+308 and alpha5 = -1e+308 and k = 1e+308 and "
+                   "omega / c = 1e+308 overflows in the constraints c1..c9\n")
 
 
 def test_console_entry_point():

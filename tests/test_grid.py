@@ -189,7 +189,8 @@ def test_analytic_max_equals_residual_samples(rng):
             cv, full = nine_constraints(p), _Grid.from_ranges(*grid)
             assert _max_analytic_norm(cv, full.angle_blocks(p)) == want
             # the flat route: every point's own phase, block by block
-            assert _max_analytic_norm(cv, ((r.cos_th, r.sin_th) for _, r in full.blocks(p))) == want
+            flat = ((r.cos_th, r.sin_th) for _, _, r in full.blocks(p))
+            assert _max_analytic_norm(cv, flat) == want
 
 
 @pytest.mark.parametrize("block", [1, 4, 7, 64])

@@ -2,13 +2,13 @@
 read, and every name a src/ module exports exists.
 
 No linter ships with the project, so these are the checks: a name an
-import binds must be read somewhere in its module, or be listed in the
-module's __all__ as a re-export; a private top-level function, class
-or constant of src/ must be read somewhere in src/ outside its own
-definition; and every name in a src/ module's __all__ must resolve in
-that module, so that a star import of it works. A merge of two code
-paths tends to leave the imports and the helpers of the one it removed
-behind, and a deletion its __all__ entries.
+import binds, each of a star import's too, must be read somewhere in its
+module, or be listed in the module's __all__ as a re-export; a private
+top-level function, class or constant of src/ must be read somewhere in
+src/ outside its own definition; and every name in a src/ module's
+__all__ must resolve in that module, so that a star import of it works.
+A merge of two code paths tends to leave the imports and the helpers of
+the one it removed behind, and a deletion its __all__ entries.
 """
 
 import ast
@@ -26,7 +26,15 @@ SRC_MODULES = [".".join(p.relative_to(ROOT / "src").with_suffix("").parts)
                .removesuffix(".__init__") for p in SRC]
 
 
-def unused_imports(source: str) -> list[str]:
+def _star_names(node: ast.ImportFrom, package) -> list[str]:
+    """The names `from module import *` binds: the module's __all__."""
+    return importlib.import_module("." * node.level + (node.module or ""), package).__all__
+
+
+def unused_imports(source: str, package=None) -> list[str]:
+    """The names an import binds that the module neither reads nor lists
+    in its __all__; a star import binds its module's exports, resolved
+    in package when relative."""
     tree = ast.parse(source)
     bound = {}
     for node in ast.walk(tree):
@@ -35,7 +43,9 @@ def unused_imports(source: str) -> list[str]:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
+                star = alias.name == "*"
+                names = _star_names(node, package) if star else [alias.asname or alias.name]
+                bound.update(dict.fromkeys(names, node.lineno))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
@@ -47,12 +57,17 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    # a src/ module's relative imports resolve in its package
+    package = path.parent.name if path.is_relative_to(ROOT / "src") else None
+    assert unused_imports(path.read_text(), package) == []
 
 
 def test_the_check_sees_an_unused_import():
-    source = "import math\nimport os.path\nfrom numpy import array as arr, zeros\nzeros(2)\n"
-    assert unused_imports(source) == ["line 1: math", "line 2: os", "line 3: arr"]
+    source = ("import math\nimport os.path\nfrom numpy import array as arr, zeros\nzeros(2)\n"
+              "from json import *\ndumps(1)\n__all__ = ['loads']\n")
+    assert unused_imports(source) == [
+        "line 1: math", "line 2: os", "line 3: arr", "line 5: dump", "line 5: load",
+        "line 5: JSONDecoder", "line 5: JSONDecodeError", "line 5: JSONEncoder"]
 
 
 def _private_definitions(statement) -> list[str]:
