@@ -63,8 +63,6 @@ from .observables import _profile_blocks
 from .residuals import _max_analytic_norm, _max_numeric_norms
 
 _FMT = "%.17g"
-# a fields row: t, y, z, theta and the two sigma_z columns come formatted
-_FIELDS_ROW = "%s,%s,%s,%s,%.17g,%.17g,%s,%.17g,%.17g,%s\r\n"
 # a scan row; no label needs quoting: each is empty, none or a branch's
 _SCAN_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%.17g,%d\r\n"
 # verify's numeric residual runs on about this many of its grid points
@@ -360,6 +358,22 @@ def _distinct_text(column) -> list:
     return text[where].tolist()
 
 
+def _text(column) -> list:
+    """A float column as %.17g strings, one per row."""
+    return list(map(_FMT.__mod__, column.tolist()))
+
+
+def _pair_text(e, b):
+    """The float columns e and b as %.17g strings, one per row. Where |b|
+    equals |e| in every row, b's text is e's with b's signs, since %.17g
+    writes a sign and then the magnitude; otherwise b is formatted too."""
+    e_text = _text(e)
+    if not (np.abs(b) == np.abs(e)).all():  # a NaN equals nothing, so is formatted
+        return e_text, _text(b)
+    return e_text, [("-" + s.lstrip("-")) if negative else s.lstrip("-")
+                    for s, negative in zip(e_text, np.signbit(b).tolist())]
+
+
 def _write_csv(args, header, blocks):
     """Write a header and blocks of CSV text, one write per block; each
     block is whole rows, each ended by "\r\n", as RFC 4180 ends them. The
@@ -377,9 +391,13 @@ def cmd_fields(args) -> int:
     A block of rows is formatted column by column. On a product grid t, y
     and z repeat, theta depends only on (t, z) and the sigma_z parts of
     E_y and B_x do not depend on y, so each of these six columns formats
-    every distinct value once per block (_distinct_text); only the four
-    sigma_x and sigma_y coefficients are formatted row by row. y and z are
-    printed as evaluated, t as given, from its own axis, not c t."""
+    every distinct value once per block (_distinct_text). The sigma_x and
+    sigma_y coefficients of E_y are formatted row by row, and those of B_x
+    take E_y's text with their own sign where their magnitudes equal E_y's
+    throughout the block (_pair_text). On a null wave, Families I and II,
+    B's coefficient groups are the negatives of E's, negation is exact in
+    floats, and so |B_x| is |E_y| bit for bit. y and z are printed as
+    evaluated, t as given, from its own axis, not c t."""
     p = _build_params(args)
     grid, t_given = _grids(args)
     # the grid is checked whole before the first row is written
@@ -389,10 +407,10 @@ def cmd_fields(args) -> int:
     def text():
         for rows, (_, _, y, z), r in blocks:
             (ey_x, ey_y, ey_z), (bx_x, bx_y, bx_z) = _field_columns(p, r.angles())  # sx, sy, sz
+            (e_sx, b_sx), (e_sy, b_sy) = _pair_text(ey_x, bx_x), _pair_text(ey_y, bx_y)
             columns = [_distinct_text(c) for c in (t_given.at(rows // per_t), y, z, r.theta)]
-            columns += [ey_x.tolist(), ey_y.tolist(), _distinct_text(ey_z),
-                        bx_x.tolist(), bx_y.tolist(), _distinct_text(bx_z)]
-            yield "".join(_FIELDS_ROW % row for row in zip(*columns))
+            columns += [e_sx, e_sy, _distinct_text(ey_z), b_sx, b_sy, _distinct_text(bx_z)]
+            yield "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
     _write_csv(args, ["t", "y", "z", "theta",
                       "E_y_sigma_x", "E_y_sigma_y", "E_y_sigma_z",

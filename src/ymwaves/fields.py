@@ -383,11 +383,16 @@ class _Grid:
         angle and the field coefficients are finite over the whole grid.
         The phase and the frame angle are monotone in each coordinate, also
         after rounding, so their values at the ends of the axes bound them.
+        A field coefficient on sx, sy or sz made from a group (const, cos_c,
+        sin_c) (see _wave) is at most |const| + |cos_c| or |sin_c| in
+        magnitude, also after rounding, so the group and these bounds being
+        finite makes it finite.
         """
         t_ends, y_ends, z_ends = self.t.ends(), self.y.ends(), self.z.ends()
         checked = [_phase(p, t, z) for t in t_ends for z in z_ends]
         checked += [p.lam * y for y in y_ends]
-        checked += [v for group in field_coefficient_groups(p) for v in group]
+        checked += [v for const, cos_c, sin_c in field_coefficient_groups(p)
+                    for v in (abs(const) + abs(cos_c), sin_c)]
         if not all(map(math.isfinite, checked)):
             raise OverflowError("the grid coordinates, the phase, the frame angle "
                                 "or the field coefficients are not finite")

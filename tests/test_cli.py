@@ -436,6 +436,25 @@ def test_fields_family_ii_constant_offset(capsys):
     assert mean == pytest.approx(-0.5, abs=1e-10)
 
 
+# finite floats, with the signed zeros, the subnormals and the ends drawn often
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1e308, -1e308,
+     1.7976931348623157e308])
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(_FINITE, st.sampled_from(["-e", "e", "other"]), _FINITE),
+                min_size=1, max_size=40), st.booleans())
+def test_paired_text_is_each_values_own_text(rows, unrelated):
+    # b is -e, e or, if unrelated, another value, mixed within one column;
+    # without unrelated values, b's text is e's with b's signs
+    e = np.array([v for v, _, _ in rows])
+    b = np.array([{"-e": -v, "e": v, "other": w if unrelated else -v}[how]
+                  for v, how, w in rows])
+    want = tuple(["%.17g" % v for v in c.tolist()] for c in (e, b))
+    assert ymwaves.cli._pair_text(e, b) == want
+
+
 def test_energy_profile_family_ii(capsys):
     code, out, _ = run(["energy-profile", "--family", "II", "--alpha4", "1"], capsys)
     assert code == 0

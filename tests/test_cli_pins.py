@@ -25,6 +25,7 @@ PINS = Path(__file__).with_name("cli_pins.json")
 _GRID = "--grid=0:1.5:3,-1:1:3,0:6.2832:5"  # a t axis of its own, so c moves its phases
 _SCAN = ["scan", "--seeds", "24"]
 _FIELDS_GRID = "--grid=-0.5:2:4,-1:1:3,0:6.2832:7"
+_LONG_FIELDS_GRID = "--grid=0:1.5:3,-1:1:20,0:6.2832:20"  # 1,200 rows, two blocks
 
 
 def _at_speeds(calls, speeds=("2", "0.5")):
@@ -76,6 +77,11 @@ CALLS = [
         ["fields", "--alpha1", "0.3", "--alpha2", "-0.2", "--alpha3", "0.1", "--alpha4", "0.5",
          "--alpha5", "-0.4", "--k", "1", "--omega", "0.5", "--lambda", "0.8", _FIELDS_GRID],
     ]),
+    # fields past one block of rows (fields._GRID_BLOCK): a null wave and an off-cone one
+    *(["fields", *flags, _LONG_FIELDS_GRID] for flags in (
+        ["--family", "II", "--alpha4", "0.6", "--k", "1.4", "--lambda", "0.5", "--eta", "-1"],
+        ["--alpha1", "0.3", "--alpha2", "-0.2", "--alpha3", "0.1", "--alpha4", "0.5",
+         "--alpha5", "-0.4", "--k", "1", "--omega", "0.5", "--lambda", "0.8"])),
     # energy-profile: the two families it draws
     ["energy-profile", "--family", "I", "--alpha4", "1.3", "--k", "0.7", "--theta-samples", "33"],
     ["energy-profile", "--family", "II", "--alpha4", "-0.8", "--k", "1.7", "--lambda", "0.6",

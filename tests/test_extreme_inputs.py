@@ -13,6 +13,8 @@ none otherwise (scan writes its tally there too).
 import random
 import warnings
 
+import pytest
+
 from ymwaves.cli import main
 
 VALUES = ("1e-320", "-1e-320", "1e-160", "-1e-160", "1e103", "-1e103", "1e154", "-1e154",
@@ -29,12 +31,19 @@ EXTRA = {
 }
 CALLS = 500
 
-# a sum and a term coefficient that overflow, and a wave number whose
-# square underflows to a zero profile
+# finite field coefficients whose wave const + cos_c cos theta overflows,
+# on E_y and on B_x
+FIELD_OVERFLOWS = [
+    ["fields", *amplitudes, "--alpha4", "1", "--lambda", "0.5", "--grid=0:0:1,0:1:2,0:1:3"]
+    for amplitudes in (["--alpha1", "1", "--alpha3", "-0.8e308", "--alpha5", "-0.8e308"],
+                       ["--alpha2", "1", "--alpha3", "0.8e308", "--alpha5", "0.8e308"])]
+# a sum and a term coefficient that overflow, a wave number whose square
+# underflows to a zero profile, and the overflowing fields
 KNOWN = [
     ["verify", "--family", "I", "--alpha4", "1e103", "--lambda", "1e308"],
     ["scan", "--g", "1e154", "--seeds", "3"],
     ["energy-profile", "--family", "I", "--alpha4", "1", "--k", "1e-308"],
+    *FIELD_OVERFLOWS,
 ]
 
 
@@ -81,3 +90,13 @@ def test_extreme_inputs_end_in_a_verdict_or_one_error_line(capsys):
         if code not in (0, 1, 2) or errors != (code == 2) or "Warning" in err:
             failures.append((" ".join(argv), code, err))
     assert failures == []
+
+
+@pytest.mark.parametrize("argv", FIELD_OVERFLOWS, ids=" ".join)
+def test_fields_that_overflow_are_refused(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    assert err.startswith("error: ")

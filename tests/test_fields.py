@@ -10,8 +10,11 @@ from ymwaves.fields import (
     ColorVector,
     SpacetimePoint,
     _angles,
+    _field_columns,
     _potential_columns,
+    _rows,
     electric_field_analytic,
+    field_coefficient_groups,
     field_strength,
     field_strength_norm,
     magnetic_field_analytic,
@@ -104,6 +107,38 @@ def test_family_iii_fields_vanish():
     for s in (SpacetimePoint(), SpacetimePoint(t=0.7, y=1.2, z=-0.4)):
         assert electric_field_analytic(p, s).norm() < 1e-14
         assert magnetic_field_analytic(p, s).norm() < 1e-14
+
+
+def _magnitudes_match(p, rng, n=200):
+    """Whether |B_x| equals |E_y| bit for bit, coefficient by coefficient,
+    at n random points."""
+    e, b = _field_columns(p, _rows(p, rng.uniform(-5.0, 5.0, (4, n))).angles())
+    return all(np.array_equal(abs(u).view(np.int64), abs(v).view(np.int64)) for u, v in zip(e, b))
+
+
+@pytest.mark.parametrize("family, eta, xi", [("I", 1, 1), *(("II", eta, xi) for eta in (1, -1)
+                                                           for xi in (1, -1))])
+def test_null_waves_have_b_the_negative_of_e_in_floats(family, eta, xi, rng):
+    # on Families I and II, E^2 = B^2: B's groups are E's negated, and
+    # negation is exact, so each |B_x| coefficient is |E_y|'s to the bit (the
+    # fields command formats B_x from E_y's text on this)
+    for _ in range(20):
+        k, alpha4, lam, g = rng.uniform(0.2, 3.0, 4) * rng.choice([-1.0, 1.0], 4)
+        p = (build_family_i(k, alpha4, lam, g) if family == "I"
+             else build_family_ii(k, alpha4, lam, g, eta, xi))
+        e, b = field_coefficient_groups(p)
+        assert b == tuple(-v for v in e)
+        assert _magnitudes_match(p, rng)
+
+
+@pytest.mark.parametrize("p", [
+    # pure gauge at omega != k: E and B are rounding residue, here in e_const only
+    build_family_iii(k=0.9, omega=1.7, alpha4=1.2, lam=0.4, g=0.7),
+    AnsatzParams(alpha1=0.3, alpha2=-0.2, alpha3=0.1, alpha4=0.5, alpha5=-0.4, lam=0.8,
+                 k=1.0, omega=0.5),
+])
+def test_other_waves_have_b_apart_from_e(p, rng):
+    assert not _magnitudes_match(p, rng)
 
 
 def test_static_cancellation_gives_zero_fields(rng):

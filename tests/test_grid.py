@@ -135,6 +135,37 @@ def test_energy_profile_csv_matches_scalar_reference(config, n, capsys):
     assert out == _profile_reference(_params(*physics), n)
 
 
+# off the light cone, B_x is not -E_y and fields formats B_x on its own:
+# raw amplitudes over 7 x 3 x 77 points, more than one block
+RAW = AnsatzParams(alpha1=0.3, alpha2=-0.2, alpha3=0.1, alpha4=0.5, alpha5=-0.4, lam=0.8,
+                   k=1.0, omega=0.5, g=1.3)
+RAW_ARGV = ["fields", "--alpha1", "0.3", "--alpha2", "-0.2", "--alpha3", "0.1", "--alpha4", "0.5",
+            "--alpha5", "-0.4", "--lambda", "0.8", "--k", "1", "--omega", "0.5", "--g", "1.3"]
+
+
+def test_off_cone_fields_csv_matches_scalar_reference(capsys):
+    grid = CONFIGS[-2][-1]
+    out = _run([*RAW_ARGV, f"--grid={_grid_text(grid)}"], capsys)
+    # as lines, which a failure reports at the first that differs
+    assert out.splitlines() == _fields_reference(RAW, grid).splitlines()
+
+
+@pytest.mark.parametrize("argv, per_block", [
+    (_argv("fields", *CONFIGS[-1][:-1]), 2),  # E_y's sigma_x and sigma_y, B_x's from them
+    (RAW_ARGV, 4),  # E_y's and B_x's
+])
+def test_fields_formats_b_from_e_on_a_null_wave(argv, per_block, monkeypatch, capsys):
+    formatted = []
+    original = ymwaves.cli._text
+
+    def counting(column):
+        formatted.append(len(column))
+        return original(column)
+    monkeypatch.setattr(ymwaves.cli, "_text", counting)
+    _run([*argv, f"--grid={_grid_text(CONFIGS[-1][-1])}"], capsys)
+    assert formatted == [1024] * per_block + [4 * 5 * 65 - 1024] * per_block
+
+
 def test_output_does_not_depend_on_block_size(monkeypatch, capsys):
     *physics, grid = CONFIGS[-1]
     argvs = [_argv("fields", *physics) + [f"--grid={_grid_text(grid)}"],
