@@ -349,29 +349,18 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _distinct_text(column) -> list:
-    """A float column as %.17g strings, each distinct value formatted once.
-    Values are matched on their bits, not compared as floats, so -0 stays
-    apart from 0."""
-    bits, where = np.unique(column.view(np.int64), return_inverse=True)
-    text = np.array([_FMT % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[where].tolist()
-
-
-def _text(column) -> list:
-    """A float column as %.17g strings, one per row."""
-    return list(map(_FMT.__mod__, column.tolist()))
-
-
-def _pair_text(e, b):
-    """The float columns e and b as %.17g strings, one per row. Where |b|
-    equals |e| in every row, b's text is e's with b's signs, since %.17g
-    writes a sign and then the magnitude; otherwise b is formatted too."""
-    e_text = _text(e)
-    if not (np.abs(b) == np.abs(e)).all():  # a NaN equals nothing, so is formatted
-        return e_text, _text(b)
-    return e_text, [("-" + s.lstrip("-")) if negative else s.lstrip("-")
-                    for s, negative in zip(e_text, np.signbit(b).tolist())]
+def _csv_block(columns) -> str:
+    """Float columns of one length as CSV rows, each value as %.17g writes
+    it alone. Each distinct magnitude, matched on its bits, is formatted
+    once, and a value takes its magnitude's text with a "-" where its sign
+    bit is set, so -0 is "-0"; not on a NaN, which %.17g writes "nan"."""
+    cols = np.array(columns)
+    bits, where = np.unique(np.abs(cols).view(np.int64), return_inverse=True)
+    text = (((_FMT + "\n") * len(bits)) % tuple(bits.view(np.float64).tolist())).splitlines()
+    cells = np.array(text, dtype=object)[where.reshape(cols.shape)]
+    negative = np.signbit(cols) & ~np.isnan(cols)
+    cells[negative] = "-" + cells[negative]
+    return "\r\n".join(map(",".join, zip(*cells.tolist()))) + "\r\n"
 
 
 def _write_csv(args, header, blocks):
@@ -388,33 +377,23 @@ def _write_csv(args, header, blocks):
 def cmd_fields(args) -> int:
     """The closed-form E_y and B_x coefficients on a grid, as CSV.
 
-    A block of rows is formatted column by column. On a product grid t, y
-    and z repeat, theta depends only on (t, z) and the sigma_z parts of
-    E_y and B_x do not depend on y, so each of these six columns formats
-    every distinct value once per block (_distinct_text). The sigma_x and
-    sigma_y coefficients of E_y are formatted row by row, and those of B_x
-    take E_y's text with their own sign where their magnitudes equal E_y's
-    throughout the block (_pair_text). On a null wave, Families I and II,
-    B's coefficient groups are the negatives of E's, negation is exact in
-    floats, and so |B_x| is |E_y| bit for bit. y and z are printed as
-    evaluated, t as given, from its own axis, not c t."""
+    Each block of rows is formatted whole (_csv_block), each distinct
+    magnitude once: on a product grid t, y, z, theta and the sigma_z parts
+    repeat, and on a null wave, Families I and II, B's coefficient groups
+    are E's negated, so |B_x| is |E_y| bit for bit and B_x formats nothing
+    of its own. y and z are printed as evaluated, t as given, from its own
+    axis, not c t."""
     p = _build_params(args)
     grid, t_given = _grids(args)
     # the grid is checked whole before the first row is written
     blocks = grid.blocks(p)
     per_t = grid.y.count * grid.z.count
-
-    def text():
-        for rows, (_, _, y, z), r in blocks:
-            (ey_x, ey_y, ey_z), (bx_x, bx_y, bx_z) = _field_columns(p, r.angles())  # sx, sy, sz
-            (e_sx, b_sx), (e_sy, b_sy) = _pair_text(ey_x, bx_x), _pair_text(ey_y, bx_y)
-            columns = [_distinct_text(c) for c in (t_given.at(rows // per_t), y, z, r.theta)]
-            columns += [e_sx, e_sy, _distinct_text(ey_z), b_sx, b_sy, _distinct_text(bx_z)]
-            yield "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
-
     _write_csv(args, ["t", "y", "z", "theta",
                       "E_y_sigma_x", "E_y_sigma_y", "E_y_sigma_z",
-                      "B_x_sigma_x", "B_x_sigma_y", "B_x_sigma_z"], text())
+                      "B_x_sigma_x", "B_x_sigma_y", "B_x_sigma_z"],
+               (_csv_block([t_given.at(rows // per_t), y, z, r.theta,
+                            *chain(*_field_columns(p, r.angles()))])
+                for rows, (_, _, y, z), r in blocks))
     return 0
 
 
@@ -445,10 +424,8 @@ def cmd_energy_profile(args) -> int:
         raise ValueError(f"--theta-samples: {exc}") from None
     if sol.family == "II":  # Family I's fields never see lambda + 2 g alpha3
         _check_cancellation(p, 2.0 * sol.g * sol.xi * sol.alpha4)
-    fmt = ",".join([_FMT] * 4) + "\r\n"
     _write_csv(args, ["theta", "density", "closed_form", "abs_diff"],
-               ("".join(fmt % (th, dens, cf, abs(dens - cf)) for th, dens, cf in zip(*block))
-                for block in blocks))
+               (_csv_block([th, dens, cf, np.abs(dens - cf)]) for th, dens, cf in blocks))
     return 0
 
 

@@ -914,8 +914,8 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
     Raises ValueError for non-finite couplings, g = 0 or a frozen
     phase k = omega = 0 before any Newton work, and OverflowError when a
     coupling's square overflows (naming it, as nine_constraints does) or
-    the constraints overflow at the seeds. The rows are those of
-    _scan_blocks, listed.
+    the constraints' bound on magnitudes over the seeds' range overflows.
+    The rows are those of _scan_blocks, listed.
     """
     return [row for block in _scan_blocks(n_seeds, seed, lam, k, omega, g) for row in block]
 
@@ -925,7 +925,8 @@ def _scan_blocks(n_seeds: int, seed: int, lam: float, k: float, omega: Optional[
     """The rows of scan_families as lists of ScanRow, one block of _BLOCK
     seeds at a time, so that a caller can write each block as it comes.
     Checks the inputs before returning, before any block is made, so that
-    such a caller writes nothing for a bad input.
+    such a caller writes nothing for a bad input: the constraints at every
+    start the seeds may draw too, through their bounds on magnitudes.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
@@ -936,6 +937,13 @@ def _scan_blocks(n_seeds: int, seed: int, lam: float, k: float, omega: Optional[
         raise ValueError("phase is frozen at k = omega = 0; the scan needs a wave")
     couplings = (lam, k, omega, g)
     table = _substitute(*couplings)
+    # every start lies in the box |alpha| <= _SPREAD, where no constraint
+    # passes the sum of its terms' magnitudes at the corner
+    corner = _Substituted(abs(lam), abs(table.two_g), np.abs(table.coefficients))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = np.add.reduceat(_monomials(corner, np.full((1, 5), _SPREAD)), _VALUE_RUNS)[::2]
+    if not np.isfinite(bounds).all():
+        raise OverflowError("the constraints overflow at the starting amplitudes")
     rng = np.random.default_rng(seed)
 
     def blocks():

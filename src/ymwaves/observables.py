@@ -95,7 +95,7 @@ def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
     """The density of p = sol.params(), a Family I or II wave, at kappa =
     1/4, the closed forms' normalization, at the n_samples phases theta =
     2 pi i / n_samples, as blocks of (thetas, densities, sol's closed
-    forms), lists of floats. The density is evaluated at each theta itself,
+    forms), float columns. The density is evaluated at each theta itself,
     through its cosine and sine, at frame angle 0: the profile's points sit
     at y = 0. The phases are made block by block, fields._GRID_BLOCK at a
     time, so memory does not grow with n_samples.
@@ -121,8 +121,5 @@ def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
     if not (finite and math.isfinite((sol.k * sol.k) * (sol.alpha4 * sol.alpha4))):
         raise OverflowError("the energy density or its closed form overflows")
 
-    def profile():
-        for theta, density in blocks():
-            block = theta.tolist()
-            yield block, density.tolist(), [energy_closed_form(sol, th) for th in block]
-    return profile()
+    return ((theta, density, np.array([energy_closed_form(sol, th) for th in theta.tolist()]))
+            for theta, density in blocks())

@@ -436,23 +436,24 @@ def test_fields_family_ii_constant_offset(capsys):
     assert mean == pytest.approx(-0.5, abs=1e-10)
 
 
-# finite floats, with the signed zeros, the subnormals and the ends drawn often
-_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+# every float, with the signed zeros, the subnormals, the ends, the
+# infinities and NaN with and without its sign bit drawn often
+_FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, 1e308, -1e308,
-     1.7976931348623157e308])
+     1.7976931348623157e308, math.inf, -math.inf, math.nan, math.copysign(math.nan, -1.0)])
 
 
 @settings(deadline=None)
-@given(st.lists(st.tuples(_FINITE, st.sampled_from(["-e", "e", "other"]), _FINITE),
-                min_size=1, max_size=40), st.booleans())
-def test_paired_text_is_each_values_own_text(rows, unrelated):
-    # b is -e, e or, if unrelated, another value, mixed within one column;
-    # without unrelated values, b's text is e's with b's signs
-    e = np.array([v for v, _, _ in rows])
-    b = np.array([{"-e": -v, "e": v, "other": w if unrelated else -v}[how]
-                  for v, how, w in rows])
-    want = tuple(["%.17g" % v for v in c.tolist()] for c in (e, b))
-    assert ymwaves.cli._pair_text(e, b) == want
+@given(st.lists(st.tuples(_FLOATS, st.sampled_from(["-a", "a", "other"]), _FLOATS),
+                min_size=1, max_size=40))
+def test_csv_block_is_each_values_own_text(rows):
+    # columns a, b and -a, where b is -a, a or another value, mixed within
+    # the column: each value is written as %.17g writes it alone
+    a = np.array([v for v, _, _ in rows])
+    b = np.array([{"-a": -v, "a": v, "other": w}[how] for v, how, w in rows])
+    want = "".join(",".join("%.17g" % v for v in row) + "\r\n"
+                   for row in zip(a.tolist(), b.tolist(), (-a).tolist()))
+    assert ymwaves.cli._csv_block([a, b, -a]) == want
 
 
 def test_energy_profile_family_ii(capsys):

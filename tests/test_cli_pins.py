@@ -82,11 +82,18 @@ CALLS = [
         ["--family", "II", "--alpha4", "0.6", "--k", "1.4", "--lambda", "0.5", "--eta", "-1"],
         ["--alpha1", "0.3", "--alpha2", "-0.2", "--alpha3", "0.1", "--alpha4", "0.5",
          "--alpha5", "-0.4", "--k", "1", "--omega", "0.5", "--lambda", "0.8"])),
+    # an off-cone wave at lambda = 0, past one block
+    ["fields", "--alpha1", "0.3", "--alpha2", "-0.2", "--alpha3", "0.1", "--alpha4", "0.5",
+     "--alpha5", "-0.4", "--k", "1", "--omega", "0.5", _LONG_FIELDS_GRID],
     # energy-profile: the two families it draws
     ["energy-profile", "--family", "I", "--alpha4", "1.3", "--k", "0.7", "--theta-samples", "33"],
     ["energy-profile", "--family", "II", "--alpha4", "-0.8", "--k", "1.7", "--lambda", "0.6",
      "--g", "1.3", "--xi", "-1", "--theta-samples", "17"],
     ["energy-profile", "--family", "II", "--alpha4", "1"],
+    # past one block of phases
+    ["energy-profile", "--family", "I", "--alpha4", "1.3", "--k", "0.7", "--theta-samples", "1030"],
+    ["energy-profile", "--family", "II", "--alpha4", "-0.8", "--k", "1.7", "--lambda", "0.6",
+     "--g", "1.3", "--xi", "-1", "--theta-samples", "1030"],
     # usage errors, each with its one error line
     ["verify", "--family", "I", "--alpha4", "1", "--grid=0:1:2,0:0:1,0:1:0"],
     ["fields", "--family", "I", "--alpha4", "1", "--grid=0:1:2,0:0:1"],

@@ -100,3 +100,18 @@ def test_fields_that_overflow_are_refused(argv, capsys):
     out, err = capsys.readouterr()
     assert (code, out, len(err.splitlines())) == (2, "", 1)
     assert err.startswith("error: ")
+
+
+# a wave number at which the constraints overflow at some starts of the
+# seed box and not at others: the first 600 seeds all stay finite, the
+# 3,000 reach one that does not in their third block
+@pytest.mark.parametrize("seeds", ["3000", "600"])
+def test_scan_refuses_a_seed_box_that_may_overflow_before_writing(seeds, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["scan", "--seeds", seeds, "--k", "7.742292e153", "--omega", "0",
+                     "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert (code, stdout, len(err.splitlines()), out.exists()) == (2, "", 1, False)
+    assert err.startswith("error: ")

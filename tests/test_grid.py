@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ymwaves.cli
@@ -150,20 +151,37 @@ def test_off_cone_fields_csv_matches_scalar_reference(capsys):
     assert out.splitlines() == _fields_reference(RAW, grid).splitlines()
 
 
-@pytest.mark.parametrize("argv, per_block", [
-    (_argv("fields", *CONFIGS[-1][:-1]), 2),  # E_y's sigma_x and sigma_y, B_x's from them
-    (RAW_ARGV, 4),  # E_y's and B_x's
-])
-def test_fields_formats_b_from_e_on_a_null_wave(argv, per_block, monkeypatch, capsys):
-    formatted = []
-    original = ymwaves.cli._text
+class _RecordingNumpy:
+    """numpy, recording the magnitudes, as bits, that each np.unique call is
+    given and how many distinct ones it returns."""
 
-    def counting(column):
-        formatted.append(len(column))
-        return original(column)
-    monkeypatch.setattr(ymwaves.cli, "_text", counting)
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def unique(self, bits, **kwargs):
+        out = np.unique(bits, **kwargs)
+        self.calls.append((bits, len(out[0])))
+        return out
+
+
+@pytest.mark.parametrize("argv, b_adds", [
+    (_argv("fields", *CONFIGS[-1][:-1]), False),  # a null wave: |B_x| is |E_y| to the bit
+    (RAW_ARGV, True),  # off the light cone
+])
+def test_fields_formats_each_distinct_magnitude_once(argv, b_adds, monkeypatch, capsys):
+    recording = _RecordingNumpy()
+    monkeypatch.setattr(ymwaves.cli, "np", recording)
     _run([*argv, f"--grid={_grid_text(CONFIGS[-1][-1])}"], capsys)
-    assert formatted == [1024] * per_block + [4 * 5 * 65 - 1024] * per_block
+    assert [bits.shape for bits, _ in recording.calls] == [(10, 1024), (10, 4 * 5 * 65 - 1024)]
+    for bits, formatted in recording.calls:
+        # a block formats its distinct magnitudes, not its values
+        assert formatted == len(set(bits.ravel().tolist())) < bits.size
+        # B_x's sigma_x and sigma_y columns add values of their own off the cone only
+        without_b = len(set(np.delete(bits, [7, 8], axis=0).ravel().tolist()))
+        assert (formatted > without_b) == b_adds
 
 
 def test_output_does_not_depend_on_block_size(monkeypatch, capsys):

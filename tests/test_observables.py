@@ -21,7 +21,7 @@ def energy_profile(sol, n_samples):
     thetas, densities, closed = [], [], []
     for block in _profile_blocks(sol.params(), sol, n_samples):
         for whole, part in zip((thetas, densities, closed), block):
-            whole += part
+            whole += part.tolist()
     return thetas, densities, closed
 
 
