@@ -382,11 +382,14 @@ def cmd_fields(args) -> int:
     repeat, and on a null wave, Families I and II, B's coefficient groups
     are E's negated, so |B_x| is |E_y| bit for bit and B_x formats nothing
     of its own. y and z are printed as evaluated, t as given, from its own
-    axis, not c t."""
+    axis, not c t, which is refused unless finite."""
     p = _build_params(args)
     grid, t_given = _grids(args)
-    # the grid is checked whole before the first row is written
+    # the grid is checked whole before the first row is written, and then
+    # t as given, whose step may overflow where c t's does not
     blocks = grid.blocks(p)
+    if not all(map(math.isfinite, t_given.ends())):
+        raise OverflowError("the grid's t axis as given is not finite")
     per_t = grid.y.count * grid.z.count
     _write_csv(args, ["t", "y", "z", "theta",
                       "E_y_sigma_x", "E_y_sigma_y", "E_y_sigma_z",

@@ -84,8 +84,8 @@ class _Terms:
     """A polynomial in the atoms of c1..c9 (residuals._ATOM_NAMES), expanded:
     a dict from the atoms' exponents to the coefficient of that monomial.
     + and - collect like monomials, * and ** multiply out, and constants
-    enter as constants, so _polynomials on _Terms atoms expands c1..c9;
-    Newton's stop scales are the expansion's largest monomial (_largest)."""
+    enter as constants, so _polynomials on _Terms atoms expands c1..c9
+    (_term_table)."""
 
     def __init__(self, terms):
         self.terms = {e: v for e, v in terms.items() if v != 0.0}
@@ -114,19 +114,24 @@ def _expanded(v):
 
 
 def _term_table():
-    """c1..c9 and their derivatives, expanded once into a table of terms.
+    """c1..c9, their derivatives and their bounds, expanded once into a
+    table of terms.
 
-    The terms come in 54 groups, each a run of rows, six per constraint:
+    The terms come in 63 groups, each a run of rows, seven per constraint:
     for each c_i its derivatives in the five amplitude atoms alpha1,
     alpha2, x = lam + 2 g alpha3, alpha4 and alpha5, in that order, then
-    c_i itself, so that group 6 i + j sums to the entry (i, j) of [J | f],
-    the Jacobian with the values as a sixth column. A derivative that is
-    identically zero holds one zero term. A term is a constant times up
-    to three atoms times powers of k, omega and g.
-    Returns the atoms of each term, shape (3, terms), 5 standing for a
-    factor 1; the powers of k, omega and g, shape (3, terms); the
-    constants; where each group starts; and which terms are derivatives
-    in x, which the chain rule multiplies by d x / d alpha3 = 2 g.
+    c_i itself, then its bound group: c_i's terms again, with |constants|,
+    on the atoms' magnitudes (|alpha|, |lam| + 2|g alpha3|). So group
+    7 i + j sums to the entry (i, j) of [J | f | b], the Jacobian with the
+    values and the bounds on magnitudes (constraint_scales) as its sixth
+    and seventh columns. A derivative that is identically zero holds one
+    zero term. A term is a constant times up to three atoms times powers
+    of k, omega and g.
+    Returns the atoms of each term, shape (3, terms), 0 to 4 the atoms and
+    6 to 10 their magnitudes, 5 and 11 standing for a factor 1; the powers
+    of k, omega and g, shape (3, terms); the constants; where each group
+    starts; and which terms are derivatives in x, which the chain rule
+    multiplies by d x / d alpha3 = 2 g.
     """
     n = len(_ATOM_NAMES)
     polys = _polynomials(*(_Terms({tuple(int(i == j) for j in range(n)): 1.0})
@@ -135,13 +140,13 @@ def _term_table():
     for p in polys:
         groups += [{e[:j] + (e[j] - 1,) + e[j + 1:]: v * e[j]
                     for e, v in p.terms.items() if e[j]} or {(0,) * n: 0.0} for j in range(5)]
-        groups.append(p.terms)
+        groups += [p.terms, {e: abs(v) for e, v in p.terms.items()}]
     group, exponents, constants = map(np.array, zip(*[
         (i, e, v) for i, terms in enumerate(groups) for e, v in terms.items()]))
     factors = [[j for j in range(5) for _ in range(e[j])] + [5] * (3 - sum(e[:5]))
                for e in exponents.tolist()]
-    return (np.array(factors).T, exponents[:, 5:].T, constants,
-            np.searchsorted(group, np.arange(len(groups))), group % 6 == 2)
+    return (np.array(factors).T + 6 * (group % 7 == 6), exponents[:, 5:].T, constants,
+            np.searchsorted(group, np.arange(len(groups))), group % 7 == 2)
 
 
 _FACTORS, _POWERS, _CONSTANTS, _STARTS, _ALPHA3 = _term_table()
@@ -152,31 +157,34 @@ _POWER_INDEX = _POWERS + len(_EXPONENTS) * np.arange(3)[:, None]
 
 
 class _Substituted(NamedTuple):
-    """The term table at fixed couplings: lam and 2 g, which make the atom
-    x = lam + 2 g alpha3, and the coefficient of every term."""
+    """The term table at fixed couplings: the rows (lam, 2 g), which make
+    the atom x = lam + 2 g alpha3, and (|lam|, |2 g|), which make its
+    magnitude; and the coefficient of every term."""
 
-    lam: float
-    two_g: float
+    lam_two_g: np.ndarray
     coefficients: np.ndarray
 
 
 def _substitute(lam, k, omega, g) -> _Substituted:
     """The term table at couplings (lam, k, omega, g), in its groups'
-    order (_term_table). The powers of k, omega and g are taken once, by
-    **, so that a float coupling whose square overflows raises the
-    OverflowError that names it."""
+    order (_term_table), the bound groups' coefficients taken in
+    magnitude. The powers of k, omega and g are taken once, by **, so
+    that a float coupling whose square overflows raises the OverflowError
+    that names it."""
     try:
         powers = np.array([[v ** n for n in _EXPONENTS] for v in (k, omega, g)]).ravel()
     except OverflowError:
         raise _squares_overflow(_ATOM_NAMES[5:], (k, omega, g)) from None
     pk, pw, pg = powers[_POWER_INDEX]
-    two_g = 2.0 * g
+    lam_two_g = np.array([lam, 2.0 * g], dtype=float)
     # a coefficient may overflow although no power does: an inf or nan
     # term is judged by the callers, as the monomials are
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = _CONSTANTS * pk * pw * pg
-        coefficients[_ALPHA3] *= two_g
-    return _Substituted(lam, two_g, coefficients)
+        coefficients[_ALPHA3] *= lam_two_g[1]
+        # the bound terms, whose factors are magnitudes
+        np.abs(coefficients, out=coefficients, where=_FACTORS[0] > 5)
+    return _Substituted(np.array([lam_two_g, np.abs(lam_two_g)]), coefficients)
 
 
 def _monomials(table: _Substituted, x):
@@ -184,27 +192,15 @@ def _monomials(table: _Substituted, x):
     shape (n, 5) -> (terms, n), a column per row, from one gather of the
     three factors of every term. A term that overflows is inf, which the
     callers judge under their np.errstate."""
-    atoms = np.ones((6, len(x)))
-    atoms[:5] = x.T
-    atoms[2] *= table.two_g
-    atoms[2] += table.lam
+    one = np.ones((1, len(x)))
+    atoms = np.concatenate([x.T, one, np.abs(x.T), one])
+    atoms[2::6] *= table.lam_two_g[:, 1:]
+    atoms[2::6] += table.lam_two_g[:, :1]
     factors = atoms.take(_FACTORS, axis=0)
     m = table.coefficients[:, None] * factors[0]
     m *= factors[1]
     m *= factors[2]
     return m
-
-
-# each value group's first term and the next group's, so that the even
-# results of a reduceat over them are the nine value groups
-_VALUE_RUNS = np.sort(np.concatenate([_STARTS[5::6], _STARTS[6::6]]))
-
-
-def _largest(monomials):
-    """Newton's stop scales from a table's monomials (_monomials), shape
-    (n, 9): each constraint's largest term magnitude, over its value group
-    alone, floored at 1 so that roots where all vanish pass."""
-    return np.maximum(1.0, np.maximum.reduceat(np.abs(monomials), _VALUE_RUNS)[::2]).T
 
 
 def constraint_scales(p: AnsatzParams) -> tuple[float, ...]:
@@ -662,21 +658,27 @@ def _norms(a):
 def _value_and_jacobian(x, table: _Substituted):
     """[J | f] of every amplitude row of x, shape (n, 9, 6): the exact
     Jacobian of the constraints, then their values as a sixth column; and
-    each row's largest normalized constraint. Both come from one
-    evaluation of the term table, whose groups lie in this order
-    (_term_table), so one reduceat sum over the monomials makes the whole
-    array.
+    each row's largest |c_i| / max(1, b_i), b_i the bound the verdicts
+    take (constraint_scales), floored at 1 so that roots where every term
+    vanishes pass. All come from one evaluation of the term table, whose
+    groups lie in the order of [J | f | b] (_term_table), so one reduceat
+    sum over the monomials makes them all. A nonzero value whose bound
+    overflows reads nan, never a pass, as no verdict takes such a bound
+    (_normalized).
 
     It takes only gathers, elementwise products and reduceat sums, so a
     row rounds the same whatever the other rows are, which a BLAS
     contraction would not. A line-search trial that is accepted already
     carries the Jacobian and the stop test of the next Newton iteration.
     """
-    m = _monomials(table, x)
     # a reduceat over the terms sums each group over every row at once;
     # turning the groups into rows is the reshape's one copy
-    jf = np.add.reduceat(m, _STARTS).T.reshape(-1, 9, 6)
-    return jf, np.max(np.abs(jf[:, :, 5]) / _largest(m), axis=1)
+    jfb = np.add.reduceat(_monomials(table, x), _STARTS).T.reshape(-1, 9, 7)
+    jf, bounds = jfb[:, :, :6], jfb[:, :, 6]
+    ratios = np.abs(jf[:, :, 5]) / np.maximum(1.0, bounds)
+    if np.isinf(bounds).any():
+        ratios[np.isinf(bounds) & (jf[:, :, 5] != 0.0)] = math.nan
+    return jf, ratios.max(axis=1)
 
 
 # R's entries among the top five rows of a factored (9, 6) matrix
@@ -806,8 +808,9 @@ def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float) -> Refi
     The five amplitudes are the unknowns; lam, k, omega, g stay fixed and
     must be finite with g nonzero. The couplings are
     substituted once into the term table of c1..c9 (_term_table), which
-    gives every iteration its values, their exact Jacobian and the scales
-    of the stop test. Each step is the least-squares solution from one
+    gives every iteration its values, their exact Jacobian and their
+    bounds on magnitudes, which the stop test floors at 1
+    (_value_and_jacobian). Each step is the least-squares solution from one
     QR of [J | f], or pinv's minimum-norm step where J is rank deficient
     to _RCOND; it is halved until the residual norm decreases.
     _TOL runs to the rounding floor because near junctions of solution
@@ -938,12 +941,11 @@ def _scan_blocks(n_seeds: int, seed: int, lam: float, k: float, omega: Optional[
     couplings = (lam, k, omega, g)
     table = _substitute(*couplings)
     # every start lies in the box |alpha| <= _SPREAD, where no constraint
-    # passes the sum of its terms' magnitudes at the corner
-    corner = _Substituted(abs(lam), abs(table.two_g), np.abs(table.coefficients))
+    # passes its bound group at the corner
     with np.errstate(over="ignore", invalid="ignore"):
-        bounds = np.add.reduceat(_monomials(corner, np.full((1, 5), _SPREAD)), _VALUE_RUNS)[::2]
+        bounds = np.add.reduceat(_monomials(table, np.full((1, 5), _SPREAD)), _STARTS)[6::7]
     if not np.isfinite(bounds).all():
-        raise OverflowError("the constraints overflow at the starting amplitudes")
+        raise OverflowError(f"the constraints may overflow in the seed box |alpha| <= {_SPREAD:g}")
     rng = np.random.default_rng(seed)
 
     def blocks():

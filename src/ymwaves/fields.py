@@ -165,7 +165,7 @@ _TINY = sys.float_info.min  # the smallest normal float
 
 class _Magnitude:
     """An expression on magnitudes, the sum of its monomials' magnitudes
-    before any cancel, which bounds its rounding: + and - add, *, / and **
+    before any cancel, which bounds its rounding: + and - add, * and **
     combine, unary - keeps. Atoms enter as _Magnitude(abs(atom)), constants
     by their magnitude. Below the normal floats rounding is absolute, so a
     nonzero magnitude there, an atom or a result, counts as the smallest
@@ -178,7 +178,6 @@ class _Magnitude:
 
     __add__ = __radd__ = __sub__ = __rsub__ = lambda s, o: type(s)(s.value + _mag(o))
     __mul__ = __rmul__ = lambda s, o: type(s)(s.value * _mag(o))
-    __truediv__ = lambda s, o: type(s)(s.value / _mag(o))
     __pow__ = lambda s, n: type(s)(s.value ** n)
     __neg__ = lambda s: s
 

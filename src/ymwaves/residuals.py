@@ -158,7 +158,7 @@ def _squares_overflow(names, atoms) -> OverflowError:
 def _polynomials(a1, a2, x, a4, a5, k, w, g) -> ConstraintVector:
     """c1..c9 in their atoms, the one place they are written: on magnitudes
     their bounds; expanded once into monomials, the Newton core's values,
-    Jacobian and stop scales (constraints._term_table)."""
+    Jacobian and the same bounds (constraints._term_table)."""
     quad = k ** 2 - w ** 2 - 4.0 * g ** 2 * (a1 ** 2 - a2 ** 2)
     mix = w * a1 - k * a2
     return ConstraintVector(

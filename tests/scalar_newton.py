@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from ymwaves.constraints import _largest, _monomials, _substitute, nine_constraints
+from ymwaves.constraints import _STARTS, _monomials, _substitute, nine_constraints
 from ymwaves.fields import AnsatzParams
 
 
@@ -24,11 +24,12 @@ def _params(alphas, lam, k, omega, g):
 
 def stop_scales(alphas, table):
     """Newton's stop scales at the amplitudes, from the term table at the
-    couplings (constraints._substitute): each constraint's largest term,
-    floored at 1 (constraints._largest), not the verdicts' bounds. A term
-    that overflows is inf, as in the library's Newton."""
+    couplings (constraints._substitute): each constraint's bound group,
+    its bound on magnitudes, floored at 1. A term that overflows is inf,
+    as in the library's Newton."""
     with np.errstate(all="ignore"):
-        return _largest(_monomials(table, np.array(alphas, dtype=float)[None, :]))[0]
+        m = _monomials(table, np.array(alphas, dtype=float)[None, :])
+        return np.maximum(1.0, np.add.reduceat(m, _STARTS)[6::7, 0])
 
 
 def worst_stop(alphas, lam, k, omega, g, table):

@@ -733,7 +733,7 @@ def test_couplings_that_overflow_a_branch_offset_are_usage_errors(argv, message,
     (["--g", "0"], "g must be nonzero: the branch patterns divide by it"),
     (["--omega", "nan"], "omega must be finite, got nan"),
     (["--lambda", "1e308"],
-     "an input is too large: the constraints overflow at the starting amplitudes"),
+     "an input is too large: the constraints may overflow in the seed box |alpha| <= 3"),
     (["--k", "1e200"], "an input is too large: squaring k = 1e+200 and omega / c = 1e+200 "
                        "overflows in the constraints c1..c9"),
     (["--k", "0"], "phase is frozen at k = omega = 0; the scan needs a wave"),
@@ -742,7 +742,7 @@ def test_couplings_that_overflow_a_branch_offset_are_usage_errors(argv, message,
     (["--seeds", "-3"], "--seeds must be >= 1, got -3"),
     # g^2 is finite, but a term's coefficient, g^2 times a constant or 2 g, is not
     (["--g", "1e154"],
-     "an input is too large: the constraints overflow at the starting amplitudes"),
+     "an input is too large: the constraints may overflow in the seed box |alpha| <= 3"),
 ], ids=lambda value: re.split("[:;,]", value)[0] if isinstance(value, str) else None)
 def test_scan_bad_couplings_are_usage_errors(extra, message, capsys):
     with warnings.catch_warnings():

@@ -68,11 +68,12 @@ def _expanded_constraints(sp, atoms):
     return [sp.expand(sp.nsimplify(poly, rational=True)) for poly in _polynomials(*atoms)]
 
 
-def _table_groups(sp, atoms):
+def _table_groups(sp, atoms, magnitudes):
     """The term table read back as lists of sympy terms, one per group:
     for each of c1..c9 its derivatives in alpha1, alpha2, x, alpha4 and
-    alpha5, then the constraint itself."""
-    factors = [*atoms[:5], sp.Integer(1)]
+    alpha5, the constraint itself, then its bound group, whose terms take
+    the magnitudes of those five atoms."""
+    factors = [*atoms[:5], sp.Integer(1), *magnitudes, sp.Integer(1)]
     k, w, g = atoms[5:]
     terms = [sp.Rational(c) * factors[f0] * factors[f1] * factors[f2] * k ** pk * w ** pw * g ** pg
              for c, (f0, f1, f2), (pk, pw, pg) in zip(_CONSTANTS, _FACTORS.T, _POWERS.T)]
@@ -82,16 +83,32 @@ def _table_groups(sp, atoms):
 
 def test_term_table_is_the_expansion_of_c1_to_c9():
     # read back, the table holds each of c1..c9 term for term as sympy
-    # expands it, after its derivatives in the five amplitude atoms
+    # expands it, after its derivatives in the five amplitude atoms, and
+    # then again as its bound group: the same terms with |constants|, on
+    # the magnitudes of the amplitude atoms
     sp = pytest.importorskip("sympy")
     atoms = sp.symbols("a1 a2 x a4 a5 k w g")
-    groups = _table_groups(sp, atoms)
-    assert len(groups) == 9 + 9 * 5
+    magnitudes = sp.symbols("A1 A2 X A4 A5", positive=True)
+    groups = _table_groups(sp, atoms, magnitudes)
+    assert len(groups) == 9 * 7
+    on_magnitudes = dict(zip(atoms[:5], magnitudes))
     for i, poly in enumerate(_expanded_constraints(sp, atoms)):
-        assert Counter(groups[6 * i + 5]) == Counter(sp.Add.make_args(poly)), f"c{i + 1}"
+        terms = sp.Add.make_args(poly)
+        assert Counter(groups[7 * i + 5]) == Counter(terms), f"c{i + 1}"
         for j in range(5):
-            derivative = sp.Add(*groups[6 * i + j])
+            derivative = sp.Add(*groups[7 * i + j])
             assert sp.expand(derivative - sp.diff(poly, atoms[j])) == 0, f"c{i + 1}, atom {j}"
+        bound = [abs(c) * rest.subs(on_magnitudes) for c, rest in map(sp.Mul.as_coeff_Mul, terms)]
+        assert Counter(groups[7 * i + 6]) == Counter(bound), f"bound of c{i + 1}"
+    # at couplings of either sign, a bound group's coefficients are its
+    # value group's in magnitude, term for term
+    ends = [*_STARTS[1:], None]
+    for cpl in [(0.7, -1.3, 2.1, -0.6), (-0.4, 1.1, -0.9, 1.7), (0.0, -2.0, -2.0, -1.0)]:
+        coefficients = _substitute(*cpl).coefficients
+        for i in range(9):
+            values = coefficients[_STARTS[7 * i + 5]:ends[7 * i + 5]]
+            bounds = coefficients[_STARTS[7 * i + 6]:ends[7 * i + 6]]
+            assert np.array_equal(bounds, np.abs(values)), f"bound of c{i + 1} at {cpl}"
 
 
 def test_exact_jacobian_is_sympys_derivative():

@@ -32,11 +32,14 @@ EXTRA = {
 CALLS = 500
 
 # finite field coefficients whose wave const + cos_c cos theta overflows,
-# on E_y and on B_x
+# on E_y and on B_x; and a t axis whose step overflows as given, though
+# its c t axis, which the fields read, is finite
 FIELD_OVERFLOWS = [
-    ["fields", *amplitudes, "--alpha4", "1", "--lambda", "0.5", "--grid=0:0:1,0:1:2,0:1:3"]
-    for amplitudes in (["--alpha1", "1", "--alpha3", "-0.8e308", "--alpha5", "-0.8e308"],
-                       ["--alpha2", "1", "--alpha3", "0.8e308", "--alpha5", "0.8e308"])]
+    *(["fields", *amplitudes, "--alpha4", "1", "--lambda", "0.5", "--grid=0:0:1,0:1:2,0:1:3"]
+      for amplitudes in (["--alpha1", "1", "--alpha3", "-0.8e308", "--alpha5", "-0.8e308"],
+                         ["--alpha2", "1", "--alpha3", "0.8e308", "--alpha5", "0.8e308"])),
+    ["fields", "--c", "0.1", "--alpha4", "1", "--grid=-1e308:1e308:3,0:0:1,0:0:1"],
+]
 # a sum and a term coefficient that overflow, a wave number whose square
 # underflows to a zero profile, and the overflowing fields
 KNOWN = [

@@ -17,7 +17,10 @@ from ymwaves.constraints import (
     _substitute,
     _top_of_r,
     _value_and_jacobian,
+    constraint_scales,
     nine_constraints,
+    normalized_constraints,
+    refine_alphas,
 )
 from ymwaves.fields import AnsatzParams
 
@@ -47,8 +50,7 @@ def test_exact_jacobian_is_the_column_by_column_difference(x, cpl):
     jac, f = jf[:, :, :5], jf[:, :, 5]
     # the table sums the expanded monomials, nine_constraints (the route
     # verify and classify take) the nested c1..c9 of the same atoms: they
-    # agree to rounding, 8 ulps of Newton's stop scale (4.7 the most
-    # measured over 18,000 random rows and a 6,000-example targeted search)
+    # agree to rounding, 8 ulps of Newton's stop scale
     rounding = 8.0 * np.finfo(float).eps
     for i, row in enumerate(x):
         p = _params(row, cpl)
@@ -62,6 +64,56 @@ def test_exact_jacobian_is_the_column_by_column_difference(x, cpl):
         # agrees with the exact Jacobian to its truncation and rounding
         want = jacobian(lambda a: nine_constraints(_params(a, cpl)).as_array(), row)
         assert np.all(np.abs(jac[i] - want) <= 1e-7 * scales[:, None])
+
+
+def test_the_stop_ratio_is_the_verdicts_bound_floored_at_1():
+    # Newton's ratio is max |c_i| / max(1, bound_i) with the verdicts'
+    # bound, constraint_scales, which takes its own route on magnitudes:
+    # the two bounds agree to 8 ulps. Small rows and couplings put bounds
+    # below 1, where the floor holds.
+    rng = np.random.default_rng(41)
+    rounding = 8.0 * np.finfo(float).eps
+    for size in (1e-3, 0.1, 1.0, 3.0):
+        for _ in range(50):
+            x = size * rng.uniform(-3.0, 3.0, (4, 5))
+            g = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+            cpl = (*(size * rng.uniform(-3.0, 3.0, 3)), g)
+            jf, worst = _value_and_jacobian(x, _substitute(*cpl))
+            for row, f, got in zip(x, jf[:, :, 5], worst):
+                want = np.max(np.abs(f) / np.maximum(1.0, constraint_scales(_params(row, cpl))))
+                assert abs(got - want) <= rounding * want
+
+
+def test_the_floor_lets_newton_see_a_family_i_root():
+    # a seed that lands on Family I: near it the terms of some constraints
+    # vanish one by one, so at the raw root such a value is its own bound's
+    # size; no rule relative to the bound alone sees the root converge, the
+    # floor at 1 does
+    start = (-1.946066276384646, 2.1790735340993193, 0.24876732149455005,
+             -1.2017286567756913, -0.4638766728140493)
+    res = refine_alphas(start, 0.0, 1.0, 1.0, 1.0)
+    assert res.converged and res.max_normalized <= _TOL
+    p = AnsatzParams(*res.alphas, lam=0.0, k=1.0, omega=1.0, g=1.0)
+    normalized = normalized_constraints(p)
+    assert normalized.max() > 1e-9
+    assert np.all(np.array(constraint_scales(p))[normalized > 1e-9] < 1.0)
+
+
+def test_a_nonzero_value_whose_bound_overflows_never_passes():
+    # at k = 5e153 the bound of c6 overflows at alpha4 = 4: off the light
+    # cone by one ulp its value is finite and nonzero, a ratio no verdict
+    # takes, and refine_alphas steps on to a root whose bound is finite;
+    # on the cone the value is 0, which passes, as in the verdicts
+    k, omega = 5e153, float(np.nextafter(5e153, np.inf))
+    x = np.array([(0.0, 0.0, 0.0, 4.0, 0.0)])
+    with np.errstate(all="ignore"):
+        _, worst = _value_and_jacobian(x, _substitute(0.0, k, omega, 1.0))
+        _, on_cone = _value_and_jacobian(x, _substitute(0.0, k, k, 1.0))
+    assert np.isnan(worst[0]) and on_cone[0] == 0.0
+    res = refine_alphas(x[0], 0.0, k, omega, 1.0)
+    assert res.converged and res.iterations == 1
+    p = AnsatzParams(*res.alphas, lam=0.0, k=k, omega=omega, g=1.0)
+    assert normalized_constraints(p).max() <= _TOL
 
 
 def _pinv_step(jac, f):
