@@ -433,6 +433,12 @@ def cmd_energy_profile(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The parser and its commands' own parsers by name, the choices of
+    the subparsers action it holds."""
     parser = argparse.ArgumentParser(
         prog="ymwaves",
         description="Construct and verify exact SU(2) Yang-Mills plane waves.")
@@ -467,18 +473,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():  # -1e-3, -.5 and -1:1:3 are values, as in Python 3.13
         sp._negative_number_matcher = re.compile(r"^-\.?\d")  # argparse has no public setting
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by every later call;
-    parse_args keeps no state in it between calls."""
-    return build_parser()
+def _parser():
+    """The parser and its commands' parsers (_build_parsers), built on
+    first use and shared by every later call; parsing keeps no state in
+    them between calls."""
+    return _build_parsers()
+
+
+def _parse(argv):
+    """argv parsed once, by its command's own parser, to which the
+    top-level parser would hand every string after the command only after
+    scanning them all itself. Without a known command the top-level parser
+    parses, to report that or print its help; the strings the command's
+    parser leaves it reports as its parse_args does."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         if "tol" in args and not (args.tol > 0.0 and math.isfinite(args.tol)):
             raise ValueError(f"--tol must be positive and finite, got {args.tol!r}")

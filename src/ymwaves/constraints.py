@@ -29,6 +29,13 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+# The batched LAPACK kernels behind np.linalg.qr(mode="raw") and
+# np.linalg.inv, which Newton's step calls directly (_lapack): on its
+# batches of a few (9, 6) matrices the wrappers' checks and conversions
+# are about a third of each call. numpy names the kernels only in this
+# private module, where qr_r_raw exists from numpy 1.22.
+from numpy.linalg import _umath_linalg
+
 from .fields import (
     _TINY,
     AnsatzParams,
@@ -685,14 +692,33 @@ def _value_and_jacobian(x, table: _Substituted):
 _UPPER = np.triu(np.ones((5, 6), dtype=bool))
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _raise_qr(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def _lapack(kernel, a, on_error):
+    """The gufunc kernel of _umath_linalg on every float matrix of a, as
+    numpy.linalg's wrapper calls it: LAPACK's failure, which the kernel
+    flags as invalid, raises LinAlgError through on_error, and no other
+    floating-point flag is reported."""
+    with np.errstate(call=on_error, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return kernel(a, signature="d->d")
+
+
 def _top_of_r(a):
     """The top five rows of R in the QR factorization of every (9, 6)
-    matrix of a, bit for bit np.linalg.qr(a, mode="r")[:, :5]: the raw mode
-    runs the same LAPACK factorization and leaves R in its upper triangle,
-    read off here through one fixed mask where mode="r" builds one with
-    triu on every call."""
-    h = np.linalg.qr(a, mode="raw")[0]
-    return np.where(_UPPER, h.transpose(0, 2, 1)[:, :5], 0.0)
+    matrix of a, bit for bit np.linalg.qr(a, mode="r")[:, :5]: both modes
+    run LAPACK's factorization on a float copy of a, which it overwrites
+    with R in its upper triangle, read off here through one fixed mask
+    where mode="r" builds one with triu on every call."""
+    h = a.astype(np.float64)  # the wrapper's copy, factored in place
+    _lapack(_umath_linalg.qr_r_raw, h, _raise_qr)
+    return np.where(_UPPER, h[:, :5], 0.0)
 
 
 def _step(jf):
@@ -701,10 +727,11 @@ def _step(jf):
 
     One QR of [J | f], factored as it stands, gives R, the top 5 x 5
     block, and Q^T f, the top of the last column; the step is -R^-1 Q^T f,
-    R^-1 from np.linalg.inv. ||R||_F ||R^-1||_F bounds sigma_max /
-    sigma_min from above, by at most 5 times, so every row whose smallest
-    singular value pinv would cut at _RCOND takes pinv's minimum-norm step
-    instead. The diagonal of R alone bounds nothing without pivoting.
+    R^-1 from LAPACK's inversion, as np.linalg.inv takes it. ||R||_F
+    ||R^-1||_F bounds sigma_max / sigma_min from above, by at most 5
+    times, so every row whose smallest singular value pinv would cut at
+    _RCOND takes pinv's minimum-norm step instead. The diagonal of R
+    alone bounds nothing without pivoting.
 
     Only an exactly zero pivot stops the inversion: LU of an upper
     triangular R, zeros below its diagonal, fails exactly then. So R's
@@ -716,11 +743,11 @@ def _step(jf):
     rj = r[:, :, :5]
     singular = False
     try:
-        inv = np.linalg.inv(rj)
+        inv = _lapack(_umath_linalg.inv, rj, _raise_singular)
     except np.linalg.LinAlgError:
         singular = ~(np.abs(np.diagonal(rj, axis1=1, axis2=2)).min(axis=1) > 0.0)
         rj = np.where(singular[:, None, None], np.eye(5), rj)
-        inv = np.linalg.inv(rj)
+        inv = _lapack(_umath_linalg.inv, rj, _raise_singular)
     step = -(inv @ r[:, :, 5:])[:, :, 0]
     kappa2 = np.einsum("nij,nij->n", rj, rj) * np.einsum("nij,nij->n", inv, inv)
     cut = singular | ~(kappa2 * _RCOND ** 2 < 1.0)
@@ -783,7 +810,7 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
             jft, wt = _value_and_jacobian(xt, table)
             nt = _norms(jft[:, :, 5])
             failed = ~(nt < (1.0 - 1e-4) * nw)
-            trying, t = np.flatnonzero(failed), 0.5
+            trying, t = failed.nonzero()[0], 0.5
             while trying.size and t >= 2.0 ** -24:
                 xb = xw[trying] + t * step[trying]
                 jfb, wb = _value_and_jacobian(xb, table)
@@ -961,9 +988,9 @@ def _scan_blocks(n_seeds: int, seed: int, lam: float, k: float, omega: Optional[
                 x[resume], iters[resume], worst[resume] = xr, iters[resume] + more, wr
             converged = worst <= _SUCCESS_TOL
             labels[converged & (labels == "")] = "none"
-            yield [ScanRow(seed_index=lo + j, initial=tuple(start), alphas=tuple(a),
-                           converged=bool(conv), max_constraint=float(w), label=label,
-                           distance=float(d), iterations=int(n))
-                   for j, (start, a, conv, w, label, d, n)
-                   in enumerate(zip(starts, x, converged, worst, labels, dist, iters))]
+            # the rows of Python numbers, a column at a time
+            yield list(map(ScanRow._make, zip(
+                range(lo, lo + len(x)), map(tuple, starts.tolist()), map(tuple, x.tolist()),
+                converged.tolist(), worst.tolist(), labels.tolist(), dist.tolist(),
+                iters.tolist())))
     return blocks()

@@ -2,8 +2,9 @@
 
 cli_pins.json holds, for each call in CALLS, its exit code and the
 sha256 of its stdout and of its stderr. The calls cover all five
-commands, verdicts that pass and fail, usage errors, and the wave speed
-at c = 1, 2 and 0.5. A change that claims to keep every output byte is
+commands, verdicts that pass and fail, usage errors, argparse's own
+exits (its errors and its help, at 80 columns), and the wave speed at
+c = 1, 2 and 0.5. A change that claims to keep every output byte is
 held to them. Re-record only on a deliberate change of those outputs,
 listing the calls that moved, by running this module:
 
@@ -14,7 +15,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -103,14 +106,34 @@ CALLS = [
     ["scan", "--k", "1e200"],
     ["energy-profile", "--family", "III", "--alpha4", "1"],
     ["verify", "--family", "I", "--alpha4", "1", "--tol", "0"],
+    # argparse's own exits: strings no parser takes, after "--" too, a
+    # command's help, no command or an unknown one, an abbreviation, a
+    # command's flag before it, a flag without its value, and a flag the
+    # command does not have
+    ["verify", "--k", "1", "--bogus", "2"],
+    ["verify", "--k", "1", "stray"],
+    ["classify", "--alpha4", "1", "--", "--k", "2"],
+    ["scan", "-h"],
+    [],
+    ["frobnicate"],
+    ["verify", "--alph", "1"],
+    ["--k", "1", "verify"],
+    ["verify", "--k"],
+    ["energy-profile", "--family", "I", "--omega", "2"],
 ]
 
 
 def _call(argv):
-    """A call's exit code and the sha256 of its stdout and of its stderr."""
+    """A call's exit code, main's return value or the code argparse exits
+    with, and the sha256 of its stdout and of its stderr. Help and usage
+    are wrapped at 80 columns, whatever the terminal."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          mock.patch.dict(os.environ, COLUMNS="80")):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return [code, *(hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))]
 
 

@@ -341,6 +341,9 @@ def test_scan_is_deterministic_and_labeled():
     rows_b = scan_families(12, seed=7, lam=0.3, k=1.0, g=1.0)
     assert rows_a == rows_b
     for r in rows_a:
+        # Python numbers, as tolist gives them
+        assert {type(v) for v in (*r.initial, *r.alphas, r.max_constraint, r.distance)} == {float}
+        assert (type(r.seed_index), type(r.converged), type(r.iterations)) == (int, bool, int)
         assert r.converged
         assert r.label in {"I", "II", "III", "abelian-z", "pure-gauge"}
         assert r.max_constraint < 1e-8

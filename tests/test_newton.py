@@ -21,9 +21,11 @@ from ymwaves.constraints import (
     nine_constraints,
     normalized_constraints,
     refine_alphas,
+    scan_families,
 )
 from ymwaves.fields import AnsatzParams
 
+import linalg_step
 from scalar_newton import jacobian, stop_scales
 
 value = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
@@ -170,16 +172,41 @@ def test_rank_deficient_rows_take_the_pinv_step_exactly():
 def test_a_zero_pivot_changes_no_other_row_of_the_batch():
     # a zero column gives R an exactly zero pivot, so inverting the batch's R
     # raises and _step scans for the pivot; every row, full rank or not,
-    # steps as it does alone, bit for bit
+    # steps as it does alone, bit for bit, and as numpy.linalg's wrappers
+    # step it (linalg_step), which raise on the same pivot
     rng = np.random.default_rng(9)
-    jf = rng.normal(size=(6, 9, 6))
-    jf[2, :, 3] = 0.0
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(_top_of_r(jf)[:, :, :5])
-    got = _step(jf)
-    for i in range(len(jf)):
-        assert _hex(got[i]) == _hex(_step(jf[i:i + 1])[0])
-    assert _hex(got[2]) == _hex(_pinv_step(jf[2:3, :, :5], jf[2:3, :, 5]))
+    for n in (1, 6, 8, 64, 256):
+        jf = rng.normal(size=(n, 9, 6)) * 10.0 ** rng.integers(-6, 7, size=(n, 1, 6))
+        jf[1::4, :, 4] = jf[1::4, :, 1]  # rank deficient: a duplicated column
+        jf[2::4, :, 3] = jf[2::4, :, 0] * (1.0 + 1e-15)  # numerically deficient
+        # without the zero pivot the batch inverts at once
+        assert _hex(_step(jf)) == _hex(linalg_step.step(jf))
+        zero = min(2, n - 1)
+        jf[zero, :, 3] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(_top_of_r(jf)[:, :, :5])
+        got = _step(jf)
+        assert _hex(got) == _hex(linalg_step.step(jf))
+        for i in range(n):
+            assert _hex(got[i]) == _hex(_step(jf[i:i + 1])[0])
+        want = _pinv_step(jf[zero:zero + 1, :, :5], jf[zero:zero + 1, :, 5])
+        assert _hex(got[zero]) == _hex(want)
+
+
+def test_newton_calls_no_linalg_wrapper(monkeypatch):
+    # the step calls LAPACK's kernels itself; the scan and a refinement
+    # give the same rows with numpy.linalg's qr and inv refusing every call
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy.linalg wrapper was called")
+
+    def run():
+        return (scan_families(64, 3, 0.0, 1.0, 2.0, 1.0),
+                refine_alphas((0.3, -1.2, 0.7, 1.1, -0.4), 0.0, 1.0, 1.0, 1.0))
+
+    want = repr(run())
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    assert repr(run()) == want
 
 
 # At lam = sqrt of the largest float (as in test_refine_overflow) every

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ymwaves.constraints
@@ -185,6 +185,7 @@ def test_a_complex_step_names_a_coordinate_that_is_not_finite():
         _max_numeric_norms(p, coords)
 
 
+@settings(deadline=None)
 @given(configurations())
 def test_oracle_fits_the_reference_samples(p):
     # the oracle's own sampling plan, through k when it dominates
