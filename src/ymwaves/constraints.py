@@ -33,7 +33,8 @@ import numpy as np
 # np.linalg.inv, which Newton's step calls directly (_lapack): on its
 # batches of a few (9, 6) matrices the wrappers' checks and conversions
 # are about a third of each call. numpy names the kernels only in this
-# private module, where qr_r_raw exists from numpy 1.22.
+# private module; numpy 1.x splits qr_r_raw by shape into qr_r_raw_m and
+# qr_r_raw_n, so the project requires numpy 2.0 or later.
 from numpy.linalg import _umath_linalg
 
 from .fields import (

@@ -173,7 +173,7 @@ def test_verify_and_classify_agree_on_static_configurations(config, solves, caps
     # at k = omega = 0 both judge the three static conditions, not the nine
     # constraints, which are over-strong when the phase is frozen; on a
     # running wave both judge the nine
-    args = ymwaves.cli._parser()[0].parse_args(["verify", *config, "--grid", SMALL_GRID])
+    args = ymwaves.cli._parse(["verify", *config, "--grid", SMALL_GRID])
     _, checks, kind, _ = ymwaves.cli._verify_checks(args)
     p = ymwaves.cli._build_params(args)
     assert kind == ("static conditions" if p.k == p.omega == 0.0 else "constraints")
@@ -224,8 +224,7 @@ def _verdicts(p: AnsatzParams):
     field with its note, or 'unclassified'. The amplitudes and couplings
     classify returns with the name are p's own, so they are left out.
     verify runs at wave speed 2, which the CLI divides out exactly."""
-    args = ymwaves.cli._parser()[0].parse_args(["verify", *_raw(p, 2.0),
-                                                "--grid", "0:0:1,0:0:1,0:0:1"])
+    args = ymwaves.cli._parse(["verify", *_raw(p, 2.0), "--grid", "0:0:1,0:0:1,0:0:1"])
     _, checks, kind, _ = ymwaves.cli._verify_checks(args)
     judged = [c.passes for c in checks[:-3]]
     if p.g == 0.0:
