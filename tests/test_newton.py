@@ -252,6 +252,29 @@ def test_batching_never_changes_a_row(batch):
     _batch_matches_each_row_alone(x0, cpl)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.tuples(*[value] * 5), st.integers(min_value=1, max_value=120)),
+                min_size=1, max_size=8),
+       st.sampled_from([(0.0, 1.0, 1.0, 1.0), (0.0, 1.0, 2.0, 1.0), (-0.7, 1.3, 1.3, 1.6)]),
+       st.sampled_from([_TOL, _SNAP_STOP]))
+# budgets that cut rows short beside rows that converge within theirs
+@example([((1.0, -2.0, 0.5, 1.5, -0.3), 1), ((0.4, 1.1, -2.2, 0.9, 2.5), 120),
+          ((-1.3, 0.2, 2.8, -0.6, 1.7), 5), ((2.1, -0.8, -1.4, 2.6, 0.3), 12)],
+         (0.0, 1.0, 1.0, 1.0), _TOL)
+def test_a_row_takes_its_own_budget_in_any_batch(drawn, cpl, tol):
+    # the scan's resume passes each row the iterations it has left: every
+    # row of a batch with mixed budgets comes out as it does alone
+    x0 = np.array([row for row, _ in drawn])
+    budget = np.array([b for _, b in drawn])
+    table = _substitute(*cpl)
+    x, iters, worst, passed = _newton(x0, table, tol, budget)
+    assert np.all(iters <= budget)
+    for i in range(len(x0)):
+        xi, it_i, worst_i, passed_i = _newton(x0[i:i + 1], table, tol, budget[i:i + 1])
+        assert _hex(x[i]) == _hex(xi[0])
+        assert (iters[i], _hex(worst[i]), passed[i]) == (it_i[0], _hex(worst_i[0]), passed_i[0])
+
+
 def test_one_batch_holds_every_way_to_stop():
     cpl = (_HUGE_LAM, 1.0, 1.0, 1.0)
     x0 = np.array(_STOPS * 2)
