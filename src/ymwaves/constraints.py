@@ -30,12 +30,15 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 # The batched LAPACK kernels behind np.linalg.qr(mode="raw") and
-# np.linalg.inv, which Newton's step calls directly (_lapack): on its
+# np.linalg.inv, which Newton's step calls directly (_step): on its
 # batches of a few (9, 6) matrices the wrappers' checks and conversions
 # are about a third of each call. numpy names the kernels only in this
 # private module; numpy 1.x splits qr_r_raw by shape into qr_r_raw_m and
 # qr_r_raw_n, so the project requires numpy 2.0 or later.
 from numpy.linalg import _umath_linalg
+# np.einsum's kernel, which np.einsum calls after parsing its subscripts in
+# Python on every call; private to numpy, as _umath_linalg is
+from numpy._core.multiarray import c_einsum
 
 from .fields import (
     _TINY,
@@ -165,11 +168,14 @@ _POWER_INDEX = _POWERS + len(_EXPONENTS) * np.arange(3)[:, None]
 
 
 class _Substituted(NamedTuple):
-    """The term table at fixed couplings: the rows (lam, 2 g), which make
-    the atom x = lam + 2 g alpha3, and (|lam|, |2 g|), which make its
-    magnitude; and the coefficient of every term."""
+    """The term table at fixed couplings: each atom row's factor and
+    offset, columns of shape (12, 1) that turn alpha3 into x = lam + 2 g
+    alpha3 (2 g and lam) and |alpha3| into its magnitude (|2 g| and |lam|)
+    and leave every other row as it is (1 and -0.0, exact identities); and
+    the coefficient of every term, a column of shape (terms, 1)."""
 
-    lam_two_g: np.ndarray
+    scale: np.ndarray
+    shift: np.ndarray
     coefficients: np.ndarray
 
 
@@ -184,30 +190,32 @@ def _substitute(lam, k, omega, g) -> _Substituted:
     except OverflowError:
         raise _squares_overflow(_ATOM_NAMES[5:], (k, omega, g)) from None
     pk, pw, pg = powers[_POWER_INDEX]
-    lam_two_g = np.array([lam, 2.0 * g], dtype=float)
+    two_g = 2.0 * g
+    scale, shift = np.ones((12, 1)), np.full((12, 1), -0.0)
+    scale[2::6, 0], shift[2::6, 0] = (two_g, abs(two_g)), (lam, abs(lam))
     # a coefficient may overflow although no power does: an inf or nan
     # term is judged by the callers, as the monomials are
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = _CONSTANTS * pk * pw * pg
-        coefficients[_ALPHA3] *= lam_two_g[1]
+        coefficients[_ALPHA3] *= two_g
         # the bound terms, whose factors are magnitudes
         np.abs(coefficients, out=coefficients, where=_FACTORS[0] > 5)
-    return _Substituted(np.array([lam_two_g, np.abs(lam_two_g)]), coefficients)
+    return _Substituted(scale, shift, coefficients[:, None])
 
 
 def _monomials(table: _Substituted, x):
     """The terms of the substituted table at every amplitude row of x,
     shape (n, 5) -> (terms, n), a column per row, from one gather of the
-    three factors of every term. A term that overflows is inf, which the
-    callers judge under their np.errstate."""
-    one = np.ones((1, len(x)))
+    three factors of every term, multiplied into the first. A term that
+    overflows is inf, which the callers judge under their np.errstate."""
+    one = _ONES[:, :len(x)] if len(x) <= _BLOCK else np.ones((1, len(x)))
     atoms = np.concatenate([x.T, one, np.abs(x.T), one])
-    atoms[2::6] *= table.lam_two_g[:, 1:]
-    atoms[2::6] += table.lam_two_g[:, :1]
-    factors = atoms.take(_FACTORS, axis=0)
-    m = table.coefficients[:, None] * factors[0]
-    m *= factors[1]
-    m *= factors[2]
+    atoms *= table.scale
+    atoms += table.shift
+    m, f1, f2 = atoms.take(_FACTORS, axis=0)
+    m *= table.coefficients
+    m *= f1
+    m *= f2
     return m
 
 
@@ -326,6 +334,9 @@ _CONE = np.array([b.cone for b in _BRANCHES])
 _WAVE = np.array([b.wave for b in _BRANCHES])
 _DIRECTIONS = np.array([b.directions + ((0,) * 5,) * (2 - len(b.directions))
                         for b in _BRANCHES], dtype=float)
+# each direction slot of every branch, with max(1, d . d) and where d is free
+_SLOTS = [(d, np.maximum(1.0, np.sum(d * d, axis=1)), d != 0.0)
+          for d in _DIRECTIONS.transpose(1, 0, 2)]
 # each branch's linear equations E (x - offset) = 0, E = I - sum_m d_m d_m^T / d_m . d_m
 # over its directions d_m, so that E (x - offset) = x - P(x) for the
 # projection P onto it that _projections takes
@@ -382,9 +393,9 @@ def _projections(x, offsets, on_cone: bool):
     """
     r = x[:, None, :] - offsets
     points = np.broadcast_to(offsets, r.shape)
-    for d in _DIRECTIONS.transpose(1, 0, 2):
-        t = sum(r[..., j] * d[:, j] for j in range(5)) / np.maximum(1.0, np.sum(d * d, axis=1))
-        points = np.where(d != 0.0, offsets + d * t[..., None], points)
+    for d, dd, free in _SLOTS:
+        t = sum(r[..., j] * d[:, j] for j in range(5)) / dd
+        points = np.where(free, offsets + d * t[..., None], points)
     diff = points - x[:, None, :]
     with np.errstate(over="ignore"):  # read as the largest float below
         dist = np.sqrt(sum(diff[..., j] * diff[..., j] for j in range(5)))
@@ -618,6 +629,16 @@ def _oracle_fit(p: AnsatzParams):
 
 
 class RefineResult(NamedTuple):
+    """What refine_alphas returns: the final amplitudes, as Python floats;
+    whether they converged; the iterations taken; and max_normalized, the
+    largest |c_i| / max(1, b_i), b_i the bound on magnitudes that the
+    verdicts take (constraint_scales) floored at 1, Newton's stop ratio
+    (_value_and_jacobian), not normalized_constraints. converged means
+    max_normalized <= _TOL and nothing more: no norm-1e8 guard, so a root
+    past that norm, as (0, 0, 0, 0, 1e9) at (0, 1, 1, 1), reports
+    converged=True at iteration 0, where the scan's Newton has not passed
+    it (_newton)."""
+
     alphas: tuple[float, float, float, float, float]
     converged: bool
     iterations: int
@@ -635,6 +656,8 @@ _SNAP_STOP = 1e-9  # where the scan's Newton first stops to snap
 # Seeds drawn and refined together. Rows never interact, so this only
 # bounds the working arrays; it cannot change any output.
 _BLOCK = 512
+# the constant rows of _monomials' atoms, for up to a block of rows
+_ONES = np.ones((1, _BLOCK))
 # lstsq's default singular-value cutoff for a 9 x 5 system
 _RCOND = 9.0 * np.finfo(float).eps
 
@@ -682,11 +705,12 @@ def _value_and_jacobian(x, table: _Substituted):
     # a reduceat over the terms sums each group over every row at once;
     # turning the groups into rows is the reshape's one copy
     jfb = np.add.reduceat(_monomials(table, x), _STARTS).T.reshape(-1, 9, 7)
-    jf, bounds = jfb[:, :, :6], jfb[:, :, 6]
-    ratios = np.abs(jf[:, :, 5]) / np.maximum(1.0, bounds)
-    if np.isinf(bounds).any():
-        ratios[np.isinf(bounds) & (jf[:, :, 5] != 0.0)] = math.nan
-    return jf, ratios.max(axis=1)
+    jf, f, bounds = jfb[:, :, :6], jfb[:, :, 5], jfb[:, :, 6]
+    ratios = np.abs(f) / np.maximum(1.0, bounds)
+    # a bound sums magnitudes, never below 0, and fmax sees an inf past any nan
+    if np.fmax.reduce(bounds, axis=None, initial=0.0) == math.inf:
+        ratios[np.isinf(bounds) & (f != 0.0)] = math.nan
+    return jf, np.maximum.reduce(ratios, axis=1)
 
 
 # R's entries among the top five rows of a factored (9, 6) matrix
@@ -697,18 +721,14 @@ def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-def _raise_qr(err, flag):
-    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
-
-
-def _lapack(kernel, a, on_error):
-    """The gufunc kernel of _umath_linalg on every float matrix of a, as
-    numpy.linalg's wrapper calls it: LAPACK's failure, which the kernel
-    flags as invalid, raises LinAlgError through on_error, and no other
-    floating-point flag is reported."""
-    with np.errstate(call=on_error, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        return kernel(a, signature="d->d")
+def _lapack_errors():
+    """The error state numpy.linalg's wrappers call their kernels in:
+    LAPACK's failure, which a kernel flags as invalid, raises LinAlgError
+    as inv's wrapper raises it, and no other floating-point flag is
+    reported. Only inv can fail in Newton's step: QR fails only on an
+    illegal argument, never on the values of a (9, 6) float matrix."""
+    return np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
 
 
 def _top_of_r(a):
@@ -716,9 +736,10 @@ def _top_of_r(a):
     matrix of a, bit for bit np.linalg.qr(a, mode="r")[:, :5]: both modes
     run LAPACK's factorization on a float copy of a, which it overwrites
     with R in its upper triangle, read off here through one fixed mask
-    where mode="r" builds one with triu on every call."""
+    where mode="r" builds one with triu on every call. It runs in the
+    caller's error state, _step's _lapack_errors."""
     h = a.astype(np.float64)  # the wrapper's copy, factored in place
-    _lapack(_umath_linalg.qr_r_raw, h, _raise_qr)
+    _umath_linalg.qr_r_raw(h, signature="d->d")
     return np.where(_UPPER, h[:, :5], 0.0)
 
 
@@ -738,21 +759,26 @@ def _step(jf):
     triangular R, zeros below its diagonal, fails exactly then. So R's
     diagonal is scanned only when inv raises, and its rows with a zero
     pivot are inverted as the identity and take pinv's step. A NaN pivot
-    takes pinv's step too, its kappa not below the cutoff.
+    takes pinv's step too, its kappa not below the cutoff. The squared
+    Frobenius norms are c_einsum's, the kernel np.einsum calls.
     """
-    r = _top_of_r(jf)
-    rj = r[:, :, :5]
-    singular = False
-    try:
-        inv = _lapack(_umath_linalg.inv, rj, _raise_singular)
-    except np.linalg.LinAlgError:
+    with _lapack_errors():  # one scope for both kernels
+        r = _top_of_r(jf)
+        rj = r[:, :, :5]
+        try:
+            inv = _umath_linalg.inv(rj, signature="d->d")
+        except np.linalg.LinAlgError:
+            inv = None
+    singular = None
+    if inv is None:
         singular = ~(np.abs(np.diagonal(rj, axis1=1, axis2=2)).min(axis=1) > 0.0)
         rj = np.where(singular[:, None, None], np.eye(5), rj)
-        inv = _lapack(_umath_linalg.inv, rj, _raise_singular)
+        with _lapack_errors():
+            inv = _umath_linalg.inv(rj, signature="d->d")
     step = -(inv @ r[:, :, 5:])[:, :, 0]
-    kappa2 = np.einsum("nij,nij->n", rj, rj) * np.einsum("nij,nij->n", inv, inv)
-    cut = singular | ~(kappa2 * _RCOND ** 2 < 1.0)
-    if cut.any():
+    kept = c_einsum("nij,nij->n", rj, rj) * c_einsum("nij,nij->n", inv, inv) * _RCOND ** 2 < 1.0
+    if singular is not None or not np.logical_and.reduce(kept):
+        cut = ~kept if singular is None else singular | ~kept
         step[cut] = -(np.linalg.pinv(jf[cut, :, :5], rcond=_RCOND) @ jf[cut, :, 5:])[:, :, 0]
     return step
 
@@ -777,7 +803,11 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
     compacted only in an iteration where a row stops, the budget with
     them. Every row tries the full step at once; only the rows it does
     not improve backtrack. Rows never interact, so each comes out as it
-    would alone.
+    would alone. Which rows converged is formed only in an iteration
+    where a row stops, and the budgets are compared only once an
+    iteration exceeds the smallest budget left. A norm past 1e8 is read
+    off its square: for every double s, sqrt(s) > 1e8 exactly when s >
+    1e16.
     """
     xw = np.array(x0, dtype=float)
     budget = np.full(len(xw), _MAX_ITER) if budget is None else budget
@@ -785,27 +815,33 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
     passed = np.empty(len(xw), dtype=bool)
     with np.errstate(all="ignore"):
         jfw, ww = _value_and_jacobian(xw, table)
-        if not np.isfinite(jfw[:, :, 5]).all():
+        if not np.logical_and.reduce(np.isfinite(jfw[:, :, 5]), axis=None):
             raise OverflowError("the constraints overflow at the starting amplitudes")
         nw = _norms(jfw[:, :, 5])
         rows = np.arange(len(xw))  # where each working row goes in x
         failed = np.zeros(len(xw), dtype=bool)  # stopped by the last iteration
-        for it in range(1, int(np.max(budget)) + 2):
+        low = np.minimum.reduce(budget)
+        for it in range(1, int(np.maximum.reduce(budget)) + 2):
             # a stopped, converged or spent row completed it - 1
             # iterations; one whose Jacobian overflowed stops in this one
             # (its values are finite: a step is kept only where it lowers
             # their norm)
-            done = ~failed & (ww <= tol)
-            stop = failed | done | (budget < it)
-            go = ~stop & np.isfinite(jfw).all(axis=(1, 2))
-            if not go.all():
-                out = rows[~go]
-                iters[out] = it - stop[~go]
-                x[out], worst[out], passed[out] = xw[~go], ww[~go], done[~go]
+            stop = failed | (ww <= tol)
+            if it > low:
+                stop |= budget < it
+            # a finite Jacobian and no stop, as booleans compare
+            go = np.logical_and.reduce(np.isfinite(jfw), axis=(1, 2)) > stop
+            if not np.logical_and.reduce(go):
+                leave = ~go
+                out = rows[leave]
+                iters[out] = it - stop[leave]
+                x[out], worst[out] = xw[leave], ww[leave]
+                passed[out] = (~failed & (ww <= tol))[leave]
                 rows, xw, nw, jfw, ww = rows[go], xw[go], nw[go], jfw[go], ww[go]
                 budget = budget[go]
                 if not rows.size:
                     break
+                low = np.minimum.reduce(budget)
             step = _step(jfw)
             xt = xw + step
             jft, wt = _value_and_jacobian(xt, table)
@@ -825,8 +861,9 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
             if trying.size:  # a row that found no descent stops where it was
                 xt[trying], jft[trying], wt[trying] = xw[trying], jfw[trying], ww[trying]
             xw, nw, jfw, ww = xt, nt, jft, wt
-            failed |= _norms(xw) > 1e8
-        passed &= ~(_norms(x) > 1e8)  # also a start past it, converged before any step
+            failed |= np.add.reduce(xw * xw, axis=1) > 1e16
+        # also a start past norm 1e8, converged before any step
+        passed &= ~(np.add.reduce(x * x, axis=1) > 1e16)
     return x, iters, worst, passed
 
 
@@ -852,7 +889,8 @@ def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float) -> Refi
     """
     x, _ = _check_alphas("alphas0", alphas0, (lam, k, omega, g))
     xs, iters, worst, _ = _newton(x[None, :], _substitute(lam, k, omega, g))
-    return RefineResult(tuple(xs[0]), bool(worst[0] <= _TOL), int(iters[0]), float(worst[0]))
+    return RefineResult(tuple(xs[0].tolist()), bool(worst[0] <= _TOL), int(iters[0]),
+                        float(worst[0]))
 
 
 def branch_projection(alphas, lam: float, k: float, omega: float,

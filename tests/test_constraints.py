@@ -270,6 +270,9 @@ def test_refine_recovers_family_ii(rng):
     start = np.array([p.alpha1, p.alpha2, p.alpha3, p.alpha4, p.alpha5])
     start = start + rng.uniform(-0.05, 0.05, size=5)
     out = refine_alphas(start, lam=0.2, k=1.0, omega=1.0, g=1.0)
+    # Python numbers, as ScanRow and branch_projection give them
+    assert {type(v) for v in (*out.alphas, out.max_normalized)} == {float}
+    assert (type(out.converged), type(out.iterations)) == (bool, int)
     assert out.converged
     assert out.max_normalized < 1e-10
     _, _, dist = branch_projection(tuple(out.alphas), lam=0.2, k=1.0, omega=1.0, g=1.0)

@@ -289,6 +289,15 @@ def test_one_batch_holds_every_way_to_stop():
     assert np.linalg.norm(x[3]) > 1e8
 
 
+def test_refine_reports_a_root_past_norm_1e8_as_converged():
+    # RefineResult.converged is max_normalized <= _TOL alone: an exact root
+    # past norm 1e8 converges at iteration 0, which _newton has not passed
+    res = refine_alphas((0.0, 0.0, 0.0, 0.0, 1e9), 0.0, 1.0, 1.0, 1.0)
+    assert res == ((0.0, 0.0, 0.0, 0.0, 1e9), True, 0, 0.0)
+    _, iters, _, passed = _newton(np.array([res.alphas]), _substitute(0.0, 1.0, 1.0, 1.0))
+    assert iters.tolist() == [0] and passed.tolist() == [False]
+
+
 def test_a_row_that_lands_within_tol_past_norm_1e8_has_not_passed():
     # one step lands at norm 1e8 + 5e-5 with its largest normalized
     # constraint 3.5e-11, within _SNAP_STOP: it stops failed, not passed,
