@@ -36,8 +36,7 @@ import numpy as np
 # private module; numpy 1.x splits qr_r_raw by shape into qr_r_raw_m and
 # qr_r_raw_n, so the project requires numpy 2.0 or later.
 from numpy.linalg import _umath_linalg
-# np.einsum's kernel, which np.einsum calls after parsing its subscripts in
-# Python on every call; private to numpy, as _umath_linalg is
+# np.einsum's kernel, without the wrapper's parsing on every call
 from numpy._core.multiarray import c_einsum
 
 from .fields import (
@@ -169,10 +168,8 @@ _POWER_INDEX = _POWERS + len(_EXPONENTS) * np.arange(3)[:, None]
 
 class _Substituted(NamedTuple):
     """The term table at fixed couplings: each atom row's factor and
-    offset, columns of shape (12, 1) that turn alpha3 into x = lam + 2 g
-    alpha3 (2 g and lam) and |alpha3| into its magnitude (|2 g| and |lam|)
-    and leave every other row as it is (1 and -0.0, exact identities); and
-    the coefficient of every term, a column of shape (terms, 1)."""
+    offset, which make x = lam + 2 g alpha3 and its magnitude and leave the
+    other rows exact (1 and -0.0); and every term's coefficient, a column."""
 
     scale: np.ndarray
     shift: np.ndarray
@@ -334,7 +331,7 @@ _CONE = np.array([b.cone for b in _BRANCHES])
 _WAVE = np.array([b.wave for b in _BRANCHES])
 _DIRECTIONS = np.array([b.directions + ((0,) * 5,) * (2 - len(b.directions))
                         for b in _BRANCHES], dtype=float)
-# each direction slot of every branch, with max(1, d . d) and where d is free
+# each direction slot of the branches, with max(1, d . d) and where d != 0
 _SLOTS = [(d, np.maximum(1.0, np.sum(d * d, axis=1)), d != 0.0)
           for d in _DIRECTIONS.transpose(1, 0, 2)]
 # each branch's linear equations E (x - offset) = 0, E = I - sum_m d_m d_m^T / d_m . d_m
@@ -629,15 +626,10 @@ def _oracle_fit(p: AnsatzParams):
 
 
 class RefineResult(NamedTuple):
-    """What refine_alphas returns: the final amplitudes, as Python floats;
-    whether they converged; the iterations taken; and max_normalized, the
-    largest |c_i| / max(1, b_i), b_i the bound on magnitudes that the
-    verdicts take (constraint_scales) floored at 1, Newton's stop ratio
-    (_value_and_jacobian), not normalized_constraints. converged means
-    max_normalized <= _TOL and nothing more: no norm-1e8 guard, so a root
-    past that norm, as (0, 0, 0, 0, 1e9) at (0, 1, 1, 1), reports
-    converged=True at iteration 0, where the scan's Newton has not passed
-    it (_newton)."""
+    """max_normalized is Newton's stop ratio max_i |c_i| / max(1, b_i), b_i
+    the verdicts' bound (_value_and_jacobian), not normalized_constraints.
+    converged is max_normalized <= _TOL alone, with no norm-1e8 guard:
+    (0, 0, 0, 0, 1e9) at (0, 1, 1, 1) is converged, not _newton's passed."""
 
     alphas: tuple[float, float, float, float, float]
     converged: bool
@@ -656,7 +648,7 @@ _SNAP_STOP = 1e-9  # where the scan's Newton first stops to snap
 # Seeds drawn and refined together. Rows never interact, so this only
 # bounds the working arrays; it cannot change any output.
 _BLOCK = 512
-# the constant rows of _monomials' atoms, for up to a block of rows
+# _monomials' rows of ones
 _ONES = np.ones((1, _BLOCK))
 # lstsq's default singular-value cutoff for a 9 x 5 system
 _RCOND = 9.0 * np.finfo(float).eps
@@ -703,7 +695,7 @@ def _value_and_jacobian(x, table: _Substituted):
     carries the Jacobian and the stop test of the next Newton iteration.
     """
     # a reduceat over the terms sums each group over every row at once;
-    # turning the groups into rows is the reshape's one copy
+    # the groups become rows in a strided view
     jfb = np.add.reduceat(_monomials(table, x), _STARTS).T.reshape(-1, 9, 7)
     jf, f, bounds = jfb[:, :, :6], jfb[:, :, 5], jfb[:, :, 6]
     ratios = np.abs(f) / np.maximum(1.0, bounds)
@@ -722,11 +714,9 @@ def _raise_singular(err, flag):
 
 
 def _lapack_errors():
-    """The error state numpy.linalg's wrappers call their kernels in:
-    LAPACK's failure, which a kernel flags as invalid, raises LinAlgError
-    as inv's wrapper raises it, and no other floating-point flag is
-    reported. Only inv can fail in Newton's step: QR fails only on an
-    illegal argument, never on the values of a (9, 6) float matrix."""
+    """numpy.linalg's error state for its kernels: LAPACK's failure, flagged
+    as invalid, raises inv's LinAlgError, and no other flag is reported.
+    QR fails only on an illegal argument, never on a matrix's values."""
     return np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
                        under="ignore")
 
@@ -737,7 +727,7 @@ def _top_of_r(a):
     run LAPACK's factorization on a float copy of a, which it overwrites
     with R in its upper triangle, read off here through one fixed mask
     where mode="r" builds one with triu on every call. It runs in the
-    caller's error state, _step's _lapack_errors."""
+    caller's error state (_lapack_errors)."""
     h = a.astype(np.float64)  # the wrapper's copy, factored in place
     _umath_linalg.qr_r_raw(h, signature="d->d")
     return np.where(_UPPER, h[:, :5], 0.0)
@@ -759,8 +749,7 @@ def _step(jf):
     triangular R, zeros below its diagonal, fails exactly then. So R's
     diagonal is scanned only when inv raises, and its rows with a zero
     pivot are inverted as the identity and take pinv's step. A NaN pivot
-    takes pinv's step too, its kappa not below the cutoff. The squared
-    Frobenius norms are c_einsum's, the kernel np.einsum calls.
+    takes pinv's step too, its kappa not below the cutoff.
     """
     with _lapack_errors():  # one scope for both kernels
         r = _top_of_r(jf)
@@ -803,11 +792,7 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
     compacted only in an iteration where a row stops, the budget with
     them. Every row tries the full step at once; only the rows it does
     not improve backtrack. Rows never interact, so each comes out as it
-    would alone. Which rows converged is formed only in an iteration
-    where a row stops, and the budgets are compared only once an
-    iteration exceeds the smallest budget left. A norm past 1e8 is read
-    off its square: for every double s, sqrt(s) > 1e8 exactly when s >
-    1e16.
+    would alone. For every double s, sqrt(s) > 1e8 exactly when s > 1e16.
     """
     xw = np.array(x0, dtype=float)
     budget = np.full(len(xw), _MAX_ITER) if budget is None else budget
@@ -829,7 +814,6 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
             stop = failed | (ww <= tol)
             if it > low:
                 stop |= budget < it
-            # a finite Jacobian and no stop, as booleans compare
             go = np.logical_and.reduce(np.isfinite(jfw), axis=(1, 2)) > stop
             if not np.logical_and.reduce(go):
                 leave = ~go
