@@ -46,8 +46,8 @@ def rows():
     for i, start in enumerate(starts):
         cpl = REGIMES[i % len(REGIMES)]
         res = refine_alphas(start, *cpl)
-        yield _line((*cpl, *start, *map(float, res.alphas), res.converged, res.iterations,
-                     float(res.max_normalized)))
+        yield _line((*cpl, *start, *res.alphas, res.converged, res.iterations,
+                     res.max_normalized))
 
 
 def main():
