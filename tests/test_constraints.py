@@ -479,6 +479,14 @@ def test_scan_rows_do_not_depend_on_batching(monkeypatch):
     assert all(0 <= r.iterations <= 120 for r in full)
 
 
+def test_scan_starts_are_numpys_default_rng_rows():
+    # 1,100 seeds cross two block edges; one stream runs through them
+    want = np.random.default_rng(9).uniform(-3.0, 3.0, (1100, 5))
+    got = [r.initial for r in scan_families(1100, seed=9)]
+    assert [tuple(map(float.hex, row)) for row in got] == \
+        [tuple(map(float.hex, row)) for row in want.tolist()]
+
+
 def test_scan_builds_few_params(monkeypatch):
     built = []
     post_init = AnsatzParams.__post_init__
