@@ -324,9 +324,10 @@ def cmd_scan(args) -> int:
     """The scan's rows as CSV, written block by block as scan_families
     makes them (_scan_blocks), and the tally of their labels, kept as they
     pass. Memory does not grow with --seeds."""
-    if args.seeds < 1:  # the library's own message names no flag
+    # the library's own messages name no flag
+    if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
-    if args.seed < 0:  # nor does numpy's
+    if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     blocks = _scan_blocks(args.seeds, args.seed, args.lam, args.k, _omega(args), args.g)
     tally = Counter()

@@ -843,6 +843,17 @@ def run_fresh(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_a_scan_loads_no_random_number_library():
+    # the package draws the scan's starts itself: numpy.random, and OpenSSL
+    # through secrets and hashlib, would add about 6 MB to every scan
+    env = {"PYTHONPATH": str(Path(ymwaves.cli.__file__).parents[1]), "PATH": ""}
+    code = ("import sys, ymwaves.cli; ymwaves.cli.main(['scan', '--seeds', '3']); "
+            "print(sorted({'numpy.random', 'secrets', 'hashlib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # c1 and c7 and their scales overflow: the terms in the scales, the
 # normalization and verify's analytic residual each warned
 @pytest.mark.parametrize("command, want", [

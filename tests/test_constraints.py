@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ymwaves.constraints
 from ymwaves.constraints import (
@@ -18,7 +20,10 @@ from ymwaves.constraints import (
     _offsets,
     _on_cone,
     _oracle_fit,
+    _pcg64,
     _projections,
+    _scan_blocks,
+    _uniform_blocks,
     branch_projection,
     build_family_i,
     build_family_ii,
@@ -355,6 +360,25 @@ def test_scan_is_deterministic_and_labeled():
         scan_families(0)
 
 
+@pytest.mark.parametrize("seed, error", [
+    (-1, ValueError), (-2**64, ValueError), (None, TypeError), (1.0, TypeError),
+    (2.5, TypeError), ("3", TypeError), (np.float64(3.0), TypeError),
+])
+def test_a_seed_must_be_an_integer_at_least_0(seed, error):
+    with pytest.raises(error, match="seed"):
+        scan_families(3, seed=seed)
+    # refused when the blocks are asked for, before the first is made
+    with pytest.raises(error, match="seed"):
+        _scan_blocks(3, seed, 0.0, 1.0, None, 1.0)
+
+
+def test_a_seed_is_any_integer_type():
+    want = scan_families(3, seed=7)
+    assert scan_families(3, seed=np.int64(7)) == want
+    assert scan_families(3, seed=np.uint8(7)) == want
+    assert scan_families(3, seed=True) == scan_families(3, seed=1)
+
+
 def test_scan_rows_reproduce_constraints():
     for r in scan_families(6, seed=3, lam=0.0, k=1.0, g=1.0):
         p = AnsatzParams(*r.alphas, lam=0.0, k=1.0, omega=1.0, g=1.0)
@@ -477,6 +501,23 @@ def test_scan_rows_do_not_depend_on_batching(monkeypatch):
     monkeypatch.setattr(ymwaves.constraints, "_BLOCK", 4)
     assert scan_families(30, seed=4, lam=0.3, k=1.0, omega=2.0, g=0.8) == full
     assert all(0 <= r.iterations <= 120 for r in full)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**200), st.sampled_from([1, 511, 512, 513, 1025]))
+# the seed's 32-bit word count changes at each edge; 2**128 + 1 and the
+# last have five words, past SeedSequence's pool of four
+@example(0, 1)
+@example(2**32 - 1, 513)
+@example(2**32, 512)
+@example(2**64, 1025)
+@example(2**128 + 1, 511)
+@example(0x9E3779B9_7F4A7C15_F39CC060_5CEDC834_2545F491, 1025)
+def test_the_scan_stream_is_numpys_default_rng(seed, n):
+    want = np.random.default_rng(seed).uniform(-3.0, 3.0, (n, 5))
+    got = np.concatenate(list(_uniform_blocks(*_pcg64(seed), n)))
+    assert list(map(float.hex, got.ravel().tolist())) == \
+        list(map(float.hex, want.ravel().tolist()))
 
 
 def test_scan_starts_are_numpys_default_rng_rows():
