@@ -55,6 +55,7 @@ from .residuals import (
     _polynomials,
     _squares_overflow,
 )
+from .rng import _DefaultRng
 from .su2 import _frame_coeffs
 
 __all__ = [
@@ -645,9 +646,6 @@ _SPREAD = 3.0
 _SUCCESS_TOL = 1e-8
 _SNAP_TOL = 1e-3
 _SNAP_STOP = 1e-9  # where the scan's Newton first stops to snap
-# PCG64's multiplier, and the word masks of its seeding and its 128-bit state
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
 # Seeds drawn and refined together. Rows never interact, so this only
 # bounds the working arrays; it cannot change any output.
 _BLOCK = 512
@@ -939,9 +937,9 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
     """Random-seed search for solutions of the nine constraints.
 
     Seeds are drawn from numpy's default_rng(seed) stream, computed in the
-    package (_pcg64), five uniform values in [-_SPREAD, _SPREAD] per row
-    in row order, so output is reproducible across numpy versions. seed
-    is an integer >= 0. omega defaults to k. All seeds are Newton-refined
+    package (rng._DefaultRng), five uniform values in [-_SPREAD, _SPREAD]
+    per row in row order, so output is reproducible across numpy
+    versions. seed is an integer >= 0. omega defaults to k. All seeds are Newton-refined
     together, as refine_alphas refines one, with the couplings
     substituted into the term table once for the whole call; a root
     counts as successful when every normalized constraint is below
@@ -1007,10 +1005,11 @@ def _scan_blocks(n_seeds: int, seed: int, lam: float, k: float, omega: Optional[
         bounds = np.add.reduceat(_monomials(table, np.full((1, 5), _SPREAD)), _STARTS)[6::7]
     if not np.isfinite(bounds).all():
         raise OverflowError(f"the constraints may overflow in the seed box |alpha| <= {_SPREAD:g}")
-    start_blocks = _uniform_blocks(*_pcg64(seed), n_seeds)
+    rng = _DefaultRng(seed)
 
     def blocks():
-        for lo, starts in zip(range(0, n_seeds, _BLOCK), start_blocks):
+        for lo in range(0, n_seeds, _BLOCK):
+            starts = rng.uniform(-_SPREAD, _SPREAD, size=(min(_BLOCK, n_seeds - lo), 5))
             x, iters, worst, passed = _newton(starts, table, _SNAP_STOP)
             labels, dist = _snap(x, worst, couplings, offsets, table)
             # the rows the loose test stopped that no branch explains
@@ -1027,50 +1026,3 @@ def _scan_blocks(n_seeds: int, seed: int, lam: float, k: float, omega: Optional[
                 converged.tolist(), worst.tolist(), labels.tolist(), dist.tolist(),
                 iters.tolist())))
     return blocks()
-
-
-# default_rng(seed)'s stream, computed here: numpy.random's import costs a scan 6 MB and 10 ms
-def _pcg64(seed: int) -> tuple[int, int]:
-    """The state and increment of numpy's PCG64 seeded, as default_rng(seed)
-    seeds it, by SeedSequence(seed) (numpy's bit_generator.pyx, pcg64.h)."""
-    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    h, mult = 0x43B0D7E5, 0x931E8875
-
-    def hashmix(v):
-        nonlocal h
-        h, v = h * mult & _M32, v ^ h
-        v = v * h & _M32
-        return v ^ v >> 16
-
-    def mix(x, y):
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(v) for v in (entropy + [0] * 4)[:4]]
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                pool[j] = mix(pool[j], hashmix(pool[i]))
-    for v in entropy[4:]:
-        for j in range(4):
-            pool[j] = mix(pool[j], hashmix(v))
-    h, mult = 0x8B51F9DD, 0x58F38DED  # generate_state(4, uint64)
-    w = [hashmix(v) for v in pool * 2]
-    state, seq = (w[i + 1] << 96 | w[i] << 64 | w[i + 3] << 32 | w[i + 2] for i in (0, 4))
-    inc = (seq << 1 | 1) & _M128
-    # from state 0: a step, the seed's state added, a step
-    return ((inc + state) * _PCG_MULT + inc) & _M128, inc
-
-
-def _uniform_blocks(state: int, inc: int, n: int):
-    """numpy's PCG64 from state and inc drawn as uniform(-_SPREAD, _SPREAD,
-    (n, 5)), _BLOCK rows at a time: each step's XSL-RR output, its top 53
-    bits scaled to [0, 1), then to the range."""
-    for lo in range(0, n, _BLOCK):
-        states = [state := (state * _PCG_MULT + inc) & _M128
-                  for _ in range(5 * min(_BLOCK, n - lo))]
-        low, high = np.frombuffer(b"".join([s.to_bytes(16, "little") for s in states]),
-                                  "<u8").reshape(-1, 2).T
-        x, rot = high ^ low, high >> 58
-        out = x >> rot | x << (64 - rot & 63)
-        yield (-_SPREAD + 2 * _SPREAD * ((out >> 11) * 2.0 ** -53)).reshape(-1, 5)

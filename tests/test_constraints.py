@@ -20,10 +20,8 @@ from ymwaves.constraints import (
     _offsets,
     _on_cone,
     _oracle_fit,
-    _pcg64,
     _projections,
     _scan_blocks,
-    _uniform_blocks,
     branch_projection,
     build_family_i,
     build_family_ii,
@@ -37,6 +35,7 @@ from ymwaves.constraints import (
     scan_families,
 )
 from ymwaves.fields import AnsatzParams
+from ymwaves.rng import _DefaultRng
 
 from conftest import random_params
 from scalar_newton import nearest_branch, scan_labels
@@ -514,8 +513,11 @@ def test_scan_rows_do_not_depend_on_batching(monkeypatch):
 @example(2**128 + 1, 511)
 @example(0x9E3779B9_7F4A7C15_F39CC060_5CEDC834_2545F491, 1025)
 def test_the_scan_stream_is_numpys_default_rng(seed, n):
+    # drawn as the scan draws it, in blocks of at most 512 rows
     want = np.random.default_rng(seed).uniform(-3.0, 3.0, (n, 5))
-    got = np.concatenate(list(_uniform_blocks(*_pcg64(seed), n)))
+    rng = _DefaultRng(seed)
+    got = np.concatenate([rng.uniform(-3.0, 3.0, (min(512, n - lo), 5))
+                          for lo in range(0, n, 512)])
     assert list(map(float.hex, got.ravel().tolist())) == \
         list(map(float.hex, want.ravel().tolist()))
 
