@@ -55,7 +55,6 @@ from .residuals import (
     _polynomials,
     _squares_overflow,
 )
-from .rng import _DefaultRng
 from .su2 import _frame_coeffs
 
 __all__ = [
@@ -1005,6 +1004,8 @@ def _scan_blocks(n_seeds: int, seed: int, lam: float, k: float, omega: Optional[
         bounds = np.add.reduceat(_monomials(table, np.full((1, 5), _SPREAD)), _STARTS)[6::7]
     if not np.isfinite(bounds).all():
         raise OverflowError(f"the constraints may overflow in the seed box |alpha| <= {_SPREAD:g}")
+    # imported here, by the one caller, so that no other command loads it
+    from .rng import _DefaultRng
     rng = _DefaultRng(seed)
 
     def blocks():

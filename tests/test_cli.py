@@ -845,13 +845,17 @@ def run_fresh(argv):
 
 def test_a_scan_loads_no_random_number_library():
     # the package draws the scan's starts itself: numpy.random, and OpenSSL
-    # through secrets and hashlib, would add about 6 MB to every scan
+    # through secrets and hashlib, would add about 6 MB to every scan; and
+    # only the scan loads the package's stream
     env = {"PYTHONPATH": str(Path(ymwaves.cli.__file__).parents[1]), "PATH": ""}
-    code = ("import sys, ymwaves.cli; ymwaves.cli.main(['scan', '--seeds', '3']); "
+    code = ("import sys, ymwaves.cli; ymwaves.cli.main(['classify', '--family', 'I', "
+            "'--alpha4', '1']); print('ymwaves.rng' in sys.modules); "
+            "ymwaves.cli.main(['scan', '--seeds', '3']); "
             "print(sorted({'numpy.random', 'secrets', 'hashlib'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    lines = proc.stdout.splitlines()
+    assert (lines[1], lines[-1]) == ("False", "[]"), proc.stdout
 
 
 # c1 and c7 and their scales overflow: the terms in the scales, the
