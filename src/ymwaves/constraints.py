@@ -938,10 +938,10 @@ def scan_families(n_seeds: int, seed: int = 0, lam: float = 0.0, k: float = 1.0,
     Seeds are drawn from numpy's default_rng(seed) stream, computed in the
     package (rng._DefaultRng), five uniform values in [-_SPREAD, _SPREAD]
     per row in row order, so output is reproducible across numpy
-    versions. seed is an integer >= 0. omega defaults to k. All seeds are Newton-refined
-    together, as refine_alphas refines one, with the couplings
-    substituted into the term table once for the whole call; a root
-    counts as successful when every normalized constraint is below
+    versions; seed is an integer >= 0. omega defaults to k. All seeds
+    are Newton-refined together, as refine_alphas refines one, with the
+    couplings substituted into the term table once for the whole call; a
+    root counts as successful when every normalized constraint is below
     _SUCCESS_TOL.
 
     Successful roots within _SNAP_TOL of a branch are polished onto its

@@ -1,7 +1,8 @@
 """numpy's default_rng(seed) stream, computed in the package, for the scan.
 
-Importing numpy.random costs each scan process about 6 MB of peak RSS and
-10 ms, and numpy may change a Generator's stream between releases (NEP 19).
+Importing numpy.random costs each scan process about 5.5 MB of peak RSS
+and 12 ms, and numpy may change a Generator's stream between releases
+(NEP 19).
 The stream lives in a module of its own, which the scan alone imports:
 without a bytecode cache every start parses what it imports, and kept in
 constraints.py these lines raised every command's peak RSS by 0.6 MB.

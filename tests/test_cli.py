@@ -852,7 +852,8 @@ def test_a_scan_loads_no_random_number_library():
             "'--alpha4', '1']); print('ymwaves.rng' in sys.modules); "
             "ymwaves.cli.main(['scan', '--seeds', '3']); "
             "print(sorted({'numpy.random', 'secrets', 'hashlib'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert (lines[1], lines[-1]) == ("False", "[]"), proc.stdout

@@ -372,10 +372,7 @@ def test_a_seed_must_be_an_integer_at_least_0(seed, error):
 
 
 def test_a_seed_is_any_integer_type():
-    want = scan_families(3, seed=7)
-    assert scan_families(3, seed=np.int64(7)) == want
-    assert scan_families(3, seed=np.uint8(7)) == want
-    assert scan_families(3, seed=True) == scan_families(3, seed=1)
+    assert scan_families(3, seed=np.int64(7)) == scan_families(3, seed=7)
 
 
 def test_scan_rows_reproduce_constraints():
