@@ -628,8 +628,7 @@ def _oracle_fit(p: AnsatzParams):
 class RefineResult(NamedTuple):
     """max_normalized is Newton's stop ratio max_i |c_i| / max(1, b_i), b_i
     the verdicts' bound (_value_and_jacobian), not normalized_constraints.
-    converged is max_normalized <= _TOL alone, with no norm-1e8 guard:
-    (0, 0, 0, 0, 1e9) at (0, 1, 1, 1) is converged, not _newton's passed."""
+    converged is _newton's passed: within _TOL, inside norm 1e8."""
 
     alphas: tuple[float, float, float, float, float]
     converged: bool
@@ -709,25 +708,14 @@ def _value_and_jacobian(x, table: _Substituted):
 _UPPER = np.triu(np.ones((5, 6), dtype=bool))
 
 
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-def _lapack_errors():
-    """numpy.linalg's error state for its kernels: LAPACK's failure, flagged
-    as invalid, raises inv's LinAlgError, and no other flag is reported.
-    QR fails only on an illegal argument, never on a matrix's values."""
-    return np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
-                       under="ignore")
-
-
 def _top_of_r(a):
     """The top five rows of R in the QR factorization of every (9, 6)
     matrix of a, bit for bit np.linalg.qr(a, mode="r")[:, :5]: both modes
     run LAPACK's factorization on a float copy of a, which it overwrites
     with R in its upper triangle, read off here through one fixed mask
     where mode="r" builds one with triu on every call. It runs in the
-    caller's error state (_lapack_errors)."""
+    caller's error state: QR fails only on an illegal argument, never on
+    a matrix's values."""
     h = a.astype(np.float64)  # the wrapper's copy, factored in place
     _umath_linalg.qr_r_raw(h, signature="d->d")
     return np.where(_UPPER, h[:, :5], 0.0)
@@ -745,29 +733,19 @@ def _step(jf):
     _RCOND takes pinv's minimum-norm step instead. The diagonal of R
     alone bounds nothing without pivoting.
 
-    Only an exactly zero pivot stops the inversion: LU of an upper
-    triangular R, zeros below its diagonal, fails exactly then. So R's
-    diagonal is scanned only when inv raises, and its rows with a zero
-    pivot are inverted as the identity and take pinv's step. A NaN pivot
-    takes pinv's step too, its kappa not below the cutoff.
+    Only an exactly zero pivot stops the inversion (LU of an upper
+    triangular R, zeros below its diagonal, fails exactly then). The
+    kernel writes NaN for that row's inverse alone and flags invalid; a
+    NaN kappa is not below the cutoff, so the row takes pinv's step. Both
+    kernels run in the caller's error state; _newton ignores every flag.
     """
-    with _lapack_errors():  # one scope for both kernels
-        r = _top_of_r(jf)
-        rj = r[:, :, :5]
-        try:
-            inv = _umath_linalg.inv(rj, signature="d->d")
-        except np.linalg.LinAlgError:
-            inv = None
-    singular = None
-    if inv is None:
-        singular = ~(np.abs(np.diagonal(rj, axis1=1, axis2=2)).min(axis=1) > 0.0)
-        rj = np.where(singular[:, None, None], np.eye(5), rj)
-        with _lapack_errors():
-            inv = _umath_linalg.inv(rj, signature="d->d")
+    r = _top_of_r(jf)
+    rj = r[:, :, :5]
+    inv = _umath_linalg.inv(rj, signature="d->d")
     step = -(inv @ r[:, :, 5:])[:, :, 0]
     kept = c_einsum("nij,nij->n", rj, rj) * c_einsum("nij,nij->n", inv, inv) * _RCOND ** 2 < 1.0
-    if singular is not None or not np.logical_and.reduce(kept):
-        cut = ~kept if singular is None else singular | ~kept
+    if not np.logical_and.reduce(kept):
+        cut = ~kept
         step[cut] = -(np.linalg.pinv(jf[cut, :, :5], rcond=_RCOND) @ jf[cut, :, 5:])[:, :, 0]
     return step
 
@@ -798,7 +776,7 @@ def _newton(x0, table: _Substituted, tol=_TOL, budget=None):
     budget = np.full(len(xw), _MAX_ITER) if budget is None else budget
     x, iters, worst = np.empty_like(xw), np.empty(len(xw), dtype=int), np.empty(len(xw))
     passed = np.empty(len(xw), dtype=bool)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # the step's LAPACK kernels' flags too
         jfw, ww = _value_and_jacobian(xw, table)
         if not np.logical_and.reduce(np.isfinite(jfw[:, :, 5]), axis=None):
             raise OverflowError("the constraints overflow at the starting amplitudes")
@@ -872,9 +850,8 @@ def refine_alphas(alphas0, lam: float, k: float, omega: float, g: float) -> Refi
     overflow at alphas0.
     """
     x, _ = _check_alphas("alphas0", alphas0, (lam, k, omega, g))
-    xs, iters, worst, _ = _newton(x[None, :], _substitute(lam, k, omega, g))
-    return RefineResult(tuple(xs[0].tolist()), bool(worst[0] <= _TOL), int(iters[0]),
-                        float(worst[0]))
+    xs, iters, worst, passed = _newton(x[None, :], _substitute(lam, k, omega, g))
+    return RefineResult(tuple(xs[0].tolist()), bool(passed[0]), int(iters[0]), float(worst[0]))
 
 
 def branch_projection(alphas, lam: float, k: float, omega: float,

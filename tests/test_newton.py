@@ -2,6 +2,7 @@
 stop test, the QR step, and the working set that batches rows."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,7 +163,8 @@ def test_rank_deficient_rows_take_the_pinv_step_exactly():
     jac[4] = 0.0
     jac[4, :5, :5] = np.eye(5)
     jac[4, 0, 1] = 1e8
-    got = _step(_jf(jac, f))
+    with np.errstate(invalid="ignore"):  # as _newton calls it
+        got = _step(_jf(jac, f))
     want = _pinv_step(jac, f)
     for i in (1, 3, 4):
         assert _hex(got[i]) == _hex(want[i])
@@ -170,10 +172,12 @@ def test_rank_deficient_rows_take_the_pinv_step_exactly():
 
 
 def test_a_zero_pivot_changes_no_other_row_of_the_batch():
-    # a zero column gives R an exactly zero pivot, so inverting the batch's R
-    # raises and _step scans for the pivot; every row, full rank or not,
-    # steps as it does alone, bit for bit, and as numpy.linalg's wrappers
-    # step it (linalg_step), which raise on the same pivot
+    # a zero column gives R an exactly zero pivot, so LAPACK's inversion
+    # writes NaN for that row's inverse, whose kappa then cuts it to pinv's
+    # step; every row, full rank or not, steps as it does alone, bit for
+    # bit, and as numpy.linalg's wrappers step it (linalg_step), which raise
+    # on the same pivot and rescan. _step runs in the caller's error state,
+    # here _newton's, which ignores the kernel's invalid flag.
     rng = np.random.default_rng(9)
     for n in (1, 6, 8, 64, 256):
         jf = rng.normal(size=(n, 9, 6)) * 10.0 ** rng.integers(-6, 7, size=(n, 1, 6))
@@ -185,12 +189,33 @@ def test_a_zero_pivot_changes_no_other_row_of_the_batch():
         jf[zero, :, 3] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(_top_of_r(jf)[:, :, :5])
-        got = _step(jf)
-        assert _hex(got) == _hex(linalg_step.step(jf))
-        for i in range(n):
-            assert _hex(got[i]) == _hex(_step(jf[i:i + 1])[0])
+        with np.errstate(invalid="ignore"):
+            got = _step(jf)
+            assert _hex(got) == _hex(linalg_step.step(jf))
+            for i in range(n):
+                assert _hex(got[i]) == _hex(_step(jf[i:i + 1])[0])
         want = _pinv_step(jf[zero:zero + 1, :, :5], jf[zero:zero + 1, :, 5])
         assert _hex(got[zero]) == _hex(want)
+
+
+def test_a_zero_pivot_inside_newton_takes_pinvs_step_silently():
+    # off the cone at (0, 0, 0, 0, a) the Jacobian's alpha3 column is zero,
+    # so R of the first [J | f] has an exactly zero pivot, and pinv's step
+    # lands on the vacuum at once. _newton's error state carries the
+    # kernels, so no warning escapes, and each row steps alike in a batch
+    cpl = (0.0, 1.0, 2.0, 1.0)
+    starts = np.array([(0.0, 0.0, 0.0, 0.0, a) for a in (0.25, 0.5, -1.0, 2.0)])
+    jf, _ = _value_and_jacobian(starts, _substitute(*cpl))
+    pivots = np.diagonal(_top_of_r(jf)[:, :, :5], axis1=1, axis2=2)
+    assert np.all(np.abs(pivots).min(axis=1) == 0.0)
+    mixed = np.empty((8, 5))
+    mixed[::2], mixed[1::2] = starts, np.random.default_rng(45).uniform(-3.0, 3.0, (4, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x0 in starts:
+            res = refine_alphas(x0, *cpl)
+            assert res.converged and res.iterations == 1 and res.max_normalized == 0.0
+        _batch_matches_each_row_alone(mixed, cpl)
 
 
 def test_newton_calls_no_linalg_wrapper(monkeypatch):
@@ -289,11 +314,11 @@ def test_one_batch_holds_every_way_to_stop():
     assert np.linalg.norm(x[3]) > 1e8
 
 
-def test_refine_reports_a_root_past_norm_1e8_as_converged():
-    # RefineResult.converged is max_normalized <= _TOL alone: an exact root
-    # past norm 1e8 converges at iteration 0, which _newton has not passed
+def test_refine_reports_a_root_past_norm_1e8_as_not_converged():
+    # RefineResult.converged is _newton's passed: an exact root past norm
+    # 1e8 stops at iteration 0 within _TOL, and has not converged
     res = refine_alphas((0.0, 0.0, 0.0, 0.0, 1e9), 0.0, 1.0, 1.0, 1.0)
-    assert res == ((0.0, 0.0, 0.0, 0.0, 1e9), True, 0, 0.0)
+    assert res == ((0.0, 0.0, 0.0, 0.0, 1e9), False, 0, 0.0)
     _, iters, _, passed = _newton(np.array([res.alphas]), _substitute(0.0, 1.0, 1.0, 1.0))
     assert iters.tolist() == [0] and passed.tolist() == [False]
 
