@@ -835,9 +835,10 @@ def test_scan_runs_at_k_zero_with_a_running_phase(capsys):
 
 def run_fresh(argv):
     """Exit code, stdout and stderr of the CLI in a fresh process, where
-    numpy shows every warning it has not shown before."""
+    numpy shows every warning it has not shown before; -B leaves no
+    bytecode in the checkout, whose cold starts the bench measures."""
     env = {"PYTHONPATH": str(Path(ymwaves.cli.__file__).parents[1]), "PATH": ""}
-    proc = subprocess.run([sys.executable, "-c", "import sys, ymwaves.cli; "
+    proc = subprocess.run([sys.executable, "-B", "-c", "import sys, ymwaves.cli; "
                            "sys.exit(ymwaves.cli.main(sys.argv[1:]))", *argv],
                           capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
@@ -932,7 +933,7 @@ def test_console_entry_point():
         target = tomllib.load(f)["project"]["scripts"]["ymwaves"]
     module, _, name = target.partition(":")
     assert getattr(importlib.import_module(module), name) is main
-    proc = subprocess.run([sys.executable, "-m", module, "classify", "--family", "I",
+    proc = subprocess.run([sys.executable, "-B", "-m", module, "classify", "--family", "I",
                            "--alpha4", "1"], capture_output=True, text=True, cwd=root)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "family I (k=1, omega=1, alpha4=1)\n"

@@ -327,7 +327,8 @@ def test_grid_points_rejects_a_count_that_is_not_whole(count):
     assert len(grid_points((0, 1, 2.0), (0, 1, 1), (0, 1, 1))) == 2  # a whole float is a count
 
 
-# the CLI in a fresh process that prints its exit code and peak RSS in kB
+# the CLI in a fresh process that prints its exit code and peak RSS in kB;
+# its children run with -B, which leaves no bytecode in the checkout
 PEAK = ("import resource, sys, ymwaves.cli; code = ymwaves.cli.main(sys.argv[1:]); "
         "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
 
@@ -340,7 +341,7 @@ def test_a_long_axis_is_not_held_whole():
     commands = [["fields", "--family", "I", "--alpha4", "1", "--grid", "0:1:1,0:1:1,0:1:{n}"],
                 ["energy-profile", "--family", "I", "--alpha4", "1", "--theta-samples", "{n}"]]
     procs = {(i, n): subprocess.Popen(
-        [sys.executable, "-c", PEAK, *(a.format(n=n) for a in argv), "--out", os.devnull],
+        [sys.executable, "-B", "-c", PEAK, *(a.format(n=n) for a in argv), "--out", os.devnull],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
         for i, argv in enumerate(commands) for n in (200_000, 2_000_000)}
     peaks = {}
