@@ -433,13 +433,11 @@ def cmd_energy_profile(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
-def _build_parsers():
+@functools.cache
+def _parser():
     """The parser and its commands' own parsers by name, the choices of
-    the subparsers action it holds."""
+    the subparsers action it holds: built on first use and shared by
+    every later call; parsing keeps no state in them between calls."""
     parser = argparse.ArgumentParser(
         prog="ymwaves",
         description="Construct and verify exact SU(2) Yang-Mills plane waves.")
@@ -475,14 +473,6 @@ def _build_parsers():
     for sp in sub.choices.values():  # -1e-3, -.5 and -1:1:3 are values, as in Python 3.13
         sp._negative_number_matcher = re.compile(r"^-\.?\d")  # argparse has no public setting
     return parser, sub.choices
-
-
-@functools.cache
-def _parser():
-    """The parser and its commands' parsers (_build_parsers), built on
-    first use and shared by every later call; parsing keeps no state in
-    them between calls."""
-    return _build_parsers()
 
 
 def _parse(argv):

@@ -303,6 +303,13 @@ def _check_count(n: int):
         raise ValueError(f"count {n} is more than memory holds") from None
 
 
+def _chunks(n: int):
+    """The indices 0..n-1 in order, as arrays of at most _GRID_BLOCK: the
+    grid core's one block rule, for grid rows, (t, z) pairs and profile
+    samples alike."""
+    return (np.arange(start, min(start + _GRID_BLOCK, n)) for start in range(0, n, _GRID_BLOCK))
+
+
 class _Axis(NamedTuple):
     """A grid axis as (start, step, count): value i is start + i * step, or
     start alone for a single count. Its values are made from their indices
@@ -347,9 +354,10 @@ def _grid_axis(lo, hi, n) -> _Axis:
 
 
 class _Grid:
-    """The product grid of three axes t, y, z, t slowest and z fastest,
-    held as its three _Axis tuples; residuals.grid_points lists the same
-    points."""
+    """The product grid of three axes t, y, z, held as its three _Axis
+    tuples. Its row order, t slowest and z fastest, is written once, in
+    coordinates; blocks, angle_blocks and residuals.grid_points all take
+    their points from it."""
 
     def __init__(self, t, y, z):
         self.t, self.y, self.z = t, y, z
@@ -397,18 +405,17 @@ class _Grid:
                                 "or the field coefficients are not finite")
 
     def blocks(self, p: AnsatzParams):
-        """The rows in blocks of at most _GRID_BLOCK, in grid order: each
+        """The rows in the blocks of _chunks, in grid order: each
         block's row numbers, its coordinates (coordinates) and its _Rows.
         Checks the whole grid (check) before any block is made."""
         self.check(p)
-        n = len(self)
         return ((rows, (coords := self.coordinates(rows)), _rows(p, coords))
-                for rows in (np.arange(start, min(start + _GRID_BLOCK, n))
-                             for start in range(0, n, _GRID_BLOCK)))
+                for rows in _chunks(len(self)))
 
     def angle_blocks(self, p: AnsatzParams):
         """The cos and sin of the grid's phases, each (t, z) pair once, t
-        slower, in blocks of at most _GRID_BLOCK pairs.
+        slower, in the blocks of _chunks: the phases of the rows of the
+        (t, z) plane, the grid at one y, taken from its coordinates.
 
         A point's phase depends on it only through its (t, z) pair, so the
         trigonometry runs on the nt nz phases, not on the nt ny nz points
@@ -417,15 +424,9 @@ class _Grid:
         block is made.
         """
         self.check(p)
-        n = self.t.count * self.z.count
-        return (_cos_sin(self._phases(p, np.arange(start, min(start + _GRID_BLOCK, n))))
-                for start in range(0, n, _GRID_BLOCK))
-
-    def _phases(self, p: AnsatzParams, pairs) -> np.ndarray:
-        """The phases of the given (t, z) pair numbers, t slower, as
-        blocks' rows take them."""
-        it, iz = np.divmod(pairs, self.z.count)
-        return _phase(p, self.t.at(it), self.z.at(iz))
+        plane = _Grid(self.t, _Axis(0.0, 0.0, 1), self.z)
+        return (_cos_sin(_phase(p, t, z))
+                for t, _, _, z in map(plane.coordinates, _chunks(len(plane))))
 
 
 def _field_columns(p: AnsatzParams, angles):

@@ -22,9 +22,9 @@ import math
 
 import numpy as np
 
-from . import fields
 from .constraints import FamilySolution
-from .fields import AnsatzParams, SpacetimePoint, _angles, _check_count, _cos_sin, _field_columns
+from .fields import (AnsatzParams, SpacetimePoint, _angles, _check_count, _chunks, _cos_sin,
+                     _field_columns)
 from .su2 import _norm_squared
 
 __all__ = [
@@ -97,8 +97,8 @@ def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
     2 pi i / n_samples, as blocks of (thetas, densities, sol's closed
     forms), float columns. The density is evaluated at each theta itself,
     through its cosine and sine, at frame angle 0: the profile's points sit
-    at y = 0. The phases are made block by block, fields._GRID_BLOCK at a
-    time, so memory does not grow with n_samples.
+    at y = 0. The phases are made block by block, in the sample numbers'
+    blocks of fields._chunks, so memory does not grow with n_samples.
 
     Checks the input and the whole sweep before returning, so that a caller
     writing the blocks out writes nothing for a bad input: a count below 2,
@@ -108,11 +108,10 @@ def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
     if n_samples < 2:
         raise ValueError("need at least 2 profile samples")
     _check_count(n_samples)
-    size = fields._GRID_BLOCK
 
     def blocks():
-        for start in range(0, n_samples, size):
-            theta = 2.0 * math.pi * np.arange(start, min(start + size, n_samples)) / n_samples
+        for samples in _chunks(n_samples):
+            theta = 2.0 * math.pi * samples / n_samples
             yield theta, _density(p, (*_cos_sin(theta), 1.0, 0.0), 0.25)
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below

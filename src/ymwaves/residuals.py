@@ -63,7 +63,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import (
-    _GRID_X,
     _ZERO,
     AnsatzParams,
     ColorVector,
@@ -400,15 +399,17 @@ def residual_sample(p: AnsatzParams, s: SpacetimePoint, mode: str = "analytic") 
 
 
 def grid_points(t_range, y_range, z_range):
-    """Points of a rectangular (t, y, z) grid at x = fields._GRID_X.
+    """Points of a rectangular (t, y, z) grid at x = fields._GRID_X, in the
+    grid's row order, t slowest and z fastest: its rows' coordinates
+    (fields._Grid.coordinates).
 
     Each range is (start, stop, count) with count >= 1; a single count
     collapses to the start value.
     """
     grid = _Grid.from_ranges(t_range, y_range, z_range)
     with np.errstate(all="ignore"):  # SpacetimePoint rejects a value that overflowed
-        t, y, z = (axis.at(np.arange(axis.count)).tolist() for axis in (grid.t, grid.y, grid.z))
-    return [SpacetimePoint(t=tv, x=_GRID_X, y=yv, z=zv) for tv in t for yv in y for zv in z]
+        coords = grid.coordinates(np.arange(len(grid))).T.tolist()
+    return [SpacetimePoint(*c) for c in coords]
 
 
 def max_residual_norm(p: AnsatzParams, points) -> float:

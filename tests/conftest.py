@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ymwaves import AnsatzParams, ColorVector, SpacetimePoint, field_strength
+
+# No per-example deadline for any @given test: an example's wall time on a
+# loaded host says nothing about the property under test.
+settings.register_profile("ymwaves", deadline=None)
+settings.load_profile("ymwaves")
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ymwaves.cli
@@ -242,7 +242,6 @@ def _verdicts(p: AnsatzParams):
     return kind, judged, out
 
 
-@settings(deadline=None)
 @given(_configurations(), st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e), st.booleans())
 # names that a match floored at 1 moves: to Family II, and to eta=+1
 @example(build_family_i(1.0, 1.0, 1.0, 1.0), 1e-6, True)
@@ -442,7 +441,6 @@ _FLOATS = st.floats() | st.sampled_from(
      1.7976931348623157e308, math.inf, -math.inf, math.nan, math.copysign(math.nan, -1.0)])
 
 
-@settings(deadline=None)
 @given(st.lists(st.tuples(_FLOATS, st.sampled_from(["-a", "a", "other"]), _FLOATS),
                 min_size=1, max_size=40))
 def test_csv_block_is_each_values_own_text(rows):
@@ -682,7 +680,7 @@ def test_each_command_takes_exactly_the_flags_it_reads():
                                                           "--alpha2", "--alpha3", "--alpha5")]
         + ["--theta-samples"],
     }
-    (sub,) = [a for a in ymwaves.cli.build_parser()._actions
+    (sub,) = [a for a in ymwaves.cli._parser()[0]._actions
               if isinstance(a, argparse._SubParsersAction)]
     got = {name: [a.option_strings[0] for a in sp._actions if a.dest != "help"]
            for name, sp in sub.choices.items()}

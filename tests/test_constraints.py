@@ -499,7 +499,7 @@ def test_scan_rows_do_not_depend_on_batching(monkeypatch):
     assert all(0 <= r.iterations <= 120 for r in full)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=2**200), st.sampled_from([1, 511, 512, 513, 1025]))
 # the seed's 32-bit word count changes at each edge; 2**128 + 1 and the
 # last have five words, past SeedSequence's pool of four

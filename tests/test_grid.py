@@ -21,7 +21,7 @@ import pytest
 
 import ymwaves.cli
 import ymwaves.fields
-from ymwaves.cli import _parse_grid, build_parser, main
+from ymwaves.cli import _parse_grid, _parser, main
 from ymwaves.constraints import build_family_i, build_family_ii, classify, nine_constraints
 from ymwaves.fields import (
     AnsatzParams,
@@ -35,7 +35,7 @@ from ymwaves.residuals import _max_analytic_norm, grid_points, max_residual_norm
 
 from conftest import random_params, random_point
 
-DEFAULT_GRID = build_parser().parse_args(["verify"]).grid
+DEFAULT_GRID = _parser()[0].parse_args(["verify"]).grid
 FINE_GRID = "0:6.2832:16,-1:1:16,0:6.2832:16"
 FIELDS_HEADER = ["t", "y", "z", "theta", "E_y_sigma_x", "E_y_sigma_y", "E_y_sigma_z",
                  "B_x_sigma_x", "B_x_sigma_y", "B_x_sigma_z"]
@@ -242,10 +242,18 @@ def test_analytic_max_equals_residual_samples(rng):
             assert _max_analytic_norm(cv, flat) == want
 
 
+def _profile_bits(p, sol, n_samples):
+    """The thetas and densities of _profile_blocks, each as one array's bytes."""
+    thetas, densities, _ = zip(*_profile_blocks(p, sol, n_samples))
+    return np.concatenate(thetas).tobytes(), np.concatenate(densities).tobytes()
+
+
 @pytest.mark.parametrize("block", [1, 4, 7, 64])
 def test_analytic_chunks_hold_at_most_a_block(block, monkeypatch):
-    monkeypatch.setattr(ymwaves.fields, "_GRID_BLOCK", block)
     p = build_family_ii(1.7, -0.8, 0.6, 1.3, -1, 1)
+    sol = classify(p)
+    profile = _profile_bits(p, sol, 1030)  # at the default block size, two blocks
+    monkeypatch.setattr(ymwaves.fields, "_GRID_BLOCK", block)
     for grid in ANALYTIC_GRIDS[:6]:
         full = _Grid.from_ranges(*grid)
         sizes = [len(cos_th) for cos_th, _ in full.angle_blocks(p)]
@@ -253,6 +261,12 @@ def test_analytic_chunks_hold_at_most_a_block(block, monkeypatch):
         assert sum(sizes) == full.t.count * full.z.count  # every (t, z) phase once
         want = max(residual_sample(p, s).norm for s in grid_points(*grid))
         assert _max_analytic_norm(nine_constraints(p), full.angle_blocks(p)) == want
+        # every row once, in order, in blocks of at most the block size
+        rows = [r for r, _, _ in full.blocks(p)]
+        assert max(map(len, rows)) <= block
+        assert np.concatenate(rows).tolist() == list(range(len(full)))
+    # the profile's samples are cut by the same rule, and no bit depends on it
+    assert _profile_bits(p, sol, 1030) == profile
 
 
 def test_verify_takes_trig_on_distinct_phases_only(monkeypatch, capsys):

@@ -262,7 +262,7 @@ def _batch_matches_each_row_alone(x0, cpl):
     return x, iters, worst
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.one_of(
     st.tuples(st.lists(st.sampled_from(_STOPS), min_size=1, max_size=8).map(np.array),
               st.just((_HUGE_LAM, 1.0, 1.0, 1.0))),
@@ -277,7 +277,7 @@ def test_batching_never_changes_a_row(batch):
     _batch_matches_each_row_alone(x0, cpl)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.lists(st.tuples(st.tuples(*[value] * 5), st.integers(min_value=1, max_value=120)),
                 min_size=1, max_size=8),
        st.sampled_from([(0.0, 1.0, 1.0, 1.0), (0.0, 1.0, 2.0, 1.0), (-0.7, 1.3, 1.3, 1.6)]),

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import ymwaves.constraints
@@ -23,7 +23,7 @@ import ymwaves.residuals
 import ymwaves.su2
 import scalar_stencils as ref
 from conftest import numeric_e_and_b
-from ymwaves.cli import _NUMERIC_POINTS, _parse_grid, build_parser, main
+from ymwaves.cli import _NUMERIC_POINTS, _parse_grid, _parser, main
 from ymwaves.constraints import (
     _ORACLE_ENTRIES,
     build_family_i,
@@ -68,7 +68,7 @@ coupling = st.floats(min_value=0.2, max_value=2.0) | st.floats(min_value=-2.0, m
 sign = st.sampled_from((1, -1))
 points = st.builds(SpacetimePoint, value, value, value, value)
 AMPLITUDES = ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5")
-DEFAULT_GRID = build_parser().parse_args(["verify"]).grid
+DEFAULT_GRID = _parser()[0].parse_args(["verify"]).grid
 FINE_GRID = "0:6.2832:16,-1:1:16,0:6.2832:16"
 FAMILY_II = ["--family", "II", "--k", "1.3", "--alpha4", "0.8", "--lambda", "0.4", "--g", "1.2",
              "--xi", "-1"]
@@ -185,7 +185,6 @@ def test_a_complex_step_names_a_coordinate_that_is_not_finite():
         _max_numeric_norms(p, coords)
 
 
-@settings(deadline=None)
 @given(configurations())
 def test_oracle_fits_the_reference_samples(p):
     # the oracle's own sampling plan, through k when it dominates
