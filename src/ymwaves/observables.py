@@ -56,20 +56,23 @@ def energy_density(p: AnsatzParams, s: SpacetimePoint, kappa: float = 0.25) -> f
     return _density(p, _angles(p, s), kappa)
 
 
-def energy_closed_form(sol: FamilySolution, theta: float) -> float:
-    """Per-family density at phase theta (kappa = 1/4 normalization)."""
-    amp = sol.k ** 2 * sol.alpha4 ** 2
+def energy_closed_form(sol: FamilySolution, theta: float | np.ndarray) -> float | np.ndarray:
+    """Per-family density at phase theta (kappa = 1/4 normalization), at a
+    float or on a column of phases, with the same rounding: inf or nan
+    where it overflows, as energy_density is. Squares multiply, as in
+    _density: k^2 alpha4^2 is (k k)(alpha4 alpha4) and cos^2 theta is c c."""
+    amp, c = (sol.k * sol.k) * (sol.alpha4 * sol.alpha4), np.cos(theta)
     if sol.family == "I":
-        return amp * math.cos(theta) ** 2
+        return amp * (c * c)
     if sol.family == "II":
-        return 0.5 * amp * (1.0 - sol.xi * sol.eta * math.cos(theta))
+        return 0.5 * amp * (1.0 - sol.xi * sol.eta * c)
     raise ValueError(f"no closed-form density for family {sol.family!r}")
 
 
 def mean_energy_closed_form(sol: FamilySolution) -> float:
     """Phase average of the closed-form density."""
     if sol.family in ("I", "II"):
-        return 0.5 * (sol.k ** 2 * sol.alpha4 ** 2)
+        return 0.5 * ((sol.k * sol.k) * (sol.alpha4 * sol.alpha4))
     raise ValueError(f"no closed-form density for family {sol.family!r}")
 
 
@@ -97,13 +100,14 @@ def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
     2 pi i / n_samples, as blocks of (thetas, densities, sol's closed
     forms), float columns. The density is evaluated at each theta itself,
     through its cosine and sine, at frame angle 0: the profile's points sit
-    at y = 0. The phases are made block by block, in the sample numbers'
+    at y = 0; the closed form is energy_closed_form on the block's column of
+    thetas. The phases are made block by block, in the sample numbers'
     blocks of fields._chunks, so memory does not grow with n_samples.
 
     Checks the input and the whole sweep before returning, so that a caller
     writing the blocks out writes nothing for a bad input: a count below 2,
     or one that no array can hold, is a ValueError, and a density or closed
-    form that overflows an OverflowError.
+    form column that is not finite an OverflowError.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 profile samples")
@@ -112,13 +116,11 @@ def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
     def blocks():
         for samples in _chunks(n_samples):
             theta = 2.0 * math.pi * samples / n_samples
-            yield theta, _density(p, (*_cos_sin(theta), 1.0, 0.0), 0.25)
+            yield (theta, _density(p, (*_cos_sin(theta), 1.0, 0.0), 0.25),
+                   energy_closed_form(sol, theta))
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         # one pass over the sweep that keeps nothing, before any row is made
-        finite = all(np.isfinite(density).all() for _, density in blocks())
-    if not (finite and math.isfinite((sol.k * sol.k) * (sol.alpha4 * sol.alpha4))):
-        raise OverflowError("the energy density or its closed form overflows")
-
-    return ((theta, density, np.array([energy_closed_form(sol, th) for th in theta.tolist()]))
-            for theta, density in blocks())
+        if not all(np.isfinite(columns).all() for _, *columns in blocks()):
+            raise OverflowError("the energy density or its closed form overflows")
+    return blocks()

@@ -37,13 +37,19 @@ def _line(result) -> str:
     return ",".join(float(v).hex() for v in result)
 
 
+def calls(workload):
+    """The calls of workload's first cycle at each seed, in seed, group and
+    call order; each seed's cycle is built when the walk reaches it."""
+    for seed in SEEDS:
+        for group in workloads.CYCLES[workload](random.Random(f"{workload}:{seed}:0")):
+            yield from group.calls
+
+
 def lines():
     """One line per call, in workload, seed, group and call order."""
     for workload in WORKLOADS:
-        for seed in SEEDS:
-            for group in workloads.CYCLES[workload](random.Random(f"{workload}:{seed}:0")):
-                for call in group.calls:
-                    yield _line(call())
+        for call in calls(workload):
+            yield _line(call())
 
 
 def main():

@@ -773,6 +773,32 @@ def test_a_coupling_whose_square_overflows_is_named(command, extra, names, capsy
         _profile_matches_its_closed_form(out, 1.0, 1.0)
 
 
+# the profile's one overflow check reads both columns it writes: at alpha4 = 0
+# and k = 1e200 the density is 0 and only the closed form, inf * 0, is nan;
+# at alpha4 = 1e154 and k = 1.3 the closed form is at most 1.69e308 and only
+# the density overflows, on the half period about theta = pi
+@pytest.mark.parametrize("physics", [["--family", "I", "--alpha4", "0", "--k", "1e200"],
+                                     ["--family", "II", "--alpha4", "1e154", "--k", "1.3"]])
+def test_a_profile_column_that_overflows_is_named(physics, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["energy-profile", *physics], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: an input is too large: the energy density or its closed form "
+                   "overflows\n")
+
+
+def test_a_family_i_profile_equals_its_closed_form_to_the_bit(capsys):
+    # at k = alpha4 = 1 the density is cos theta * cos theta, and so is the
+    # closed form, squared the same way
+    code, out, err = run(["energy-profile", "--family", "I", "--alpha4", "1",
+                          "--theta-samples", "1025"], capsys)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 1025
+    assert {r["abs_diff"] for r in rows} == {"0"}
+
+
 # every command that reads --c where --omega is not given, for raw
 # amplitudes and for a family, and energy-profile, which refuses --c
 WAVE_SPEED_CONFIGS = [

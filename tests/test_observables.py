@@ -2,9 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from ymwaves.constraints import build_family_i, build_family_ii, build_family_iii, classify
+import ymwaves.observables
+from ymwaves.cli import main
+from ymwaves.constraints import (
+    FamilySolution,
+    build_family_i,
+    build_family_ii,
+    build_family_iii,
+    classify,
+)
 from ymwaves.fields import AnsatzParams
 from ymwaves.observables import (
     _profile_blocks,
@@ -144,3 +154,45 @@ def test_point_at_phase_routes():
     assert static_k.phase(s2) == pytest.approx(1.3)
     with pytest.raises(ValueError):
         point_at_phase(AnsatzParams(k=0.0, omega=0.0), 1.0)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PROFILE_1025 = [2.0 * math.pi * i / 1025 for i in range(1025)]
+
+
+@given(st.sampled_from(["I", "II"]), _FINITE, _FINITE, st.sampled_from([-1, 1]),
+       st.sampled_from([-1, 1]), st.lists(_FINITE, min_size=1, max_size=40))
+@example("I", 1.0, 1.0, 1, 1, PROFILE_1025)
+@example("II", 1.7, -0.8, -1, 1, PROFILE_1025)
+@example("I", 1e200, 0.0, 1, 1, [0.0, 1.0])  # inf * 0: nan
+@example("II", 1e200, 1.0, 1, 1, [0.0, math.pi])  # 0.5 inf (1 - 1): nan at theta = 0
+def test_energy_closed_form_on_a_column_is_its_value_at_each_float(family, k, alpha4, eta, xi,
+                                                                   thetas):
+    sol = FamilySolution(family, k, k, alpha4, 0.0, 1.0, eta, xi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        column = energy_closed_form(sol, np.array(thetas))
+        each = np.array([energy_closed_form(sol, th) for th in thetas])
+    assert column.view(np.int64).tolist() == each.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("family", ["I", "II"])
+def test_closed_forms_that_overflow_are_inf(family):
+    # as energy_density's, not an OverflowError from squaring a float
+    sol = FamilySolution(family, 1e200, 1e200, 1.0, 0.0, 1.0, 1, 1)
+    assert energy_closed_form(sol, 1.0) == math.inf
+    assert mean_energy_closed_form(sol) == math.inf
+
+
+def test_the_profile_takes_its_closed_form_once_per_block_and_pass(monkeypatch, capsys):
+    calls = []
+    original = ymwaves.observables.energy_closed_form
+
+    def counting(sol, theta):
+        calls.append(np.size(theta))
+        return original(sol, theta)
+    monkeypatch.setattr(ymwaves.observables, "energy_closed_form", counting)
+    assert main(["energy-profile", "--family", "II", "--alpha4", "-0.8", "--k", "1.7",
+                 "--theta-samples", "1030"]) == 0
+    assert capsys.readouterr().out.count("\r\n") == 1 + 1030
+    # two blocks, in the check's pass and in the written one
+    assert calls == [1024, 6, 1024, 6]
