@@ -13,7 +13,10 @@ nothing else in the module depends on the choice.
 
 Both are functions of the phase alone, so the phase profile of
 energy-profile evaluates the density at each of its phases directly,
-not at a point whose coordinates realize it (point_at_phase).
+not at a point whose coordinates realize it (point_at_phase). The
+density and the closed forms are plain arithmetic on floats or columns
+that squares by multiplication, so the profile takes both once per
+block, with the rounding of a single phase.
 """
 
 from __future__ import annotations

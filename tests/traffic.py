@@ -31,11 +31,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ymwaves"
-_GENERATOR = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
-
-counts = Counter()  # (phase, module.qualname) -> calls
-phase = "import"
-_names = {}  # code object -> (module.qualname, a generator's first offsets), or None
 
 
 def _module(path: Path) -> str:
@@ -50,25 +45,34 @@ def _name(code):
             and code.co_flags & inspect.CO_OPTIMIZED):
         return None
     starts = None
-    if code.co_flags & _GENERATOR:  # resumed at a RESUME 1, started at a RESUME 0
+    if code.co_flags & inspect.CO_GENERATOR:  # started at a RESUME 0, resumed at a RESUME 1
         starts = {i.offset for i in dis.get_instructions(code)
                   if i.opname == "RESUME" and i.arg == 0}
     qualname = getattr(code, "co_qualname", code.co_name)
     return f"{_module(Path(code.co_filename))}.{qualname}", starts
 
 
-def _profile(frame, event, arg):
-    if event != "call":
-        return
-    code = frame.f_code
-    try:
-        entry = _names[code]
-    except KeyError:
-        entry = _names[code] = _name(code)
-    if entry is not None:
-        name, starts = entry
-        if starts is None or frame.f_lasti < 0 or frame.f_lasti in starts:
-            counts[phase, name] += 1
+class _Tally:
+    """A profile function that books each call of a function under
+    src/ymwaves/ as (phase, module.qualname) in counts."""
+
+    def __init__(self):
+        self.phase = "import"
+        self.counts = Counter()
+        self._names = {}  # code object -> _name(code)
+
+    def __call__(self, frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        try:
+            entry = self._names[code]
+        except KeyError:
+            entry = self._names[code] = _name(code)
+        if entry is not None:
+            name, starts = entry
+            if starts is None or frame.f_lasti < 0 or frame.f_lasti in starts:
+                self.counts[self.phase, name] += 1
 
 
 def _defined():
@@ -77,31 +81,31 @@ def _defined():
     for path in sorted(SRC.glob("*.py")):
         module = _module(path)
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, ast.FunctionDef):
                 yield f"{module}.{node.name}"
             elif isinstance(node, ast.ClassDef):
                 yield from (f"{module}.{node.name}.{item.name}" for item in node.body
-                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+                            if isinstance(item, ast.FunctionDef))
 
 
 def main():
-    global phase
-    sys.path[:0] = [str(ROOT / "tests")]
-    sys.setprofile(_profile)
+    tally = _Tally()
+    sys.setprofile(tally)
     try:
-        import cycle_hash  # puts src/ and perfbench/ first on the path, imports ymwaves
+        import cycle_hash  # beside this file; it puts src/ and perfbench/ on the path
 
-        for phase in cycle_hash.WORKLOADS:
-            for call in cycle_hash.calls(phase):
+        for workload in cycle_hash.WORKLOADS:
+            tally.phase = workload
+            for call in cycle_hash.calls(workload):
                 call()
     finally:
         sys.setprofile(None)
     order = ["import", *cycle_hash.WORKLOADS]
-    for (where, name), n in sorted(counts.items(),
+    for (phase, name), n in sorted(tally.counts.items(),
                                    key=lambda item: (order.index(item[0][0]), -item[1],
                                                      item[0][1])):
-        print(f"{where:8} {n:8}  {name}")
-    reached = {name for _, name in counts}
+        print(f"{phase:8} {n:8}  {name}")
+    reached = {name for _, name in tally.counts}
     for name in _defined():
         if name not in reached:
             print(f"unreached  {name}")
