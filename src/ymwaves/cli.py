@@ -78,6 +78,130 @@ def _fmt(x: float) -> str:
     return _FMT % x
 
 
+def _percent(values) -> list[str]:
+    """Each of a float array's values as %.17g writes it."""
+    return (((_FMT + "\n") * len(values)) % tuple(values.tolist())).splitlines()
+
+
+def _digit_groups() -> np.ndarray:
+    """The ASCII digits of 0000..9999 as 4-byte words, word i holding i's
+    four digits in order. Each digit column is broadcast from the ten
+    digits, so building it makes no transient larger than the 40 KB table."""
+    groups = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for i in range(4):
+        groups[..., i] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - i))
+    return groups.reshape(-1).view(np.uint32)
+
+
+_GROUPS = _digit_groups()
+# 10^-4 .. 10^17 as doubles: %.17g writes fixed notation where the 17-digit
+# exponent X is -4 to 16, for 1e-4 <= x < 1e17. Each double 10^k here is at
+# or above the real 10^k, and the double below it is more than 5e-17 of it
+# below (8.3e-17 at 0.1, the closest), so each x in [10^X, 10^(X+1)) rounds
+# to 17 digits at X, none up to 10^(X+1)
+_TENS = np.array([float(f"1e{k}") for k in range(-4, 18)])
+_SPLITTER = 134217729.0  # 2^27 + 1
+
+
+def _halves(x):
+    """Veltkamp's split of x into a high and a low half of 26 bits each."""
+    c = _SPLITTER * x
+    high = c - (c - x)
+    return high, x - high
+
+
+# 10^s for s = 16 - X, exact for s <= 22, and its halves
+_SCALES = np.array([float(10 ** s) for s in range(21)])
+_SCALE_HIGH, _SCALE_LOW = _halves(_SCALES)
+
+
+def _lead(x: int) -> bytes:
+    """The first 8 bytes of a row at exponent x in _magnitude_texts, the
+    first digit's byte marked 1: byte 7, after "0." and zeros below 1 and
+    at x = 16, which has no point; else byte 6, before the point."""
+    if x < 0:
+        return (b"0." + b"0" * (-1 - x)).rjust(7, b"\0") + b"\1"
+    return b"\0" * 6 + b"\1." if x < 16 else b"\0" * 7 + b"\1"
+
+
+# per exponent, as 8-byte words: the lead with "0" in the first digit's
+# byte, and the word that adds the digit there; then the row's first byte
+_LEADS = np.frombuffer(b"".join(_lead(x).replace(b"\1", b"0") for x in range(-4, 17)), np.uint64)
+_UNITS = np.frombuffer(b"".join(bytes(c == 1 for c in _lead(x)) for x in range(-4, 17)), np.uint64)
+_STARTS = [8 - len(_lead(x).lstrip(b"\0")) for x in range(-4, 17)]
+
+
+def _rounded(x, s):
+    """round(x 10^s) as int64, for x 10^s from 10^16 up to below 10^17, and
+    whether it is a tie. Dekker's two-product gives the exact x 10^s as
+    p + e, where p = fl(x 10^s) >= 10^16 > 2^53 is an integer, so the
+    rounding is p plus e rounded, and the fractional part of e decides it
+    exactly; a tie is a fractional part of 1/2."""
+    high, low = _halves(x)
+    p = x * _SCALES[s]
+    e = ((high * _SCALE_HIGH[s] - p) + high * _SCALE_LOW[s] + low * _SCALE_HIGH[s]
+         ) + low * _SCALE_LOW[s]
+    whole = np.floor(e)
+    frac = e - whole
+    return p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5), frac == 0.5
+
+
+def _digit_rows(n, run):
+    """The 32-byte rows of _magnitude_texts for 17-digit integers n, at the
+    exponents run - 4: the lead (_lead) with the first digit, the other 16
+    digits from byte 8 on as four 4-digit groups from _GROUPS, and a
+    newline at byte 24."""
+    words = np.empty((len(n), 8), np.uint32)
+    upper = n // 10 ** 8
+    first = upper // 10 ** 8
+    words.view(np.uint64)[:, 0] = _LEADS[run] + _UNITS[run] * first.astype(np.uint64)
+    for i, eight in enumerate((upper - first * 10 ** 8, n - upper * 10 ** 8)):
+        four = eight // 10 ** 4
+        words[:, 2 + 2 * i] = _GROUPS[four]
+        words[:, 3 + 2 * i] = _GROUPS[eight - four * 10 ** 4]
+    rows = words.view(np.uint8)
+    rows[:, 24] = ord("\n")
+    return rows
+
+
+def _magnitude_texts(m) -> list[str]:
+    """The text %.17g writes for each of m, ascending nonnegative floats
+    with any NaN last (np.unique's magnitudes).
+
+    The values 1e-4 <= x < 1e17, which %.17g writes in fixed notation, are
+    written here, each run of one exponent X at once: its 17 digits are
+    x 10^s rounded, s = 16 - X, exactly (_rounded), laid out in rows
+    (_digit_rows). At X = 1 to 15 the X digits after the first move one
+    byte left, over the lead's point, which goes after them. Each run's
+    rows are cut from their first byte and joined, and trailing zeros are
+    stripped as %.17g strips them. %.17g itself writes the rest: the values
+    outside [1e-4, 1e17), and an exact tie, whose rounding it defines.
+    The arrays of each step are dropped when it returns, so the peak
+    memory is the rows' and the texts'.
+    """
+    bounds = np.searchsorted(m, _TENS)
+    lo, hi = bounds[0], bounds[-1]
+    x = m[lo:hi]
+    run = np.repeat(np.arange(21), np.diff(bounds))  # X + 4
+    n, tie = _rounded(x, 20 - run)
+    rows = _digit_rows(n, run)
+    cut = []
+    for exp, start, a, b in zip(range(-4, 17), _STARTS, bounds[:-1] - lo, bounds[1:] - lo):
+        if a == b:
+            continue
+        if 0 < exp < 16:
+            rows[a:b, 7:7 + exp] = rows[a:b, 8:8 + exp]
+            rows[a:b, 7 + exp] = ord(".")
+        cut.append(rows[a:b, start:25].tobytes())
+    texts = b"".join(cut).decode("ascii").splitlines()
+    # a trailing zero is after the point, but at X = 16, which has none
+    for i in np.flatnonzero((rows[:, 23] == ord("0")) & (run < 20)).tolist():
+        texts[i] = texts[i].rstrip("0").rstrip(".")
+    for i in np.flatnonzero(tie).tolist():
+        texts[i] = _FMT % x[i]
+    return _percent(m[:lo]) + texts + _percent(m[hi:])
+
+
 # the couplings and --out, the flags of every command; a Family I or II wave
 # alone (family_wave) reads omega / c = k alone, so takes no --omega or --c
 def _add_shared_flags(sp, family_wave=False):
@@ -353,11 +477,14 @@ def cmd_scan(args) -> int:
 def _csv_block(columns) -> str:
     """Float columns of one length as CSV rows, each value as %.17g writes
     it alone. Each distinct magnitude, matched on its bits, is formatted
-    once, and a value takes its magnitude's text with a "-" where its sign
-    bit is set, so -0 is "-0"; not on a NaN, which %.17g writes "nan"."""
+    once (_magnitude_texts: in numpy from 1e-4 up to below 1e17, where
+    %.17g writes fixed notation, digit for digit as it does; by %.17g
+    itself elsewhere and on exact ties), and a value takes its magnitude's
+    text with a "-" where its sign bit is set, so -0 is "-0"; not on a NaN,
+    which %.17g writes "nan"."""
     cols = np.array(columns)
     bits, where = np.unique(np.abs(cols).view(np.int64), return_inverse=True)
-    text = (((_FMT + "\n") * len(bits)) % tuple(bits.view(np.float64).tolist())).splitlines()
+    text = _magnitude_texts(bits.view(np.float64))
     cells = np.array(text, dtype=object)[where.reshape(cols.shape)]
     negative = np.signbit(cols) & ~np.isnan(cols)
     cells[negative] = "-" + cells[negative]
@@ -382,8 +509,10 @@ def cmd_fields(args) -> int:
     magnitude once: on a product grid t, y, z, theta and the sigma_z parts
     repeat, and on a null wave, Families I and II, B's coefficient groups
     are E's negated, so |B_x| is |E_y| bit for bit and B_x formats nothing
-    of its own. y and z are printed as evaluated, t as given, from its own
-    axis, not c t, which is refused unless finite."""
+    of its own. A magnitude in [1e-4, 1e17), nearly every one a grid
+    writes, is written in numpy from its exact 17-digit rounding, as %.17g
+    writes it; %.17g writes the rest. y and z are printed as evaluated, t
+    as given, from its own axis, not c t, which is refused unless finite."""
     p = _build_params(args)
     grid, t_given = _grids(args)
     # the grid is checked whole before the first row is written, and then

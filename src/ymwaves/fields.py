@@ -356,8 +356,8 @@ def _grid_axis(lo, hi, n) -> _Axis:
 class _Grid:
     """The product grid of three axes t, y, z, held as its three _Axis
     tuples. Its row order, t slowest and z fastest, is written once, in
-    coordinates; blocks, angle_blocks and residuals.grid_points all take
-    their points from it."""
+    indices; coordinates, and through it blocks and residuals.grid_points,
+    and angle_blocks all take their points from it."""
 
     def __init__(self, t, y, z):
         self.t, self.y, self.z = t, y, z
@@ -377,11 +377,16 @@ class _Grid:
     def __len__(self) -> int:
         return self.t.count * self.y.count * self.z.count
 
+    def indices(self, rows):
+        """The t, y and z indices of the given row numbers: the grid's row
+        order, t slowest and z fastest."""
+        it, rest = np.divmod(np.asarray(rows), self.y.count * self.z.count)
+        return (it, *np.divmod(rest, self.z.count))
+
     def coordinates(self, rows) -> np.ndarray:
         """The given row numbers as the columns t, x, y, z of a (4, n)
         array, at x = _GRID_X."""
-        it, rest = np.divmod(np.asarray(rows), self.y.count * self.z.count)
-        iy, iz = np.divmod(rest, self.z.count)
+        it, iy, iz = self.indices(rows)
         return np.array([self.t.at(it), np.full(len(it), _GRID_X), self.y.at(iy),
                          self.z.at(iz)])
 
@@ -415,7 +420,7 @@ class _Grid:
     def angle_blocks(self, p: AnsatzParams):
         """The cos and sin of the grid's phases, each (t, z) pair once, t
         slower, in the blocks of _chunks: the phases of the rows of the
-        (t, z) plane, the grid at one y, taken from its coordinates.
+        (t, z) plane, the grid at one y, from their t and z values alone.
 
         A point's phase depends on it only through its (t, z) pair, so the
         trigonometry runs on the nt nz phases, not on the nt ny nz points
@@ -425,8 +430,8 @@ class _Grid:
         """
         self.check(p)
         plane = _Grid(self.t, _Axis(0.0, 0.0, 1), self.z)
-        return (_cos_sin(_phase(p, t, z))
-                for t, _, _, z in map(plane.coordinates, _chunks(len(plane))))
+        return (_cos_sin(_phase(p, self.t.at(it), self.z.at(iz)))
+                for it, _, iz in map(plane.indices, _chunks(len(plane))))
 
 
 def _field_columns(p: AnsatzParams, angles):

@@ -16,7 +16,8 @@ energy-profile evaluates the density at each of its phases directly,
 not at a point whose coordinates realize it (point_at_phase). The
 density and the closed forms are plain arithmetic on floats or columns
 that squares by multiplication, so the profile takes both once per
-block, with the rounding of a single phase.
+block, on the block's one column of cosines, with the rounding of a
+single phase.
 """
 
 from __future__ import annotations
@@ -59,17 +60,22 @@ def energy_density(p: AnsatzParams, s: SpacetimePoint, kappa: float = 0.25) -> f
     return _density(p, _angles(p, s), kappa)
 
 
-def energy_closed_form(sol: FamilySolution, theta: float | np.ndarray) -> float | np.ndarray:
-    """Per-family density at phase theta (kappa = 1/4 normalization), at a
-    float or on a column of phases, with the same rounding: inf or nan
-    where it overflows, as energy_density is. Squares multiply, as in
-    _density: k^2 alpha4^2 is (k k)(alpha4 alpha4) and cos^2 theta is c c."""
-    amp, c = (sol.k * sol.k) * (sol.alpha4 * sol.alpha4), np.cos(theta)
+def _closed_form(sol: FamilySolution, c):
+    """energy_closed_form at c, the cosine of the phase: a float or a column."""
+    amp = (sol.k * sol.k) * (sol.alpha4 * sol.alpha4)
     if sol.family == "I":
         return amp * (c * c)
     if sol.family == "II":
         return 0.5 * amp * (1.0 - sol.xi * sol.eta * c)
     raise ValueError(f"no closed-form density for family {sol.family!r}")
+
+
+def energy_closed_form(sol: FamilySolution, theta: float | np.ndarray) -> float | np.ndarray:
+    """Per-family density at phase theta (kappa = 1/4 normalization), at a
+    float or on a column of phases, with the same rounding: inf or nan
+    where it overflows, as energy_density is. Squares multiply, as in
+    _density: k^2 alpha4^2 is (k k)(alpha4 alpha4) and cos^2 theta is c c."""
+    return _closed_form(sol, np.cos(theta))
 
 
 def mean_energy_closed_form(sol: FamilySolution) -> float:
@@ -103,8 +109,8 @@ def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
     2 pi i / n_samples, as blocks of (thetas, densities, sol's closed
     forms), float columns. The density is evaluated at each theta itself,
     through its cosine and sine, at frame angle 0: the profile's points sit
-    at y = 0; the closed form is energy_closed_form on the block's column of
-    thetas. The phases are made block by block, in the sample numbers'
+    at y = 0; the closed form is energy_closed_form's on the same column of
+    cosines. The phases are made block by block, in the sample numbers'
     blocks of fields._chunks, so memory does not grow with n_samples.
 
     Checks the input and the whole sweep before returning, so that a caller
@@ -119,8 +125,8 @@ def _profile_blocks(p: AnsatzParams, sol: FamilySolution, n_samples: int):
     def blocks():
         for samples in _chunks(n_samples):
             theta = 2.0 * math.pi * samples / n_samples
-            yield (theta, _density(p, (*_cos_sin(theta), 1.0, 0.0), 0.25),
-                   energy_closed_form(sol, theta))
+            cos, sin = _cos_sin(theta)
+            yield theta, _density(p, (cos, sin, 1.0, 0.0), 0.25), _closed_form(sol, cos)
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
         # one pass over the sweep that keeps nothing, before any row is made

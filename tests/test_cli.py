@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -451,6 +452,60 @@ def test_csv_block_is_each_values_own_text(rows):
     want = "".join(",".join("%.17g" % v for v in row) + "\r\n"
                    for row in zip(a.tolist(), b.tolist(), (-a).tolist()))
     assert ymwaves.cli._csv_block([a, b, -a]) == want
+
+
+def _texts(values):
+    """_magnitude_texts of values' distinct magnitudes, ascending, and the
+    text %.17g writes for each."""
+    m = np.unique(np.abs(np.asarray(values, dtype=float)).view(np.int64)).view(np.float64)
+    return ymwaves.cli._magnitude_texts(m), ["%.17g" % x for x in m.tolist()]
+
+
+def test_magnitude_texts_are_17g_on_random_bits_about_the_fixed_range():
+    # %.17g's fixed notation, 1e-4 <= x < 1e17, and 1,000 doubles past each end
+    lo, hi = np.array([1e-4, 1e17]).view(np.int64)
+    bits = np.random.default_rng(0).integers(lo - 1000, hi + 1000, 200_000)
+    got, want = _texts(bits.view(np.float64))
+    assert got == want
+
+
+def _ties():
+    """Doubles x whose x 10^s is a half-integer, s = 16 - X for their
+    17-digit exponent X: %.17g rounds them half to even."""
+    ties = [1234567890123456 + i / 4 for i in (1, 3, 5, 7)]
+    for s in range(1, 21):  # j / 2^(s+1), j odd, times 10^s is j 5^s / 2
+        j = int(1.2345 * 10 ** (16 - s) * 2 ** (s + 1)) | 1
+        ties += [(j + 2 * i) / 2 ** (s + 1) for i in range(4)]
+    return ties
+
+
+def test_magnitude_texts_are_17g_at_powers_of_ten_ties_and_trailing_zeros():
+    near_tens = []
+    for k in range(-4, 18):
+        down = up = float(f"1e{k}")
+        near_tens.append(up)
+        for _ in range(3):
+            down, up = math.nextafter(down, 0.0), math.nextafter(up, math.inf)
+            near_tens += [down, up]
+    ties = _ties()
+    for x in ties:  # each is a tie at its exponent
+        assert (Fraction(x) * Fraction(10) ** (16 - int(("%.16e" % x).split("e")[1]))
+                ).denominator == 2
+    # trailing zeros, stripped with the point, but at 1e16 and up, which have none
+    zeros = ([2.0, 100.0, 0.5, 1e16, 3e-4] + [k + 0.5 for k in range(20)]
+             + [float(10 ** 16 + i) for i in range(-40, 40, 2)]
+             + [float(10 ** 17 - 16 * i) for i in range(1, 40)])
+    got, want = _texts(near_tens + ties + zeros)
+    assert got == want
+
+
+@given(st.lists(_FLOATS | st.floats(1e-4, 1e17), max_size=60))
+@example([])
+@example([0.0, 1e-5, 1e17, math.inf, math.nan])
+def test_magnitude_texts_are_17g_on_any_magnitudes(values):
+    # any set of them, the fixed run empty or not
+    got, want = _texts(values)
+    assert got == want
 
 
 def test_energy_profile_family_ii(capsys):

@@ -184,13 +184,14 @@ def test_closed_forms_that_overflow_are_inf(family):
 
 
 def test_the_profile_takes_its_closed_form_once_per_block_and_pass(monkeypatch, capsys):
+    # on the block's cosines, the density's own, not on the phases again
     calls = []
-    original = ymwaves.observables.energy_closed_form
+    original = ymwaves.observables._closed_form
 
-    def counting(sol, theta):
-        calls.append(np.size(theta))
-        return original(sol, theta)
-    monkeypatch.setattr(ymwaves.observables, "energy_closed_form", counting)
+    def counting(sol, cos_theta):
+        calls.append(np.size(cos_theta))
+        return original(sol, cos_theta)
+    monkeypatch.setattr(ymwaves.observables, "_closed_form", counting)
     assert main(["energy-profile", "--family", "II", "--alpha4", "-0.8", "--k", "1.7",
                  "--theta-samples", "1030"]) == 0
     assert capsys.readouterr().out.count("\r\n") == 1 + 1030
