@@ -30,6 +30,7 @@ from ymwaves.constraints import (
     build_family_iii,
     normalized_constraints,
 )
+from ymwaves.csvtext import _csv_block
 from ymwaves.fields import AnsatzParams, SpacetimePoint, _derivative_bounds
 from ymwaves.residuals import bianchi_residual
 
@@ -451,17 +452,20 @@ def test_csv_block_is_each_values_own_text(rows):
     b = np.array([{"-a": -v, "a": v, "other": w}[how] for v, how, w in rows])
     want = "".join(",".join("%.17g" % v for v in row) + "\r\n"
                    for row in zip(a.tolist(), b.tolist(), (-a).tolist()))
-    assert ymwaves.cli._csv_block([a, b, -a]) == want
+    assert _csv_block([a, b, -a]) == want
 
 
 def _texts(values):
-    """_magnitude_texts of values' distinct magnitudes, ascending, and the
-    text %.17g writes for each."""
+    """The rows of _csv_block of values' distinct magnitudes m, ascending,
+    in the columns m and -m, each with its "\\r\\n", and the rows %.17g
+    writes for them. Lists of rows, not one text, so that pytest reports a
+    wrong row at once rather than diffing a 200,000-line text."""
     m = np.unique(np.abs(np.asarray(values, dtype=float)).view(np.int64)).view(np.float64)
-    return ymwaves.cli._magnitude_texts(m), ["%.17g" % x for x in m.tolist()]
+    want = ["%.17g,%.17g\r\n" % (x, -x) for x in m.tolist()]
+    return _csv_block([m, -m]).splitlines(keepends=True), want
 
 
-def test_magnitude_texts_are_17g_on_random_bits_about_the_fixed_range():
+def test_csv_block_is_17g_on_random_bits_about_the_fixed_range():
     # %.17g's fixed notation, 1e-4 <= x < 1e17, and 1,000 doubles past each end
     lo, hi = np.array([1e-4, 1e17]).view(np.int64)
     bits = np.random.default_rng(0).integers(lo - 1000, hi + 1000, 200_000)
@@ -479,7 +483,7 @@ def _ties():
     return ties
 
 
-def test_magnitude_texts_are_17g_at_powers_of_ten_ties_and_trailing_zeros():
+def test_csv_block_is_17g_at_powers_of_ten_ties_and_trailing_zeros():
     near_tens = []
     for k in range(-4, 18):
         down = up = float(f"1e{k}")
@@ -502,10 +506,27 @@ def test_magnitude_texts_are_17g_at_powers_of_ten_ties_and_trailing_zeros():
 @given(st.lists(_FLOATS | st.floats(1e-4, 1e17), max_size=60))
 @example([])
 @example([0.0, 1e-5, 1e17, math.inf, math.nan])
-def test_magnitude_texts_are_17g_on_any_magnitudes(values):
+def test_csv_block_is_17g_on_any_magnitudes(values):
     # any set of them, the fixed run empty or not
     got, want = _texts(values)
     assert got == want
+
+
+def test_an_empty_block_is_no_text():
+    assert _csv_block([np.empty(0), np.empty(0)]) == ""
+
+
+def test_the_widest_texts_fill_their_cells_in_every_column():
+    # with its sign each takes the 24 bytes before its separator: a cell one
+    # byte short, or a separator written over a text, cuts or moves one
+    wide = [-1.7976931348623157e308, -2.2250738585072014e-308, -5e-324,
+            -0.00012345678901234567, math.copysign(math.nan, -1.0), -0.0]
+    narrow = np.ones(len(wide))
+    columns = [np.array(wide), narrow, np.roll(wide, 2), 2.0 * narrow, np.roll(wide, 4)]
+    want = "".join(",".join("%.17g" % v for v in row) + "\r\n"
+                   for row in zip(*(c.tolist() for c in columns)))
+    assert want.startswith("-1.7976931348623157e+308,1,nan,2,-4.9406564584124654e-324\r\n")
+    assert _csv_block(columns) == want
 
 
 def test_energy_profile_family_ii(capsys):
@@ -937,6 +958,22 @@ def test_a_scan_loads_no_random_number_library():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert (lines[1], lines[-1]) == ("False", "[]"), proc.stdout
+
+
+def test_only_the_csv_commands_load_the_csv_writer():
+    # a start without a bytecode cache compiles every module it imports
+    env = {"PYTHONPATH": str(Path(ymwaves.cli.__file__).parents[1]), "PATH": ""}
+    code = ("import sys, ymwaves.cli; main = ymwaves.cli.main; "
+            "main(['classify', '--family', 'I', '--alpha4', '1']); "
+            "main(['verify', '--family', 'I', '--alpha4', '1', '--grid', '0:1:2,0:0:1,0:1:2']); "
+            "main(['scan', '--seeds', '3']); print('ymwaves.csvtext' in sys.modules); "
+            "main(['energy-profile', '--family', 'I', '--alpha4', '1', '--theta-samples', '2']); "
+            "print('ymwaves.csvtext' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line for line in proc.stdout.splitlines() if line in ("False", "True")]
+    assert loaded == ["False", "True"], proc.stdout
 
 
 # c1 and c7 and their scales overflow: the terms in the scales, the

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import ymwaves.cli
+import ymwaves.csvtext
 import ymwaves.fields
 from ymwaves.cli import _parse_grid, _parser, main
 from ymwaves.constraints import build_family_i, build_family_ii, classify, nine_constraints
@@ -173,7 +174,7 @@ class _RecordingNumpy:
 ])
 def test_fields_formats_each_distinct_magnitude_once(argv, b_adds, monkeypatch, capsys):
     recording = _RecordingNumpy()
-    monkeypatch.setattr(ymwaves.cli, "np", recording)
+    monkeypatch.setattr(ymwaves.csvtext, "np", recording)
     _run([*argv, f"--grid={_grid_text(CONFIGS[-1][-1])}"], capsys)
     assert [bits.shape for bits, _ in recording.calls] == [(10, 1024), (10, 4 * 5 * 65 - 1024)]
     for bits, formatted in recording.calls:
