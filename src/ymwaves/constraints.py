@@ -11,9 +11,12 @@ The known solution branches, Families I-III and the two degenerate
 planes (abelian-z and pure-gauge, see scan_families), are written once,
 in the branch table _BRANCHES: each is an offset plus free parameters
 along 0/+-1 directions in amplitude space, and its linear equations
-(_EQUATIONS) are the residual of the projection onto it. The builders,
-classify, branch_projection and the scan's snap all read the branches
-from it. classify judges each branch's equations as a verdict, against
+(_EQUATIONS) are the residual of the projection onto it. An offset is
+data, five slots, each a literal 0.0 or -0.0 or one entry +-coupling /
+(2 g) or +-coupling / (4 g) of a single coupling (_Branch), so that
+_offsets evaluates every row in one gather and an entry rounds once, as
+its formula does. The builders, classify, branch_projection and the
+scan's snap all read the branches from it. classify judges each branch's equations as a verdict, against
 themselves on magnitudes (_misfits); the light cone (_on_cone) is
 judged the same way, and a wave family describes only a running wave,
 alpha4 != 0 (_applies).
@@ -25,7 +28,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -289,39 +292,44 @@ class ClassificationError(RuntimeError):
 
 
 class _Branch(NamedTuple):
-    """A solution branch in amplitude space: offset + sum_m t_m directions[m]."""
+    """A solution branch in amplitude space: offset + sum_m t_m directions[m].
+
+    Its offset is data, five slots. A slot is a literal, 0.0 or -0.0, or
+    one entry (numerator, coupling, denominator), numerator +-1, coupling
+    'omega', 'k' or 'lam' and denominator 2 or 4, which stands for
+    numerator coupling / (denominator g). An entry takes one coupling, so
+    that it rounds once, in the division: a sum over couplings would turn
+    -lam / 2g at lam = 0.0 into +0.0."""
 
     label: str
     eta: Optional[int]
     xi: Optional[int]
     cone: bool  # exists only on the light cone omega = k
     wave: bool  # describes only rows with a running wave, alpha4 != 0
-    offset: Callable  # (lam, k, omega, g) -> five amplitudes
+    slots: tuple  # the five offset slots, literals or entries
     directions: tuple  # one or two 0/+-1 vectors with no coordinate in common
+
+    def offset(self, lam, k, omega, g) -> list[float]:
+        """The branch's offset at the couplings, five floats: _offsets of its row alone."""
+        row = _BRANCHES.index(self)
+        return _offsets((lam, k, omega, g), slice(row, row + 1))[0].tolist()
 
 
 # The catalogue, the one place each branch is written. Ties between
 # equally near branches go to the earlier row. A free coordinate without
 # an offset holds -0.0, the additive identity, so offset + t is t exactly.
 _BRANCHES = (
-    _Branch("I", None, None, True, True,
-            lambda lam, k, omega, g: (0.0, 0.0, -lam / (2.0 * g), -0.0, 0.0),
+    _Branch("I", None, None, True, True, (0.0, 0.0, (-1, "lam", 2), -0.0, 0.0),
             ((0, 0, 0, 1, 0),)),
     *(_Branch("II", eta, xi, True, True,
-              lambda lam, k, omega, g, eta=eta: (
-                  eta * k / (4.0 * g), eta * k / (4.0 * g), -lam / (2.0 * g), -0.0, -0.0),
-              ((0, 0, xi, 1, eta),))
-      for eta in (1, -1) for xi in (1, -1)),
+              ((eta, "k", 4), (eta, "k", 4), (-1, "lam", 2), -0.0, -0.0),
+              ((0, 0, xi, 1, eta),)) for eta in (1, -1) for xi in (1, -1)),
     *(_Branch("III", eta, None, False, True,
-              lambda lam, k, omega, g, eta=eta: (
-                  eta * omega / (2.0 * g), eta * k / (2.0 * g), -lam / (2.0 * g), -0.0, -0.0),
-              ((0, 0, 0, 1, eta),))
-      for eta in (1, -1)),
-    _Branch("abelian-z", None, None, True, False,
-            lambda lam, k, omega, g: (0.0, 0.0, -0.0, 0.0, -0.0),
+              ((eta, "omega", 2), (eta, "k", 2), (-1, "lam", 2), -0.0, -0.0),
+              ((0, 0, 0, 1, eta),)) for eta in (1, -1)),
+    _Branch("abelian-z", None, None, True, False, (0.0, 0.0, -0.0, 0.0, -0.0),
             ((0, 0, 1, 0, 0), (0, 0, 0, 0, 1))),
-    _Branch("pure-gauge", None, None, False, False,
-            lambda lam, k, omega, g: (-0.0, -0.0, -lam / (2.0 * g), 0.0, 0.0),
+    _Branch("pure-gauge", None, None, False, False, (-0.0, -0.0, (-1, "lam", 2), 0.0, 0.0),
             ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))),
 )
 
@@ -331,6 +339,12 @@ _CONE = np.array([b.cone for b in _BRANCHES])
 _WAVE = np.array([b.wave for b in _BRANCHES])
 _DIRECTIONS = np.array([b.directions + ((0,) * 5,) * (2 - len(b.directions))
                         for b in _BRANCHES], dtype=float)
+# each offset slot as its place among the quotients _offsets takes,
+# (0.0, -0.0, lam, -lam, k, -k, omega, -omega) each over 1, 2 g and 4 g:
+# a literal over 1 is itself
+_QUOTIENTS = np.array([[3 * (math.copysign(1.0, s) < 0) if isinstance(s, float) else
+                         3 * (2 + 2 * ("lam", "k", "omega").index(s[1]) + (s[0] < 0)) + s[2] // 2
+                         for s in b.slots] for b in _BRANCHES])
 # each direction slot of the branches, with max(1, d . d) and where d != 0
 _SLOTS = [(d, np.maximum(1.0, np.sum(d * d, axis=1)), d != 0.0)
           for d in _DIRECTIONS.transpose(1, 0, 2)]
@@ -342,23 +356,27 @@ _EQUATIONS = np.array([np.eye(5) - sum(np.outer(d, d) / d.dot(d)
                        for b in _BRANCHES])
 
 
-def _offsets(couplings, branches=_BRANCHES) -> np.ndarray:
-    """The offsets of the branches at couplings (lam, k, omega, g), shape
-    (branches, 5), the one place the table's offsets are evaluated. Each is
-    taken once, on the couplings as the caller holds them, so that an int
-    lam = 0 gives alpha3 = 0.0 where np.float64 would give -0.0. Raises
-    ValueError naming a coupling that is not finite, and where an offset
-    overflows, as a coupling over a small g does."""
+def _offsets(couplings, rows=slice(None)) -> np.ndarray:
+    """The offsets of the table's rows (all unless given) at couplings
+    (lam, k, omega, g), shape (rows, 5), the one place the table's offsets
+    are evaluated: the quotients are taken once per call, and every slot
+    of every row is one gather at its place (_QUOTIENTS), with no loop
+    over the rows. A literal is itself; an entry is its coupling, negated as
+    the caller holds it, over its denominator times g, rounded once as
+    numerator coupling / (denominator g) rounds, so that an int lam = 0
+    gives alpha3 = 0.0 where np.float64 would give -0.0. Raises ValueError
+    naming a coupling that is not finite, and naming the first row whose
+    offset is not finite, as a coupling over a small g overflows."""
     for name, value in zip(("lambda", "k", "omega", "g"), couplings):
         _require_finite(name, value)
-    rows = []
-    for b in branches:
-        row = b.offset(*couplings)
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"the {b.label} branch offset is not finite at these couplings; "
-                             "it divides by g")
-        rows.append(row)
-    return np.array(rows)
+    lam, k, omega, g = couplings
+    with np.errstate(all="ignore"):  # an offset that overflows is named below
+        out = np.divide.outer((0.0, -0.0, lam, -lam, k, -k, omega, -omega),
+                              (1.0, 2.0 * g, 4.0 * g)).take(_QUOTIENTS[rows])
+    if not (finite := np.isfinite(out)).all():
+        raise ValueError(f"the {_LABELS[rows][finite.all(axis=1).argmin()]} branch offset is "
+                         "not finite at these couplings; it divides by g")
+    return out
 
 
 def _on_cone(k, omega, tol) -> bool:
@@ -441,9 +459,8 @@ def _build(family, k, omega, alpha4, lam, g, eta=None, xi=None) -> AnsatzParams:
     if branch.xi is not None and alpha4 == 0.0:
         raise ValueError(f"family {family} requires alpha4 != 0")
     omega = k if branch.cone else omega
-    (offset,) = _offsets((lam, k, omega, g), [branch]).tolist()
     (d,) = branch.directions
-    point = [o + s * alpha4 if s else o for o, s in zip(offset, d)]
+    point = [o + s * alpha4 if s else o for o, s in zip(branch.offset(lam, k, omega, g), d)]
     return AnsatzParams(*point, lam=lam, k=k, omega=omega, g=g)
 
 

@@ -8,11 +8,12 @@ keep the bounds, and with them the normalized constraints, bit for bit.
 """
 
 import math
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ymwaves.constraints import (
@@ -211,6 +212,85 @@ def test_every_branch_solves_the_constraints(branch, lam, k, g, omega, free):
     if _applies(point[None, :], True)[0, row]:
         assert dist[0, row] <= 1e-12
         assert branch_projection(point, *couplings)[2] <= 1e-12
+
+
+# The branch offsets as the formulas of the table's rows, written out: the
+# reference that _offsets and _Branch.offset match bit for bit
+REFERENCE_OFFSETS = {
+    ("I", None, None): lambda lam, k, omega, g: (0.0, 0.0, -lam / (2.0 * g), -0.0, 0.0),
+    **{("II", eta, xi): lambda lam, k, omega, g, eta=eta: (
+        eta * k / (4.0 * g), eta * k / (4.0 * g), -lam / (2.0 * g), -0.0, -0.0)
+       for eta in (1, -1) for xi in (1, -1)},
+    **{("III", eta, None): lambda lam, k, omega, g, eta=eta: (
+        eta * omega / (2.0 * g), eta * k / (2.0 * g), -lam / (2.0 * g), -0.0, -0.0)
+       for eta in (1, -1)},
+    ("abelian-z", None, None): lambda lam, k, omega, g: (0.0, 0.0, -0.0, 0.0, -0.0),
+    ("pure-gauge", None, None): lambda lam, k, omega, g: (-0.0, -0.0, -lam / (2.0 * g), 0.0, 0.0),
+}
+
+
+def _reference_offsets(couplings, branches):
+    """The offsets of branches by REFERENCE_OFFSETS, the first that is not
+    finite a ValueError naming its branch, as _offsets raises."""
+    rows = []
+    for b in branches:
+        row = REFERENCE_OFFSETS[b.label, b.eta, b.xi](*couplings)
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"the {b.label} branch offset is not finite")
+        rows.append(row)
+    return np.array(rows)
+
+
+def _bits(call):
+    """call's result as int64 bits, or the message of the ValueError it raises."""
+    try:
+        return call().view(np.int64).tolist()
+    except ValueError as e:
+        return str(e).split(" is not finite")[0]
+
+
+# any coupling: moderate, 1e-300 to 1e300 in magnitude, a signed zero, a
+# small int, or a random finite bit pattern, subnormals among them
+any_coupling = (st.floats(min_value=-3.0, max_value=3.0)
+                | st.builds(lambda m, e: m * 10.0 ** e,
+                            st.floats(1.0, 10.0) | st.floats(-10.0, -1.0), st.integers(-300, 299))
+                | st.sampled_from([0.0, -0.0]) | st.integers(-3, 3)
+                | st.integers(0, 2 ** 64 - 1).map(
+                    lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(math.isfinite))
+
+
+@settings(max_examples=500)
+@given(any_coupling, any_coupling, any_coupling, any_coupling.filter(lambda g: g != 0))
+def test_offsets_are_the_formulas_bit_for_bit(lam, k, omega, g):
+    # the table's offsets, all rows at once and each branch's own row, are
+    # the formulas' bits, and raise where they raise, naming the same branch
+    couplings = (lam, k, omega, g)
+    assert _bits(lambda: _offsets(couplings)) == _bits(
+        lambda: _reference_offsets(couplings, _BRANCHES))
+    for b in _BRANCHES:
+        assert _bits(lambda: np.array(b.offset(*couplings))) == _bits(
+            lambda: _reference_offsets(couplings, [b])[0])
+
+
+def test_every_row_solves_c1_to_c9_exactly():
+    # each row read as exact data, an entry (n, coupling, d) as n / d
+    # coupling / g and a literal as 0, plus t1 and t2 along its
+    # directions, with the cone rows at omega = k: every c_i expands to 0
+    sp = pytest.importorskip("sympy")
+    lam, k, omega, g, t1, t2 = sp.symbols("lam k omega g t1 t2")
+    nonzero = {}  # the indices of the c_i that do not vanish, per row
+    for b in _BRANCHES:
+        couplings = {"lam": lam, "k": k, "omega": k if b.cone else omega}
+        point = [0 if isinstance(s, float) else sp.Rational(s[0], s[2]) * couplings[s[1]] / g
+                 for s in b.slots]
+        for t, d in zip((t1, t2), b.directions):
+            point = [p + t * v for p, v in zip(point, d)]
+        a1, a2, a3, a4, a5 = point
+        c = _polynomials(a1, a2, lam + 2 * g * a3, a4, a5, k, couplings["omega"], g)
+        bad = [i for i, ci in enumerate(c, 1) if sp.expand(ci) != 0]
+        if bad:
+            nonzero[b.label, b.eta, b.xi] = bad
+    assert not nonzero
 
 
 def _paths(x, lam, k, omega, g):

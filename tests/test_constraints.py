@@ -311,19 +311,38 @@ def test_branch_projection_validates_input(alphas, bad):
         branch_projection(alphas, **(dict(lam=0.0, k=1.0, omega=1.0, g=1.0) | bad))
 
 
-@pytest.mark.parametrize("call", [
+@pytest.mark.parametrize("call, branch", [
     # omega / 2g overflows, the Family III offset, while omega^2 does not
-    lambda: branch_projection((0.0, 0.0, 0.0, 1.0, 0.0), 0.0, 1.0, 1e150, 1e-200),
-    lambda: refine_alphas((0.5, -1.0, 0.7, 1.1, -0.2), 0.0, 1.0, 1e150, 1e-200),
-    lambda: scan_families(3, omega=1e150, g=1e-200),
-    lambda: build_family_iii(1.0, 1e150, 1.0, 0.0, 1e-200),
-    lambda: classify(AnsatzParams(k=1.0, omega=1e150, g=1e-200)),
+    (lambda: branch_projection((0.0, 0.0, 0.0, 1.0, 0.0), 0.0, 1.0, 1e150, 1e-200), "III"),
+    (lambda: refine_alphas((0.5, -1.0, 0.7, 1.1, -0.2), 0.0, 1.0, 1e150, 1e-200), "III"),
+    (lambda: scan_families(3, omega=1e150, g=1e-200), "III"),
+    (lambda: build_family_iii(1.0, 1e150, 1.0, 0.0, 1e-200), "III"),
+    (lambda: classify(AnsatzParams(k=1.0, omega=1e150, g=1e-200)), "III"),
     # k / 4g overflows
-    lambda: build_family_ii(1e10, 1.0, 0.0, 1e-300, 1, 1),
+    (lambda: build_family_ii(1e10, 1.0, 0.0, 1e-300, 1, 1), "II"),
 ])
-def test_couplings_that_overflow_a_branch_offset_are_rejected(call):
-    with pytest.raises(ValueError, match="branch offset is not finite"):
+def test_couplings_that_overflow_a_branch_offset_are_rejected(call, branch):
+    with pytest.raises(ValueError, match=f"^the {branch} branch offset is not finite"):
         call()
+
+
+def test_offsets_take_the_couplings_as_the_caller_holds_them():
+    # -lam / 2g of an int lam = 0 is +0.0, of a float lam = 0.0 is -0.0,
+    # in the table and through a builder
+    for lam, sign in ((0, 1.0), (0.0, -1.0)):
+        alpha3 = (_offsets((lam, 1.0, 1.0, 1.0))[0, 2],
+                  build_family_i(k=1.0, alpha4=1.0, lam=lam, g=1.0).alpha3)
+        assert [math.copysign(1.0, a) for a in alpha3] == [sign, sign]
+
+
+def test_a_builder_evaluates_its_own_row_alone():
+    # Family II's k / 4g overflows at these couplings, Family I's lam / 2g
+    # does not: the table names II, and Family I builds
+    with pytest.raises(ValueError, match="^the II branch offset is not finite"):
+        _offsets((0.1, 1e150, 1e150, 1e-200))
+    built = (build_family_i(k=1e150, alpha4=1.0, lam=0.1, g=1e-200),
+             FamilySolution("I", 1e150, 1e150, 1.0, 0.1, 1e-200).params())
+    assert [p.alpha3 for p in built] == [-5e198, -5e198]
 
 
 @pytest.mark.parametrize("g, omega, want", [
