@@ -51,7 +51,7 @@ from .constraints import (
 from .fields import (
     AnsatzParams,
     _derivative_bounds,
-    _field_columns,
+    _factored_columns,
     _field_strength_columns,
     _fields_vanish,
     _Grid,
@@ -362,17 +362,11 @@ def _write_csv(args, header, blocks):
 
 
 def cmd_fields(args) -> int:
-    """The closed-form E_y and B_x coefficients on a grid, as CSV.
-
-    Each block of rows is formatted whole (csvtext._csv_block), each
-    distinct magnitude once, as one row of a byte table: on a product grid
-    t, y, z, theta and the sigma_z parts repeat, and on a null wave,
-    Families I and II, B's coefficient groups are E's negated, so |B_x| is
-    |E_y| bit for bit and B_x formats nothing of its own. A magnitude in
-    [1e-4, 1e17), nearly every one a grid writes, is laid out in numpy from
-    its exact 17-digit rounding, as %.17g writes it; %.17g writes the rest.
-    y and z are printed as evaluated, t as given, from its own axis, not
-    c t, which is refused unless finite."""
+    """The closed-form E_y and B_x coefficients on a grid, as CSV. Each
+    block comes by its factors (fields._Grid.blocks): t, y, z, theta and the
+    sigma_z parts go to the writer as their values and each row's index into
+    them. y and z are printed as evaluated, t as given, from its own axis,
+    not c t, which is refused unless finite."""
     p = _build_params(args)
     grid, t_given = _grids(args)
     # the grid is checked whole before the first row is written, and then
@@ -381,13 +375,12 @@ def cmd_fields(args) -> int:
     if not all(map(math.isfinite, t_given.ends())):
         raise OverflowError("the grid's t axis as given is not finite")
     from .csvtext import _csv_block  # only fields and energy-profile load the writer
-    per_t = grid.y.count * grid.z.count
     _write_csv(args, ["t", "y", "z", "theta",
                       "E_y_sigma_x", "E_y_sigma_y", "E_y_sigma_z",
                       "B_x_sigma_x", "B_x_sigma_y", "B_x_sigma_z"],
-               (_csv_block([t_given.at(rows // per_t), y, z, r.theta,
-                            *chain(*_field_columns(p, r.angles()))])
-                for rows, (_, _, y, z), r in blocks))
+               (_csv_block([(t_given.at(t), at_t), (grid.y.at(y), at_y), (grid.z.at(z), at_z),
+                            (r.theta, at_pair), *_factored_columns(p, at_y, at_pair, r)])
+                for (t, y, z), (at_t, at_y, at_z, at_pair), r in blocks))
     return 0
 
 

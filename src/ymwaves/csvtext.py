@@ -160,15 +160,22 @@ def _table(m):
 
 def _csv_block(columns) -> str:
     """Float columns of one length as CSV rows, each value as %.17g writes
-    it alone, each row ended by "\\r\\n". Each distinct magnitude, matched
-    on its bits, is laid out once (_table), and the cells are gathered from
-    the table in row order. A value whose sign bit is set takes a "-" in
-    its cell's byte 0, so -0 is "-0"; not a NaN, which %.17g writes "nan".
-    The last cell of each row ends in "\\r\\n" in place of its ",", and the
-    text is the cells' bytes without their NULs. No rows, no text."""
-    cols = np.array(columns)
-    bits, where = np.unique(np.abs(cols).view(np.int64), return_inverse=True)
-    cells = _table(bits.view(np.float64)).take(where.reshape(cols.shape).T, axis=0)
-    cells[..., 0][(np.signbit(cols) & ~np.isnan(cols)).T] = ord("-")
+    it alone, each row ended by "\\r\\n". A column is an array, or a pair
+    (values, index) for values[index], so a value its rows repeat is matched
+    and signed once. Each distinct magnitude, matched on its bits, is laid
+    out once (_table), and the cells are gathered from the table in row
+    order. A value whose sign bit is set takes a "-" in its cell's byte 0,
+    so -0 is "-0"; not a NaN, which %.17g writes "nan". The last cell of
+    each row ends in "\\r\\n" in place of its ",", and the text is the
+    cells' bytes without their NULs. No rows, no text."""
+    pairs = [c if isinstance(c, tuple) else (c, slice(None)) for c in columns]
+    values = np.concatenate([v for v, _ in pairs])
+    bits, where = np.unique(np.abs(values).view(np.int64), return_inverse=True)
+    # each value's table row, twice, plus 1 where it takes a "-"
+    codes = 2 * where + (np.signbit(values) & ~np.isnan(values))
+    ends = np.cumsum([0] + [len(v) for v, _ in pairs]).tolist()
+    codes = np.array([codes[a:b][i] for a, b, (_, i) in zip(ends, ends[1:], pairs)]).T.copy()
+    cells = _table(bits.view(np.float64)).take(codes >> 1, axis=0)
+    cells[..., 0] = (codes & 1) * ord("-")
     cells[:, -1, 24:] = (ord("\r"), ord("\n"))
     return cells.tobytes().translate(None, b"\0").decode("ascii")

@@ -31,9 +31,9 @@ Everything runs on one array core. The closed forms and the potentials
 are plain arithmetic on the cosines and sines of the phase and of the
 frame angle, giving coefficient triples of floats for one point and of
 numpy columns for many, with the same rounding. _rows is the one way
-from a (4, n) coordinate array to rows: _Grid streams a grid through it
-in blocks, and a stencil is one block of points (_block), the
-coordinates and their copies moved by ih along each axis. Every
+from a (4, n) coordinate array to rows; a stencil is one block of points
+(_block), the coordinates and their copies moved by ih along each axis.
+_Grid streams a grid in blocks by their factors (_Grid.blocks). Every
 derivative in the library is this complex step, f'(x) = Im f(x + ih) / h
 (_derivative), which subtracts nothing and so truncates nothing, at the
 one step _step(p). F is assembled once over its block, with su2's
@@ -356,8 +356,8 @@ def _grid_axis(lo, hi, n) -> _Axis:
 class _Grid:
     """The product grid of three axes t, y, z, held as its three _Axis
     tuples. Its row order, t slowest and z fastest, is written once, in
-    indices; coordinates, and through it blocks and residuals.grid_points,
-    and angle_blocks all take their points from it."""
+    indices: coordinates (and through it residuals.grid_points) and
+    angle_blocks take their points from it, blocks each block's first row."""
 
     def __init__(self, t, y, z):
         self.t, self.y, self.z = t, y, z
@@ -410,12 +410,27 @@ class _Grid:
                                 "or the field coefficients are not finite")
 
     def blocks(self, p: AnsatzParams):
-        """The rows in the blocks of _chunks, in grid order: each
-        block's row numbers, its coordinates (coordinates) and its _Rows.
-        Checks the whole grid (check) before any block is made."""
+        """The blocks of _chunks by their factors. A block's rows are
+        consecutive, so on each axis they touch a run of indices, consecutive
+        modulo its count. A block is the three runs; each row's positions in
+        them and in the (t, z) pairs, the t run times the z run, t slower; and
+        the _Rows of the pairs' phases and the y run's frame angles, at most 3
+        and 1 a row. Checks the whole grid (check) before returning."""
         self.check(p)
-        return ((rows, (coords := self.coordinates(rows)), _rows(p, coords))
-                for rows in _chunks(len(self)))
+        ny, nz = self.y.count, self.z.count
+
+        def blocks():
+            for rows in _chunks(len(self)):
+                (t0, y0, z0), r = self.indices(rows[0]), rows - rows[0]
+                lines = (r + z0) // nz  # the z wraps since the first row
+                at_t, at_z = (lines + y0) // ny, r % nz
+                t = np.arange(t0, t0 + at_t[-1] + 1)
+                y = np.arange(y0, y0 + min(ny, lines[-1] + 1)) % ny
+                z = np.arange(z0, z0 + min(nz, len(r))) % nz
+                theta = _phase(p, self.t.at(t)[:, None], self.z.at(z)).ravel()
+                yield ((t, y, z), (at_t, lines % ny, at_z, at_t * len(z) + at_z),
+                       _Rows(theta, *_cos_sin(theta), *_cos_sin(p.lam * self.y.at(y))))
+        return blocks()
 
     def angle_blocks(self, p: AnsatzParams):
         """The cos and sin of the grid's phases, each (t, z) pair once, t
@@ -439,6 +454,19 @@ def _field_columns(p: AnsatzParams, angles):
     phase and of the frame angle (_angles, _Rows.angles): floats, or
     columns over one block of rows."""
     return tuple(_wave(group, *angles) for group in field_coefficient_groups(p))
+
+
+def _factored_columns(p: AnsatzParams, at_y, at_pair, rows: _Rows):
+    """_field_columns at a grid block's rows (_Grid.blocks), bit for bit:
+    _wave's v and w per (t, z) pair, _along_sy_sz's sx and sy parts per row
+    and its sz part, 0.0 v + w, per pair, as (values, at_pair)."""
+    c, minus_s = rows.cos_fr[at_y], (-rows.sin_fr)[at_y]
+    columns = []
+    for const, cos_c, sin_c in field_coefficient_groups(p):
+        v, w = const + cos_c * rows.cos_th, sin_c * rows.sin_th
+        v_rows, zero_w = v[at_pair], (0.0 * w)[at_pair]
+        columns += [minus_s * v_rows + zero_w, c * v_rows + zero_w, (0.0 * v + w, at_pair)]
+    return columns
 
 
 def _stacked(triples, shape=(), dtype=float) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Run from a checkout, before and after a change:
 
-    python -B tests/cycle_hash.py
+    python -B tests/cycle_hash.py [WORKLOAD ...]
 
 It imports ymwaves from the checkout's own src/ and the bench's call
 lists from perfbench/workloads.py, which it only reads. For each of the
@@ -14,6 +14,8 @@ values as float.hex joined by commas. It prints one SHA-256 over the
 lines, each ending in a newline, and the number of calls. Equal hashes
 mean equal exit codes, equal printed bytes and equal oracle values, call
 for call. -B keeps bytecode out of src/; pytest does not collect it.
+Given workload names, it hashes their calls alone, a quick check while
+building; the pinned hash is that of all three.
 """
 
 import hashlib
@@ -45,17 +47,20 @@ def calls(workload):
             yield from group.calls
 
 
-def lines():
+def lines(names=WORKLOADS):
     """One line per call, in workload, seed, group and call order."""
-    for workload in WORKLOADS:
+    for workload in names:
         for call in calls(workload):
             yield _line(call())
 
 
 def main():
+    names = sys.argv[1:] or WORKLOADS
+    if not set(names) <= set(WORKLOADS):
+        sys.exit(f"usage: cycle_hash.py [WORKLOAD ...], each one of {', '.join(WORKLOADS)}")
     t0 = time.perf_counter()
     digest, count = hashlib.sha256(), 0
-    for line in lines():
+    for line in lines(names):
         digest.update(line.encode() + b"\n")
         count += 1
     print(f"{digest.hexdigest()}  {count} calls in {time.perf_counter() - t0:.2f} s")

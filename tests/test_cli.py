@@ -514,6 +514,43 @@ def test_csv_block_is_17g_on_any_magnitudes(values):
 
 def test_an_empty_block_is_no_text():
     assert _csv_block([np.empty(0), np.empty(0)]) == ""
+    assert _csv_block([(np.array([1.0, -0.0]), np.empty(0, np.intp)), np.empty(0)]) == ""
+
+
+# a factor's values: any float, repeats, exact ties and the powers of ten
+# and their neighbours
+_FACTOR_VALUES = st.lists(_FLOATS | st.sampled_from(
+    _ties()[:8] + [float(f"1e{k}") for k in range(-5, 19)] + [0.1, math.nextafter(0.1, 1.0)]),
+    min_size=1, max_size=12)
+
+
+@st.composite
+def _factored_columns(draw):
+    """Columns of one length, each an array or a pair (values, index), and
+    their expansion, each pair as values[index]: an index may repeat values
+    and skip some, and the length may be 0."""
+    n = draw(st.integers(0, 30))
+    columns, expanded = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        values = np.array(draw(_FACTOR_VALUES))
+        if draw(st.booleans()):
+            index = np.array(draw(st.lists(st.integers(0, len(values) - 1), min_size=n,
+                                           max_size=n)), np.intp)
+            columns.append((values, index))
+            expanded.append(values[index])
+        else:
+            column = np.resize(values, n)  # the values repeated to the length
+            columns.append(column)
+            expanded.append(column)
+    return columns, expanded
+
+
+@given(_factored_columns())
+def test_csv_block_of_factored_columns_is_that_of_their_rows(case):
+    columns, expanded = case
+    want = "".join(",".join("%.17g" % v for v in row) + "\r\n"
+                   for row in zip(*(c.tolist() for c in expanded)))
+    assert _csv_block(columns) == _csv_block(expanded) == want
 
 
 def test_the_widest_texts_fill_their_cells_in_every_column():
@@ -1072,6 +1109,16 @@ def test_fields_bad_grid_writes_nothing(extra, message, tmp_path, capsys):
         assert err.startswith("error: ") and message in err
         assert out == ""
     assert not dest.exists()
+
+
+def test_fields_checks_the_grid_before_its_t_axis_as_given(capsys):
+    # both overflow here; the grid's blocks check it as they are asked for,
+    # before the t axis as given is checked and before any block is made
+    code, out, err = run(["fields", "--family", "I", "--alpha4", "1",
+                          "--grid=-1e308:1e308:3,0:0:1,0:1:2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: an input is too large: the grid coordinates, the phase, the frame "
+                   "angle or the field coefficients are not finite\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "classify", "fields", "energy-profile"])

@@ -8,6 +8,7 @@ phase.
 """
 
 import csv
+import functools
 import io
 import math
 import os
@@ -152,6 +153,65 @@ def test_off_cone_fields_csv_matches_scalar_reference(capsys):
     assert out.splitlines() == _fields_reference(RAW, grid).splitlines()
 
 
+# configurations for the factored blocks of the grid core: a count of 1 on
+# each axis in turn; lam = 0, where the frame sine is 0 and sigma_x's zero
+# takes its sign from -0.0 v and 0.0 w; and a z axis longer than a block
+# with ny > 1, so that blocks wrap z, and y and t with it
+FACTORED_CONFIGS = [
+    ("II", -0.7, 1.9, 0.8, -1.3, -1, 1, ((0.5, 0.5, 1), (-1.0, 1.0, 6), (0.2, 4.1, 9))),
+    ("I", 1.3, -2.4, -1.1, 0.6, 1, 1, ((-0.5, 1.5, 4), (0.3, 0.3, 1), (0.2, 4.1, 9))),
+    ("II", 0.9, 2.7, -0.3, 1.7, 1, -1, ((-0.5, 1.5, 4), (-1.0, 1.0, 6), (0.7, 0.7, 1))),
+    ("I", 0.6, -1.3, 0.0, 1.1, 1, 1, ((-1.0, 1.0, 3), (-1.0, 1.0, 4), (-1.0, 1.0, 5))),
+    ("II", 1.1, 0.9, 0.4, -0.7, -1, 1, ((0.0, 1.0, 2), (-1.0, 1.0, 2), (0.0, 9.0, 1100))),
+]
+
+
+@functools.cache
+def _factored_reference(config):
+    *physics, grid = config
+    return _fields_reference(_params(*physics), grid)
+
+
+@pytest.mark.parametrize("block", [4, 7, None])
+@pytest.mark.parametrize("config", FACTORED_CONFIGS)
+def test_factored_blocks_match_scalar_reference(config, block, monkeypatch, capsys):
+    if block:
+        monkeypatch.setattr(ymwaves.fields, "_GRID_BLOCK", block)
+    *physics, grid = config
+    out = _run(_argv("fields", *physics) + [f"--grid={_grid_text(grid)}"], capsys)
+    assert out.splitlines() == _factored_reference(config).splitlines()
+
+
+@pytest.mark.parametrize("block", [4, 7, None])
+def test_blocks_take_each_phase_per_pair_and_frame_angle_per_y(block, monkeypatch):
+    # a block's runs of t, y and z indices, consecutive modulo their counts,
+    # cost at most 3 phases a row and 1 frame angle a row, also where a
+    # block wraps an axis: the min..max span of the z indices of a block
+    # that wraps z would take every z of the axis
+    if block:
+        monkeypatch.setattr(ymwaves.fields, "_GRID_BLOCK", block)
+    sizes, real_trig = [], ymwaves.fields._cos_sin
+    monkeypatch.setattr(ymwaves.fields, "_cos_sin",
+                        lambda angle: sizes.append(angle.size) or real_trig(angle))
+    p = build_family_ii(1.7, -0.8, 0.6, 1.3, -1, 1)
+    for grid in [*ANALYTIC_GRIDS[:6], ((0.0, 1.0, 2), (-1.0, 1.0, 3), (0.0, 6.0, 5000))]:
+        full = _Grid.from_ranges(*grid)
+        counts = full.t.count, full.y.count, full.z.count
+        blocks = full.blocks(p)
+        while True:
+            sizes.clear()
+            block = next(blocks, None)
+            if block is None:
+                break
+            (t, y, z), (at_t, _, at_z, at_pair), _ = block
+            phases, frames = sizes
+            rows = len(at_pair)
+            assert phases == len(t) * len(z) <= 3 * rows and frames == len(y) <= rows
+            for run, count in zip((t, y, z), counts):
+                assert (np.diff(run) % count == 1).all() and len(set(run.tolist())) == len(run)
+            assert (at_pair == at_t * len(z) + at_z).all()
+
+
 class _RecordingNumpy:
     """numpy, recording the magnitudes, as bits, that each np.unique call is
     given and how many distinct ones it returns."""
@@ -176,12 +236,18 @@ def test_fields_formats_each_distinct_magnitude_once(argv, b_adds, monkeypatch, 
     recording = _RecordingNumpy()
     monkeypatch.setattr(ymwaves.csvtext, "np", recording)
     _run([*argv, f"--grid={_grid_text(CONFIGS[-1][-1])}"], capsys)
-    assert [bits.shape for bits, _ in recording.calls] == [(10, 1024), (10, 4 * 5 * 65 - 1024)]
-    for bits, formatted in recording.calls:
+    # a block's distinct t, y and z values, its (t, z) pairs and its rows on
+    # the 4 x 5 x 65 grid: it sorts the t, y and z runs, theta and the two
+    # sigma_z columns per pair, and E_y's and B_x's sigma_x and sigma_y per row
+    sizes = [(4, 5, 65, 4 * 65, 1024), (1, 5, 65, 65, 4 * 5 * 65 - 1024)]
+    assert [bits.shape for bits, _ in recording.calls] == [
+        (nt + ny + nz + 3 * pairs + 4 * n,) for nt, ny, nz, pairs, n in sizes]
+    for (bits, formatted), (nt, ny, nz, pairs, n) in zip(recording.calls, sizes):
         # a block formats its distinct magnitudes, not its values
-        assert formatted == len(set(bits.ravel().tolist())) < bits.size
+        assert formatted == len(set(bits.tolist())) < bits.size
         # B_x's sigma_x and sigma_y columns add values of their own off the cone only
-        without_b = len(set(np.delete(bits, [7, 8], axis=0).ravel().tolist()))
+        b = nt + ny + nz + 2 * pairs + 2 * n  # where B_x's sigma_x starts
+        without_b = len(set(np.delete(bits, np.s_[b:b + 2 * n]).tolist()))
         assert (formatted > without_b) == b_adds
 
 
@@ -239,7 +305,7 @@ def test_analytic_max_equals_residual_samples(rng):
             cv, full = nine_constraints(p), _Grid.from_ranges(*grid)
             assert _max_analytic_norm(cv, full.angle_blocks(p)) == want
             # the flat route: every point's own phase, block by block
-            flat = ((r.cos_th, r.sin_th) for _, _, r in full.blocks(p))
+            flat = ((r.cos_th[at[3]], r.sin_th[at[3]]) for _, at, r in full.blocks(p))
             assert _max_analytic_norm(cv, flat) == want
 
 
@@ -263,7 +329,9 @@ def test_analytic_chunks_hold_at_most_a_block(block, monkeypatch):
         want = max(residual_sample(p, s).norm for s in grid_points(*grid))
         assert _max_analytic_norm(nine_constraints(p), full.angle_blocks(p)) == want
         # every row once, in order, in blocks of at most the block size
-        rows = [r for r, _, _ in full.blocks(p)]
+        ny, nz = full.y.count, full.z.count
+        rows = [(t[at_t] * ny + y[at_y]) * nz + z[at_z]
+                for (t, y, z), (at_t, at_y, at_z, _), _ in full.blocks(p)]
         assert max(map(len, rows)) <= block
         assert np.concatenate(rows).tolist() == list(range(len(full)))
     # the profile's samples are cut by the same rule, and no bit depends on it
