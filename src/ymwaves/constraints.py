@@ -208,7 +208,7 @@ def _monomials(table: _Substituted, x):
     shape (n, 5) -> (terms, n), a column per row, from one gather of the
     three factors of every term, multiplied into the first. A term that
     overflows is inf, which the callers judge under their np.errstate."""
-    one = _ONES[:, :len(x)] if len(x) <= _BLOCK else np.ones((1, len(x)))
+    one = np.ones((1, len(x)))
     atoms = np.concatenate([x.T, one, np.abs(x.T), one])
     atoms *= table.scale
     atoms += table.shift
@@ -664,8 +664,6 @@ _SNAP_STOP = 1e-9  # where the scan's Newton first stops to snap
 # Seeds drawn and refined together. Rows never interact, so this only
 # bounds the working arrays; it cannot change any output.
 _BLOCK = 512
-# _monomials' rows of ones
-_ONES = np.ones((1, _BLOCK))
 # lstsq's default singular-value cutoff for a 9 x 5 system
 _RCOND = 9.0 * np.finfo(float).eps
 

@@ -70,17 +70,16 @@ from .fields import (
     _angles,
     _commutators,
     _coordinates,
+    _cos_sin,
     _derivative,
     _field_columns,
     _Grid,
+    _phase,
     _potential_columns,
-    _rows,
     _stacked,
     _stencil,
     _step,
     _values,
-    electric_field_analytic,
-    magnetic_field_analytic,
 )
 from .su2 import LieElement, _along_sx, _along_sy_sz, _norm_squared
 
@@ -214,16 +213,14 @@ def _commutator_terms(g: float, fields: np.ndarray):
             cross[:, 3:] - terms[:, 6:9])
 
 
-def _point_fields(p: AnsatzParams, s: SpacetimePoint) -> np.ndarray:
-    """The array of _fields_at at s, from the one-point potentials and closed forms."""
-    phi, a = _potential_columns(p, *_angles(p, s))
-    e, b = electric_field_analytic(p, s), magnetic_field_analytic(p, s)
-    return _stacked([phi, *a, *(c.coeffs() for v in (e, b) for c in v.components())])
-
-
 def _point_terms(p: AnsatzParams, s: SpacetimePoint):
-    """_commutator_terms at s, overflowing to inf or NaN silently as floats do."""
-    fields = _point_fields(p, s)
+    """_commutator_terms at s, overflowing to inf or NaN silently as floats
+    do: phi, A and the closed-form E and B at the angles of s, laid out as
+    _fields_at lays out a block."""
+    angles = _angles(p, s)
+    phi, a = _potential_columns(p, *angles)
+    ey, bx = _field_columns(p, angles)
+    fields = _stacked((phi, *a, _ZERO, ey, _ZERO, bx, _ZERO, _ZERO))
     with np.errstate(all="ignore"):
         return _commutator_terms(p.g, fields)
 
@@ -418,5 +415,5 @@ def max_residual_norm(p: AnsatzParams, points) -> float:
     if not coords.size:
         raise ValueError("max_residual_norm needs at least one point; the point list is empty")
     with np.errstate(all="ignore"):  # a phase that overflows leaves a norm not finite
-        rows = _rows(p, coords)
-    return _max_analytic_norm(_harmonics(*_values(p)), [(rows.cos_th, rows.sin_th)])
+        phases = _cos_sin(_phase(p, coords[0], coords[3]))  # of t and z
+    return _max_analytic_norm(_harmonics(*_values(p)), [phases])

@@ -23,6 +23,7 @@ import pytest
 import ymwaves.cli
 import ymwaves.csvtext
 import ymwaves.fields
+import ymwaves.residuals
 from ymwaves.cli import _parse_grid, _parser, main
 from ymwaves.constraints import build_family_i, build_family_ii, classify, nine_constraints
 from ymwaves.fields import (
@@ -307,6 +308,25 @@ def test_analytic_max_equals_residual_samples(rng):
             # the flat route: every point's own phase, block by block
             flat = ((r.cos_th[at[3]], r.sin_th[at[3]]) for _, at, r in full.blocks(p))
             assert _max_analytic_norm(cv, flat) == want
+
+
+def test_max_residual_norm_takes_only_the_phases_trigonometry(monkeypatch):
+    # every _cos_sin of one call, looked up in fields or in residuals: one,
+    # over the points' phases; the norm reads no frame angle
+    p = build_family_ii(1.7, -0.8, 0.6, 1.3, -1, 1)
+    pts = grid_points((0.0, 2.0, 3), (-1.0, 1.0, 4), (0.5, 3.0, 5))
+    want = max(residual_sample(p, s).norm for s in pts)
+    calls, real = [], ymwaves.fields._cos_sin
+
+    def counted(angle):
+        calls.append(np.array(angle))
+        return real(angle)
+
+    for module in (ymwaves.fields, ymwaves.residuals):
+        monkeypatch.setattr(module, "_cos_sin", counted, raising=False)
+    assert max_residual_norm(p, pts) == want
+    assert len(calls) == 1
+    assert calls[0].tolist() == [p.phase(s) for s in pts]
 
 
 def _profile_bits(p, sol, n_samples):

@@ -1,12 +1,16 @@
 """Every import in src/ and tests/ is used, every private name in src/ is
-read, and every name a src/ module exports exists.
+read, every name a src/ module exports exists, and only cli calls another
+module's public functions.
 
 No linter ships with the project, so these are the checks: a name an
 import binds, each of a star import's too, must be read somewhere in its
 module, or be listed in the module's __all__ as a re-export; a private
 top-level function, class or constant of src/ must be read somewhere in
-src/ outside its own definition; and every name in a src/ module's
-__all__ must resolve in that module, so that a star import of it works.
+src/ outside its own definition; every name in a src/ module's __all__
+must resolve in that module, so that a star import of it works; and no
+function of a src/ module but cli may call a function another module
+lists in its __all__, so that the public API is a view over the private
+core and never a step inside it.
 A merge of two code paths tends to leave the imports and the helpers of
 the one it removed behind, and a deletion its __all__ entries.
 """
@@ -31,6 +35,13 @@ def _star_names(node: ast.ImportFrom, package) -> list[str]:
     return importlib.import_module("." * node.level + (node.module or ""), package).__all__
 
 
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module's __all__ lists."""
+    return {name for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
 def unused_imports(source: str, package=None) -> list[str]:
     """The names an import binds that the module neither reads nor lists
     in its __all__; a star import binds its module's exports, resolved
@@ -46,11 +57,7 @@ def unused_imports(source: str, package=None) -> list[str]:
                 star = alias.name == "*"
                 names = _star_names(node, package) if star else [alias.asname or alias.name]
                 bound.update(dict.fromkeys(names, node.lineno))
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            read |= set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
     return [f"line {line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
             if name not in read]
 
@@ -139,3 +146,68 @@ def test_the_check_sees_a_stale_export():
     module.__all__ = ["kept", "gone"]
     module.kept = 1
     assert stale_exports(module) == ["gone"]
+
+
+def cross_module_public_calls(sources: dict[str, str]) -> list[str]:
+    """The calls, in a function of a module (name -> source) other than cli,
+    of a function that another module defines and lists in its __all__:
+    by a name imported from that module, or as an attribute of that module
+    imported whole. Classes are not functions, so calling one is allowed;
+    cli is the surface, which calls the others' public API."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    public = {module: {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+              & _exported(tree) for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        if module == "cli":
+            continue
+        names, modules = {}, {}  # a bound name -> (module, function), or -> module
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom):
+                origin = (node.module or "").rpartition(".")[2]
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if origin:
+                        names[bound] = (origin, alias.name)
+                    else:
+                        modules[bound] = alias.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    modules[alias.asname or alias.name] = alias.name.rpartition(".")[2]
+        functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [(f"{node.name}.{method.name}", method) for node in tree.body
+                      if isinstance(node, ast.ClassDef) for method in node.body
+                      if isinstance(method, ast.FunctionDef)]
+        for qualname, function in functions:
+            for call in ast.walk(function):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if isinstance(f, ast.Name):
+                    origin, name = names.get(f.id, (None, None))
+                elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                    origin, name = modules.get(f.value.id), f.attr
+                else:
+                    continue
+                if origin != module and name in public.get(origin, ()):
+                    found.append(f"{module}.{qualname} calls {origin}.{name}")
+    return found
+
+
+def test_only_cli_calls_another_modules_public_functions():
+    # the scalar API is a thin view over one array core: the core reaches
+    # itself through private helpers, never through another module's API
+    sources = {p.stem: p.read_text() for p in SRC if p.stem != "__init__"}
+    assert cross_module_public_calls(sources) == []
+
+
+def test_the_check_sees_a_cross_module_public_call():
+    sources = {
+        "a": "__all__ = ['f', 'K']\n\ndef f():\n    return f()\n\ndef _g():\n    pass\n\n"
+             "class K:\n    pass\n",
+        "b": "from .a import K, _g, f as h\nfrom . import a\n\n__all__ = ['m']\n\n"
+             "def m():\n    return K(), _g(), m()\n\ndef _n():\n    return h()\n\n"
+             "class C:\n    def run(self):\n        return a.f(), a.K(), a._g()\n",
+        "cli": "from .a import f\n\ndef main():\n    return f()\n",
+    }
+    assert cross_module_public_calls(sources) == ["b._n calls a.f", "b.C.run calls a.f"]
