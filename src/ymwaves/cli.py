@@ -219,19 +219,21 @@ class _Check(NamedTuple):
 
 
 def _verify_checks(args):
-    """verify's report as records: the lines before its checks, the checks
-    (the judged constraints or static conditions, then the analytic,
-    numeric and Bianchi residuals), the judged kind and the notes after."""
+    """verify's report as records: the lines before its checks, the judged
+    checks (the constraints or the static conditions), the analytic,
+    numeric and Bianchi residual checks, the judged kind and the notes
+    after."""
     p = _build_params(args)
     cv = nine_constraints(p)
     scales = constraint_scales(p)
     nm = _normalized(cv, scales, cv._fields)  # as normalized_constraints
-    lines = [f"constraint c{i} = {_fmt(raw)} (normalized {_fmt(norm)})"
-             for i, (raw, norm) in enumerate(zip(cv, nm), start=1)]
-    judged, kind, _ = _judged(p, args.tol, nm)
+    head, lines = [], [f"constraint c{i} = {_fmt(raw)} (normalized {_fmt(norm)})"
+                       for i, (raw, norm) in enumerate(zip(cv, nm), start=1)]
+    values, kind, _ = _judged(p, args.tol, nm)
     if kind == "static conditions":  # the nine are printed, not judged
-        for i, (name, value) in enumerate(zip(_STATIC_SUMS, judged), start=1):
-            lines.append(f"static condition {i}: {name} at theta = 0 (normalized {_fmt(value)})")
+        head, lines = lines, [f"static condition {i}: {name} at theta = 0 (normalized {_fmt(v)})"
+                              for i, (name, v) in enumerate(zip(_STATIC_SUMS, values), start=1)]
+    judged = [_Check(line, v, args.tol) for line, v in zip(lines, values)]
 
     grid, _ = _grids(args)
     n = len(grid)
@@ -249,16 +251,18 @@ def _verify_checks(args):
     if not num_allow < math.inf:
         raise OverflowError("the bound of the numeric residual on the magnitudes overflows")
     m = numeric.shape[1]
-    checks = [_Check(line, v, args.tol) for line, v in zip(lines[-len(judged):], judged)] + [
-        _Check(f"max analytic residual over {n} grid points = {_fmt(max_analytic)} "
-               f"(allowance {_fmt(ana_allow)})", max_analytic, ana_allow),
+    analytic = _Check(f"max analytic residual over {n} grid points = {_fmt(max_analytic)} "
+                      f"(allowance {_fmt(ana_allow)})", max_analytic, ana_allow)
+    residuals = [
+        analytic,
         _Check(f"max numeric residual over {m} grid points = {_fmt(max_numeric)} "
                f"(allowance {_fmt(num_allow)})", max_numeric, num_allow),
         _Check(f"bianchi residual norm over {m} grid points = {_fmt(bia)} "
                f"(div B and Faraday, allowance {_fmt(num_allow)})", bia, num_allow)]
 
     notes = []  # the pure-gauge note, made only when the constraint and analytic checks pass
-    if all(c.passes for c in checks[:-2]) and abs(p.alpha4) > 0 and _fields_vanish(p, args.tol):
+    if (all(c.passes for c in [*judged, analytic]) and abs(p.alpha4) > 0
+            and _fields_vanish(p, args.tol)):
         f = _field_strength_columns(p, numeric[:, :8])
         with np.errstate(all="ignore"):
             f_norm = float(np.sqrt((f * f).sum(axis=(0, 1, 2))).max())
@@ -267,19 +271,18 @@ def _verify_checks(args):
             raise OverflowError("the bound of the field strength on the magnitudes overflows")
         if f_norm <= f_allow:
             notes.append(f"pure gauge: F ~ 0 (max field strength norm {_fmt(f_norm)})")
-    return lines[:-len(judged)], checks, kind, notes
+    return head, judged, residuals, kind, notes
 
 
 def cmd_verify(args) -> int:
     # the whole report is computed before any of it is written, so an
     # input that fails part way leaves no partial report behind
-    head, checks, kind, notes = _verify_checks(args)
-    lines = head + [c.line for c in checks] + notes
-    judged = checks[:-3]  # the last three are the residual checks
+    head, judged, residuals, kind, notes = _verify_checks(args)
+    lines = head + [c.line for c in judged + residuals] + notes
     bad = ", ".join(str(i) for i, c in enumerate(judged, start=1) if not c.passes)
     if bad:
         lines.append(f"violated {kind}: {bad}")
-    ok = all(c.passes for c in checks)
+    ok = all(c.passes for c in judged + residuals)
     lines.append("VERIFIED" if ok else "NOT VERIFIED")
 
     with _output(args) as out:

@@ -14,9 +14,10 @@ along 0/+-1 directions in amplitude space, and its linear equations
 (_EQUATIONS) are the residual of the projection onto it. An offset is
 data, five slots, each a literal 0.0 or -0.0 or one entry +-coupling /
 (2 g) or +-coupling / (4 g) of a single coupling (_Branch), so that
-_offsets evaluates every row in one gather and an entry rounds once, as
-its formula does. The builders, classify, branch_projection and the
-scan's snap all read the branches from it. classify judges each branch's equations as a verdict, against
+_offsets evaluates the rows, all of them or a builder's own, in one
+gather and an entry rounds once, as its formula does. The builders,
+classify, branch_projection and the scan's snap all read the branches
+from it. classify judges each branch's equations as a verdict, against
 themselves on magnitudes (_misfits); the light cone (_on_cone) is
 judged the same way, and a wave family describes only a running wave,
 alpha4 != 0 (_applies).
@@ -299,7 +300,8 @@ class _Branch(NamedTuple):
     'omega', 'k' or 'lam' and denominator 2 or 4, which stands for
     numerator coupling / (denominator g). An entry takes one coupling, so
     that it rounds once, in the division: a sum over couplings would turn
-    -lam / 2g at lam = 0.0 into +0.0."""
+    -lam / 2g at lam = 0.0 into +0.0. _offsets evaluates the slots, of
+    every row at once or, for a builder (_build), of its row alone."""
 
     label: str
     eta: Optional[int]
@@ -308,11 +310,6 @@ class _Branch(NamedTuple):
     wave: bool  # describes only rows with a running wave, alpha4 != 0
     slots: tuple  # the five offset slots, literals or entries
     directions: tuple  # one or two 0/+-1 vectors with no coordinate in common
-
-    def offset(self, lam, k, omega, g) -> list[float]:
-        """The branch's offset at the couplings, five floats: _offsets of its row alone."""
-        row = _BRANCHES.index(self)
-        return _offsets((lam, k, omega, g), slice(row, row + 1))[0].tolist()
 
 
 # The catalogue, the one place each branch is written. Ties between
@@ -350,10 +347,9 @@ _SLOTS = [(d, np.maximum(1.0, np.sum(d * d, axis=1)), d != 0.0)
           for d in _DIRECTIONS.transpose(1, 0, 2)]
 # each branch's linear equations E (x - offset) = 0, E = I - sum_m d_m d_m^T / d_m . d_m
 # over its directions d_m, so that E (x - offset) = x - P(x) for the
-# projection P onto it that _projections takes
-_EQUATIONS = np.array([np.eye(5) - sum(np.outer(d, d) / d.dot(d)
-                                       for d in np.array(b.directions, dtype=float))
-                       for b in _BRANCHES])
+# projection P onto it that _projections takes; a padding zero vector adds 0
+_EQUATIONS = np.eye(5) - sum(d[:, :, None] * d[:, None, :] / dd[:, None, None]
+                             for d, dd, _ in _SLOTS)
 
 
 def _offsets(couplings, rows=slice(None)) -> np.ndarray:
@@ -460,7 +456,9 @@ def _build(family, k, omega, alpha4, lam, g, eta=None, xi=None) -> AnsatzParams:
         raise ValueError(f"family {family} requires alpha4 != 0")
     omega = k if branch.cone else omega
     (d,) = branch.directions
-    point = [o + s * alpha4 if s else o for o, s in zip(branch.offset(lam, k, omega, g), d)]
+    row = _BRANCHES.index(branch)  # its own row alone
+    offset = _offsets((lam, k, omega, g), slice(row, row + 1))[0].tolist()
+    point = [o + s * alpha4 if s else o for o, s in zip(offset, d)]
     return AnsatzParams(*point, lam=lam, k=k, omega=omega, g=g)
 
 

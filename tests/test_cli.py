@@ -176,11 +176,12 @@ def test_verify_and_classify_agree_on_static_configurations(config, solves, caps
     # constraints, which are over-strong when the phase is frozen; on a
     # running wave both judge the nine
     args = ymwaves.cli._parse(["verify", *config, "--grid", SMALL_GRID])
-    _, checks, kind, _ = ymwaves.cli._verify_checks(args)
+    _, judged, residuals, kind, _ = ymwaves.cli._verify_checks(args)
+    checks = judged + residuals
     p = ymwaves.cli._build_params(args)
     assert kind == ("static conditions" if p.k == p.omega == 0.0 else "constraints")
-    assert len(checks) == (3 if kind == "static conditions" else 9) + 3
-    failing = [i for i, c in enumerate(checks[:-3], start=1) if not c.value <= c.allowance]
+    assert (len(judged), len(residuals)) == (3 if kind == "static conditions" else 9, 3)
+    failing = [i for i, c in enumerate(judged, start=1) if not c.value <= c.allowance]
 
     verified, report, _ = run(["verify", *config, "--grid", SMALL_GRID], capsys)
     assert verified == (0 if all(c.value <= c.allowance for c in checks) else 1)
@@ -227,8 +228,8 @@ def _verdicts(p: AnsatzParams):
     classify returns with the name are p's own, so they are left out.
     verify runs at wave speed 2, which the CLI divides out exactly."""
     args = ymwaves.cli._parse(["verify", *_raw(p, 2.0), "--grid", "0:0:1,0:0:1,0:0:1"])
-    _, checks, kind, _ = ymwaves.cli._verify_checks(args)
-    judged = [c.passes for c in checks[:-3]]
+    _, checks, _, kind, _ = ymwaves.cli._verify_checks(args)
+    judged = [c.passes for c in checks]
     if p.g == 0.0:
         return kind, judged, None
     try:

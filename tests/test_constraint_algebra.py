@@ -199,13 +199,14 @@ def test_every_branch_solves_the_constraints(branch, lam, k, g, omega, free):
     if branch.cone:
         omega = k
     couplings = (lam, k, omega, g)
-    point = np.array(branch.offset(*couplings)) + sum(
+    row = _BRANCHES.index(branch)
+    # the branch's own row alone, as a builder takes it
+    point = _offsets(couplings, slice(row, row + 1))[0] + sum(
         t * np.array(d) for t, d in zip(free, branch.directions))
     worst = normalized_constraints(AnsatzParams(*point, lam=lam, k=k, omega=omega, g=g))
     assert np.max(worst) <= 1e-12
     offsets = _offsets(couplings)
     points, dist = _projections(point[None, :], offsets, True)
-    row = _BRANCHES.index(branch)
     assert np.max(np.abs(points[0, row] - point)) <= 1e-12
     # its own equations hold to rounding, judged on their magnitudes
     assert _misfits(point, offsets)[row] <= 4.0 * np.finfo(float).eps
@@ -215,7 +216,7 @@ def test_every_branch_solves_the_constraints(branch, lam, k, g, omega, free):
 
 
 # The branch offsets as the formulas of the table's rows, written out: the
-# reference that _offsets and _Branch.offset match bit for bit
+# reference that _offsets, all rows at once or one alone, matches bit for bit
 REFERENCE_OFFSETS = {
     ("I", None, None): lambda lam, k, omega, g: (0.0, 0.0, -lam / (2.0 * g), -0.0, 0.0),
     **{("II", eta, xi): lambda lam, k, omega, g, eta=eta: (
@@ -267,8 +268,8 @@ def test_offsets_are_the_formulas_bit_for_bit(lam, k, omega, g):
     couplings = (lam, k, omega, g)
     assert _bits(lambda: _offsets(couplings)) == _bits(
         lambda: _reference_offsets(couplings, _BRANCHES))
-    for b in _BRANCHES:
-        assert _bits(lambda: np.array(b.offset(*couplings))) == _bits(
+    for row, b in enumerate(_BRANCHES):
+        assert _bits(lambda: _offsets(couplings, slice(row, row + 1))[0]) == _bits(
             lambda: _reference_offsets(couplings, [b])[0])
 
 

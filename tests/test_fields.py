@@ -69,6 +69,23 @@ def test_vector_potential_cases():
     assert potentials(p, s_pi)[1].ey.norm() < 1e-14
 
 
+def test_color_vector_arithmetic_is_componentwise(rng):
+    # +, -, unary - and real scaling act on each LieElement component, and
+    # a mixed operand or a complex scale is refused
+    u, v = (ColorVector(*(LieElement(*rng.normal(size=3).tolist()) for _ in range(3)))
+            for _ in range(2))
+    assert (u + v).components() == tuple(a + b for a, b in zip(u.components(), v.components()))
+    assert (u - v).components() == tuple(a - b for a, b in zip(u.components(), v.components()))
+    assert (-u).components() == tuple(-a for a in u.components())
+    for s in (3, -0.75):
+        assert (u * s).components() == (s * u).components() == tuple(
+            a * s for a in u.components())
+    for refused in (lambda: u.ex + u, lambda: u + u.ex, lambda: u * u, lambda: u * 2j,
+                    lambda: 2j * u):
+        with pytest.raises(TypeError):
+            refused()
+
+
 def test_family_i_closed_fields():
     k, a4 = 1.4, 0.8
     p = build_family_i(k, a4, lam=0.9, g=1.1)

@@ -35,18 +35,26 @@ def _star_names(node: ast.ImportFrom, package) -> list[str]:
     return importlib.import_module("." * node.level + (node.module or ""), package).__all__
 
 
-def _exported(tree: ast.Module) -> set[str]:
-    """The names a module's __all__ lists."""
-    return {name for node in ast.walk(tree) if isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-            for name in ast.literal_eval(node.value)}
+def _exported(tree: ast.Module, module=None) -> set[str]:
+    """The names a module's __all__ lists: the literal it assigns, or, for
+    an __all__ built from other lists, the named module's own at run time."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            try:
+                names.update(ast.literal_eval(node.value))
+            except ValueError:
+                names.update(importlib.import_module(module).__all__)
+    return names
 
 
-def unused_imports(source: str, package=None) -> list[str]:
+def unused_imports(source: str, module=None) -> list[str]:
     """The names an import binds that the module neither reads nor lists
     in its __all__; a star import binds its module's exports, resolved
-    in package when relative."""
+    in the package of module, the source's dotted name, when relative."""
     tree = ast.parse(source)
+    package = module and importlib.import_module(module).__package__
     bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -57,16 +65,17 @@ def unused_imports(source: str, package=None) -> list[str]:
                 star = alias.name == "*"
                 names = _star_names(node, package) if star else [alias.asname or alias.name]
                 bound.update(dict.fromkeys(names, node.lineno))
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)} | _exported(tree, module)
     return [f"line {line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
             if name not in read]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
-    # a src/ module's relative imports resolve in its package
-    package = path.parent.name if path.is_relative_to(ROOT / "src") else None
-    assert unused_imports(path.read_text(), package) == []
+    # a src/ module's relative imports resolve in its package, and an
+    # __all__ it builds is read from it
+    assert unused_imports(path.read_text(), dict(zip(SRC, SRC_MODULES)).get(path)) == []
 
 
 def test_the_check_sees_an_unused_import():

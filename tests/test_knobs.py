@@ -16,10 +16,9 @@ call sets is a default nobody reads.
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SRC = sorted((ROOT / "src").rglob("*.py"))
+from test_imports import ROOT, SRC, SRC_MODULES, _exported
+
 CALLERS = SRC + sorted((ROOT / "perfbench").rglob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 # the defaulted parameters no caller sets, and why each stays
@@ -37,14 +36,12 @@ def _defaulted(function: ast.FunctionDef) -> list[tuple[int | None, str]]:
                   if d is not None]
 
 
-def _exported_functions(source: str):
-    """The top-level defs of a module that its __all__ lists."""
+def _exported_functions(source: str, module: str):
+    """The top-level defs of a module that its __all__ lists, read as
+    test_imports reads it (_exported: a literal, else the module's own
+    at run time, imported by its dotted name)."""
     tree = ast.parse(source)
-    exported = set()
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            exported |= set(ast.literal_eval(node.value))
+    exported = _exported(tree, module)
     return [node for node in tree.body
             if isinstance(node, ast.FunctionDef) and node.name in exported]
 
@@ -71,12 +68,12 @@ def _calls(callers: list[str]) -> dict[str, list[ast.Call]]:
 
 def unset_knobs(modules: dict[str, str], callers: list[str]) -> list[str]:
     """'module.function(parameter)' for every defaulted parameter of a
-    function in a module's __all__ (module name -> source) that no call in
-    callers (sources) sets."""
+    function in a module's __all__ (dotted module name -> source) that no
+    call in callers (sources) sets."""
     calls = _calls(callers)
     return sorted(f"{module}.{fn.name}({param})"
                   for module, source in modules.items()
-                  for fn in _exported_functions(source)
+                  for fn in _exported_functions(source, module)
                   for position, param in _defaulted(fn)
                   if not any(_sets(call, position, param) for call in calls.get(fn.name, ())))
 
@@ -101,7 +98,7 @@ def idle_private_defaults(modules: dict[str, str]) -> list[str]:
 
 
 def test_every_public_default_is_set_by_a_caller():
-    modules = {p.stem: p.read_text() for p in SRC}
+    modules = {name: p.read_text() for p, name in zip(SRC, SRC_MODULES)}
     assert unset_knobs(modules, [p.read_text() for p in CALLERS]) == sorted(ALLOWED)
 
 
