@@ -21,7 +21,6 @@ failing check / not a solution, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import re
@@ -196,14 +195,17 @@ def _grids(args):
     return _Grid.from_ranges((*ct, n), *rest), _grid_axis(t0, t1, n)
 
 
-@contextlib.contextmanager
-def _output(args):
-    """stdout, or the --out file, opened on entry and closed on exit."""
+def _write(args, made, rest=()):
+    """Write each text of made, then of rest, one write apiece, to stdout
+    (sys.stdout as it is at the call) or to the --out file. No command
+    opens its output before the text an input can fail on is made, so a
+    usage error writes nothing and leaves no file: that text is in made,
+    made before this is called, and rest is made as it is written."""
     if args.out is None:
-        yield sys.stdout
+        sys.stdout.writelines(chain(made, rest))
     else:
         with open(args.out, "w", newline="") as out:
-            yield out
+            out.writelines(chain(made, rest))
 
 
 class _Check(NamedTuple):
@@ -275,8 +277,6 @@ def _verify_checks(args):
 
 
 def cmd_verify(args) -> int:
-    # the whole report is computed before any of it is written, so an
-    # input that fails part way leaves no partial report behind
     head, judged, residuals, kind, notes = _verify_checks(args)
     lines = head + [c.line for c in judged + residuals] + notes
     bad = ", ".join(str(i) for i, c in enumerate(judged, start=1) if not c.passes)
@@ -284,43 +284,38 @@ def cmd_verify(args) -> int:
         lines.append(f"violated {kind}: {bad}")
     ok = all(c.passes for c in judged + residuals)
     lines.append("VERIFIED" if ok else "NOT VERIFIED")
-
-    with _output(args) as out:
-        out.write("".join(line + "\n" for line in lines))
+    _write(args, ["".join(line + "\n" for line in lines)])
     return 0 if ok else 1
+
+
+def _answer(args, result) -> str:
+    """classify's answer line for its result, or for the ClassificationError it raised."""
+    if isinstance(result, ClassificationError):
+        return f"unclassified solution: {result}"
+    if isinstance(result, FamilySolution):  # omega in the caller's units
+        omega = args.omega if args.omega is not None else _converted(
+            "omega = k*c", args.k * args.c, k=args.k, c=args.c)
+        return (f"family {result.family}{_sign_suffix(result.eta, result.xi)} "
+                f"(k={_fmt(result.k)}, omega={_fmt(omega)}, alpha4={_fmt(result.alpha4)})")
+    if isinstance(result, PlaneSolution):
+        a = result.alphas
+        return f"{result.label} plane (alpha3={_fmt(a[2])}, alpha5={_fmt(a[4])})"
+    if isinstance(result, TrivialZeroField):
+        return f"trivial zero-field configuration ({result.note})"
+    assert isinstance(result, NotASolution)
+    if result.violated:
+        return "not a solution; violated constraints: " + ", ".join(map(str, result.violated))
+    return f"not a solution (worst static group {_fmt(result.worst)})"
 
 
 def cmd_classify(args) -> int:
     p = _build_params(args)
-    try:  # before the output is opened, so that a usage error leaves no file
+    try:
         result = classify(p, tol=args.tol)
     except ClassificationError as exc:
         result = exc
-    with _output(args) as out:
-        if isinstance(result, ClassificationError):
-            out.write(f"unclassified solution: {result}\n")
-            return 1
-        if isinstance(result, FamilySolution):  # omega in the caller's units
-            omega = args.omega if args.omega is not None else _converted(
-                "omega = k*c", args.k * args.c, k=args.k, c=args.c)
-            out.write(f"family {result.family}{_sign_suffix(result.eta, result.xi)} "
-                      f"(k={_fmt(result.k)}, "
-                      f"omega={_fmt(omega)}, alpha4={_fmt(result.alpha4)})\n")
-            return 0
-        if isinstance(result, PlaneSolution):
-            a = result.alphas
-            out.write(f"{result.label} plane (alpha3={_fmt(a[2])}, alpha5={_fmt(a[4])})\n")
-            return 0
-        if isinstance(result, TrivialZeroField):
-            out.write(f"trivial zero-field configuration ({result.note})\n")
-            return 0
-        assert isinstance(result, NotASolution)
-        if result.violated:
-            out.write("not a solution; violated constraints: "
-                      + ", ".join(str(i) for i in result.violated) + "\n")
-        else:
-            out.write(f"not a solution (worst static group {_fmt(result.worst)})\n")
-        return 1
+    _write(args, [_answer(args, result) + "\n"])
+    return 1 if isinstance(result, (ClassificationError, NotASolution)) else 0
 
 
 def cmd_scan(args) -> int:
@@ -354,14 +349,11 @@ def cmd_scan(args) -> int:
 
 
 def _write_csv(args, header, blocks):
-    """Write a header and blocks of CSV text, one write per block; each
-    block is whole rows, each ended by "\r\n", as RFC 4180 ends them. The
-    first block is made before the output is opened, so an input that
-    fails on it leaves nothing behind."""
+    """Write a header and blocks of CSV text, each its own write, through
+    _write, the header and the first block its made; each block is whole
+    rows, each ended by "\r\n", as RFC 4180 ends them."""
     blocks = iter(blocks)
-    first = next(blocks, "")
-    with _output(args) as out:
-        out.writelines(chain([",".join(header) + "\r\n", first], blocks))
+    _write(args, [",".join(header) + "\r\n", next(blocks, "")], blocks)
 
 
 def cmd_fields(args) -> int:

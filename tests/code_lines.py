@@ -17,6 +17,7 @@ lines, largest first. pytest does not collect it.
 
 import ast
 import io
+import signal
 import sys
 import tokenize
 from pathlib import Path
@@ -56,6 +57,7 @@ def definition_lines(module: str, source: str) -> list[tuple[str, int]]:
 
 
 def main(argv: list[str]) -> int:
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a closed reader ends it quietly
     paths = sorted((ROOT / "src" / "ymwaves").glob("*.py"))
     if argv == ["defs"]:
         rows = [row for path in paths for row in definition_lines(path.stem, path.read_text())]

@@ -753,6 +753,28 @@ def test_classify_usage_error_creates_no_output_file(tmp_path, capsys):
     assert not dest.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--family", "I", "--alpha4", "1", "--grid=0:1:2,0:0:1,0:1:0"],
+     "grid axis z: count must be >= 1, got 0"),
+    (["classify", "--family", "II", "--k", "1e100", "--c=-1e250", "--alpha4", "1"],
+     "an input is too large: omega = k*c overflows at k = 1e+100 and c = -1e+250"),
+    (["scan", "--k", "1e200"],
+     "an input is too large: squaring k = 1e+200 and omega / c = 1e+200 overflows in the "
+     "constraints c1..c9"),
+    (["fields", "--family", "I", "--alpha4", "1", "--c", "1e300",
+      "--grid=0:1e10:2,0:0:1,0:1:2"],
+     "an input is too large: c*t overflows at t = 10000000000.0 and c = 1e+300"),
+    (["energy-profile", "--family", "I", "--alpha4", "0", "--k", "1e200"],
+     "an input is too large: the energy density or its closed form overflows"),
+], ids=["verify", "classify", "scan", "fields", "energy-profile"])
+def test_no_usage_error_leaves_an_out_file(argv, message, tmp_path, capsys):
+    # each error is raised inside its command, after parsing
+    dest = tmp_path / "out.txt"
+    code, out, err = run([*argv, "--out", str(dest)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not dest.exists()
+
+
 @pytest.mark.parametrize("extra", [["--tol", "1e-2"], ["--h", "0.5"], ["--family", "II"],
                                    ["--alpha3", "9"], ["--eta", "1"], ["--xi", "-1"]])
 def test_scan_rejects_flags_it_does_not_read(extra, capsys):

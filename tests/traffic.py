@@ -25,6 +25,7 @@ import ast
 import dis
 import inspect
 import os
+import signal
 import sys
 from collections import Counter
 from pathlib import Path
@@ -89,6 +90,7 @@ def _defined():
 
 
 def main():
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a closed reader ends it quietly
     tally = _Tally()
     sys.setprofile(tally)
     try:
