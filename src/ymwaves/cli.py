@@ -15,7 +15,8 @@ parameters or from the raw --alpha1..--alpha5/--k/--omega flags, converted
 once to the library's units, where omega is omega / c and time c t.
 Numbers are emitted with 17 significant digits so parsing them back
 reproduces the exact float. Exit codes: 0 verified / solution, 1 a
-failing check / not a solution, 2 usage error.
+failing check / not a solution, 2 usage error; run as the command, it
+ends by SIGPIPE, with no message, when its reader closes stdout.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import functools
 import math
 import re
+import signal
 import sys
 from collections import Counter
 from itertools import chain
@@ -472,6 +474,8 @@ def _parse(argv):
 
 
 def main(argv=None) -> int:
+    if argv is None and hasattr(signal, "SIGPIPE"):  # run as the command, not in process
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a closed reader ends it quietly
     args = _parse(argv)
     try:
         if "tol" in args and not (args.tol > 0.0 and math.isfinite(args.tol)):

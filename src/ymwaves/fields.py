@@ -311,10 +311,12 @@ def _chunks(n: int):
 
 
 class _Axis(NamedTuple):
-    """A grid axis as (start, step, count): value i is start + i * step, or
-    start alone for a single count. Its values are made from their indices
-    as they are needed; no axis is held whole. They are monotone in i, also
-    after rounding, so its ends bound them.
+    """A grid axis as (start, step, count): value i is start + i * step. A
+    single count steps by -0.0, so its one value is its start bit for bit:
+    0 * -0.0 is -0.0, and x + -0.0 is x as a float for every start x, -0.0,
+    an int and nan included. Its values are made from their indices as they
+    are needed; no axis is held whole. They are monotone in i, also after
+    rounding, so its ends bound them.
 
     An axis that overflows holds inf or nan, on which numpy warns; its
     users reject it first (_Grid.check) or silence numpy (grid_points).
@@ -326,21 +328,17 @@ class _Axis(NamedTuple):
 
     def at(self, i) -> np.ndarray:
         """The values at the index array i."""
-        if self.count == 1:
-            return np.full(np.shape(i), float(self.start))
         return self.start + i * self.step
 
     def ends(self):
         """The first and the last value, as at rounds them, as floats."""
-        if self.count == 1:
-            return float(self.start), float(self.start)
         return self.start + 0 * self.step, self.start + (self.count - 1) * self.step
 
 
 def _grid_axis(lo, hi, n) -> _Axis:
-    """One (start, stop, count) axis of a grid; a single count collapses to
-    the start value. A count that is not whole, is below 1, or that no array
-    can hold (_check_count), is a ValueError.
+    """One (start, stop, count) axis of a grid; a single count steps by -0.0
+    (see _Axis), so it holds the start value. A count that is not whole, is
+    below 1, or that no array can hold (_check_count), is a ValueError.
     """
     if isinstance(n, float) and not n.is_integer():  # int() would drop its fraction
         raise ValueError(f"count must be a whole number >= 1, got {n}")
@@ -348,7 +346,7 @@ def _grid_axis(lo, hi, n) -> _Axis:
     if n < 1:
         raise ValueError(f"count must be >= 1, got {n}")
     if n == 1:
-        return _Axis(lo, 0.0, 1)
+        return _Axis(lo, -0.0, 1)
     _check_count(n)
     return _Axis(lo, (hi - lo) / (n - 1), n)
 
@@ -444,7 +442,7 @@ class _Grid:
         block is made.
         """
         self.check(p)
-        plane = _Grid(self.t, _Axis(0.0, 0.0, 1), self.z)
+        plane = _Grid(self.t, _Axis(0.0, -0.0, 1), self.z)
         return (_cos_sin(_phase(p, self.t.at(it), self.z.at(iz)))
                 for it, _, iz in map(plane.indices, _chunks(len(plane))))
 

@@ -3,7 +3,9 @@ import csv
 import importlib
 import io
 import math
+import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -1002,6 +1004,30 @@ def run_fresh(argv):
                            "sys.exit(ymwaves.cli.main(sys.argv[1:]))", *argv],
                           capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["fields", "--family", "I", "--alpha4", "1", "--grid", SMALL_GRID],
+    ["scan", "--seeds", "300"],  # rows past stdout's buffer, written before the tally
+    ["classify", "--family", "I", "--alpha4", "1"],
+], ids=lambda argv: argv[0])
+def test_a_closed_reader_ends_the_command_quietly(argv):
+    # run as the command: a reader that closed stdout ends it as SIGPIPE
+    # does, not as a usage error
+    env = {"PYTHONPATH": str(Path(ymwaves.cli.__file__).parents[1]), "PATH": ""}
+    read, write = os.pipe()
+    os.close(read)  # closed before the command starts, so its first write fails
+    with os.fdopen(write, "wb") as stdout:
+        proc = subprocess.run([sys.executable, "-B", "-m", "ymwaves.cli", *argv],
+                              stdout=stdout, stderr=subprocess.PIPE, env=env)
+    assert proc.stderr == b""
+    assert proc.returncode == -signal.SIGPIPE
+
+
+def test_main_in_process_leaves_the_sigpipe_action_alone(capsys):
+    before = signal.getsignal(signal.SIGPIPE)
+    assert main(["classify", "--family", "I", "--alpha4", "1"]) == 0
+    assert signal.getsignal(signal.SIGPIPE) == before
 
 
 def test_a_scan_loads_no_random_number_library():

@@ -30,6 +30,7 @@ from ymwaves.fields import (
     AnsatzParams,
     SpacetimePoint,
     _Grid,
+    _grid_axis,
     electric_field_analytic,
     magnetic_field_analytic,
 )
@@ -428,6 +429,25 @@ def test_grid_points_rejects_a_count_that_is_not_whole(count):
             f"grid axis t: count must be a whole number >= 1, got {count}")):
         grid_points((0, 1, count), (0, 1, 1), (0, 1, 1))
     assert len(grid_points((0, 1, 2.0), (0, 1, 1), (0, 1, 1))) == 2  # a whole float is a count
+
+
+@pytest.mark.parametrize("start", [0.0, -0.0, 3, -2.5, 1e308, -1e308, 5e-324, -5e-324,
+                                   math.inf, -math.inf, math.nan])
+def test_a_single_count_axis_is_its_start_bit_for_bit(start):
+    axis = _grid_axis(start, 7.0, 1)
+    values = [*axis.at(np.zeros(4, dtype=int)).tolist(), *axis.ends()]
+    assert len(values) == 6
+    for v in values:
+        if math.isnan(start):
+            assert math.isnan(v) and math.copysign(1.0, v) == math.copysign(1.0, start)
+        else:
+            assert float.hex(v) == float.hex(float(start))
+
+
+def test_a_single_count_axis_of_minus_zero_prints_minus_zero(capsys):
+    out = _run(["fields", "--family", "I", "--alpha4", "1", "--grid=0:1:2,-0:5:1,0:1:2"], capsys)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4 and {row["y"] for row in rows} == {"-0"}
 
 
 # the CLI in a fresh process that prints its exit code and peak RSS in kB;
